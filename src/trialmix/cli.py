@@ -541,7 +541,9 @@ def cmd_pcs(args, config: dict) -> int:
     return 0
 
 
-def _run_compare(config: dict, dataset: Dataset, out: str) -> ModelComparison:
+def _run_compare(
+    config: dict, dataset: Dataset, out: str, fits: dict | None = None
+) -> ModelComparison:
     opts = _section(config, "compare", COMPARE_KEYS)
     model_ids = tuple(int(m) for m in opts["models"])
     bad = [m for m in model_ids if m not in MODEL_SPECS]
@@ -552,6 +554,7 @@ def _run_compare(config: dict, dataset: Dataset, out: str) -> ModelComparison:
         _em_config(config),
         model_ids=model_ids,
         n_obs=None if opts["n_obs"] is None else int(opts["n_obs"]),
+        fits=fits,
     )
     _write_compare_artifacts(out, cmp)
     return cmp
@@ -573,7 +576,9 @@ def cmd_report(args, config: dict) -> int:
     pa = None
     if np.any(amap.cluster > 0):
         pa = _run_pcs(config, dataset, fit, amap, out)
-    cmp = _run_compare(config, dataset, out)
+    # report's own fit is the comparison's fit of that model
+    model_id = int(_section(config, "fit", FIT_KEYS)["model"])
+    cmp = _run_compare(config, dataset, out, {model_id: fit})
     manifest = {
         "loglik": float(fit.loglik_trace[-1]),
         "iterations": fit.iterations,

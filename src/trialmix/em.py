@@ -141,30 +141,50 @@ def _epoch_design(dataset: Dataset) -> np.ndarray:
     return dataset.design.reshape(d.n_epochs, d.n_times, d.n_covariates)
 
 
+def _residuals_inactive(dataset: Dataset, coeffs: np.ndarray) -> np.ndarray:
+    """(n_voxels, n_images) residuals of the non-responding model."""
+    return dataset.series - coeffs @ dataset.design.T
+
+
 def _residuals_active(
     dataset: Dataset,
+    resid_inactive: np.ndarray,
     amplitude: np.ndarray,
-    coeffs: np.ndarray,
     hrf_values: np.ndarray,
 ) -> np.ndarray:
-    """(n_voxels, n_epochs, n_times) residuals of the responding model."""
+    """(n_voxels, n_epochs, n_times) residuals of the responding model,
+    derived from the non-responding ones of the same coefficients."""
     d = dataset.dims
-    fitted = dataset.design @ coeffs.T
-    resid = dataset.series - fitted.T
-    resid = resid.reshape(d.n_voxels, d.n_epochs, d.n_times)
+    resid = resid_inactive.reshape(d.n_voxels, d.n_epochs, d.n_times)
     return resid - amplitude[:, None, None] * hrf_values[None, None, :]
-
-
-def _residuals_inactive(dataset: Dataset, coeffs: np.ndarray) -> np.ndarray:
-    fitted = dataset.design @ coeffs.T
-    return dataset.series - fitted.T
 
 
 def residual_matrices(dataset: Dataset, params: MixtureParams) -> np.ndarray:
     """Responding-model residuals, shape (n_voxels, n_epochs, n_times)."""
     return _residuals_active(
-        dataset, params.amplitude, params.coeffs, params.hrf.values
+        dataset,
+        _residuals_inactive(dataset, params.coeffs),
+        params.amplitude,
+        params.hrf.values,
     )
+
+
+class _Residuals:
+    """Both residual matrices of the fit's current parameters.
+
+    The fit loop builds them once per coefficient change and hands this
+    holder to every block that reads them. _mstep drops the old matrices
+    once their last reader is done and stores the new ones, so at most
+    one residual of each kind is alive while the M-step allocates.
+    """
+
+    __slots__ = ("inactive", "active")
+
+    def __init__(self, dataset: Dataset, params: MixtureParams) -> None:
+        self.inactive = _residuals_inactive(dataset, params.coeffs)
+        self.active = _residuals_active(
+            dataset, self.inactive, params.amplitude, params.hrf.values
+        )
 
 
 # module-level indirection so tests can swap in a dense-covariance oracle
@@ -172,23 +192,51 @@ _active_quads = kernels.quad_forms_kron
 
 
 def _log_densities(
-    dataset: Dataset, params: MixtureParams
+    dataset: Dataset, params: MixtureParams, resid: _Residuals | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-voxel log densities under each component."""
-    d = dataset.dims
-    n = d.n_images
-    resid_a = residual_matrices(dataset, params)
+    """Per-voxel log densities under each component.
+
+    ``resid``, when given, holds the residuals of ``params``.
+    """
+    if resid is None:
+        resid = _Residuals(dataset, params)
+    n = dataset.dims.n_images
     w_within = inv_spd(params.within_cov)
     w_between = inv_spd(params.between_cov)
-    quad_a = _active_quads(resid_a, w_within, w_between)
+    quad_a = _active_quads(resid.active, w_within, w_between)
     logdet = kron_logdet(params.between_cov, params.within_cov)
     log_f1 = -0.5 * (n * LOG_2PI + logdet + quad_a)
-    resid_i = _residuals_inactive(dataset, params.coeffs)
-    ssq = np.einsum("vn,vn->v", resid_i, resid_i)
+    ssq = np.einsum("vn,vn->v", resid.inactive, resid.inactive)
     log_f2 = -0.5 * (
         n * (LOG_2PI + np.log(params.noise_var)) + ssq / params.noise_var
     )
     return log_f1, log_f2
+
+
+def _posterior(p: float, log_f1: np.ndarray, log_f2: np.ndarray) -> np.ndarray:
+    """Responding probabilities from the component log densities."""
+    if p <= 0.0:
+        return np.zeros(log_f1.shape)
+    if p >= 1.0:
+        return np.ones(log_f1.shape)
+    c = np.log1p(-p) - np.log(p) + log_f2 - log_f1
+    resp = np.empty(log_f1.shape)
+    hi = c > EXP_CUTOFF
+    lo = c < -EXP_CUTOFF
+    mid = ~(hi | lo)
+    resp[hi] = 0.0
+    resp[lo] = 1.0
+    resp[mid] = 1.0 / (1.0 + np.exp(c[mid]))
+    return resp
+
+
+def _mixture_loglik(p: float, log_f1: np.ndarray, log_f2: np.ndarray) -> float:
+    """Observed-data log-likelihood from the component log densities."""
+    if p <= 0.0:
+        return float(np.sum(log_f2))
+    if p >= 1.0:
+        return float(np.sum(log_f1))
+    return float(np.sum(np.logaddexp(np.log(p) + log_f1, np.log1p(-p) + log_f2)))
 
 
 def log_density_active(y: np.ndarray, design: np.ndarray, params: MixtureParams, voxel: int) -> float:
@@ -222,35 +270,15 @@ def estep(dataset: Dataset, params: MixtureParams) -> np.ndarray:
 
     Computed in log space as 1 / (1 + exp(c)) with
     c = log(1 - p) - log(p) + log f2 - log f1; c beyond +-700 saturates
-    to exactly 0 or 1. Degenerate priors (p equal to 0 or 1) short-circuit.
+    to exactly 0 or 1. Degenerate priors (p equal to 0 or 1) give exactly
+    0 or 1 everywhere.
     """
-    p = params.active_prob
-    n_vox = dataset.dims.n_voxels
-    if p <= 0.0:
-        return np.zeros(n_vox)
-    if p >= 1.0:
-        return np.ones(n_vox)
-    log_f1, log_f2 = _log_densities(dataset, params)
-    c = np.log1p(-p) - np.log(p) + log_f2 - log_f1
-    resp = np.empty(n_vox)
-    hi = c > EXP_CUTOFF
-    lo = c < -EXP_CUTOFF
-    mid = ~(hi | lo)
-    resp[hi] = 0.0
-    resp[lo] = 1.0
-    resp[mid] = 1.0 / (1.0 + np.exp(c[mid]))
-    return resp
+    return _posterior(params.active_prob, *_log_densities(dataset, params))
 
 
 def observed_loglik(dataset: Dataset, params: MixtureParams) -> float:
     """Observed-data log-likelihood of the mixture."""
-    p = params.active_prob
-    log_f1, log_f2 = _log_densities(dataset, params)
-    if p <= 0.0:
-        return float(np.sum(log_f2))
-    if p >= 1.0:
-        return float(np.sum(log_f1))
-    return float(np.sum(np.logaddexp(np.log(p) + log_f1, np.log1p(-p) + log_f2)))
+    return _mixture_loglik(params.active_prob, *_log_densities(dataset, params))
 
 
 def q_function(dataset: Dataset, resp: np.ndarray, params: MixtureParams) -> float:
@@ -273,23 +301,18 @@ def update_p(resp: np.ndarray) -> float:
 
 
 def _update_beta_all(
-    dataset: Dataset,
-    coeffs: np.ndarray,
+    resid_inactive: np.ndarray,
     hrf_values: np.ndarray,
     w_within: np.ndarray,
     w_between: np.ndarray,
 ) -> np.ndarray:
-    d = dataset.dims
-    diff = _residuals_inactive(dataset, coeffs).reshape(
-        d.n_voxels, d.n_epochs, d.n_times
-    )
+    """Amplitudes for every voxel from the residuals of its current coeffs."""
     wt_h = w_within @ hrf_values
     row_wb = w_between.sum(axis=1)
     denom = float(row_wb.sum() * (hrf_values @ wt_h))
     if denom <= 0.0:
         raise DegenerateDataError("amplitude update: nonpositive normalizer")
-    numer = np.einsum("j,t,vjt->v", row_wb, wt_h, diff)
-    return numer / denom
+    return resid_inactive @ np.kron(row_wb, wt_h) / denom
 
 
 def update_beta(
@@ -326,17 +349,17 @@ def _update_b_all(
     d = dataset.dims
     if d.n_covariates == 0:
         return np.zeros((d.n_voxels, 0))
-    x_ep = _epoch_design(dataset)
-    gram_active = np.einsum(
-        "jk,jta,ts,ksb->ab", w_between, x_ep, w_within, x_ep, optimize=True
-    )
+    q = d.n_covariates
+    # (w_between (x) w_within) X, the design under the responding precision
+    wx = np.einsum(
+        "jk,kta,ts->jsa", w_between, _epoch_design(dataset), w_within
+    ).reshape(d.n_images, q)
+    gram_active = dataset.design.T @ wx
     gram_inactive = dataset.design.T @ dataset.design / noise_var
-    series_ep = dataset.epoch_view()
-    mean_active = series_ep - amplitude[:, None, None] * hrf_values[None, None, :]
-    rhs_active = np.einsum(
-        "jk,jta,ts,vks->va", w_between, x_ep, w_within, mean_active, optimize=True
-    )
-    rhs_inactive = dataset.series @ dataset.design / noise_var
+    proj = dataset.series @ np.concatenate([wx, dataset.design], axis=1)
+    mean_proj = np.tile(hrf_values, d.n_epochs) @ wx
+    rhs_active = proj[:, :q] - amplitude[:, None] * mean_proj[None, :]
+    rhs_inactive = proj[:, q:] / noise_var
     lhs = (
         resp[:, None, None] * gram_active[None, :, :]
         + (1.0 - resp)[:, None, None] * gram_inactive[None, :, :]
@@ -392,16 +415,18 @@ def _update_h_raw(
     amplitude: np.ndarray,
     coeffs: np.ndarray,
     w_between: np.ndarray,
+    resid_inactive: np.ndarray | None = None,
 ) -> np.ndarray | None:
     """Stationarity solution for the shape, before renormalization.
 
     Returns None when the weighted amplitude mass is too small to
-    identify a shape.
+    identify a shape. ``resid_inactive``, when given, is
+    series - coeffs @ design.T.
     """
     d = dataset.dims
-    diff = _residuals_inactive(dataset, coeffs).reshape(
-        d.n_voxels, d.n_epochs, d.n_times
-    )
+    if resid_inactive is None:
+        resid_inactive = _residuals_inactive(dataset, coeffs)
+    diff = resid_inactive.reshape(d.n_voxels, d.n_epochs, d.n_times)
     row_wb = w_between.sum(axis=1)
     denom = float(np.sum(resp * amplitude**2) * row_wb.sum())
     if not np.isfinite(denom) or denom <= MASS_EPS:
@@ -411,17 +436,23 @@ def _update_h_raw(
 
 
 def update_h(
-    dataset: Dataset, resp: np.ndarray, params: MixtureParams
+    dataset: Dataset,
+    resp: np.ndarray,
+    params: MixtureParams,
+    resid_inactive: np.ndarray | None = None,
 ) -> tuple[Hrf, np.ndarray]:
     """Shape update with unit-norm and sign renormalization.
 
     Returns the new shape and the amplitudes rescaled so that
     amplitude * shape is unchanged by the renormalization. When the
     weighted amplitude mass is degenerate the previous shape is kept and
-    a warning is emitted.
+    a warning is emitted. ``resid_inactive``, when given, is the
+    non-responding residual of params.coeffs.
     """
     w_between = inv_spd(params.between_cov)
-    raw = _update_h_raw(dataset, resp, params.amplitude, params.coeffs, w_between)
+    raw = _update_h_raw(
+        dataset, resp, params.amplitude, params.coeffs, w_between, resid_inactive
+    )
     if raw is None or float(np.linalg.norm(raw)) == 0.0:
         warnings.warn(
             "shape update skipped: weighted amplitude mass is degenerate",
@@ -494,14 +525,23 @@ def update_covariances(
     return within, between
 
 
-def update_sigma2(dataset: Dataset, resp: np.ndarray, coeffs: np.ndarray) -> float:
-    """Noise-variance update from the non-responding side."""
+def update_sigma2(
+    dataset: Dataset,
+    resp: np.ndarray,
+    coeffs: np.ndarray,
+    resid_inactive: np.ndarray | None = None,
+) -> float:
+    """Noise-variance update from the non-responding side.
+
+    ``resid_inactive``, when given, is series - coeffs @ design.T.
+    """
     off = 1.0 - np.asarray(resp, dtype=np.float64)
     mass = float(np.sum(off))
     if mass <= 0.0:
         raise DegenerateDataError("noise update: no non-responding mass")
-    resid = _residuals_inactive(dataset, coeffs)
-    ssq = np.einsum("vn,vn->v", resid, resid)
+    if resid_inactive is None:
+        resid_inactive = _residuals_inactive(dataset, coeffs)
+    ssq = np.einsum("vn,vn->v", resid_inactive, resid_inactive)
     return float(np.sum(off * ssq) / (dataset.dims.n_images * mass))
 
 
@@ -515,24 +555,29 @@ def _rescale_trace(
     return within * scale, between / scale
 
 
-def _global_vector(params: MixtureParams) -> np.ndarray:
-    return params.global_vector()
-
-
 def _mstep(
     dataset: Dataset,
     resp: np.ndarray,
     params: MixtureParams,
+    resid: _Residuals,
     config: EmConfig,
     structure: ModelStructure,
 ) -> MixtureParams:
+    """One sweep of conditional maximizers.
+
+    ``resid.inactive`` holds the residual of params.coeffs on entry; on
+    return ``resid`` holds both residuals of the returned parameters.
+    """
     d = dataset.dims
     p = update_p(resp) if structure.mixture else 1.0
     w_within = inv_spd(params.within_cov)
     w_between = inv_spd(params.between_cov)
     amplitude = _update_beta_all(
-        dataset, params.coeffs, params.hrf.values, w_within, w_between
+        resid.inactive, params.hrf.values, w_within, w_between
     )
+    # the old residuals have no reader left; free them before the
+    # coefficient solve and the new residuals allocate
+    resid.inactive = resid.active = None
     coeffs = _update_b_all(
         dataset,
         resp,
@@ -542,16 +587,17 @@ def _mstep(
         w_between,
         params.noise_var,
     )
+    resid.inactive = _residuals_inactive(dataset, coeffs)
     hrf = params.hrf
     if structure.estimate_hrf:
         interim = params.with_updates(amplitude=amplitude, coeffs=coeffs)
-        hrf, amplitude = update_h(dataset, resp, interim)
+        hrf, amplitude = update_h(dataset, resp, interim, resid.inactive)
+    resid.active = _residuals_active(dataset, resid.inactive, amplitude, hrf.values)
     within = params.within_cov
     between = params.between_cov
     noise_var = params.noise_var
-    resid = _residuals_active(dataset, amplitude, coeffs, hrf.values)
     if structure.spherical:
-        ssq = float(np.einsum("vjt,vjt->", resid, resid))
+        ssq = float(np.einsum("vjt,vjt->", resid.active, resid.active))
         var = max(ssq / (d.n_voxels * d.n_images), config.noise_floor)
         within = var * np.eye(d.n_times)
         between = np.eye(d.n_epochs)
@@ -560,7 +606,7 @@ def _mstep(
         mass = float(np.sum(resp))
         if mass > max(MASS_EPS * d.n_voxels, MASS_EPS):
             within, between = update_covariances(
-                resid,
+                resid.active,
                 resp,
                 within,
                 between,
@@ -580,7 +626,8 @@ def _mstep(
             off_mass = float(np.sum(1.0 - resp))
             if off_mass > max(MASS_EPS * d.n_voxels, MASS_EPS):
                 noise_var = max(
-                    update_sigma2(dataset, resp, coeffs), config.noise_floor
+                    update_sigma2(dataset, resp, coeffs, resid.inactive),
+                    config.noise_floor,
                 )
             else:
                 warnings.warn(
@@ -607,26 +654,29 @@ def _iterate(
     max_iter: int,
     diagnostics=None,
 ) -> FitResult:
-    trace = [observed_loglik(dataset, params)]
+    # one density evaluation per parameter value: it gives the trace
+    # entry and the next (or final) responsibilities
+    resid = _Residuals(dataset, params)
+    log_f = _log_densities(dataset, params, resid)
+    trace = [_mixture_loglik(params.active_prob, *log_f)]
     converged = False
     iterations = 0
-    n_vox = dataset.dims.n_voxels
-    resp = np.ones(n_vox)
+    resp = np.ones(dataset.dims.n_voxels)
     for it in range(1, max_iter + 1):
-        resp = estep(dataset, params) if structure.mixture else np.ones(n_vox)
-        old_vec = _global_vector(params)
-        new_params = params
+        if structure.mixture:
+            resp = _posterior(params.active_prob, *log_f)
+        old_vec = params.global_vector()
         for _ in range(config.m_sweeps):
-            new_params = _mstep(dataset, resp, new_params, config, structure)
-        params = new_params
+            params = _mstep(dataset, resp, params, resid, config, structure)
         if __debug__:
             validate_params(
                 params, dataset.dims, trace_convention=structure.rescale_trace
             )
-        trace.append(observed_loglik(dataset, params))
+        log_f = _log_densities(dataset, params, resid)
+        trace.append(_mixture_loglik(params.active_prob, *log_f))
         iterations = it
         delta = float(
-            np.linalg.norm(_global_vector(params) - old_vec)
+            np.linalg.norm(params.global_vector() - old_vec)
             / max(1.0, np.linalg.norm(old_vec))
         )
         if diagnostics is not None:
@@ -645,7 +695,7 @@ def _iterate(
             converged = True
             break
     if structure.mixture:
-        resp = estep(dataset, params)
+        resp = _posterior(params.active_prob, *log_f)
     return FitResult(
         params=params,
         resp=resp,
@@ -716,8 +766,7 @@ def init_fit(
         dataset, config, reduced_structure, max_iter=config.init_max_iter
     )
     params = reduced.params
-    y_w, mu_w, x_w = whiten(dataset, params)
-    t_stats, df = t_statistics_all(y_w, mu_w, x_w)
+    t_stats, df = t_statistics_all(*whiten(dataset, params))
     pvals = t_sf(t_stats, df)
     active = pvals < config.init_alpha
     if not np.any(active):
@@ -732,7 +781,22 @@ def init_fit(
             stacklevel=2,
         )
     p0 = float(np.clip(np.mean(active), 0.01, 0.99))
-    resid = residual_matrices(dataset, params)
+    resid_i = _residuals_inactive(dataset, params.coeffs)
+    if np.all(active):
+        warnings.warn(
+            "no voxels classified non-responding; seeding noise variance "
+            "from the pooled residuals",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        noise = float(np.mean(resid_i**2))
+    else:
+        noise = update_sigma2(
+            dataset, active.astype(np.float64), params.coeffs, resid_i
+        )
+    noise = max(noise, config.noise_floor)
+    resid = _residuals_active(dataset, resid_i, params.amplitude, params.hrf.values)
+    del resid_i
     within = params.within_cov
     between = params.between_cov
     if not structure.spherical:
@@ -748,18 +812,6 @@ def init_fit(
         )
         if structure.rescale_trace:
             within, between = _rescale_trace(within, between)
-    if np.all(active):
-        warnings.warn(
-            "no voxels classified non-responding; seeding noise variance "
-            "from the pooled residuals",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        resid_i = _residuals_inactive(dataset, params.coeffs)
-        noise = float(np.mean(resid_i**2))
-    else:
-        noise = update_sigma2(dataset, active.astype(np.float64), params.coeffs)
-    noise = max(noise, config.noise_floor)
     return MixtureParams(
         active_prob=p0,
         amplitude=params.amplitude,

@@ -62,7 +62,9 @@ def t_statistics_all(
     Amplitude and covariate coefficients are re-estimated jointly by
     least squares on [mu_w, design_w]; the variance of the amplitude
     estimate uses (mu_w' mu_w)^{-1} and the residual mean square on
-    n - q - 1 degrees of freedom. Voxels with an exact fit get +inf.
+    n - q - 1 degrees of freedom. Voxels with an exact fit get +-inf by
+    the sign of their amplitude, or 0 when the amplitude is exactly 0
+    (a flat voxel carries no evidence of a response).
     """
     n = mu_w.shape[0]
     q = design_w.shape[1]
@@ -79,12 +81,13 @@ def t_statistics_all(
     if mu_norm2 <= 0.0:
         raise ValueError("whitened shape regressor has zero norm")
     amp = coef[0]
-    t = np.full(amp.shape, np.inf)
-    np.negative(t, where=amp < 0.0, out=t)
+    t = np.where(amp < 0.0, -np.inf, np.inf)
+    t[amp == 0.0] = 0.0
     good = s2 > 0.0
     if not np.all(good):
         warnings.warn(
-            f"{int(np.sum(~good))} voxel(s) fit exactly; t set to +-inf",
+            f"{int(np.sum(~good))} voxel(s) fit exactly; t set to +-inf, "
+            "or 0 where the amplitude is 0",
             RuntimeWarning,
             stacklevel=2,
         )

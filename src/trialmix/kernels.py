@@ -1,13 +1,16 @@
 """Batched per-voxel contractions used by the E- and M-steps.
 
 Two interchangeable backends implement the same three kernels: a numba
-@njit path parallelized over voxels and a pure-numpy einsum path. The
-environment variable TRIALMIX_KERNELS selects one ("numba", "numpy", or
-"auto", the default, which takes numba when importable).
+@njit path parallelized over voxels and a pure-numpy path built on flat
+GEMMs. The environment variable TRIALMIX_KERNELS selects one ("numba",
+"numpy", or "auto", the default, which takes numba when importable).
 
-Every kernel writes per-voxel partial results and the final reduction is
-a fixed-order numpy sum, so outputs are bit-identical across runs and
-thread counts for a given backend.
+No reduction over the voxel axis goes through a BLAS GEMV or dot: BLAS
+splits those reductions by thread count, so their last bits would change
+with OPENBLAS_NUM_THREADS. Per-voxel sums are np.einsum row dots, and
+sums over voxels are np.einsum with a fixed order or a GEMM, whose
+threads split the output and not the sum, so outputs are bit-identical
+across runs and thread counts for a given backend.
 
 resid arrays have shape (n_voxels, n_epochs, n_times); w_within is the
 inverse of the within-epoch factor (n_times, n_times) and w_between the
@@ -65,8 +68,10 @@ def quad_forms_kron_numpy(
     resid: np.ndarray, w_within: np.ndarray, w_between: np.ndarray
 ) -> np.ndarray:
     """Per-voxel quadratic forms under the inverse Kronecker covariance."""
-    tmp = np.einsum("vjs,st->vjt", resid, w_within)
-    return np.einsum("vjt,jk,vkt->v", tmp, w_between, resid, optimize=True)
+    n_vox, _, n_t = resid.shape
+    tmp = (resid.reshape(-1, n_t) @ w_within).reshape(resid.shape)
+    tmp = w_between @ tmp
+    return np.einsum("vn,vn->v", tmp.reshape(n_vox, -1), resid.reshape(n_vox, -1))
 
 
 def scatter_within_numpy(
@@ -77,8 +82,10 @@ def scatter_within_numpy(
     R_v is the (n_times, n_epochs) residual matrix of voxel v; the result
     is (n_times, n_times).
     """
-    partial = np.einsum("vjs,jk,vkt->vst", resid, w_between, resid, optimize=True)
-    return np.einsum("v,vst->st", weights, partial)
+    n_t = resid.shape[2]
+    weighted = w_between @ resid
+    weighted *= weights[:, None, None]
+    return weighted.reshape(-1, n_t).T @ resid.reshape(-1, n_t)
 
 
 def scatter_between_numpy(

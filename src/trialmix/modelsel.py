@@ -7,6 +7,7 @@ mixtures whose responding covariance is (3) between-epoch only,
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,11 +143,14 @@ def compare_models(
     config: EmConfig = EmConfig(),
     model_ids: tuple[int, ...] = (1, 2, 3, 4, 5),
     n_obs: int | None = None,
+    fits: Mapping[int, FitResult] | None = None,
 ) -> ModelComparison:
     """Fit the candidates and rank them by information criteria.
 
     The default sample size for the BIC is the total number of scalar
-    observations, n_voxels * n_images.
+    observations, n_voxels * n_images. ``fits`` maps model ids to fits
+    the caller already made with fit_model(dataset, id, config); those
+    models are not fitted again.
     """
     if not model_ids:
         raise ValueError("model_ids must not be empty")
@@ -156,7 +160,7 @@ def compare_models(
     rows = []
     for mid in model_ids:
         spec = ModelSpec.from_id(mid)
-        fit = fit_model(dataset, mid, config)
+        fit = fits[mid] if fits and mid in fits else fit_model(dataset, mid, config)
         ll = float(fit.loglik_trace[-1])
         p = count_params(mid, d)
         rows.append(

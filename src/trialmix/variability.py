@@ -175,7 +175,8 @@ def anova_two_way(
         raise DegenerateDataError(f"singular ANOVA design: {exc}") from exc
     coef = gram_inv @ (design.T @ scores)
     resid = scores - design @ coef
-    resid_var = float(resid @ resid / df_resid)
+    # a BLAS dot splits its sum by thread count; einsum keeps one order
+    resid_var = float(np.einsum("n,n->", resid, resid) / df_resid)
     cov = resid_var * gram_inv
 
     def expand(offset: int, n_levels: int) -> tuple[np.ndarray, np.ndarray]:

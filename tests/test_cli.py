@@ -1,4 +1,5 @@
 """Command-line pipeline: artifacts, exit codes, error reporting."""
+import csv
 import json
 import os
 import subprocess
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 from trialmix.cli import main
-from trialmix.io import read_dataset
+from trialmix.io import read_dataset, write_dataset
+from trialmix.simulate import SimConfig, simulate_dataset
 
 CONFIG = {
     "seed": 5,
@@ -305,3 +307,65 @@ def test_console_stdout_summaries(pipeline, tmp_path, capsys):
                  "--out", str(tmp_path / "f")]) == 0
     out = capsys.readouterr().out
     assert "loglik=" in out and "converged=True" in out
+
+
+def _run_cli(argv, threads=1):
+    env = dict(
+        os.environ,
+        OPENBLAS_NUM_THREADS=str(threads),
+        OMP_NUM_THREADS=str(threads),
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "trialmix"] + argv,
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def _tree_bytes(root):
+    files = {}
+    for folder, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(folder, name)
+            with open(path, "rb") as f:
+                files[os.path.relpath(path, root)] = f.read()
+    return files
+
+
+def test_report_bit_identical_across_blas_threads(tmp_path):
+    # V=5000 is large enough for a BLAS reduction over voxels or ANOVA
+    # rows to be split by thread count
+    cfg = str(tmp_path / "config.json")
+    with open(cfg, "w") as f:
+        json.dump({"seed": 0, "simulate": {"n_voxels": 5000,
+                                            "active_frac": 0.3}}, f)
+    sim = str(tmp_path / "sim")
+    _run_cli(["simulate", "--config", cfg, "--out", sim])
+    bundle = os.path.join(sim, "dataset")
+    reports = {}
+    for threads in (1, 2):
+        out = str(tmp_path / f"report{threads}")
+        _run_cli(["report", bundle, "--config", cfg, "--out", out], threads)
+        reports[threads] = _tree_bytes(out)
+    assert sorted(reports[1]) == sorted(reports[2])
+    differ = [n for n in sorted(reports[1]) if reports[1][n] != reports[2][n]]
+    assert not differ, f"artifacts differ between 1 and 2 threads: {differ}"
+
+
+def test_flat_voxel_is_not_flagged_active(tmp_path):
+    ds, truth = simulate_dataset(SimConfig(n_voxels=400), seed=3)
+    flat = int(np.nonzero(truth.labels)[0][0])
+    ds.series[flat] = 0.0
+    bundle = str(tmp_path / "dataset")
+    write_dataset(ds, bundle)
+    out = str(tmp_path / "report")
+    assert main(["report", bundle, "--out", out]) == 0
+    with open(os.path.join(out, "tstats.csv")) as f:
+        rows = list(csv.DictReader(f))
+    row = rows[flat]
+    assert int(row["voxel"]) == flat
+    assert float(row["t"]) == 0.0
+    assert int(row["reject"]) == 0
+    assert int(row["cluster"]) == 0

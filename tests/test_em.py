@@ -232,10 +232,15 @@ def test_estep_unchanged_under_dense_quad_oracle(monkeypatch):
     np.testing.assert_allclose(fast, slow, atol=1e-12)
 
 
-def test_em_fit_small_mixture_run():
-    ds, truth = simulate_dataset(
+@pytest.fixture(scope="module")
+def small_mixture():
+    return simulate_dataset(
         SimConfig(n_voxels=120, n_times=8, n_epochs=5, n_covariates=2), seed=42
     )
+
+
+def test_em_fit_small_mixture_run(small_mixture):
+    ds, truth = small_mixture
     fit = em_fit(ds)
     assert fit.converged
     trace = fit.loglik_trace
@@ -246,6 +251,35 @@ def test_em_fit_small_mixture_run():
     # most voxels classified correctly even at this small size
     acc = np.mean((fit.resp >= 0.5) == truth.labels.astype(bool))
     assert acc > 0.8
+
+
+def test_fit_result_matches_public_estep_and_loglik(small_mixture):
+    # the fit loop shares one density evaluation between the trace entry
+    # and the responsibilities; the public functions must agree to the bit
+    ds, _ = small_mixture
+    fit = em_fit(ds)
+    assert fit.loglik_trace[-1] == observed_loglik(ds, fit.params)
+    np.testing.assert_array_equal(fit.resp, estep(ds, fit.params))
+
+
+def test_one_density_evaluation_per_parameter_value(small_mixture, monkeypatch):
+    ds, _ = small_mixture
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        init = init_fit(ds)
+    calls = []
+    quads = em._active_quads
+
+    def counting_quads(*args):
+        calls.append(1)
+        return quads(*args)
+
+    monkeypatch.setattr(em, "_active_quads", counting_quads)
+    fit = em_fit(ds, init_params=init)
+    assert len(calls) == fit.iterations + 1
+    calls.clear()
+    reduced = fit_all_active(ds, max_iter=4)
+    assert len(calls) == reduced.iterations + 1
 
 
 def test_fit_all_active_rejects_mixture_structure():
