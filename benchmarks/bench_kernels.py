@@ -4,13 +4,17 @@ Runs the three per-voxel contractions (quadratic forms, within-epoch
 scatter, between-epoch scatter) at a few problem sizes and prints a
 table of best-of-N wall times plus the speedup of the active compiled
 path. Also cross-checks that the two backends agree to near machine
-precision on every timed instance.
+precision on every timed instance. The "peak tmp" column is the numpy
+path's peak traced allocation during one call (tracemalloc, in a
+separate untimed call), which the voxel blocking bounds independently
+of V.
 
 Usage:
     python benchmarks/bench_kernels.py [--repeats 7] [--threads 4]
 """
 import argparse
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -21,6 +25,7 @@ SIZES = [
     (2000, 10, 14),
     (8000, 10, 14),
     (2000, 20, 28),
+    (50000, 10, 14),
 ]
 
 
@@ -36,6 +41,15 @@ def _best_of(fun, args, repeats):
         fun(*args)
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def _peak_bytes(fun, args):
+    tracemalloc.start()
+    try:
+        fun(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def main() -> int:
@@ -54,7 +68,10 @@ def main() -> int:
         print("compiled backend unavailable; timing the fallback only")
 
     rng = np.random.default_rng(0)
-    header = f"{'V':>6} {'E':>3} {'T':>3}  {'kernel':<16} {'numpy':>10}"
+    header = (
+        f"{'V':>6} {'E':>3} {'T':>3}  {'kernel':<16} {'peak tmp':>10}"
+        f" {'numpy':>10}"
+    )
     if compiled:
         header += f" {'numba':>10} {'speedup':>8}"
     print(header)
@@ -78,8 +95,12 @@ def main() -> int:
         ]
         for name, ref_fun, fast_fun, call_args in cells:
             ref = ref_fun(*call_args)
+            peak = _peak_bytes(ref_fun, call_args)
             t_ref = _best_of(ref_fun, call_args, args.repeats)
-            line = f"{n_vox:>6} {n_ep:>3} {n_t:>3}  {name:<16} {t_ref * 1e3:>8.2f}ms"
+            line = (
+                f"{n_vox:>6} {n_ep:>3} {n_t:>3}  {name:<16} {peak / 1e6:>8.2f}MB"
+                f" {t_ref * 1e3:>8.2f}ms"
+            )
             if compiled:
                 got = fast_fun(*call_args)  # first call compiles
                 scale = np.max(np.abs(ref)) or 1.0

@@ -115,6 +115,17 @@ def load_config(path: str | None) -> dict:
     return config
 
 
+def _thread_count(value) -> int:
+    """The --threads / "threads" setting as a positive integer."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError):
+        n = 0
+    if n < 1:
+        raise ConfigError(f"threads: must be a positive integer, got {value!r}")
+    return n
+
+
 def _em_config(config: dict) -> EmConfig:
     return _build_dataclass(EmConfig, config.get("em", {}), "em")
 
@@ -655,10 +666,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
-        if args.threads is None:
-            args.threads = config.get("threads")
-        if args.threads is not None:
-            kernels.set_num_threads(int(args.threads))
+        threads = config.get("threads") if args.threads is None else args.threads
+        if threads is not None:
+            kernels.set_num_threads(_thread_count(threads))
         return args.func(args, config)
     except (ConfigError, io.BundleFormatError, FileNotFoundError) as e:
         return _fail(2, type(e).__name__, str(e))

@@ -141,9 +141,19 @@ def _epoch_design(dataset: Dataset) -> np.ndarray:
     return dataset.design.reshape(d.n_epochs, d.n_times, d.n_covariates)
 
 
-def _residuals_inactive(dataset: Dataset, coeffs: np.ndarray) -> np.ndarray:
-    """(n_voxels, n_images) residuals of the non-responding model."""
-    return dataset.series - coeffs @ dataset.design.T
+def _residuals_inactive(
+    dataset: Dataset, coeffs: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """(n_voxels, n_images) residuals of the non-responding model,
+    series - coeffs @ design.T, written block by block into ``out`` when
+    given."""
+    if out is None:
+        out = np.empty(dataset.series.shape)
+    design_t = dataset.design.T
+    for sl in kernels.voxel_blocks(dataset.dims.n_voxels):
+        np.matmul(coeffs[sl], design_t, out=out[sl])
+        np.subtract(dataset.series[sl], out[sl], out=out[sl])
+    return out
 
 
 def _residuals_active(
@@ -151,12 +161,20 @@ def _residuals_active(
     resid_inactive: np.ndarray,
     amplitude: np.ndarray,
     hrf_values: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """(n_voxels, n_epochs, n_times) residuals of the responding model,
-    derived from the non-responding ones of the same coefficients."""
+    derived from the non-responding ones of the same coefficients and
+    written block by block into ``out`` when given."""
     d = dataset.dims
-    resid = resid_inactive.reshape(d.n_voxels, d.n_epochs, d.n_times)
-    return resid - amplitude[:, None, None] * hrf_values[None, None, :]
+    if out is None:
+        out = np.empty((d.n_voxels, d.n_epochs, d.n_times))
+    flat = out.reshape(resid_inactive.shape)
+    mean = np.tile(hrf_values, d.n_epochs)
+    for sl in kernels.voxel_blocks(d.n_voxels):
+        np.einsum("v,n->vn", amplitude[sl], mean, out=flat[sl])
+        np.subtract(resid_inactive[sl], flat[sl], out=flat[sl])
+    return out
 
 
 def residual_matrices(dataset: Dataset, params: MixtureParams) -> np.ndarray:
@@ -172,10 +190,9 @@ def residual_matrices(dataset: Dataset, params: MixtureParams) -> np.ndarray:
 class _Residuals:
     """Both residual matrices of the fit's current parameters.
 
-    The fit loop builds them once per coefficient change and hands this
-    holder to every block that reads them. _mstep drops the old matrices
-    once their last reader is done and stores the new ones, so at most
-    one residual of each kind is alive while the M-step allocates.
+    Each fit allocates the two buffers once; _mstep rewrites them in
+    place after each coefficient change, and the fit loop hands this
+    holder to every block that reads them.
     """
 
     __slots__ = ("inactive", "active")
@@ -337,6 +354,24 @@ def update_beta(
     return float(np.einsum("j,t,jt->", row_wb, wt_h, diff) / denom)
 
 
+def _solve_pencil(
+    rhs: np.ndarray, weight: np.ndarray, g_near: np.ndarray, g_far: np.ndarray
+) -> np.ndarray:
+    """Rows b_v = rhs_v inv(g_near + weight_v (g_far - g_near)).
+
+    With g_near = L L' and inv(L) (g_far - g_near) inv(L)' = U diag(lam) U',
+    each system is L U (I + weight_v diag(lam)) U' L', so
+    b = ((rhs @ P) / (1 + weight lam)) @ P' with P = inv(L)' U: one small
+    eigenproblem and two tall GEMMs instead of one solve per voxel.
+    """
+    # np.linalg.inv, not a triangular solve: at q x q the level-3 solve
+    # costs more in BLAS thread wake-ups than the arithmetic
+    inv_low = np.linalg.inv(np.linalg.cholesky(g_near))
+    lam, vecs = np.linalg.eigh(inv_low @ (g_far - g_near) @ inv_low.T)
+    proj = inv_low.T @ vecs
+    return ((rhs @ proj) / (1.0 + weight[:, None] * lam)) @ proj.T
+
+
 def _update_b_all(
     dataset: Dataset,
     resp: np.ndarray,
@@ -360,12 +395,18 @@ def _update_b_all(
     mean_proj = np.tile(hrf_values, d.n_epochs) @ wx
     rhs_active = proj[:, :q] - amplitude[:, None] * mean_proj[None, :]
     rhs_inactive = proj[:, q:] / noise_var
-    lhs = (
-        resp[:, None, None] * gram_active[None, :, :]
-        + (1.0 - resp)[:, None, None] * gram_inactive[None, :, :]
-    )
     rhs = resp[:, None] * rhs_active + (1.0 - resp)[:, None] * rhs_inactive
-    return np.linalg.solve(lhs, rhs[:, :, None])[:, :, 0]
+    # each voxel solves (resp gram_active + (1 - resp) gram_inactive) b = rhs;
+    # factoring at the nearer endpoint keeps 1 + weight lam >= 1/2, so it
+    # cannot cancel when noise_var and the Kronecker factors differ in scale
+    coeffs = np.empty((d.n_voxels, q))
+    near_inactive = resp <= 0.5
+    for near, weight, g_near, g_far in (
+        (near_inactive, resp, gram_inactive, gram_active),
+        (~near_inactive, 1.0 - resp, gram_active, gram_inactive),
+    ):
+        coeffs[near] = _solve_pencil(rhs[near], weight[near], g_near, g_far)
+    return coeffs
 
 
 def update_b(
@@ -431,7 +472,7 @@ def _update_h_raw(
     denom = float(np.sum(resp * amplitude**2) * row_wb.sum())
     if not np.isfinite(denom) or denom <= MASS_EPS:
         return None
-    numer = np.einsum("v,j,vjt->t", resp * amplitude, row_wb, diff)
+    numer = np.einsum("vj,vjt->t", (resp * amplitude)[:, None] * row_wb, diff)
     return numer / denom
 
 
@@ -483,6 +524,7 @@ def update_within_cov(
     n_epochs = resid.shape[1]
     w_between = inv_spd(between_cov)
     scatter = kernels.scatter_within(resid, w_between, np.asarray(resp, dtype=np.float64))
+    scatter = 0.5 * (scatter + scatter.T)
     return regularize_spd(scatter / (n_epochs * mass), "within-cov update")
 
 
@@ -496,6 +538,7 @@ def update_between_cov(
     n_times = resid.shape[2]
     w_within = inv_spd(within_cov)
     scatter = kernels.scatter_between(resid, w_within, np.asarray(resp, dtype=np.float64))
+    scatter = 0.5 * (scatter + scatter.T)
     return regularize_spd(scatter / (n_times * mass), "between-cov update")
 
 
@@ -575,9 +618,6 @@ def _mstep(
     amplitude = _update_beta_all(
         resid.inactive, params.hrf.values, w_within, w_between
     )
-    # the old residuals have no reader left; free them before the
-    # coefficient solve and the new residuals allocate
-    resid.inactive = resid.active = None
     coeffs = _update_b_all(
         dataset,
         resp,
@@ -587,12 +627,15 @@ def _mstep(
         w_between,
         params.noise_var,
     )
-    resid.inactive = _residuals_inactive(dataset, coeffs)
+    # the amplitude update was the old residuals' last reader
+    _residuals_inactive(dataset, coeffs, out=resid.inactive)
     hrf = params.hrf
     if structure.estimate_hrf:
         interim = params.with_updates(amplitude=amplitude, coeffs=coeffs)
         hrf, amplitude = update_h(dataset, resp, interim, resid.inactive)
-    resid.active = _residuals_active(dataset, resid.inactive, amplitude, hrf.values)
+    _residuals_active(
+        dataset, resid.inactive, amplitude, hrf.values, out=resid.active
+    )
     within = params.within_cov
     between = params.between_cov
     noise_var = params.noise_var

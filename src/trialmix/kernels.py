@@ -5,12 +5,23 @@ Two interchangeable backends implement the same three kernels: a numba
 GEMMs. The environment variable TRIALMIX_KERNELS selects one ("numba",
 "numpy", or "auto", the default, which takes numba when importable).
 
+The numpy kernels walk the voxels in blocks of BLOCK rows, so every
+temporary is a block (BLOCK * n_epochs * n_times doubles, 280 kB at the
+default geometry) and stays in cache instead of being a full-size copy
+of the residual.
+
 No reduction over the voxel axis goes through a BLAS GEMV or dot: BLAS
 splits those reductions by thread count, so their last bits would change
-with OPENBLAS_NUM_THREADS. Per-voxel sums are np.einsum row dots, and
-sums over voxels are np.einsum with a fixed order or a GEMM, whose
-threads split the output and not the sum, so outputs are bit-identical
-across runs and thread counts for a given backend.
+with OPENBLAS_NUM_THREADS. Per-voxel sums are np.einsum row dots. Sums
+over voxels are one GEMM per block with an n_times x n_times or
+n_epochs x n_epochs output, and the scatters add the block partials in
+block order, so outputs are bit-identical across runs and thread counts.
+Two other shapes were measured thread-variant on OpenBLAS 0.3.31
+(SkylakeX core) and are not to be used: a weighted second moment summed
+over all voxels in one (140 x V)(V x 140) GEMM, or in 14 x 140 tiles of
+it, and quadratic forms taken as block @ kron(w_between, w_within), a
+(256 x 140)(140 x 140) product. 14 x 14 tiles of the second moment are
+invariant but cost more than the four scatters they would replace.
 
 resid arrays have shape (n_voxels, n_epochs, n_times); w_within is the
 inverse of the within-epoch factor (n_times, n_times) and w_between the
@@ -50,6 +61,10 @@ if _requested in ("auto", "numba"):
             raise
         _HAVE_NUMBA = False
 
+# voxels per block of the numpy kernels (and of the EM residual rebuilds);
+# 256 measured fastest at the default geometry on a 2-vCPU host
+BLOCK = 256
+
 
 def backend_name() -> str:
     """Name of the active kernel backend."""
@@ -64,14 +79,27 @@ def set_num_threads(n: int) -> None:
         _nb.set_num_threads(min(n, _nb.config.NUMBA_NUM_THREADS))
 
 
+def voxel_blocks(n_vox: int):
+    """Slices of at most BLOCK consecutive voxels covering range(n_vox)."""
+    for start in range(0, n_vox, BLOCK):
+        yield slice(start, start + BLOCK)
+
+
 def quad_forms_kron_numpy(
     resid: np.ndarray, w_within: np.ndarray, w_between: np.ndarray
 ) -> np.ndarray:
     """Per-voxel quadratic forms under the inverse Kronecker covariance."""
     n_vox, _, n_t = resid.shape
-    tmp = (resid.reshape(-1, n_t) @ w_within).reshape(resid.shape)
-    tmp = w_between @ tmp
-    return np.einsum("vn,vn->v", tmp.reshape(n_vox, -1), resid.reshape(n_vox, -1))
+    out = np.empty(n_vox)
+    for sl in voxel_blocks(n_vox):
+        blk = resid[sl]
+        tmp = (blk.reshape(-1, n_t) @ w_within).reshape(blk.shape)
+        tmp = w_between @ tmp
+        n_blk = blk.shape[0]
+        out[sl] = np.einsum(
+            "vn,vn->v", tmp.reshape(n_blk, -1), blk.reshape(n_blk, -1)
+        )
+    return out
 
 
 def scatter_within_numpy(
@@ -79,22 +107,36 @@ def scatter_within_numpy(
 ) -> np.ndarray:
     """Weighted within-epoch scatter: sum_v weights[v] R_v' w_between R_v.
 
-    R_v is the (n_times, n_epochs) residual matrix of voxel v; the result
+    R_v is the (n_epochs, n_times) residual matrix of voxel v; the result
     is (n_times, n_times).
     """
     n_t = resid.shape[2]
-    weighted = w_between @ resid
-    weighted *= weights[:, None, None]
-    return weighted.reshape(-1, n_t).T @ resid.reshape(-1, n_t)
+    acc = np.zeros((n_t, n_t))
+    for sl in voxel_blocks(resid.shape[0]):
+        blk = resid[sl]
+        weighted = w_between @ blk
+        weighted *= weights[sl, None, None]
+        acc += weighted.reshape(-1, n_t).T @ blk.reshape(-1, n_t)
+    return acc
 
 
 def scatter_between_numpy(
     resid: np.ndarray, w_within: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
-    """Weighted between-epoch scatter: sum_v weights[v] R_v' w_within R_v
+    """Weighted between-epoch scatter: sum_v weights[v] R_v w_within R_v'
     taken on the epoch side; result is (n_epochs, n_epochs)."""
-    partial = np.einsum("vjs,st,vkt->vjk", resid, w_within, resid, optimize=True)
-    return np.einsum("v,vjk->jk", weights, partial)
+    _, n_ep, n_t = resid.shape
+    acc = np.zeros((n_ep, n_ep))
+    for sl in voxel_blocks(resid.shape[0]):
+        blk = resid[sl]
+        weighted = (blk.reshape(-1, n_t) @ w_within).reshape(blk.shape)
+        weighted *= weights[sl, None, None]
+        # epoch-major copies turn the block's sum over (voxel, time) into
+        # one (n_epochs, b * n_times) @ (b * n_times, n_epochs) GEMM
+        left = weighted.transpose(1, 0, 2).reshape(n_ep, -1)
+        right = blk.transpose(1, 0, 2).reshape(n_ep, -1)
+        acc += left @ right.T
+    return acc
 
 
 if _HAVE_NUMBA:

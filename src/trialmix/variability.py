@@ -168,14 +168,16 @@ def anova_two_way(
     df_resid = scores.size - n_params
     if df_resid < 1:
         raise DegenerateDataError("no residual degrees of freedom")
-    gram = design.T @ design
+    # BLAS splits sums over observations by thread count (a GEMM or GEMV
+    # with the observations as inner dimension, or a dot); einsum keeps
+    # one order, so the table is bit-identical across thread counts
+    gram = np.einsum("na,nb->ab", design, design)
     try:
         gram_inv = np.linalg.inv(gram)
     except np.linalg.LinAlgError as exc:
         raise DegenerateDataError(f"singular ANOVA design: {exc}") from exc
-    coef = gram_inv @ (design.T @ scores)
+    coef = gram_inv @ np.einsum("na,n->a", design, scores)
     resid = scores - design @ coef
-    # a BLAS dot splits its sum by thread count; einsum keeps one order
     resid_var = float(np.einsum("n,n->", resid, resid) / df_resid)
     cov = resid_var * gram_inv
 

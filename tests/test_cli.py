@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -273,6 +274,61 @@ def test_null_data_fit_succeeds(tmp_path):
         meta = json.load(f)
     assert meta["converged"] is True
     assert np.isfinite(meta["loglik"])
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_null_data_default_geometry_fit_succeeds(tmp_path, seed):
+    # a fallback seed of two voxels gives a rank-deficient between scatter
+    # whose GEMM sums used to be asymmetric in the last bits
+    cfg = str(tmp_path / "null.json")
+    with open(cfg, "w") as f:
+        json.dump({"simulate": {"n_voxels": 200, "active_frac": 0.0}}, f)
+    sim = str(tmp_path / "sim")
+    assert main(["simulate", "--config", cfg, "--out", sim,
+                 "--seed", str(seed)]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rc = main(["fit", os.path.join(sim, "dataset"), "--config", cfg,
+                   "--out", str(tmp_path / "fit")])
+    assert rc == 0
+
+
+def _single_error_line(capsys):
+    lines = capsys.readouterr().err.strip().split("\n")
+    assert len(lines) == 1, lines
+    return json.loads(lines[0])["error"]
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_zero_threads_exits_2(tmp_path, capsys, where):
+    cfg = str(tmp_path / "c.json")
+    with open(cfg, "w") as f:
+        json.dump({"threads": 0} if where == "config" else {}, f)
+    argv = ["simulate", "--config", cfg, "--out", str(tmp_path / "o")]
+    if where == "flag":
+        argv += ["--threads", "0"]
+    assert main(argv) == 2
+    err = _single_error_line(capsys)
+    assert err["code"] == 2
+    assert err["type"] == "ConfigError"
+    assert "threads" in err["message"]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_data_exits_2(tmp_path, capsys, bad):
+    ds, _ = simulate_dataset(
+        SimConfig(n_voxels=20, n_times=4, n_epochs=3, n_covariates=1), seed=1
+    )
+    bundle = str(tmp_path / "dataset")
+    write_dataset(ds, bundle)
+    series = np.fromfile(os.path.join(bundle, "data.f64"), dtype="<f8")
+    series[17] = bad
+    series.tofile(os.path.join(bundle, "data.f64"))
+    assert main(["fit", bundle, "--out", str(tmp_path / "fit")]) == 2
+    err = _single_error_line(capsys)
+    assert err["code"] == 2
+    assert err["type"] == "BundleFormatError"
+    assert "non-finite" in err["message"]
 
 
 def test_usage_error_exits_nonzero(capsys):

@@ -19,11 +19,14 @@ from trialmix.em import (
     observed_loglik,
     q_function,
     residual_matrices,
+    update_b,
+    update_between_cov,
     update_covariances,
     update_h,
     update_p,
     update_within_cov,
 )
+from trialmix.linalg import inv_spd
 from trialmix.simulate import SimConfig, simulate_dataset
 from trialmix.types import DegenerateDataError, Hrf
 
@@ -33,6 +36,7 @@ from helpers import (
     make_dims,
     make_params,
     mstep_stationarity_gaps,
+    rand_spd,
 )
 
 
@@ -184,6 +188,59 @@ def test_covariance_updates_require_mass():
     resid = np.zeros((3, 2, 2))
     with pytest.raises(DegenerateDataError):
         update_within_cov(resid, np.zeros(3), np.eye(2))
+
+
+@pytest.mark.filterwarnings("ignore:.*adding ridge:RuntimeWarning")
+def test_covariance_updates_are_exactly_symmetric_for_one_voxel():
+    # one voxel's scatter is rank-deficient and its GEMM sums need not be
+    # symmetric in the last bit
+    rng = np.random.default_rng(10)
+    resid = rng.standard_normal((1, 10, 14))
+    within = update_within_cov(resid, np.ones(1), rand_spd(rng, 10))
+    between = update_between_cov(resid, np.ones(1), rand_spd(rng, 14))
+    np.testing.assert_array_equal(within, within.T)
+    np.testing.assert_array_equal(between, between.T)
+
+
+@pytest.mark.parametrize("noise_scale", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("n_covariates", [1, 6])
+def test_update_b_all_matches_per_voxel_oracle(n_covariates, noise_scale):
+    resp = np.array([0.0, 0.3, 0.5, 0.7, 1.0])
+    rng = np.random.default_rng(20 + n_covariates)
+    dims = make_dims(
+        n_times=4, n_epochs=3, n_voxels=resp.size, n_covariates=n_covariates
+    )
+    ds = make_dataset(dims, rng)
+    params = make_params(dims, rng)
+    within, between = params.within_cov, params.between_cov
+    # noise variance against the mean variance of the Kronecker covariance
+    kron_var = np.trace(within) * np.trace(between) / dims.n_images
+    noise_var = noise_scale * kron_var
+    got = em._update_b_all(
+        ds,
+        resp,
+        params.amplitude,
+        params.hrf.values,
+        inv_spd(within),
+        inv_spd(between),
+        noise_var,
+    )
+    expected = np.array(
+        [
+            update_b(
+                ds.series[v],
+                ds.design,
+                params.amplitude[v],
+                resp[v],
+                params.hrf.values,
+                within,
+                between,
+                noise_var,
+            )
+            for v in range(dims.n_voxels)
+        ]
+    )
+    np.testing.assert_allclose(got, expected, rtol=1e-9)
 
 
 def test_flipflop_is_idempotent_at_its_fixed_point():

@@ -202,6 +202,27 @@ def test_params_json_roundtrip(tmp_path):
         params_from_dict({"active_prob": 0.5})
 
 
+@pytest.mark.parametrize(
+    "n_voxels, n_covariates", [(30, 6), (30, 0), (1, 6)]
+)
+def test_params_json_bytes_match_json_dump(tmp_path, n_voxels, n_covariates):
+    rng = np.random.default_rng(n_voxels + n_covariates)
+    dims = make_dims(n_voxels=n_voxels, n_covariates=n_covariates)
+    params = make_params(dims, rng)
+    path = tmp_path / "params.json"
+    write_params_json(params, str(path))
+    expected = json.dumps(params_to_dict(params), indent=2, sort_keys=True)
+    assert path.read_bytes() == (expected + "\n").encode()
+    back = read_params_json(str(path))
+    for field in ("amplitude", "coeffs", "within_cov", "between_cov"):
+        np.testing.assert_array_equal(
+            getattr(back, field), getattr(params, field)
+        )
+    np.testing.assert_array_equal(back.hrf.values, params.hrf.values)
+    assert back.active_prob == params.active_prob
+    assert back.noise_var == params.noise_var
+
+
 def test_format_float_roundtrips():
     for x in (0.1, 1.0 / 3.0, 1e-300, -0.0, 2.0**-52, np.pi, 1e308):
         s = format_float(x)

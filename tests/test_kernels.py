@@ -42,8 +42,12 @@ def _scatter_between_loop(resid, w_within, weights):
 
 
 def test_numpy_backend_matches_loop_oracles():
-    for seed in range(5):
-        resid, w_within, w_between, weights = _instance(seed)
+    # block edges: one voxel, one short of a block, one past it, and a
+    # ragged last block after several full ones
+    block = kernels.BLOCK
+    sizes = [7] * 5 + [1, block - 1, block + 1, 3 * block + 7]
+    for seed, n_vox in enumerate(sizes):
+        resid, w_within, w_between, weights = _instance(seed, n_vox=n_vox)
         np.testing.assert_allclose(
             kernels.quad_forms_kron_numpy(resid, w_within, w_between),
             _quad_loop(resid, w_within, w_between),
