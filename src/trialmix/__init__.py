@@ -23,7 +23,6 @@ from .inference import (
     cluster_active,
     fdr_adaptive,
     t_sf,
-    t_statistic,
     t_statistics_all,
     whiten,
 )
@@ -133,7 +132,6 @@ __all__ = [
     "simulate_dataset",
     "spline_interp",
     "t_sf",
-    "t_statistic",
     "t_statistics_all",
     "trial_time_shift",
     "whiten",

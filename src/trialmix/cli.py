@@ -18,14 +18,20 @@ import sys
 
 import numpy as np
 
-from . import io, kernels
+from . import io
 from .em import EmConfig, em_fit
 from .inference import FdrResult, activation_map
 from .linalg import SingularMatrixError
 from .modelsel import MODEL_SPECS, ModelComparison, compare_models, fit_model
 from .preprocess import PreprocConfig, preprocess_dataset
 from .simulate import SimConfig, simulate_dataset
-from .types import ActivationMap, Dataset, DegenerateDataError, FitResult
+from .types import (
+    ActivationMap,
+    Dataset,
+    DegenerateDataError,
+    FitResult,
+    validate_params,
+)
 from .variability import PcAnalysis, analyze_variability
 
 __all__ = ["main", "ConfigError"]
@@ -38,7 +44,6 @@ class ConfigError(ValueError):
 SECTIONS = (
     "seed",
     "out",
-    "threads",
     "simulate",
     "preprocess",
     "em",
@@ -115,17 +120,6 @@ def load_config(path: str | None) -> dict:
     return config
 
 
-def _thread_count(value) -> int:
-    """The --threads / "threads" setting as a positive integer."""
-    try:
-        n = int(value)
-    except (TypeError, ValueError):
-        n = 0
-    if n < 1:
-        raise ConfigError(f"threads: must be a positive integer, got {value!r}")
-    return n
-
-
 def _em_config(config: dict) -> EmConfig:
     return _build_dataclass(EmConfig, config.get("em", {}), "em")
 
@@ -177,6 +171,10 @@ def _read_column_csv(path: str, n_header: int = 1) -> np.ndarray:
 
 def _load_fit(fit_dir: str, dataset: Dataset) -> FitResult:
     params = io.read_params_json(os.path.join(fit_dir, "params.json"))
+    try:
+        validate_params(params, dataset.dims, trace_convention=False)
+    except ValueError as e:
+        raise io.BundleFormatError(f"params.json: {e}") from None
     table = _read_column_csv(os.path.join(fit_dir, "resp.csv"))
     if table.shape[0] != dataset.dims.n_voxels:
         raise io.BundleFormatError(
@@ -249,8 +247,13 @@ def _write_infer_artifacts(
     io.write_map_pgm(avol, os.path.join(out, "activemap.pgm"), mask=mask)
 
 
-def _load_amap(infer_dir: str) -> ActivationMap:
+def _load_amap(infer_dir: str, dataset: Dataset) -> ActivationMap:
     table = _read_column_csv(os.path.join(infer_dir, "tstats.csv"))
+    if table.shape[0] != dataset.dims.n_voxels:
+        raise io.BundleFormatError(
+            f"tstats.csv: expected {dataset.dims.n_voxels} rows, "
+            f"found {table.shape[0]}"
+        )
     with open(os.path.join(infer_dir, "fdr.json"), "rb") as f:
         meta = json.load(f)
     return ActivationMap(
@@ -544,7 +547,7 @@ def _run_pcs(
 def cmd_pcs(args, config: dict) -> int:
     dataset = io.read_dataset(args.bundle)
     fit = _load_fit(args.fit_dir, dataset)
-    amap = _load_amap(args.infer_dir)
+    amap = _load_amap(args.infer_dir, dataset)
     out = _ensure_out(args)
     pa = _run_pcs(config, dataset, fit, amap, out)
     pct = ", ".join(f"{p:.1f}%" for p in pa.within_pca.variance_pct[:3])
@@ -620,7 +623,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", default=None, help="run config JSON")
     common.add_argument("--out", default="trialmix_out", help="output directory")
     common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--threads", type=int, default=None)
     common.add_argument("--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -665,11 +667,7 @@ def _fail(code: int, kind: str, message: str) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = load_config(args.config)
-        threads = config.get("threads") if args.threads is None else args.threads
-        if threads is not None:
-            kernels.set_num_threads(_thread_count(threads))
-        return args.func(args, config)
+        return args.func(args, load_config(args.config))
     except (ConfigError, io.BundleFormatError, FileNotFoundError) as e:
         return _fail(2, type(e).__name__, str(e))
     except (

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import kernels
-from .linalg import inv_spd, kron_logdet, kron_quad_form, regularize_spd
+from .linalg import inv_spd, kron_logdet, regularize_spd
 from .types import (
     Dataset,
     DegenerateDataError,
@@ -37,14 +37,9 @@ __all__ = [
     "EmConfig",
     "ModelStructure",
     "canonical_hrf",
-    "log_density_active",
-    "log_density_inactive",
     "estep",
     "observed_loglik",
-    "q_function",
     "update_p",
-    "update_beta",
-    "update_b",
     "update_h",
     "update_within_cov",
     "update_between_cov",
@@ -256,32 +251,6 @@ def _mixture_loglik(p: float, log_f1: np.ndarray, log_f2: np.ndarray) -> float:
     return float(np.sum(np.logaddexp(np.log(p) + log_f1, np.log1p(-p) + log_f2)))
 
 
-def log_density_active(y: np.ndarray, design: np.ndarray, params: MixtureParams, voxel: int) -> float:
-    """Log density of one voxel's series under the responding component."""
-    d_t = params.within_cov.shape[0]
-    d_e = params.between_cov.shape[0]
-    n = d_t * d_e
-    mu = np.tile(params.hrf.values, d_e)
-    resid = y - params.amplitude[voxel] * mu - design @ params.coeffs[voxel]
-    resid_te = resid.reshape(d_e, d_t).T
-    quad = kron_quad_form(params.between_cov, params.within_cov, resid_te)
-    logdet = kron_logdet(params.between_cov, params.within_cov)
-    return float(-0.5 * (n * LOG_2PI + logdet + quad))
-
-
-def log_density_inactive(y: np.ndarray, design: np.ndarray, params: MixtureParams, voxel: int) -> float:
-    """Log density of one voxel's series under the non-responding component."""
-    resid = y - design @ params.coeffs[voxel]
-    n = y.shape[0]
-    return float(
-        -0.5
-        * (
-            n * (LOG_2PI + np.log(params.noise_var))
-            + resid @ resid / params.noise_var
-        )
-    )
-
-
 def estep(dataset: Dataset, params: MixtureParams) -> np.ndarray:
     """Posterior probability that each voxel responds.
 
@@ -296,20 +265,6 @@ def estep(dataset: Dataset, params: MixtureParams) -> np.ndarray:
 def observed_loglik(dataset: Dataset, params: MixtureParams) -> float:
     """Observed-data log-likelihood of the mixture."""
     return _mixture_loglik(params.active_prob, *_log_densities(dataset, params))
-
-
-def q_function(dataset: Dataset, resp: np.ndarray, params: MixtureParams) -> float:
-    """Expected complete-data log-likelihood given responsibilities."""
-    p = params.active_prob
-    log_f1, log_f2 = _log_densities(dataset, params)
-    active = np.where(resp > 0.0, resp * (np.log(p) if p > 0.0 else -np.inf), 0.0)
-    active = active + resp * log_f1
-    off = 1.0 - resp
-    inactive = np.where(
-        off > 0.0, off * (np.log1p(-p) if p < 1.0 else -np.inf), 0.0
-    )
-    inactive = inactive + off * log_f2
-    return float(np.sum(active) + np.sum(inactive))
 
 
 def update_p(resp: np.ndarray) -> float:
@@ -330,28 +285,6 @@ def _update_beta_all(
     if denom <= 0.0:
         raise DegenerateDataError("amplitude update: nonpositive normalizer")
     return resid_inactive @ np.kron(row_wb, wt_h) / denom
-
-
-def update_beta(
-    y: np.ndarray,
-    design: np.ndarray,
-    coeffs_i: np.ndarray,
-    hrf_values: np.ndarray,
-    within_cov: np.ndarray,
-    between_cov: np.ndarray,
-) -> float:
-    """Generalized-least-squares amplitude for one voxel given its coeffs."""
-    n_t = within_cov.shape[0]
-    n_e = between_cov.shape[0]
-    diff = (y - design @ coeffs_i).reshape(n_e, n_t)
-    w_within = inv_spd(within_cov)
-    w_between = inv_spd(between_cov)
-    wt_h = w_within @ hrf_values
-    row_wb = w_between.sum(axis=1)
-    denom = float(row_wb.sum() * (hrf_values @ wt_h))
-    if denom <= 0.0:
-        raise DegenerateDataError("amplitude update: nonpositive normalizer")
-    return float(np.einsum("j,t,jt->", row_wb, wt_h, diff) / denom)
 
 
 def _solve_pencil(
@@ -407,47 +340,6 @@ def _update_b_all(
     ):
         coeffs[near] = _solve_pencil(rhs[near], weight[near], g_near, g_far)
     return coeffs
-
-
-def update_b(
-    y: np.ndarray,
-    design: np.ndarray,
-    beta_i: float,
-    p_i: float,
-    hrf_values: np.ndarray,
-    within_cov: np.ndarray,
-    between_cov: np.ndarray,
-    noise_var: float,
-) -> np.ndarray:
-    """Covariate-coefficient update for one voxel.
-
-    Solves the stationarity system mixing both components with weight
-    p_i: (p_i X' S1i X + (1-p_i) X' X / s2) b =
-    p_i X' S1i (y - beta mu) + (1-p_i) X' y / s2, where S1i is the
-    inverse Kronecker covariance.
-    """
-    q = design.shape[1]
-    if q == 0:
-        return np.zeros(0)
-    n_t = within_cov.shape[0]
-    n_e = between_cov.shape[0]
-    w_within = inv_spd(within_cov)
-    w_between = inv_spd(between_cov)
-    x_ep = design.reshape(n_e, n_t, q)
-    gram_active = np.einsum(
-        "jk,jta,ts,ksb->ab", w_between, x_ep, w_within, x_ep, optimize=True
-    )
-    gram_inactive = design.T @ design / noise_var
-    mean_active = (
-        y.reshape(n_e, n_t) - beta_i * hrf_values[None, :]
-    )
-    rhs_active = np.einsum(
-        "jk,jta,ts,ks->a", w_between, x_ep, w_within, mean_active, optimize=True
-    )
-    rhs_inactive = design.T @ y / noise_var
-    lhs = p_i * gram_active + (1.0 - p_i) * gram_inactive
-    rhs = p_i * rhs_active + (1.0 - p_i) * rhs_inactive
-    return np.linalg.solve(lhs, rhs)
 
 
 def _update_h_raw(
@@ -878,7 +770,8 @@ def em_fit(
     Convergence is declared when the relative Euclidean change of the
     global parameters (mixing proportion, shape, covariance factors,
     noise variance) drops below config.tol. ``diagnostics``, when given,
-    receives one JSON line per iteration.
+    receives one JSON line per iteration. A fit whose log-likelihood
+    decreases raises DegenerateDataError.
     """
     if not structure.mixture:
         return fit_all_active(dataset, config, structure, diagnostics=diagnostics)
@@ -893,5 +786,9 @@ def em_fit(
         dataset, init_params, config, structure, config.max_iter, diagnostics
     )
     if __debug__:
-        result.validate()
+        try:
+            result.validate()
+        except ValueError as e:
+            # a likelihood decrease is the data failing the model's ascent
+            raise DegenerateDataError(f"mixture fit: {e}") from None
     return result

@@ -14,7 +14,6 @@ from .types import ActivationMap, Dataset, FitResult, MixtureParams
 
 __all__ = [
     "whiten",
-    "t_statistic",
     "t_statistics_all",
     "t_sf",
     "FdrResult",
@@ -93,14 +92,6 @@ def t_statistics_all(
         )
     t[good] = amp[good] / np.sqrt(s2[good] / mu_norm2)
     return t, df
-
-
-def t_statistic(
-    y_w: np.ndarray, mu_w: np.ndarray, design_w: np.ndarray
-) -> tuple[float, int]:
-    """Amplitude t-statistic for one whitened voxel series."""
-    t, df = t_statistics_all(y_w[None, :], mu_w, design_w)
-    return float(t[0]), df
 
 
 def t_sf(t: np.ndarray | float, df: int) -> np.ndarray | float:

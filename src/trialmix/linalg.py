@@ -1,9 +1,9 @@
 """Symmetric-matrix helpers and Kronecker identities.
 
 The structured covariance of a responding voxel is between_cov (x)
-within_cov. Nothing here ever materializes that product; log-determinants
-and quadratic forms go through the factor identities so the cost stays at
-the factor dimensions.
+within_cov. Nothing here ever materializes that product; the
+log-determinant goes through the factor identity so the cost stays at the
+factor dimensions.
 """
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ __all__ = [
     "solve_spd",
     "regularize_spd",
     "kron_logdet",
-    "kron_quad_form",
 ]
 
 MAX_DIM = 64
@@ -143,21 +142,3 @@ def kron_logdet(between: np.ndarray, within: np.ndarray) -> float:
         + n_epochs * np.sum(np.log(eig_w.values))
     )
 
-
-def kron_quad_form(
-    between: np.ndarray, within: np.ndarray, resid: np.ndarray
-) -> float:
-    """Quadratic form of a residual matrix under the inverse Kronecker product.
-
-    resid has shape (n_times, n_epochs), column j holding epoch j. The value
-    is trace(within^{-1} resid between^{-1} resid^T), which equals the
-    vectorized quadratic form under (between (x) within)^{-1}.
-    """
-    if resid.shape != (within.shape[0], between.shape[0]):
-        raise ValueError(
-            f"residual shape {resid.shape} does not match factors "
-            f"({within.shape[0]}, {between.shape[0]})"
-        )
-    left = solve_spd(within, resid)
-    right = solve_spd(between, resid.T).T
-    return float(np.sum(left * right))

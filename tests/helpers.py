@@ -1,22 +1,163 @@
-"""Shared builders for random but valid model objects.
+"""Shared builders for random but valid model objects, and the
+single-voxel oracles the batched package code is checked against.
 
-Every helper takes an explicit numpy Generator so tests stay
+Every builder takes an explicit numpy Generator so tests stay
 reproducible. Dimensions default small enough that dense oracles
 stay cheap.
 """
 import numpy as np
 
+import trialmix.em as em
 from trialmix.em import (
+    LOG_2PI,
     canonical_hrf,
-    q_function,
     residual_matrices,
-    update_b,
-    update_beta,
     update_covariances,
     update_h,
     update_sigma2,
 )
-from trialmix.types import Dataset, Dims, Hrf, MixtureParams
+from trialmix.inference import t_statistics_all
+from trialmix.linalg import inv_spd, kron_logdet, solve_spd
+from trialmix.types import Dataset, DegenerateDataError, Dims, Hrf, MixtureParams
+
+
+# ------------------------------------------------ single-voxel oracles
+#
+# Direct per-voxel forms of the batched computations in the package, kept
+# here because only tests compare against them.
+
+
+def kron_quad_form(
+    between: np.ndarray, within: np.ndarray, resid: np.ndarray
+) -> float:
+    """Quadratic form of a residual matrix under the inverse Kronecker product.
+
+    resid has shape (n_times, n_epochs), column j holding epoch j. The value
+    is trace(within^{-1} resid between^{-1} resid^T), which equals the
+    vectorized quadratic form under (between (x) within)^{-1}.
+    """
+    if resid.shape != (within.shape[0], between.shape[0]):
+        raise ValueError(
+            f"residual shape {resid.shape} does not match factors "
+            f"({within.shape[0]}, {between.shape[0]})"
+        )
+    left = solve_spd(within, resid)
+    right = solve_spd(between, resid.T).T
+    return float(np.sum(left * right))
+
+
+def log_density_active(y: np.ndarray, design: np.ndarray, params: MixtureParams, voxel: int) -> float:
+    """Log density of one voxel's series under the responding component."""
+    d_t = params.within_cov.shape[0]
+    d_e = params.between_cov.shape[0]
+    n = d_t * d_e
+    mu = np.tile(params.hrf.values, d_e)
+    resid = y - params.amplitude[voxel] * mu - design @ params.coeffs[voxel]
+    resid_te = resid.reshape(d_e, d_t).T
+    quad = kron_quad_form(params.between_cov, params.within_cov, resid_te)
+    logdet = kron_logdet(params.between_cov, params.within_cov)
+    return float(-0.5 * (n * LOG_2PI + logdet + quad))
+
+
+def log_density_inactive(y: np.ndarray, design: np.ndarray, params: MixtureParams, voxel: int) -> float:
+    """Log density of one voxel's series under the non-responding component."""
+    resid = y - design @ params.coeffs[voxel]
+    n = y.shape[0]
+    return float(
+        -0.5
+        * (
+            n * (LOG_2PI + np.log(params.noise_var))
+            + resid @ resid / params.noise_var
+        )
+    )
+
+
+def q_function(dataset: Dataset, resp: np.ndarray, params: MixtureParams) -> float:
+    """Expected complete-data log-likelihood given responsibilities."""
+    p = params.active_prob
+    log_f1, log_f2 = em._log_densities(dataset, params)
+    active = np.where(resp > 0.0, resp * (np.log(p) if p > 0.0 else -np.inf), 0.0)
+    active = active + resp * log_f1
+    off = 1.0 - resp
+    inactive = np.where(
+        off > 0.0, off * (np.log1p(-p) if p < 1.0 else -np.inf), 0.0
+    )
+    inactive = inactive + off * log_f2
+    return float(np.sum(active) + np.sum(inactive))
+
+
+def update_beta(
+    y: np.ndarray,
+    design: np.ndarray,
+    coeffs_i: np.ndarray,
+    hrf_values: np.ndarray,
+    within_cov: np.ndarray,
+    between_cov: np.ndarray,
+) -> float:
+    """Generalized-least-squares amplitude for one voxel given its coeffs."""
+    n_t = within_cov.shape[0]
+    n_e = between_cov.shape[0]
+    diff = (y - design @ coeffs_i).reshape(n_e, n_t)
+    w_within = inv_spd(within_cov)
+    w_between = inv_spd(between_cov)
+    wt_h = w_within @ hrf_values
+    row_wb = w_between.sum(axis=1)
+    denom = float(row_wb.sum() * (hrf_values @ wt_h))
+    if denom <= 0.0:
+        raise DegenerateDataError("amplitude update: nonpositive normalizer")
+    return float(np.einsum("j,t,jt->", row_wb, wt_h, diff) / denom)
+
+
+def update_b(
+    y: np.ndarray,
+    design: np.ndarray,
+    beta_i: float,
+    p_i: float,
+    hrf_values: np.ndarray,
+    within_cov: np.ndarray,
+    between_cov: np.ndarray,
+    noise_var: float,
+) -> np.ndarray:
+    """Covariate-coefficient update for one voxel.
+
+    Solves the stationarity system mixing both components with weight
+    p_i: (p_i X' S1i X + (1-p_i) X' X / s2) b =
+    p_i X' S1i (y - beta mu) + (1-p_i) X' y / s2, where S1i is the
+    inverse Kronecker covariance.
+    """
+    q = design.shape[1]
+    if q == 0:
+        return np.zeros(0)
+    n_t = within_cov.shape[0]
+    n_e = between_cov.shape[0]
+    w_within = inv_spd(within_cov)
+    w_between = inv_spd(between_cov)
+    x_ep = design.reshape(n_e, n_t, q)
+    gram_active = np.einsum(
+        "jk,jta,ts,ksb->ab", w_between, x_ep, w_within, x_ep, optimize=True
+    )
+    gram_inactive = design.T @ design / noise_var
+    mean_active = (
+        y.reshape(n_e, n_t) - beta_i * hrf_values[None, :]
+    )
+    rhs_active = np.einsum(
+        "jk,jta,ts,ks->a", w_between, x_ep, w_within, mean_active, optimize=True
+    )
+    rhs_inactive = design.T @ y / noise_var
+    lhs = p_i * gram_active + (1.0 - p_i) * gram_inactive
+    rhs = p_i * rhs_active + (1.0 - p_i) * rhs_inactive
+    return np.linalg.solve(lhs, rhs)
+
+
+def t_statistic(
+    y_w: np.ndarray, mu_w: np.ndarray, design_w: np.ndarray
+) -> tuple[float, int]:
+    """Amplitude t-statistic for one whitened voxel series."""
+    t, df = t_statistics_all(y_w[None, :], mu_w, design_w)
+    return float(t[0]), df
+
+
+# ------------------------------------------------------------ builders
 
 
 def rand_spd(rng, n, scale=1.0):

@@ -19,7 +19,6 @@ from scipy import stats
 from trialmix.em import (
     EmConfig,
     em_fit,
-    log_density_active,
     observed_loglik,
 )
 from trialmix.inference import (
@@ -28,7 +27,7 @@ from trialmix.inference import (
     t_statistics_all,
     whiten,
 )
-from trialmix.linalg import kron_logdet, kron_quad_form
+from trialmix.linalg import kron_logdet
 from trialmix.modelsel import aic, compare_models, count_params
 from trialmix.preprocess import (
     dct_highpass,
@@ -40,6 +39,8 @@ from trialmix.types import Dims, FitResult
 from trialmix.variability import anova_two_way, fitted_response, pc_scores, pca_cov
 
 from helpers import (
+    kron_quad_form,
+    log_density_active,
     make_dataset,
     make_dims,
     make_params,
@@ -368,11 +369,9 @@ def test_criterion_12_bitwise_determinism(tmp_path):
         infer = os.path.join(root, "infer")
         bundle = os.path.join(sim, "dataset")
         for argv in (
-            ["simulate", "--config", cfg_path, "--out", sim, "--threads", "1"],
-            ["fit", bundle, "--config", cfg_path, "--out", fit,
-             "--threads", "1"],
-            ["infer", bundle, fit, "--config", cfg_path, "--out", infer,
-             "--threads", "1"],
+            ["simulate", "--config", cfg_path, "--out", sim],
+            ["fit", bundle, "--config", cfg_path, "--out", fit],
+            ["infer", bundle, fit, "--config", cfg_path, "--out", infer],
         ):
             proc = subprocess.run(
                 [sys.executable, "-m", "trialmix"] + argv,

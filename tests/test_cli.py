@@ -306,7 +306,11 @@ def test_zero_threads_exits_2(tmp_path, capsys, where):
         json.dump({"threads": 0} if where == "config" else {}, f)
     argv = ["simulate", "--config", cfg, "--out", str(tmp_path / "o")]
     if where == "flag":
-        argv += ["--threads", "0"]
+        # the flag is gone: argparse rejects it as a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--threads", "0"])
+        assert exc.value.code == 2
+        return
     assert main(argv) == 2
     err = _single_error_line(capsys)
     assert err["code"] == 2
@@ -331,6 +335,72 @@ def test_non_finite_data_exits_2(tmp_path, capsys, bad):
     assert "non-finite" in err["message"]
 
 
+@pytest.mark.parametrize("seed", [2, 3])
+def test_null_data_ascent_failure_exits_3(tmp_path, capsys, seed):
+    # on null data these seeds' fits can lose likelihood; that must end
+    # as a numerical failure with one JSON line, not a traceback
+    cfg = str(tmp_path / "null.json")
+    with open(cfg, "w") as f:
+        json.dump({"simulate": {"n_voxels": 50, "active_frac": 0.0}}, f)
+    sim = str(tmp_path / "sim")
+    assert main(["simulate", "--config", cfg, "--out", sim,
+                 "--seed", str(seed)]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rc = main(["fit", os.path.join(sim, "dataset"), "--config", cfg,
+                   "--out", str(tmp_path / "fit")])
+    assert rc in (0, 3)
+    if rc == 3:
+        err = _single_error_line(capsys)
+        assert err["code"] == 3
+        assert err["type"] == "DegenerateDataError"
+
+
+def _write_bundle(path, **overrides):
+    sim = dict(n_voxels=60, n_times=6, n_epochs=4, n_covariates=1)
+    sim.update(overrides)
+    ds, _ = simulate_dataset(SimConfig(**sim), seed=0)
+    write_dataset(ds, path)
+    return path
+
+
+# name: (source bundle, bundle under test, command, fit on the bundle
+# under test); the inference directory always comes from the source
+BUNDLE_MISMATCHES = {
+    "infer-n_times": ({"n_times": 6}, {"n_times": 7}, "infer", False),
+    "infer-n_covariates":
+        ({"n_covariates": 1}, {"n_covariates": 2}, "infer", False),
+    "pcs-n_covariates":
+        ({"n_covariates": 1}, {"n_covariates": 2}, "pcs", False),
+    "pcs-n_voxels": ({"n_voxels": 50}, {}, "pcs", True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUNDLE_MISMATCHES))
+def test_fit_or_infer_dir_from_another_bundle_exits_2(tmp_path, capsys, case):
+    sourced, tested, command, fit_tested = BUNDLE_MISMATCHES[case]
+    source = _write_bundle(str(tmp_path / "source"), **sourced)
+    bundle = _write_bundle(str(tmp_path / "bundle"), **tested)
+    fit_dir = str(tmp_path / "fit")
+    infer_dir = str(tmp_path / "infer")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["fit", source, "--out", fit_dir]) == 0
+        assert main(["infer", source, fit_dir, "--out", infer_dir]) == 0
+        if fit_tested:
+            assert main(["fit", bundle, "--out", fit_dir]) == 0
+        capsys.readouterr()
+        argv = [command, bundle, fit_dir]
+        if command == "pcs":
+            argv.append(infer_dir)
+        rc = main(argv + ["--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = _single_error_line(capsys)
+    assert err["code"] == 2
+    assert err["type"] == "BundleFormatError"
+
+
 def test_usage_error_exits_nonzero(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -348,7 +418,7 @@ def test_module_entry_point(tmp_path):
         )
     proc = subprocess.run(
         [sys.executable, "-m", "trialmix", "simulate", "--config", cfg,
-         "--out", str(tmp_path / "o"), "--threads", "1"],
+         "--out", str(tmp_path / "o")],
         capture_output=True,
         text=True,
     )

@@ -14,12 +14,8 @@ from trialmix.em import (
     fit_all_active,
     hrf_shape_raw,
     init_fit,
-    log_density_active,
-    log_density_inactive,
     observed_loglik,
-    q_function,
     residual_matrices,
-    update_b,
     update_between_cov,
     update_covariances,
     update_h,
@@ -32,11 +28,15 @@ from trialmix.types import DegenerateDataError, Hrf
 
 from helpers import (
     central_diff,
+    log_density_active,
+    log_density_inactive,
     make_dataset,
     make_dims,
     make_params,
     mstep_stationarity_gaps,
+    q_function,
     rand_spd,
+    update_b,
 )
 
 

@@ -12,7 +12,6 @@ from trialmix.inference import (
     cluster_active,
     fdr_adaptive,
     t_sf,
-    t_statistic,
     t_statistics_all,
     whiten,
 )
@@ -20,7 +19,7 @@ from trialmix.linalg import inv_sqrt
 from trialmix.simulate import SimConfig, simulate_dataset
 from trialmix.em import em_fit
 
-from helpers import make_dataset, make_dims, make_params
+from helpers import make_dataset, make_dims, make_params, t_statistic
 
 
 def test_whiten_matches_dense_kronecker():

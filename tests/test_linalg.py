@@ -6,13 +6,12 @@ equivalent built with plain numpy calls.
 import numpy as np
 import pytest
 
-from helpers import rand_spd
+from helpers import kron_quad_form, rand_spd
 from trialmix.linalg import (
     SingularMatrixError,
     inv_spd,
     inv_sqrt,
     kron_logdet,
-    kron_quad_form,
     matrix_sqrt,
     regularize_spd,
     solve_spd,
