@@ -5,8 +5,11 @@ Subcommands wire the pipeline: simulate -> preprocess -> fit -> infer
 command writes deterministic artifacts (CSV and JSON always, PGM/SVG
 images as conveniences) into the output directory.
 
-Exit codes: 0 success, 2 usage or configuration error, 3 numerical
-failure. Failures print one machine-readable JSON object to stderr.
+Exit codes: 0 success, 2 usage or configuration error (including a
+malformed bundle, fit or inference directory), 3 numerical failure.
+Failures print one machine-readable JSON object to stderr, with the
+messages of the warnings the command raised in its "warnings" list; a
+command that succeeds prints its warnings as Python does.
 """
 from __future__ import annotations
 
@@ -15,6 +18,7 @@ import dataclasses
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -137,15 +141,12 @@ def _write_fit_artifacts(out: str, fit: FitResult) -> None:
     io.write_csv(
         os.path.join(out, "resp.csv"),
         ["voxel", "resp", "amplitude"],
-        (
-            (v, float(fit.resp[v]), float(fit.params.amplitude[v]))
-            for v in range(fit.resp.size)
-        ),
+        columns=[np.arange(fit.resp.size), fit.resp, fit.params.amplitude],
     )
     io.write_csv(
         os.path.join(out, "loglik.csv"),
         ["iteration", "loglik"],
-        ((i, float(ll)) for i, ll in enumerate(fit.loglik_trace)),
+        columns=[np.arange(fit.loglik_trace.size), fit.loglik_trace],
     )
     with open(os.path.join(out, "fit.json"), "w", newline="\n") as f:
         json.dump(
@@ -162,11 +163,31 @@ def _write_fit_artifacts(out: str, fit: FitResult) -> None:
         f.write("\n")
 
 
-def _read_column_csv(path: str, n_header: int = 1) -> np.ndarray:
-    with open(path, "r", newline="") as f:
-        lines = [ln for ln in f.read().split("\n") if ln]
-    rows = [ln.split(",") for ln in lines[n_header:]]
-    return np.asarray([[float(c) for c in row] for row in rows])
+def _read_column_csv(path: str, n_columns: int, n_header: int = 1) -> np.ndarray:
+    """A numeric CSV as a (rows, n_columns) float array; blank lines skipped."""
+    name = os.path.basename(path)
+    try:
+        table = np.loadtxt(
+            path, delimiter=",", skiprows=n_header, ndmin=2, comments=None
+        )
+    except ValueError as e:
+        raise io.BundleFormatError(f"{name}: {e}") from None
+    if table.size and table.shape[1] != n_columns:
+        raise io.BundleFormatError(
+            f"{name}: expected {n_columns} columns, found {table.shape[1]}"
+        )
+    return table
+
+
+def _read_meta(path: str, fields: dict) -> dict:
+    """The named fields of a JSON object, each passed through its type."""
+    name = os.path.basename(path)
+    try:
+        with open(path, "rb") as f:
+            meta = json.load(f)
+        return {key: cast(meta[key]) for key, cast in fields.items()}
+    except (ValueError, KeyError, TypeError) as e:
+        raise io.BundleFormatError(f"{name}: malformed: {e!r}") from None
 
 
 def _load_fit(fit_dir: str, dataset: Dataset) -> FitResult:
@@ -175,22 +196,17 @@ def _load_fit(fit_dir: str, dataset: Dataset) -> FitResult:
         validate_params(params, dataset.dims, trace_convention=False)
     except ValueError as e:
         raise io.BundleFormatError(f"params.json: {e}") from None
-    table = _read_column_csv(os.path.join(fit_dir, "resp.csv"))
+    table = _read_column_csv(os.path.join(fit_dir, "resp.csv"), 3)
     if table.shape[0] != dataset.dims.n_voxels:
         raise io.BundleFormatError(
             f"resp.csv: expected {dataset.dims.n_voxels} rows, "
             f"found {table.shape[0]}"
         )
-    trace = _read_column_csv(os.path.join(fit_dir, "loglik.csv"))[:, 1]
-    with open(os.path.join(fit_dir, "fit.json"), "rb") as f:
-        meta = json.load(f)
-    return FitResult(
-        params=params,
-        resp=table[:, 1],
-        loglik_trace=trace,
-        iterations=int(meta["iterations"]),
-        converged=bool(meta["converged"]),
+    trace = _read_column_csv(os.path.join(fit_dir, "loglik.csv"), 2)[:, 1]
+    meta = _read_meta(
+        os.path.join(fit_dir, "fit.json"), {"iterations": int, "converged": bool}
     )
+    return FitResult(params=params, resp=table[:, 1], loglik_trace=trace, **meta)
 
 
 def _volume_from_voxels(dataset: Dataset, values: np.ndarray):
@@ -211,19 +227,14 @@ def _write_infer_artifacts(
     io.write_csv(
         os.path.join(out, "tstats.csv"),
         ["voxel", "x", "y", "z", "t", "p", "reject", "cluster"],
-        (
-            (
-                v,
-                int(dataset.coords[v, 0]),
-                int(dataset.coords[v, 1]),
-                int(dataset.coords[v, 2]),
-                float(amap.t_stat[v]),
-                float(amap.pvals[v]),
-                int(amap.reject[v]),
-                int(amap.cluster[v]),
-            )
-            for v in range(amap.t_stat.size)
-        ),
+        columns=[
+            np.arange(amap.t_stat.size),
+            *dataset.coords.T,
+            amap.t_stat,
+            amap.pvals,
+            amap.reject.astype(np.int64),
+            amap.cluster,
+        ],
     )
     with open(os.path.join(out, "fdr.json"), "w", newline="\n") as f:
         json.dump(
@@ -248,20 +259,19 @@ def _write_infer_artifacts(
 
 
 def _load_amap(infer_dir: str, dataset: Dataset) -> ActivationMap:
-    table = _read_column_csv(os.path.join(infer_dir, "tstats.csv"))
+    table = _read_column_csv(os.path.join(infer_dir, "tstats.csv"), 8)
     if table.shape[0] != dataset.dims.n_voxels:
         raise io.BundleFormatError(
             f"tstats.csv: expected {dataset.dims.n_voxels} rows, "
             f"found {table.shape[0]}"
         )
-    with open(os.path.join(infer_dir, "fdr.json"), "rb") as f:
-        meta = json.load(f)
+    meta = _read_meta(os.path.join(infer_dir, "fdr.json"), {"df": int})
     return ActivationMap(
         t_stat=table[:, 4],
         pvals=table[:, 5],
         reject=table[:, 6].astype(bool),
         cluster=table[:, 7].astype(np.int64),
-        df=int(meta["df"]),
+        **meta,
     )
 
 
@@ -346,21 +356,20 @@ def _write_pcs_artifacts(out: str, dataset: Dataset, pa: PcAnalysis) -> None:
     io.write_csv(
         os.path.join(out, "pc_spectrum.csv"),
         ["component", "eigenvalue", "variance_pct"],
-        (
-            (k + 1, float(pa.within_pca.eigenvalues[k]),
-             float(pa.within_pca.variance_pct[k]))
-            for k in range(pa.within_pca.eigenvalues.size)
-        ),
+        columns=[
+            np.arange(1, pa.within_pca.eigenvalues.size + 1),
+            pa.within_pca.eigenvalues,
+            pa.within_pca.variance_pct,
+        ],
     )
+    # one row per (voxel, epoch), in C order of the scores array
+    vox, epoch = np.indices(pa.scores.shape[:2]).reshape(2, -1)
     io.write_csv(
         os.path.join(out, "pc_scores.csv"),
         ["voxel", "epoch"] + [f"pc{k + 1}" for k in range(n_pc)],
-        (
-            (int(pa.active_idx[a]), j + 1,
-             *(float(pa.scores[a, j, k]) for k in range(n_pc)))
-            for a in range(pa.active_idx.size)
-            for j in range(d.n_epochs)
-        ),
+        columns=[
+            pa.active_idx[vox], epoch + 1, *pa.scores.reshape(-1, n_pc).T
+        ],
     )
     anova_rows = []
     for k, tab in enumerate(pa.tables):
@@ -380,25 +389,24 @@ def _write_pcs_artifacts(out: str, dataset: Dataset, pa: PcAnalysis) -> None:
         ["component", "factor", "level", "effect", "se"],
         anova_rows,
     )
+    cluster, epoch, sample = np.indices(pa.curves.shape).reshape(3, -1)
     io.write_csv(
         os.path.join(out, "curves.csv"),
         ["cluster", "epoch", "sample", "value"],
-        (
-            (int(pa.cluster_levels[c]), j + 1, s + 1, float(pa.curves[c, j, s]))
-            for c in range(pa.curves.shape[0])
-            for j in range(d.n_epochs)
-            for s in range(d.n_times)
-        ),
+        columns=[
+            pa.cluster_levels[cluster], epoch + 1, sample + 1, pa.curves.ravel()
+        ],
     )
+    comp, sign, sample = np.indices(pa.effect_curves.shape).reshape(3, -1)
     io.write_csv(
         os.path.join(out, "effect_curves.csv"),
         ["component", "direction", "sample", "value"],
-        (
-            (k + 1, sign, s + 1, float(pa.effect_curves[k, i, s]))
-            for k in range(pa.effect_curves.shape[0])
-            for i, sign in enumerate(("plus", "minus"))
-            for s in range(d.n_times)
-        ),
+        columns=[
+            comp + 1,
+            np.array(["plus", "minus"])[sign],
+            sample + 1,
+            pa.effect_curves.ravel(),
+        ],
     )
     samples = np.arange(1, d.n_times + 1, dtype=np.float64)
     for c in range(pa.curves.shape[0]):
@@ -467,7 +475,8 @@ def cmd_preprocess(args, config: dict) -> int:
         PreprocConfig, config.get("preprocess", {}), "preprocess"
     )
     dataset = io.read_dataset(args.bundle)
-    truth = io.read_truth(args.bundle)
+    # preprocessing leaves the generator's ground truth as it was
+    truth = io.read_truth_bytes(args.bundle)
     out = _ensure_out(args)
     processed = preprocess_dataset(dataset, cfg)
     bundle = os.path.join(out, "dataset")
@@ -658,25 +667,41 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fail(code: int, kind: str, message: str) -> int:
-    print(json.dumps({"error": {"code": code, "type": kind,
-                                "message": message}}), file=sys.stderr)
+def _fail(code: int, error: Exception, caught: list) -> int:
+    record = {"code": code, "type": type(error).__name__, "message": str(error)}
+    if caught:
+        record["warnings"] = [str(w.message) for w in caught]
+    print(json.dumps({"error": record}), file=sys.stderr)
     return code
+
+
+def _show_warnings(caught: list) -> None:
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # warnings are held back until the outcome is known: on failure they
+    # go inside the one JSON error object instead of ahead of it
+    caught: list = []
     try:
-        return args.func(args, load_config(args.config))
+        with warnings.catch_warnings(record=True) as caught:
+            code = args.func(args, load_config(args.config))
     except (ConfigError, io.BundleFormatError, FileNotFoundError) as e:
-        return _fail(2, type(e).__name__, str(e))
+        return _fail(2, e, caught)
     except (
         DegenerateDataError,
         SingularMatrixError,
         np.linalg.LinAlgError,
         FloatingPointError,
     ) as e:
-        return _fail(3, type(e).__name__, str(e))
+        return _fail(3, e, caught)
+    except BaseException:
+        _show_warnings(caught)
+        raise
+    _show_warnings(caught)
+    return code
 
 
 if __name__ == "__main__":

@@ -664,11 +664,18 @@ def fit_all_active(
     structure: ModelStructure = ModelStructure(mixture=False),
     max_iter: int | None = None,
     diagnostics=None,
+    *,
+    validated: bool = False,
 ) -> FitResult:
-    """Fit the responding model to every voxel (no mixture)."""
+    """Fit the responding model to every voxel (no mixture).
+
+    ``validated=True`` skips Dataset.validate (a full isfinite pass and a
+    sort of the coordinates) for a caller that has just run it.
+    """
     if structure.mixture:
         raise ValueError("fit_all_active requires a non-mixture structure")
-    dataset.validate()
+    if not validated:
+        dataset.validate()
     params = _initial_params(dataset, structure)
     limit = config.max_iter if max_iter is None else max_iter
     return _iterate(dataset, params, config, structure, limit, diagnostics)
@@ -678,6 +685,8 @@ def init_fit(
     dataset: Dataset,
     config: EmConfig = EmConfig(),
     structure: ModelStructure = ModelStructure(),
+    *,
+    validated: bool = False,
 ) -> MixtureParams:
     """Initialization for the mixture EM.
 
@@ -685,10 +694,12 @@ def init_fit(
     pre-whitened amplitude t-test at config.init_alpha (uncorrected),
     and seeds the mixture parameters from the two groups. Falls back to
     the top percentile by t-statistic if nothing passes the screen.
+    ``validated`` is as in fit_all_active.
     """
-    from .inference import t_statistics_all, t_sf, whiten
+    from .inference import t_sf, t_statistics
 
-    dataset.validate()
+    if not validated:
+        dataset.validate()
     d = dataset.dims
     reduced_structure = ModelStructure(
         mixture=False,
@@ -698,10 +709,14 @@ def init_fit(
         spherical=structure.spherical,
     )
     reduced = fit_all_active(
-        dataset, config, reduced_structure, max_iter=config.init_max_iter
+        dataset,
+        config,
+        reduced_structure,
+        max_iter=config.init_max_iter,
+        validated=True,
     )
     params = reduced.params
-    t_stats, df = t_statistics_all(*whiten(dataset, params))
+    t_stats, df = t_statistics(dataset, params)
     pvals = t_sf(t_stats, df)
     active = pvals < config.init_alpha
     if not np.any(active):
@@ -777,7 +792,7 @@ def em_fit(
         return fit_all_active(dataset, config, structure, diagnostics=diagnostics)
     dataset.validate()
     if init_params is None:
-        init_params = init_fit(dataset, config, structure)
+        init_params = init_fit(dataset, config, structure, validated=True)
     if __debug__:
         validate_params(
             init_params, dataset.dims, trace_convention=structure.rescale_trace

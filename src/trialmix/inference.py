@@ -9,18 +9,49 @@ import numpy as np
 from scipy import ndimage
 from scipy.special import betainc
 
+from .kernels import voxel_blocks
 from .linalg import inv_sqrt
 from .types import ActivationMap, Dataset, FitResult, MixtureParams
 
 __all__ = [
     "whiten",
     "t_statistics_all",
+    "t_statistics",
     "t_sf",
     "FdrResult",
     "fdr_adaptive",
     "cluster_active",
     "activation_map",
 ]
+
+
+def _whitening(
+    dataset: Dataset, params: MixtureParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(half_between, half_within, mu_w, design_w) of whiten."""
+    d = dataset.dims
+    half_within = inv_sqrt(params.within_cov)
+    half_between = inv_sqrt(params.between_cov)
+    mu_w = np.einsum(
+        "k,t->kt", half_between.sum(axis=1), half_within @ params.hrf.values
+    ).reshape(d.n_images)
+    if d.n_covariates:
+        x_ep = dataset.design.reshape(d.n_epochs, d.n_times, d.n_covariates)
+        design_w = np.einsum(
+            "kj,jtq,ts->ksq", half_between, x_ep, half_within, optimize=True
+        ).reshape(d.n_images, d.n_covariates)
+    else:
+        design_w = np.zeros((d.n_images, 0))
+    return half_between, half_within, mu_w, design_w
+
+
+def _whiten_series(
+    series_ep: np.ndarray, half_between: np.ndarray, half_within: np.ndarray
+) -> np.ndarray:
+    """(n_voxels, n_epochs, n_times) series to whitened (n_voxels, n_images)."""
+    return np.einsum(
+        "kj,vjs,st->vkt", half_between, series_ep, half_within, optimize=True
+    ).reshape(series_ep.shape[0], -1)
 
 
 def whiten(
@@ -33,24 +64,50 @@ def whiten(
     (series_w, mu_w, design_w): series_w is (n_voxels, n_images), mu_w
     is (n_images,), design_w is (n_images, n_covariates), all epoch-major.
     """
-    d = dataset.dims
-    half_within = inv_sqrt(params.within_cov)
-    half_between = inv_sqrt(params.between_cov)
-    series_ep = dataset.epoch_view()
-    series_w = np.einsum(
-        "kj,vjs,st->vkt", half_between, series_ep, half_within, optimize=True
-    ).reshape(d.n_voxels, d.n_images)
-    mu_w = np.einsum(
-        "k,t->kt", half_between.sum(axis=1), half_within @ params.hrf.values
-    ).reshape(d.n_images)
-    if d.n_covariates:
-        x_ep = dataset.design.reshape(d.n_epochs, d.n_times, d.n_covariates)
-        design_w = np.einsum(
-            "kj,jtq,ts->ksq", half_between, x_ep, half_within, optimize=True
-        ).reshape(d.n_images, d.n_covariates)
-    else:
-        design_w = np.zeros((d.n_images, 0))
+    half_between, half_within, mu_w, design_w = _whitening(dataset, params)
+    series_w = _whiten_series(dataset.epoch_view(), half_between, half_within)
     return series_w, mu_w, design_w
+
+
+class _AmplitudeTest:
+    """The regressors [mu_w, design_w] of the amplitude t-test, factored
+    once and applied to any number of whitened voxel series."""
+
+    def __init__(self, mu_w: np.ndarray, design_w: np.ndarray) -> None:
+        n = mu_w.shape[0]
+        q = design_w.shape[1]
+        self.df = n - q - 1
+        if self.df < 1:
+            raise ValueError(f"nonpositive degrees of freedom: n={n}, q={q}")
+        self.mu_norm2 = float(mu_w @ mu_w)
+        if self.mu_norm2 <= 0.0:
+            raise ValueError("whitened shape regressor has zero norm")
+        self.z = np.concatenate([mu_w[:, None], design_w], axis=1)
+        self.gram = self.z.T @ self.z
+
+    def __call__(self, series_w: np.ndarray) -> tuple[np.ndarray, int]:
+        """t-statistics of (n_voxels, n_images) series, and how many of
+        them fit exactly."""
+        coef = np.linalg.solve(self.gram, self.z.T @ series_w.T)
+        resid = series_w.T - self.z @ coef
+        rss = np.einsum("nv,nv->v", resid, resid)
+        s2 = rss / self.df
+        amp = coef[0]
+        t = np.where(amp < 0.0, -np.inf, np.inf)
+        t[amp == 0.0] = 0.0
+        good = s2 > 0.0
+        t[good] = amp[good] / np.sqrt(s2[good] / self.mu_norm2)
+        return t, int(np.sum(~good))
+
+
+def _warn_exact_fits(n_exact: int) -> None:
+    if n_exact:
+        warnings.warn(
+            f"{n_exact} voxel(s) fit exactly; t set to +-inf, "
+            "or 0 where the amplitude is 0",
+            RuntimeWarning,
+            stacklevel=3,
+        )
 
 
 def t_statistics_all(
@@ -65,33 +122,30 @@ def t_statistics_all(
     the sign of their amplitude, or 0 when the amplitude is exactly 0
     (a flat voxel carries no evidence of a response).
     """
-    n = mu_w.shape[0]
-    q = design_w.shape[1]
-    df = n - q - 1
-    if df < 1:
-        raise ValueError(f"nonpositive degrees of freedom: n={n}, q={q}")
-    z = np.concatenate([mu_w[:, None], design_w], axis=1)
-    gram = z.T @ z
-    coef = np.linalg.solve(gram, z.T @ series_w.T)
-    resid = series_w.T - z @ coef
-    rss = np.einsum("nv,nv->v", resid, resid)
-    s2 = rss / df
-    mu_norm2 = float(mu_w @ mu_w)
-    if mu_norm2 <= 0.0:
-        raise ValueError("whitened shape regressor has zero norm")
-    amp = coef[0]
-    t = np.where(amp < 0.0, -np.inf, np.inf)
-    t[amp == 0.0] = 0.0
-    good = s2 > 0.0
-    if not np.all(good):
-        warnings.warn(
-            f"{int(np.sum(~good))} voxel(s) fit exactly; t set to +-inf, "
-            "or 0 where the amplitude is 0",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    t[good] = amp[good] / np.sqrt(s2[good] / mu_norm2)
-    return t, df
+    test = _AmplitudeTest(mu_w, design_w)
+    t, n_exact = test(series_w)
+    _warn_exact_fits(n_exact)
+    return t, test.df
+
+
+def t_statistics(dataset: Dataset, params: MixtureParams) -> tuple[np.ndarray, int]:
+    """t_statistics_all(*whiten(dataset, params)), one voxel block at a time.
+
+    Whitened series and least-squares residuals exist for one block of
+    kernels.BLOCK voxels at a time, never for the whole dataset; every
+    voxel's arithmetic is the unblocked one.
+    """
+    half_between, half_within, mu_w, design_w = _whitening(dataset, params)
+    test = _AmplitudeTest(mu_w, design_w)
+    series_ep = dataset.epoch_view()
+    t = np.empty(dataset.dims.n_voxels)
+    n_exact = 0
+    for sl in voxel_blocks(dataset.dims.n_voxels):
+        series_w = _whiten_series(series_ep[sl], half_between, half_within)
+        t[sl], n_blk = test(series_w)
+        n_exact += n_blk
+    _warn_exact_fits(n_exact)
+    return t, test.df
 
 
 def t_sf(t: np.ndarray | float, df: int) -> np.ndarray | float:
@@ -250,8 +304,7 @@ def activation_map(
     adaptive FDR pass (pass screen_alpha=None to adjust all voxels),
     and clusters the rejected voxels.
     """
-    series_w, mu_w, design_w = whiten(dataset, fit.params)
-    t, df = t_statistics_all(series_w, mu_w, design_w)
+    t, df = t_statistics(dataset, fit.params)
     pvals = np.asarray(t_sf(t, df))
     reject = np.zeros(dataset.dims.n_voxels, dtype=bool)
     if screen_alpha is None:

@@ -10,9 +10,20 @@ A dataset lives in a directory as a tiny self-described format:
 Everything round-trips bit-identically: raw bytes for the series, 17
 significant digits for CSV floats, shortest-roundtrip repr for JSON
 floats. CSV output uses '.' decimals, ',' separators, LF line endings.
+
+Text artifacts are rendered a row or an array at a time, not a cell at a
+time. write_csv turns each column into Python values once (ndarray
+.tolist()) and formats every row through one printf template, %.17g for
+float columns and %s otherwise, which is the text format_float and str
+give per cell. JSON files are the bytes of json.dump(indent=2,
+sort_keys=True) plus a newline; _json_text writes lists of plain ints or
+finite floats, and lists of equal-length rows of them, with one %r
+template instead of json's pure-Python indenting encoder.
 """
 from __future__ import annotations
 
+import contextlib
+import gc
 import json
 import math
 import os
@@ -26,6 +37,7 @@ __all__ = [
     "write_dataset",
     "read_dataset",
     "read_truth",
+    "read_truth_bytes",
     "params_to_dict",
     "params_from_dict",
     "write_params_json",
@@ -51,18 +63,51 @@ def format_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def write_csv(path: str, header: list[str], rows) -> None:
-    """Comma-separated values, floats at full precision, LF endings."""
+def _column_cells(column) -> tuple[str, list]:
+    """One CSV column as (printf conversion, values to format).
+
+    The conversion gives each cell the text format_float (floats) or str
+    (anything else) gives it; a column mixing floats with other values
+    is rendered cell by cell.
+    """
+    values = column.tolist() if isinstance(column, np.ndarray) else list(column)
+    kinds = set(map(type, values))
+    floats = {k for k in kinds if issubclass(k, (float, np.floating))}
+    if floats == kinds:
+        return "%.17g", values
+    if not floats:
+        return "%s", values
+    return "%s", [
+        format_float(c) if isinstance(c, (float, np.floating)) else str(c)
+        for c in values
+    ]
+
+
+def write_csv(path: str, header: list[str], rows=None, columns=None) -> None:
+    """Comma-separated values, floats at full precision, LF endings.
+
+    Give the table as ``rows`` (an iterable of rows or a 2-D array) or as
+    ``columns`` (one sequence or 1-D array per header name); columns are
+    the fast path for long numeric tables.
+    """
+    if (rows is None) == (columns is None):
+        raise ValueError("give exactly one of rows and columns")
+    if columns is None:
+        if isinstance(rows, np.ndarray):
+            columns = rows.T
+        else:
+            columns = list(zip(*rows)) or [()] * len(header)
+    if len(columns) != len(header):
+        raise ValueError(
+            f"{len(columns)} columns for a header of {len(header)} names"
+        )
+    convs, values = zip(*map(_column_cells, columns)) if len(columns) else ((), ())
+    if len({len(v) for v in values}) > 1:
+        raise ValueError("columns differ in length")
+    template = ",".join(convs) + "\n"
     with open(path, "w", newline="\n") as f:
         f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(
-                ",".join(
-                    format_float(c) if isinstance(c, (float, np.floating)) else str(c)
-                    for c in row
-                )
-                + "\n"
-            )
+        f.write("".join(map(template.__mod__, zip(*values))))
 
 
 def _load_json(path: str, name: str) -> dict:
@@ -82,37 +127,74 @@ def _load_json(path: str, name: str) -> dict:
     return obj
 
 
-def _finite_floats(values: list) -> bool:
-    return set(map(type, values)) == {float} and all(map(math.isfinite, values))
+def _plain_numbers(values: list) -> bool:
+    """All plain ints, or all finite plain floats: json writes repr()."""
+    kinds = set(map(type, values))
+    return kinds == {int} or (
+        kinds == {float} and all(map(math.isfinite, values))
+    )
+
+
+def _row_width(values: list) -> int:
+    """The common length of rows of plain numbers, or 0 if not such rows."""
+    widths = {len(v) if isinstance(v, (list, tuple)) else 0 for v in values}
+    if len(widths) != 1 or 0 in widths:
+        return 0
+    return widths.pop() if _plain_numbers([x for r in values for x in r]) else 0
 
 
 def _json_text(value, depth: int = 0) -> str:
     """json.dumps(value, indent=2, sort_keys=True), nested ``depth`` deep.
 
-    Lists of finite floats are joined with float.__repr__, the text json
-    writes for them, so long float arrays skip json's pure-Python
-    indenting encoder; the bytes are the same.
+    Lists of plain ints or finite floats, and lists of equal-length rows
+    of them, are rendered through one %r template (repr is the text json
+    writes for those), so long arrays skip json's pure-Python indenting
+    encoder; the bytes are the same. Everything else goes to json.
     """
     pad = "\n" + "  " * (depth + 1)
-    if isinstance(value, dict) and value:
+    if isinstance(value, dict) and value and all(type(k) is str for k in value):
         items = [
             json.dumps(key) + ": " + _json_text(value[key], depth + 1)
             for key in sorted(value)
         ]
         return "{" + pad + ("," + pad).join(items) + pad[:-2] + "}"
-    if isinstance(value, list) and value:
-        if _finite_floats(value):
-            items = list(map(float.__repr__, value))
+    if isinstance(value, (list, tuple)) and value:
+        if _plain_numbers(value):
+            items = list(map(repr, value))
+        elif width := _row_width(value):
+            inner = pad + "  "
+            row = "[" + inner + ("," + inner).join(["%r"] * width) + pad + "]"
+            items = [row % tuple(r) for r in value]
         else:
             items = [_json_text(v, depth + 1) for v in value]
         return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
-    return json.dumps(value)
+    # json's own newlines are all structural: strings escape theirs
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", pad[:-2])
 
 
 def _dump_json(obj: dict, path: str) -> None:
+    """The bytes of json.dump(obj, indent=2, sort_keys=True) plus a newline."""
     with open(path, "w", newline="\n") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(_json_text(obj) + "\n")
+
+
+@contextlib.contextmanager
+def _gc_paused():
+    """Run a block, or a decorated function, with the cyclic GC paused.
+
+    Bundle and parameter JSON hold one short list per voxel row. At
+    V=20k, building and dropping them with the collector on set off a
+    full collection (about 20 ms, finding nothing) in every command; the
+    lists hold no cycles, and they are gone before the collector resumes.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 def _require(obj: dict, key: str, name: str):
@@ -121,8 +203,15 @@ def _require(obj: dict, key: str, name: str):
     return obj[key]
 
 
-def write_dataset(dataset: Dataset, path: str, truth: SimTruth | None = None) -> None:
-    """Write a bundle directory; creates it if needed."""
+@_gc_paused()
+def write_dataset(
+    dataset: Dataset, path: str, truth: SimTruth | bytes | None = None
+) -> None:
+    """Write a bundle directory; creates it if needed.
+
+    ``truth`` is ground truth to render into truth.json, or the bytes of
+    another bundle's truth.json (read_truth_bytes), copied as they are.
+    """
     os.makedirs(path, exist_ok=True)
     d = dataset.dims
     header = {
@@ -147,10 +236,14 @@ def write_dataset(dataset: Dataset, path: str, truth: SimTruth | None = None) ->
         write_csv(
             os.path.join(path, DESIGN_NAME),
             [f"x{j + 1}" for j in range(d.n_covariates)],
-            dataset.design,
+            columns=dataset.design.T,
         )
-    if truth is not None:
-        _dump_json(_truth_to_dict(truth), os.path.join(path, TRUTH_NAME))
+    truth_path = os.path.join(path, TRUTH_NAME)
+    if isinstance(truth, bytes):
+        with open(truth_path, "wb") as f:
+            f.write(truth)
+    elif truth is not None:
+        _dump_json(_truth_to_dict(truth), truth_path)
 
 
 def _read_design_csv(path: str, n_images: int, q: int) -> np.ndarray:
@@ -185,6 +278,7 @@ def _read_design_csv(path: str, n_images: int, q: int) -> np.ndarray:
     return out
 
 
+@_gc_paused()
 def read_dataset(path: str) -> Dataset:
     """Read a bundle directory back; exact inverse of write_dataset."""
     header = _load_json(os.path.join(path, HEADER_NAME), HEADER_NAME)
@@ -233,27 +327,32 @@ def read_dataset(path: str) -> Dataset:
     else:
         design = np.zeros((dims.n_images, 0))
 
-    stimulus_times = np.asarray(
-        _require(header, "stimulus_times", HEADER_NAME), dtype=np.float64
-    )
+    try:
+        stimulus_times = np.asarray(
+            _require(header, "stimulus_times", HEADER_NAME), dtype=np.float64
+        )
+        coords = np.asarray(_require(header, "coords", HEADER_NAME), dtype=np.int64)
+        tr = float(_require(header, "tr", HEADER_NAME))
+        mask_shape = header.get("mask_shape")
+        mask_shape = tuple(int(s) for s in mask_shape) if mask_shape else None
+    except (TypeError, ValueError) as e:
+        raise BundleFormatError(f"{HEADER_NAME}: malformed: {e}") from None
     if stimulus_times.shape != (dims.n_epochs,):
         raise BundleFormatError(
             f"{HEADER_NAME}: stimulus_times must have {dims.n_epochs} entries"
         )
-    coords = np.asarray(_require(header, "coords", HEADER_NAME), dtype=np.int64)
     if coords.shape != (dims.n_voxels, 3):
         raise BundleFormatError(
             f"{HEADER_NAME}: coords must be {dims.n_voxels} rows of 3"
         )
-    mask_shape = header.get("mask_shape")
     dataset = Dataset(
         dims=dims,
         series=series,
         design=design,
         coords=coords,
         stimulus_times=stimulus_times,
-        tr=float(_require(header, "tr", HEADER_NAME)),
-        mask_shape=tuple(int(s) for s in mask_shape) if mask_shape else None,
+        tr=tr,
+        mask_shape=mask_shape,
     )
     try:
         dataset.validate(centered_design=False)
@@ -289,12 +388,12 @@ def params_from_dict(obj: dict, name: str = "params") -> MixtureParams:
         raise BundleFormatError(f"{name}: bad parameter block: {e}") from None
 
 
+@_gc_paused()
 def write_params_json(params: MixtureParams, path: str) -> None:
-    """The bytes _dump_json writes for params_to_dict(params), faster."""
-    with open(path, "w", newline="\n") as f:
-        f.write(_json_text(params_to_dict(params)) + "\n")
+    _dump_json(params_to_dict(params), path)
 
 
+@_gc_paused()
 def read_params_json(path: str) -> MixtureParams:
     name = os.path.basename(path)
     return params_from_dict(_load_json(path, name), name)
@@ -313,6 +412,7 @@ def _truth_to_dict(truth: SimTruth) -> dict:
     }
 
 
+@_gc_paused()
 def read_truth(path: str) -> SimTruth | None:
     """Ground truth from a bundle, or None when the sidecar is absent."""
     truth_path = os.path.join(path, TRUTH_NAME)
@@ -328,6 +428,15 @@ def read_truth(path: str) -> SimTruth | None:
         if offsets is not None
         else None,
     )
+
+
+def read_truth_bytes(path: str) -> bytes | None:
+    """A bundle's truth.json as raw bytes, or None when it is absent."""
+    try:
+        with open(os.path.join(path, TRUTH_NAME), "rb") as f:
+            return f.read()
+    except FileNotFoundError:
+        return None
 
 
 def _scale_to_bytes(plane: np.ndarray, lo: float, hi: float) -> np.ndarray:

@@ -140,8 +140,10 @@ class Dataset:
             raise ValueError("design contains non-finite values")
         if self.coords.shape != (d.n_voxels, 3):
             raise ValueError("coords must be (n_voxels, 3)")
-        uniq = np.unique(self.coords, axis=0)
-        if uniq.shape[0] != d.n_voxels:
+        # any lexicographic row order puts equal rows next to each other;
+        # np.unique(axis=0) sorts the rows as void records, 7x slower
+        rows = self.coords[np.lexsort(self.coords.T)]
+        if np.any(np.all(rows[1:] == rows[:-1], axis=1)):
             raise ValueError("voxel coordinates are not unique")
         if self.stimulus_times.shape != (d.n_epochs,):
             raise ValueError("stimulus_times must have one entry per epoch")

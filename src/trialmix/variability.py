@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .em import residual_matrices
 from .linalg import SymEigen, sym_eigen
@@ -270,6 +269,10 @@ def spline_interp(
         raise ValueError("need at least two knots")
     if np.any(np.diff(x) <= 0.0):
         raise ValueError("x must be strictly increasing")
+    # imported here: scipy.interpolate costs ~0.2 s at start-up and no
+    # pipeline stage calls this function
+    from scipy.interpolate import CubicSpline
+
     spline = CubicSpline(x, y, bc_type="natural")
     return spline(np.asarray(x_new, dtype=np.float64))
 

@@ -2,6 +2,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -9,8 +10,9 @@ import warnings
 import numpy as np
 import pytest
 
+from trialmix import cli
 from trialmix.cli import main
-from trialmix.io import read_dataset, write_dataset
+from trialmix.io import read_dataset, write_csv, write_dataset
 from trialmix.simulate import SimConfig, simulate_dataset
 
 CONFIG = {
@@ -495,3 +497,108 @@ def test_flat_voxel_is_not_flagged_active(tmp_path):
     assert float(row["t"]) == 0.0
     assert int(row["reject"]) == 0
     assert int(row["cluster"]) == 0
+
+
+def _corrupt_csv(path, how):
+    with open(path) as f:
+        lines = f.read().split("\n")
+    cells = lines[4].split(",")
+    if how == "non-numeric":
+        cells[1] = "abc"
+    else:
+        cells.pop()
+    lines[4] = ",".join(cells)
+    with open(path, "w") as f:
+        f.write("\n".join(lines))
+
+
+@pytest.mark.parametrize("how", ["non-numeric", "ragged"])
+@pytest.mark.parametrize("table", ["resp.csv", "tstats.csv"])
+def test_malformed_fit_or_infer_csv_exits_2(pipeline, tmp_path, capsys, table,
+                                            how):
+    fit_dir = str(tmp_path / "fit")
+    infer_dir = str(tmp_path / "infer")
+    shutil.copytree(pipeline["fit"], fit_dir)
+    shutil.copytree(pipeline["infer"], infer_dir)
+    if table == "resp.csv":
+        _corrupt_csv(os.path.join(fit_dir, table), how)
+        argv = ["infer", pipeline["bundle"], fit_dir]
+    else:
+        _corrupt_csv(os.path.join(infer_dir, table), how)
+        argv = ["pcs", pipeline["bundle"], fit_dir, infer_dir]
+    capsys.readouterr()
+    rc = main(argv + ["--config", pipeline["cfg"], "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = _single_error_line(capsys)
+    assert err["code"] == 2
+    assert err["type"] == "BundleFormatError"
+    assert err["message"].startswith(table)
+
+
+def test_column_csv_reads_the_float_bits_it_wrote(tmp_path):
+    rng = np.random.default_rng(0)
+    values = np.concatenate([
+        rng.standard_normal(200),
+        rng.standard_normal(50) * 1e300,
+        rng.standard_normal(50) * 1e-310,
+        [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e16, 2.0**-1074],
+    ])
+    path = str(tmp_path / "t.csv")
+    write_csv(path, ["i", "x"], columns=[np.arange(values.size), values])
+    table = cli._read_column_csv(path, 2)
+    with open(path) as f:
+        parsed = [float(line.split(",")[1]) for line in f.read().split()[1:]]
+    assert table[:, 1].tobytes() == np.array(parsed).tobytes()
+    assert table[:, 1].tobytes() == values.tobytes()
+
+
+def test_failing_command_stderr_is_one_json_object(tmp_path):
+    # null data at V=50, seed 2: the fit raises ridge and skip warnings,
+    # then loses likelihood; no warnings filter is set in the child
+    cfg = str(tmp_path / "null.json")
+    with open(cfg, "w") as f:
+        json.dump({"simulate": {"n_voxels": 50, "active_frac": 0.0}}, f)
+    sim = str(tmp_path / "sim")
+    base = [sys.executable, "-m", "trialmix"]
+    proc = subprocess.run(
+        base + ["simulate", "--config", cfg, "--out", sim, "--seed", "2"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    proc = subprocess.run(
+        base + ["fit", os.path.join(sim, "dataset"), "--config", cfg,
+                "--out", str(tmp_path / "fit")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.endswith("\n") and proc.stderr.count("\n") == 1
+    err = json.loads(proc.stderr)["error"]
+    assert err["type"] == "DegenerateDataError"
+    assert err["warnings"]
+    assert all("ridge" in w or "skipped" in w for w in err["warnings"])
+
+
+def test_successful_command_still_raises_its_warnings(tmp_path):
+    # a flat voxel fits exactly: infer warns and succeeds
+    ds, _ = simulate_dataset(SimConfig(n_voxels=400), seed=3)
+    ds.series[0] = 0.0
+    bundle = str(tmp_path / "dataset")
+    write_dataset(ds, bundle)
+    fit_dir = str(tmp_path / "fit")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["fit", bundle, "--out", fit_dir]) == 0
+    with pytest.warns(RuntimeWarning, match="fit exactly"):
+        assert main(["infer", bundle, fit_dir,
+                     "--out", str(tmp_path / "infer")]) == 0
+
+
+def test_cli_import_leaves_out_scipy_interpolate():
+    # spline_interp imports it on first call; no pipeline stage does
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, trialmix.cli; print('scipy.interpolate' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -375,3 +375,26 @@ def test_rescale_trace_property():
     assert not ModelStructure(free_within=False).rescale_trace
     assert not ModelStructure(free_between=False).rescale_trace
     assert not ModelStructure(spherical=True).rescale_trace
+
+
+def test_em_fit_validates_the_dataset_once(small_mixture, monkeypatch):
+    # em_fit's own check covers init_fit and its reduced fit_all_active
+    ds, _ = small_mixture
+    calls = []
+    validate = type(ds).validate
+
+    def counting_validate(self, *args, **kwargs):
+        calls.append(1)
+        return validate(self, *args, **kwargs)
+
+    monkeypatch.setattr(type(ds), "validate", counting_validate)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        em_fit(ds)
+    assert len(calls) == 1
+    calls.clear()
+    fit_all_active(ds, max_iter=2)
+    assert len(calls) == 1
+    calls.clear()
+    init_fit(ds)
+    assert len(calls) == 1

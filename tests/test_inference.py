@@ -12,6 +12,7 @@ from trialmix.inference import (
     cluster_active,
     fdr_adaptive,
     t_sf,
+    t_statistics,
     t_statistics_all,
     whiten,
 )
@@ -252,3 +253,18 @@ def test_activation_map_screen_none_adjusts_everything():
     amap2, fdr2 = activation_map(ds, fit, screen_alpha=1e-12)
     # an impossibly strict screen rejects nothing
     assert fdr2.n_rejected == 0 or fdr2.n_rejected <= fdr1.n_rejected
+
+
+def test_blocked_t_statistics_match_the_unblocked_bits():
+    # three blocks of kernels.BLOCK voxels, the last one partial
+    rng = np.random.default_rng(12)
+    dims = make_dims(n_times=5, n_epochs=4, n_voxels=600, n_covariates=2)
+    ds = make_dataset(dims, rng)
+    params = make_params(dims, rng)
+    ds.series[7] = 0.0
+    with pytest.warns(RuntimeWarning, match="^1 voxel"):
+        t_ref, df_ref = t_statistics_all(*whiten(ds, params))
+    with pytest.warns(RuntimeWarning, match="^1 voxel"):
+        t, df = t_statistics(ds, params)
+    assert df == df_ref
+    assert t.tobytes() == t_ref.tobytes()

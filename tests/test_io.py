@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from trialmix import io
 from trialmix.io import (
     BundleFormatError,
     format_float,
@@ -13,6 +14,7 @@ from trialmix.io import (
     read_dataset,
     read_params_json,
     read_truth,
+    read_truth_bytes,
     write_csv,
     write_dataset,
     write_map_pgm,
@@ -116,6 +118,33 @@ def test_read_rejects_bad_version_and_endianness(bundle):
     _patch_header(path, version="1", endianness="big")
     with pytest.raises(BundleFormatError, match="endianness 'big'"):
         read_dataset(path)
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"coords": [[0, 1, 2]] * 11 + [[0, 1]]},
+        {"stimulus_times": ["a", "b", "c"]},
+        {"tr": "fast"},
+        {"mask_shape": [4, "x", 4]},
+    ],
+)
+def test_read_rejects_malformed_header_values(bundle, changes):
+    _, _, path = bundle
+    _patch_header(path, **changes)
+    with pytest.raises(BundleFormatError, match="header.json: malformed"):
+        read_dataset(path)
+
+
+def test_read_rejects_duplicate_coordinates(bundle):
+    ds, _, path = bundle
+    coords = ds.coords.tolist()
+    _patch_header(path, coords=coords[:-1] + [coords[2]])
+    with pytest.raises(BundleFormatError, match="not unique"):
+        read_dataset(path)
+    # same column values in other rows are not duplicates
+    _patch_header(path, coords=[[v, v % 2, 0] for v in range(len(coords))])
+    read_dataset(path)
 
 
 def test_read_reports_byte_count_mismatch(bundle):
@@ -312,3 +341,136 @@ def test_pgm_validation(tmp_path):
         write_map_pgm(np.array([[np.nan, 0.0]]), path)
     with pytest.raises(ValueError, match="mask shape"):
         write_map_pgm(np.zeros((2, 2)), path, mask=np.ones((3, 3), bool))
+
+
+def _write_csv_per_cell(path, header, rows):
+    """The cell-by-cell rendering write_csv replaced, as the byte oracle."""
+    with open(path, "w", newline="\n") as f:
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(
+                ",".join(
+                    format_float(c) if isinstance(c, (float, np.floating)) else str(c)
+                    for c in row
+                )
+                + "\n"
+            )
+
+
+def _read_bytes(path):
+    with open(path, "rb") as f:
+        return f.read()
+
+
+def test_write_csv_matches_per_cell_rendering(tmp_path):
+    floats = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 0.1, 1.0 / 3.0]
+    n = len(floats)
+    columns = [
+        np.arange(n),
+        np.array(floats),
+        [np.float64(x) for x in floats],
+        np.array(floats, dtype=np.float32),
+        [int(i) * 10**20 for i in range(n)],
+        [np.int64(-i) for i in range(n)],
+        np.arange(n) % 2 == 0,
+        [True, False] * (n // 2),
+        [f"s{i}" for i in range(n)],
+        [x if i % 2 else "x" for i, x in enumerate(floats)],
+    ]
+    header = [f"c{j}" for j in range(len(columns))]
+    rows = list(zip(*columns))
+    oracle = str(tmp_path / "oracle.csv")
+    _write_csv_per_cell(oracle, header, rows)
+    for name, kwargs in (
+        ("rows", {"rows": rows}),
+        ("generator", {"rows": (r for r in rows)}),
+        ("columns", {"columns": columns}),
+    ):
+        path = str(tmp_path / f"{name}.csv")
+        write_csv(path, header, **kwargs)
+        assert _read_bytes(path) == _read_bytes(oracle), name
+    table = np.random.default_rng(0).standard_normal((7, 3))
+    _write_csv_per_cell(oracle, ["a", "b", "c"], table)
+    write_csv(str(tmp_path / "array.csv"), ["a", "b", "c"], table)
+    assert _read_bytes(str(tmp_path / "array.csv")) == _read_bytes(oracle)
+
+
+def test_write_csv_zero_rows_and_bad_shapes(tmp_path):
+    oracle = str(tmp_path / "oracle.csv")
+    _write_csv_per_cell(oracle, ["a", "b"], [])
+    for name, kwargs in (
+        ("rows", {"rows": []}),
+        ("columns", {"columns": [np.zeros(0), np.zeros(0, dtype=np.int64)]}),
+        ("array", {"rows": np.zeros((0, 2))}),
+    ):
+        path = str(tmp_path / f"{name}.csv")
+        write_csv(path, ["a", "b"], **kwargs)
+        assert _read_bytes(path) == _read_bytes(oracle) == b"a,b\n", name
+    path = str(tmp_path / "bad.csv")
+    with pytest.raises(ValueError, match="differ in length"):
+        write_csv(path, ["a", "b"], columns=[[1, 2], [1.0]])
+    with pytest.raises(ValueError, match="header"):
+        write_csv(path, ["a", "b"], columns=[[1, 2]])
+    with pytest.raises(ValueError, match="exactly one"):
+        write_csv(path, ["a"])
+
+
+def _json_dump_bytes(obj, path):
+    with open(path, "w", newline="\n") as f:
+        json.dump(obj, f, indent=2, sort_keys=True)
+        f.write("\n")
+    return _read_bytes(path)
+
+
+def test_dump_json_matches_json_dump(tmp_path):
+    header = {
+        "version": "1",
+        "endianness": "little",
+        "dims": {"n_times": 4, "n_epochs": 3, "n_voxels": 3, "n_covariates": 0},
+        "tr": 2.0,
+        "stimulus_times": [0.0, 8.5, 17.25],
+        "coords": [[0, 1, 2], [3, 4, 5], [10, 0, 7]],
+        "mask_shape": None,
+    }
+    truth = {
+        "seed": 7,
+        "labels": [0, 1, 1, 0],
+        "shift_offsets": None,
+        "params": {
+            "active_prob": 0.25,
+            "amplitude": [1.5, float("nan"), -0.0, 5e-324],
+            "coeffs": [[0.1, 0.2], [1e16, -1e-300], [3.0, 4.0], [5.0, 6.0]],
+            "hrf": [0.5, 0.5],
+            "within_cov": [[1.0, float("inf")], [0.0, 1.0]],
+            "between_cov": [[1.0]],
+            "noise_var": 1.0,
+        },
+    }
+    odd = {
+        "empty": [[], []],
+        "ragged": [[1, 2], [3]],
+        "mixed": [1, 2.5, True, None, "x\ny"],
+        "tuple": (1, 2),
+        "nested": {"z": {}, "a": [{"k": [np.float64(0.5)]}]},
+        "int_keys": {2: "b", 1: "a"},
+        "big": 10**30,
+    }
+    for name, obj in (("header", header), ("truth", truth), ("odd", odd)):
+        path = str(tmp_path / f"{name}.json")
+        io._dump_json(obj, path)
+        assert _read_bytes(path) == _json_dump_bytes(obj, path + ".ref"), name
+
+
+def test_write_dataset_copies_truth_bytes(tmp_path):
+    ds, truth = simulate_dataset(
+        SimConfig(n_voxels=6, n_times=4, n_epochs=3, n_covariates=0), seed=2
+    )
+    src = str(tmp_path / "src")
+    write_dataset(ds, src, truth)
+    raw = read_truth_bytes(src)
+    dst = str(tmp_path / "dst")
+    write_dataset(ds, dst, raw)
+    assert _read_bytes(os.path.join(dst, "truth.json")) == raw
+    back = read_truth(dst)
+    np.testing.assert_array_equal(back.labels, truth.labels)
+    assert read_truth_bytes(str(tmp_path)) is None

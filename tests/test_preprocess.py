@@ -14,7 +14,10 @@ from trialmix.preprocess import (
     preprocess_dataset,
     shift_offsets_from_stimulus,
     trial_time_shift,
+    _smooth_dataset,
 )
+from trialmix.types import Dataset, Dims
+
 from helpers import make_dataset, make_dims
 
 
@@ -283,3 +286,31 @@ def test_preprocess_config_validation():
         PreprocConfig(voxel_size=(1.0, 0.0, 1.0))
     with pytest.raises(ValueError):
         PreprocConfig(highpass_cutoff=0.0)
+
+
+def test_dataset_smoothing_matches_per_image_bits():
+    # an epoch of images per correlate1d call, the normalizer once
+    rng = np.random.default_rng(13)
+    mask = rng.random((6, 5, 4)) < 0.6
+    coords = np.argwhere(mask)
+    n_epochs, n_times = 3, 4
+    dims = Dims(n_times=n_times, n_epochs=n_epochs, n_voxels=coords.shape[0],
+                n_covariates=0)
+    ds = Dataset(
+        dims=dims,
+        series=rng.standard_normal((dims.n_voxels, dims.n_images)),
+        design=np.zeros((dims.n_images, 0)),
+        coords=coords,
+        stimulus_times=np.arange(n_epochs) * 10.0,
+        tr=2.0,
+        mask_shape=mask.shape,
+    )
+    cfg = PreprocConfig(smooth_fwhm=2.5, voxel_size=(1.0, 1.5, 2.0))
+    expected = np.empty_like(ds.series)
+    vol = np.zeros(mask.shape)
+    for n in range(dims.n_images):
+        vol[mask] = ds.series[:, n]
+        expected[:, n] = gaussian_smooth_3d(
+            vol, cfg.smooth_fwhm, cfg.voxel_size, mask
+        )[mask]
+    assert _smooth_dataset(ds, cfg).tobytes() == expected.tobytes()
