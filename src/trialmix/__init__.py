@@ -23,8 +23,6 @@ from .inference import (
     cluster_active,
     fdr_adaptive,
     t_sf,
-    t_statistics_all,
-    whiten,
 )
 from .io import (
     BundleFormatError,
@@ -74,7 +72,6 @@ from .variability import (
     pc_effect_curves,
     pc_scores,
     pca_cov,
-    spline_interp,
 )
 
 __version__ = "0.1.0"
@@ -130,11 +127,8 @@ __all__ = [
     "read_params_json",
     "read_truth",
     "simulate_dataset",
-    "spline_interp",
     "t_sf",
-    "t_statistics_all",
     "trial_time_shift",
-    "whiten",
     "write_dataset",
     "write_map_pgm",
     "write_params_json",

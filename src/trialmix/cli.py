@@ -5,6 +5,10 @@ Subcommands wire the pipeline: simulate -> preprocess -> fit -> infer
 command writes deterministic artifacts (CSV and JSON always, PGM/SVG
 images as conveniences) into the output directory.
 
+The command line and every config value are checked before a command
+reads or writes anything; the two checks that need the bundle
+(pcs.n_components, preprocess.highpass_cutoff) run as soon as it is read.
+
 Exit codes: 0 success, 2 usage or configuration error (including a
 malformed bundle, fit or inference directory), 3 numerical failure.
 Failures print one machine-readable JSON object to stderr, with the
@@ -14,11 +18,12 @@ command that succeeds prints its warnings as Python does.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
+import typing
 import warnings
+from dataclasses import asdict, dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -26,7 +31,7 @@ from . import io
 from .em import EmConfig, em_fit
 from .inference import FdrResult, activation_map
 from .linalg import SingularMatrixError
-from .modelsel import MODEL_SPECS, ModelComparison, compare_models, fit_model
+from .modelsel import MODEL_SPECS, ModelComparison, compare_models
 from .preprocess import PreprocConfig, preprocess_dataset
 from .simulate import SimConfig, simulate_dataset
 from .types import (
@@ -42,59 +47,143 @@ __all__ = ["main", "ConfigError"]
 
 
 class ConfigError(ValueError):
-    """The run configuration is malformed."""
+    """The command line or the run configuration is malformed."""
 
 
-SECTIONS = (
-    "seed",
-    "out",
-    "simulate",
-    "preprocess",
-    "em",
-    "fit",
-    "inference",
-    "pcs",
-    "compare",
-)
-INFER_KEYS = {"q": 0.05, "screen_alpha": 1e-3, "min_cluster": 5,
-              "cluster_method": "connected"}
-PCS_KEYS = {"n_components": 3, "effect_scale": 10.0}
-COMPARE_KEYS = {"models": [1, 2, 3, 4, 5], "n_obs": None}
-FIT_KEYS = {"model": 5}
+@dataclass(frozen=True)
+class FitConfig:
+    """Which candidate model fit and report fit."""
+
+    model: int = 5
+
+    def __post_init__(self) -> None:
+        if self.model not in MODEL_SPECS:
+            raise ValueError(f"unknown model id {self.model}")
 
 
-def _check_keys(obj: dict, allowed, name: str) -> None:
-    unknown = sorted(set(obj) - set(allowed))
-    if unknown:
-        raise ConfigError(
-            f"{name}: unknown key(s) {', '.join(unknown)}; "
-            f"allowed: {', '.join(sorted(allowed))}"
-        )
+@dataclass(frozen=True)
+class InferenceConfig:
+    """activation_map's FDR level q, uncorrected screen (None: none) and
+    cluster size floor."""
+
+    q: float = 0.05
+    screen_alpha: float | None = 1e-3
+    min_cluster: int = 5
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.q < 1.0:
+            raise ValueError("q must lie in (0, 1)")
+        if self.screen_alpha is not None and not 0.0 < self.screen_alpha < 1.0:
+            raise ValueError("screen_alpha must lie in (0, 1)")
+        if self.min_cluster < 1:
+            raise ValueError("min_cluster must be at least 1")
+
+
+@dataclass(frozen=True)
+class PcsConfig:
+    """analyze_variability's component count and effect-curve scale."""
+
+    n_components: int = 3
+    effect_scale: float = 10.0
+
+    def __post_init__(self) -> None:
+        if self.n_components < 1:
+            raise ValueError("n_components must be at least 1")
+
+
+@dataclass(frozen=True)
+class CompareConfig:
+    """Candidate models, and the BIC sample size (None: every scalar)."""
+
+    models: tuple[int, ...] = (1, 2, 3, 4, 5)
+    n_obs: int | None = None
+
+    def __post_init__(self) -> None:
+        bad = [m for m in self.models if m not in MODEL_SPECS]
+        if bad or not self.models:
+            raise ValueError(f"unknown model id(s) {bad}" if bad else "no models")
+        if self.n_obs is not None and self.n_obs < 1:
+            raise ValueError("n_obs must be at least 1")
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """The run configuration: simulate's seed and one object per section."""
+
+    seed: int = 0
+    simulate: SimConfig = SimConfig()
+    preprocess: PreprocConfig = PreprocConfig()
+    em: EmConfig = EmConfig()
+    fit: FitConfig = FitConfig()
+    inference: InferenceConfig = InferenceConfig()
+    pcs: PcsConfig = PcsConfig()
+    compare: CompareConfig = CompareConfig()
+
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
+
+
+def _coerce(value, hint):
+    """A JSON value as the type its config field declares, or TypeError.
+
+    Only a bool field takes true or false, a float field takes any finite
+    number as a float, and a tuple field takes a JSON list.
+    """
+    args = typing.get_args(hint)
+    if isinstance(value, bool) and hint is not bool:
+        pass  # json's true and false are no numbers here
+    elif hint is float and isinstance(value, (int, float)):
+        if abs(value) <= sys.float_info.max:
+            return float(value)
+    elif typing.get_origin(hint) is tuple:
+        if isinstance(value, list):
+            if args[-1] is Ellipsis:
+                args = args[:1] * len(value)
+            if len(value) == len(args):
+                return tuple(map(_coerce, value, args))
+    elif args:  # a union such as float | None
+        for arg in args:
+            try:
+                return _coerce(value, arg)
+            except TypeError:
+                pass
+    elif isinstance(value, hint):
+        return value
+    raise TypeError(f"{value!r} is not {hint}")
 
 
 def _build_dataclass(cls, obj: dict, name: str):
-    _check_keys(obj, {f.name for f in dataclasses.fields(cls)}, name)
+    """cls(**obj), every key known and every value of its field's type."""
+    declared = {f.name: f.type for f in fields(cls)}
+    unknown = sorted(set(obj) - set(declared))
+    if unknown:
+        raise ConfigError(
+            f"{name}: unknown key(s) {', '.join(unknown)}; "
+            f"allowed: {', '.join(sorted(declared))}"
+        )
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for key, value in obj.items():
+        try:
+            values[key] = _coerce(value, hints[key])
+        except TypeError:
+            raise ConfigError(
+                f"{name}.{key}: expected {declared[key]}, got {value!r}"
+            ) from None
     try:
-        return cls(**obj)
+        return cls(**values)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"{name}: {e}") from None
 
 
-def _section(config: dict, name: str, defaults: dict) -> dict:
-    obj = config.get(name, {})
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{name}: must be an object")
-    _check_keys(obj, defaults, name)
-    merged = dict(defaults)
-    merged.update(obj)
-    return merged
+def load_config(path: str | None, seed: int | None = None) -> RunConfig:
+    """The run configuration, every value type- and range-checked.
 
-
-def load_config(path: str | None) -> dict:
-    """Parse and key-check the run configuration JSON."""
-    if path is None:
-        config = {}
-    else:
+    ``seed``, when given, replaces the file's seed.
+    """
+    config = {}
+    if path is not None:
         try:
             with open(path, "rb") as f:
                 config = json.load(f)
@@ -106,26 +195,23 @@ def load_config(path: str | None) -> dict:
             ) from None
         if not isinstance(config, dict):
             raise ConfigError(f"{path}: top level must be an object")
-    _check_keys(config, SECTIONS, "config")
-    # section key checks run up front so bad configs fail fast
-    _section(config, "inference", INFER_KEYS)
-    _section(config, "pcs", PCS_KEYS)
-    _section(config, "compare", COMPARE_KEYS)
-    _section(config, "fit", FIT_KEYS)
-    for name, cls in (
-        ("simulate", SimConfig),
-        ("preprocess", PreprocConfig),
-        ("em", EmConfig),
-    ):
-        obj = config.get(name, {})
-        if not isinstance(obj, dict):
-            raise ConfigError(f"{name}: must be an object")
-        _build_dataclass(cls, obj, name)
-    return config
+    if seed is not None:
+        config["seed"] = seed
+    for name, cls in typing.get_type_hints(RunConfig).items():
+        if name in config and is_dataclass(cls):
+            if not isinstance(config[name], dict):
+                raise ConfigError(f"{name}: must be an object")
+            config[name] = _build_dataclass(cls, config[name], name)
+    return _build_dataclass(RunConfig, config, "config")
 
 
-def _em_config(config: dict) -> EmConfig:
-    return _build_dataclass(EmConfig, config.get("em", {}), "em")
+def _check_pcs(config: RunConfig, dataset: Dataset) -> None:
+    """The pcs check that needs the bundle, run right after it is read."""
+    if config.pcs.n_components > dataset.dims.n_times:
+        raise ConfigError(
+            f"pcs: n_components={config.pcs.n_components} exceeds the "
+            f"bundle's n_times={dataset.dims.n_times}"
+        )
 
 
 def _ensure_out(args) -> str:
@@ -148,19 +234,15 @@ def _write_fit_artifacts(out: str, fit: FitResult) -> None:
         ["iteration", "loglik"],
         columns=[np.arange(fit.loglik_trace.size), fit.loglik_trace],
     )
-    with open(os.path.join(out, "fit.json"), "w", newline="\n") as f:
-        json.dump(
-            {
-                "iterations": fit.iterations,
-                "converged": fit.converged,
-                "loglik": float(fit.loglik_trace[-1]),
-                "active_prob": float(fit.params.active_prob),
-            },
-            f,
-            indent=2,
-            sort_keys=True,
-        )
-        f.write("\n")
+    io.write_json(
+        {
+            "iterations": fit.iterations,
+            "converged": fit.converged,
+            "loglik": float(fit.loglik_trace[-1]),
+            "active_prob": float(fit.params.active_prob),
+        },
+        os.path.join(out, "fit.json"),
+    )
 
 
 def _read_column_csv(path: str, n_columns: int, n_header: int = 1) -> np.ndarray:
@@ -236,20 +318,16 @@ def _write_infer_artifacts(
             amap.cluster,
         ],
     )
-    with open(os.path.join(out, "fdr.json"), "w", newline="\n") as f:
-        json.dump(
-            {
-                "df": amap.df,
-                "threshold": float(fdr.threshold),
-                "m0_hat": int(fdr.m0_hat),
-                "n_rejected": int(fdr.n_rejected),
-                "n_clusters": int(amap.cluster.max()) if amap.cluster.size else 0,
-            },
-            f,
-            indent=2,
-            sort_keys=True,
-        )
-        f.write("\n")
+    io.write_json(
+        {
+            "df": amap.df,
+            "threshold": float(fdr.threshold),
+            "m0_hat": int(fdr.m0_hat),
+            "n_rejected": int(fdr.n_rejected),
+            "n_clusters": int(amap.cluster.max()) if amap.cluster.size else 0,
+        },
+        os.path.join(out, "fdr.json"),
+    )
     tvol, mask = _volume_from_voxels(dataset, amap.t_stat)
     io.write_map_pgm(tvol, os.path.join(out, "tmap.pgm"), mask=mask)
     avol, _ = _volume_from_voxels(
@@ -442,27 +520,17 @@ def _write_compare_artifacts(out: str, cmp: ModelComparison) -> None:
             for r in cmp.rows
         ),
     )
-    with open(os.path.join(out, "comparison.json"), "w", newline="\n") as f:
-        json.dump(
-            {
-                "n_obs": cmp.n_obs,
-                "best_aic": cmp.best_aic,
-                "best_bic": cmp.best_bic,
-            },
-            f,
-            indent=2,
-            sort_keys=True,
-        )
-        f.write("\n")
+    io.write_json(
+        {"n_obs": cmp.n_obs, "best_aic": cmp.best_aic, "best_bic": cmp.best_bic},
+        os.path.join(out, "comparison.json"),
+    )
 
 
 # ----------------------------------------------------------------- commands
 
 
-def cmd_simulate(args, config: dict) -> int:
-    sim = _build_dataclass(SimConfig, config.get("simulate", {}), "simulate")
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
-    dataset, truth = simulate_dataset(sim, seed=int(seed))
+def cmd_simulate(args, config: RunConfig) -> int:
+    dataset, truth = simulate_dataset(config.simulate, seed=config.seed)
     out = _ensure_out(args)
     bundle = os.path.join(out, "dataset")
     io.write_dataset(dataset, bundle, truth=truth)
@@ -470,33 +538,36 @@ def cmd_simulate(args, config: dict) -> int:
     return 0
 
 
-def cmd_preprocess(args, config: dict) -> int:
-    cfg = _build_dataclass(
-        PreprocConfig, config.get("preprocess", {}), "preprocess"
-    )
+def cmd_preprocess(args, config: RunConfig) -> int:
     dataset = io.read_dataset(args.bundle)
+    cutoff = config.preprocess.highpass_cutoff
+    if cutoff is not None and cutoff <= 2.0 * dataset.tr:
+        raise ConfigError(
+            f"preprocess: highpass_cutoff={cutoff} must exceed twice the "
+            f"bundle's tr={dataset.tr}"
+        )
     # preprocessing leaves the generator's ground truth as it was
     truth = io.read_truth_bytes(args.bundle)
     out = _ensure_out(args)
-    processed = preprocess_dataset(dataset, cfg)
+    processed = preprocess_dataset(dataset, config.preprocess)
     bundle = os.path.join(out, "dataset")
     io.write_dataset(processed, bundle, truth=truth)
     print(bundle)
     return 0
 
 
-def _run_fit(args, config: dict, dataset: Dataset, out: str) -> FitResult:
-    model_id = int(_section(config, "fit", FIT_KEYS)["model"])
-    diag = sys.stderr if getattr(args, "verbose", False) else None
-    if model_id == 5:
-        fit = em_fit(dataset, _em_config(config), diagnostics=diag)
-    else:
-        fit = fit_model(dataset, model_id, _em_config(config))
+def _run_fit(args, config: RunConfig, dataset: Dataset, out: str) -> FitResult:
+    fit = em_fit(
+        dataset,
+        config.em,
+        MODEL_SPECS[config.fit.model].structure,
+        diagnostics=sys.stderr if getattr(args, "verbose", False) else None,
+    )
     _write_fit_artifacts(out, fit)
     return fit
 
 
-def cmd_fit(args, config: dict) -> int:
+def cmd_fit(args, config: RunConfig) -> int:
     dataset = io.read_dataset(args.bundle)
     out = _ensure_out(args)
     fit = _run_fit(args, config, dataset, out)
@@ -508,24 +579,14 @@ def cmd_fit(args, config: dict) -> int:
 
 
 def _run_infer(
-    config: dict, dataset: Dataset, fit: FitResult, out: str
+    config: RunConfig, dataset: Dataset, fit: FitResult, out: str
 ) -> tuple[ActivationMap, FdrResult]:
-    opts = _section(config, "inference", INFER_KEYS)
-    amap, fdr = activation_map(
-        dataset,
-        fit,
-        q=float(opts["q"]),
-        screen_alpha=(
-            None if opts["screen_alpha"] is None else float(opts["screen_alpha"])
-        ),
-        min_cluster=int(opts["min_cluster"]),
-        cluster_method=str(opts["cluster_method"]),
-    )
+    amap, fdr = activation_map(dataset, fit, **asdict(config.inference))
     _write_infer_artifacts(out, dataset, amap, fdr)
     return amap, fdr
 
 
-def cmd_infer(args, config: dict) -> int:
+def cmd_infer(args, config: RunConfig) -> int:
     dataset = io.read_dataset(args.bundle)
     fit = _load_fit(args.fit_dir, dataset)
     out = _ensure_out(args)
@@ -538,23 +599,17 @@ def cmd_infer(args, config: dict) -> int:
 
 
 def _run_pcs(
-    config: dict, dataset: Dataset, fit: FitResult, amap: ActivationMap,
+    config: RunConfig, dataset: Dataset, fit: FitResult, amap: ActivationMap,
     out: str,
 ) -> PcAnalysis:
-    opts = _section(config, "pcs", PCS_KEYS)
-    pa = analyze_variability(
-        dataset,
-        fit,
-        amap,
-        n_components=int(opts["n_components"]),
-        effect_scale=float(opts["effect_scale"]),
-    )
+    pa = analyze_variability(dataset, fit, amap, **asdict(config.pcs))
     _write_pcs_artifacts(out, dataset, pa)
     return pa
 
 
-def cmd_pcs(args, config: dict) -> int:
+def cmd_pcs(args, config: RunConfig) -> int:
     dataset = io.read_dataset(args.bundle)
+    _check_pcs(config, dataset)
     fit = _load_fit(args.fit_dir, dataset)
     amap = _load_amap(args.infer_dir, dataset)
     out = _ensure_out(args)
@@ -565,25 +620,20 @@ def cmd_pcs(args, config: dict) -> int:
 
 
 def _run_compare(
-    config: dict, dataset: Dataset, out: str, fits: dict | None = None
+    config: RunConfig, dataset: Dataset, out: str, fits: dict | None = None
 ) -> ModelComparison:
-    opts = _section(config, "compare", COMPARE_KEYS)
-    model_ids = tuple(int(m) for m in opts["models"])
-    bad = [m for m in model_ids if m not in MODEL_SPECS]
-    if bad:
-        raise ConfigError(f"compare: unknown model id(s) {bad}")
     cmp = compare_models(
         dataset,
-        _em_config(config),
-        model_ids=model_ids,
-        n_obs=None if opts["n_obs"] is None else int(opts["n_obs"]),
+        config.em,
+        model_ids=config.compare.models,
+        n_obs=config.compare.n_obs,
         fits=fits,
     )
     _write_compare_artifacts(out, cmp)
     return cmp
 
 
-def cmd_compare(args, config: dict) -> int:
+def cmd_compare(args, config: RunConfig) -> int:
     dataset = io.read_dataset(args.bundle)
     out = _ensure_out(args)
     cmp = _run_compare(config, dataset, out)
@@ -591,8 +641,9 @@ def cmd_compare(args, config: dict) -> int:
     return 0
 
 
-def cmd_report(args, config: dict) -> int:
+def cmd_report(args, config: RunConfig) -> int:
     dataset = io.read_dataset(args.bundle)
+    _check_pcs(config, dataset)
     out = _ensure_out(args)
     fit = _run_fit(args, config, dataset, out)
     amap, fdr = _run_infer(config, dataset, fit, out)
@@ -600,8 +651,7 @@ def cmd_report(args, config: dict) -> int:
     if np.any(amap.cluster > 0):
         pa = _run_pcs(config, dataset, fit, amap, out)
     # report's own fit is the comparison's fit of that model
-    model_id = int(_section(config, "fit", FIT_KEYS)["model"])
-    cmp = _run_compare(config, dataset, out, {model_id: fit})
+    cmp = _run_compare(config, dataset, out, {config.fit.model: fit})
     manifest = {
         "loglik": float(fit.loglik_trace[-1]),
         "iterations": fit.iterations,
@@ -613,9 +663,7 @@ def cmd_report(args, config: dict) -> int:
         "best_aic": cmp.best_aic,
         "best_bic": cmp.best_bic,
     }
-    with open(os.path.join(out, "report.json"), "w", newline="\n") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    io.write_json(manifest, os.path.join(out, "report.json"))
     print(f"report written to {out}")
     return 0
 
@@ -623,20 +671,27 @@ def cmd_report(args, config: dict) -> int:
 # --------------------------------------------------------------- entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        # a usage error ends like every other failure: one JSON line, exit 2
+        sys.exit(_fail(2, ConfigError(f"{self.prog}: {message}"), []))
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="trialmix",
         description="Mixture model fitting for epoch-structured voxel series.",
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None, help="run config JSON")
     common.add_argument("--out", default="trialmix_out", help="output directory")
-    common.add_argument("--seed", type=int, default=None)
     common.add_argument("--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", parents=[common],
                        help="generate a synthetic dataset bundle")
+    p.add_argument("--seed", type=int, default=None,
+                   help="generator seed; overrides the config's")
     p.set_defaults(func=cmd_simulate)
     p = sub.add_parser("preprocess", parents=[common],
                        help="smooth, align, detrend, center a bundle")
@@ -687,7 +742,8 @@ def main(argv: list[str] | None = None) -> int:
     caught: list = []
     try:
         with warnings.catch_warnings(record=True) as caught:
-            code = args.func(args, load_config(args.config))
+            config = load_config(args.config, getattr(args, "seed", None))
+            code = args.func(args, config)
     except (ConfigError, io.BundleFormatError, FileNotFoundError) as e:
         return _fail(2, e, caught)
     except (

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import gammaln
@@ -62,18 +62,13 @@ class EmConfig:
 
     tol: float = 1e-4
     max_iter: int = 500
-    m_sweeps: int = 1
-    flipflop_sweeps: int = 2
     init_alpha: float = 1e-3
     init_max_iter: int = 50
-    resp_clamp: float = 1e-12
     noise_floor: float = 1e-12
 
     def __post_init__(self) -> None:
         if self.tol <= 0.0 or self.max_iter < 1:
             raise ValueError("tol must be positive and max_iter at least 1")
-        if self.m_sweeps < 1 or self.flipflop_sweeps < 1:
-            raise ValueError("sweep counts must be at least 1")
         if not (0.0 < self.init_alpha < 1.0):
             raise ValueError("init_alpha must lie in (0, 1)")
 
@@ -545,7 +540,6 @@ def _mstep(
                 resp,
                 within,
                 between,
-                sweeps=config.flipflop_sweeps,
                 free_within=structure.free_within,
                 free_between=structure.free_between,
             )
@@ -601,8 +595,7 @@ def _iterate(
         if structure.mixture:
             resp = _posterior(params.active_prob, *log_f)
         old_vec = params.global_vector()
-        for _ in range(config.m_sweeps):
-            params = _mstep(dataset, resp, params, resid, config, structure)
+        params = _mstep(dataset, resp, params, resid, config, structure)
         if __debug__:
             validate_params(
                 params, dataset.dims, trace_convention=structure.rescale_trace
@@ -701,17 +694,10 @@ def init_fit(
     if not validated:
         dataset.validate()
     d = dataset.dims
-    reduced_structure = ModelStructure(
-        mixture=False,
-        estimate_hrf=structure.estimate_hrf,
-        free_within=structure.free_within,
-        free_between=structure.free_between,
-        spherical=structure.spherical,
-    )
     reduced = fit_all_active(
         dataset,
         config,
-        reduced_structure,
+        replace(structure, mixture=False),
         max_iter=config.init_max_iter,
         validated=True,
     )
@@ -756,7 +742,6 @@ def init_fit(
             ind,
             within,
             between,
-            sweeps=2,
             free_within=structure.free_within,
             free_between=structure.free_between,
         )

@@ -14,8 +14,6 @@ from .linalg import inv_sqrt
 from .types import ActivationMap, Dataset, FitResult, MixtureParams
 
 __all__ = [
-    "whiten",
-    "t_statistics_all",
     "t_statistics",
     "t_sf",
     "FdrResult",
@@ -28,7 +26,7 @@ __all__ = [
 def _whitening(
     dataset: Dataset, params: MixtureParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(half_between, half_within, mu_w, design_w) of whiten."""
+    """(half_between, half_within, mu_w, design_w) of the whitening."""
     d = dataset.dims
     half_within = inv_sqrt(params.within_cov)
     half_between = inv_sqrt(params.between_cov)
@@ -52,21 +50,6 @@ def _whiten_series(
     return np.einsum(
         "kj,vjs,st->vkt", half_between, series_ep, half_within, optimize=True
     ).reshape(series_ep.shape[0], -1)
-
-
-def whiten(
-    dataset: Dataset, params: MixtureParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Transform series, shape regressor, and design by the inverse
-    square root of the fitted Kronecker covariance.
-
-    The covariance factors are treated as known at this step. Returns
-    (series_w, mu_w, design_w): series_w is (n_voxels, n_images), mu_w
-    is (n_images,), design_w is (n_images, n_covariates), all epoch-major.
-    """
-    half_between, half_within, mu_w, design_w = _whitening(dataset, params)
-    series_w = _whiten_series(dataset.epoch_view(), half_between, half_within)
-    return series_w, mu_w, design_w
 
 
 class _AmplitudeTest:
@@ -110,30 +93,14 @@ def _warn_exact_fits(n_exact: int) -> None:
         )
 
 
-def t_statistics_all(
-    series_w: np.ndarray, mu_w: np.ndarray, design_w: np.ndarray
-) -> tuple[np.ndarray, int]:
-    """Amplitude t-statistics for every whitened voxel series.
-
-    Amplitude and covariate coefficients are re-estimated jointly by
-    least squares on [mu_w, design_w]; the variance of the amplitude
-    estimate uses (mu_w' mu_w)^{-1} and the residual mean square on
-    n - q - 1 degrees of freedom. Voxels with an exact fit get +-inf by
-    the sign of their amplitude, or 0 when the amplitude is exactly 0
-    (a flat voxel carries no evidence of a response).
-    """
-    test = _AmplitudeTest(mu_w, design_w)
-    t, n_exact = test(series_w)
-    _warn_exact_fits(n_exact)
-    return t, test.df
-
-
 def t_statistics(dataset: Dataset, params: MixtureParams) -> tuple[np.ndarray, int]:
-    """t_statistics_all(*whiten(dataset, params)), one voxel block at a time.
+    """Amplitude t-statistics of every voxel, and their degrees of freedom.
 
-    Whitened series and least-squares residuals exist for one block of
-    kernels.BLOCK voxels at a time, never for the whole dataset; every
-    voxel's arithmetic is the unblocked one.
+    Series, shape and design are whitened by the fitted Kronecker
+    covariance, and amplitude and covariates re-fitted by least squares
+    on n - q - 1 degrees of freedom, one block of kernels.BLOCK voxels at
+    a time. An exact fit gives +-inf by the amplitude's sign, or 0 for a
+    zero amplitude (a flat voxel carries no evidence of a response).
     """
     half_between, half_within, mu_w, design_w = _whitening(dataset, params)
     test = _AmplitudeTest(mu_w, design_w)
@@ -226,59 +193,25 @@ def fdr_adaptive(pvals: np.ndarray, q: float = 0.05) -> FdrResult:
     )
 
 
-def _kmeans_labels(coords: np.ndarray, n_clusters: int, seed: int = 0) -> np.ndarray:
-    """Plain seeded Lloyd iteration on voxel coordinates."""
-    rng = np.random.default_rng(seed)
-    pts = coords.astype(np.float64)
-    n = pts.shape[0]
-    k = min(n_clusters, n)
-    centers = pts[rng.choice(n, size=k, replace=False)]
-    labels = np.zeros(n, dtype=np.int64)
-    for _ in range(100):
-        dist = np.linalg.norm(pts[:, None, :] - centers[None, :, :], axis=2)
-        new_labels = np.argmin(dist, axis=1)
-        if np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-        for c in range(k):
-            sel = labels == c
-            if np.any(sel):
-                centers[c] = pts[sel].mean(axis=0)
-    return labels + 1
-
-
-def cluster_active(
-    coords: np.ndarray,
-    min_size: int = 5,
-    method: str = "connected",
-    n_clusters: int = 3,
-    seed: int = 0,
-) -> np.ndarray:
+def cluster_active(coords: np.ndarray, min_size: int = 5) -> np.ndarray:
     """Group voxel coordinates into spatial clusters.
 
-    The default groups 26-connected components (all lattice neighbors
-    including diagonals) and relabels them 1, 2, ... by descending size;
-    components smaller than min_size get label 0. method="kmeans" swaps
-    in a seeded k-means on the coordinates for sensitivity checks.
+    Groups 26-connected components (all lattice neighbors including
+    diagonals) and relabels them 1, 2, ... by descending size;
+    components smaller than min_size get label 0.
     """
     coords = np.asarray(coords)
     if coords.ndim != 2 or coords.shape[1] != 3:
         raise ValueError("coords must be (n, 3)")
-    n = coords.shape[0]
-    if n == 0:
+    if coords.shape[0] == 0:
         return np.zeros(0, dtype=np.int64)
-    if method == "kmeans":
-        raw = _kmeans_labels(coords, n_clusters, seed)
-    elif method == "connected":
-        origin = coords.min(axis=0)
-        extent = coords.max(axis=0) - origin + 1
-        grid = np.zeros(tuple(extent), dtype=bool)
-        shifted = coords - origin
-        grid[tuple(shifted.T)] = True
-        labeled, _ = ndimage.label(grid, structure=np.ones((3, 3, 3), dtype=int))
-        raw = labeled[tuple(shifted.T)]
-    else:
-        raise ValueError(f"unknown clustering method {method!r}")
+    origin = coords.min(axis=0)
+    extent = coords.max(axis=0) - origin + 1
+    grid = np.zeros(tuple(extent), dtype=bool)
+    shifted = coords - origin
+    grid[tuple(shifted.T)] = True
+    labeled, _ = ndimage.label(grid, structure=np.ones((3, 3, 3), dtype=int))
+    raw = labeled[tuple(shifted.T)]
     counts = np.bincount(raw)
     counts[0] = 0
     keep = np.nonzero(counts >= max(min_size, 1))[0]
@@ -295,7 +228,6 @@ def activation_map(
     q: float = 0.05,
     screen_alpha: float | None = 1e-3,
     min_cluster: int = 5,
-    cluster_method: str = "connected",
 ) -> tuple[ActivationMap, FdrResult]:
     """Full inference pass over a fitted dataset.
 
@@ -328,8 +260,6 @@ def activation_map(
     cluster = np.zeros(dataset.dims.n_voxels, dtype=np.int64)
     idx = np.nonzero(reject)[0]
     if idx.size:
-        cluster[idx] = cluster_active(
-            dataset.coords[idx], min_size=min_cluster, method=cluster_method
-        )
+        cluster[idx] = cluster_active(dataset.coords[idx], min_size=min_cluster)
     amap = ActivationMap(t_stat=t, pvals=pvals, reject=reject, cluster=cluster, df=df)
     return amap, fdr

@@ -42,6 +42,7 @@ __all__ = [
     "params_from_dict",
     "write_params_json",
     "read_params_json",
+    "write_json",
     "format_float",
     "write_csv",
     "write_map_pgm",
@@ -172,7 +173,7 @@ def _json_text(value, depth: int = 0) -> str:
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", pad[:-2])
 
 
-def _dump_json(obj: dict, path: str) -> None:
+def write_json(obj: dict, path: str) -> None:
     """The bytes of json.dump(obj, indent=2, sort_keys=True) plus a newline."""
     with open(path, "w", newline="\n") as f:
         f.write(_json_text(obj) + "\n")
@@ -228,7 +229,7 @@ def write_dataset(
         "coords": [[int(c) for c in row] for row in dataset.coords],
         "mask_shape": list(dataset.mask_shape) if dataset.mask_shape else None,
     }
-    _dump_json(header, os.path.join(path, HEADER_NAME))
+    write_json(header, os.path.join(path, HEADER_NAME))
     data = np.ascontiguousarray(dataset.series, dtype="<f8")
     with open(os.path.join(path, DATA_NAME), "wb") as f:
         f.write(data.tobytes())
@@ -243,7 +244,7 @@ def write_dataset(
         with open(truth_path, "wb") as f:
             f.write(truth)
     elif truth is not None:
-        _dump_json(_truth_to_dict(truth), truth_path)
+        write_json(_truth_to_dict(truth), truth_path)
 
 
 def _read_design_csv(path: str, n_images: int, q: int) -> np.ndarray:
@@ -390,7 +391,7 @@ def params_from_dict(obj: dict, name: str = "params") -> MixtureParams:
 
 @_gc_paused()
 def write_params_json(params: MixtureParams, path: str) -> None:
-    _dump_json(params_to_dict(params), path)
+    write_json(params_to_dict(params), path)
 
 
 @_gc_paused()
@@ -507,4 +508,4 @@ def write_map_pgm(
         "files": files,
     }
     stem = path[:-4] if path.endswith(".pgm") else path
-    _dump_json(sidecar, stem + ".json")
+    write_json(sidecar, stem + ".json")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .em import EmConfig, ModelStructure, em_fit, fit_all_active
+from .em import EmConfig, ModelStructure, em_fit
 from .types import Dataset, Dims, FitResult
 
 __all__ = [
@@ -114,10 +114,7 @@ def fit_model(
     dataset: Dataset, model_id: int, config: EmConfig = EmConfig()
 ) -> FitResult:
     """Fit one candidate model."""
-    spec = ModelSpec.from_id(model_id)
-    if spec.structure.mixture:
-        return em_fit(dataset, config, spec.structure)
-    return fit_all_active(dataset, config, spec.structure)
+    return em_fit(dataset, config, ModelSpec.from_id(model_id).structure)
 
 
 @dataclass(frozen=True)

@@ -306,18 +306,7 @@ def preprocess_dataset(ds: Dataset, cfg: PreprocConfig) -> Dataset:
     series = ds.series
     design = ds.design
     if cfg.smooth_fwhm > 0.0:
-        series = _smooth_dataset(
-            Dataset(
-                dims=ds.dims,
-                series=series,
-                design=design,
-                coords=ds.coords,
-                stimulus_times=ds.stimulus_times,
-                tr=ds.tr,
-                mask_shape=ds.mask_shape,
-            ),
-            cfg,
-        )
+        series = _smooth_dataset(ds, cfg)
     if cfg.align_trials:
         shifts = shift_offsets_from_stimulus(ds.stimulus_times, ds.tr)
         series = trial_time_shift(series, shifts)

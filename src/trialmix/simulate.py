@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .em import canonical_hrf, hrf_shape_raw
-from .linalg import matrix_sqrt
+from .linalg import MAX_DIM, matrix_sqrt
 from .types import Dataset, Dims, MixtureParams, SimTruth, validate_params
 
 __all__ = [
@@ -61,6 +61,12 @@ class SimConfig:
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer")
         self.dims  # range checks
+        if max(self.n_times, self.n_epochs) > MAX_DIM:
+            raise ValueError(f"n_times and n_epochs must be at most {MAX_DIM}")
+        if self.tr <= 0.0 or self.first_sample < 0.0:
+            raise ValueError("tr must be positive and first_sample nonnegative")
+        if not (abs(self.within_rho) < 1.0 and abs(self.between_rho) < 1.0):
+            raise ValueError("within_rho and between_rho must lie in (-1, 1)")
         if not (0.0 <= self.active_frac <= 1.0):
             raise ValueError("active_frac must lie in [0, 1]")
         if self.phase not in ("zero", "jitter"):

@@ -25,7 +25,6 @@ __all__ = [
     "fitted_scores",
     "fitted_response",
     "pc_effect_curves",
-    "spline_interp",
     "PcAnalysis",
     "analyze_variability",
 ]
@@ -254,29 +253,6 @@ def pc_effect_curves(
     return out
 
 
-def spline_interp(
-    x: np.ndarray, y: np.ndarray, x_new: np.ndarray
-) -> np.ndarray:
-    """Natural cubic spline interpolation through (x, y).
-
-    x must be strictly increasing. The spline passes through every knot
-    and has zero second derivative at the ends, so collinear inputs
-    reproduce the straight line exactly.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 1 or x.size < 2:
-        raise ValueError("need at least two knots")
-    if np.any(np.diff(x) <= 0.0):
-        raise ValueError("x must be strictly increasing")
-    # imported here: scipy.interpolate costs ~0.2 s at start-up and no
-    # pipeline stage calls this function
-    from scipy.interpolate import CubicSpline
-
-    spline = CubicSpline(x, y, bc_type="natural")
-    return spline(np.asarray(x_new, dtype=np.float64))
-
-
 @dataclass(frozen=True)
 class PcAnalysis:
     """Everything the variability analysis produces.
@@ -287,7 +263,6 @@ class PcAnalysis:
     """
 
     within_pca: PcaResult
-    between_pca: PcaResult
     active_idx: np.ndarray
     scores: np.ndarray
     tables: list[AnovaTable]
@@ -314,7 +289,6 @@ def analyze_variability(
     idx, scores, within_pca = pc_scores(
         dataset, fit, amap.reject, n_components=n_components
     )
-    between_pca = pca_cov(fit.params.between_cov)
     clusters = amap.cluster[idx]
     keep = clusters > 0
     if not np.any(keep):
@@ -343,7 +317,6 @@ def analyze_variability(
     effects = pc_effect_curves(hrf_values, within_pca, n_components, effect_scale)
     return PcAnalysis(
         within_pca=within_pca,
-        between_pca=between_pca,
         active_idx=idx,
         scores=scores,
         tables=tables,

@@ -1,5 +1,6 @@
 """Shared builders for random but valid model objects, and the
-single-voxel oracles the batched package code is checked against.
+single-voxel and unblocked oracles the batched package code is checked
+against.
 
 Every builder takes an explicit numpy Generator so tests stay
 reproducible. Dimensions default small enough that dense oracles
@@ -16,15 +17,20 @@ from trialmix.em import (
     update_h,
     update_sigma2,
 )
-from trialmix.inference import t_statistics_all
+from trialmix.inference import (
+    _AmplitudeTest,
+    _warn_exact_fits,
+    _whiten_series,
+    _whitening,
+)
 from trialmix.linalg import inv_spd, kron_logdet, solve_spd
 from trialmix.types import Dataset, DegenerateDataError, Dims, Hrf, MixtureParams
 
 
 # ------------------------------------------------ single-voxel oracles
 #
-# Direct per-voxel forms of the batched computations in the package, kept
-# here because only tests compare against them.
+# Direct per-voxel or whole-dataset forms of the batched computations in
+# the package, kept here because only tests compare against them.
 
 
 def kron_quad_form(
@@ -147,6 +153,32 @@ def update_b(
     lhs = p_i * gram_active + (1.0 - p_i) * gram_inactive
     rhs = p_i * rhs_active + (1.0 - p_i) * rhs_inactive
     return np.linalg.solve(lhs, rhs)
+
+
+def whiten(
+    dataset: Dataset, params: MixtureParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Series, shape regressor and design of the whole dataset whitened
+    by the inverse square root of the fitted Kronecker covariance.
+
+    Returns (series_w, mu_w, design_w): series_w is (n_voxels, n_images),
+    mu_w is (n_images,), design_w is (n_images, n_covariates), all
+    epoch-major. With t_statistics_all it is the unblocked form of
+    inference.t_statistics.
+    """
+    half_between, half_within, mu_w, design_w = _whitening(dataset, params)
+    series_w = _whiten_series(dataset.epoch_view(), half_between, half_within)
+    return series_w, mu_w, design_w
+
+
+def t_statistics_all(
+    series_w: np.ndarray, mu_w: np.ndarray, design_w: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """Amplitude t-statistics of every whitened voxel series at once."""
+    test = _AmplitudeTest(mu_w, design_w)
+    t, n_exact = test(series_w)
+    _warn_exact_fits(n_exact)
+    return t, test.df
 
 
 def t_statistic(

@@ -21,12 +21,7 @@ from trialmix.em import (
     em_fit,
     observed_loglik,
 )
-from trialmix.inference import (
-    fdr_adaptive,
-    t_sf,
-    t_statistics_all,
-    whiten,
-)
+from trialmix.inference import fdr_adaptive, t_sf
 from trialmix.linalg import kron_logdet
 from trialmix.modelsel import aic, compare_models, count_params
 from trialmix.preprocess import (
@@ -46,6 +41,8 @@ from helpers import (
     make_params,
     mstep_stationarity_gaps,
     rand_spd,
+    t_statistics_all,
+    whiten,
 )
 
 

@@ -221,14 +221,82 @@ def test_malformed_config_json_exits_2(tmp_path, capsys):
     assert "invalid JSON at byte" in _stderr_error(capsys)["message"]
 
 
+def _files_under(root):
+    return [name for _, _, names in os.walk(root) for name in names]
+
+
 def test_unknown_compare_model_exits_2(pipeline, tmp_path, capsys):
     cfg = str(tmp_path / "cmp.json")
     with open(cfg, "w") as f:
         json.dump({"compare": {"models": [1, 9]}}, f)
-    rc = main(["compare", pipeline["bundle"], "--config", cfg,
-               "--out", str(tmp_path / "o")])
+    for command in ("compare", "report"):
+        out = str(tmp_path / command)
+        rc = main([command, pipeline["bundle"], "--config", cfg, "--out", out])
+        assert rc == 2
+        assert "unknown model id" in _stderr_error(capsys)["message"]
+        # checked before the fit, so nothing was written
+        assert _files_under(out) == []
+
+
+# name: (command, config, extra flags); each value once ended in a
+# traceback or was accepted and ignored
+BAD_RUNS = {
+    "q-above-1": ("report", {"inference": {"q": 2.0}}, []),
+    "q-string": ("report", {"inference": {"q": "abc"}}, []),
+    "min_cluster-string": ("report", {"inference": {"min_cluster": "x"}}, []),
+    "screen_alpha-above-1": ("report", {"inference": {"screen_alpha": 5}}, []),
+    "model-unknown": ("report", {"fit": {"model": 9}}, []),
+    "n_components-above-n_times": ("report", {"pcs": {"n_components": 40}}, []),
+    "effect_scale-string": ("report", {"pcs": {"effect_scale": "big"}}, []),
+    "n_obs-zero": ("report", {"compare": {"n_obs": 0}}, []),
+    "models-empty": ("report", {"compare": {"models": []}}, []),
+    "seed-string": ("report", {"seed": "x"}, []),
+    "seed-negative": ("report", {"seed": -1}, []),
+    "seed-flag-negative": ("simulate", {}, ["--seed", "-1"]),
+    "seed-flag-outside-simulate": ("fit", {}, ["--seed", "7"]),
+    "highpass-below-2tr": ("preprocess", {"preprocess": {"highpass_cutoff": 3}}, []),
+    "sim-tr-zero": ("simulate", {"simulate": {"tr": 0}}, []),
+    "sim-rho-one": ("simulate", {"simulate": {"between_rho": 1.0}}, []),
+    "sim-n_times-above-64": ("simulate", {"simulate": {"n_times": 65}}, []),
+    "removed-resp_clamp": ("report", {"em": {"resp_clamp": 1e-12}}, []),
+    "removed-m_sweeps": ("report", {"em": {"m_sweeps": 1}}, []),
+    "removed-flipflop_sweeps": ("report", {"em": {"flipflop_sweeps": 2}}, []),
+    "removed-cluster_method":
+        ("report", {"inference": {"cluster_method": "connected"}}, []),
+    "removed-out": ("report", {"out": "elsewhere"}, []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_RUNS))
+def test_bad_config_value_exits_2_before_any_work(pipeline, tmp_path, capsys,
+                                                  case):
+    command, config, flags = BAD_RUNS[case]
+    cfg = str(tmp_path / "bad.json")
+    with open(cfg, "w") as f:
+        json.dump(config, f)
+    out = str(tmp_path / "out")
+    argv = [command] + ([] if command == "simulate" else [pipeline["bundle"]])
+    capsys.readouterr()
+    try:
+        rc = main(argv + ["--config", cfg, "--out", out] + flags)
+    except SystemExit as exc:  # a usage error
+        rc = exc.code
     assert rc == 2
-    assert "unknown model id" in _stderr_error(capsys)["message"]
+    err = _single_error_line(capsys)
+    assert err["code"] == 2
+    assert err["type"] == "ConfigError"
+    assert _files_under(out) == []
+
+
+def test_readme_config_block_loads(tmp_path):
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as f:
+        block = f.read().split("```json\n", 1)[1].split("```", 1)[0]
+    cfg = str(tmp_path / "readme.json")
+    with open(cfg, "w") as f:
+        f.write(block)
+    config = cli.load_config(cfg)
+    assert config.seed == json.loads(block)["seed"]
 
 
 def test_pcs_without_clusters_exits_3(pipeline, tmp_path, capsys):
@@ -594,7 +662,7 @@ def test_successful_command_still_raises_its_warnings(tmp_path):
 
 
 def test_cli_import_leaves_out_scipy_interpolate():
-    # spline_interp imports it on first call; no pipeline stage does
+    # no command needs it, and importing it costs ~0.2 s of start-up
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, trialmix.cli; print('scipy.interpolate' in sys.modules)"],

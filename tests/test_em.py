@@ -366,8 +366,6 @@ def test_config_validation():
         EmConfig(max_iter=0)
     with pytest.raises(ValueError):
         EmConfig(init_alpha=1.0)
-    with pytest.raises(ValueError):
-        EmConfig(m_sweeps=0)
 
 
 def test_rescale_trace_property():

@@ -13,14 +13,19 @@ from trialmix.inference import (
     fdr_adaptive,
     t_sf,
     t_statistics,
-    t_statistics_all,
-    whiten,
 )
 from trialmix.linalg import inv_sqrt
 from trialmix.simulate import SimConfig, simulate_dataset
 from trialmix.em import em_fit
 
-from helpers import make_dataset, make_dims, make_params, t_statistic
+from helpers import (
+    make_dataset,
+    make_dims,
+    make_params,
+    t_statistic,
+    t_statistics_all,
+    whiten,
+)
 
 
 def test_whiten_matches_dense_kronecker():
@@ -201,29 +206,8 @@ def test_clustering_uses_diagonal_adjacency():
     assert np.all(labels == 1)
 
 
-def test_clustering_kmeans_partitions_separated_blobs():
-    a = _blob((0, 0, 0), (2, 2, 2))
-    b = _blob((30, 30, 30), (2, 2, 2))
-    coords = np.concatenate([a, b])
-    # seed chosen so Lloyd starts with one center per blob; the naive
-    # seeding can split a blob from a bad start, which is why the
-    # default method is connected components
-    labels = cluster_active(
-        coords, method="kmeans", n_clusters=2, min_size=2, seed=1
-    )
-    assert len(np.unique(labels[:8])) == 1
-    assert len(np.unique(labels[8:])) == 1
-    assert labels[0] != labels[8]
-    repeat = cluster_active(
-        coords, method="kmeans", n_clusters=2, min_size=2, seed=1
-    )
-    np.testing.assert_array_equal(repeat, labels)
-
-
 def test_clustering_edge_cases():
     assert cluster_active(np.zeros((0, 3), dtype=int)).size == 0
-    with pytest.raises(ValueError, match="unknown clustering method"):
-        cluster_active(np.array([[0, 0, 0]]), method="spectral")
     with pytest.raises(ValueError):
         cluster_active(np.zeros((3, 2), dtype=int))
 

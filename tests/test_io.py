@@ -457,7 +457,7 @@ def test_dump_json_matches_json_dump(tmp_path):
     }
     for name, obj in (("header", header), ("truth", truth), ("odd", odd)):
         path = str(tmp_path / f"{name}.json")
-        io._dump_json(obj, path)
+        io.write_json(obj, path)
         assert _read_bytes(path) == _json_dump_bytes(obj, path + ".ref"), name
 
 

@@ -14,7 +14,6 @@ from trialmix.variability import (
     pc_effect_curves,
     pc_scores,
     pca_cov,
-    spline_interp,
 )
 
 from helpers import make_dataset, make_dims, make_params, rand_spd
@@ -221,34 +220,6 @@ def test_pc_effect_curves_bracket_the_scaled_shape():
             2.0 * np.sqrt(pca.eigenvalues[k]) * pca.loadings[:, k],
             atol=1e-12,
         )
-
-
-def test_spline_reproduces_lines_and_knots():
-    x = np.array([0.0, 1.0, 2.5, 4.0])
-    y = 3.0 * x - 1.0
-    fine = np.linspace(0.0, 4.0, 33)
-    np.testing.assert_allclose(spline_interp(x, y, fine), 3.0 * fine - 1.0, atol=1e-12)
-    rng = np.random.default_rng(7)
-    y = rng.standard_normal(4)
-    np.testing.assert_allclose(spline_interp(x, y, x), y, atol=1e-12)
-
-
-def test_spline_natural_end_conditions():
-    x = np.linspace(0.0, 5.0, 6)
-    rng = np.random.default_rng(8)
-    y = rng.standard_normal(6)
-    eps = 1e-5
-    for edge in (0.0, 5.0):
-        pts = spline_interp(x, y, np.array([edge - eps, edge, edge + eps]))
-        second = (pts[0] - 2.0 * pts[1] + pts[2]) / eps**2
-        assert abs(second) < 1e-4
-
-
-def test_spline_validates():
-    with pytest.raises(ValueError):
-        spline_interp(np.array([0.0]), np.array([1.0]), np.array([0.0]))
-    with pytest.raises(ValueError):
-        spline_interp(np.array([0.0, 0.0]), np.array([1.0, 2.0]), np.array([0.0]))
 
 
 def test_analyze_variability_end_to_end():
