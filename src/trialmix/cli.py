@@ -561,7 +561,7 @@ def _run_fit(args, config: RunConfig, dataset: Dataset, out: str) -> FitResult:
         dataset,
         config.em,
         MODEL_SPECS[config.fit.model].structure,
-        diagnostics=sys.stderr if getattr(args, "verbose", False) else None,
+        diagnostics=sys.stderr if args.verbose else None,
     )
     _write_fit_artifacts(out, fit)
     return fit
@@ -685,7 +685,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None, help="run config JSON")
     common.add_argument("--out", default="trialmix_out", help="output directory")
-    common.add_argument("--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", parents=[common],
@@ -699,6 +698,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_preprocess)
     p = sub.add_parser("fit", parents=[common], help="fit the mixture model")
     p.add_argument("bundle")
+    p.add_argument("--verbose", action="store_true",
+                   help="one JSON line per EM iteration on stderr")
     p.set_defaults(func=cmd_fit)
     p = sub.add_parser("infer", parents=[common],
                        help="activation tests, FDR, clustering")
@@ -718,6 +719,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", parents=[common],
                        help="fit, infer, pcs, and compare in one pass")
     p.add_argument("bundle")
+    p.add_argument("--verbose", action="store_true",
+                   help="one JSON line per EM iteration on stderr")
     p.set_defaults(func=cmd_report)
     return parser
 

@@ -7,8 +7,13 @@ a non-responding voxel is
     y = design @ coeffs + e,   e ~ N(0, noise_var * I).
 
 The E-step computes posterior responding probabilities; the M-step runs
-one coordinate-ascent sweep of conditional maximizers (generalized EM),
-so the observed-data log-likelihood never decreases. Identification:
+one sweep of conditional maximizers (generalized EM in the ECM sense),
+so the observed-data log-likelihood never decreases. Its order is fixed:
+the mean block (mixing proportion, amplitudes, coefficients, shape),
+then the refresh of the responding residuals, then the variance block
+(covariance factors, noise variance). _Residuals is the only code that
+builds residuals. init_fit seeds the covariance factors and the noise
+variance through the same variance block. Identification:
 hrf has unit norm with its dominant entry positive, and when both
 covariance factors are free the between factor is rescaled to trace
 n_epochs with the scale absorbed into the within factor.
@@ -131,67 +136,52 @@ def _epoch_design(dataset: Dataset) -> np.ndarray:
     return dataset.design.reshape(d.n_epochs, d.n_times, d.n_covariates)
 
 
-def _residuals_inactive(
-    dataset: Dataset, coeffs: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """(n_voxels, n_images) residuals of the non-responding model,
-    series - coeffs @ design.T, written block by block into ``out`` when
-    given."""
-    if out is None:
-        out = np.empty(dataset.series.shape)
-    design_t = dataset.design.T
-    for sl in kernels.voxel_blocks(dataset.dims.n_voxels):
-        np.matmul(coeffs[sl], design_t, out=out[sl])
-        np.subtract(dataset.series[sl], out[sl], out=out[sl])
-    return out
+class _Residuals:
+    """Residuals of the fit's current parameters; the only code that
+    builds them.
 
+    ``inactive`` (n_voxels, n_images) is series - coeffs @ design.T and
+    ``ssq`` its per-voxel sum of squares; ``active`` (n_voxels, n_epochs,
+    n_times) is the responding-model residual. A fit allocates the
+    buffers once, the two refreshes rewrite them in place block by block,
+    and the fit loop hands the owner to every block that reads them.
+    """
 
-def _residuals_active(
-    dataset: Dataset,
-    resid_inactive: np.ndarray,
-    amplitude: np.ndarray,
-    hrf_values: np.ndarray,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """(n_voxels, n_epochs, n_times) residuals of the responding model,
-    derived from the non-responding ones of the same coefficients and
-    written block by block into ``out`` when given."""
-    d = dataset.dims
-    if out is None:
-        out = np.empty((d.n_voxels, d.n_epochs, d.n_times))
-    flat = out.reshape(resid_inactive.shape)
-    mean = np.tile(hrf_values, d.n_epochs)
-    for sl in kernels.voxel_blocks(d.n_voxels):
-        np.einsum("v,n->vn", amplitude[sl], mean, out=flat[sl])
-        np.subtract(resid_inactive[sl], flat[sl], out=flat[sl])
-    return out
+    __slots__ = ("dataset", "inactive", "ssq", "active")
+
+    def __init__(self, dataset: Dataset, params: MixtureParams) -> None:
+        d = dataset.dims
+        self.dataset = dataset
+        self.inactive = np.empty(dataset.series.shape)
+        self.ssq = np.empty(d.n_voxels)
+        self.active = np.empty((d.n_voxels, d.n_epochs, d.n_times))
+        self.set_coeffs(params.coeffs)
+        self.set_mean(params.amplitude, params.hrf.values)
+
+    def set_coeffs(self, coeffs: np.ndarray) -> None:
+        """Refresh ``inactive`` and ``ssq`` for new coefficients;
+        ``active`` is stale until set_mean."""
+        series = self.dataset.series
+        design_t = self.dataset.design.T
+        for sl in kernels.voxel_blocks(series.shape[0]):
+            block = self.inactive[sl]
+            np.matmul(coeffs[sl], design_t, out=block)
+            np.subtract(series[sl], block, out=block)
+            # the noise sum of squares while the block is in cache
+            np.einsum("vn,vn->v", block, block, out=self.ssq[sl])
+
+    def set_mean(self, amplitude: np.ndarray, hrf_values: np.ndarray) -> None:
+        """Refresh ``active`` for a new amplitude and shape."""
+        flat = self.active.reshape(self.inactive.shape)
+        mean = np.tile(hrf_values, self.active.shape[1])
+        for sl in kernels.voxel_blocks(flat.shape[0]):
+            np.einsum("v,n->vn", amplitude[sl], mean, out=flat[sl])
+            np.subtract(self.inactive[sl], flat[sl], out=flat[sl])
 
 
 def residual_matrices(dataset: Dataset, params: MixtureParams) -> np.ndarray:
     """Responding-model residuals, shape (n_voxels, n_epochs, n_times)."""
-    return _residuals_active(
-        dataset,
-        _residuals_inactive(dataset, params.coeffs),
-        params.amplitude,
-        params.hrf.values,
-    )
-
-
-class _Residuals:
-    """Both residual matrices of the fit's current parameters.
-
-    Each fit allocates the two buffers once; _mstep rewrites them in
-    place after each coefficient change, and the fit loop hands this
-    holder to every block that reads them.
-    """
-
-    __slots__ = ("inactive", "active")
-
-    def __init__(self, dataset: Dataset, params: MixtureParams) -> None:
-        self.inactive = _residuals_inactive(dataset, params.coeffs)
-        self.active = _residuals_active(
-            dataset, self.inactive, params.amplitude, params.hrf.values
-        )
+    return _Residuals(dataset, params).active
 
 
 # module-level indirection so tests can swap in a dense-covariance oracle
@@ -199,23 +189,18 @@ _active_quads = kernels.quad_forms_kron
 
 
 def _log_densities(
-    dataset: Dataset, params: MixtureParams, resid: _Residuals | None = None
+    params: MixtureParams, resid: _Residuals
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-voxel log densities under each component.
-
-    ``resid``, when given, holds the residuals of ``params``.
-    """
-    if resid is None:
-        resid = _Residuals(dataset, params)
-    n = dataset.dims.n_images
+    """Per-voxel log densities under each component; ``resid`` holds the
+    residuals of ``params``."""
+    n = resid.inactive.shape[1]
     w_within = inv_spd(params.within_cov)
     w_between = inv_spd(params.between_cov)
     quad_a = _active_quads(resid.active, w_within, w_between)
     logdet = kron_logdet(params.between_cov, params.within_cov)
     log_f1 = -0.5 * (n * LOG_2PI + logdet + quad_a)
-    ssq = np.einsum("vn,vn->v", resid.inactive, resid.inactive)
     log_f2 = -0.5 * (
-        n * (LOG_2PI + np.log(params.noise_var)) + ssq / params.noise_var
+        n * (LOG_2PI + np.log(params.noise_var)) + resid.ssq / params.noise_var
     )
     return log_f1, log_f2
 
@@ -254,12 +239,14 @@ def estep(dataset: Dataset, params: MixtureParams) -> np.ndarray:
     to exactly 0 or 1. Degenerate priors (p equal to 0 or 1) give exactly
     0 or 1 everywhere.
     """
-    return _posterior(params.active_prob, *_log_densities(dataset, params))
+    log_f = _log_densities(params, _Residuals(dataset, params))
+    return _posterior(params.active_prob, *log_f)
 
 
 def observed_loglik(dataset: Dataset, params: MixtureParams) -> float:
     """Observed-data log-likelihood of the mixture."""
-    return _mixture_loglik(params.active_prob, *_log_densities(dataset, params))
+    log_f = _log_densities(params, _Residuals(dataset, params))
+    return _mixture_loglik(params.active_prob, *log_f)
 
 
 def update_p(resp: np.ndarray) -> float:
@@ -338,23 +325,18 @@ def _update_b_all(
 
 
 def _update_h_raw(
-    dataset: Dataset,
     resp: np.ndarray,
     amplitude: np.ndarray,
-    coeffs: np.ndarray,
     w_between: np.ndarray,
-    resid_inactive: np.ndarray | None = None,
+    resid_inactive: np.ndarray,
 ) -> np.ndarray | None:
     """Stationarity solution for the shape, before renormalization.
 
-    Returns None when the weighted amplitude mass is too small to
-    identify a shape. ``resid_inactive``, when given, is
-    series - coeffs @ design.T.
+    ``resid_inactive`` is series - coeffs @ design.T. Returns None when
+    the weighted amplitude mass is too small to identify a shape.
     """
-    d = dataset.dims
-    if resid_inactive is None:
-        resid_inactive = _residuals_inactive(dataset, coeffs)
-    diff = resid_inactive.reshape(d.n_voxels, d.n_epochs, d.n_times)
+    n_epochs = w_between.shape[0]
+    diff = resid_inactive.reshape(resid_inactive.shape[0], n_epochs, -1)
     row_wb = w_between.sum(axis=1)
     denom = float(np.sum(resp * amplitude**2) * row_wb.sum())
     if not np.isfinite(denom) or denom <= MASS_EPS:
@@ -364,23 +346,18 @@ def _update_h_raw(
 
 
 def update_h(
-    dataset: Dataset,
-    resp: np.ndarray,
-    params: MixtureParams,
-    resid_inactive: np.ndarray | None = None,
+    resp: np.ndarray, params: MixtureParams, resid_inactive: np.ndarray
 ) -> tuple[Hrf, np.ndarray]:
     """Shape update with unit-norm and sign renormalization.
 
+    ``resid_inactive`` is the non-responding residual of params.coeffs.
     Returns the new shape and the amplitudes rescaled so that
     amplitude * shape is unchanged by the renormalization. When the
     weighted amplitude mass is degenerate the previous shape is kept and
-    a warning is emitted. ``resid_inactive``, when given, is the
-    non-responding residual of params.coeffs.
+    a warning is emitted.
     """
     w_between = inv_spd(params.between_cov)
-    raw = _update_h_raw(
-        dataset, resp, params.amplitude, params.coeffs, w_between, resid_inactive
-    )
+    raw = _update_h_raw(resp, params.amplitude, w_between, resid_inactive)
     if raw is None or float(np.linalg.norm(raw)) == 0.0:
         warnings.warn(
             "shape update skipped: weighted amplitude mass is degenerate",
@@ -396,6 +373,22 @@ def update_h(
     return hrf, amplitude
 
 
+def _update_factor(
+    resid: np.ndarray, resp: np.ndarray, other_cov: np.ndarray, scatter,
+    axis: int, name: str,
+) -> np.ndarray:
+    """Conditional maximizer of one Kronecker factor given the other: the
+    ``scatter`` of ``resid`` under the other factor's inverse, divided by
+    the length of ``axis`` times the responding mass."""
+    mass = float(np.sum(resp))
+    if mass <= 0.0:
+        raise DegenerateDataError(f"{name} update: no responding mass")
+    w_other = inv_spd(other_cov)
+    s = scatter(resid, w_other, np.asarray(resp, dtype=np.float64))
+    s = 0.5 * (s + s.T)
+    return regularize_spd(s / (resid.shape[axis] * mass), f"{name} update")
+
+
 def update_within_cov(
     resid: np.ndarray, resp: np.ndarray, between_cov: np.ndarray
 ) -> np.ndarray:
@@ -405,28 +398,18 @@ def update_within_cov(
     responding mass is zero; rank-deficient scatters are ridged with a
     warning.
     """
-    mass = float(np.sum(resp))
-    if mass <= 0.0:
-        raise DegenerateDataError("within-cov update: no responding mass")
-    n_epochs = resid.shape[1]
-    w_between = inv_spd(between_cov)
-    scatter = kernels.scatter_within(resid, w_between, np.asarray(resp, dtype=np.float64))
-    scatter = 0.5 * (scatter + scatter.T)
-    return regularize_spd(scatter / (n_epochs * mass), "within-cov update")
+    return _update_factor(
+        resid, resp, between_cov, kernels.scatter_within, 1, "within-cov"
+    )
 
 
 def update_between_cov(
     resid: np.ndarray, resp: np.ndarray, within_cov: np.ndarray
 ) -> np.ndarray:
     """Conditional maximizer of the between-epoch factor."""
-    mass = float(np.sum(resp))
-    if mass <= 0.0:
-        raise DegenerateDataError("between-cov update: no responding mass")
-    n_times = resid.shape[2]
-    w_within = inv_spd(within_cov)
-    scatter = kernels.scatter_between(resid, w_within, np.asarray(resp, dtype=np.float64))
-    scatter = 0.5 * (scatter + scatter.T)
-    return regularize_spd(scatter / (n_times * mass), "between-cov update")
+    return _update_factor(
+        resid, resp, within_cov, kernels.scatter_between, 2, "between-cov"
+    )
 
 
 def update_covariances(
@@ -455,24 +438,16 @@ def update_covariances(
     return within, between
 
 
-def update_sigma2(
-    dataset: Dataset,
-    resp: np.ndarray,
-    coeffs: np.ndarray,
-    resid_inactive: np.ndarray | None = None,
-) -> float:
+def update_sigma2(resp: np.ndarray, ssq: np.ndarray, n_images: int) -> float:
     """Noise-variance update from the non-responding side.
 
-    ``resid_inactive``, when given, is series - coeffs @ design.T.
+    ``ssq`` is each voxel's sum of squared non-responding residuals.
     """
     off = 1.0 - np.asarray(resp, dtype=np.float64)
     mass = float(np.sum(off))
     if mass <= 0.0:
         raise DegenerateDataError("noise update: no non-responding mass")
-    if resid_inactive is None:
-        resid_inactive = _residuals_inactive(dataset, coeffs)
-    ssq = np.einsum("vn,vn->v", resid_inactive, resid_inactive)
-    return float(np.sum(off * ssq) / (dataset.dims.n_images * mass))
+    return float(np.sum(off * ssq) / (n_images * mass))
 
 
 def _rescale_trace(
@@ -485,7 +460,38 @@ def _rescale_trace(
     return within * scale, between / scale
 
 
-def _mstep(
+def _mean_step(
+    dataset: Dataset,
+    resp: np.ndarray,
+    params: MixtureParams,
+    resid: _Residuals,
+    structure: ModelStructure,
+) -> MixtureParams:
+    """Mean block: mixing proportion, amplitudes, coefficients, shape.
+
+    ``resid`` holds the residuals of ``params`` on entry. On return its
+    non-responding side holds those of the returned coefficients, and
+    its responding side is stale until set_mean.
+    """
+    p = update_p(resp) if structure.mixture else 1.0
+    hrf = params.hrf
+    w_within = inv_spd(params.within_cov)
+    w_between = inv_spd(params.between_cov)
+    amplitude = _update_beta_all(resid.inactive, hrf.values, w_within, w_between)
+    coeffs = _update_b_all(
+        dataset, resp, amplitude, hrf.values, w_within, w_between, params.noise_var
+    )
+    # the amplitude update was the old residuals' last reader
+    resid.set_coeffs(coeffs)
+    if structure.estimate_hrf:
+        interim = params.with_updates(amplitude=amplitude, coeffs=coeffs)
+        hrf, amplitude = update_h(resp, interim, resid.inactive)
+    return params.with_updates(
+        active_prob=p, amplitude=amplitude, coeffs=coeffs, hrf=hrf
+    )
+
+
+def _variance_step(
     dataset: Dataset,
     resp: np.ndarray,
     params: MixtureParams,
@@ -493,36 +499,9 @@ def _mstep(
     config: EmConfig,
     structure: ModelStructure,
 ) -> MixtureParams:
-    """One sweep of conditional maximizers.
-
-    ``resid.inactive`` holds the residual of params.coeffs on entry; on
-    return ``resid`` holds both residuals of the returned parameters.
-    """
+    """Variance block: covariance factors, then noise variance, given
+    ``resid`` holding both residuals of ``params``."""
     d = dataset.dims
-    p = update_p(resp) if structure.mixture else 1.0
-    w_within = inv_spd(params.within_cov)
-    w_between = inv_spd(params.between_cov)
-    amplitude = _update_beta_all(
-        resid.inactive, params.hrf.values, w_within, w_between
-    )
-    coeffs = _update_b_all(
-        dataset,
-        resp,
-        amplitude,
-        params.hrf.values,
-        w_within,
-        w_between,
-        params.noise_var,
-    )
-    # the amplitude update was the old residuals' last reader
-    _residuals_inactive(dataset, coeffs, out=resid.inactive)
-    hrf = params.hrf
-    if structure.estimate_hrf:
-        interim = params.with_updates(amplitude=amplitude, coeffs=coeffs)
-        hrf, amplitude = update_h(dataset, resp, interim, resid.inactive)
-    _residuals_active(
-        dataset, resid.inactive, amplitude, hrf.values, out=resid.active
-    )
     within = params.within_cov
     between = params.between_cov
     noise_var = params.noise_var
@@ -536,10 +515,7 @@ def _mstep(
         mass = float(np.sum(resp))
         if mass > max(MASS_EPS * d.n_voxels, MASS_EPS):
             within, between = update_covariances(
-                resid.active,
-                resp,
-                within,
-                between,
+                resid.active, resp, within, between,
                 free_within=structure.free_within,
                 free_between=structure.free_between,
             )
@@ -555,7 +531,7 @@ def _mstep(
             off_mass = float(np.sum(1.0 - resp))
             if off_mass > max(MASS_EPS * d.n_voxels, MASS_EPS):
                 noise_var = max(
-                    update_sigma2(dataset, resp, coeffs, resid.inactive),
+                    update_sigma2(resp, resid.ssq, d.n_images),
                     config.noise_floor,
                 )
             else:
@@ -564,14 +540,8 @@ def _mstep(
                     RuntimeWarning,
                     stacklevel=2,
                 )
-    return MixtureParams(
-        active_prob=p,
-        amplitude=amplitude,
-        coeffs=coeffs,
-        hrf=hrf,
-        within_cov=within,
-        between_cov=between,
-        noise_var=noise_var,
+    return params.with_updates(
+        within_cov=within, between_cov=between, noise_var=noise_var
     )
 
 
@@ -581,12 +551,12 @@ def _iterate(
     config: EmConfig,
     structure: ModelStructure,
     max_iter: int,
-    diagnostics=None,
+    diagnostics,
 ) -> FitResult:
     # one density evaluation per parameter value: it gives the trace
     # entry and the next (or final) responsibilities
     resid = _Residuals(dataset, params)
-    log_f = _log_densities(dataset, params, resid)
+    log_f = _log_densities(params, resid)
     trace = [_mixture_loglik(params.active_prob, *log_f)]
     converged = False
     iterations = 0
@@ -595,12 +565,14 @@ def _iterate(
         if structure.mixture:
             resp = _posterior(params.active_prob, *log_f)
         old_vec = params.global_vector()
-        params = _mstep(dataset, resp, params, resid, config, structure)
+        params = _mean_step(dataset, resp, params, resid, structure)
+        resid.set_mean(params.amplitude, params.hrf.values)
+        params = _variance_step(dataset, resp, params, resid, config, structure)
         if __debug__:
             validate_params(
                 params, dataset.dims, trace_convention=structure.rescale_trace
             )
-        log_f = _log_densities(dataset, params, resid)
+        log_f = _log_densities(params, resid)
         trace.append(_mixture_loglik(params.active_prob, *log_f))
         iterations = it
         delta = float(
@@ -608,17 +580,9 @@ def _iterate(
             / max(1.0, np.linalg.norm(old_vec))
         )
         if diagnostics is not None:
-            diagnostics.write(
-                json.dumps(
-                    {
-                        "iteration": it,
-                        "loglik": trace[-1],
-                        "param_change": delta,
-                        "mix_prob": params.active_prob,
-                    }
-                )
-                + "\n"
-            )
+            record = {"iteration": it, "loglik": trace[-1],
+                      "param_change": delta, "mix_prob": params.active_prob}
+            diagnostics.write(json.dumps(record) + "\n")
         if delta < config.tol:
             converged = True
             break
@@ -633,7 +597,7 @@ def _iterate(
     )
 
 
-def _initial_params(dataset: Dataset, structure: ModelStructure) -> MixtureParams:
+def _initial_params(dataset: Dataset) -> MixtureParams:
     d = dataset.dims
     # mid-interval post-stimulus convention; the EM refines the shape
     times = dataset.tr * (np.arange(d.n_times) + 0.5)
@@ -669,7 +633,7 @@ def fit_all_active(
         raise ValueError("fit_all_active requires a non-mixture structure")
     if not validated:
         dataset.validate()
-    params = _initial_params(dataset, structure)
+    params = _initial_params(dataset)
     limit = config.max_iter if max_iter is None else max_iter
     return _iterate(dataset, params, config, structure, limit, diagnostics)
 
@@ -685,9 +649,12 @@ def init_fit(
 
     Fits the all-responding reduced model, classifies voxels with the
     pre-whitened amplitude t-test at config.init_alpha (uncorrected),
-    and seeds the mixture parameters from the two groups. Falls back to
-    the top percentile by t-statistic if nothing passes the screen.
-    ``validated`` is as in fit_all_active.
+    and seeds the covariance factors and the noise variance by running
+    the variance block on the reduced fit with the screen's 0/1
+    responsibilities. Falls back to the top percentile by t-statistic if
+    nothing passes the screen, and to the pooled mean squared residual
+    for the noise variance if everything does. ``validated`` is as in
+    fit_all_active.
     """
     from .inference import t_sf, t_statistics
 
@@ -716,8 +683,10 @@ def init_fit(
             RuntimeWarning,
             stacklevel=2,
         )
-    p0 = float(np.clip(np.mean(active), 0.01, 0.99))
-    resid_i = _residuals_inactive(dataset, params.coeffs)
+    seed = params.with_updates(
+        active_prob=float(np.clip(np.mean(active), 0.01, 0.99))
+    )
+    resid = _Residuals(dataset, params)
     if np.all(active):
         warnings.warn(
             "no voxels classified non-responding; seeding noise variance "
@@ -725,36 +694,12 @@ def init_fit(
             RuntimeWarning,
             stacklevel=2,
         )
-        noise = float(np.mean(resid_i**2))
-    else:
-        noise = update_sigma2(
-            dataset, active.astype(np.float64), params.coeffs, resid_i
-        )
-    noise = max(noise, config.noise_floor)
-    resid = _residuals_active(dataset, resid_i, params.amplitude, params.hrf.values)
-    del resid_i
-    within = params.within_cov
-    between = params.between_cov
-    if not structure.spherical:
-        ind = active.astype(np.float64)
-        within, between = update_covariances(
-            resid,
-            ind,
-            within,
-            between,
-            free_within=structure.free_within,
-            free_between=structure.free_between,
-        )
-        if structure.rescale_trace:
-            within, between = _rescale_trace(within, between)
-    return MixtureParams(
-        active_prob=p0,
-        amplitude=params.amplitude,
-        coeffs=params.coeffs,
-        hrf=params.hrf,
-        within_cov=within,
-        between_cov=between,
-        noise_var=noise,
+        noise = float(np.mean(resid.inactive**2))
+        seed = seed.with_updates(noise_var=max(noise, config.noise_floor))
+        # no non-responding mass is left for the variance block's noise update
+        structure = replace(structure, mixture=False)
+    return _variance_step(
+        dataset, active.astype(np.float64), seed, resid, config, structure
     )
 
 
@@ -785,10 +730,9 @@ def em_fit(
     result = _iterate(
         dataset, init_params, config, structure, config.max_iter, diagnostics
     )
-    if __debug__:
-        try:
-            result.validate()
-        except ValueError as e:
-            # a likelihood decrease is the data failing the model's ascent
-            raise DegenerateDataError(f"mixture fit: {e}") from None
+    try:
+        result.validate()
+    except ValueError as e:
+        # a likelihood decrease is the data failing the model's ascent
+        raise DegenerateDataError(f"mixture fit: {e}") from None
     return result

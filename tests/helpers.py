@@ -81,7 +81,7 @@ def log_density_inactive(y: np.ndarray, design: np.ndarray, params: MixtureParam
 def q_function(dataset: Dataset, resp: np.ndarray, params: MixtureParams) -> float:
     """Expected complete-data log-likelihood given responsibilities."""
     p = params.active_prob
-    log_f1, log_f2 = em._log_densities(dataset, params)
+    log_f1, log_f2 = em._log_densities(params, em._Residuals(dataset, params))
     active = np.where(resp > 0.0, resp * (np.log(p) if p > 0.0 else -np.inf), 0.0)
     active = active + resp * log_f1
     off = 1.0 - resp
@@ -354,7 +354,7 @@ def mstep_stationarity_gaps(dataset, resp, params, step=1e-6, cov_sweeps=100):
         p_b = p_amp
         gaps["update_b"] = 0.0
 
-    hrf, amp2 = update_h(dataset, resp, p_b)
+    hrf, amp2 = update_h(resp, p_b, em._Residuals(dataset, p_b).inactive)
     p_h = p_b.with_updates(hrf=hrf, amplitude=amp2)
     gaps["update_h"] = np.max(
         np.abs(
@@ -408,7 +408,7 @@ def mstep_stationarity_gaps(dataset, resp, params, step=1e-6, cov_sweeps=100):
         np.max(np.abs(grad_w)), np.max(np.abs(grad_b))
     )
 
-    noise = update_sigma2(dataset, resp, coeffs)
+    noise = update_sigma2(resp, em._Residuals(dataset, p_b).ssq, d.n_images)
     p_s = p_cov.with_updates(noise_var=noise)
     gaps["update_sigma2"] = np.max(
         np.abs(

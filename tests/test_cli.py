@@ -264,7 +264,12 @@ BAD_RUNS = {
     "removed-cluster_method":
         ("report", {"inference": {"cluster_method": "connected"}}, []),
     "removed-out": ("report", {"out": "elsewhere"}, []),
+    **{f"verbose-flag-on-{command}": (command, {}, ["--verbose"])
+       for command in ("simulate", "preprocess", "infer", "pcs", "compare")},
 }
+# each command's positional arguments, as keys of the pipeline fixture
+POSITIONALS = {"simulate": [], "infer": ["bundle", "fit"],
+               "pcs": ["bundle", "fit", "infer"]}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_RUNS))
@@ -275,7 +280,7 @@ def test_bad_config_value_exits_2_before_any_work(pipeline, tmp_path, capsys,
     with open(cfg, "w") as f:
         json.dump(config, f)
     out = str(tmp_path / "out")
-    argv = [command] + ([] if command == "simulate" else [pipeline["bundle"]])
+    argv = [command] + [pipeline[k] for k in POSITIONALS.get(command, ["bundle"])]
     capsys.readouterr()
     try:
         rc = main(argv + ["--config", cfg, "--out", out] + flags)
@@ -425,6 +430,27 @@ def test_null_data_ascent_failure_exits_3(tmp_path, capsys, seed):
         err = _single_error_line(capsys)
         assert err["code"] == 3
         assert err["type"] == "DegenerateDataError"
+
+
+def test_ascent_check_runs_under_optimization(tmp_path):
+    # seed 2's null fit loses likelihood and exits 3; python -O strips
+    # __debug__ blocks, and the final ascent check must not be one of them
+    cfg = str(tmp_path / "null.json")
+    with open(cfg, "w") as f:
+        json.dump({"simulate": {"n_voxels": 50, "active_frac": 0.0}}, f)
+    sim = str(tmp_path / "sim")
+    assert main(["simulate", "--config", cfg, "--out", sim, "--seed", "2"]) == 0
+    codes = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "trialmix", "fit",
+             os.path.join(sim, "dataset"), "--config", cfg,
+             "--out", str(tmp_path / f"fit{len(codes)}")],
+            capture_output=True,
+            text=True,
+        )
+        codes.append(proc.returncode)
+    assert codes[1] == codes[0], codes
 
 
 def _write_bundle(path, **overrides):

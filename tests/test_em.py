@@ -161,13 +161,14 @@ def test_update_h_keeps_fitted_mean_and_convention():
     ds = make_dataset(dims, rng)
     params = make_params(dims, rng)
     resp = rng.uniform(0.2, 0.9, dims.n_voxels)
-    hrf, amp = update_h(ds, resp, params)
+    resid_inactive = em._Residuals(ds, params).inactive
+    hrf, amp = update_h(resp, params, resid_inactive)
     assert abs(np.linalg.norm(hrf.values) - 1.0) < 1e-12
     peak = hrf.values[int(np.argmax(np.abs(hrf.values)))]
     assert peak > 0.0
     # raw solution times old amplitudes equals new shape times new amplitudes
     w_between = np.linalg.inv(params.between_cov)
-    raw = em._update_h_raw(ds, resp, params.amplitude, params.coeffs, w_between)
+    raw = em._update_h_raw(resp, params.amplitude, w_between, resid_inactive)
     np.testing.assert_allclose(
         np.outer(params.amplitude, raw), np.outer(amp, hrf.values), atol=1e-12
     )
@@ -179,7 +180,9 @@ def test_update_h_degenerate_mass_keeps_previous_shape():
     ds = make_dataset(dims, rng)
     params = make_params(dims, rng).with_updates(amplitude=np.zeros(5))
     with pytest.warns(RuntimeWarning, match="degenerate"):
-        hrf, amp = update_h(ds, np.full(5, 0.5), params)
+        hrf, amp = update_h(
+            np.full(5, 0.5), params, em._Residuals(ds, params).inactive
+        )
     assert hrf is params.hrf
     np.testing.assert_array_equal(amp, params.amplitude)
 
@@ -357,6 +360,35 @@ def test_init_fit_returns_valid_params():
     assert 0.01 <= params.active_prob <= 0.99
     assert params.noise_var > 0.0
     assert abs(np.linalg.norm(params.hrf.values) - 1.0) < 1e-10
+
+
+def test_init_fit_all_active_screen_seeds_pooled_noise():
+    # every voxel responds and the screen passes them all, so no
+    # non-responding voxel is left to seed the noise variance from
+    ds, _ = simulate_dataset(
+        SimConfig(n_voxels=60, n_times=6, n_epochs=4, n_covariates=1,
+                  active_frac=1.0),
+        seed=4,
+    )
+    config = EmConfig(init_alpha=1.0 - 1e-9)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        params = init_fit(ds, config)
+        reduced = fit_all_active(ds, config, ModelStructure(mixture=False),
+                                 max_iter=config.init_max_iter)
+    messages = [str(w.message) for w in caught]
+    assert any("no voxels classified non-responding" in m for m in messages)
+    assert not any("noise update skipped" in m for m in messages)
+    assert params.active_prob == 0.99
+    resid = ds.series - reduced.params.coeffs @ ds.design.T
+    np.testing.assert_allclose(params.noise_var, np.mean(resid**2), rtol=1e-12)
+    # the covariance factors are seeded from every voxel
+    within, between = em._rescale_trace(*update_covariances(
+        residual_matrices(ds, reduced.params), np.ones(ds.dims.n_voxels),
+        reduced.params.within_cov, reduced.params.between_cov,
+    ))
+    np.testing.assert_allclose(params.within_cov, within, rtol=1e-12)
+    np.testing.assert_allclose(params.between_cov, between, rtol=1e-12)
 
 
 def test_config_validation():
