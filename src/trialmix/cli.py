@@ -9,11 +9,17 @@ The command line and every config value are checked before a command
 reads or writes anything; the two checks that need the bundle
 (pcs.n_components, preprocess.highpass_cutoff) run as soon as it is read.
 
+main alone owns the output directory: a command stages its files in an
+io.OutputDir and returns its summary line, and main prints that line
+once the files are in place. Output is all or nothing: a failing command
+leaves --out as it was (and removes it if the run made it).
+
 Exit codes: 0 success, 2 usage or configuration error (including a
-malformed bundle, fit or inference directory), 3 numerical failure.
-Failures print one machine-readable JSON object to stderr, with the
-messages of the warnings the command raised in its "warnings" list; a
-command that succeeds prints its warnings as Python does.
+malformed bundle, fit or inference directory, or an --out that cannot
+be a directory), 3 numerical failure. Failures print one
+machine-readable JSON object to stderr, with the messages of the
+warnings the command raised in its "warnings" list; a command that
+succeeds prints its warnings as Python does.
 """
 from __future__ import annotations
 
@@ -102,8 +108,8 @@ class CompareConfig:
         bad = [m for m in self.models if m not in MODEL_SPECS]
         if bad or not self.models:
             raise ValueError(f"unknown model id(s) {bad}" if bad else "no models")
-        if self.n_obs is not None and self.n_obs < 1:
-            raise ValueError("n_obs must be at least 1")
+        if self.n_obs is not None and not 1 <= self.n_obs < 2**63:
+            raise ValueError("n_obs must lie in [1, 2**63)")
 
 
 @dataclass(frozen=True)
@@ -214,23 +220,18 @@ def _check_pcs(config: RunConfig, dataset: Dataset) -> None:
         )
 
 
-def _ensure_out(args) -> str:
-    os.makedirs(args.out, exist_ok=True)
-    return args.out
-
-
 # ---------------------------------------------------------------- artifacts
 
 
-def _write_fit_artifacts(out: str, fit: FitResult) -> None:
-    io.write_params_json(fit.params, os.path.join(out, "params.json"))
+def _write_fit_artifacts(out: io.OutputDir, fit: FitResult) -> None:
+    io.write_params_json(fit.params, out.path("params.json"))
     io.write_csv(
-        os.path.join(out, "resp.csv"),
+        out.path("resp.csv"),
         ["voxel", "resp", "amplitude"],
         columns=[np.arange(fit.resp.size), fit.resp, fit.params.amplitude],
     )
     io.write_csv(
-        os.path.join(out, "loglik.csv"),
+        out.path("loglik.csv"),
         ["iteration", "loglik"],
         columns=[np.arange(fit.loglik_trace.size), fit.loglik_trace],
     )
@@ -241,7 +242,7 @@ def _write_fit_artifacts(out: str, fit: FitResult) -> None:
             "loglik": float(fit.loglik_trace[-1]),
             "active_prob": float(fit.params.active_prob),
         },
-        os.path.join(out, "fit.json"),
+        out.path("fit.json"),
     )
 
 
@@ -293,9 +294,9 @@ def _load_fit(fit_dir: str, dataset: Dataset) -> FitResult:
 
 def _volume_from_voxels(dataset: Dataset, values: np.ndarray):
     coords = dataset.coords
-    shape = dataset.mask_shape
-    if shape is None:
-        shape = tuple(int(m) + 1 for m in coords.max(axis=0))
+    shape = dataset.mask_shape or tuple(coords.max(axis=0) + 1)
+    if np.any(coords >= shape):
+        raise io.BundleFormatError("header.json: coords lie outside mask_shape")
     vol = np.zeros(shape)
     mask = np.zeros(shape, dtype=bool)
     vol[coords[:, 0], coords[:, 1], coords[:, 2]] = values
@@ -304,10 +305,10 @@ def _volume_from_voxels(dataset: Dataset, values: np.ndarray):
 
 
 def _write_infer_artifacts(
-    out: str, dataset: Dataset, amap: ActivationMap, fdr: FdrResult
+    out: io.OutputDir, dataset: Dataset, amap: ActivationMap, fdr: FdrResult
 ) -> None:
     io.write_csv(
-        os.path.join(out, "tstats.csv"),
+        out.path("tstats.csv"),
         ["voxel", "x", "y", "z", "t", "p", "reject", "cluster"],
         columns=[
             np.arange(amap.t_stat.size),
@@ -326,14 +327,14 @@ def _write_infer_artifacts(
             "n_rejected": int(fdr.n_rejected),
             "n_clusters": int(amap.cluster.max()) if amap.cluster.size else 0,
         },
-        os.path.join(out, "fdr.json"),
+        out.path("fdr.json"),
     )
     tvol, mask = _volume_from_voxels(dataset, amap.t_stat)
-    io.write_map_pgm(tvol, os.path.join(out, "tmap.pgm"), mask=mask)
+    io.write_map_pgm(tvol, out.path("tmap.pgm"), mask=mask)
     avol, _ = _volume_from_voxels(
         dataset, np.where(amap.reject, amap.t_stat, 0.0)
     )
-    io.write_map_pgm(avol, os.path.join(out, "activemap.pgm"), mask=mask)
+    io.write_map_pgm(avol, out.path("activemap.pgm"), mask=mask)
 
 
 def _load_amap(infer_dir: str, dataset: Dataset) -> ActivationMap:
@@ -428,11 +429,11 @@ def write_svg_curves(
         f.write("\n".join(parts) + "\n")
 
 
-def _write_pcs_artifacts(out: str, dataset: Dataset, pa: PcAnalysis) -> None:
+def _write_pcs_artifacts(out: io.OutputDir, dataset: Dataset, pa: PcAnalysis) -> None:
     d = dataset.dims
     n_pc = pa.scores.shape[2]
     io.write_csv(
-        os.path.join(out, "pc_spectrum.csv"),
+        out.path("pc_spectrum.csv"),
         ["component", "eigenvalue", "variance_pct"],
         columns=[
             np.arange(1, pa.within_pca.eigenvalues.size + 1),
@@ -443,7 +444,7 @@ def _write_pcs_artifacts(out: str, dataset: Dataset, pa: PcAnalysis) -> None:
     # one row per (voxel, epoch), in C order of the scores array
     vox, epoch = np.indices(pa.scores.shape[:2]).reshape(2, -1)
     io.write_csv(
-        os.path.join(out, "pc_scores.csv"),
+        out.path("pc_scores.csv"),
         ["voxel", "epoch"] + [f"pc{k + 1}" for k in range(n_pc)],
         columns=[
             pa.active_idx[vox], epoch + 1, *pa.scores.reshape(-1, n_pc).T
@@ -463,13 +464,13 @@ def _write_pcs_artifacts(out: str, dataset: Dataset, pa: PcAnalysis) -> None:
                 (k + 1, "cluster", int(lvl), float(eff), float(se))
             )
     io.write_csv(
-        os.path.join(out, "anova.csv"),
+        out.path("anova.csv"),
         ["component", "factor", "level", "effect", "se"],
-        anova_rows,
+        columns=list(zip(*anova_rows)),
     )
     cluster, epoch, sample = np.indices(pa.curves.shape).reshape(3, -1)
     io.write_csv(
-        os.path.join(out, "curves.csv"),
+        out.path("curves.csv"),
         ["cluster", "epoch", "sample", "value"],
         columns=[
             pa.cluster_levels[cluster], epoch + 1, sample + 1, pa.curves.ravel()
@@ -477,7 +478,7 @@ def _write_pcs_artifacts(out: str, dataset: Dataset, pa: PcAnalysis) -> None:
     )
     comp, sign, sample = np.indices(pa.effect_curves.shape).reshape(3, -1)
     io.write_csv(
-        os.path.join(out, "effect_curves.csv"),
+        out.path("effect_curves.csv"),
         ["component", "direction", "sample", "value"],
         columns=[
             comp + 1,
@@ -489,7 +490,7 @@ def _write_pcs_artifacts(out: str, dataset: Dataset, pa: PcAnalysis) -> None:
     samples = np.arange(1, d.n_times + 1, dtype=np.float64)
     for c in range(pa.curves.shape[0]):
         write_svg_curves(
-            os.path.join(out, f"curves_cluster{int(pa.cluster_levels[c])}.svg"),
+            out.path(f"curves_cluster{int(pa.cluster_levels[c])}.svg"),
             samples,
             pa.curves[c],
             [f"epoch {j + 1}" for j in range(d.n_epochs)],
@@ -497,7 +498,7 @@ def _write_pcs_artifacts(out: str, dataset: Dataset, pa: PcAnalysis) -> None:
             ylabel="response",
         )
     write_svg_curves(
-        os.path.join(out, "effect_curves.svg"),
+        out.path("effect_curves.svg"),
         samples,
         pa.effect_curves.reshape(-1, d.n_times),
         [
@@ -510,35 +511,30 @@ def _write_pcs_artifacts(out: str, dataset: Dataset, pa: PcAnalysis) -> None:
     )
 
 
-def _write_compare_artifacts(out: str, cmp: ModelComparison) -> None:
+def _write_compare_artifacts(out: io.OutputDir, cmp: ModelComparison) -> None:
+    rows = [(r.model_id, r.description, r.n_params, float(r.loglik),
+             float(r.aic), float(r.bic)) for r in cmp.rows]
     io.write_csv(
-        os.path.join(out, "comparison.csv"),
+        out.path("comparison.csv"),
         ["model", "description", "n_params", "loglik", "aic", "bic"],
-        (
-            (r.model_id, r.description, r.n_params, float(r.loglik),
-             float(r.aic), float(r.bic))
-            for r in cmp.rows
-        ),
+        columns=list(zip(*rows)),
     )
     io.write_json(
         {"n_obs": cmp.n_obs, "best_aic": cmp.best_aic, "best_bic": cmp.best_bic},
-        os.path.join(out, "comparison.json"),
+        out.path("comparison.json"),
     )
 
 
 # ----------------------------------------------------------------- commands
 
 
-def cmd_simulate(args, config: RunConfig) -> int:
+def cmd_simulate(args, config: RunConfig, out: io.OutputDir) -> str:
     dataset, truth = simulate_dataset(config.simulate, seed=config.seed)
-    out = _ensure_out(args)
-    bundle = os.path.join(out, "dataset")
-    io.write_dataset(dataset, bundle, truth=truth)
-    print(bundle)
-    return 0
+    io.write_dataset(dataset, out.path("dataset"), truth=truth)
+    return os.path.join(out.root, "dataset")
 
 
-def cmd_preprocess(args, config: RunConfig) -> int:
+def cmd_preprocess(args, config: RunConfig, out: io.OutputDir) -> str:
     dataset = io.read_dataset(args.bundle)
     cutoff = config.preprocess.highpass_cutoff
     if cutoff is not None and cutoff <= 2.0 * dataset.tr:
@@ -548,15 +544,14 @@ def cmd_preprocess(args, config: RunConfig) -> int:
         )
     # preprocessing leaves the generator's ground truth as it was
     truth = io.read_truth_bytes(args.bundle)
-    out = _ensure_out(args)
     processed = preprocess_dataset(dataset, config.preprocess)
-    bundle = os.path.join(out, "dataset")
-    io.write_dataset(processed, bundle, truth=truth)
-    print(bundle)
-    return 0
+    io.write_dataset(processed, out.path("dataset"), truth=truth)
+    return os.path.join(out.root, "dataset")
 
 
-def _run_fit(args, config: RunConfig, dataset: Dataset, out: str) -> FitResult:
+def _run_fit(
+    args, config: RunConfig, dataset: Dataset, out: io.OutputDir
+) -> FitResult:
     fit = em_fit(
         dataset,
         config.em,
@@ -567,60 +562,54 @@ def _run_fit(args, config: RunConfig, dataset: Dataset, out: str) -> FitResult:
     return fit
 
 
-def cmd_fit(args, config: RunConfig) -> int:
-    dataset = io.read_dataset(args.bundle)
-    out = _ensure_out(args)
-    fit = _run_fit(args, config, dataset, out)
-    print(
+def cmd_fit(args, config: RunConfig, out: io.OutputDir) -> str:
+    fit = _run_fit(args, config, io.read_dataset(args.bundle), out)
+    return (
         f"loglik={fit.loglik_trace[-1]:.6f} iterations={fit.iterations} "
         f"converged={fit.converged} active_prob={fit.params.active_prob:.4f}"
     )
-    return 0
 
 
 def _run_infer(
-    config: RunConfig, dataset: Dataset, fit: FitResult, out: str
+    config: RunConfig, dataset: Dataset, fit: FitResult, out: io.OutputDir
 ) -> tuple[ActivationMap, FdrResult]:
     amap, fdr = activation_map(dataset, fit, **asdict(config.inference))
     _write_infer_artifacts(out, dataset, amap, fdr)
     return amap, fdr
 
 
-def cmd_infer(args, config: RunConfig) -> int:
+def cmd_infer(args, config: RunConfig, out: io.OutputDir) -> str:
     dataset = io.read_dataset(args.bundle)
     fit = _load_fit(args.fit_dir, dataset)
-    out = _ensure_out(args)
     amap, fdr = _run_infer(config, dataset, fit, out)
-    print(
+    return (
         f"rejected={fdr.n_rejected} clusters={int(amap.cluster.max())} "
         f"threshold={fdr.threshold:.6g}"
     )
-    return 0
 
 
 def _run_pcs(
     config: RunConfig, dataset: Dataset, fit: FitResult, amap: ActivationMap,
-    out: str,
+    out: io.OutputDir,
 ) -> PcAnalysis:
     pa = analyze_variability(dataset, fit, amap, **asdict(config.pcs))
     _write_pcs_artifacts(out, dataset, pa)
     return pa
 
 
-def cmd_pcs(args, config: RunConfig) -> int:
+def cmd_pcs(args, config: RunConfig, out: io.OutputDir) -> str:
     dataset = io.read_dataset(args.bundle)
     _check_pcs(config, dataset)
     fit = _load_fit(args.fit_dir, dataset)
     amap = _load_amap(args.infer_dir, dataset)
-    out = _ensure_out(args)
     pa = _run_pcs(config, dataset, fit, amap, out)
     pct = ", ".join(f"{p:.1f}%" for p in pa.within_pca.variance_pct[:3])
-    print(f"active={pa.active_idx.size} top_components={pct}")
-    return 0
+    return f"active={pa.active_idx.size} top_components={pct}"
 
 
 def _run_compare(
-    config: RunConfig, dataset: Dataset, out: str, fits: dict | None = None
+    config: RunConfig, dataset: Dataset, out: io.OutputDir,
+    fits: dict | None = None,
 ) -> ModelComparison:
     cmp = compare_models(
         dataset,
@@ -633,18 +622,14 @@ def _run_compare(
     return cmp
 
 
-def cmd_compare(args, config: RunConfig) -> int:
-    dataset = io.read_dataset(args.bundle)
-    out = _ensure_out(args)
-    cmp = _run_compare(config, dataset, out)
-    print(f"best_aic=model{cmp.best_aic} best_bic=model{cmp.best_bic}")
-    return 0
+def cmd_compare(args, config: RunConfig, out: io.OutputDir) -> str:
+    cmp = _run_compare(config, io.read_dataset(args.bundle), out)
+    return f"best_aic=model{cmp.best_aic} best_bic=model{cmp.best_bic}"
 
 
-def cmd_report(args, config: RunConfig) -> int:
+def cmd_report(args, config: RunConfig, out: io.OutputDir) -> str:
     dataset = io.read_dataset(args.bundle)
     _check_pcs(config, dataset)
-    out = _ensure_out(args)
     fit = _run_fit(args, config, dataset, out)
     amap, fdr = _run_infer(config, dataset, fit, out)
     pa = None
@@ -663,9 +648,8 @@ def cmd_report(args, config: RunConfig) -> int:
         "best_aic": cmp.best_aic,
         "best_bic": cmp.best_bic,
     }
-    io.write_json(manifest, os.path.join(out, "report.json"))
-    print(f"report written to {out}")
-    return 0
+    io.write_json(manifest, out.path("report.json"))
+    return f"report written to {out.root}"
 
 
 # --------------------------------------------------------------- entry point
@@ -746,21 +730,24 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with warnings.catch_warnings(record=True) as caught:
             config = load_config(args.config, getattr(args, "seed", None))
-            code = args.func(args, config)
+            try:
+                out = io.OutputDir(args.out)
+            except OSError as e:
+                raise ConfigError(f"--out {args.out}: {e.strerror}") from None
+            # the command stages its files; they appear only if it succeeds
+            with out:
+                summary = args.func(args, config, out)
     except (ConfigError, io.BundleFormatError, FileNotFoundError) as e:
         return _fail(2, e, caught)
-    except (
-        DegenerateDataError,
-        SingularMatrixError,
-        np.linalg.LinAlgError,
-        FloatingPointError,
-    ) as e:
+    except (DegenerateDataError, SingularMatrixError, np.linalg.LinAlgError,
+            FloatingPointError) as e:
         return _fail(3, e, caught)
     except BaseException:
         _show_warnings(caught)
         raise
     _show_warnings(caught)
-    return code
+    print(summary)
+    return 0
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from scipy.special import betainc
 
 from .kernels import voxel_blocks
 from .linalg import inv_sqrt
-from .types import ActivationMap, Dataset, FitResult, MixtureParams
+from .types import ActivationMap, Dataset, DegenerateDataError, FitResult, MixtureParams
 
 __all__ = [
     "t_statistics",
@@ -61,10 +61,10 @@ class _AmplitudeTest:
         q = design_w.shape[1]
         self.df = n - q - 1
         if self.df < 1:
-            raise ValueError(f"nonpositive degrees of freedom: n={n}, q={q}")
+            raise DegenerateDataError(f"nonpositive degrees of freedom: n={n}, q={q}")
         self.mu_norm2 = float(mu_w @ mu_w)
         if self.mu_norm2 <= 0.0:
-            raise ValueError("whitened shape regressor has zero norm")
+            raise DegenerateDataError("whitened shape regressor has zero norm")
         self.z = np.concatenate([mu_w[:, None], design_w], axis=1)
         self.gram = self.z.T @ self.z
 

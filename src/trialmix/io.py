@@ -19,6 +19,9 @@ give per cell. JSON files are the bytes of json.dump(indent=2,
 sort_keys=True) plus a newline; _json_text writes lists of plain ints or
 finite floats, and lists of equal-length rows of them, with one %r
 template instead of json's pure-Python indenting encoder.
+
+OutputDir stages a run's files inside its output directory and moves
+them into place together when the run succeeds.
 """
 from __future__ import annotations
 
@@ -27,6 +30,8 @@ import gc
 import json
 import math
 import os
+import shutil
+import tempfile
 
 import numpy as np
 
@@ -34,6 +39,7 @@ from .types import Dataset, Dims, Hrf, MixtureParams, SimTruth
 
 __all__ = [
     "BundleFormatError",
+    "OutputDir",
     "write_dataset",
     "read_dataset",
     "read_truth",
@@ -57,6 +63,41 @@ TRUTH_NAME = "truth.json"
 
 class BundleFormatError(ValueError):
     """A bundle file is missing, truncated, or malformed."""
+
+
+class OutputDir:
+    """An output directory that receives a run's files all or none.
+
+    Making it creates ``root`` if needed (OSError if it cannot be a
+    directory) and a fresh staging directory inside it, where
+    ``path(name)`` points. A clean exit from the ``with`` block moves
+    every staged file to its relative path under ``root``; an exception
+    leaves ``root`` as it was, or removes it if this run made it.
+    """
+
+    def __init__(self, root: str) -> None:
+        self.root = root
+        self._made = not os.path.isdir(root)
+        os.makedirs(root, exist_ok=True)
+        self._staging = tempfile.mkdtemp(prefix=".tmp-", dir=root)
+
+    def path(self, name: str) -> str:
+        return os.path.join(self._staging, name)
+
+    def __enter__(self) -> "OutputDir":
+        return self
+
+    def __exit__(self, exc_type, *_) -> None:
+        failed = exc_type is not None
+        try:
+            if not failed:
+                for folder, _, names in os.walk(self._staging):
+                    dest = self.root + folder[len(self._staging):]
+                    os.makedirs(dest, exist_ok=True)
+                    for name in names:
+                        os.replace(f"{folder}/{name}", f"{dest}/{name}")
+        finally:
+            shutil.rmtree(self.root if failed and self._made else self._staging)
 
 
 def format_float(x: float) -> str:
@@ -84,20 +125,11 @@ def _column_cells(column) -> tuple[str, list]:
     ]
 
 
-def write_csv(path: str, header: list[str], rows=None, columns=None) -> None:
+def write_csv(path: str, header: list[str], columns) -> None:
     """Comma-separated values, floats at full precision, LF endings.
 
-    Give the table as ``rows`` (an iterable of rows or a 2-D array) or as
-    ``columns`` (one sequence or 1-D array per header name); columns are
-    the fast path for long numeric tables.
+    ``columns`` holds one sequence or 1-D array per header name.
     """
-    if (rows is None) == (columns is None):
-        raise ValueError("give exactly one of rows and columns")
-    if columns is None:
-        if isinstance(rows, np.ndarray):
-            columns = rows.T
-        else:
-            columns = list(zip(*rows)) or [()] * len(header)
     if len(columns) != len(header):
         raise ValueError(
             f"{len(columns)} columns for a header of {len(header)} names"
@@ -336,7 +368,7 @@ def read_dataset(path: str) -> Dataset:
         tr = float(_require(header, "tr", HEADER_NAME))
         mask_shape = header.get("mask_shape")
         mask_shape = tuple(int(s) for s in mask_shape) if mask_shape else None
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise BundleFormatError(f"{HEADER_NAME}: malformed: {e}") from None
     if stimulus_times.shape != (dims.n_epochs,):
         raise BundleFormatError(
@@ -457,7 +489,8 @@ def write_map_pgm(
     A 2-D field writes one image at ``path``; a 3-D field (slices along
     the last axis) writes ``path_sNNN.pgm`` per slice. Values are
     min-max scaled to 0..255 over the whole (unmasked) field so slices
-    share one gray scale; a constant field maps to 128. Voxels outside
+    share one gray scale; a constant field maps to 128, and infinite
+    values saturate at 0 or 255 of the finite scale. Voxels outside
     ``mask`` render as 0. The scaling lands in a JSON sidecar next to
     the images.
     """
@@ -471,10 +504,11 @@ def write_map_pgm(
         visible = field[mask]
     else:
         visible = field.ravel()
-    if visible.size and not np.all(np.isfinite(visible)):
-        raise ValueError("field values must be finite")
-    lo = float(visible.min()) if visible.size else 0.0
-    hi = float(visible.max()) if visible.size else 0.0
+    if np.any(np.isnan(visible)):
+        raise ValueError("field values must be finite or infinite, not NaN")
+    finite = visible[np.isfinite(visible)]
+    lo = float(finite.min()) if finite.size else 0.0
+    hi = float(finite.max()) if finite.size else 0.0
 
     def emit(plane: np.ndarray, plane_mask: np.ndarray | None, out: str) -> None:
         pixels = _scale_to_bytes(plane, lo, hi)

@@ -65,6 +65,7 @@ class SimConfig:
             raise ValueError(f"n_times and n_epochs must be at most {MAX_DIM}")
         if self.tr <= 0.0 or self.first_sample < 0.0:
             raise ValueError("tr must be positive and first_sample nonnegative")
+        canonical_hrf(self.sample_times)  # a shape that underflows to 0 fails
         if not (abs(self.within_rho) < 1.0 and abs(self.between_rho) < 1.0):
             raise ValueError("within_rho and between_rho must lie in (-1, 1)")
         if not (0.0 <= self.active_frac <= 1.0):

@@ -78,7 +78,7 @@ class Hrf:
         vec = np.asarray(raw, dtype=np.float64)
         nrm = float(np.linalg.norm(vec))
         if nrm == 0.0 or not np.isfinite(nrm):
-            raise ValueError("response shape must be nonzero and finite")
+            raise DegenerateDataError("response shape must be nonzero and finite")
         vec = vec / nrm
         peak = vec[int(np.argmax(np.abs(vec)))]
         flipped = bool(peak < 0.0)
@@ -140,6 +140,8 @@ class Dataset:
             raise ValueError("design contains non-finite values")
         if self.coords.shape != (d.n_voxels, 3):
             raise ValueError("coords must be (n_voxels, 3)")
+        if np.any(self.coords < 0) or len(self.mask_shape or (0,) * 3) != 3:
+            raise ValueError("coords must be nonnegative and mask_shape 3-D")
         # any lexicographic row order puts equal rows next to each other;
         # np.unique(axis=0) sorts the rows as void records, 7x slower
         rows = self.coords[np.lexsort(self.coords.T)]

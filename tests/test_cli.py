@@ -14,6 +14,7 @@ from trialmix import cli
 from trialmix.cli import main
 from trialmix.io import read_dataset, write_csv, write_dataset
 from trialmix.simulate import SimConfig, simulate_dataset
+from trialmix.types import DegenerateDataError
 
 CONFIG = {
     "seed": 5,
@@ -264,6 +265,9 @@ BAD_RUNS = {
     "removed-cluster_method":
         ("report", {"inference": {"cluster_method": "connected"}}, []),
     "removed-out": ("report", {"out": "elsewhere"}, []),
+    "n_obs-above-int64": ("report", {"compare": {"n_obs": 10**20}}, []),
+    "sim-first_sample-underflow":
+        ("simulate", {"simulate": {"first_sample": 2000}}, []),
     **{f"verbose-flag-on-{command}": (command, {}, ["--verbose"])
        for command in ("simulate", "preprocess", "infer", "pcs", "compare")},
 }
@@ -291,6 +295,67 @@ def test_bad_config_value_exits_2_before_any_work(pipeline, tmp_path, capsys,
     assert err["code"] == 2
     assert err["type"] == "ConfigError"
     assert _files_under(out) == []
+
+
+def test_failing_report_leaves_out_as_it_was(pipeline, tmp_path, capsys,
+                                             monkeypatch):
+    # fit, infer and pcs have staged their files when compare fails
+    def fail(*args, **kwargs):
+        raise DegenerateDataError("no comparison")
+
+    monkeypatch.setattr(cli, "compare_models", fail)
+    fresh = tmp_path / "fresh"
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "mine.txt").write_bytes(b"mine\n")
+    for out in (fresh, kept):
+        capsys.readouterr()
+        rc = main(["report", pipeline["bundle"], "--config", pipeline["cfg"],
+                   "--out", str(out)])
+        assert rc == 3
+        assert _single_error_line(capsys)["message"] == "no comparison"
+    assert not fresh.exists()
+    assert os.listdir(kept) == ["mine.txt"]
+    assert (kept / "mine.txt").read_bytes() == b"mine\n"
+
+
+def test_out_that_cannot_be_a_directory_exits_2(pipeline, tmp_path, capsys,
+                                                 monkeypatch):
+    def fit(*args, **kwargs):
+        raise AssertionError("the fit ran before --out was checked")
+
+    monkeypatch.setattr(cli, "em_fit", fit)
+    path = tmp_path / "file"
+    path.write_bytes(b"x")
+    for out in (path, path / "sub"):
+        capsys.readouterr()
+        assert main(["fit", pipeline["bundle"], "--out", str(out)]) == 2
+        err = _single_error_line(capsys)
+        assert err["type"] == "ConfigError"
+        assert str(out) in err["message"]
+    assert path.read_bytes() == b"x"
+
+
+def test_successful_commands_leave_no_staging_directory(pipeline):
+    for key in ("fit", "infer", "pcs", "cmp", "report"):
+        assert not [name for name in os.listdir(pipeline[key])
+                    if name.startswith(".tmp-")], key
+    sim = os.path.dirname(pipeline["bundle"])
+    assert os.listdir(sim) == ["dataset"]
+
+
+def test_rerun_into_an_output_directory_replaces_only_its_files(pipeline,
+                                                                tmp_path):
+    out = str(tmp_path / "fit")
+    shutil.copytree(pipeline["fit"], out)
+    with open(os.path.join(out, "fit.json"), "w") as f:
+        f.write("stale\n")
+    with open(os.path.join(out, "mine.txt"), "w") as f:
+        f.write("mine\n")
+    assert main(["fit", pipeline["bundle"], "--config", pipeline["cfg"],
+                 "--out", out]) == 0
+    assert _tree_bytes(out) == {**_tree_bytes(pipeline["fit"]),
+                                "mine.txt": b"mine\n"}
 
 
 def test_readme_config_block_loads(tmp_path):

@@ -1,0 +1,174 @@
+"""main on any bundle the format can hold, in-process.
+
+Every run ends in exit 0, or in exit 2 or 3 with exactly one JSON line
+on stderr and the output directory exactly as it was before the run.
+"""
+import contextlib
+import io
+import json
+import os
+import tempfile
+import warnings
+
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+
+from trialmix.cli import main
+from trialmix.io import write_dataset
+from trialmix.simulate import SimConfig, simulate_dataset
+
+EDITS = ("none", "flat", "identical", "constant-epochs")
+CORRUPTIONS = ("nan", "inf", "truncate", "header-cut", "header-value",
+               "header-coord")
+HEADER_KEYS = ("version", "endianness", "tr", "stimulus_times", "coords",
+               "mask_shape", "n_times", "n_epochs", "n_voxels", "n_covariates")
+BAD_VALUES = (None, "x", -1, 0, 2.5, 10**30, 10**6, [], {}, [[0, 0, 0]])
+PREVIOUS = {"mine.txt": b"mine\n", "report.json": b"old\n"}
+
+
+def _edit_series(series, edit, n_epochs, n_times):
+    """A series the simulator would not draw but the format can hold."""
+    if edit == "flat":
+        series[: max(1, series.shape[0] // 2)] = 0.0
+    elif edit == "identical":
+        series[:] = series[0]
+    elif edit == "constant-epochs":
+        by_epoch = series.reshape(-1, n_epochs, n_times)
+        by_epoch[:] = by_epoch[:, :1]
+
+
+def _corrupt(bundle, corruption, where, value):
+    data = os.path.join(bundle, "data.f64")
+    header = os.path.join(bundle, "header.json")
+    if corruption in ("nan", "inf"):
+        series = np.fromfile(data, dtype="<f8")
+        series[where % series.size] = np.nan if corruption == "nan" else -np.inf
+        series.tofile(data)
+    elif corruption == "truncate":
+        os.truncate(data, where % os.path.getsize(data))
+    elif corruption == "header-cut":
+        with open(header, "rb") as f:
+            raw = f.read()
+        with open(header, "wb") as f:
+            f.write(raw[: where % len(raw)])
+    elif corruption == "header-value":
+        with open(header) as f:
+            obj = json.load(f)
+        key = HEADER_KEYS[where % len(HEADER_KEYS)]
+        (obj["dims"] if key.startswith("n_") else obj)[key] = value
+        with open(header, "w") as f:
+            json.dump(obj, f)
+    elif corruption == "header-coord":
+        with open(header) as f:
+            obj = json.load(f)
+        obj["coords"][where % len(obj["coords"])][where % 3] = value
+        with open(header, "w") as f:
+            json.dump(obj, f)
+
+
+def _snapshot(root):
+    """Every file's bytes and every folder under root; None if absent."""
+    if not os.path.lexists(root):
+        return None
+    tree = {}
+    for folder, _, names in os.walk(root):
+        tree[os.path.relpath(folder, root)] = None
+        for name in names:
+            with open(os.path.join(folder, name), "rb") as f:
+                tree[os.path.relpath(os.path.join(folder, name), root)] = f.read()
+    return tree
+
+
+def _run(command, dataset, min_cluster, previous, corrupt=None):
+    """Write the bundle, corrupt it, run main on it and check the outcome."""
+    with tempfile.TemporaryDirectory() as root:
+        bundle = os.path.join(root, "dataset")
+        write_dataset(dataset, bundle)
+        if corrupt is not None:
+            _corrupt(bundle, *corrupt)
+        config = os.path.join(root, "config.json")
+        with open(config, "w") as f:
+            json.dump({"em": {"max_iter": 60},
+                       "inference": {"min_cluster": min_cluster},
+                       "pcs": {"n_components": 2}}, f)
+        out = os.path.join(root, "out")
+        if previous:
+            os.mkdir(out)
+            for name, raw in PREVIOUS.items():
+                with open(os.path.join(out, name), "wb") as f:
+                    f.write(raw)
+        before = _snapshot(out)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rc = main([command, bundle, "--config", config, "--out", out])
+        assert rc in (0, 2, 3)
+        after = _snapshot(out)
+        if rc:
+            lines = stderr.getvalue().splitlines()
+            assert len(lines) == 1, lines
+            assert json.loads(lines[0])["error"]["code"] == rc
+            assert after == before
+        else:
+            assert stdout.getvalue().count("\n") == 1
+            assert not [p for p in after if ".tmp-" in p]
+            if previous:
+                assert after["mine.txt"] == PREVIOUS["mine.txt"]
+
+
+COMMANDS = st.sampled_from(["report", "preprocess"])
+
+
+@settings(max_examples=100)
+@given(
+    command=COMMANDS,
+    n_voxels=st.sampled_from([30, 3, 2, 1]),
+    n_times=st.integers(2, 6),
+    n_epochs=st.sampled_from([4, 2, 1]),
+    n_covariates=st.integers(0, 1),
+    active_frac=st.sampled_from([0.3, 0.0, 1.0]),
+    seed=st.integers(0, 3),
+    edit=st.sampled_from(EDITS),
+    min_cluster=st.sampled_from([1, 5]),
+    previous=st.booleans(),
+)
+@example("report", 30, 6, 4, 1, 0.3, 0, "flat", 1, True)
+@example("report", 30, 6, 4, 1, 0.3, 0, "identical", 1, False)
+@example("report", 30, 6, 4, 1, 0.3, 1, "constant-epochs", 1, True)
+@example("report", 30, 6, 1, 1, 0.3, 0, "none", 1, True)
+@example("report", 3, 4, 2, 0, 0.3, 0, "none", 1, False)
+@example("preprocess", 1, 2, 1, 0, 0.3, 0, "none", 1, False)
+@example("report", 30, 5, 4, 1, 0.0, 2, "none", 1, True)
+@example("report", 30, 5, 4, 1, 1.0, 0, "none", 1, True)
+def test_main_on_degenerate_bundles(
+    command, n_voxels, n_times, n_epochs, n_covariates, active_frac, seed,
+    edit, min_cluster, previous,
+):
+    sim = SimConfig(n_voxels=n_voxels, n_times=n_times, n_epochs=n_epochs,
+                    n_covariates=n_covariates, active_frac=active_frac)
+    dataset, _ = simulate_dataset(sim, seed=seed)
+    _edit_series(dataset.series, edit, n_epochs, n_times)
+    _run(command, dataset, min_cluster, previous)
+
+
+SMALL, _ = simulate_dataset(
+    SimConfig(n_voxels=30, n_times=4, n_epochs=2, n_covariates=1), seed=0
+)
+
+
+@settings(max_examples=100)
+@given(
+    command=COMMANDS,
+    corruption=st.sampled_from(CORRUPTIONS),
+    where=st.integers(0, 10**6),
+    value=st.sampled_from(BAD_VALUES),
+    previous=st.booleans(),
+)
+@example("report", "nan", 17, None, True)
+@example("preprocess", "inf", 5, None, True)
+@example("report", "truncate", 99, None, True)
+@example("report", "header-cut", 40, None, False)
+@example("preprocess", "header-value", 2, 0, True)
+def test_main_on_corrupted_bundles(command, corruption, where, value, previous):
+    _run(command, SMALL, 1, previous, (corruption, where, value))

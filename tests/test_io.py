@@ -262,7 +262,7 @@ def test_format_float_roundtrips():
 
 def test_write_csv_uses_lf_only(tmp_path):
     path = str(tmp_path / "t.csv")
-    write_csv(path, ["a", "b"], [[1, 0.1], ["x", 2.5]])
+    write_csv(path, ["a", "b"], columns=[[1, "x"], [0.1, 2.5]])
     with open(path, "rb") as f:
         raw = f.read()
     assert b"\r" not in raw
@@ -381,38 +381,30 @@ def test_write_csv_matches_per_cell_rendering(tmp_path):
     rows = list(zip(*columns))
     oracle = str(tmp_path / "oracle.csv")
     _write_csv_per_cell(oracle, header, rows)
-    for name, kwargs in (
-        ("rows", {"rows": rows}),
-        ("generator", {"rows": (r for r in rows)}),
-        ("columns", {"columns": columns}),
-    ):
-        path = str(tmp_path / f"{name}.csv")
-        write_csv(path, header, **kwargs)
-        assert _read_bytes(path) == _read_bytes(oracle), name
+    path = str(tmp_path / "columns.csv")
+    write_csv(path, header, columns=columns)
+    assert _read_bytes(path) == _read_bytes(oracle)
     table = np.random.default_rng(0).standard_normal((7, 3))
     _write_csv_per_cell(oracle, ["a", "b", "c"], table)
-    write_csv(str(tmp_path / "array.csv"), ["a", "b", "c"], table)
+    write_csv(str(tmp_path / "array.csv"), ["a", "b", "c"], columns=table.T)
     assert _read_bytes(str(tmp_path / "array.csv")) == _read_bytes(oracle)
 
 
 def test_write_csv_zero_rows_and_bad_shapes(tmp_path):
     oracle = str(tmp_path / "oracle.csv")
     _write_csv_per_cell(oracle, ["a", "b"], [])
-    for name, kwargs in (
-        ("rows", {"rows": []}),
-        ("columns", {"columns": [np.zeros(0), np.zeros(0, dtype=np.int64)]}),
-        ("array", {"rows": np.zeros((0, 2))}),
+    for name, columns in (
+        ("columns", [np.zeros(0), np.zeros(0, dtype=np.int64)]),
+        ("array", np.zeros((0, 2)).T),
     ):
         path = str(tmp_path / f"{name}.csv")
-        write_csv(path, ["a", "b"], **kwargs)
+        write_csv(path, ["a", "b"], columns=columns)
         assert _read_bytes(path) == _read_bytes(oracle) == b"a,b\n", name
     path = str(tmp_path / "bad.csv")
     with pytest.raises(ValueError, match="differ in length"):
         write_csv(path, ["a", "b"], columns=[[1, 2], [1.0]])
     with pytest.raises(ValueError, match="header"):
         write_csv(path, ["a", "b"], columns=[[1, 2]])
-    with pytest.raises(ValueError, match="exactly one"):
-        write_csv(path, ["a"])
 
 
 def _json_dump_bytes(obj, path):
