@@ -13,7 +13,6 @@ from .em import (
     ModelStructure,
     canonical_hrf,
     em_fit,
-    fit_all_active,
     init_fit,
     observed_loglik,
 )
@@ -112,7 +111,6 @@ __all__ = [
     "default_scenario",
     "em_fit",
     "fdr_adaptive",
-    "fit_all_active",
     "fit_model",
     "fitted_response",
     "gaussian_smooth_3d",

@@ -6,8 +6,9 @@ command writes deterministic artifacts (CSV and JSON always, PGM/SVG
 images as conveniences) into the output directory.
 
 The command line and every config value are checked before a command
-reads or writes anything; the two checks that need the bundle
-(pcs.n_components, preprocess.highpass_cutoff) run as soon as it is read.
+reads or writes anything; the checks that need the bundle
+(pcs.n_components, preprocess.highpass_cutoff and smooth_fwhm) run as
+soon as it is read.
 
 main alone owns the output directory: a command stages its files in an
 io.OutputDir and returns its summary line, and main prints that line
@@ -295,8 +296,6 @@ def _load_fit(fit_dir: str, dataset: Dataset) -> FitResult:
 def _volume_from_voxels(dataset: Dataset, values: np.ndarray):
     coords = dataset.coords
     shape = dataset.mask_shape or tuple(coords.max(axis=0) + 1)
-    if np.any(coords >= shape):
-        raise io.BundleFormatError("header.json: coords lie outside mask_shape")
     vol = np.zeros(shape)
     mask = np.zeros(shape, dtype=bool)
     vol[coords[:, 0], coords[:, 1], coords[:, 2]] = values
@@ -541,6 +540,10 @@ def cmd_preprocess(args, config: RunConfig, out: io.OutputDir) -> str:
         raise ConfigError(
             f"preprocess: highpass_cutoff={cutoff} must exceed twice the "
             f"bundle's tr={dataset.tr}"
+        )
+    if config.preprocess.smooth_fwhm > 0.0 and dataset.mask_shape is None:
+        raise ConfigError(
+            "preprocess: smooth_fwhm > 0 needs a bundle with mask_shape"
         )
     # preprocessing leaves the generator's ground truth as it was
     truth = io.read_truth_bytes(args.bundle)

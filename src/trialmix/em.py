@@ -12,8 +12,11 @@ so the observed-data log-likelihood never decreases. Its order is fixed:
 the mean block (mixing proportion, amplitudes, coefficients, shape),
 then the refresh of the responding residuals, then the variance block
 (covariance factors, noise variance). _Residuals is the only code that
-builds residuals. init_fit seeds the covariance factors and the noise
-variance through the same variance block. Identification:
+builds residuals. em_fit fits every model structure; a mixture starts
+from init_fit, whose reduced fit is an all-responding em_fit and which
+seeds the covariance factors and the noise variance through the same
+variance block. A Dataset is valid by construction, so em_fit checks
+only the fit's own condition, centered design columns. Identification:
 hrf has unit norm with its dominant entry positive, and when both
 covariance factors are free the between factor is rescaled to trace
 n_epochs with the scale absorbed into the within factor.
@@ -51,7 +54,6 @@ __all__ = [
     "update_covariances",
     "update_sigma2",
     "residual_matrices",
-    "fit_all_active",
     "init_fit",
     "em_fit",
 ]
@@ -72,8 +74,8 @@ class EmConfig:
     noise_floor: float = 1e-12
 
     def __post_init__(self) -> None:
-        if self.tol <= 0.0 or self.max_iter < 1:
-            raise ValueError("tol must be positive and max_iter at least 1")
+        if self.tol <= 0.0 or min(self.max_iter, self.init_max_iter) < 1:
+            raise ValueError("tol must be positive and iteration caps at least 1")
         if not (0.0 < self.init_alpha < 1.0):
             raise ValueError("init_alpha must lie in (0, 1)")
 
@@ -550,7 +552,6 @@ def _iterate(
     params: MixtureParams,
     config: EmConfig,
     structure: ModelStructure,
-    max_iter: int,
     diagnostics,
 ) -> FitResult:
     # one density evaluation per parameter value: it gives the trace
@@ -561,7 +562,7 @@ def _iterate(
     converged = False
     iterations = 0
     resp = np.ones(dataset.dims.n_voxels)
-    for it in range(1, max_iter + 1):
+    for it in range(1, config.max_iter + 1):
         if structure.mixture:
             resp = _posterior(params.active_prob, *log_f)
         old_vec = params.global_vector()
@@ -602,8 +603,7 @@ def _initial_params(dataset: Dataset) -> MixtureParams:
     # mid-interval post-stimulus convention; the EM refines the shape
     times = dataset.tr * (np.arange(d.n_times) + 0.5)
     hrf = canonical_hrf(times)
-    noise = float(np.var(dataset.series)) if dataset.series.size else 1.0
-    noise = max(noise, 1e-8)
+    noise = max(float(np.var(dataset.series)), 1e-8)
     return MixtureParams(
         active_prob=1.0,
         amplitude=np.zeros(d.n_voxels),
@@ -615,35 +615,10 @@ def _initial_params(dataset: Dataset) -> MixtureParams:
     )
 
 
-def fit_all_active(
-    dataset: Dataset,
-    config: EmConfig = EmConfig(),
-    structure: ModelStructure = ModelStructure(mixture=False),
-    max_iter: int | None = None,
-    diagnostics=None,
-    *,
-    validated: bool = False,
-) -> FitResult:
-    """Fit the responding model to every voxel (no mixture).
-
-    ``validated=True`` skips Dataset.validate (a full isfinite pass and a
-    sort of the coordinates) for a caller that has just run it.
-    """
-    if structure.mixture:
-        raise ValueError("fit_all_active requires a non-mixture structure")
-    if not validated:
-        dataset.validate()
-    params = _initial_params(dataset)
-    limit = config.max_iter if max_iter is None else max_iter
-    return _iterate(dataset, params, config, structure, limit, diagnostics)
-
-
 def init_fit(
     dataset: Dataset,
     config: EmConfig = EmConfig(),
     structure: ModelStructure = ModelStructure(),
-    *,
-    validated: bool = False,
 ) -> MixtureParams:
     """Initialization for the mixture EM.
 
@@ -653,20 +628,15 @@ def init_fit(
     the variance block on the reduced fit with the screen's 0/1
     responsibilities. Falls back to the top percentile by t-statistic if
     nothing passes the screen, and to the pooled mean squared residual
-    for the noise variance if everything does. ``validated`` is as in
-    fit_all_active.
+    for the noise variance if everything does.
     """
     from .inference import t_sf, t_statistics
 
-    if not validated:
-        dataset.validate()
     d = dataset.dims
-    reduced = fit_all_active(
+    reduced = em_fit(
         dataset,
-        config,
+        replace(config, max_iter=config.init_max_iter),
         replace(structure, mixture=False),
-        max_iter=config.init_max_iter,
-        validated=True,
     )
     params = reduced.params
     t_stats, df = t_statistics(dataset, params)
@@ -707,32 +677,36 @@ def em_fit(
     dataset: Dataset,
     config: EmConfig = EmConfig(),
     structure: ModelStructure = ModelStructure(),
-    init_params: MixtureParams | None = None,
     diagnostics=None,
 ) -> FitResult:
-    """Fit the mixture by generalized EM.
+    """Fit ``structure`` by generalized EM; the one fit entry point.
 
-    Convergence is declared when the relative Euclidean change of the
-    global parameters (mixing proportion, shape, covariance factors,
-    noise variance) drops below config.tol. ``diagnostics``, when given,
-    receives one JSON line per iteration. A fit whose log-likelihood
-    decreases raises DegenerateDataError.
+    A mixture starts from init_fit, any other structure (every voxel
+    responding, no E-step) from the canonical shape with identity
+    covariances. Convergence is declared when the relative Euclidean
+    change of the global parameters (mixing proportion, shape,
+    covariance factors, noise variance) drops below config.tol, or the
+    fit stops after config.max_iter iterations. ``diagnostics``, when
+    given, receives one JSON line per iteration. Design columns that are
+    not mean-centered, and a fit whose log-likelihood decreases, raise
+    DegenerateDataError.
     """
-    if not structure.mixture:
-        return fit_all_active(dataset, config, structure, diagnostics=diagnostics)
-    dataset.validate()
-    if init_params is None:
-        init_params = init_fit(dataset, config, structure, validated=True)
+    if np.any(np.abs(dataset.design.sum(axis=0)) > 1e-9 * dataset.dims.n_images):
+        raise DegenerateDataError(
+            "design columns are not mean-centered; run trialmix preprocess"
+        )
+    if structure.mixture:
+        params = init_fit(dataset, config, structure)
+    else:
+        params = _initial_params(dataset)
     if __debug__:
         validate_params(
-            init_params, dataset.dims, trace_convention=structure.rescale_trace
+            params, dataset.dims, trace_convention=structure.rescale_trace
         )
-    result = _iterate(
-        dataset, init_params, config, structure, config.max_iter, diagnostics
-    )
+    result = _iterate(dataset, params, config, structure, diagnostics)
     try:
         result.validate()
     except ValueError as e:
         # a likelihood decrease is the data failing the model's ascent
-        raise DegenerateDataError(f"mixture fit: {e}") from None
+        raise DegenerateDataError(f"fit: {e}") from None
     return result

@@ -313,7 +313,11 @@ def _read_design_csv(path: str, n_images: int, q: int) -> np.ndarray:
 
 @_gc_paused()
 def read_dataset(path: str) -> Dataset:
-    """Read a bundle directory back; exact inverse of write_dataset."""
+    """Read a bundle directory back; exact inverse of write_dataset.
+
+    Unparseable files, and contents the Dataset constructor rejects,
+    raise BundleFormatError; the design need not be centered.
+    """
     header = _load_json(os.path.join(path, HEADER_NAME), HEADER_NAME)
     version = _require(header, "version", HEADER_NAME)
     if version != FORMAT_VERSION:
@@ -370,28 +374,11 @@ def read_dataset(path: str) -> Dataset:
         mask_shape = tuple(int(s) for s in mask_shape) if mask_shape else None
     except (TypeError, ValueError, OverflowError) as e:
         raise BundleFormatError(f"{HEADER_NAME}: malformed: {e}") from None
-    if stimulus_times.shape != (dims.n_epochs,):
-        raise BundleFormatError(
-            f"{HEADER_NAME}: stimulus_times must have {dims.n_epochs} entries"
-        )
-    if coords.shape != (dims.n_voxels, 3):
-        raise BundleFormatError(
-            f"{HEADER_NAME}: coords must be {dims.n_voxels} rows of 3"
-        )
-    dataset = Dataset(
-        dims=dims,
-        series=series,
-        design=design,
-        coords=coords,
-        stimulus_times=stimulus_times,
-        tr=tr,
-        mask_shape=mask_shape,
-    )
     try:
-        dataset.validate(centered_design=False)
+        # the local names are the fields, in order
+        return Dataset(dims, series, design, coords, stimulus_times, tr, mask_shape)
     except ValueError as e:
         raise BundleFormatError(f"{path}: {e}") from None
-    return dataset
 
 
 def params_to_dict(params: MixtureParams) -> dict:

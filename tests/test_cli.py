@@ -41,6 +41,10 @@ def pipeline(tmp_path_factory):
     sim = str(root / "sim")
     assert main(["simulate", "--config", cfg, "--out", sim]) == 0
     paths["bundle"] = os.path.join(sim, "dataset")
+    # the same bundle with no volume grid
+    paths["unmasked"] = str(root / "unmasked")
+    shutil.copytree(paths["bundle"], paths["unmasked"])
+    _edit_header(paths["unmasked"], mask_shape=None)
     paths["fit"] = str(root / "fit")
     assert main(["fit", paths["bundle"], "--config", cfg,
                  "--out", paths["fit"]]) == 0
@@ -226,6 +230,15 @@ def _files_under(root):
     return [name for _, _, names in os.walk(root) for name in names]
 
 
+def _edit_header(bundle, **changes):
+    path = os.path.join(bundle, "header.json")
+    with open(path) as f:
+        header = json.load(f)
+    header.update(changes)
+    with open(path, "w") as f:
+        json.dump(header, f)
+
+
 def test_unknown_compare_model_exits_2(pipeline, tmp_path, capsys):
     cfg = str(tmp_path / "cmp.json")
     with open(cfg, "w") as f:
@@ -256,6 +269,8 @@ BAD_RUNS = {
     "seed-flag-negative": ("simulate", {}, ["--seed", "-1"]),
     "seed-flag-outside-simulate": ("fit", {}, ["--seed", "7"]),
     "highpass-below-2tr": ("preprocess", {"preprocess": {"highpass_cutoff": 3}}, []),
+    "smooth-without-mask_shape":
+        ("preprocess", {"preprocess": {"smooth_fwhm": 2.0}}, []),
     "sim-tr-zero": ("simulate", {"simulate": {"tr": 0}}, []),
     "sim-rho-one": ("simulate", {"simulate": {"between_rho": 1.0}}, []),
     "sim-n_times-above-64": ("simulate", {"simulate": {"n_times": 65}}, []),
@@ -273,7 +288,8 @@ BAD_RUNS = {
 }
 # each command's positional arguments, as keys of the pipeline fixture
 POSITIONALS = {"simulate": [], "infer": ["bundle", "fit"],
-               "pcs": ["bundle", "fit", "infer"]}
+               "pcs": ["bundle", "fit", "infer"],
+               "smooth-without-mask_shape": ["unmasked"]}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_RUNS))
@@ -284,7 +300,8 @@ def test_bad_config_value_exits_2_before_any_work(pipeline, tmp_path, capsys,
     with open(cfg, "w") as f:
         json.dump(config, f)
     out = str(tmp_path / "out")
-    argv = [command] + [pipeline[k] for k in POSITIONALS.get(command, ["bundle"])]
+    keys = POSITIONALS.get(case, POSITIONALS.get(command, ["bundle"]))
+    argv = [command] + [pipeline[k] for k in keys]
     capsys.readouterr()
     try:
         rc = main(argv + ["--config", cfg, "--out", out] + flags)
@@ -334,6 +351,48 @@ def test_out_that_cannot_be_a_directory_exits_2(pipeline, tmp_path, capsys,
         assert err["type"] == "ConfigError"
         assert str(out) in err["message"]
     assert path.read_bytes() == b"x"
+
+
+def test_coordinate_outside_mask_shape_exits_2_before_any_work(
+        pipeline, tmp_path, capsys, monkeypatch):
+    def fit(*args, **kwargs):
+        raise AssertionError("the fit ran on a bundle that fails its checks")
+
+    monkeypatch.setattr(cli, "em_fit", fit)
+    bundle = str(tmp_path / "dataset")
+    shutil.copytree(pipeline["bundle"], bundle)
+    with open(os.path.join(bundle, "header.json")) as f:
+        header = json.load(f)
+    header["coords"][7] = [header["mask_shape"][0], 0, 0]
+    _edit_header(bundle, coords=header["coords"])
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["report", bundle, "--out", str(out)]) == 2
+    err = _single_error_line(capsys)
+    assert err["type"] == "BundleFormatError"
+    assert "outside mask_shape" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "compare", "report"])
+def test_uncentered_design_exits_3(pipeline, tmp_path, capsys, command):
+    # the format holds any design; only the fit needs it centered
+    bundle = str(tmp_path / "dataset")
+    shutil.copytree(pipeline["bundle"], bundle)
+    design = os.path.join(bundle, "design.csv")
+    with open(design) as f:
+        head, *rows = f.read().splitlines()
+    with open(design, "w") as f:
+        f.write("\n".join([head] + [f"{float(r) + 1.0!r}" for r in rows]) + "\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "mine.txt").write_bytes(b"mine\n")
+    capsys.readouterr()
+    assert main([command, bundle, "--out", str(out)]) == 3
+    err = _single_error_line(capsys)
+    assert err["type"] == "DegenerateDataError"
+    assert "trialmix preprocess" in err["message"]
+    assert os.listdir(out) == ["mine.txt"]
 
 
 def test_successful_commands_leave_no_staging_directory(pipeline):

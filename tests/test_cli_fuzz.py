@@ -19,7 +19,7 @@ from trialmix.simulate import SimConfig, simulate_dataset
 
 EDITS = ("none", "flat", "identical", "constant-epochs")
 CORRUPTIONS = ("nan", "inf", "truncate", "header-cut", "header-value",
-               "header-coord")
+               "header-coord", "design-shift")
 HEADER_KEYS = ("version", "endianness", "tr", "stimulus_times", "coords",
                "mask_shape", "n_times", "n_epochs", "n_voxels", "n_covariates")
 BAD_VALUES = (None, "x", -1, 0, 2.5, 10**30, 10**6, [], {}, [[0, 0, 0]])
@@ -64,6 +64,14 @@ def _corrupt(bundle, corruption, where, value):
         obj["coords"][where % len(obj["coords"])][where % 3] = value
         with open(header, "w") as f:
             json.dump(obj, f)
+    elif corruption == "design-shift":
+        # well formed, but no column is mean-centered any more
+        design = os.path.join(bundle, "design.csv")
+        with open(design) as f:
+            head, *rows = f.read().splitlines()
+        rows = [",".join(repr(float(c) + 1.0) for c in r.split(",")) for r in rows]
+        with open(design, "w") as f:
+            f.write("\n".join([head, *rows]) + "\n")
 
 
 def _snapshot(root):
@@ -79,8 +87,9 @@ def _snapshot(root):
     return tree
 
 
-def _run(command, dataset, min_cluster, previous, corrupt=None):
-    """Write the bundle, corrupt it, run main on it and check the outcome."""
+def _run(command, dataset, min_cluster, previous, smooth_fwhm, corrupt=None):
+    """Write the bundle, corrupt it, run main on it, check the outcome and
+    return the exit code."""
     with tempfile.TemporaryDirectory() as root:
         bundle = os.path.join(root, "dataset")
         write_dataset(dataset, bundle)
@@ -89,6 +98,7 @@ def _run(command, dataset, min_cluster, previous, corrupt=None):
         config = os.path.join(root, "config.json")
         with open(config, "w") as f:
             json.dump({"em": {"max_iter": 60},
+                       "preprocess": {"smooth_fwhm": smooth_fwhm},
                        "inference": {"min_cluster": min_cluster},
                        "pcs": {"n_components": 2}}, f)
         out = os.path.join(root, "out")
@@ -115,9 +125,11 @@ def _run(command, dataset, min_cluster, previous, corrupt=None):
             assert not [p for p in after if ".tmp-" in p]
             if previous:
                 assert after["mine.txt"] == PREVIOUS["mine.txt"]
+    return rc
 
 
 COMMANDS = st.sampled_from(["report", "preprocess"])
+SMOOTH_FWHM = st.sampled_from([0.0, 2.0])
 
 
 @settings(max_examples=100)
@@ -132,24 +144,25 @@ COMMANDS = st.sampled_from(["report", "preprocess"])
     edit=st.sampled_from(EDITS),
     min_cluster=st.sampled_from([1, 5]),
     previous=st.booleans(),
+    smooth_fwhm=SMOOTH_FWHM,
 )
-@example("report", 30, 6, 4, 1, 0.3, 0, "flat", 1, True)
-@example("report", 30, 6, 4, 1, 0.3, 0, "identical", 1, False)
-@example("report", 30, 6, 4, 1, 0.3, 1, "constant-epochs", 1, True)
-@example("report", 30, 6, 1, 1, 0.3, 0, "none", 1, True)
-@example("report", 3, 4, 2, 0, 0.3, 0, "none", 1, False)
-@example("preprocess", 1, 2, 1, 0, 0.3, 0, "none", 1, False)
-@example("report", 30, 5, 4, 1, 0.0, 2, "none", 1, True)
-@example("report", 30, 5, 4, 1, 1.0, 0, "none", 1, True)
+@example("report", 30, 6, 4, 1, 0.3, 0, "flat", 1, True, 0.0)
+@example("report", 30, 6, 4, 1, 0.3, 0, "identical", 1, False, 0.0)
+@example("report", 30, 6, 4, 1, 0.3, 1, "constant-epochs", 1, True, 0.0)
+@example("report", 30, 6, 1, 1, 0.3, 0, "none", 1, True, 0.0)
+@example("report", 3, 4, 2, 0, 0.3, 0, "none", 1, False, 0.0)
+@example("preprocess", 1, 2, 1, 0, 0.3, 0, "none", 1, False, 0.0)
+@example("report", 30, 5, 4, 1, 0.0, 2, "none", 1, True, 0.0)
+@example("report", 30, 5, 4, 1, 1.0, 0, "none", 1, True, 0.0)
 def test_main_on_degenerate_bundles(
     command, n_voxels, n_times, n_epochs, n_covariates, active_frac, seed,
-    edit, min_cluster, previous,
+    edit, min_cluster, previous, smooth_fwhm,
 ):
     sim = SimConfig(n_voxels=n_voxels, n_times=n_times, n_epochs=n_epochs,
                     n_covariates=n_covariates, active_frac=active_frac)
     dataset, _ = simulate_dataset(sim, seed=seed)
     _edit_series(dataset.series, edit, n_epochs, n_times)
-    _run(command, dataset, min_cluster, previous)
+    _run(command, dataset, min_cluster, previous, smooth_fwhm)
 
 
 SMALL, _ = simulate_dataset(
@@ -164,11 +177,18 @@ SMALL, _ = simulate_dataset(
     where=st.integers(0, 10**6),
     value=st.sampled_from(BAD_VALUES),
     previous=st.booleans(),
+    smooth_fwhm=SMOOTH_FWHM,
 )
-@example("report", "nan", 17, None, True)
-@example("preprocess", "inf", 5, None, True)
-@example("report", "truncate", 99, None, True)
-@example("report", "header-cut", 40, None, False)
-@example("preprocess", "header-value", 2, 0, True)
-def test_main_on_corrupted_bundles(command, corruption, where, value, previous):
-    _run(command, SMALL, 1, previous, (corruption, where, value))
+@example("report", "nan", 17, None, True, 0.0)
+@example("preprocess", "inf", 5, None, True, 0.0)
+@example("report", "truncate", 99, None, True, 0.0)
+@example("report", "header-cut", 40, None, False, 0.0)
+@example("preprocess", "header-value", 2, 0, True, 0.0)
+@example("preprocess", "header-value", 5, None, True, 2.0)  # mask_shape null
+@example("report", "design-shift", 0, None, True, 0.0)
+def test_main_on_corrupted_bundles(command, corruption, where, value, previous,
+                                   smooth_fwhm):
+    rc = _run(command, SMALL, 1, previous, smooth_fwhm,
+              (corruption, where, value))
+    if corruption == "design-shift" and command == "report":
+        assert rc == 3

@@ -1,5 +1,6 @@
 """E-step identities, M-step stationarity, and the fitting loop."""
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from trialmix.em import (
     canonical_hrf,
     em_fit,
     estep,
-    fit_all_active,
     hrf_shape_raw,
     init_fit,
     observed_loglik,
@@ -22,9 +22,12 @@ from trialmix.em import (
     update_p,
     update_within_cov,
 )
+from trialmix.cli import main
+from trialmix.io import write_dataset
 from trialmix.linalg import inv_spd
+from trialmix.modelsel import compare_models
 from trialmix.simulate import SimConfig, simulate_dataset
-from trialmix.types import DegenerateDataError, Hrf
+from trialmix.types import Dataset, DegenerateDataError, Hrf
 
 from helpers import (
     central_diff,
@@ -335,19 +338,12 @@ def test_one_density_evaluation_per_parameter_value(small_mixture, monkeypatch):
         return quads(*args)
 
     monkeypatch.setattr(em, "_active_quads", counting_quads)
-    fit = em_fit(ds, init_params=init)
+    monkeypatch.setattr(em, "init_fit", lambda *args: init)
+    fit = em_fit(ds)
     assert len(calls) == fit.iterations + 1
     calls.clear()
-    reduced = fit_all_active(ds, max_iter=4)
+    reduced = em_fit(ds, EmConfig(max_iter=4), ModelStructure(mixture=False))
     assert len(calls) == reduced.iterations + 1
-
-
-def test_fit_all_active_rejects_mixture_structure():
-    rng = np.random.default_rng(10)
-    dims = make_dims()
-    ds = make_dataset(dims, rng)
-    with pytest.raises(ValueError):
-        fit_all_active(ds, structure=ModelStructure(mixture=True))
 
 
 def test_init_fit_returns_valid_params():
@@ -374,8 +370,8 @@ def test_init_fit_all_active_screen_seeds_pooled_noise():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", RuntimeWarning)
         params = init_fit(ds, config)
-        reduced = fit_all_active(ds, config, ModelStructure(mixture=False),
-                                 max_iter=config.init_max_iter)
+        reduced = em_fit(ds, replace(config, max_iter=config.init_max_iter),
+                         ModelStructure(mixture=False))
     messages = [str(w.message) for w in caught]
     assert any("no voxels classified non-responding" in m for m in messages)
     assert not any("noise update skipped" in m for m in messages)
@@ -407,24 +403,26 @@ def test_rescale_trace_property():
     assert not ModelStructure(spherical=True).rescale_trace
 
 
-def test_em_fit_validates_the_dataset_once(small_mixture, monkeypatch):
-    # em_fit's own check covers init_fit and its reduced fit_all_active
+def test_dataset_is_checked_once_when_built(small_mixture, monkeypatch,
+                                            tmp_path):
+    # a command checks the Dataset read_dataset builds, and no fit builds one
     ds, _ = small_mixture
+    bundle = str(tmp_path / "dataset")
+    write_dataset(ds, bundle)
     calls = []
-    validate = type(ds).validate
+    check = Dataset.__post_init__
 
-    def counting_validate(self, *args, **kwargs):
+    def counting_check(self):
         calls.append(1)
-        return validate(self, *args, **kwargs)
+        check(self)
 
-    monkeypatch.setattr(type(ds), "validate", counting_validate)
+    monkeypatch.setattr(Dataset, "__post_init__", counting_check)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["fit", bundle, "--out", str(tmp_path / "fit")]) == 0
+        assert len(calls) == 1
+        calls.clear()
         em_fit(ds)
-    assert len(calls) == 1
-    calls.clear()
-    fit_all_active(ds, max_iter=2)
-    assert len(calls) == 1
-    calls.clear()
-    init_fit(ds)
-    assert len(calls) == 1
+        init_fit(ds)
+        compare_models(ds, EmConfig(max_iter=20))
+    assert calls == []

@@ -1,6 +1,7 @@
 """Bundle format round-trips and serialization edge cases."""
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -143,8 +144,27 @@ def test_read_rejects_duplicate_coordinates(bundle):
     with pytest.raises(BundleFormatError, match="not unique"):
         read_dataset(path)
     # same column values in other rows are not duplicates
-    _patch_header(path, coords=[[v, v % 2, 0] for v in range(len(coords))])
+    _patch_header(path, coords=[[v, v % 2, 0] for v in range(len(coords))],
+                  mask_shape=[len(coords), 2, 1])
     read_dataset(path)
+
+
+def test_read_rejects_coordinates_outside_mask_shape(bundle):
+    ds, _, path = bundle
+    coords = ds.coords.tolist()
+    coords[3] = [ds.mask_shape[0], 0, 0]
+    _patch_header(path, coords=coords)
+    with pytest.raises(BundleFormatError, match="outside mask_shape"):
+        read_dataset(path)
+
+
+def test_dataset_replace_rejects_non_finite_series(bundle):
+    # every Dataset is checked when it is built, a replaced one too
+    ds, _, _ = bundle
+    series = ds.series.copy()
+    series[2, 5] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        replace(ds, series=series)
 
 
 def test_read_reports_byte_count_mismatch(bundle):

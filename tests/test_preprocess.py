@@ -238,7 +238,6 @@ def test_apply_mask_extracts_in_scan_order():
     np.testing.assert_array_equal(ds.series[1], volumes[0, 1, 0])
     assert ds.design.shape == (12, 0)
     assert ds.mask_shape == (3, 4, 2)
-    ds.validate()
 
 
 def test_apply_mask_validates():
@@ -276,7 +275,6 @@ def test_preprocess_dataset_composes_the_steps():
     np.testing.assert_allclose(out.series, manual, atol=1e-12)
     expected_design = center_columns(dct_highpass(ds.design.T, ds.tr, 30.0).T)
     np.testing.assert_allclose(out.design, expected_design, atol=1e-12)
-    out.validate()
 
 
 def test_preprocess_config_validation():

@@ -168,4 +168,3 @@ def test_generate_geometry():
     side = ds.mask_shape[0]
     assert ds.mask_shape == (side, side, side)
     assert side**3 >= 30 > (side - 1) ** 3
-    ds.validate()
