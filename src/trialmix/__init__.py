@@ -14,7 +14,6 @@ from .em import (
     canonical_hrf,
     em_fit,
     init_fit,
-    observed_loglik,
 )
 from .inference import (
     FdrResult,
@@ -116,7 +115,6 @@ __all__ = [
     "gaussian_smooth_3d",
     "generate",
     "init_fit",
-    "observed_loglik",
     "pc_effect_curves",
     "pc_scores",
     "pca_cov",

@@ -3,7 +3,9 @@
 Subcommands wire the pipeline: simulate -> preprocess -> fit -> infer
 -> pcs -> compare, with report running the last four in one pass. Every
 command writes deterministic artifacts (CSV and JSON always, PGM/SVG
-images as conveniences) into the output directory.
+images as conveniences) through io, which owns their format and reads
+back the fit and inference directories; this module keeps the run
+config, the parser and the commands.
 
 The command line and every config value are checked before a command
 reads or writes anything; the checks that need the bundle
@@ -41,13 +43,7 @@ from .linalg import SingularMatrixError
 from .modelsel import MODEL_SPECS, ModelComparison, compare_models
 from .preprocess import PreprocConfig, preprocess_dataset
 from .simulate import SimConfig, simulate_dataset
-from .types import (
-    ActivationMap,
-    Dataset,
-    DegenerateDataError,
-    FitResult,
-    validate_params,
-)
+from .types import ActivationMap, Dataset, DegenerateDataError, FitResult
 from .variability import PcAnalysis, analyze_variability
 
 __all__ = ["main", "ConfigError"]
@@ -221,309 +217,6 @@ def _check_pcs(config: RunConfig, dataset: Dataset) -> None:
         )
 
 
-# ---------------------------------------------------------------- artifacts
-
-
-def _write_fit_artifacts(out: io.OutputDir, fit: FitResult) -> None:
-    io.write_params_json(fit.params, out.path("params.json"))
-    io.write_csv(
-        out.path("resp.csv"),
-        ["voxel", "resp", "amplitude"],
-        columns=[np.arange(fit.resp.size), fit.resp, fit.params.amplitude],
-    )
-    io.write_csv(
-        out.path("loglik.csv"),
-        ["iteration", "loglik"],
-        columns=[np.arange(fit.loglik_trace.size), fit.loglik_trace],
-    )
-    io.write_json(
-        {
-            "iterations": fit.iterations,
-            "converged": fit.converged,
-            "loglik": float(fit.loglik_trace[-1]),
-            "active_prob": float(fit.params.active_prob),
-        },
-        out.path("fit.json"),
-    )
-
-
-def _read_column_csv(path: str, n_columns: int, n_header: int = 1) -> np.ndarray:
-    """A numeric CSV as a (rows, n_columns) float array; blank lines skipped."""
-    name = os.path.basename(path)
-    try:
-        table = np.loadtxt(
-            path, delimiter=",", skiprows=n_header, ndmin=2, comments=None
-        )
-    except ValueError as e:
-        raise io.BundleFormatError(f"{name}: {e}") from None
-    if table.size and table.shape[1] != n_columns:
-        raise io.BundleFormatError(
-            f"{name}: expected {n_columns} columns, found {table.shape[1]}"
-        )
-    return table
-
-
-def _read_meta(path: str, fields: dict) -> dict:
-    """The named fields of a JSON object, each passed through its type."""
-    name = os.path.basename(path)
-    try:
-        with open(path, "rb") as f:
-            meta = json.load(f)
-        return {key: cast(meta[key]) for key, cast in fields.items()}
-    except (ValueError, KeyError, TypeError) as e:
-        raise io.BundleFormatError(f"{name}: malformed: {e!r}") from None
-
-
-def _load_fit(fit_dir: str, dataset: Dataset) -> FitResult:
-    params = io.read_params_json(os.path.join(fit_dir, "params.json"))
-    try:
-        validate_params(params, dataset.dims, trace_convention=False)
-    except ValueError as e:
-        raise io.BundleFormatError(f"params.json: {e}") from None
-    table = _read_column_csv(os.path.join(fit_dir, "resp.csv"), 3)
-    if table.shape[0] != dataset.dims.n_voxels:
-        raise io.BundleFormatError(
-            f"resp.csv: expected {dataset.dims.n_voxels} rows, "
-            f"found {table.shape[0]}"
-        )
-    trace = _read_column_csv(os.path.join(fit_dir, "loglik.csv"), 2)[:, 1]
-    meta = _read_meta(
-        os.path.join(fit_dir, "fit.json"), {"iterations": int, "converged": bool}
-    )
-    return FitResult(params=params, resp=table[:, 1], loglik_trace=trace, **meta)
-
-
-def _volume_from_voxels(dataset: Dataset, values: np.ndarray):
-    coords = dataset.coords
-    shape = dataset.mask_shape or tuple(coords.max(axis=0) + 1)
-    vol = np.zeros(shape)
-    mask = np.zeros(shape, dtype=bool)
-    vol[coords[:, 0], coords[:, 1], coords[:, 2]] = values
-    mask[coords[:, 0], coords[:, 1], coords[:, 2]] = True
-    return vol, mask
-
-
-def _write_infer_artifacts(
-    out: io.OutputDir, dataset: Dataset, amap: ActivationMap, fdr: FdrResult
-) -> None:
-    io.write_csv(
-        out.path("tstats.csv"),
-        ["voxel", "x", "y", "z", "t", "p", "reject", "cluster"],
-        columns=[
-            np.arange(amap.t_stat.size),
-            *dataset.coords.T,
-            amap.t_stat,
-            amap.pvals,
-            amap.reject.astype(np.int64),
-            amap.cluster,
-        ],
-    )
-    io.write_json(
-        {
-            "df": amap.df,
-            "threshold": float(fdr.threshold),
-            "m0_hat": int(fdr.m0_hat),
-            "n_rejected": int(fdr.n_rejected),
-            "n_clusters": int(amap.cluster.max()) if amap.cluster.size else 0,
-        },
-        out.path("fdr.json"),
-    )
-    tvol, mask = _volume_from_voxels(dataset, amap.t_stat)
-    io.write_map_pgm(tvol, out.path("tmap.pgm"), mask=mask)
-    avol, _ = _volume_from_voxels(
-        dataset, np.where(amap.reject, amap.t_stat, 0.0)
-    )
-    io.write_map_pgm(avol, out.path("activemap.pgm"), mask=mask)
-
-
-def _load_amap(infer_dir: str, dataset: Dataset) -> ActivationMap:
-    table = _read_column_csv(os.path.join(infer_dir, "tstats.csv"), 8)
-    if table.shape[0] != dataset.dims.n_voxels:
-        raise io.BundleFormatError(
-            f"tstats.csv: expected {dataset.dims.n_voxels} rows, "
-            f"found {table.shape[0]}"
-        )
-    meta = _read_meta(os.path.join(infer_dir, "fdr.json"), {"df": int})
-    return ActivationMap(
-        t_stat=table[:, 4],
-        pvals=table[:, 5],
-        reject=table[:, 6].astype(bool),
-        cluster=table[:, 7].astype(np.int64),
-        **meta,
-    )
-
-
-PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
-
-
-def write_svg_curves(
-    path: str,
-    x: np.ndarray,
-    curves: np.ndarray,
-    labels: list[str],
-    title: str = "",
-    ylabel: str = "",
-) -> None:
-    """Simple line chart: one polyline per row of curves."""
-    x = np.asarray(x, dtype=np.float64)
-    curves = np.atleast_2d(np.asarray(curves, dtype=np.float64))
-    w, h, m = 720, 440, 60
-    x0, x1 = float(x.min()), float(x.max())
-    y0, y1 = float(curves.min()), float(curves.max())
-    if y1 <= y0:
-        y0, y1 = y0 - 1.0, y1 + 1.0
-    pad = 0.05 * (y1 - y0)
-    y0, y1 = y0 - pad, y1 + pad
-
-    def sx(v: float) -> float:
-        return m + (v - x0) / (x1 - x0) * (w - 2 * m)
-
-    def sy(v: float) -> float:
-        return h - m - (v - y0) / (y1 - y0) * (h - 2 * m)
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
-        f'viewBox="0 0 {w} {h}">',
-        f'<rect width="{w}" height="{h}" fill="white"/>',
-        f'<line x1="{m}" y1="{h - m}" x2="{w - m}" y2="{h - m}" '
-        f'stroke="black"/>',
-        f'<line x1="{m}" y1="{m}" x2="{m}" y2="{h - m}" stroke="black"/>',
-    ]
-    if title:
-        parts.append(
-            f'<text x="{w / 2:.1f}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15">{title}</text>'
-        )
-    for val, anchor, xx, yy in (
-        (x0, "middle", sx(x0), h - m + 18),
-        (x1, "middle", sx(x1), h - m + 18),
-        (y0 + pad, "end", m - 6, sy(y0 + pad) + 4),
-        (y1 - pad, "end", m - 6, sy(y1 - pad) + 4),
-    ):
-        parts.append(
-            f'<text x="{xx:.1f}" y="{yy:.1f}" text-anchor="{anchor}" '
-            f'font-family="sans-serif" font-size="11">{val:.4g}</text>'
-        )
-    if ylabel:
-        parts.append(
-            f'<text x="14" y="{h / 2:.1f}" font-family="sans-serif" '
-            f'font-size="12" transform="rotate(-90 14 {h / 2:.1f})" '
-            f'text-anchor="middle">{ylabel}</text>'
-        )
-    for i, row in enumerate(curves):
-        color = PALETTE[i % len(PALETTE)]
-        pts = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(x, row))
-        parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-            f'points="{pts}"/>'
-        )
-        if i < len(labels):
-            parts.append(
-                f'<text x="{w - m + 4}" y="{sy(row[-1]) + 4:.1f}" '
-                f'font-family="sans-serif" font-size="11" '
-                f'fill="{color}">{labels[i]}</text>'
-            )
-    parts.append("</svg>")
-    with open(path, "w", newline="\n") as f:
-        f.write("\n".join(parts) + "\n")
-
-
-def _write_pcs_artifacts(out: io.OutputDir, dataset: Dataset, pa: PcAnalysis) -> None:
-    d = dataset.dims
-    n_pc = pa.scores.shape[2]
-    io.write_csv(
-        out.path("pc_spectrum.csv"),
-        ["component", "eigenvalue", "variance_pct"],
-        columns=[
-            np.arange(1, pa.within_pca.eigenvalues.size + 1),
-            pa.within_pca.eigenvalues,
-            pa.within_pca.variance_pct,
-        ],
-    )
-    # one row per (voxel, epoch), in C order of the scores array
-    vox, epoch = np.indices(pa.scores.shape[:2]).reshape(2, -1)
-    io.write_csv(
-        out.path("pc_scores.csv"),
-        ["voxel", "epoch"] + [f"pc{k + 1}" for k in range(n_pc)],
-        columns=[
-            pa.active_idx[vox], epoch + 1, *pa.scores.reshape(-1, n_pc).T
-        ],
-    )
-    anova_rows = []
-    for k, tab in enumerate(pa.tables):
-        anova_rows.append((k + 1, "grand_mean", 0, float(tab.grand_mean), 0.0))
-        for lvl, eff, se in zip(
-            tab.epoch_levels, tab.epoch_effects, tab.epoch_se
-        ):
-            anova_rows.append((k + 1, "epoch", int(lvl), float(eff), float(se)))
-        for lvl, eff, se in zip(
-            tab.cluster_levels, tab.cluster_effects, tab.cluster_se
-        ):
-            anova_rows.append(
-                (k + 1, "cluster", int(lvl), float(eff), float(se))
-            )
-    io.write_csv(
-        out.path("anova.csv"),
-        ["component", "factor", "level", "effect", "se"],
-        columns=list(zip(*anova_rows)),
-    )
-    cluster, epoch, sample = np.indices(pa.curves.shape).reshape(3, -1)
-    io.write_csv(
-        out.path("curves.csv"),
-        ["cluster", "epoch", "sample", "value"],
-        columns=[
-            pa.cluster_levels[cluster], epoch + 1, sample + 1, pa.curves.ravel()
-        ],
-    )
-    comp, sign, sample = np.indices(pa.effect_curves.shape).reshape(3, -1)
-    io.write_csv(
-        out.path("effect_curves.csv"),
-        ["component", "direction", "sample", "value"],
-        columns=[
-            comp + 1,
-            np.array(["plus", "minus"])[sign],
-            sample + 1,
-            pa.effect_curves.ravel(),
-        ],
-    )
-    samples = np.arange(1, d.n_times + 1, dtype=np.float64)
-    for c in range(pa.curves.shape[0]):
-        write_svg_curves(
-            out.path(f"curves_cluster{int(pa.cluster_levels[c])}.svg"),
-            samples,
-            pa.curves[c],
-            [f"epoch {j + 1}" for j in range(d.n_epochs)],
-            title=f"Fitted responses, cluster {int(pa.cluster_levels[c])}",
-            ylabel="response",
-        )
-    write_svg_curves(
-        out.path("effect_curves.svg"),
-        samples,
-        pa.effect_curves.reshape(-1, d.n_times),
-        [
-            f"pc{k + 1} {sign}"
-            for k in range(pa.effect_curves.shape[0])
-            for sign in ("+", "-")
-        ],
-        title="Component effect on the mean response",
-        ylabel="response",
-    )
-
-
-def _write_compare_artifacts(out: io.OutputDir, cmp: ModelComparison) -> None:
-    rows = [(r.model_id, r.description, r.n_params, float(r.loglik),
-             float(r.aic), float(r.bic)) for r in cmp.rows]
-    io.write_csv(
-        out.path("comparison.csv"),
-        ["model", "description", "n_params", "loglik", "aic", "bic"],
-        columns=list(zip(*rows)),
-    )
-    io.write_json(
-        {"n_obs": cmp.n_obs, "best_aic": cmp.best_aic, "best_bic": cmp.best_bic},
-        out.path("comparison.json"),
-    )
-
-
 # ----------------------------------------------------------------- commands
 
 
@@ -561,7 +254,7 @@ def _run_fit(
         MODEL_SPECS[config.fit.model].structure,
         diagnostics=sys.stderr if args.verbose else None,
     )
-    _write_fit_artifacts(out, fit)
+    io.write_fit(out, fit)
     return fit
 
 
@@ -577,13 +270,13 @@ def _run_infer(
     config: RunConfig, dataset: Dataset, fit: FitResult, out: io.OutputDir
 ) -> tuple[ActivationMap, FdrResult]:
     amap, fdr = activation_map(dataset, fit, **asdict(config.inference))
-    _write_infer_artifacts(out, dataset, amap, fdr)
+    io.write_infer(out, dataset, amap, fdr)
     return amap, fdr
 
 
 def cmd_infer(args, config: RunConfig, out: io.OutputDir) -> str:
     dataset = io.read_dataset(args.bundle)
-    fit = _load_fit(args.fit_dir, dataset)
+    fit = io.read_fit(args.fit_dir, dataset)
     amap, fdr = _run_infer(config, dataset, fit, out)
     return (
         f"rejected={fdr.n_rejected} clusters={int(amap.cluster.max())} "
@@ -596,15 +289,15 @@ def _run_pcs(
     out: io.OutputDir,
 ) -> PcAnalysis:
     pa = analyze_variability(dataset, fit, amap, **asdict(config.pcs))
-    _write_pcs_artifacts(out, dataset, pa)
+    io.write_pcs(out, dataset, pa)
     return pa
 
 
 def cmd_pcs(args, config: RunConfig, out: io.OutputDir) -> str:
     dataset = io.read_dataset(args.bundle)
     _check_pcs(config, dataset)
-    fit = _load_fit(args.fit_dir, dataset)
-    amap = _load_amap(args.infer_dir, dataset)
+    fit = io.read_fit(args.fit_dir, dataset)
+    amap = io.read_amap(args.infer_dir, dataset)
     pa = _run_pcs(config, dataset, fit, amap, out)
     pct = ", ".join(f"{p:.1f}%" for p in pa.within_pca.variance_pct[:3])
     return f"active={pa.active_idx.size} top_components={pct}"
@@ -621,7 +314,7 @@ def _run_compare(
         n_obs=config.compare.n_obs,
         fits=fits,
     )
-    _write_compare_artifacts(out, cmp)
+    io.write_compare(out, cmp)
     return cmp
 
 
@@ -646,7 +339,7 @@ def cmd_report(args, config: RunConfig, out: io.OutputDir) -> str:
         "converged": fit.converged,
         "active_prob": float(fit.params.active_prob),
         "n_rejected": int(fdr.n_rejected),
-        "n_clusters": int(amap.cluster.max()) if amap.cluster.size else 0,
+        "n_clusters": int(amap.cluster.max()),
         "pcs_run": pa is not None,
         "best_aic": cmp.best_aic,
         "best_bic": cmp.best_bic,

@@ -45,8 +45,6 @@ __all__ = [
     "EmConfig",
     "ModelStructure",
     "canonical_hrf",
-    "estep",
-    "observed_loglik",
     "update_p",
     "update_h",
     "update_within_cov",
@@ -231,24 +229,6 @@ def _mixture_loglik(p: float, log_f1: np.ndarray, log_f2: np.ndarray) -> float:
     if p >= 1.0:
         return float(np.sum(log_f1))
     return float(np.sum(np.logaddexp(np.log(p) + log_f1, np.log1p(-p) + log_f2)))
-
-
-def estep(dataset: Dataset, params: MixtureParams) -> np.ndarray:
-    """Posterior probability that each voxel responds.
-
-    Computed in log space as 1 / (1 + exp(c)) with
-    c = log(1 - p) - log(p) + log f2 - log f1; c beyond +-700 saturates
-    to exactly 0 or 1. Degenerate priors (p equal to 0 or 1) give exactly
-    0 or 1 everywhere.
-    """
-    log_f = _log_densities(params, _Residuals(dataset, params))
-    return _posterior(params.active_prob, *log_f)
-
-
-def observed_loglik(dataset: Dataset, params: MixtureParams) -> float:
-    """Observed-data log-likelihood of the mixture."""
-    log_f = _log_densities(params, _Residuals(dataset, params))
-    return _mixture_loglik(params.active_prob, *log_f)
 
 
 def update_p(resp: np.ndarray) -> float:

@@ -20,6 +20,11 @@ sort_keys=True) plus a newline; _json_text writes lists of plain ints or
 finite floats, and lists of equal-length rows of them, with one %r
 template instead of json's pure-Python indenting encoder.
 
+Every command artifact is written here. Each file a later command reads
+back is declared once in ARTIFACTS; its writer takes the header from
+there, and read_fit and read_amap check every cell and key against it.
+A write-only file keeps its header in its one writer.
+
 OutputDir stages a run's files inside its output directory and moves
 them into place together when the run succeeds.
 """
@@ -35,7 +40,11 @@ import tempfile
 
 import numpy as np
 
-from .types import Dataset, Dims, Hrf, MixtureParams, SimTruth
+from .inference import FdrResult
+from .modelsel import ModelComparison
+from .types import (ActivationMap, Dataset, Dims, FitResult, Hrf,
+                    MixtureParams, SimTruth, validate_params)
+from .variability import PcAnalysis
 
 __all__ = [
     "BundleFormatError",
@@ -52,6 +61,13 @@ __all__ = [
     "format_float",
     "write_csv",
     "write_map_pgm",
+    "write_svg_curves",
+    "write_fit",
+    "read_fit",
+    "write_infer",
+    "read_amap",
+    "write_pcs",
+    "write_compare",
 ]
 
 FORMAT_VERSION = "1"
@@ -506,11 +522,11 @@ def write_map_pgm(
             f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
             f.write(pixels.tobytes())
 
+    stem = path[:-4] if path.endswith(".pgm") else path
     if field.ndim == 2:
         emit(field, mask, path)
         files = [os.path.basename(path)]
     else:
-        stem = path[:-4] if path.endswith(".pgm") else path
         files = []
         for k in range(field.shape[2]):
             out = f"{stem}_s{k:03d}.pgm"
@@ -528,5 +544,316 @@ def write_map_pgm(
         "masked": mask is not None,
         "files": files,
     }
-    stem = path[:-4] if path.endswith(".pgm") else path
     write_json(sidecar, stem + ".json")
+
+
+# ---------------------------------------------------------------- artifacts
+
+# Each file a later command reads back, declared once: its ordered CSV
+# columns or JSON keys and their types. A bool is 0/1 in CSV.
+ARTIFACTS = {
+    "resp.csv": {"voxel": int, "resp": float, "amplitude": float},
+    "loglik.csv": {"iteration": int, "loglik": float},
+    "fit.json": {"iterations": int, "converged": bool, "loglik": float,
+                 "active_prob": float},
+    "tstats.csv": {"voxel": int, "x": int, "y": int, "z": int, "t": float,
+                   "p": float, "reject": bool, "cluster": int},
+    "fdr.json": {"df": int, "threshold": float, "m0_hat": int,
+                 "n_rejected": int, "n_clusters": int},
+}
+# the JSON values each declared type accepts: json's true is no number
+_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float)}
+
+
+def _write_table(out: OutputDir, name: str, columns: list) -> None:
+    """A declared CSV, each column cast to its declared type."""
+    declared = ARTIFACTS[name]
+    write_csv(out.path(name), list(declared), [
+        np.asarray(c, dtype=np.float64 if kind is float else np.int64)
+        for c, kind in zip(columns, declared.values(), strict=True)
+    ])
+
+
+def _write_record(out: OutputDir, name: str, values: list) -> None:
+    """A declared JSON object; ``values`` in declaration order."""
+    declared = ARTIFACTS[name].items()
+    write_json({key: kind(v) for (key, kind), v in
+                zip(declared, values, strict=True)}, out.path(name))
+
+
+def _read_table(folder: str, name: str, n_rows: int) -> dict[str, np.ndarray]:
+    """The columns, by name, of a declared CSV that must have ``n_rows``
+    rows; an int cell must hold a finite integer and a bool cell 0 or 1."""
+    declared = ARTIFACTS[name]
+    try:
+        with open(os.path.join(folder, name)) as f:
+            header = f.readline().rstrip("\n")
+            table = np.loadtxt(f, delimiter=",", ndmin=2, comments=None)
+    except ValueError as e:
+        raise BundleFormatError(f"{name}: {e}") from None
+    if header != ",".join(declared) or table.shape != (n_rows, len(declared)):
+        raise BundleFormatError(
+            f"{name}: expected the header {','.join(declared)!r} and "
+            f"{n_rows} rows; found {header!r} and {table.shape[0]} rows of "
+            f"{table.shape[1]} columns"
+        )
+    columns = {}
+    for (col, kind), values in zip(declared.items(), table.T):
+        if kind is not float:
+            ok = ((values == 0.0) | (values == 1.0) if kind is bool else
+                  (values == np.rint(values)) & (np.abs(values) < 2.0**63))
+            if not ok.all():
+                row = int(np.argmin(ok))
+                raise BundleFormatError(
+                    f"{name}: row {row + 1}, column {col}: "
+                    f"{float(values[row])!r} is not "
+                    f"{'0 or 1' if kind is bool else 'an integer'}"
+                )
+            values = values.astype(kind)
+        columns[col] = values
+    return columns
+
+
+def _read_record(folder: str, name: str) -> dict:
+    """The keys of a declared JSON object, each of its declared type."""
+    obj = _load_json(os.path.join(folder, name), name)
+    for key, kind in ARTIFACTS[name].items():
+        if type(_require(obj, key, name)) not in _JSON_TYPES[kind]:
+            raise BundleFormatError(
+                f"{name}: '{key}' must be {kind.__name__}, got {obj[key]!r}"
+            )
+    return {key: kind(obj[key]) for key, kind in ARTIFACTS[name].items()}
+
+
+def write_fit(out: OutputDir, fit: FitResult) -> None:
+    write_params_json(fit.params, out.path("params.json"))
+    _write_table(out, "resp.csv",
+                 [np.arange(fit.resp.size), fit.resp, fit.params.amplitude])
+    _write_table(out, "loglik.csv",
+                 [np.arange(fit.loglik_trace.size), fit.loglik_trace])
+    _write_record(out, "fit.json", [fit.iterations, fit.converged,
+                                    fit.loglik_trace[-1], fit.params.active_prob])
+
+
+def read_fit(folder: str, dataset: Dataset) -> FitResult:
+    """The fit write_fit left in ``folder``, checked against ``dataset``
+    and by FitResult.validate, the check em_fit ends with."""
+    params = read_params_json(os.path.join(folder, "params.json"))
+    try:
+        validate_params(params, dataset.dims, trace_convention=False)
+    except ValueError as e:
+        raise BundleFormatError(f"params.json: {e}") from None
+    meta = _read_record(folder, "fit.json")
+    resp = _read_table(folder, "resp.csv", dataset.dims.n_voxels)["resp"]
+    # the trace holds the start value and one value per iteration
+    trace = _read_table(folder, "loglik.csv", meta["iterations"] + 1)["loglik"]
+    fit = FitResult(params, resp, trace, meta["iterations"], meta["converged"])
+    try:
+        fit.validate()
+    except ValueError as e:
+        name = "loglik.csv" if "log-likelihood" in str(e) else "resp.csv"
+        raise BundleFormatError(f"{name}: {e}") from None
+    return fit
+
+
+def _volume_from_voxels(dataset: Dataset, values: np.ndarray):
+    coords = dataset.coords
+    shape = dataset.mask_shape or tuple(coords.max(axis=0) + 1)
+    vol = np.zeros(shape)
+    mask = np.zeros(shape, dtype=bool)
+    vol[coords[:, 0], coords[:, 1], coords[:, 2]] = values
+    mask[coords[:, 0], coords[:, 1], coords[:, 2]] = True
+    return vol, mask
+
+
+def write_infer(
+    out: OutputDir, dataset: Dataset, amap: ActivationMap, fdr: FdrResult
+) -> None:
+    _write_table(out, "tstats.csv", [
+        np.arange(amap.t_stat.size), *dataset.coords.T, amap.t_stat,
+        amap.pvals, amap.reject, amap.cluster,
+    ])
+    _write_record(out, "fdr.json", [amap.df, fdr.threshold, fdr.m0_hat,
+                                    fdr.n_rejected, amap.cluster.max()])
+    tvol, mask = _volume_from_voxels(dataset, amap.t_stat)
+    write_map_pgm(tvol, out.path("tmap.pgm"), mask=mask)
+    avol, _ = _volume_from_voxels(dataset, np.where(amap.reject, amap.t_stat, 0.0))
+    write_map_pgm(avol, out.path("activemap.pgm"), mask=mask)
+
+
+def read_amap(folder: str, dataset: Dataset) -> ActivationMap:
+    """The activation map write_infer left in ``folder``, for ``dataset``."""
+    table = _read_table(folder, "tstats.csv", dataset.dims.n_voxels)
+    return ActivationMap(table["t"], table["p"], table["reject"],
+                         table["cluster"], _read_record(folder, "fdr.json")["df"])
+
+
+PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+
+
+def write_svg_curves(
+    path: str,
+    x: np.ndarray,
+    curves: np.ndarray,
+    labels: list[str],
+    title: str = "",
+    ylabel: str = "",
+) -> None:
+    """Simple line chart: one polyline per row of curves."""
+    x = np.asarray(x, dtype=np.float64)
+    curves = np.atleast_2d(np.asarray(curves, dtype=np.float64))
+    w, h, m = 720, 440, 60
+    x0, x1 = float(x.min()), float(x.max())
+    y0, y1 = float(curves.min()), float(curves.max())
+    if y1 <= y0:
+        y0, y1 = y0 - 1.0, y1 + 1.0
+    pad = 0.05 * (y1 - y0)
+    y0, y1 = y0 - pad, y1 + pad
+
+    def sx(v: float) -> float:
+        return m + (v - x0) / (x1 - x0) * (w - 2 * m)
+
+    def sy(v: float) -> float:
+        return h - m - (v - y0) / (y1 - y0) * (h - 2 * m)
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
+        f'viewBox="0 0 {w} {h}">',
+        f'<rect width="{w}" height="{h}" fill="white"/>',
+        f'<line x1="{m}" y1="{h - m}" x2="{w - m}" y2="{h - m}" '
+        f'stroke="black"/>',
+        f'<line x1="{m}" y1="{m}" x2="{m}" y2="{h - m}" stroke="black"/>',
+    ]
+    if title:
+        parts.append(
+            f'<text x="{w / 2:.1f}" y="24" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="15">{title}</text>'
+        )
+    for val, anchor, xx, yy in (
+        (x0, "middle", sx(x0), h - m + 18),
+        (x1, "middle", sx(x1), h - m + 18),
+        (y0 + pad, "end", m - 6, sy(y0 + pad) + 4),
+        (y1 - pad, "end", m - 6, sy(y1 - pad) + 4),
+    ):
+        parts.append(
+            f'<text x="{xx:.1f}" y="{yy:.1f}" text-anchor="{anchor}" '
+            f'font-family="sans-serif" font-size="11">{val:.4g}</text>'
+        )
+    if ylabel:
+        parts.append(
+            f'<text x="14" y="{h / 2:.1f}" font-family="sans-serif" '
+            f'font-size="12" transform="rotate(-90 14 {h / 2:.1f})" '
+            f'text-anchor="middle">{ylabel}</text>'
+        )
+    for i, row in enumerate(curves):
+        color = PALETTE[i % len(PALETTE)]
+        pts = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(x, row))
+        parts.append(
+            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
+            f'points="{pts}"/>'
+        )
+        if i < len(labels):
+            parts.append(
+                f'<text x="{w - m + 4}" y="{sy(row[-1]) + 4:.1f}" '
+                f'font-family="sans-serif" font-size="11" '
+                f'fill="{color}">{labels[i]}</text>'
+            )
+    parts.append("</svg>")
+    with open(path, "w", newline="\n") as f:
+        f.write("\n".join(parts) + "\n")
+
+
+def write_pcs(out: OutputDir, dataset: Dataset, pa: PcAnalysis) -> None:
+    d = dataset.dims
+    n_pc = pa.scores.shape[2]
+    write_csv(
+        out.path("pc_spectrum.csv"),
+        ["component", "eigenvalue", "variance_pct"],
+        columns=[
+            np.arange(1, pa.within_pca.eigenvalues.size + 1),
+            pa.within_pca.eigenvalues,
+            pa.within_pca.variance_pct,
+        ],
+    )
+    # one row per (voxel, epoch), in C order of the scores array
+    vox, epoch = np.indices(pa.scores.shape[:2]).reshape(2, -1)
+    write_csv(
+        out.path("pc_scores.csv"),
+        ["voxel", "epoch"] + [f"pc{k + 1}" for k in range(n_pc)],
+        columns=[
+            pa.active_idx[vox], epoch + 1, *pa.scores.reshape(-1, n_pc).T
+        ],
+    )
+    anova_rows = []
+    for k, tab in enumerate(pa.tables):
+        anova_rows.append((k + 1, "grand_mean", 0, float(tab.grand_mean), 0.0))
+        for lvl, eff, se in zip(
+            tab.epoch_levels, tab.epoch_effects, tab.epoch_se
+        ):
+            anova_rows.append((k + 1, "epoch", int(lvl), float(eff), float(se)))
+        for lvl, eff, se in zip(
+            tab.cluster_levels, tab.cluster_effects, tab.cluster_se
+        ):
+            anova_rows.append(
+                (k + 1, "cluster", int(lvl), float(eff), float(se))
+            )
+    write_csv(
+        out.path("anova.csv"),
+        ["component", "factor", "level", "effect", "se"],
+        columns=list(zip(*anova_rows)),
+    )
+    cluster, epoch, sample = np.indices(pa.curves.shape).reshape(3, -1)
+    write_csv(
+        out.path("curves.csv"),
+        ["cluster", "epoch", "sample", "value"],
+        columns=[
+            pa.cluster_levels[cluster], epoch + 1, sample + 1, pa.curves.ravel()
+        ],
+    )
+    comp, sign, sample = np.indices(pa.effect_curves.shape).reshape(3, -1)
+    write_csv(
+        out.path("effect_curves.csv"),
+        ["component", "direction", "sample", "value"],
+        columns=[
+            comp + 1,
+            np.array(["plus", "minus"])[sign],
+            sample + 1,
+            pa.effect_curves.ravel(),
+        ],
+    )
+    samples = np.arange(1, d.n_times + 1, dtype=np.float64)
+    for c in range(pa.curves.shape[0]):
+        write_svg_curves(
+            out.path(f"curves_cluster{int(pa.cluster_levels[c])}.svg"),
+            samples,
+            pa.curves[c],
+            [f"epoch {j + 1}" for j in range(d.n_epochs)],
+            title=f"Fitted responses, cluster {int(pa.cluster_levels[c])}",
+            ylabel="response",
+        )
+    write_svg_curves(
+        out.path("effect_curves.svg"),
+        samples,
+        pa.effect_curves.reshape(-1, d.n_times),
+        [
+            f"pc{k + 1} {sign}"
+            for k in range(pa.effect_curves.shape[0])
+            for sign in ("+", "-")
+        ],
+        title="Component effect on the mean response",
+        ylabel="response",
+    )
+
+
+def write_compare(out: OutputDir, cmp: ModelComparison) -> None:
+    rows = [(r.model_id, r.description, r.n_params, float(r.loglik),
+             float(r.aic), float(r.bic)) for r in cmp.rows]
+    write_csv(
+        out.path("comparison.csv"),
+        ["model", "description", "n_params", "loglik", "aic", "bic"],
+        columns=list(zip(*rows)),
+    )
+    write_json(
+        {"n_obs": cmp.n_obs, "best_aic": cmp.best_aic, "best_bic": cmp.best_bic},
+        out.path("comparison.json"),
+    )

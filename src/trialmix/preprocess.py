@@ -152,10 +152,12 @@ def shift_offsets_from_stimulus(stimulus_times: np.ndarray, tr: float) -> np.nda
     return -frac
 
 
-def _axis_kernel(sigma: float) -> np.ndarray:
+def _axis_kernel(sigma: float, max_radius: int) -> np.ndarray:
     if sigma <= 0.0:
         return np.array([1.0])
-    radius = int(np.ceil(4.0 * sigma))
+    # a tap past the grid's extent meets no voxel, and every smoothing
+    # divides by the smoothed support, so the normalization cancels
+    radius = int(min(np.ceil(4.0 * sigma), max_radius))
     x = np.arange(-radius, radius + 1, dtype=np.float64)
     kern = np.exp(-0.5 * (x / sigma) ** 2)
     return kern / kern.sum()
@@ -170,7 +172,8 @@ def _smooth_axes(
     fourth axis gives the same bits as smoothing each volume alone.
     """
     for axis in range(3):
-        kern = _axis_kernel(fwhm * FWHM_TO_SIGMA / voxel_size[axis])
+        kern = _axis_kernel(fwhm * FWHM_TO_SIGMA / voxel_size[axis],
+                            arr.shape[axis] - 1)
         arr = ndimage.correlate1d(arr, kern, axis=axis, mode="constant", cval=0.0)
     return arr
 

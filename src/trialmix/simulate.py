@@ -35,6 +35,8 @@ class SimConfig:
     ``phase`` controls trial timing: "zero" samples every epoch on the
     nominal grid (data follow the model exactly), "jitter" adds a
     uniform offset per epoch that preprocessing must undo.
+    ``amp_spread``, the log-normal spread of the amplitudes, lies in
+    [0, 10], so exp(amp_spread * z) is finite for every normal draw z.
     """
 
     n_times: int = 14
@@ -63,6 +65,10 @@ class SimConfig:
         self.dims  # range checks
         if max(self.n_times, self.n_epochs) > MAX_DIM:
             raise ValueError(f"n_times and n_epochs must be at most {MAX_DIM}")
+        if 8 * self.n_voxels * self.dims.n_images > np.iinfo(np.intp).max:
+            raise ValueError("n_voxels: the series would exceed the address space")
+        if not 0.0 <= self.amp_spread <= 10.0:
+            raise ValueError("amp_spread must lie in [0, 10]")
         if self.tr <= 0.0 or self.first_sample < 0.0:
             raise ValueError("tr must be positive and first_sample nonnegative")
         canonical_hrf(self.sample_times)  # a shape that underflows to 0 fails

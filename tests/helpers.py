@@ -78,6 +78,23 @@ def log_density_inactive(y: np.ndarray, design: np.ndarray, params: MixtureParam
     )
 
 
+def estep(dataset: Dataset, params: MixtureParams) -> np.ndarray:
+    """Posterior probability that each voxel responds, from scratch.
+
+    The fit loop's own E-step: 1 / (1 + exp(c)) with
+    c = log(1 - p) - log(p) + log f2 - log f1, saturating to exactly 0
+    or 1 beyond +-700, and exactly 0 or 1 everywhere when p is 0 or 1.
+    """
+    log_f = em._log_densities(params, em._Residuals(dataset, params))
+    return em._posterior(params.active_prob, *log_f)
+
+
+def observed_loglik(dataset: Dataset, params: MixtureParams) -> float:
+    """Observed-data log-likelihood of the mixture, from scratch."""
+    log_f = em._log_densities(params, em._Residuals(dataset, params))
+    return em._mixture_loglik(params.active_prob, *log_f)
+
+
 def q_function(dataset: Dataset, resp: np.ndarray, params: MixtureParams) -> float:
     """Expected complete-data log-likelihood given responsibilities."""
     p = params.active_prob

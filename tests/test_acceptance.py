@@ -16,11 +16,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from trialmix.em import (
-    EmConfig,
-    em_fit,
-    observed_loglik,
-)
+from trialmix.em import EmConfig, em_fit
 from trialmix.inference import fdr_adaptive, t_sf
 from trialmix.linalg import kron_logdet
 from trialmix.modelsel import aic, compare_models, count_params

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from trialmix import cli
+from trialmix import cli, io
 from trialmix.cli import main
 from trialmix.io import read_dataset, write_csv, write_dataset
 from trialmix.simulate import SimConfig, simulate_dataset
@@ -283,6 +283,10 @@ BAD_RUNS = {
     "n_obs-above-int64": ("report", {"compare": {"n_obs": 10**20}}, []),
     "sim-first_sample-underflow":
         ("simulate", {"simulate": {"first_sample": 2000}}, []),
+    "sim-amp_spread-overflow":
+        ("simulate", {"simulate": {"amp_spread": 2000}}, []),
+    "sim-n_voxels-beyond-address-space":
+        ("simulate", {"simulate": {"n_voxels": 10**30}}, []),
     **{f"verbose-flag-on-{command}": (command, {}, ["--verbose"])
        for command in ("simulate", "preprocess", "infer", "pcs", "compare")},
 }
@@ -312,6 +316,18 @@ def test_bad_config_value_exits_2_before_any_work(pipeline, tmp_path, capsys,
     assert err["code"] == 2
     assert err["type"] == "ConfigError"
     assert _files_under(out) == []
+
+
+def test_smoothing_wider_than_the_grid_succeeds(pipeline, tmp_path):
+    # the kernel radius stops at the grid's extent; an uncapped radius at
+    # this width could not be allocated
+    cfg = str(tmp_path / "wide.json")
+    with open(cfg, "w") as f:
+        json.dump({"preprocess": {"smooth_fwhm": 1e300}}, f)
+    out = str(tmp_path / "out")
+    assert main(["preprocess", pipeline["bundle"], "--config", cfg,
+                 "--out", out]) == 0
+    assert read_dataset(os.path.join(out, "dataset")).dims.n_voxels == 150
 
 
 def test_failing_report_leaves_out_as_it_was(pipeline, tmp_path, capsys,
@@ -717,40 +733,90 @@ def test_flat_voxel_is_not_flagged_active(tmp_path):
     assert int(row["cluster"]) == 0
 
 
-def _corrupt_csv(path, how):
+def _corrupt(path, how):
+    """Edit one cell of a CSV's fourth line, or one key of a JSON file.
+
+    ``how`` is "non-numeric" (the second cell), "ragged" (drop the last
+    cell), "no-rows" (keep only the header) or "name=value" for the named
+    column or key; a JSON value is parsed as JSON where it can be, else
+    kept as a string.
+    """
+    name, _, value = how.partition("=")
+    if path.endswith(".json"):
+        with open(path) as f:
+            obj = json.load(f)
+        try:
+            obj[name] = json.loads(value)
+        except json.JSONDecodeError:
+            obj[name] = value
+        with open(path, "w") as f:
+            json.dump(obj, f)
+        return
     with open(path) as f:
         lines = f.read().split("\n")
     cells = lines[4].split(",")
     if how == "non-numeric":
         cells[1] = "abc"
-    else:
+    elif how == "ragged":
         cells.pop()
+    elif how != "no-rows":
+        cells[lines[0].split(",").index(name)] = value
     lines[4] = ",".join(cells)
     with open(path, "w") as f:
-        f.write("\n".join(lines))
+        f.write("\n".join(lines[:1] if how == "no-rows" else lines))
 
 
-@pytest.mark.parametrize("how", ["non-numeric", "ragged"])
-@pytest.mark.parametrize("table", ["resp.csv", "tstats.csv"])
+# (file, how); fit files are read back by infer, inference files by pcs.
+# Before io checked each cell against its declared type, every case after
+# the first four but df=three exited 0 or 3, read back another value, or
+# (no-rows) ended in a traceback.
+MALFORMED = [
+    ("resp.csv", "non-numeric"),
+    ("resp.csv", "ragged"),
+    ("tstats.csv", "non-numeric"),
+    ("tstats.csv", "ragged"),
+    ("resp.csv", "resp=nan"),
+    ("resp.csv", "resp=7"),
+    ("resp.csv", "resp=-0.5"),
+    ("resp.csv", "voxel=2.5"),
+    ("loglik.csv", "loglik=-1e300"),
+    ("loglik.csv", "iteration=inf"),
+    ("loglik.csv", "no-rows"),
+    ("tstats.csv", "reject=0.3"),
+    ("tstats.csv", "reject=2"),
+    ("tstats.csv", "cluster=1.5"),
+    ("tstats.csv", "cluster=nan"),
+    ("tstats.csv", "cluster=1e300"),
+    ("fit.json", "converged=no"),
+    ("fit.json", "converged=1"),
+    ("fit.json", "iterations=2.7"),
+    ("fdr.json", "df=three"),
+    ("fdr.json", "df=true"),
+]
+
+
+@pytest.mark.parametrize("table, how", MALFORMED)
 def test_malformed_fit_or_infer_csv_exits_2(pipeline, tmp_path, capsys, table,
                                             how):
     fit_dir = str(tmp_path / "fit")
     infer_dir = str(tmp_path / "infer")
     shutil.copytree(pipeline["fit"], fit_dir)
     shutil.copytree(pipeline["infer"], infer_dir)
-    if table == "resp.csv":
-        _corrupt_csv(os.path.join(fit_dir, table), how)
+    if table in ("resp.csv", "loglik.csv", "fit.json"):
+        _corrupt(os.path.join(fit_dir, table), how)
         argv = ["infer", pipeline["bundle"], fit_dir]
     else:
-        _corrupt_csv(os.path.join(infer_dir, table), how)
+        _corrupt(os.path.join(infer_dir, table), how)
         argv = ["pcs", pipeline["bundle"], fit_dir, infer_dir]
     capsys.readouterr()
-    rc = main(argv + ["--config", pipeline["cfg"], "--out", str(tmp_path / "o")])
+    out = str(tmp_path / "o")
+    rc = main(argv + ["--config", pipeline["cfg"], "--out", out])
     assert rc == 2
     err = _single_error_line(capsys)
     assert err["code"] == 2
     assert err["type"] == "BundleFormatError"
     assert err["message"].startswith(table)
+    assert not os.path.exists(out)
 
 
 def test_column_csv_reads_the_float_bits_it_wrote(tmp_path):
@@ -761,13 +827,15 @@ def test_column_csv_reads_the_float_bits_it_wrote(tmp_path):
         rng.standard_normal(50) * 1e-310,
         [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e16, 2.0**-1074],
     ])
-    path = str(tmp_path / "t.csv")
-    write_csv(path, ["i", "x"], columns=[np.arange(values.size), values])
-    table = cli._read_column_csv(path, 2)
+    path = str(tmp_path / "loglik.csv")
+    write_csv(path, ["iteration", "loglik"],
+              columns=[np.arange(values.size), values])
+    table = io._read_table(str(tmp_path), "loglik.csv", values.size)
     with open(path) as f:
         parsed = [float(line.split(",")[1]) for line in f.read().split()[1:]]
-    assert table[:, 1].tobytes() == np.array(parsed).tobytes()
-    assert table[:, 1].tobytes() == values.tobytes()
+    assert table["loglik"].tobytes() == np.array(parsed).tobytes()
+    assert table["loglik"].tobytes() == values.tobytes()
+    assert table["iteration"].tobytes() == np.arange(values.size).tobytes()
 
 
 def test_failing_command_stderr_is_one_json_object(tmp_path):

@@ -11,10 +11,8 @@ from trialmix.em import (
     ModelStructure,
     canonical_hrf,
     em_fit,
-    estep,
     hrf_shape_raw,
     init_fit,
-    observed_loglik,
     residual_matrices,
     update_between_cov,
     update_covariances,
@@ -31,12 +29,14 @@ from trialmix.types import Dataset, DegenerateDataError, Hrf
 
 from helpers import (
     central_diff,
+    estep,
     log_density_active,
     log_density_inactive,
     make_dataset,
     make_dims,
     make_params,
     mstep_stationarity_gaps,
+    observed_loglik,
     q_function,
     rand_spd,
     update_b,
@@ -318,7 +318,7 @@ def test_em_fit_small_mixture_run(small_mixture):
 
 def test_fit_result_matches_public_estep_and_loglik(small_mixture):
     # the fit loop shares one density evaluation between the trace entry
-    # and the responsibilities; the public functions must agree to the bit
+    # and the responsibilities; the from-scratch oracles must agree to the bit
     ds, _ = small_mixture
     fit = em_fit(ds)
     assert fit.loglik_trace[-1] == observed_loglik(ds, fit.params)

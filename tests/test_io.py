@@ -21,9 +21,11 @@ from trialmix.io import (
     write_map_pgm,
     write_params_json,
 )
+from trialmix.inference import FdrResult
 from trialmix.simulate import SimConfig, simulate_dataset
+from trialmix.types import ActivationMap, FitResult
 
-from helpers import make_dims, make_params
+from helpers import make_dataset, make_dims, make_params
 
 
 @pytest.fixture()
@@ -486,3 +488,51 @@ def test_write_dataset_copies_truth_bytes(tmp_path):
     back = read_truth(dst)
     np.testing.assert_array_equal(back.labels, truth.labels)
     assert read_truth_bytes(str(tmp_path)) is None
+
+
+def _bits(value):
+    """dtype and bytes: equal only for the same type and the same bits."""
+    value = np.asarray(value)
+    return value.dtype.str, value.tobytes()
+
+
+@pytest.mark.parametrize("stage", ["fit", "infer"])
+def test_fit_and_infer_directories_read_back_their_bits(tmp_path, stage):
+    rng = np.random.default_rng(21)
+    dims = make_dims(n_voxels=40)
+    ds = make_dataset(dims, rng)
+    edge = [0.0, 1.0, 5e-324, 1.0 - 2.0**-53, -0.0, 1e-300]
+    fit = FitResult(
+        params=make_params(dims, rng),
+        resp=np.concatenate([edge, rng.uniform(size=dims.n_voxels - 6)]),
+        loglik_trace=np.cumsum(rng.uniform(size=8)) - 1e4 / 3.0,
+        iterations=7,
+        converged=False,
+    )
+    t = np.concatenate([[np.inf, -np.inf, -0.0, 1e-310],
+                        rng.standard_normal(dims.n_voxels - 4) * 3.0])
+    pvals = np.concatenate([[0.0, 5e-324], rng.uniform(size=dims.n_voxels - 2)])
+    reject = pvals < 0.3
+    cluster = np.where(reject, rng.integers(1, 4, dims.n_voxels), 0)
+    amap = ActivationMap(t, pvals, reject, cluster, df=17)
+    fdr = FdrResult(reject, threshold=0.3, m0_hat=30, n_rejected=int(reject.sum()))
+    with io.OutputDir(str(tmp_path)) as out:
+        io.write_fit(out, fit)
+        io.write_infer(out, ds, amap, fdr)
+    if stage == "fit":
+        got = io.read_fit(str(tmp_path), ds)
+        pairs = [(got.params.active_prob, fit.params.active_prob),
+                 (got.params.noise_var, fit.params.noise_var),
+                 (got.resp, fit.resp),
+                 (got.loglik_trace, fit.loglik_trace),
+                 (got.iterations, fit.iterations),
+                 (got.converged, fit.converged)]
+        pairs += [(getattr(got.params, k), getattr(fit.params, k)) for k in
+                  ("amplitude", "coeffs", "within_cov", "between_cov")]
+        pairs.append((got.params.hrf.values, fit.params.hrf.values))
+    else:
+        got = io.read_amap(str(tmp_path), ds)
+        pairs = [(got.t_stat, t), (got.pvals, pvals), (got.reject, reject),
+                 (got.cluster, cluster), (got.df, amap.df)]
+    for read, written in pairs:
+        assert _bits(read) == _bits(written)

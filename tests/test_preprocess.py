@@ -14,6 +14,7 @@ from trialmix.preprocess import (
     preprocess_dataset,
     shift_offsets_from_stimulus,
     trial_time_shift,
+    _axis_kernel,
     _smooth_dataset,
 )
 from trialmix.types import Dataset, Dims
@@ -203,6 +204,19 @@ def test_smoothing_is_mask_aware():
     np.testing.assert_allclose(
         gaussian_smooth_3d(poisoned, 2.0, mask=mask), out, atol=1e-9
     )
+
+
+def test_smoothing_wider_than_the_grid_averages_the_mask():
+    # the kernel radius stops at the grid's extent, where taps past it
+    # would meet no voxel; a kernel that fits keeps its bits
+    assert _axis_kernel(1.3, 6).tobytes() == _axis_kernel(1.3, 100).tobytes()
+    assert _axis_kernel(1e300, 4).size == 9
+    rng = np.random.default_rng(8)
+    vol = rng.standard_normal((5, 4, 3))
+    mask = rng.random(vol.shape) < 0.7
+    out = gaussian_smooth_3d(vol, 1e300, mask=mask)
+    np.testing.assert_allclose(out[mask], vol[mask].mean(), rtol=1e-12)
+    np.testing.assert_array_equal(out[~mask], 0.0)
 
 
 def test_smoothing_zero_fwhm_copies():

@@ -2,7 +2,6 @@
 import numpy as np
 import pytest
 
-from trialmix.em import observed_loglik
 from trialmix.preprocess import shift_offsets_from_stimulus
 from trialmix.simulate import (
     SimConfig,
@@ -13,7 +12,7 @@ from trialmix.simulate import (
     simulate_dataset,
 )
 
-from helpers import make_dims, make_params
+from helpers import make_dims, make_params, observed_loglik
 
 
 def test_ar1_cov_hand_values():
