@@ -8,9 +8,9 @@ back the fit and inference directories; this module keeps the run
 config, the parser and the commands.
 
 The command line and every config value are checked before a command
-reads or writes anything; the checks that need the bundle
-(pcs.n_components, preprocess.highpass_cutoff and smooth_fwhm) run as
-soon as it is read.
+reads or writes anything, each value by the io checker that reads every
+bundle file; the checks that need the bundle (pcs.n_components,
+preprocess.highpass_cutoff and smooth_fwhm) run as soon as it is read.
 
 main alone owns the output directory: a command stages its files in an
 io.OutputDir and returns its summary line, and main prints that line
@@ -30,9 +30,8 @@ import argparse
 import json
 import os
 import sys
-import typing
 import warnings
-from dataclasses import asdict, dataclass, fields, is_dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -127,85 +126,15 @@ class RunConfig:
             raise ValueError("seed must be nonnegative")
 
 
-def _coerce(value, hint):
-    """A JSON value as the type its config field declares, or TypeError.
-
-    Only a bool field takes true or false, a float field takes any finite
-    number as a float, and a tuple field takes a JSON list.
-    """
-    args = typing.get_args(hint)
-    if isinstance(value, bool) and hint is not bool:
-        pass  # json's true and false are no numbers here
-    elif hint is float and isinstance(value, (int, float)):
-        if abs(value) <= sys.float_info.max:
-            return float(value)
-    elif typing.get_origin(hint) is tuple:
-        if isinstance(value, list):
-            if args[-1] is Ellipsis:
-                args = args[:1] * len(value)
-            if len(value) == len(args):
-                return tuple(map(_coerce, value, args))
-    elif args:  # a union such as float | None
-        for arg in args:
-            try:
-                return _coerce(value, arg)
-            except TypeError:
-                pass
-    elif isinstance(value, hint):
-        return value
-    raise TypeError(f"{value!r} is not {hint}")
-
-
-def _build_dataclass(cls, obj: dict, name: str):
-    """cls(**obj), every key known and every value of its field's type."""
-    declared = {f.name: f.type for f in fields(cls)}
-    unknown = sorted(set(obj) - set(declared))
-    if unknown:
-        raise ConfigError(
-            f"{name}: unknown key(s) {', '.join(unknown)}; "
-            f"allowed: {', '.join(sorted(declared))}"
-        )
-    hints = typing.get_type_hints(cls)
-    values = {}
-    for key, value in obj.items():
-        try:
-            values[key] = _coerce(value, hints[key])
-        except TypeError:
-            raise ConfigError(
-                f"{name}.{key}: expected {declared[key]}, got {value!r}"
-            ) from None
-    try:
-        return cls(**values)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"{name}: {e}") from None
-
-
 def load_config(path: str | None, seed: int | None = None) -> RunConfig:
     """The run configuration, every value type- and range-checked.
 
     ``seed``, when given, replaces the file's seed.
     """
-    config = {}
-    if path is not None:
-        try:
-            with open(path, "rb") as f:
-                config = json.load(f)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}") from None
-        except json.JSONDecodeError as e:
-            raise ConfigError(
-                f"{path}: invalid JSON at byte {e.pos}: {e.msg}"
-            ) from None
-        if not isinstance(config, dict):
-            raise ConfigError(f"{path}: top level must be an object")
+    config = {} if path is None else io._load_json(path, path, ConfigError)
     if seed is not None:
         config["seed"] = seed
-    for name, cls in typing.get_type_hints(RunConfig).items():
-        if name in config and is_dataclass(cls):
-            if not isinstance(config[name], dict):
-                raise ConfigError(f"{name}: must be an object")
-            config[name] = _build_dataclass(cls, config[name], name)
-    return _build_dataclass(RunConfig, config, "config")
+    return io._check_object(config, RunConfig, "config", ConfigError)
 
 
 def _check_pcs(config: RunConfig, dataset: Dataset) -> None:

@@ -20,10 +20,12 @@ sort_keys=True) plus a newline; _json_text writes lists of plain ints or
 finite floats, and lists of equal-length rows of them, with one %r
 template instead of json's pure-Python indenting encoder.
 
-Every command artifact is written here. Each file a later command reads
-back is declared once in ARTIFACTS; its writer takes the header from
-there, and read_fit and read_amap check every cell and key against it.
-A write-only file keeps its header in its one writer.
+Every command artifact is written here. Each file trialmix reads is
+declared once, in ARTIFACTS (design.csv, whose header is x1..xq, in
+_design_columns). Every JSON object read, the run config too, is checked
+against its declaration by _check_object, and every CSV by _read_table;
+the table writers take their header from it. A write-only file keeps its
+header in its one writer.
 
 OutputDir stages a run's files inside its output directory and moves
 them into place together when the run succeeds.
@@ -32,11 +34,17 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import inspect
+import itertools
 import json
 import math
 import os
+import reprlib
 import shutil
+import sys
 import tempfile
+import typing
+from dataclasses import MISSING, asdict, fields, is_dataclass
 
 import numpy as np
 
@@ -159,21 +167,118 @@ def write_csv(path: str, header: list[str], columns) -> None:
         f.write("".join(map(template.__mod__, zip(*values))))
 
 
-def _load_json(path: str, name: str) -> dict:
+def _load_json(path: str, name: str, error: type = BundleFormatError) -> dict:
     try:
         with open(path, "rb") as f:
             raw = f.read()
     except FileNotFoundError:
-        raise BundleFormatError(f"{name}: file not found") from None
+        raise error(f"{name}: file not found") from None
     try:
         obj = json.loads(raw)
     except json.JSONDecodeError as e:
-        raise BundleFormatError(
-            f"{name}: invalid JSON at byte {e.pos}: {e.msg}"
-        ) from None
+        raise error(f"{name}: invalid JSON at byte {e.pos}: {e.msg}") from None
     if not isinstance(obj, dict):
-        raise BundleFormatError(f"{name}: top level must be an object")
+        raise error(f"{name}: top level must be an object")
     return obj
+
+
+def _check(value, hint):
+    """A JSON value as the type ``hint`` declares, or TypeError.
+
+    Only a bool hint takes true or false. A float hint takes any finite
+    number, as a float; a tuple hint a list of its length; a union what
+    one of its members takes. An np.ndarray hint takes lists, nested to
+    any depth, of finite numbers, as a float64 array, and an np.int64
+    hint lists of ints, as an int64 array.
+    """
+    args = typing.get_args(hint)
+    if isinstance(value, bool) and hint is not bool:
+        pass  # json's true and false are no numbers here
+    elif hint is float and isinstance(value, (int, float)):
+        if abs(value) <= sys.float_info.max:
+            return float(value)
+    elif hint in (np.ndarray, np.int64) and isinstance(value, list):
+        return _check_array(value, hint)
+    elif typing.get_origin(hint) is tuple:
+        if isinstance(value, list):
+            if args[-1] is Ellipsis:
+                args = args[:1] * len(value)
+            if len(value) == len(args):
+                return tuple(map(_check, value, args))
+    elif args:  # a union such as float | None
+        for arg in args:
+            try:
+                return _check(value, arg)
+            except TypeError:
+                pass
+    elif isinstance(value, hint):
+        return value
+    raise TypeError(hint)
+
+
+def _check_array(value: list, hint) -> np.ndarray:
+    """Nested lists of JSON numbers as _check's array ``hint``, or TypeError."""
+    leaves = value
+    while leaves and type(leaves[0]) is list:
+        leaves = list(itertools.chain.from_iterable(leaves))
+    ints = hint is np.int64
+    if not set(map(type, leaves)) <= ({int} if ints else {int, float}):
+        raise TypeError(hint)
+    try:
+        array = np.array(value, dtype=np.int64 if ints else np.float64)
+    except (ValueError, OverflowError):  # ragged, or out of the dtype's range
+        raise TypeError(hint) from None
+    if not ints and not np.isfinite(array).all():
+        raise TypeError(hint)
+    return array
+
+
+def _check_object(obj, schema, name: str, error: type = BundleFormatError,
+                  path: str = ""):
+    """``obj`` with every key known and every value of its declared type.
+
+    ``schema`` is a dataclass, built from the checked values (a missing
+    key keeps its field's default), or a declaration {key: hint},
+    returned as a dict of checked values (a missing key reads as null,
+    which only a hint that admits None takes). A dataclass or declaration
+    hint checks a nested object the same way. A failure raises ``error``,
+    its message starting with ``name`` and naming the key by its dotted
+    ``path``; _check converts each value.
+    """
+    prefix = f"{name}: {path}: " if path else f"{name}: "
+    if not isinstance(obj, dict):
+        raise error(f"{prefix}must be an object")
+    if isinstance(schema, dict):
+        hints, defaults = schema, set()
+    else:
+        hints = typing.get_type_hints(schema)
+        defaults = {f.name for f in fields(schema) if f.default is not MISSING}
+    unknown = sorted(set(obj) - set(hints))
+    if unknown:
+        raise error(f"{prefix}unknown key(s) {', '.join(unknown)}; "
+                    f"allowed: {', '.join(sorted(hints))}")
+    values = {}
+    for key, hint in hints.items():
+        if key not in obj and key in defaults:
+            continue
+        where = f"{path}.{key}" if path else key
+        if isinstance(hint, dict) or is_dataclass(hint):
+            values[key] = _check_object(obj.get(key), hint, name, error, where)
+            continue
+        try:
+            values[key] = _check(obj.get(key), hint)
+        except TypeError:
+            kind = inspect.formatannotation(hint).replace(
+                "numpy.ndarray", "array of finite numbers").replace(
+                "numpy.int64", "array of ints")
+            got = reprlib.repr(obj[key]) if key in obj else "no value"
+            raise error(f"{name}: {where}: expected {kind}, got {got}") from None
+    if isinstance(schema, dict):
+        return values
+    try:
+        return schema(**values)
+    except (TypeError, ValueError) as e:
+        raise error(f"{prefix}{e}") from None
 
 
 def _plain_numbers(values: list) -> bool:
@@ -246,12 +351,6 @@ def _gc_paused():
         gc.enable()
 
 
-def _require(obj: dict, key: str, name: str):
-    if key not in obj:
-        raise BundleFormatError(f"{name}: missing required key '{key}'")
-    return obj[key]
-
-
 @_gc_paused()
 def write_dataset(
     dataset: Dataset, path: str, truth: SimTruth | bytes | None = None
@@ -266,12 +365,7 @@ def write_dataset(
     header = {
         "version": FORMAT_VERSION,
         "endianness": "little",
-        "dims": {
-            "n_times": d.n_times,
-            "n_epochs": d.n_epochs,
-            "n_voxels": d.n_voxels,
-            "n_covariates": d.n_covariates,
-        },
+        "dims": asdict(d),
         "tr": float(dataset.tr),
         "stimulus_times": [float(t) for t in dataset.stimulus_times],
         "coords": [[int(c) for c in row] for row in dataset.coords],
@@ -282,11 +376,8 @@ def write_dataset(
     with open(os.path.join(path, DATA_NAME), "wb") as f:
         f.write(data.tobytes())
     if d.n_covariates > 0:
-        write_csv(
-            os.path.join(path, DESIGN_NAME),
-            [f"x{j + 1}" for j in range(d.n_covariates)],
-            columns=dataset.design.T,
-        )
+        write_csv(os.path.join(path, DESIGN_NAME), list(_design_columns(d)),
+                  columns=dataset.design.T)
     truth_path = os.path.join(path, TRUTH_NAME)
     if isinstance(truth, bytes):
         with open(truth_path, "wb") as f:
@@ -295,68 +386,30 @@ def write_dataset(
         write_json(_truth_to_dict(truth), truth_path)
 
 
-def _read_design_csv(path: str, n_images: int, q: int) -> np.ndarray:
-    try:
-        with open(path, "r", newline="") as f:
-            lines = f.read().split("\n")
-    except FileNotFoundError:
-        raise BundleFormatError(f"{DESIGN_NAME}: file not found") from None
-    if lines and lines[-1] == "":
-        lines.pop()
-    if len(lines) != n_images + 1:
-        raise BundleFormatError(
-            f"{DESIGN_NAME}: expected {n_images + 1} lines "
-            f"(header plus one per image), found {len(lines)}"
-        )
-    out = np.empty((n_images, q))
-    for i, line in enumerate(lines[1:]):
-        cells = line.split(",")
-        if len(cells) != q:
-            raise BundleFormatError(
-                f"{DESIGN_NAME}: row {i + 1}: expected {q} columns, "
-                f"found {len(cells)}"
-            )
-        for j, cell in enumerate(cells):
-            try:
-                out[i, j] = float(cell)
-            except ValueError:
-                raise BundleFormatError(
-                    f"{DESIGN_NAME}: row {i + 1}, column {j + 1}: "
-                    f"cannot parse {cell!r} as a number"
-                ) from None
-    return out
+def _design_columns(dims: Dims) -> dict:
+    """design.csv's declaration: one float column x1..xq per covariate."""
+    return {f"x{j + 1}": float for j in range(dims.n_covariates)}
 
 
 @_gc_paused()
 def read_dataset(path: str) -> Dataset:
     """Read a bundle directory back; exact inverse of write_dataset.
 
-    Unparseable files, and contents the Dataset constructor rejects,
-    raise BundleFormatError; the design need not be centered.
+    Unparseable files, values of a type other than the declared one, and
+    contents the Dataset constructor rejects raise BundleFormatError; the
+    design need not be centered.
     """
-    header = _load_json(os.path.join(path, HEADER_NAME), HEADER_NAME)
-    version = _require(header, "version", HEADER_NAME)
-    if version != FORMAT_VERSION:
+    header = _read_record(path, HEADER_NAME)
+    if header["version"] != FORMAT_VERSION:
         raise BundleFormatError(
-            f"{HEADER_NAME}: format version {version!r} unsupported "
+            f"{HEADER_NAME}: format version {header['version']!r} unsupported "
             f"(expected {FORMAT_VERSION!r})"
         )
-    endian = _require(header, "endianness", HEADER_NAME)
-    if endian != "little":
+    if header["endianness"] != "little":
         raise BundleFormatError(
-            f"{HEADER_NAME}: endianness {endian!r} unsupported"
+            f"{HEADER_NAME}: endianness {header['endianness']!r} unsupported"
         )
-    raw_dims = _require(header, "dims", HEADER_NAME)
-    try:
-        dims = Dims(
-            n_times=int(raw_dims["n_times"]),
-            n_epochs=int(raw_dims["n_epochs"]),
-            n_voxels=int(raw_dims["n_voxels"]),
-            n_covariates=int(raw_dims["n_covariates"]),
-        )
-    except (KeyError, TypeError, ValueError) as e:
-        raise BundleFormatError(f"{HEADER_NAME}: bad dims: {e}") from None
-
+    dims = header["dims"]
     expected = 8 * dims.n_voxels * dims.n_images
     data_path = os.path.join(path, DATA_NAME)
     try:
@@ -372,27 +425,15 @@ def read_dataset(path: str) -> Dataset:
     series = np.fromfile(data_path, dtype="<f8").reshape(
         dims.n_voxels, dims.n_images
     )
-
     if dims.n_covariates > 0:
-        design = _read_design_csv(
-            os.path.join(path, DESIGN_NAME), dims.n_images, dims.n_covariates
-        )
+        design = np.column_stack(list(_read_table(
+            path, DESIGN_NAME, dims.n_images, _design_columns(dims)).values()))
     else:
         design = np.zeros((dims.n_images, 0))
-
     try:
-        stimulus_times = np.asarray(
-            _require(header, "stimulus_times", HEADER_NAME), dtype=np.float64
-        )
-        coords = np.asarray(_require(header, "coords", HEADER_NAME), dtype=np.int64)
-        tr = float(_require(header, "tr", HEADER_NAME))
-        mask_shape = header.get("mask_shape")
-        mask_shape = tuple(int(s) for s in mask_shape) if mask_shape else None
-    except (TypeError, ValueError, OverflowError) as e:
-        raise BundleFormatError(f"{HEADER_NAME}: malformed: {e}") from None
-    try:
-        # the local names are the fields, in order
-        return Dataset(dims, series, design, coords, stimulus_times, tr, mask_shape)
+        return Dataset(dims, series, design, header["coords"],
+                       header["stimulus_times"], header["tr"],
+                       header["mask_shape"])
     except ValueError as e:
         raise BundleFormatError(f"{path}: {e}") from None
 
@@ -410,18 +451,12 @@ def params_to_dict(params: MixtureParams) -> dict:
 
 
 def params_from_dict(obj: dict, name: str = "params") -> MixtureParams:
-    try:
-        return MixtureParams(
-            active_prob=float(obj["active_prob"]),
-            amplitude=np.asarray(obj["amplitude"], dtype=np.float64),
-            coeffs=np.asarray(obj["coeffs"], dtype=np.float64),
-            hrf=Hrf(values=np.asarray(obj["hrf"], dtype=np.float64)),
-            within_cov=np.asarray(obj["within_cov"], dtype=np.float64),
-            between_cov=np.asarray(obj["between_cov"], dtype=np.float64),
-            noise_var=float(obj["noise_var"]),
-        )
-    except (KeyError, TypeError, ValueError) as e:
-        raise BundleFormatError(f"{name}: bad parameter block: {e}") from None
+    """A parameter block checked against params.json's declaration."""
+    return _params(_check_object(obj, ARTIFACTS["params.json"], name))
+
+
+def _params(values: dict) -> MixtureParams:
+    return MixtureParams(**{**values, "hrf": Hrf(values["hrf"])})
 
 
 @_gc_paused()
@@ -451,19 +486,10 @@ def _truth_to_dict(truth: SimTruth) -> dict:
 @_gc_paused()
 def read_truth(path: str) -> SimTruth | None:
     """Ground truth from a bundle, or None when the sidecar is absent."""
-    truth_path = os.path.join(path, TRUTH_NAME)
-    if not os.path.exists(truth_path):
+    if not os.path.exists(os.path.join(path, TRUTH_NAME)):
         return None
-    obj = _load_json(truth_path, TRUTH_NAME)
-    offsets = obj.get("shift_offsets")
-    return SimTruth(
-        params=params_from_dict(_require(obj, "params", TRUTH_NAME), TRUTH_NAME),
-        labels=np.asarray(_require(obj, "labels", TRUTH_NAME), dtype=np.int64),
-        seed=int(_require(obj, "seed", TRUTH_NAME)),
-        shift_offsets=np.asarray(offsets, dtype=np.float64)
-        if offsets is not None
-        else None,
-    )
+    truth = _read_record(path, TRUTH_NAME)
+    return SimTruth(**{**truth, "params": _params(truth["params"])})
 
 
 def read_truth_bytes(path: str) -> bytes | None:
@@ -549,9 +575,22 @@ def write_map_pgm(
 
 # ---------------------------------------------------------------- artifacts
 
-# Each file a later command reads back, declared once: its ordered CSV
-# columns or JSON keys and their types. A bool is 0/1 in CSV.
+# The parameter block of params.json and of truth.json's "params".
+_PARAMS = {"active_prob": float, "amplitude": np.ndarray, "coeffs": np.ndarray,
+           "hrf": np.ndarray, "within_cov": np.ndarray,
+           "between_cov": np.ndarray, "noise_var": float}
+# Each file trialmix reads, declared once: its ordered CSV columns, each
+# int, float or bool (0/1 in CSV), or its JSON keys, each of a type
+# _check takes (np.ndarray: lists of finite numbers; np.int64: of ints).
+# design.csv's columns depend on the bundle: _design_columns.
 ARTIFACTS = {
+    "header.json": {"version": str, "endianness": str, "dims": Dims,
+                    "tr": float, "stimulus_times": np.ndarray,
+                    "coords": np.int64,
+                    "mask_shape": tuple[int, int, int] | None},
+    "truth.json": {"seed": int, "labels": np.int64,
+                   "shift_offsets": np.ndarray | None, "params": _PARAMS},
+    "params.json": _PARAMS,
     "resp.csv": {"voxel": int, "resp": float, "amplitude": float},
     "loglik.csv": {"iteration": int, "loglik": float},
     "fit.json": {"iterations": int, "converged": bool, "loglik": float,
@@ -561,8 +600,6 @@ ARTIFACTS = {
     "fdr.json": {"df": int, "threshold": float, "m0_hat": int,
                  "n_rejected": int, "n_clusters": int},
 }
-# the JSON values each declared type accepts: json's true is no number
-_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float)}
 
 
 def _write_table(out: OutputDir, name: str, columns: list) -> None:
@@ -581,16 +618,21 @@ def _write_record(out: OutputDir, name: str, values: list) -> None:
                 zip(declared, values, strict=True)}, out.path(name))
 
 
-def _read_table(folder: str, name: str, n_rows: int) -> dict[str, np.ndarray]:
-    """The columns, by name, of a declared CSV that must have ``n_rows``
-    rows; an int cell must hold a finite integer and a bool cell 0 or 1."""
-    declared = ARTIFACTS[name]
+def _read_table(folder: str, name: str, n_rows: int,
+                declared: dict | None = None) -> dict[str, np.ndarray]:
+    """The columns, by name, of a CSV declared in ARTIFACTS (or by
+    ``declared``) that must have ``n_rows`` rows; an int cell must hold a
+    finite integer and a bool cell 0 or 1."""
+    declared = declared or ARTIFACTS[name]
     try:
         with open(os.path.join(folder, name)) as f:
             header = f.readline().rstrip("\n")
             table = np.loadtxt(f, delimiter=",", ndmin=2, comments=None)
+    except FileNotFoundError:
+        raise BundleFormatError(f"{name}: file not found") from None
     except ValueError as e:
-        raise BundleFormatError(f"{name}: {e}") from None
+        fault = _table_fault(os.path.join(folder, name), declared) or e
+        raise BundleFormatError(f"{name}: {fault}") from None
     if header != ",".join(declared) or table.shape != (n_rows, len(declared)):
         raise BundleFormatError(
             f"{name}: expected the header {','.join(declared)!r} and "
@@ -605,7 +647,7 @@ def _read_table(folder: str, name: str, n_rows: int) -> dict[str, np.ndarray]:
             if not ok.all():
                 row = int(np.argmin(ok))
                 raise BundleFormatError(
-                    f"{name}: row {row + 1}, column {col}: "
+                    f"{name}: {_cell(row + 1, declared, col)}: "
                     f"{float(values[row])!r} is not "
                     f"{'0 or 1' if kind is bool else 'an integer'}"
                 )
@@ -614,15 +656,39 @@ def _read_table(folder: str, name: str, n_rows: int) -> dict[str, np.ndarray]:
     return columns
 
 
+def _cell(row: int, declared: dict, col: str) -> str:
+    """A cell's place in every _read_table message: the data rows after
+    the header and the columns counted from 1, and the column's name."""
+    return f"row {row}, column {list(declared).index(col) + 1} ({col})"
+
+
+def _table_fault(path: str, declared: dict) -> str | None:
+    """The first row or cell np.loadtxt cannot read in the CSV at ``path``.
+
+    Rows are counted as np.loadtxt counts them, skipping empty lines; a
+    cell must be ASCII and free of the underscores float() would take.
+    """
+    with open(path) as f:
+        f.readline()
+        lines = (line.rstrip("\n") for line in f)
+        for row, line in enumerate(filter(None, lines), 1):
+            cells = line.split(",")
+            if len(cells) != len(declared):
+                return (f"row {row}: expected {len(declared)} columns, "
+                        f"found {len(cells)}")
+            for col, cell in zip(declared, cells):
+                try:
+                    float(cell if cell.isascii() and "_" not in cell else "?")
+                except ValueError:
+                    return (f"{_cell(row, declared, col)}: "
+                            f"cannot parse {cell!r} as a number")
+    return None
+
+
 def _read_record(folder: str, name: str) -> dict:
-    """The keys of a declared JSON object, each of its declared type."""
-    obj = _load_json(os.path.join(folder, name), name)
-    for key, kind in ARTIFACTS[name].items():
-        if type(_require(obj, key, name)) not in _JSON_TYPES[kind]:
-            raise BundleFormatError(
-                f"{name}: '{key}' must be {kind.__name__}, got {obj[key]!r}"
-            )
-    return {key: kind(obj[key]) for key, kind in ARTIFACTS[name].items()}
+    """The keys of a declared JSON object, each checked by _check_object."""
+    return _check_object(_load_json(os.path.join(folder, name), name),
+                         ARTIFACTS[name], name)
 
 
 def write_fit(out: OutputDir, fit: FitResult) -> None:

@@ -90,8 +90,8 @@ class Hrf:
         vec = self.values
         if vec.ndim != 1:
             raise ValueError("response shape must be a vector")
-        if abs(np.linalg.norm(vec) - 1.0) > HRF_NORM_TOL:
-            raise ValueError("response shape is not unit norm")
+        if not abs(np.linalg.norm(vec) - 1.0) <= HRF_NORM_TOL:  # NaN fails
+            raise ValueError("response shape is not finite and unit norm")
         peak = vec[int(np.argmax(np.abs(vec)))]
         if peak < 0.0:
             raise ValueError("sign convention violated: dominant entry negative")
@@ -221,8 +221,8 @@ def validate_params(
     """
     if not (0.0 <= params.active_prob <= 1.0):
         raise ValueError(f"active_prob={params.active_prob} outside [0, 1]")
-    if params.noise_var <= 0.0:
-        raise ValueError("noise_var must be positive")
+    if not 0.0 < params.noise_var < np.inf:
+        raise ValueError("noise_var must be positive and finite")
     params.hrf.validate()
     _check_spd(params.within_cov, "within_cov")
     _check_spd(params.between_cov, "between_cov")
@@ -270,6 +270,8 @@ class FitResult:
         if not np.all(np.isfinite(self.resp)):
             raise ValueError("responsibilities contain non-finite values")
         trace = np.asarray(self.loglik_trace)
+        if not np.all(np.isfinite(trace)):
+            raise ValueError("log-likelihood trace is not finite")
         if trace.size >= 2:
             slack = 1e-8 * np.maximum(1.0, np.abs(trace[:-1]))
             drops = trace[1:] - trace[:-1] + slack

@@ -1,10 +1,13 @@
 """Command-line pipeline: artifacts, exit codes, error reporting."""
 import csv
+import dataclasses
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+import typing
 import warnings
 
 import numpy as np
@@ -769,7 +772,8 @@ def _corrupt(path, how):
 # (file, how); fit files are read back by infer, inference files by pcs.
 # Before io checked each cell against its declared type, every case after
 # the first four but df=three exited 0 or 3, read back another value, or
-# (no-rows) ended in a traceback.
+# (no-rows) ended in a traceback; loglik=nan exited 0 until a fit's trace
+# had to be finite.
 MALFORMED = [
     ("resp.csv", "non-numeric"),
     ("resp.csv", "ragged"),
@@ -782,6 +786,7 @@ MALFORMED = [
     ("loglik.csv", "loglik=-1e300"),
     ("loglik.csv", "iteration=inf"),
     ("loglik.csv", "no-rows"),
+    ("loglik.csv", "loglik=nan"),
     ("tstats.csv", "reject=0.3"),
     ("tstats.csv", "reject=2"),
     ("tstats.csv", "cluster=1.5"),
@@ -817,6 +822,89 @@ def test_malformed_fit_or_infer_csv_exits_2(pipeline, tmp_path, capsys, table,
     assert err["type"] == "BundleFormatError"
     assert err["message"].startswith(table)
     assert not os.path.exists(out)
+
+
+def _declared_keys(declared, path=""):
+    """(dotted key, hint) for every leaf of a declaration in io.ARTIFACTS."""
+    for key, hint in declared.items():
+        where = f"{path}.{key}" if path else key
+        if dataclasses.is_dataclass(hint):
+            hint = typing.get_type_hints(hint)
+        if isinstance(hint, dict):
+            yield from _declared_keys(hint, where)
+        else:
+            yield where, hint
+
+
+def _wrong_typed(value, hint):
+    """``value`` turned into one of another JSON type than ``hint``'s: a
+    string for a bool or a null, true for a string, 2.5 for an int, NaN
+    for a float, and a first entry of NaN (float arrays) or 0.5 (int
+    arrays and tuples) in an array."""
+    if value is None:
+        return "x"
+    if type(None) in typing.get_args(hint):  # an optional value's own type
+        hint = typing.get_args(hint)[0]
+    if hint in (bool, str, int, float):
+        return {bool: "yes", str: True, int: 2.5, float: float("nan")}[hint]
+    cell = value
+    while isinstance(cell[0], list):
+        cell = cell[0]
+    cell[0] = float("nan") if hint is np.ndarray else 0.5
+    return value
+
+
+# each declared JSON file: the pipeline directory it lives in, and the
+# command that reads it (truth.json is read by no command)
+JSON_FILES = {"header.json": ("bundle", "infer"), "truth.json": ("bundle", None),
+              "params.json": ("fit", "infer"), "fit.json": ("fit", "infer"),
+              "fdr.json": ("infer", "pcs")}
+
+
+@pytest.mark.parametrize("name, key, hint", [
+    pytest.param(name, key, hint, id=f"{name}:{key}")
+    for name in JSON_FILES for key, hint in _declared_keys(io.ARTIFACTS[name])
+])
+def test_wrong_typed_json_value_is_a_format_error(pipeline, tmp_path, capsys,
+                                                  name, key, hint):
+    dirs = {k: str(tmp_path / k) for k in ("bundle", "fit", "infer")}
+    for k, folder in dirs.items():
+        shutil.copytree(pipeline[k], folder)
+    folder, command = JSON_FILES[name]
+    path = os.path.join(dirs[folder], name)
+    with open(path) as f:
+        obj = json.load(f)
+    *parents, last = key.split(".")
+    holder = obj
+    for parent in parents:
+        holder = holder[parent]
+    holder[last] = _wrong_typed(holder[last], hint)
+    with open(path, "w") as f:
+        json.dump(obj, f)
+    message = f"{name}: {key}: expected "
+    dataset = read_dataset(pipeline["bundle"])
+    read = {"header.json": lambda: read_dataset(dirs["bundle"]),
+            "truth.json": lambda: io.read_truth(dirs["bundle"]),
+            "params.json": lambda: io.read_fit(dirs["fit"], dataset),
+            "fit.json": lambda: io.read_fit(dirs["fit"], dataset),
+            "fdr.json": lambda: io.read_amap(dirs["infer"], dataset)}[name]
+    with pytest.raises(io.BundleFormatError, match="^" + re.escape(message)):
+        read()
+    if command is None:
+        return
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "mine.txt").write_bytes(b"mine\n")
+    argv = [command, dirs["bundle"], dirs["fit"]]
+    if command == "pcs":
+        argv.append(dirs["infer"])
+    capsys.readouterr()
+    assert main(argv + ["--config", pipeline["cfg"], "--out", str(out)]) == 2
+    err = _single_error_line(capsys)
+    assert err["type"] == "BundleFormatError"
+    assert err["message"].startswith(message)
+    assert _files_under(out) == ["mine.txt"]
+    assert (out / "mine.txt").read_bytes() == b"mine\n"
 
 
 def test_column_csv_reads_the_float_bits_it_wrote(tmp_path):

@@ -8,14 +8,16 @@ import io
 import json
 import os
 import tempfile
+import typing
 import warnings
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from trialmix.cli import main
-from trialmix.io import write_dataset
+from trialmix.io import ARTIFACTS, _check, write_dataset
 from trialmix.simulate import SimConfig, simulate_dataset
+from trialmix.types import Dims
 
 EDITS = ("none", "flat", "identical", "constant-epochs")
 CORRUPTIONS = ("nan", "inf", "truncate", "header-cut", "header-value",
@@ -186,9 +188,21 @@ SMALL, _ = simulate_dataset(
 @example("preprocess", "header-value", 2, 0, True, 0.0)
 @example("preprocess", "header-value", 5, None, True, 2.0)  # mask_shape null
 @example("report", "design-shift", 0, None, True, 0.0)
+@example("report", "header-value", 9, 2.5, True, 0.0)  # n_covariates
+@example("preprocess", "header-value", 7, 2.5, True, 0.0)  # n_epochs
 def test_main_on_corrupted_bundles(command, corruption, where, value, previous,
                                    smooth_fwhm):
     rc = _run(command, SMALL, 1, previous, smooth_fwhm,
               (corruption, where, value))
     if corruption == "design-shift" and command == "report":
         assert rc == 3
+    if corruption in ("header-value", "header-coord"):
+        # a value the header's declaration does not take must exit 2
+        key = HEADER_KEYS[where % len(HEADER_KEYS)]
+        hint = (int if corruption == "header-coord"  # one int64 coordinate
+                else typing.get_type_hints(Dims)[key] if key.startswith("n_")
+                else ARTIFACTS["header.json"][key])
+        try:
+            _check(value, hint)
+        except TypeError:
+            assert rc == 2

@@ -1,7 +1,7 @@
 """Bundle format round-trips and serialization edge cases."""
 import json
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -23,7 +23,8 @@ from trialmix.io import (
 )
 from trialmix.inference import FdrResult
 from trialmix.simulate import SimConfig, simulate_dataset
-from trialmix.types import ActivationMap, FitResult
+from trialmix.types import (ActivationMap, Dims, FitResult, Hrf,
+                            validate_params)
 
 from helpers import make_dataset, make_dims, make_params
 
@@ -68,6 +69,49 @@ def test_truth_roundtrip(bundle):
         back.params.within_cov, truth.params.within_cov
     )
     assert back.params.active_prob == truth.params.active_prob
+
+
+def test_writers_agree_with_the_declarations(bundle, tmp_path):
+    ds, truth, path = bundle
+    write_params_json(truth.params, str(tmp_path / "params.json"))
+    written = {}
+    for folder, name in ((path, "header.json"), (path, "truth.json"),
+                         (str(tmp_path), "params.json")):
+        with open(os.path.join(folder, name)) as f:
+            written[name] = json.load(f)
+        assert set(written[name]) == set(io.ARTIFACTS[name]), name
+    assert set(written["header.json"]["dims"]) == {f.name for f in fields(Dims)}
+    assert set(written["truth.json"]["params"]) == set(io.ARTIFACTS["params.json"])
+    with open(os.path.join(path, "design.csv")) as f:
+        assert f.readline() == "x1,x2\n"
+    # and each file reads back to the same types and bits
+    back = read_dataset(path)
+    assert (back.dims, back.mask_shape) == (ds.dims, ds.mask_shape)
+    pairs = [(getattr(back, k), getattr(ds, k)) for k in
+             ("series", "design", "coords", "stimulus_times", "tr")]
+    got = read_truth(path)
+    pairs += [(got.labels, truth.labels), (got.seed, truth.seed),
+              (got.shift_offsets, truth.shift_offsets)]
+    for params in (got.params, read_params_json(str(tmp_path / "params.json"))):
+        pairs += [(getattr(params, k), getattr(truth.params, k)) for k in
+                  ("active_prob", "amplitude", "coeffs", "within_cov",
+                   "between_cov", "noise_var")]
+        pairs.append((params.hrf.values, truth.params.hrf.values))
+    for read, wrote in pairs:
+        assert _bits(read) == _bits(wrote)
+
+
+def test_validate_params_rejects_non_finite_values():
+    rng = np.random.default_rng(4)
+    dims = make_dims(n_times=5, n_epochs=3, n_voxels=4, n_covariates=2)
+    params = make_params(dims, rng)
+    validate_params(params, dims)
+    with pytest.raises(ValueError, match="noise_var must be positive and finite"):
+        validate_params(params.with_updates(noise_var=np.nan), dims)
+    hrf = params.hrf.values.copy()
+    hrf[2] = np.nan
+    with pytest.raises(ValueError, match="response shape is not finite"):
+        validate_params(params.with_updates(hrf=Hrf(hrf)), dims)
 
 
 def test_truth_absent_returns_none(tmp_path):
@@ -135,7 +179,8 @@ def test_read_rejects_bad_version_and_endianness(bundle):
 def test_read_rejects_malformed_header_values(bundle, changes):
     _, _, path = bundle
     _patch_header(path, **changes)
-    with pytest.raises(BundleFormatError, match="header.json: malformed"):
+    (key,) = changes
+    with pytest.raises(BundleFormatError, match=f"^header.json: {key}: expected"):
         read_dataset(path)
 
 
@@ -204,7 +249,8 @@ def test_read_reports_design_parse_position(bundle):
     with open(dp, "w", newline="\n") as f:
         f.write("\n".join(lines))
     with pytest.raises(
-        BundleFormatError, match="row 2, column 2: cannot parse 'not-a-number'"
+        BundleFormatError,
+        match=r"^design.csv: row 2, column 2 \(x2\): cannot parse 'not-a-number'",
     ):
         read_dataset(path)
     # wrong column count points at the row
@@ -212,9 +258,26 @@ def test_read_reports_design_parse_position(bundle):
     with open(dp, "w", newline="\n") as f:
         f.write("\n".join(lines))
     with pytest.raises(
-        BundleFormatError, match="row 2: expected 2 columns, found 1"
+        BundleFormatError,
+        match="^design.csv: row 2: expected 2 columns, found 1",
     ):
         read_dataset(path)
+
+
+@pytest.mark.parametrize("cells, message", [
+    ("1,x", r"row 2, column 2 \(loglik\): cannot parse 'x' as a number"),
+    ("1,1_0", r"row 2, column 2 \(loglik\): cannot parse '1_0' as a number"),
+    ("1.5,0.0", r"row 2, column 1 \(iteration\): 1.5 is not an integer"),
+    ("1", "row 2: expected 2 columns, found 1"),
+])
+def test_table_errors_count_rows_and_columns_from_1(tmp_path, cells, message):
+    write_csv(str(tmp_path / "loglik.csv"), ["iteration", "loglik"],
+              columns=[np.arange(4), np.zeros(4)])
+    lines = (tmp_path / "loglik.csv").read_text().split("\n")
+    lines[2] = cells
+    (tmp_path / "loglik.csv").write_text("\n".join(lines))
+    with pytest.raises(BundleFormatError, match=f"^loglik.csv: {message}$"):
+        io._read_table(str(tmp_path), "loglik.csv", 4)
 
 
 def test_read_reports_missing_files(tmp_path, bundle):
@@ -249,7 +312,8 @@ def test_params_json_roundtrip(tmp_path):
     blob = json.dumps(params_to_dict(params))
     again = params_from_dict(json.loads(blob))
     np.testing.assert_array_equal(again.amplitude, params.amplitude)
-    with pytest.raises(BundleFormatError, match="bad parameter block"):
+    with pytest.raises(BundleFormatError,
+                       match="^params: amplitude: expected .*, got no value"):
         params_from_dict({"active_prob": 0.5})
 
 
