@@ -12,11 +12,14 @@ so the observed-data log-likelihood never decreases. Its order is fixed:
 the mean block (mixing proportion, amplitudes, coefficients, shape),
 then the refresh of the responding residuals, then the variance block
 (covariance factors, noise variance). _Residuals is the only code that
-builds residuals. em_fit fits every model structure; a mixture starts
-from init_fit, whose reduced fit is an all-responding em_fit and which
-seeds the covariance factors and the noise variance through the same
-variance block. A Dataset is valid by construction, so em_fit checks
-only the fit's own condition, centered design columns. Identification:
+builds residuals, and a fit builds them once: em_fit fits every model
+structure on one _Residuals owner. A mixture first runs the reduced
+(all-responding) phase on that owner, screens it with the amplitude
+t-test, and seeds the covariance factors and the noise variance through
+the same variance block; the main loop then continues on the same
+owner, whose residuals seeding leaves unchanged. A Dataset is valid by
+construction, so a fit checks only its own condition, centered design
+columns. Identification:
 hrf has unit norm with its dominant entry positive, and when both
 covariance factors are free the between factor is rescaled to trace
 n_epochs with the scale absorbed into the within factor.
@@ -530,13 +533,20 @@ def _variance_step(
 def _iterate(
     dataset: Dataset,
     params: MixtureParams,
+    resid: _Residuals,
     config: EmConfig,
     structure: ModelStructure,
     diagnostics,
 ) -> FitResult:
+    """The EM loop from ``params``, on ``resid`` holding their residuals;
+    on return it holds those of the result's parameters. A fit whose
+    log-likelihood decreases raises DegenerateDataError."""
+    if __debug__:
+        validate_params(
+            params, dataset.dims, trace_convention=structure.rescale_trace
+        )
     # one density evaluation per parameter value: it gives the trace
     # entry and the next (or final) responsibilities
-    resid = _Residuals(dataset, params)
     log_f = _log_densities(params, resid)
     trace = [_mixture_loglik(params.active_prob, *log_f)]
     converged = False
@@ -569,56 +579,62 @@ def _iterate(
             break
     if structure.mixture:
         resp = _posterior(params.active_prob, *log_f)
-    return FitResult(
+    result = FitResult(
         params=params,
         resp=resp,
         loglik_trace=np.asarray(trace),
         iterations=iterations,
         converged=converged,
     )
+    try:
+        result.validate()
+    except ValueError as e:
+        # a likelihood decrease is the data failing the model's ascent
+        raise DegenerateDataError(f"fit: {e}") from None
+    return result
 
 
-def _initial_params(dataset: Dataset) -> MixtureParams:
+def _start(dataset: Dataset) -> tuple[MixtureParams, _Residuals]:
+    """Every fit's start values and its one residual owner, which holds
+    their residuals. Design columns that are not mean-centered raise
+    DegenerateDataError."""
     d = dataset.dims
+    if np.any(np.abs(dataset.design.sum(axis=0)) > 1e-9 * d.n_images):
+        raise DegenerateDataError(
+            "design columns are not mean-centered; run trialmix preprocess"
+        )
     # mid-interval post-stimulus convention; the EM refines the shape
     times = dataset.tr * (np.arange(d.n_times) + 0.5)
-    hrf = canonical_hrf(times)
-    noise = max(float(np.var(dataset.series)), 1e-8)
-    return MixtureParams(
+    params = MixtureParams(
         active_prob=1.0,
         amplitude=np.zeros(d.n_voxels),
         coeffs=np.zeros((d.n_voxels, d.n_covariates)),
-        hrf=hrf,
+        hrf=canonical_hrf(times),
         within_cov=np.eye(d.n_times),
         between_cov=np.eye(d.n_epochs),
-        noise_var=noise,
+        noise_var=max(float(np.var(dataset.series)), 1e-8),
     )
+    return params, _Residuals(dataset, params)
 
 
-def init_fit(
+def _seed(
     dataset: Dataset,
-    config: EmConfig = EmConfig(),
-    structure: ModelStructure = ModelStructure(),
+    params: MixtureParams,
+    resid: _Residuals,
+    config: EmConfig,
+    structure: ModelStructure,
 ) -> MixtureParams:
-    """Initialization for the mixture EM.
-
-    Fits the all-responding reduced model, classifies voxels with the
-    pre-whitened amplitude t-test at config.init_alpha (uncorrected),
-    and seeds the covariance factors and the noise variance by running
-    the variance block on the reduced fit with the screen's 0/1
-    responsibilities. Falls back to the top percentile by t-statistic if
-    nothing passes the screen, and to the pooled mean squared residual
-    for the noise variance if everything does.
-    """
+    """init_fit on a fit's own residual owner: ``resid`` holds the
+    residuals of ``params`` on entry and of the returned seed on exit."""
     from .inference import t_sf, t_statistics
 
     d = dataset.dims
-    reduced = em_fit(
-        dataset,
+    params = _iterate(
+        dataset, params, resid,
         replace(config, max_iter=config.init_max_iter),
         replace(structure, mixture=False),
-    )
-    params = reduced.params
+        None,
+    ).params
     t_stats, df = t_statistics(dataset, params)
     pvals = t_sf(t_stats, df)
     active = pvals < config.init_alpha
@@ -636,7 +652,6 @@ def init_fit(
     seed = params.with_updates(
         active_prob=float(np.clip(np.mean(active), 0.01, 0.99))
     )
-    resid = _Residuals(dataset, params)
     if np.all(active):
         warnings.warn(
             "no voxels classified non-responding; seeding noise variance "
@@ -651,6 +666,27 @@ def init_fit(
     return _variance_step(
         dataset, active.astype(np.float64), seed, resid, config, structure
     )
+
+
+def init_fit(
+    dataset: Dataset,
+    config: EmConfig = EmConfig(),
+    structure: ModelStructure = ModelStructure(),
+) -> MixtureParams:
+    """Initialization for the mixture EM: the start values of em_fit's
+    main loop for a mixture ``structure``.
+
+    Fits the all-responding reduced model, classifies voxels with the
+    pre-whitened amplitude t-test at config.init_alpha (uncorrected),
+    and seeds the covariance factors and the noise variance by running
+    the variance block on the reduced fit with the screen's 0/1
+    responsibilities. Falls back to the top percentile by t-statistic if
+    nothing passes the screen, and to the pooled mean squared residual
+    for the noise variance if everything does. Design columns that are
+    not mean-centered, and a reduced fit whose log-likelihood decreases,
+    raise DegenerateDataError.
+    """
+    return _seed(dataset, *_start(dataset), config, structure)
 
 
 def em_fit(
@@ -671,22 +707,7 @@ def em_fit(
     not mean-centered, and a fit whose log-likelihood decreases, raise
     DegenerateDataError.
     """
-    if np.any(np.abs(dataset.design.sum(axis=0)) > 1e-9 * dataset.dims.n_images):
-        raise DegenerateDataError(
-            "design columns are not mean-centered; run trialmix preprocess"
-        )
+    params, resid = _start(dataset)
     if structure.mixture:
-        params = init_fit(dataset, config, structure)
-    else:
-        params = _initial_params(dataset)
-    if __debug__:
-        validate_params(
-            params, dataset.dims, trace_convention=structure.rescale_trace
-        )
-    result = _iterate(dataset, params, config, structure, diagnostics)
-    try:
-        result.validate()
-    except ValueError as e:
-        # a likelihood decrease is the data failing the model's ascent
-        raise DegenerateDataError(f"fit: {e}") from None
-    return result
+        params = _seed(dataset, params, resid, config, structure)
+    return _iterate(dataset, params, resid, config, structure, diagnostics)

@@ -32,8 +32,6 @@ them into place together when the run succeeds.
 """
 from __future__ import annotations
 
-import contextlib
-import gc
 import inspect
 import itertools
 import json
@@ -51,7 +49,7 @@ import numpy as np
 from .inference import FdrResult
 from .modelsel import ModelComparison
 from .types import (ActivationMap, Dataset, Dims, FitResult, Hrf,
-                    MixtureParams, SimTruth, validate_params)
+                    MixtureParams, SimTruth, _gc_paused, validate_params)
 from .variability import PcAnalysis
 
 __all__ = [
@@ -330,25 +328,6 @@ def write_json(obj: dict, path: str) -> None:
     """The bytes of json.dump(obj, indent=2, sort_keys=True) plus a newline."""
     with open(path, "w", newline="\n") as f:
         f.write(_json_text(obj) + "\n")
-
-
-@contextlib.contextmanager
-def _gc_paused():
-    """Run a block, or a decorated function, with the cyclic GC paused.
-
-    Bundle and parameter JSON hold one short list per voxel row. At
-    V=20k, building and dropping them with the collector on set off a
-    full collection (about 20 ms, finding nothing) in every command; the
-    lists hold no cycles, and they are gone before the collector resumes.
-    """
-    if not gc.isenabled():
-        yield
-        return
-    gc.disable()
-    try:
-        yield
-    finally:
-        gc.enable()
 
 
 @_gc_paused()

@@ -13,7 +13,8 @@ import numpy as np
 
 from .em import canonical_hrf, hrf_shape_raw
 from .linalg import MAX_DIM, matrix_sqrt
-from .types import Dataset, Dims, MixtureParams, SimTruth, validate_params
+from .types import (MAX_GRID_AXIS, Dataset, Dims, MixtureParams, SimTruth,
+                    _gc_paused, validate_params)
 
 __all__ = [
     "SimConfig",
@@ -37,6 +38,8 @@ class SimConfig:
     uniform offset per epoch that preprocessing must undo.
     ``amp_spread``, the log-normal spread of the amplitudes, lies in
     [0, 10], so exp(amp_spread * z) is finite for every normal draw z.
+    ``n_voxels`` is at most MAX_GRID_AXIS**3, so the cube grid the
+    voxels fill stays within the volume bound.
     """
 
     n_times: int = 14
@@ -65,8 +68,10 @@ class SimConfig:
         self.dims  # range checks
         if max(self.n_times, self.n_epochs) > MAX_DIM:
             raise ValueError(f"n_times and n_epochs must be at most {MAX_DIM}")
-        if 8 * self.n_voxels * self.dims.n_images > np.iinfo(np.intp).max:
-            raise ValueError("n_voxels: the series would exceed the address space")
+        if self.n_voxels > MAX_GRID_AXIS**3:
+            raise ValueError(
+                f"n_voxels: the cube grid would exceed {MAX_GRID_AXIS} per axis"
+            )
         if not 0.0 <= self.amp_spread <= 10.0:
             raise ValueError("amp_spread must lie in [0, 10]")
         if self.tr <= 0.0 or self.first_sample < 0.0:
@@ -178,6 +183,7 @@ def _block_coords(n_voxels: int) -> tuple[np.ndarray, tuple[int, int, int]]:
     return np.ascontiguousarray(grid[:n_voxels]), (side, side, side)
 
 
+@_gc_paused()
 def generate(
     dims: Dims,
     truth: MixtureParams,

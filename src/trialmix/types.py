@@ -6,6 +6,8 @@ first ``n_times`` entries belong to the first epoch.
 """
 from __future__ import annotations
 
+import contextlib
+import gc
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,6 +27,30 @@ __all__ = [
 HRF_NORM_TOL = 1e-10
 SYM_TOL = 1e-12
 TRACE_TOL = 1e-8
+# the volume grid's largest axis: it bounds a map's cells (2**24) and
+# its slice images
+MAX_GRID_AXIS = 256
+
+
+@contextlib.contextmanager
+def _gc_paused():
+    """Run a block, or a decorated function, with the cyclic GC paused.
+
+    Bundle and parameter JSON hold one short list per voxel row, and a
+    simulated bundle spawns one random stream per voxel. At V=20k,
+    building and dropping them with the collector on set off a full
+    collection (20-30 ms, finding nothing) in every command; they hold
+    no cycles, and the short-lived ones are gone before the collector
+    resumes.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 class DegenerateDataError(ValueError):
@@ -106,7 +132,9 @@ class Dataset:
     coords: (n_voxels, 3) integer voxel coordinates.
     stimulus_times: (n_epochs,) stimulus onsets in seconds.
     tr: sampling interval in seconds.
-    mask_shape: shape of the volume grid the coordinates index into.
+    mask_shape: shape of the volume grid the coordinates index into; without
+        it the grid is the coordinates' extent. Each axis is at most
+        MAX_GRID_AXIS.
 
     Valid by construction: __post_init__ (so also dataclasses.replace)
     raises ValueError on a broken invariant. The package never mutates
@@ -148,6 +176,12 @@ class Dataset:
             raise ValueError("coords must be nonnegative and mask_shape 3-D")
         if self.mask_shape is not None and np.any(self.coords >= self.mask_shape):
             raise ValueError("coords lie outside mask_shape")
+        grid = self.mask_shape or self.coords.max(axis=0) + 1
+        if max(grid) > MAX_GRID_AXIS:
+            raise ValueError(
+                f"volume grid {tuple(int(n) for n in grid)} exceeds "
+                f"{MAX_GRID_AXIS} per axis"
+            )
         # any lexicographic row order puts equal rows next to each other;
         # np.unique(axis=0) sorts the rows as void records, 7x slower
         rows = self.coords[np.lexsort(self.coords.T)]

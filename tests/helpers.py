@@ -27,6 +27,11 @@ from trialmix.linalg import inv_spd, kron_logdet, solve_spd
 from trialmix.types import Dataset, DegenerateDataError, Dims, Hrf, MixtureParams
 
 
+# mask_shape values past the volume bound; each once ended in a
+# MemoryError, a ValueError from numpy, or 40,004 slice images
+OVERSIZED_GRIDS = ([10**6] * 3, [2**40, 2**40, 8], [4, 4, 20000])
+
+
 # ------------------------------------------------ single-voxel oracles
 #
 # Direct per-voxel or whole-dataset forms of the batched computations in

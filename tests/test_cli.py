@@ -674,19 +674,20 @@ def test_console_stdout_summaries(pipeline, tmp_path, capsys):
     assert "loglik=" in out and "converged=True" in out
 
 
-def _run_cli(argv, threads=1):
+def _run_cli(argv, threads=1, flags=()):
     env = dict(
         os.environ,
         OPENBLAS_NUM_THREADS=str(threads),
         OMP_NUM_THREADS=str(threads),
     )
     proc = subprocess.run(
-        [sys.executable, "-m", "trialmix"] + argv,
+        [sys.executable, *flags, "-m", "trialmix"] + argv,
         capture_output=True,
         text=True,
         env=env,
     )
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def _tree_bytes(root):
@@ -697,6 +698,19 @@ def _tree_bytes(root):
             with open(path, "rb") as f:
                 files[os.path.relpath(path, root)] = f.read()
     return files
+
+
+def test_fit_bit_identical_under_optimization(tmp_path):
+    # python -O strips the fit's __debug__ parameter checks in both the
+    # reduced phase and the main loop; they only check, so a mixture fit
+    # writes the same bytes without them
+    bundle = _write_bundle(str(tmp_path / "bundle"))
+    fits = []
+    for flags in ([], ["-O"]):
+        out = str(tmp_path / f"fit{len(fits)}")
+        stdout = _run_cli(["fit", bundle, "--out", out], flags=flags)
+        fits.append((stdout.replace(out, "OUT"), _tree_bytes(out)))
+    assert fits[1] == fits[0]
 
 
 def test_report_bit_identical_across_blas_threads(tmp_path):

@@ -19,12 +19,15 @@ from trialmix.io import ARTIFACTS, _check, write_dataset
 from trialmix.simulate import SimConfig, simulate_dataset
 from trialmix.types import Dims
 
+from helpers import OVERSIZED_GRIDS
+
 EDITS = ("none", "flat", "identical", "constant-epochs")
 CORRUPTIONS = ("nan", "inf", "truncate", "header-cut", "header-value",
                "header-coord", "design-shift")
 HEADER_KEYS = ("version", "endianness", "tr", "stimulus_times", "coords",
                "mask_shape", "n_times", "n_epochs", "n_voxels", "n_covariates")
-BAD_VALUES = (None, "x", -1, 0, 2.5, 10**30, 10**6, [], {}, [[0, 0, 0]])
+BAD_VALUES = (None, "x", -1, 0, 2.5, 10**30, 10**6, [], {}, [[0, 0, 0]],
+              *OVERSIZED_GRIDS)
 PREVIOUS = {"mine.txt": b"mine\n", "report.json": b"old\n"}
 
 
@@ -190,12 +193,18 @@ SMALL, _ = simulate_dataset(
 @example("report", "design-shift", 0, None, True, 0.0)
 @example("report", "header-value", 9, 2.5, True, 0.0)  # n_covariates
 @example("preprocess", "header-value", 7, 2.5, True, 0.0)  # n_epochs
+@example("report", "header-value", 5, OVERSIZED_GRIDS[0], True, 0.0)
+@example("report", "header-value", 5, OVERSIZED_GRIDS[1], False, 0.0)
+@example("report", "header-value", 5, OVERSIZED_GRIDS[2], True, 0.0)
 def test_main_on_corrupted_bundles(command, corruption, where, value, previous,
                                    smooth_fwhm):
     rc = _run(command, SMALL, 1, previous, smooth_fwhm,
               (corruption, where, value))
     if corruption == "design-shift" and command == "report":
         assert rc == 3
+    if corruption == "header-value" and value in OVERSIZED_GRIDS:
+        # as a mask_shape past the volume bound, or as any other key's value
+        assert rc == 2
     if corruption in ("header-value", "header-coord"):
         # a value the header's declaration does not take must exit 2
         key = HEADER_KEYS[where % len(HEADER_KEYS)]

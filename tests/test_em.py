@@ -23,7 +23,7 @@ from trialmix.em import (
 from trialmix.cli import main
 from trialmix.io import write_dataset
 from trialmix.linalg import inv_spd
-from trialmix.modelsel import compare_models
+from trialmix.modelsel import MODEL_SPECS, compare_models
 from trialmix.simulate import SimConfig, simulate_dataset
 from trialmix.types import Dataset, DegenerateDataError, Hrf
 
@@ -327,23 +327,66 @@ def test_fit_result_matches_public_estep_and_loglik(small_mixture):
 
 def test_one_density_evaluation_per_parameter_value(small_mixture, monkeypatch):
     ds, _ = small_mixture
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        init = init_fit(ds)
-    calls = []
+    calls, phases = [], []
     quads = em._active_quads
+    iterate = em._iterate
 
     def counting_quads(*args):
         calls.append(1)
         return quads(*args)
 
+    def recording_iterate(*args):
+        phases.append(iterate(*args))
+        return phases[-1]
+
     monkeypatch.setattr(em, "_active_quads", counting_quads)
-    monkeypatch.setattr(em, "init_fit", lambda *args: init)
-    fit = em_fit(ds)
-    assert len(calls) == fit.iterations + 1
+    monkeypatch.setattr(em, "_iterate", recording_iterate)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        fit = em_fit(ds)
+    # a mixture runs the reduced phase, then the main loop
+    reduced, main_loop = phases
+    assert main_loop is fit
+    assert len(calls) == reduced.iterations + 1 + fit.iterations + 1
     calls.clear()
+    phases.clear()
     reduced = em_fit(ds, EmConfig(max_iter=4), ModelStructure(mixture=False))
+    assert phases == [reduced]
     assert len(calls) == reduced.iterations + 1
+
+
+def test_one_residual_owner_per_fit(small_mixture, monkeypatch):
+    # seeding changes only the covariances, the noise and p, so the
+    # reduced phase, the seeding and the main loop share one _Residuals
+    ds, _ = small_mixture
+    builds = []
+    build = em._Residuals.__init__
+
+    def counting_build(self, *args):
+        builds.append(1)
+        build(self, *args)
+
+    monkeypatch.setattr(em._Residuals, "__init__", counting_build)
+    config = EmConfig(max_iter=20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for spec in MODEL_SPECS.values():
+            builds.clear()
+            em_fit(ds, config, spec.structure)
+            assert len(builds) == 1, spec.model_id
+        builds.clear()
+        init_fit(ds, config)
+        assert len(builds) == 1
+        builds.clear()
+        compare_models(ds, config)
+        assert len(builds) == 5
+
+
+def test_init_fit_rejects_uncentered_design(small_mixture):
+    ds, _ = small_mixture
+    shifted = replace(ds, design=ds.design + 1.0)
+    with pytest.raises(DegenerateDataError, match="not mean-centered"):
+        init_fit(shifted)
 
 
 def test_init_fit_returns_valid_params():

@@ -26,7 +26,7 @@ from trialmix.simulate import SimConfig, simulate_dataset
 from trialmix.types import (ActivationMap, Dims, FitResult, Hrf,
                             validate_params)
 
-from helpers import make_dataset, make_dims, make_params
+from helpers import OVERSIZED_GRIDS, make_dataset, make_dims, make_params
 
 
 @pytest.fixture()
@@ -202,6 +202,26 @@ def test_read_rejects_coordinates_outside_mask_shape(bundle):
     coords[3] = [ds.mask_shape[0], 0, 0]
     _patch_header(path, coords=coords)
     with pytest.raises(BundleFormatError, match="outside mask_shape"):
+        read_dataset(path)
+
+
+@pytest.mark.parametrize("mask_shape", OVERSIZED_GRIDS)
+def test_read_rejects_an_oversized_volume_grid(bundle, mask_shape):
+    _, _, path = bundle
+    _patch_header(path, mask_shape=mask_shape)
+    with pytest.raises(BundleFormatError, match="exceeds 256 per axis"):
+        read_dataset(path)
+
+
+def test_read_bounds_the_coordinate_extent_without_mask_shape(bundle):
+    ds, _, path = bundle
+    coords = ds.coords.tolist()
+    coords[3] = [0, 0, 255]
+    _patch_header(path, coords=coords, mask_shape=None)
+    assert read_dataset(path).mask_shape is None
+    coords[3] = [0, 0, 256]
+    _patch_header(path, coords=coords)
+    with pytest.raises(BundleFormatError, match=r"\(\d+, \d+, 257\) exceeds"):
         read_dataset(path)
 
 

@@ -11,6 +11,7 @@ from trialmix.simulate import (
     random_walk_design,
     simulate_dataset,
 )
+from trialmix.types import MAX_GRID_AXIS
 
 from helpers import make_dims, make_params, observed_loglik
 
@@ -46,6 +47,10 @@ def test_sim_config_defaults_and_validation():
         SimConfig(phase="random")
     with pytest.raises(ValueError):
         SimConfig(noise_var=0.0)
+    # the largest cube grid the volume bound admits, and one voxel more
+    SimConfig(n_voxels=MAX_GRID_AXIS**3)
+    with pytest.raises(ValueError, match="cube grid"):
+        SimConfig(n_voxels=MAX_GRID_AXIS**3 + 1)
 
 
 def test_default_scenario_satisfies_conventions():
