@@ -13,7 +13,6 @@ from .em import (
     ModelStructure,
     canonical_hrf,
     em_fit,
-    init_fit,
 )
 from .inference import (
     FdrResult,
@@ -114,7 +113,6 @@ __all__ = [
     "fitted_response",
     "gaussian_smooth_3d",
     "generate",
-    "init_fit",
     "pc_effect_curves",
     "pc_scores",
     "pca_cov",

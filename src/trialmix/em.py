@@ -34,6 +34,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import kernels
+from .inference import t_sf, t_statistics
 from .linalg import inv_spd, kron_logdet, regularize_spd
 from .types import (
     Dataset,
@@ -48,14 +49,10 @@ __all__ = [
     "EmConfig",
     "ModelStructure",
     "canonical_hrf",
-    "update_p",
     "update_h",
-    "update_within_cov",
-    "update_between_cov",
     "update_covariances",
     "update_sigma2",
     "residual_matrices",
-    "init_fit",
     "em_fit",
 ]
 
@@ -234,11 +231,6 @@ def _mixture_loglik(p: float, log_f1: np.ndarray, log_f2: np.ndarray) -> float:
     return float(np.sum(np.logaddexp(np.log(p) + log_f1, np.log1p(-p) + log_f2)))
 
 
-def update_p(resp: np.ndarray) -> float:
-    """Mixing-proportion update: the mean responsibility."""
-    return float(np.mean(resp))
-
-
 def _update_beta_all(
     resid_inactive: np.ndarray,
     hrf_values: np.ndarray,
@@ -374,29 +366,6 @@ def _update_factor(
     return regularize_spd(s / (resid.shape[axis] * mass), f"{name} update")
 
 
-def update_within_cov(
-    resid: np.ndarray, resp: np.ndarray, between_cov: np.ndarray
-) -> np.ndarray:
-    """Conditional maximizer of the within-epoch factor.
-
-    resid is (n_voxels, n_epochs, n_times). Raises when the total
-    responding mass is zero; rank-deficient scatters are ridged with a
-    warning.
-    """
-    return _update_factor(
-        resid, resp, between_cov, kernels.scatter_within, 1, "within-cov"
-    )
-
-
-def update_between_cov(
-    resid: np.ndarray, resp: np.ndarray, within_cov: np.ndarray
-) -> np.ndarray:
-    """Conditional maximizer of the between-epoch factor."""
-    return _update_factor(
-        resid, resp, within_cov, kernels.scatter_between, 2, "between-cov"
-    )
-
-
 def update_covariances(
     resid: np.ndarray,
     resp: np.ndarray,
@@ -406,20 +375,25 @@ def update_covariances(
     free_within: bool = True,
     free_between: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Flip-flop update of the covariance factors.
+    """Flip-flop update of the covariance factors of the (n_voxels,
+    n_epochs, n_times) ``resid``.
 
     Each sweep maximizes the within factor given the between factor and
-    then the between factor given the new within factor. The trace
-    rescale that fixes the factor-scale ambiguity is applied by the
-    caller (it only applies when both factors are free).
+    then the between factor given the new within factor; no responding
+    mass raises, and a rank-deficient scatter is ridged with a warning.
+    The caller applies the trace rescale (only when both are free).
     """
     within = within_cov
     between = between_cov
     for _ in range(sweeps):
         if free_within:
-            within = update_within_cov(resid, resp, between)
+            within = _update_factor(
+                resid, resp, between, kernels.scatter_within, 1, "within-cov"
+            )
         if free_between:
-            between = update_between_cov(resid, resp, within)
+            between = _update_factor(
+                resid, resp, within, kernels.scatter_between, 2, "between-cov"
+            )
     return within, between
 
 
@@ -458,7 +432,7 @@ def _mean_step(
     non-responding side holds those of the returned coefficients, and
     its responding side is stale until set_mean.
     """
-    p = update_p(resp) if structure.mixture else 1.0
+    p = float(np.mean(resp)) if structure.mixture else 1.0
     hrf = params.hrf
     w_within = inv_spd(params.within_cov)
     w_between = inv_spd(params.between_cov)
@@ -624,10 +598,19 @@ def _seed(
     config: EmConfig,
     structure: ModelStructure,
 ) -> MixtureParams:
-    """init_fit on a fit's own residual owner: ``resid`` holds the
-    residuals of ``params`` on entry and of the returned seed on exit."""
-    from .inference import t_sf, t_statistics
+    """Initialization for the mixture EM: the start values of em_fit's
+    main loop for a mixture ``structure``. ``resid`` holds the residuals
+    of ``params`` on entry and of the returned seed on exit.
 
+    Fits the all-responding reduced model, classifies voxels with the
+    pre-whitened amplitude t-test at config.init_alpha (uncorrected),
+    and seeds the covariance factors and the noise variance by running
+    the variance block on the reduced fit with the screen's 0/1
+    responsibilities. Falls back to the top percentile by t-statistic if
+    nothing passes the screen, and to the pooled mean squared residual
+    for the noise variance if everything does. A reduced fit whose
+    log-likelihood decreases raises DegenerateDataError.
+    """
     d = dataset.dims
     params = _iterate(
         dataset, params, resid,
@@ -668,27 +651,6 @@ def _seed(
     )
 
 
-def init_fit(
-    dataset: Dataset,
-    config: EmConfig = EmConfig(),
-    structure: ModelStructure = ModelStructure(),
-) -> MixtureParams:
-    """Initialization for the mixture EM: the start values of em_fit's
-    main loop for a mixture ``structure``.
-
-    Fits the all-responding reduced model, classifies voxels with the
-    pre-whitened amplitude t-test at config.init_alpha (uncorrected),
-    and seeds the covariance factors and the noise variance by running
-    the variance block on the reduced fit with the screen's 0/1
-    responsibilities. Falls back to the top percentile by t-statistic if
-    nothing passes the screen, and to the pooled mean squared residual
-    for the noise variance if everything does. Design columns that are
-    not mean-centered, and a reduced fit whose log-likelihood decreases,
-    raise DegenerateDataError.
-    """
-    return _seed(dataset, *_start(dataset), config, structure)
-
-
 def em_fit(
     dataset: Dataset,
     config: EmConfig = EmConfig(),
@@ -697,8 +659,8 @@ def em_fit(
 ) -> FitResult:
     """Fit ``structure`` by generalized EM; the one fit entry point.
 
-    A mixture starts from init_fit, any other structure (every voxel
-    responding, no E-step) from the canonical shape with identity
+    A mixture starts from _seed's values, any other structure (every
+    voxel responding, no E-step) from the canonical shape with identity
     covariances. Convergence is declared when the relative Euclidean
     change of the global parameters (mixing proportion, shape,
     covariance factors, noise variance) drops below config.tol, or the

@@ -234,30 +234,22 @@ def activation_map(
     Whitens with the fitted covariance factors, tests every voxel's
     amplitude, optionally screens at an uncorrected level before the
     adaptive FDR pass (pass screen_alpha=None to adjust all voxels),
-    and clusters the rejected voxels.
+    and clusters the rejected voxels. A screen that nothing passes
+    gives an FdrResult with threshold 0.0 and m0_hat 0.
     """
     t, df = t_statistics(dataset, fit.params)
     pvals = np.asarray(t_sf(t, df))
-    reject = np.zeros(dataset.dims.n_voxels, dtype=bool)
+    m = dataset.dims.n_voxels
     if screen_alpha is None:
-        fdr = fdr_adaptive(pvals, q)
-        reject = fdr.reject.copy()
+        screened = np.arange(m)
     else:
         screened = np.nonzero(pvals < screen_alpha)[0]
-        if screened.size:
-            fdr_sub = fdr_adaptive(pvals[screened], q)
-            reject[screened[fdr_sub.reject]] = True
-            fdr = FdrResult(
-                reject=reject.copy(),
-                threshold=fdr_sub.threshold,
-                m0_hat=fdr_sub.m0_hat,
-                n_rejected=int(np.sum(reject)),
-            )
-        else:
-            fdr = FdrResult(
-                reject=reject.copy(), threshold=0.0, m0_hat=0, n_rejected=0
-            )
-    cluster = np.zeros(dataset.dims.n_voxels, dtype=np.int64)
+    sub = fdr_adaptive(pvals[screened], q)
+    reject = np.zeros(m, dtype=bool)
+    reject[screened[sub.reject]] = True
+    fdr = FdrResult(reject=reject.copy(), threshold=sub.threshold,
+                    m0_hat=sub.m0_hat, n_rejected=int(np.sum(reject)))
+    cluster = np.zeros(m, dtype=np.int64)
     idx = np.nonzero(reject)[0]
     if idx.size:
         cluster[idx] = cluster_active(dataset.coords[idx], min_size=min_cluster)

@@ -14,8 +14,9 @@ floats. CSV output uses '.' decimals, ',' separators, LF line endings.
 Text artifacts are rendered a row or an array at a time, not a cell at a
 time. write_csv turns each column into Python values once (ndarray
 .tolist()) and formats every row through one printf template, %.17g for
-float columns and %s otherwise, which is the text format_float and str
-give per cell. JSON files are the bytes of json.dump(indent=2,
+float columns and %s for columns that hold no float, which is the text
+f"{x:.17g}" and str give per cell; a column mixing floats with other
+values raises ValueError. JSON files are the bytes of json.dump(indent=2,
 sort_keys=True) plus a newline; _json_text writes lists of plain ints or
 finite floats, and lists of equal-length rows of them, with one %r
 template instead of json's pure-Python indenting encoder.
@@ -64,7 +65,6 @@ __all__ = [
     "write_params_json",
     "read_params_json",
     "write_json",
-    "format_float",
     "write_csv",
     "write_map_pgm",
     "write_svg_curves",
@@ -122,29 +122,19 @@ class OutputDir:
             shutil.rmtree(self.root if failed and self._made else self._staging)
 
 
-def format_float(x: float) -> str:
-    """Shortest fixed form that still round-trips a float64 exactly."""
-    return f"{float(x):.17g}"
-
-
 def _column_cells(column) -> tuple[str, list]:
-    """One CSV column as (printf conversion, values to format).
-
-    The conversion gives each cell the text format_float (floats) or str
-    (anything else) gives it; a column mixing floats with other values
-    is rendered cell by cell.
+    """One CSV column as (printf conversion, values to format): %.17g,
+    which round-trips a float64 exactly, when every value is a float,
+    and %s when none is. A column mixing the two raises ValueError.
     """
     values = column.tolist() if isinstance(column, np.ndarray) else list(column)
     kinds = set(map(type, values))
     floats = {k for k in kinds if issubclass(k, (float, np.floating))}
     if floats == kinds:
         return "%.17g", values
-    if not floats:
-        return "%s", values
-    return "%s", [
-        format_float(c) if isinstance(c, (float, np.floating)) else str(c)
-        for c in values
-    ]
+    if floats:
+        raise ValueError("a CSV column mixes floats with other values")
+    return "%s", values
 
 
 def write_csv(path: str, header: list[str], columns) -> None:
@@ -494,59 +484,43 @@ def write_map_pgm(
 ) -> None:
     """Grayscale activation-map images, one binary PGM per slice.
 
-    A 2-D field writes one image at ``path``; a 3-D field (slices along
-    the last axis) writes ``path_sNNN.pgm`` per slice. Values are
-    min-max scaled to 0..255 over the whole (unmasked) field so slices
-    share one gray scale; a constant field maps to 128, and infinite
-    values saturate at 0 or 255 of the finite scale. Voxels outside
-    ``mask`` render as 0. The scaling lands in a JSON sidecar next to
-    the images.
+    ``field`` is 3-D with slices along the last axis; slice k lands in
+    ``path_sNNN.pgm`` (NNN = k). Values are min-max scaled to 0..255
+    over the whole (unmasked) field so slices share one gray scale; a
+    constant field maps to 128, and infinite values saturate at 0 or
+    255 of the finite scale. Voxels outside ``mask`` render as 0. The
+    scaling lands in a JSON sidecar next to the images.
     """
     field = np.asarray(field, dtype=np.float64)
-    if field.ndim not in (2, 3):
-        raise ValueError("field must be 2-D or 3-D")
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != field.shape:
-            raise ValueError("mask shape must match field shape")
-        visible = field[mask]
-    else:
-        visible = field.ravel()
+    if field.ndim != 3:
+        raise ValueError("field must be 3-D")
+    masked = mask is not None
+    mask = np.asarray(mask if masked else np.ones(field.shape), dtype=bool)
+    if mask.shape != field.shape:
+        raise ValueError("mask shape must match field shape")
+    visible = field[mask]
     if np.any(np.isnan(visible)):
         raise ValueError("field values must be finite or infinite, not NaN")
     finite = visible[np.isfinite(visible)]
     lo = float(finite.min()) if finite.size else 0.0
     hi = float(finite.max()) if finite.size else 0.0
-
-    def emit(plane: np.ndarray, plane_mask: np.ndarray | None, out: str) -> None:
-        pixels = _scale_to_bytes(plane, lo, hi)
-        if plane_mask is not None:
-            pixels = np.where(plane_mask, pixels, np.uint8(0))
-        h, w = plane.shape
+    stem = path[:-4] if path.endswith(".pgm") else path
+    files = []
+    for k in range(field.shape[2]):
+        pixels = np.where(mask[:, :, k], _scale_to_bytes(field[:, :, k], lo, hi),
+                          np.uint8(0))
+        h, w = pixels.shape
+        out = f"{stem}_s{k:03d}.pgm"
         with open(out, "wb") as f:
             f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
             f.write(pixels.tobytes())
-
-    stem = path[:-4] if path.endswith(".pgm") else path
-    if field.ndim == 2:
-        emit(field, mask, path)
-        files = [os.path.basename(path)]
-    else:
-        files = []
-        for k in range(field.shape[2]):
-            out = f"{stem}_s{k:03d}.pgm"
-            emit(
-                field[:, :, k],
-                mask[:, :, k] if mask is not None else None,
-                out,
-            )
-            files.append(os.path.basename(out))
+        files.append(os.path.basename(out))
     sidecar = {
         "min": lo,
         "max": hi,
         "maxval": 255,
         "constant": hi <= lo,
-        "masked": mask is not None,
+        "masked": masked,
         "files": files,
     }
     write_json(sidecar, stem + ".json")

@@ -186,6 +186,8 @@ def gaussian_smooth_3d(
 ) -> np.ndarray:
     """Separable Gaussian smoothing with mask-aware renormalization.
 
+    ``volume`` is (X, Y, Z) or a stack (X, Y, Z, ...) of volumes that
+    share the (X, Y, Z) ``mask``; each gets the bits it gets alone.
     The kernel along each axis is a sampled Gaussian with sigma =
     fwhm / (2 sqrt(2 ln 2)) / voxel_size, truncated at 4 sigma and
     normalized to sum 1. At every voxel the weighted average is
@@ -194,32 +196,24 @@ def gaussian_smooth_3d(
     outside the mask are returned as 0.
     """
     volume = np.asarray(volume, dtype=np.float64)
-    if volume.ndim != 3:
-        raise ValueError("volume must be 3-D")
+    if volume.ndim < 3:
+        raise ValueError("volume must be 3-D or a stack of 3-D volumes")
     if fwhm < 0.0:
         raise ValueError("fwhm must be nonnegative")
-    if fwhm == 0.0:
-        out = volume.copy()
-        if mask is not None:
-            out[~mask] = 0.0
-        return out
+    grid = volume.shape[:3]
     if mask is None:
-        support = np.ones(volume.shape, dtype=np.float64)
-        data = volume
+        mask = np.ones(grid, dtype=bool)
     else:
         mask = np.asarray(mask, dtype=bool)
-        if mask.shape != volume.shape:
-            raise ValueError("mask shape must match volume shape")
-        support = mask.astype(np.float64)
-        data = np.where(mask, volume, 0.0)
-    num = _smooth_axes(data, fwhm, voxel_size)
-    den = _smooth_axes(support, fwhm, voxel_size)
-    out = np.zeros_like(volume)
-    inside = den > 0.0
-    if mask is not None:
-        inside &= mask
-    out[inside] = num[inside] / den[inside]
-    return out
+        if mask.shape != grid:
+            raise ValueError("mask shape must match the volume grid")
+    stack = volume.reshape(grid + (-1,))
+    num = _smooth_axes(np.where(mask[..., None], stack, 0.0), fwhm, voxel_size)
+    den = _smooth_axes(mask.astype(np.float64), fwhm, voxel_size)
+    inside = mask & (den > 0.0)
+    out = np.zeros_like(stack)
+    out[inside] = num[inside] / den[inside][:, None]
+    return out.reshape(volume.shape)
 
 
 def apply_mask(
@@ -272,29 +266,21 @@ def apply_mask(
 
 
 def _smooth_dataset(ds: Dataset, cfg: PreprocConfig) -> np.ndarray:
-    """gaussian_smooth_3d of every image under the dataset's mask.
-
-    The mask normalizer is smoothed once, and the images are smoothed one
-    epoch (n_times images) per correlate1d call; the bits are those of
-    smoothing each image alone.
-    """
+    """gaussian_smooth_3d of every image under the dataset's mask, one
+    epoch (n_times images) per call."""
     if ds.mask_shape is None:
         raise ValueError("smoothing requires mask_shape on the dataset")
-    shape = tuple(ds.mask_shape)
-    mask = np.zeros(shape, dtype=bool)
+    mask = np.zeros(ds.mask_shape, dtype=bool)
     idx = tuple(ds.coords.T)
     mask[idx] = True
-    den = _smooth_axes(mask.astype(np.float64), cfg.smooth_fwhm, cfg.voxel_size)
-    den = den[idx][:, None]
-    # outside its support a masked voxel smooths to 0, as in gaussian_smooth_3d
-    inside = den > 0.0
     out = np.empty_like(ds.series)
     for start in range(0, ds.dims.n_images, ds.dims.n_times):
         chunk = slice(start, start + ds.dims.n_times)
-        stack = np.zeros(shape + (ds.dims.n_times,))
+        stack = np.zeros(mask.shape + (ds.dims.n_times,))
         stack[idx] = ds.series[:, chunk]
-        num = _smooth_axes(stack, cfg.smooth_fwhm, cfg.voxel_size)[idx]
-        out[:, chunk] = np.where(inside, num / np.where(inside, den, 1.0), 0.0)
+        out[:, chunk] = gaussian_smooth_3d(
+            stack, cfg.smooth_fwhm, cfg.voxel_size, mask
+        )[idx]
     return out
 
 

@@ -8,11 +8,12 @@ turned back into fitted response curves.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .em import residual_matrices
+from .kernels import voxel_blocks
 from .linalg import SymEigen, sym_eigen
 from .types import ActivationMap, Dataset, DegenerateDataError, FitResult
 
@@ -22,7 +23,6 @@ __all__ = [
     "pc_scores",
     "AnovaTable",
     "anova_two_way",
-    "fitted_scores",
     "fitted_response",
     "pc_effect_curves",
     "PcAnalysis",
@@ -87,8 +87,15 @@ def pc_scores(
         raise DegenerateDataError("no voxels qualify for scoring")
     pca = pca_cov(fit.params.within_cov)
     gamma = pca.loadings[:, :n_components]
-    resid = residual_matrices(dataset, fit.params)[idx]
-    scores = np.einsum("vjt,tk->vjk", resid, gamma)
+    scores = np.empty((idx.size, d.n_epochs, n_components))
+    for sl in voxel_blocks(idx.size):
+        rows = idx[sl]
+        block = replace(dataset, dims=replace(d, n_voxels=rows.size),
+                        series=dataset.series[rows], coords=dataset.coords[rows])
+        params = fit.params.with_updates(amplitude=fit.params.amplitude[rows],
+                                         coeffs=fit.params.coeffs[rows])
+        resid = residual_matrices(block, params)
+        scores[sl] = np.einsum("vjt,tk->vjk", resid, gamma)
     return idx, scores, pca
 
 
@@ -213,12 +220,6 @@ def anova_two_way(
     )
 
 
-def fitted_scores(tables: list[AnovaTable]) -> np.ndarray:
-    """Stack the fitted cells of per-component tables to (C, E, K)."""
-    cells = [tab.fitted for tab in tables]
-    return np.stack(cells, axis=2)
-
-
 def fitted_response(
     amplitude: float,
     hrf_values: np.ndarray,
@@ -301,7 +302,7 @@ def analyze_variability(
         for k in range(n_components)
     ]
     cluster_levels = tables[0].cluster_levels
-    cells = fitted_scores(tables)
+    cells = np.stack([tab.fitted for tab in tables], axis=2)
     amps = np.array(
         [
             float(np.mean(fit.params.amplitude[idx[keep][clusters[keep] == c]]))

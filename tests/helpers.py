@@ -11,6 +11,8 @@ import numpy as np
 import trialmix.em as em
 from trialmix.em import (
     LOG_2PI,
+    EmConfig,
+    ModelStructure,
     canonical_hrf,
     residual_matrices,
     update_covariances,
@@ -201,6 +203,11 @@ def t_statistics_all(
     t, n_exact = test(series_w)
     _warn_exact_fits(n_exact)
     return t, test.df
+
+
+def seed_params(dataset, config=EmConfig(), structure=ModelStructure()):
+    """em_fit's seeding of a mixture's main loop, from its start values."""
+    return em._seed(dataset, *em._start(dataset), config, structure)
 
 
 def t_statistic(

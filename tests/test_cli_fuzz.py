@@ -1,4 +1,5 @@
-"""main on any bundle the format can hold, in-process.
+"""main on any bundle the format can hold, and on extreme values of every
+run config field, in-process.
 
 Every run ends in exit 0, or in exit 2 or 3 with exactly one JSON line
 on stderr and the output directory exactly as it was before the run.
@@ -10,11 +11,13 @@ import os
 import tempfile
 import typing
 import warnings
+from dataclasses import fields, is_dataclass
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from trialmix.cli import main
+from trialmix.cli import RunConfig, main
 from trialmix.io import ARTIFACTS, _check, write_dataset
 from trialmix.simulate import SimConfig, simulate_dataset
 from trialmix.types import Dims
@@ -92,6 +95,36 @@ def _snapshot(root):
     return tree
 
 
+def _main_keeps_rule(argv, out, previous):
+    """Run main with ``--out out``, which holds PREVIOUS first when
+    ``previous``, check the outcome against the fuzz rule and return the
+    exit code."""
+    if previous:
+        os.mkdir(out)
+        for name, raw in PREVIOUS.items():
+            with open(os.path.join(out, name), "wb") as f:
+                f.write(raw)
+    before = _snapshot(out)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rc = main(argv + ["--out", out])
+    assert rc in (0, 2, 3)
+    after = _snapshot(out)
+    if rc:
+        lines = stderr.getvalue().splitlines()
+        assert len(lines) == 1, lines
+        assert json.loads(lines[0])["error"]["code"] == rc
+        assert after == before
+    else:
+        assert stdout.getvalue().count("\n") == 1
+        assert not [p for p in after if ".tmp-" in p]
+        if previous:
+            assert after["mine.txt"] == PREVIOUS["mine.txt"]
+    return rc
+
+
 def _run(command, dataset, min_cluster, previous, smooth_fwhm, corrupt=None):
     """Write the bundle, corrupt it, run main on it, check the outcome and
     return the exit code."""
@@ -106,31 +139,8 @@ def _run(command, dataset, min_cluster, previous, smooth_fwhm, corrupt=None):
                        "preprocess": {"smooth_fwhm": smooth_fwhm},
                        "inference": {"min_cluster": min_cluster},
                        "pcs": {"n_components": 2}}, f)
-        out = os.path.join(root, "out")
-        if previous:
-            os.mkdir(out)
-            for name, raw in PREVIOUS.items():
-                with open(os.path.join(out, name), "wb") as f:
-                    f.write(raw)
-        before = _snapshot(out)
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), \
-                contextlib.redirect_stderr(stderr), warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            rc = main([command, bundle, "--config", config, "--out", out])
-        assert rc in (0, 2, 3)
-        after = _snapshot(out)
-        if rc:
-            lines = stderr.getvalue().splitlines()
-            assert len(lines) == 1, lines
-            assert json.loads(lines[0])["error"]["code"] == rc
-            assert after == before
-        else:
-            assert stdout.getvalue().count("\n") == 1
-            assert not [p for p in after if ".tmp-" in p]
-            if previous:
-                assert after["mine.txt"] == PREVIOUS["mine.txt"]
-    return rc
+        return _main_keeps_rule([command, bundle, "--config", config],
+                                os.path.join(root, "out"), previous)
 
 
 COMMANDS = st.sampled_from(["report", "preprocess"])
@@ -215,3 +225,65 @@ def test_main_on_corrupted_bundles(command, corruption, where, value, previous,
             _check(value, hint)
         except TypeError:
             assert rc == 2
+
+
+def _config_fields():
+    """(section, name, default) of every RunConfig field; the section is
+    None for a top-level field."""
+    default = RunConfig()
+    for f in fields(RunConfig):
+        value = getattr(default, f.name)
+        if is_dataclass(value):
+            yield from ((f.name, g.name, getattr(value, g.name))
+                        for g in fields(value))
+        else:
+            yield None, f.name, value
+
+
+CONFIG_FIELDS = list(_config_fields())
+# the command that reads each section; the top-level seed is simulate's
+READER = {None: "simulate", "simulate": "simulate", "preprocess": "preprocess",
+          "em": "fit", "fit": "fit", "inference": "infer", "pcs": "pcs",
+          "compare": "compare"}
+EXTREMES = (0, -1, 0.5, -1e-300, 1e300, 10**30, 2**63)
+TINY = {"simulate": {"n_voxels": 60, "n_times": 6, "n_epochs": 4,
+                     "n_covariates": 1},
+        "em": {"max_iter": 30}, "inference": {"min_cluster": 1},
+        "pcs": {"n_components": 2}}
+
+
+@pytest.fixture(scope="module")
+def staged(tmp_path_factory):
+    """A tiny bundle and its fit and inference directories, made by main."""
+    root = tmp_path_factory.mktemp("staged")
+    config = str(root / "config.json")
+    with open(config, "w") as f:
+        json.dump(TINY, f)
+    bundle = str(root / "sim" / "dataset")
+    fit, infer = str(root / "fit"), str(root / "infer")
+    for argv, out in ((["simulate"], str(root / "sim")),
+                      (["fit", bundle], fit), (["infer", bundle, fit], infer)):
+        assert _main_keeps_rule(argv + ["--config", config], out, False) == 0
+    return {"simulate": [], "preprocess": [bundle], "fit": [bundle],
+            "infer": [bundle, fit], "pcs": [bundle, fit, infer],
+            "compare": [bundle]}
+
+
+CASES = [(*field, value) for field in CONFIG_FIELDS for value in EXTREMES]
+
+
+@settings(derandomize=True, max_examples=len(CASES), deadline=None)
+@given(case=st.sampled_from(CASES))
+def test_main_on_extreme_config_values(staged, case):
+    section, name, default, value = case
+    if isinstance(default, tuple):  # voxel_size and models: one entry
+        value = [value, *default[1:]]
+    config = json.loads(json.dumps(TINY))
+    (config.setdefault(section, {}) if section else config)[name] = value
+    command = READER[section]
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "config.json")
+        with open(path, "w") as f:
+            json.dump(config, f)
+        _main_keeps_rule([command, *staged[command], "--config", path],
+                         os.path.join(root, "out"), True)

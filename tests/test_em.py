@@ -12,13 +12,9 @@ from trialmix.em import (
     canonical_hrf,
     em_fit,
     hrf_shape_raw,
-    init_fit,
     residual_matrices,
-    update_between_cov,
     update_covariances,
     update_h,
-    update_p,
-    update_within_cov,
 )
 from trialmix.cli import main
 from trialmix.io import write_dataset
@@ -39,6 +35,7 @@ from helpers import (
     observed_loglik,
     q_function,
     rand_spd,
+    seed_params,
     update_b,
 )
 
@@ -134,7 +131,9 @@ def test_update_p_is_stationary_mean():
     ds = make_dataset(dims, rng)
     params = make_params(dims, rng)
     resp = rng.uniform(0.1, 0.9, dims.n_voxels)
-    p_hat = update_p(resp)
+    p_hat = em._mean_step(
+        ds, resp, params, em._Residuals(ds, params), ModelStructure()
+    ).active_prob
     assert abs(p_hat - resp.mean()) < 1e-15
     grad = central_diff(
         lambda v: q_function(ds, resp, params.with_updates(active_prob=float(v[0]))),
@@ -192,8 +191,10 @@ def test_update_h_degenerate_mass_keeps_previous_shape():
 
 def test_covariance_updates_require_mass():
     resid = np.zeros((3, 2, 2))
-    with pytest.raises(DegenerateDataError):
-        update_within_cov(resid, np.zeros(3), np.eye(2))
+    for free_within in (True, False):
+        with pytest.raises(DegenerateDataError):
+            update_covariances(resid, np.zeros(3), np.eye(2), np.eye(2),
+                               free_within=free_within)
 
 
 @pytest.mark.filterwarnings("ignore:.*adding ridge:RuntimeWarning")
@@ -202,8 +203,12 @@ def test_covariance_updates_are_exactly_symmetric_for_one_voxel():
     # symmetric in the last bit
     rng = np.random.default_rng(10)
     resid = rng.standard_normal((1, 10, 14))
-    within = update_within_cov(resid, np.ones(1), rand_spd(rng, 10))
-    between = update_between_cov(resid, np.ones(1), rand_spd(rng, 14))
+    between0 = rand_spd(rng, 10)
+    within0 = rand_spd(rng, 14)
+    within, _ = update_covariances(resid, np.ones(1), within0, between0,
+                                   sweeps=1, free_between=False)
+    _, between = update_covariances(resid, np.ones(1), within0, between0,
+                                    sweeps=1, free_within=False)
     np.testing.assert_array_equal(within, within.T)
     np.testing.assert_array_equal(between, between.T)
 
@@ -375,7 +380,7 @@ def test_one_residual_owner_per_fit(small_mixture, monkeypatch):
             em_fit(ds, config, spec.structure)
             assert len(builds) == 1, spec.model_id
         builds.clear()
-        init_fit(ds, config)
+        seed_params(ds, config)
         assert len(builds) == 1
         builds.clear()
         compare_models(ds, config)
@@ -386,7 +391,7 @@ def test_init_fit_rejects_uncentered_design(small_mixture):
     ds, _ = small_mixture
     shifted = replace(ds, design=ds.design + 1.0)
     with pytest.raises(DegenerateDataError, match="not mean-centered"):
-        init_fit(shifted)
+        seed_params(shifted)
 
 
 def test_init_fit_returns_valid_params():
@@ -395,7 +400,7 @@ def test_init_fit_returns_valid_params():
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        params = init_fit(ds)
+        params = seed_params(ds)
     assert 0.01 <= params.active_prob <= 0.99
     assert params.noise_var > 0.0
     assert abs(np.linalg.norm(params.hrf.values) - 1.0) < 1e-10
@@ -412,7 +417,7 @@ def test_init_fit_all_active_screen_seeds_pooled_noise():
     config = EmConfig(init_alpha=1.0 - 1e-9)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", RuntimeWarning)
-        params = init_fit(ds, config)
+        params = seed_params(ds, config)
         reduced = em_fit(ds, replace(config, max_iter=config.init_max_iter),
                          ModelStructure(mixture=False))
     messages = [str(w.message) for w in caught]
@@ -466,6 +471,6 @@ def test_dataset_is_checked_once_when_built(small_mixture, monkeypatch,
         assert len(calls) == 1
         calls.clear()
         em_fit(ds)
-        init_fit(ds)
+        seed_params(ds)
         compare_models(ds, EmConfig(max_iter=20))
     assert calls == []

@@ -233,10 +233,19 @@ def test_activation_map_screen_none_adjusts_everything():
         SimConfig(n_voxels=100, n_times=6, n_epochs=4, n_covariates=0), seed=5
     )
     fit = em_fit(ds)
-    amap1, fdr1 = activation_map(ds, fit, screen_alpha=None)
-    amap2, fdr2 = activation_map(ds, fit, screen_alpha=1e-12)
-    # an impossibly strict screen rejects nothing
-    assert fdr2.n_rejected == 0 or fdr2.n_rejected <= fdr1.n_rejected
+    amap, fdr = activation_map(ds, fit, q=0.05, screen_alpha=None)
+    whole = fdr_adaptive(amap.pvals, 0.05)
+    assert whole.n_rejected > 0
+    np.testing.assert_array_equal(fdr.reject, whole.reject)
+    np.testing.assert_array_equal(amap.reject, whole.reject)
+    assert (fdr.threshold, fdr.m0_hat, fdr.n_rejected) == (
+        whole.threshold, whole.m0_hat, whole.n_rejected)
+    # a screen that nothing passes leaves nothing to adjust
+    strict = float(amap.pvals.min())
+    amap, fdr = activation_map(ds, fit, screen_alpha=strict)
+    assert not np.any(amap.pvals < strict)
+    assert (fdr.threshold, fdr.m0_hat, fdr.n_rejected) == (0.0, 0, 0)
+    assert not np.any(fdr.reject) and not np.any(amap.reject)
 
 
 def test_blocked_t_statistics_match_the_unblocked_bits():

@@ -9,7 +9,6 @@ import pytest
 from trialmix import io
 from trialmix.io import (
     BundleFormatError,
-    format_float,
     params_from_dict,
     params_to_dict,
     read_dataset,
@@ -358,12 +357,15 @@ def test_params_json_bytes_match_json_dump(tmp_path, n_voxels, n_covariates):
     assert back.noise_var == params.noise_var
 
 
-def test_format_float_roundtrips():
-    for x in (0.1, 1.0 / 3.0, 1e-300, -0.0, 2.0**-52, np.pi, 1e308):
-        s = format_float(x)
-        assert float(s) == x or (x == 0.0 and float(s) == 0.0)
-    assert float(format_float(-0.0)) == 0.0
-    assert format_float(-0.0).startswith("-")
+def test_format_float_roundtrips(tmp_path):
+    # a float column's text gives back every float64 exactly
+    floats = [0.1, 1.0 / 3.0, 1e-300, -0.0, 2.0**-52, np.pi, 1e308]
+    path = str(tmp_path / "f.csv")
+    write_csv(path, ["x"], columns=[floats])
+    with open(path) as f:
+        cells = f.read().split("\n")[1:-1]
+    assert [float(c) for c in cells] == floats
+    assert cells[floats.index(-0.0)].startswith("-")
 
 
 def test_write_csv_uses_lf_only(tmp_path):
@@ -380,8 +382,8 @@ def test_write_csv_uses_lf_only(tmp_path):
 
 def test_pgm_two_by_two_gray_levels(tmp_path):
     path = str(tmp_path / "map.pgm")
-    write_map_pgm(np.array([[0.0, 1.0], [2.0, 3.0]]), path)
-    with open(path, "rb") as f:
+    write_map_pgm(np.array([[0.0, 1.0], [2.0, 3.0]])[:, :, None], path)
+    with open(str(tmp_path / "map_s000.pgm"), "rb") as f:
         raw = f.read()
     assert raw == b"P5\n2 2\n255\n" + bytes([0, 85, 170, 255])
     with open(str(tmp_path / "map.json")) as f:
@@ -392,14 +394,14 @@ def test_pgm_two_by_two_gray_levels(tmp_path):
         "maxval": 255,
         "constant": False,
         "masked": False,
-        "files": ["map.pgm"],
+        "files": ["map_s000.pgm"],
     }
 
 
 def test_pgm_constant_field_is_midgray(tmp_path):
     path = str(tmp_path / "flat.pgm")
-    write_map_pgm(np.full((2, 3), 7.5), path)
-    with open(path, "rb") as f:
+    write_map_pgm(np.full((2, 3, 1), 7.5), path)
+    with open(str(tmp_path / "flat_s000.pgm"), "rb") as f:
         raw = f.read()
     assert raw[-6:] == bytes([128] * 6)
     with open(str(tmp_path / "flat.json")) as f:
@@ -425,11 +427,11 @@ def test_pgm_volume_writes_slices(tmp_path):
 
 
 def test_pgm_mask_blanks_outside(tmp_path):
-    field = np.array([[10.0, -99.0], [20.0, 30.0]])
-    mask = np.array([[True, False], [True, True]])
+    field = np.array([[10.0, -99.0], [20.0, 30.0]])[:, :, None]
+    mask = np.array([[True, False], [True, True]])[:, :, None]
     path = str(tmp_path / "m.pgm")
     write_map_pgm(field, path, mask=mask)
-    with open(path, "rb") as f:
+    with open(str(tmp_path / "m_s000.pgm"), "rb") as f:
         pixels = f.read()[-4:]
     # scale comes from visible values only (10..30); hidden pixel is 0
     assert pixels == bytes([0, 0, 128, 255])
@@ -441,12 +443,13 @@ def test_pgm_mask_blanks_outside(tmp_path):
 
 def test_pgm_validation(tmp_path):
     path = str(tmp_path / "x.pgm")
-    with pytest.raises(ValueError, match="2-D or 3-D"):
-        write_map_pgm(np.zeros(4), path)
+    for field in (np.zeros(4), np.zeros((2, 2))):
+        with pytest.raises(ValueError, match="3-D"):
+            write_map_pgm(field, path)
     with pytest.raises(ValueError, match="finite"):
-        write_map_pgm(np.array([[np.nan, 0.0]]), path)
+        write_map_pgm(np.array([[[np.nan, 0.0]]]), path)
     with pytest.raises(ValueError, match="mask shape"):
-        write_map_pgm(np.zeros((2, 2)), path, mask=np.ones((3, 3), bool))
+        write_map_pgm(np.zeros((2, 2, 1)), path, mask=np.ones((3, 3, 3), bool))
 
 
 def _write_csv_per_cell(path, header, rows):
@@ -456,7 +459,8 @@ def _write_csv_per_cell(path, header, rows):
         for row in rows:
             f.write(
                 ",".join(
-                    format_float(c) if isinstance(c, (float, np.floating)) else str(c)
+                    f"{float(c):.17g}" if isinstance(c, (float, np.floating))
+                    else str(c)
                     for c in row
                 )
                 + "\n"
@@ -481,7 +485,6 @@ def test_write_csv_matches_per_cell_rendering(tmp_path):
         np.arange(n) % 2 == 0,
         [True, False] * (n // 2),
         [f"s{i}" for i in range(n)],
-        [x if i % 2 else "x" for i, x in enumerate(floats)],
     ]
     header = [f"c{j}" for j in range(len(columns))]
     rows = list(zip(*columns))
@@ -494,6 +497,10 @@ def test_write_csv_matches_per_cell_rendering(tmp_path):
     _write_csv_per_cell(oracle, ["a", "b", "c"], table)
     write_csv(str(tmp_path / "array.csv"), ["a", "b", "c"], columns=table.T)
     assert _read_bytes(str(tmp_path / "array.csv")) == _read_bytes(oracle)
+    # no artifact holds a column of floats and other values
+    mixed = [x if i % 2 else "x" for i, x in enumerate(floats)]
+    with pytest.raises(ValueError, match="mixes floats"):
+        write_csv(str(tmp_path / "mixed.csv"), ["m"], columns=[mixed])
 
 
 def test_write_csv_zero_rows_and_bad_shapes(tmp_path):

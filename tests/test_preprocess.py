@@ -301,7 +301,7 @@ def test_preprocess_config_validation():
 
 
 def test_dataset_smoothing_matches_per_image_bits():
-    # an epoch of images per correlate1d call, the normalizer once
+    # one gaussian_smooth_3d call per epoch of images
     rng = np.random.default_rng(13)
     mask = rng.random((6, 5, 4)) < 0.6
     coords = np.argwhere(mask)
@@ -326,3 +326,10 @@ def test_dataset_smoothing_matches_per_image_bits():
             vol, cfg.smooth_fwhm, cfg.voxel_size, mask
         )[mask]
     assert _smooth_dataset(ds, cfg).tobytes() == expected.tobytes()
+    # a (X, Y, Z, K) stack gets each volume's bits, masked or not, at any fwhm
+    stack = rng.standard_normal(mask.shape + (5,))
+    for m, fwhm in ((mask, 2.5), (None, 2.5), (mask, 0.0), (None, 0.0)):
+        alone = [gaussian_smooth_3d(stack[..., k], fwhm, cfg.voxel_size, m)
+                 for k in range(stack.shape[-1])]
+        got = gaussian_smooth_3d(stack, fwhm, cfg.voxel_size, m)
+        assert got.tobytes() == np.stack(alone, axis=-1).tobytes()

@@ -10,7 +10,6 @@ from trialmix.variability import (
     analyze_variability,
     anova_two_way,
     fitted_response,
-    fitted_scores,
     pc_effect_curves,
     pc_scores,
     pca_cov,
@@ -182,16 +181,20 @@ def test_anova_needs_residual_df():
 
 
 def test_fitted_scores_stacks_cells():
-    scores = np.arange(12.0).reshape(6, 2)
-    epochs = np.tile([1, 2], 6)[:12]
-    clusters = np.repeat([1, 2, 3], 4)
-    tabs = [
-        anova_two_way(scores[:, k].repeat(2)[:12], epochs, clusters)
-        for k in range(2)
-    ]
-    cells = fitted_scores(tabs)
-    assert cells.shape == (3, 2, 2)
-    np.testing.assert_allclose(cells[:, :, 0], tabs[0].fitted)
+    # PcAnalysis.fitted stacks each component table's cells to (C, E, K)
+    ds, fit, _ = _scored_fixture(seed=4, n_voxels=30)
+    n = ds.dims.n_voxels
+    amap = ActivationMap(
+        t_stat=np.zeros(n),
+        pvals=np.zeros(n),
+        reject=np.ones(n, dtype=bool),
+        cluster=1 + np.arange(n) % 3,
+        df=10,
+    )
+    pa = analyze_variability(ds, fit, amap, n_components=2)
+    assert pa.fitted.shape == (3, ds.dims.n_epochs, 2)
+    for k, tab in enumerate(pa.tables):
+        np.testing.assert_array_equal(pa.fitted[:, :, k], tab.fitted)
 
 
 def test_fitted_response_full_rank_reconstructs():
