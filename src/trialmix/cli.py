@@ -4,8 +4,9 @@ Subcommands wire the pipeline: simulate -> preprocess -> fit -> infer
 -> pcs -> compare, with report running the last four in one pass. Every
 command writes deterministic artifacts (CSV and JSON always, PGM/SVG
 images as conveniences) through io, which owns their format and reads
-back the fit and inference directories; this module keeps the run
-config, the parser and the commands.
+back the fit and inference directories. Each stage's module declares its
+config section, which the stage takes whole; this module keeps RunConfig,
+which composes the sections, the parser and the commands.
 
 The command line and every config value are checked before a command
 reads or writes anything, each value by the io checker that reads every
@@ -31,81 +32,26 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import io
 from .em import EmConfig, em_fit
-from .inference import FdrResult, activation_map
+from .inference import FdrResult, InferenceConfig, activation_map
 from .linalg import SingularMatrixError
-from .modelsel import MODEL_SPECS, ModelComparison, compare_models
+from .modelsel import (MODEL_SPECS, CompareConfig, FitConfig, ModelComparison,
+                       compare_models)
 from .preprocess import PreprocConfig, preprocess_dataset
 from .simulate import SimConfig, simulate_dataset
 from .types import ActivationMap, Dataset, DegenerateDataError, FitResult
-from .variability import PcAnalysis, analyze_variability
+from .variability import PcAnalysis, PcsConfig, analyze_variability
 
 __all__ = ["main", "ConfigError"]
 
 
 class ConfigError(ValueError):
     """The command line or the run configuration is malformed."""
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    """Which candidate model fit and report fit."""
-
-    model: int = 5
-
-    def __post_init__(self) -> None:
-        if self.model not in MODEL_SPECS:
-            raise ValueError(f"unknown model id {self.model}")
-
-
-@dataclass(frozen=True)
-class InferenceConfig:
-    """activation_map's FDR level q, uncorrected screen (None: none) and
-    cluster size floor."""
-
-    q: float = 0.05
-    screen_alpha: float | None = 1e-3
-    min_cluster: int = 5
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.q < 1.0:
-            raise ValueError("q must lie in (0, 1)")
-        if self.screen_alpha is not None and not 0.0 < self.screen_alpha < 1.0:
-            raise ValueError("screen_alpha must lie in (0, 1)")
-        if self.min_cluster < 1:
-            raise ValueError("min_cluster must be at least 1")
-
-
-@dataclass(frozen=True)
-class PcsConfig:
-    """analyze_variability's component count and effect-curve scale."""
-
-    n_components: int = 3
-    effect_scale: float = 10.0
-
-    def __post_init__(self) -> None:
-        if self.n_components < 1:
-            raise ValueError("n_components must be at least 1")
-
-
-@dataclass(frozen=True)
-class CompareConfig:
-    """Candidate models, and the BIC sample size (None: every scalar)."""
-
-    models: tuple[int, ...] = (1, 2, 3, 4, 5)
-    n_obs: int | None = None
-
-    def __post_init__(self) -> None:
-        bad = [m for m in self.models if m not in MODEL_SPECS]
-        if bad or not self.models:
-            raise ValueError(f"unknown model id(s) {bad}" if bad else "no models")
-        if self.n_obs is not None and not 1 <= self.n_obs < 2**63:
-            raise ValueError("n_obs must lie in [1, 2**63)")
 
 
 @dataclass(frozen=True)
@@ -198,7 +144,7 @@ def cmd_fit(args, config: RunConfig, out: io.OutputDir) -> str:
 def _run_infer(
     config: RunConfig, dataset: Dataset, fit: FitResult, out: io.OutputDir
 ) -> tuple[ActivationMap, FdrResult]:
-    amap, fdr = activation_map(dataset, fit, **asdict(config.inference))
+    amap, fdr = activation_map(dataset, fit, config.inference)
     io.write_infer(out, dataset, amap, fdr)
     return amap, fdr
 
@@ -217,7 +163,7 @@ def _run_pcs(
     config: RunConfig, dataset: Dataset, fit: FitResult, amap: ActivationMap,
     out: io.OutputDir,
 ) -> PcAnalysis:
-    pa = analyze_variability(dataset, fit, amap, **asdict(config.pcs))
+    pa = analyze_variability(dataset, fit, amap, config.pcs)
     io.write_pcs(out, dataset, pa)
     return pa
 
@@ -236,13 +182,7 @@ def _run_compare(
     config: RunConfig, dataset: Dataset, out: io.OutputDir,
     fits: dict | None = None,
 ) -> ModelComparison:
-    cmp = compare_models(
-        dataset,
-        config.em,
-        model_ids=config.compare.models,
-        n_obs=config.compare.n_obs,
-        fits=fits,
-    )
+    cmp = compare_models(dataset, config.em, config.compare, fits)
     io.write_compare(out, cmp)
     return cmp
 

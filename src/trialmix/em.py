@@ -27,7 +27,6 @@ n_epochs with the scale absorbed into the within factor.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -42,6 +41,7 @@ from .types import (
     FitResult,
     Hrf,
     MixtureParams,
+    _intervene,
     validate_params,
 )
 
@@ -336,11 +336,7 @@ def update_h(
     w_between = inv_spd(params.between_cov)
     raw = _update_h_raw(resp, params.amplitude, w_between, resid_inactive)
     if raw is None or float(np.linalg.norm(raw)) == 0.0:
-        warnings.warn(
-            "shape update skipped: weighted amplitude mass is degenerate",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        _intervene("shape update skipped: weighted amplitude mass is degenerate")
         return params.hrf, params.amplitude
     norm = float(np.linalg.norm(raw))
     hrf = Hrf.from_raw(raw)
@@ -481,11 +477,7 @@ def _variance_step(
             if structure.rescale_trace:
                 within, between = _rescale_trace(within, between)
         else:
-            warnings.warn(
-                "covariance update skipped: responding mass is negligible",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+            _intervene("covariance update skipped: responding mass is negligible")
         if structure.mixture:
             off_mass = float(np.sum(1.0 - resp))
             if off_mass > max(MASS_EPS * d.n_voxels, MASS_EPS):
@@ -494,11 +486,7 @@ def _variance_step(
                     config.noise_floor,
                 )
             else:
-                warnings.warn(
-                    "noise update skipped: non-responding mass is negligible",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
+                _intervene("noise update skipped: non-responding mass is negligible")
     return params.with_updates(
         within_cov=within, between_cov=between, noise_var=noise_var
     )
@@ -515,10 +503,7 @@ def _iterate(
     """The EM loop from ``params``, on ``resid`` holding their residuals;
     on return it holds those of the result's parameters. A fit whose
     log-likelihood decreases raises DegenerateDataError."""
-    if __debug__:
-        validate_params(
-            params, dataset.dims, trace_convention=structure.rescale_trace
-        )
+    validate_params(params, dataset.dims, trace_convention=structure.rescale_trace)
     # one density evaluation per parameter value: it gives the trace
     # entry and the next (or final) responsibilities
     log_f = _log_densities(params, resid)
@@ -533,10 +518,7 @@ def _iterate(
         params = _mean_step(dataset, resp, params, resid, structure)
         resid.set_mean(params.amplitude, params.hrf.values)
         params = _variance_step(dataset, resp, params, resid, config, structure)
-        if __debug__:
-            validate_params(
-                params, dataset.dims, trace_convention=structure.rescale_trace
-            )
+        validate_params(params, dataset.dims, trace_convention=structure.rescale_trace)
         log_f = _log_densities(params, resid)
         trace.append(_mixture_loglik(params.active_prob, *log_f))
         iterations = it
@@ -626,21 +608,17 @@ def _seed(
         order = np.argsort(t_stats)[::-1]
         active = np.zeros(d.n_voxels, dtype=bool)
         active[order[:n_top]] = True
-        warnings.warn(
+        _intervene(
             "initial screen found no responding voxels; seeding from the "
-            f"top {n_top} t-statistics",
-            RuntimeWarning,
-            stacklevel=2,
+            f"top {n_top} t-statistics"
         )
     seed = params.with_updates(
         active_prob=float(np.clip(np.mean(active), 0.01, 0.99))
     )
     if np.all(active):
-        warnings.warn(
+        _intervene(
             "no voxels classified non-responding; seeding noise variance "
-            "from the pooled residuals",
-            RuntimeWarning,
-            stacklevel=2,
+            "from the pooled residuals"
         )
         noise = float(np.mean(resid.inactive**2))
         seed = seed.with_updates(noise_var=max(noise, config.noise_floor))

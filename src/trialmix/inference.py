@@ -1,8 +1,11 @@
 """Activation inference: pre-whitening, amplitude t-tests, adaptive FDR,
-and spatial clustering of the rejected voxels."""
+and spatial clustering of the rejected voxels.
+
+InferenceConfig declares the stage's settings and defaults once;
+activation_map takes it whole, and its steps take plain values.
+"""
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,9 +14,11 @@ from scipy.special import betainc
 
 from .kernels import voxel_blocks
 from .linalg import inv_sqrt
-from .types import ActivationMap, Dataset, DegenerateDataError, FitResult, MixtureParams
+from .types import (ActivationMap, Dataset, DegenerateDataError, FitResult,
+                    MixtureParams, _intervene)
 
 __all__ = [
+    "InferenceConfig",
     "t_statistics",
     "t_sf",
     "FdrResult",
@@ -83,16 +88,6 @@ class _AmplitudeTest:
         return t, int(np.sum(~good))
 
 
-def _warn_exact_fits(n_exact: int) -> None:
-    if n_exact:
-        warnings.warn(
-            f"{n_exact} voxel(s) fit exactly; t set to +-inf, "
-            "or 0 where the amplitude is 0",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-
 def t_statistics(dataset: Dataset, params: MixtureParams) -> tuple[np.ndarray, int]:
     """Amplitude t-statistics of every voxel, and their degrees of freedom.
 
@@ -111,7 +106,11 @@ def t_statistics(dataset: Dataset, params: MixtureParams) -> tuple[np.ndarray, i
         series_w = _whiten_series(series_ep[sl], half_between, half_within)
         t[sl], n_blk = test(series_w)
         n_exact += n_blk
-    _warn_exact_fits(n_exact)
+    if n_exact:
+        _intervene(
+            f"{n_exact} voxel(s) fit exactly; t set to +-inf, "
+            "or 0 where the amplitude is 0"
+        )
     return t, test.df
 
 
@@ -145,7 +144,7 @@ class FdrResult:
     n_rejected: int
 
 
-def fdr_adaptive(pvals: np.ndarray, q: float = 0.05) -> FdrResult:
+def fdr_adaptive(pvals: np.ndarray, q: float) -> FdrResult:
     """Adaptive step-up procedure with a slope-based null-count estimate.
 
     Sorts the p-values, forms the slopes S_k = (1 - p_(k)) / (m + 1 - k),
@@ -193,7 +192,7 @@ def fdr_adaptive(pvals: np.ndarray, q: float = 0.05) -> FdrResult:
     )
 
 
-def cluster_active(coords: np.ndarray, min_size: int = 5) -> np.ndarray:
+def cluster_active(coords: np.ndarray, min_size: int) -> np.ndarray:
     """Group voxel coordinates into spatial clusters.
 
     Groups 26-connected components (all lattice neighbors including
@@ -222,29 +221,43 @@ def cluster_active(coords: np.ndarray, min_size: int = 5) -> np.ndarray:
     return relabel[raw]
 
 
+@dataclass(frozen=True)
+class InferenceConfig:
+    """activation_map's FDR level q, uncorrected screen (None: none) and
+    cluster size floor."""
+
+    q: float = 0.05
+    screen_alpha: float | None = 1e-3
+    min_cluster: int = 5
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.q < 1.0:
+            raise ValueError("q must lie in (0, 1)")
+        if self.screen_alpha is not None and not 0.0 < self.screen_alpha < 1.0:
+            raise ValueError("screen_alpha must lie in (0, 1)")
+        if self.min_cluster < 1:
+            raise ValueError("min_cluster must be at least 1")
+
+
 def activation_map(
-    dataset: Dataset,
-    fit: FitResult,
-    q: float = 0.05,
-    screen_alpha: float | None = 1e-3,
-    min_cluster: int = 5,
+    dataset: Dataset, fit: FitResult, config: InferenceConfig = InferenceConfig()
 ) -> tuple[ActivationMap, FdrResult]:
     """Full inference pass over a fitted dataset.
 
     Whitens with the fitted covariance factors, tests every voxel's
     amplitude, optionally screens at an uncorrected level before the
-    adaptive FDR pass (pass screen_alpha=None to adjust all voxels),
+    adaptive FDR pass (config.screen_alpha=None adjusts all voxels),
     and clusters the rejected voxels. A screen that nothing passes
     gives an FdrResult with threshold 0.0 and m0_hat 0.
     """
     t, df = t_statistics(dataset, fit.params)
     pvals = np.asarray(t_sf(t, df))
     m = dataset.dims.n_voxels
-    if screen_alpha is None:
+    if config.screen_alpha is None:
         screened = np.arange(m)
     else:
-        screened = np.nonzero(pvals < screen_alpha)[0]
-    sub = fdr_adaptive(pvals[screened], q)
+        screened = np.nonzero(pvals < config.screen_alpha)[0]
+    sub = fdr_adaptive(pvals[screened], config.q)
     reject = np.zeros(m, dtype=bool)
     reject[screened[sub.reject]] = True
     fdr = FdrResult(reject=reject.copy(), threshold=sub.threshold,
@@ -252,6 +265,6 @@ def activation_map(
     cluster = np.zeros(m, dtype=np.int64)
     idx = np.nonzero(reject)[0]
     if idx.size:
-        cluster[idx] = cluster_active(dataset.coords[idx], min_size=min_cluster)
+        cluster[idx] = cluster_active(dataset.coords[idx], config.min_cluster)
     amap = ActivationMap(t_stat=t, pvals=pvals, reject=reject, cluster=cluster, df=df)
     return amap, fdr

@@ -7,11 +7,12 @@ factor dimensions.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+
+from .types import _check_symmetric, _intervene
 
 __all__ = [
     "SingularMatrixError",
@@ -26,7 +27,6 @@ __all__ = [
 ]
 
 MAX_DIM = 64
-SYM_TOL = 1e-12
 COND_MAX = 1e12
 RIDGE_REL = 1e-8
 RIDGE_ABS = 1e-12
@@ -50,9 +50,7 @@ def _check_square_sym(mat: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     if mat.shape[0] > MAX_DIM:
         raise ValueError(f"dimension {mat.shape[0]} exceeds supported maximum {MAX_DIM}")
-    scale = max(1.0, float(np.max(np.abs(mat))) if mat.size else 1.0)
-    if float(np.max(np.abs(mat - mat.T))) > SYM_TOL * scale:
-        raise ValueError("matrix is not symmetric")
+    _check_symmetric(mat, "matrix")
     return mat
 
 
@@ -106,11 +104,9 @@ def regularize_spd(mat: np.ndarray, where: str = "") -> np.ndarray:
     scale = float(np.trace(mat)) / dim
     ridge = RIDGE_REL * scale if scale > 0.0 else RIDGE_ABS
     bump = max(ridge, -lo + ridge) if lo <= 0.0 else ridge
-    warnings.warn(
+    _intervene(
         f"ill-conditioned matrix{' in ' + where if where else ''}: "
-        f"eigenvalues in [{lo:.3e}, {hi:.3e}], adding ridge {bump:.3e}",
-        RuntimeWarning,
-        stacklevel=2,
+        f"eigenvalues in [{lo:.3e}, {hi:.3e}], adding ridge {bump:.3e}"
     )
     return mat + bump * np.eye(dim)
 

@@ -4,6 +4,9 @@ Five nested candidates: (1) canonical shape with isotropic noise and
 every voxel responding, (2) the same with the shape estimated, and
 mixtures whose responding covariance is (3) between-epoch only,
 (4) within-epoch only, or (5) the full Kronecker product.
+
+FitConfig and CompareConfig declare the candidate settings and defaults
+once; compare_models takes its section whole.
 """
 from __future__ import annotations
 
@@ -18,6 +21,8 @@ from .types import Dataset, Dims, FitResult
 __all__ = [
     "ModelSpec",
     "MODEL_SPECS",
+    "FitConfig",
+    "CompareConfig",
     "count_params",
     "aic",
     "bic",
@@ -71,6 +76,31 @@ MODEL_SPECS: dict[int, ModelSpec] = {
         ModelStructure(mixture=True),
     ),
 }
+
+
+@dataclass(frozen=True)
+class FitConfig:
+    """Which candidate model fit and report fit."""
+
+    model: int = 5
+
+    def __post_init__(self) -> None:
+        ModelSpec.from_id(self.model)
+
+
+@dataclass(frozen=True)
+class CompareConfig:
+    """Candidate models, and the BIC sample size (None: every scalar)."""
+
+    models: tuple[int, ...] = (1, 2, 3, 4, 5)
+    n_obs: int | None = None
+
+    def __post_init__(self) -> None:
+        bad = [m for m in self.models if m not in MODEL_SPECS]
+        if bad or not self.models:
+            raise ValueError(f"unknown model id(s) {bad}" if bad else "no models")
+        if self.n_obs is not None and not 1 <= self.n_obs < 2**63:
+            raise ValueError("n_obs must lie in [1, 2**63)")
 
 
 def count_params(model_id: int, dims: Dims) -> int:
@@ -138,24 +168,23 @@ class ModelComparison:
 def compare_models(
     dataset: Dataset,
     config: EmConfig = EmConfig(),
-    model_ids: tuple[int, ...] = (1, 2, 3, 4, 5),
-    n_obs: int | None = None,
+    compare: CompareConfig = CompareConfig(),
     fits: Mapping[int, FitResult] | None = None,
 ) -> ModelComparison:
-    """Fit the candidates and rank them by information criteria.
+    """Fit the candidates compare.models and rank them by information
+    criteria.
 
-    The default sample size for the BIC is the total number of scalar
-    observations, n_voxels * n_images. ``fits`` maps model ids to fits
-    the caller already made with fit_model(dataset, id, config); those
-    models are not fitted again.
+    The BIC sample size is compare.n_obs, or when None the total number
+    of scalar observations, n_voxels * n_images. ``fits`` maps model ids
+    to fits the caller already made with fit_model(dataset, id, config);
+    those models are not fitted again.
     """
-    if not model_ids:
-        raise ValueError("model_ids must not be empty")
     d = dataset.dims
+    n_obs = compare.n_obs
     if n_obs is None:
         n_obs = d.n_voxels * d.n_images
     rows = []
-    for mid in model_ids:
+    for mid in compare.models:
         spec = ModelSpec.from_id(mid)
         fit = fits[mid] if fits and mid in fits else fit_model(dataset, mid, config)
         ll = float(fit.loglik_trace[-1])

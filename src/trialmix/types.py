@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -55,6 +56,13 @@ def _gc_paused():
 
 class DegenerateDataError(ValueError):
     """Raised when the data cannot support the requested estimate."""
+
+
+def _intervene(message: str) -> None:
+    """Report a numerical intervention (a skipped update, a ridge, a
+    fallback) as a RuntimeWarning at the caller of the function that
+    made it; the package raises every warning here."""
+    warnings.warn(message, RuntimeWarning, stacklevel=3)
 
 
 @dataclass(frozen=True)
@@ -233,18 +241,23 @@ class MixtureParams:
         )
 
 
+def _check_symmetric(mat: np.ndarray, label: str) -> None:
+    """The package's one symmetry rule, relative to the largest entry."""
+    if np.max(np.abs(mat - mat.T)) > SYM_TOL * max(1.0, np.max(np.abs(mat))):
+        raise ValueError(f"{label} is not symmetric")
+
+
 def _check_spd(mat: np.ndarray, label: str) -> None:
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{label} must be square")
-    if np.max(np.abs(mat - mat.T)) > SYM_TOL * max(1.0, np.max(np.abs(mat))):
-        raise ValueError(f"{label} is not symmetric")
+    _check_symmetric(mat, label)
     if np.linalg.eigvalsh(mat)[0] <= 0.0:
         raise ValueError(f"{label} is not positive definite")
 
 
 def validate_params(
     params: MixtureParams,
-    dims: Dims | None = None,
+    dims: Dims,
     trace_convention: bool = True,
 ) -> None:
     """Assert every invariant of a parameter set.
@@ -267,25 +280,20 @@ def validate_params(
             raise ValueError(
                 f"trace(between_cov)={tr_between} violates the scale convention"
             )
-    if params.amplitude.ndim != 1 or params.coeffs.ndim != 2:
-        raise ValueError("amplitude must be 1-D and coeffs 2-D")
-    if params.amplitude.shape[0] != params.coeffs.shape[0]:
-        raise ValueError("amplitude and coeffs disagree on voxel count")
+    if params.hrf.values.shape != (dims.n_times,):
+        raise ValueError("response shape length does not match n_times")
+    if params.within_cov.shape != (dims.n_times, dims.n_times):
+        raise ValueError("within_cov does not match n_times")
+    if params.between_cov.shape != (dims.n_epochs, dims.n_epochs):
+        raise ValueError("between_cov does not match n_epochs")
+    if params.amplitude.shape != (dims.n_voxels,):
+        raise ValueError("amplitude does not match n_voxels")
+    if params.coeffs.shape != (dims.n_voxels, dims.n_covariates):
+        raise ValueError("coeffs do not match dims")
     if not np.all(np.isfinite(params.amplitude)) or not np.all(
         np.isfinite(params.coeffs)
     ):
         raise ValueError("per-voxel coefficients contain non-finite values")
-    if dims is not None:
-        if params.hrf.values.shape != (dims.n_times,):
-            raise ValueError("response shape length does not match n_times")
-        if params.within_cov.shape != (dims.n_times, dims.n_times):
-            raise ValueError("within_cov does not match n_times")
-        if params.between_cov.shape != (dims.n_epochs, dims.n_epochs):
-            raise ValueError("between_cov does not match n_epochs")
-        if params.amplitude.shape != (dims.n_voxels,):
-            raise ValueError("amplitude does not match n_voxels")
-        if params.coeffs.shape != (dims.n_voxels, dims.n_covariates):
-            raise ValueError("coeffs do not match dims")
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,9 @@ components; projecting each responding voxel's per-epoch residuals onto
 the leading components gives single-trial scores, which are summarized
 by an additive two-way layout over epochs and spatial clusters and
 turned back into fitted response curves.
+
+PcsConfig declares the stage's settings and defaults once;
+analyze_variability takes it whole, and its steps take plain values.
 """
 from __future__ import annotations
 
@@ -18,6 +21,7 @@ from .linalg import SymEigen, sym_eigen
 from .types import ActivationMap, Dataset, DegenerateDataError, FitResult
 
 __all__ = [
+    "PcsConfig",
     "PcaResult",
     "pca_cov",
     "pc_scores",
@@ -68,7 +72,7 @@ def pc_scores(
     dataset: Dataset,
     fit: FitResult,
     reject: np.ndarray,
-    n_components: int = 3,
+    n_components: int,
 ) -> tuple[np.ndarray, np.ndarray, PcaResult]:
     """Single-trial component scores for the responding voxels.
 
@@ -237,8 +241,8 @@ def fitted_response(
 def pc_effect_curves(
     hrf_values: np.ndarray,
     pca: PcaResult,
-    n_components: int = 3,
-    scale: float = 10.0,
+    n_components: int,
+    scale: float,
 ) -> np.ndarray:
     """Display curves showing each component's effect on the response.
 
@@ -274,12 +278,23 @@ class PcAnalysis:
     effect_curves: np.ndarray
 
 
+@dataclass(frozen=True)
+class PcsConfig:
+    """analyze_variability's component count and effect-curve scale."""
+
+    n_components: int = 3
+    effect_scale: float = 10.0
+
+    def __post_init__(self) -> None:
+        if self.n_components < 1:
+            raise ValueError("n_components must be at least 1")
+
+
 def analyze_variability(
     dataset: Dataset,
     fit: FitResult,
     amap: ActivationMap,
-    n_components: int = 3,
-    effect_scale: float = 10.0,
+    config: PcsConfig = PcsConfig(),
 ) -> PcAnalysis:
     """Run the single-trial pipeline on a fitted dataset.
 
@@ -287,9 +302,8 @@ def analyze_variability(
     fitted curves use the voxels with a cluster label (unclustered
     rejected voxels carry no spatial level).
     """
-    idx, scores, within_pca = pc_scores(
-        dataset, fit, amap.reject, n_components=n_components
-    )
+    n_components = config.n_components
+    idx, scores, within_pca = pc_scores(dataset, fit, amap.reject, n_components)
     clusters = amap.cluster[idx]
     keep = clusters > 0
     if not np.any(keep):
@@ -315,7 +329,8 @@ def analyze_variability(
     for ci in range(cluster_levels.size):
         for j in range(d.n_epochs):
             curves[ci, j] = fitted_response(amps[ci], hrf_values, gamma, cells[ci, j])
-    effects = pc_effect_curves(hrf_values, within_pca, n_components, effect_scale)
+    effects = pc_effect_curves(hrf_values, within_pca, n_components,
+                               config.effect_scale)
     return PcAnalysis(
         within_pca=within_pca,
         active_idx=idx,

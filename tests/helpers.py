@@ -21,12 +21,12 @@ from trialmix.em import (
 )
 from trialmix.inference import (
     _AmplitudeTest,
-    _warn_exact_fits,
     _whiten_series,
     _whitening,
 )
 from trialmix.linalg import inv_spd, kron_logdet, solve_spd
-from trialmix.types import Dataset, DegenerateDataError, Dims, Hrf, MixtureParams
+from trialmix.types import (Dataset, DegenerateDataError, Dims, Hrf, MixtureParams,
+                            _intervene)
 
 
 # mask_shape values past the volume bound; each once ended in a
@@ -201,7 +201,11 @@ def t_statistics_all(
     """Amplitude t-statistics of every whitened voxel series at once."""
     test = _AmplitudeTest(mu_w, design_w)
     t, n_exact = test(series_w)
-    _warn_exact_fits(n_exact)
+    if n_exact:
+        _intervene(
+            f"{n_exact} voxel(s) fit exactly; t set to +-inf, "
+            "or 0 where the amplitude is 0"
+        )
     return t, test.df
 
 

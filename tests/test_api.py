@@ -1,8 +1,12 @@
-"""The public surface: every exported name exists."""
+"""The public surface: every exported name exists, the README's library
+example runs, and warnings leave the package through one seam."""
+import ast
 import importlib
 import inspect
 import json
+import pathlib
 import pkgutil
+import re
 
 import numpy as np
 
@@ -31,21 +35,23 @@ def test_public_names_resolve():
 # perfbench/tracer.py reads these arguments by name from the calls it
 # wraps; renaming one would fail every traced run with a KeyError
 TRACED_ARGUMENTS = {
-    **{f"io.{name}": "path" for name in (
+    **{f"io.{name}": ("path",) for name in (
         "write_csv", "read_params_json", "write_params_json", "read_dataset",
         "write_dataset", "read_truth", "write_map_pgm")},
-    **{f"kernels.{name}": "resid" for name in (
+    **{f"kernels.{name}": ("resid",) for name in (
         "quad_forms_kron", "scatter_within", "scatter_between")},
+    "em.em_fit": ("config", "structure"),
+    "modelsel.fit_model": ("model_id",),
 }
 
 
 def test_traced_arguments_keep_their_names():
     missing = []
-    for name, argument in TRACED_ARGUMENTS.items():
+    for name, arguments in TRACED_ARGUMENTS.items():
         module, attr = name.split(".")
         fn = getattr(importlib.import_module(f"trialmix.{module}"), attr)
-        if argument not in inspect.signature(fn).parameters:
-            missing.append(f"{name}({argument})")
+        params = inspect.signature(fn).parameters
+        missing += [f"{name}({a})" for a in arguments if a not in params]
     assert missing == []
 
 
@@ -56,3 +62,37 @@ def test_map_sidecar_lists_the_slice_files(tmp_path):
         files = json.load(f)["files"]
     assert files == ["m_s000.pgm", "m_s001.pgm", "m_s002.pgm"]
     assert all((tmp_path / name).is_file() for name in files)
+
+
+def _warn_calls(path: pathlib.Path) -> list[str]:
+    """module.function of every warn(...) call in a source file."""
+    sites = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            func = child.func if isinstance(child, ast.Call) else None
+            if (isinstance(func, ast.Attribute) and func.attr == "warn") or (
+                    isinstance(func, ast.Name) and func.id == "warn"):
+                sites.append(f"{path.stem}.{owner}")
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text()), None)
+    return sites
+
+
+def test_warnings_leave_the_package_through_one_seam():
+    package = pathlib.Path(trialmix.__file__).parent
+    sites = [s for path in sorted(package.glob("*.py")) for s in _warn_calls(path)]
+    assert sites == ["types._intervene"]
+
+
+def test_readme_library_example_runs():
+    readme = pathlib.Path(__file__).parents[1] / "README.md"
+    section = readme.read_text().split("## Library", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    assert "InferenceConfig(q=0.05)" in code
+    assert "PcsConfig(n_components=3)" in code
+    exec(compile(code, str(readme), "exec"), {})

@@ -577,7 +577,7 @@ def test_null_data_ascent_failure_exits_3(tmp_path, capsys, seed):
 
 def test_ascent_check_runs_under_optimization(tmp_path):
     # seed 2's null fit loses likelihood and exits 3; python -O strips
-    # __debug__ blocks, and the final ascent check must not be one of them
+    # asserts and __debug__ blocks, and no check of the fit may be one
     cfg = str(tmp_path / "null.json")
     with open(cfg, "w") as f:
         json.dump({"simulate": {"n_voxels": 50, "active_frac": 0.0}}, f)
@@ -701,9 +701,9 @@ def _tree_bytes(root):
 
 
 def test_fit_bit_identical_under_optimization(tmp_path):
-    # python -O strips the fit's __debug__ parameter checks in both the
-    # reduced phase and the main loop; they only check, so a mixture fit
-    # writes the same bytes without them
+    # the fit's checks run under python -O as well (none is an assert or
+    # a __debug__ block), so a mixture fit writes the same bytes in both
+    # modes
     bundle = _write_bundle(str(tmp_path / "bundle"))
     fits = []
     for flags in ([], ["-O"]):

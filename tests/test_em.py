@@ -1,4 +1,5 @@
 """E-step identities, M-step stationarity, and the fitting loop."""
+import inspect
 import warnings
 from dataclasses import replace
 
@@ -433,6 +434,22 @@ def test_init_fit_all_active_screen_seeds_pooled_noise():
     ))
     np.testing.assert_allclose(params.within_cov, within, rtol=1e-12)
     np.testing.assert_allclose(params.between_cov, between, rtol=1e-12)
+
+
+def test_seeding_fallback_is_reported_where_em_fit_seeds():
+    # a numerical intervention is reported at the caller of the function
+    # that made it: _seed's fallback points at em_fit's call of _seed. On
+    # this null bundle model 3's screen passes no voxel
+    ds, _ = simulate_dataset(SimConfig(n_voxels=200, active_frac=0.0), seed=2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        em_fit(ds, EmConfig(max_iter=5), MODEL_SPECS[3].structure)
+    fallback = [w for w in caught if "initial screen found" in str(w.message)]
+    assert len(fallback) == 1
+    assert fallback[0].filename.endswith("em.py")
+    lines, first = inspect.getsourcelines(em.em_fit)
+    assert 0 <= fallback[0].lineno - first < len(lines)
+    assert "_seed(" in lines[fallback[0].lineno - first]
 
 
 def test_config_validation():

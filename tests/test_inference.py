@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from trialmix.inference import (
+    InferenceConfig,
     activation_map,
     cluster_active,
     fdr_adaptive,
@@ -155,7 +156,7 @@ def test_fdr_no_rejections_and_small_inputs():
     res = fdr_adaptive(np.array([0.2, 0.5, 0.9]), q=0.05)
     assert res.n_rejected == 0 and res.threshold == 0.0
     assert not res.reject.any()
-    res = fdr_adaptive(np.zeros(0))
+    res = fdr_adaptive(np.zeros(0), q=0.05)
     assert res.n_rejected == 0 and res.m0_hat == 0
     res = fdr_adaptive(np.array([0.01]), q=0.05)
     assert res.n_rejected == 1
@@ -170,11 +171,11 @@ def test_fdr_rejects_ties_together():
 
 def test_fdr_validates_inputs():
     with pytest.raises(ValueError):
-        fdr_adaptive(np.array([0.1, 1.5]))
+        fdr_adaptive(np.array([0.1, 1.5]), q=0.05)
     with pytest.raises(ValueError):
-        fdr_adaptive(np.array([0.1, np.nan]))
+        fdr_adaptive(np.array([0.1, np.nan]), q=0.05)
     with pytest.raises(ValueError):
-        fdr_adaptive(np.array([[0.1]]))
+        fdr_adaptive(np.array([[0.1]]), q=0.05)
     with pytest.raises(ValueError):
         fdr_adaptive(np.array([0.1]), q=0.0)
 
@@ -207,9 +208,9 @@ def test_clustering_uses_diagonal_adjacency():
 
 
 def test_clustering_edge_cases():
-    assert cluster_active(np.zeros((0, 3), dtype=int)).size == 0
+    assert cluster_active(np.zeros((0, 3), dtype=int), min_size=5).size == 0
     with pytest.raises(ValueError):
-        cluster_active(np.zeros((3, 2), dtype=int))
+        cluster_active(np.zeros((3, 2), dtype=int), min_size=5)
 
 
 def test_activation_map_finds_planted_signal():
@@ -217,7 +218,7 @@ def test_activation_map_finds_planted_signal():
         SimConfig(n_voxels=400, n_times=8, n_epochs=5, n_covariates=1), seed=11
     )
     fit = em_fit(ds)
-    amap, fdr = activation_map(ds, fit, q=0.05, min_cluster=1)
+    amap, fdr = activation_map(ds, fit, InferenceConfig(q=0.05, min_cluster=1))
     active = truth.labels.astype(bool)
     # most discoveries are real and most of the signal is found
     if fdr.n_rejected:
@@ -233,7 +234,7 @@ def test_activation_map_screen_none_adjusts_everything():
         SimConfig(n_voxels=100, n_times=6, n_epochs=4, n_covariates=0), seed=5
     )
     fit = em_fit(ds)
-    amap, fdr = activation_map(ds, fit, q=0.05, screen_alpha=None)
+    amap, fdr = activation_map(ds, fit, InferenceConfig(q=0.05, screen_alpha=None))
     whole = fdr_adaptive(amap.pvals, 0.05)
     assert whole.n_rejected > 0
     np.testing.assert_array_equal(fdr.reject, whole.reject)
@@ -242,7 +243,7 @@ def test_activation_map_screen_none_adjusts_everything():
         whole.threshold, whole.m0_hat, whole.n_rejected)
     # a screen that nothing passes leaves nothing to adjust
     strict = float(amap.pvals.min())
-    amap, fdr = activation_map(ds, fit, screen_alpha=strict)
+    amap, fdr = activation_map(ds, fit, InferenceConfig(screen_alpha=strict))
     assert not np.any(amap.pvals < strict)
     assert (fdr.threshold, fdr.m0_hat, fdr.n_rejected) == (0.0, 0, 0)
     assert not np.any(fdr.reject) and not np.any(amap.reject)

@@ -5,6 +5,7 @@ import pytest
 from trialmix.em import EmConfig
 from trialmix.modelsel import (
     MODEL_SPECS,
+    CompareConfig,
     ModelSpec,
     aic,
     bic,
@@ -118,8 +119,8 @@ def test_compare_models_table(tiny_dataset):
 
 def test_compare_models_subset_and_custom_n_obs(tiny_dataset):
     cfg = EmConfig(max_iter=30)
-    cmp = compare_models(tiny_dataset, cfg, model_ids=(1, 2), n_obs=50)
+    cmp = compare_models(tiny_dataset, cfg, CompareConfig(models=(1, 2), n_obs=50))
     assert [r.model_id for r in cmp.rows] == [1, 2]
     assert cmp.n_obs == 50
     with pytest.raises(ValueError):
-        compare_models(tiny_dataset, cfg, model_ids=())
+        CompareConfig(models=())

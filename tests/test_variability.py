@@ -3,10 +3,11 @@ import numpy as np
 import pytest
 
 from trialmix.em import em_fit, residual_matrices
-from trialmix.inference import activation_map
+from trialmix.inference import InferenceConfig, activation_map
 from trialmix.simulate import SimConfig, simulate_dataset
 from trialmix.types import ActivationMap, DegenerateDataError, FitResult
 from trialmix.variability import (
+    PcsConfig,
     analyze_variability,
     anova_two_way,
     fitted_response,
@@ -96,7 +97,7 @@ def test_pc_scores_full_rank_preserves_energy():
 def test_pc_scores_validates():
     ds, fit, _ = _scored_fixture(seed=3)
     with pytest.raises(DegenerateDataError):
-        pc_scores(ds, fit, np.zeros(ds.dims.n_voxels, dtype=bool))
+        pc_scores(ds, fit, np.zeros(ds.dims.n_voxels, dtype=bool), n_components=2)
     with pytest.raises(ValueError):
         pc_scores(ds, fit, np.ones(ds.dims.n_voxels, dtype=bool), n_components=99)
 
@@ -191,7 +192,7 @@ def test_fitted_scores_stacks_cells():
         cluster=1 + np.arange(n) % 3,
         df=10,
     )
-    pa = analyze_variability(ds, fit, amap, n_components=2)
+    pa = analyze_variability(ds, fit, amap, PcsConfig(n_components=2))
     assert pa.fitted.shape == (3, ds.dims.n_epochs, 2)
     for k, tab in enumerate(pa.tables):
         np.testing.assert_array_equal(pa.fitted[:, :, k], tab.fitted)
@@ -230,10 +231,10 @@ def test_analyze_variability_end_to_end():
         SimConfig(n_voxels=300, n_times=8, n_epochs=5, n_covariates=1), seed=21
     )
     fit = em_fit(ds)
-    amap, _ = activation_map(ds, fit, min_cluster=2)
+    amap, _ = activation_map(ds, fit, InferenceConfig(min_cluster=2))
     if not np.any(amap.cluster > 0):
         pytest.skip("no spatial clusters at this size")
-    pa = analyze_variability(ds, fit, amap, n_components=2)
+    pa = analyze_variability(ds, fit, amap, PcsConfig(n_components=2))
     d = ds.dims
     n_clusters = pa.cluster_levels.size
     assert pa.scores.shape[2] == 2
