@@ -11,7 +11,8 @@ one sweep of conditional maximizers (generalized EM in the ECM sense),
 so the observed-data log-likelihood never decreases. Its order is fixed:
 the mean block (mixing proportion, amplitudes, coefficients, shape),
 then the refresh of the responding residuals, then the variance block
-(covariance factors, noise variance). _Residuals is the only code that
+(the conditional steps of the structure's responding covariance, each
+once, then the noise variance). _Residuals is the only code that
 builds residuals, and a fit builds them once: em_fit fits every model
 structure on one _Residuals owner. A mixture first runs the reduced
 (all-responding) phase on that owner, screens it with the amplitude
@@ -20,8 +21,8 @@ the same variance block; the main loop then continues on the same
 owner, whose residuals seeding leaves unchanged. A Dataset is valid by
 construction, so a fit checks only its own condition, centered design
 columns. Identification:
-hrf has unit norm with its dominant entry positive, and when both
-covariance factors are free the between factor is rescaled to trace
+hrf has unit norm with its dominant entry positive, and for the
+"kronecker" covariance the between factor is rescaled to trace
 n_epochs with the scale absorbed into the within factor.
 """
 from __future__ import annotations
@@ -78,25 +79,41 @@ class EmConfig:
             raise ValueError("init_alpha must lie in (0, 1)")
 
 
+# The conditional steps of each factored responding covariance, in
+# order: both factors free alternate twice per iteration. One step is
+# exact for a single free factor, whose partner stays at the identity: a
+# second step would repeat the first from the same inputs.
+FACTOR_STEPS = {
+    "kronecker": ("within", "between", "within", "between"),
+    "within": ("within",),
+    "between": ("between",),
+}
+
+
 @dataclass(frozen=True)
 class ModelStructure:
     """Which parameter blocks a fit estimates.
 
-    spherical replaces the Kronecker covariance with noise_var * I for
-    all-active fits; free_within / free_between freeze a Kronecker
-    factor at identity when False; mixture False fixes every voxel as
+    ``covariance`` names the responding covariance: "kronecker" (both
+    factors free), "within" or "between" (only that factor free, the
+    other fixed at the identity), or "spherical" (noise_var * I, for
+    all-responding fits only). mixture False fixes every voxel as
     responding (no E-step).
     """
 
     mixture: bool = True
     estimate_hrf: bool = True
-    free_within: bool = True
-    free_between: bool = True
-    spherical: bool = False
+    covariance: str = "kronecker"
+
+    def __post_init__(self) -> None:
+        if self.covariance not in (*FACTOR_STEPS, "spherical"):
+            raise ValueError(f"unknown covariance {self.covariance!r}")
+        if self.mixture and self.covariance == "spherical":
+            raise ValueError("a mixture's responding covariance cannot be spherical")
 
     @property
     def rescale_trace(self) -> bool:
-        return self.free_within and self.free_between and not self.spherical
+        return self.covariance == "kronecker"
 
 
 def hrf_shape_raw(times: np.ndarray) -> np.ndarray:
@@ -184,10 +201,6 @@ def residual_matrices(dataset: Dataset, params: MixtureParams) -> np.ndarray:
     return _Residuals(dataset, params).active
 
 
-# module-level indirection so tests can swap in a dense-covariance oracle
-_active_quads = kernels.quad_forms_kron
-
-
 def _log_densities(
     params: MixtureParams, resid: _Residuals
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -196,7 +209,7 @@ def _log_densities(
     n = resid.inactive.shape[1]
     w_within = inv_spd(params.within_cov)
     w_between = inv_spd(params.between_cov)
-    quad_a = _active_quads(resid.active, w_within, w_between)
+    quad_a = kernels.quad_forms_kron(resid.active, w_within, w_between)
     logdet = kron_logdet(params.between_cov, params.within_cov)
     log_f1 = -0.5 * (n * LOG_2PI + logdet + quad_a)
     log_f2 = -0.5 * (
@@ -346,51 +359,38 @@ def update_h(
     return hrf, amplitude
 
 
-def _update_factor(
-    resid: np.ndarray, resp: np.ndarray, other_cov: np.ndarray, scatter,
-    axis: int, name: str,
-) -> np.ndarray:
-    """Conditional maximizer of one Kronecker factor given the other: the
-    ``scatter`` of ``resid`` under the other factor's inverse, divided by
-    the length of ``axis`` times the responding mass."""
-    mass = float(np.sum(resp))
-    if mass <= 0.0:
-        raise DegenerateDataError(f"{name} update: no responding mass")
-    w_other = inv_spd(other_cov)
-    s = scatter(resid, w_other, np.asarray(resp, dtype=np.float64))
-    s = 0.5 * (s + s.T)
-    return regularize_spd(s / (resid.shape[axis] * mass), f"{name} update")
-
-
 def update_covariances(
     resid: np.ndarray,
     resp: np.ndarray,
     within_cov: np.ndarray,
     between_cov: np.ndarray,
-    sweeps: int = 2,
-    free_within: bool = True,
-    free_between: bool = True,
+    covariance: str = "kronecker",
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Flip-flop update of the covariance factors of the (n_voxels,
-    n_epochs, n_times) ``resid``.
+    """Conditional steps of the factored ``covariance`` (FACTOR_STEPS)
+    for the (n_voxels, n_epochs, n_times) ``resid``.
 
-    Each sweep maximizes the within factor given the between factor and
-    then the between factor given the new within factor; no responding
-    mass raises, and a rank-deficient scatter is ridged with a warning.
-    The caller applies the trace rescale (only when both are free).
+    Each step maximizes one factor given the current other one: the
+    weighted scatter of ``resid`` under the other factor's inverse,
+    divided by the responding mass and the other factor's side. No
+    responding mass raises, and a rank-deficient scatter is ridged with
+    a warning. The caller applies the trace rescale ("kronecker" only).
     """
-    within = within_cov
-    between = between_cov
-    for _ in range(sweeps):
-        if free_within:
-            within = _update_factor(
-                resid, resp, between, kernels.scatter_within, 1, "within-cov"
-            )
-        if free_between:
-            between = _update_factor(
-                resid, resp, within, kernels.scatter_between, 2, "between-cov"
-            )
-    return within, between
+    mass = float(np.sum(resp))
+    if mass <= 0.0:
+        raise DegenerateDataError("covariance update: no responding mass")
+    weights = np.asarray(resp, dtype=np.float64)
+    factors = {"within": within_cov, "between": between_cov}
+    for factor in FACTOR_STEPS[covariance]:
+        if factor == "within":
+            s = kernels.scatter_within(resid, inv_spd(factors["between"]), weights)
+            side = resid.shape[1]
+        else:
+            s = kernels.scatter_between(resid, inv_spd(factors["within"]), weights)
+            side = resid.shape[2]
+        factors[factor] = regularize_spd(
+            0.5 * (s + s.T) / (side * mass), f"{factor}-cov update"
+        )
+    return factors["within"], factors["between"]
 
 
 def update_sigma2(resp: np.ndarray, ssq: np.ndarray, n_images: int) -> float:
@@ -460,7 +460,7 @@ def _variance_step(
     within = params.within_cov
     between = params.between_cov
     noise_var = params.noise_var
-    if structure.spherical:
+    if structure.covariance == "spherical":
         ssq = float(np.einsum("vjt,vjt->", resid.active, resid.active))
         var = max(ssq / (d.n_voxels * d.n_images), config.noise_floor)
         within = var * np.eye(d.n_times)
@@ -470,9 +470,7 @@ def _variance_step(
         mass = float(np.sum(resp))
         if mass > max(MASS_EPS * d.n_voxels, MASS_EPS):
             within, between = update_covariances(
-                resid.active, resp, within, between,
-                free_within=structure.free_within,
-                free_between=structure.free_between,
+                resid.active, resp, within, between, structure.covariance
             )
             if structure.rescale_trace:
                 within, between = _rescale_trace(within, between)

@@ -26,7 +26,6 @@ __all__ = [
     "kron_logdet",
 ]
 
-MAX_DIM = 64
 COND_MAX = 1e12
 RIDGE_REL = 1e-8
 RIDGE_ABS = 1e-12
@@ -48,8 +47,6 @@ def _check_square_sym(mat: np.ndarray) -> np.ndarray:
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    if mat.shape[0] > MAX_DIM:
-        raise ValueError(f"dimension {mat.shape[0]} exceeds supported maximum {MAX_DIM}")
     _check_symmetric(mat, "matrix")
     return mat
 

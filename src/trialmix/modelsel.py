@@ -3,7 +3,9 @@
 Five nested candidates: (1) canonical shape with isotropic noise and
 every voxel responding, (2) the same with the shape estimated, and
 mixtures whose responding covariance is (3) between-epoch only,
-(4) within-epoch only, or (5) the full Kronecker product.
+(4) within-epoch only, or (5) the full Kronecker product. MODEL_SPECS
+states each once; a model's ModelStructure names its covariance
+("spherical", "between", "within" or "kronecker").
 
 FitConfig and CompareConfig declare the candidate settings and defaults
 once; compare_models takes its section whole.
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .em import EmConfig, ModelStructure, em_fit
+from .em import FACTOR_STEPS, EmConfig, ModelStructure, em_fit
 from .types import Dataset, Dims, FitResult
 
 __all__ = [
@@ -35,9 +37,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """One candidate model."""
+    """One candidate model; MODEL_SPECS keys it by its id."""
 
-    model_id: int
     description: str
     structure: ModelStructure
 
@@ -51,30 +52,22 @@ class ModelSpec:
 
 MODEL_SPECS: dict[int, ModelSpec] = {
     1: ModelSpec(
-        1,
         "canonical shape with isotropic noise; all voxels responding",
-        ModelStructure(mixture=False, estimate_hrf=False, spherical=True),
+        ModelStructure(mixture=False, estimate_hrf=False, covariance="spherical"),
     ),
     2: ModelSpec(
-        2,
         "estimated shape with isotropic noise; all voxels responding",
-        ModelStructure(mixture=False, estimate_hrf=True, spherical=True),
+        ModelStructure(mixture=False, covariance="spherical"),
     ),
     3: ModelSpec(
-        3,
         "mixture; between-epoch covariance only",
-        ModelStructure(mixture=True, free_within=False),
+        ModelStructure(covariance="between"),
     ),
     4: ModelSpec(
-        4,
         "mixture; within-epoch covariance only",
-        ModelStructure(mixture=True, free_between=False),
+        ModelStructure(covariance="within"),
     ),
-    5: ModelSpec(
-        5,
-        "mixture; full Kronecker covariance",
-        ModelStructure(mixture=True),
-    ),
+    5: ModelSpec("mixture; full Kronecker covariance", ModelStructure()),
 }
 
 
@@ -121,9 +114,10 @@ def count_params(model_id: int, dims: Dims) -> int:
         total += t - 1
     if spec.structure.mixture:
         total += v + 2
-        if spec.structure.free_between:
+        factors = FACTOR_STEPS[spec.structure.covariance]
+        if "between" in factors:
             total += e * (e + 1) // 2
-        if spec.structure.free_within:
+        if "within" in factors:
             total += t * (t + 1) // 2
     return total
 

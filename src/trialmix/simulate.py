@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .em import canonical_hrf, hrf_shape_raw
-from .linalg import MAX_DIM, matrix_sqrt
+from .linalg import matrix_sqrt
 from .types import (MAX_GRID_AXIS, Dataset, Dims, MixtureParams, SimTruth,
                     _gc_paused, validate_params)
 
@@ -66,8 +66,6 @@ class SimConfig:
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer")
         self.dims  # range checks
-        if max(self.n_times, self.n_epochs) > MAX_DIM:
-            raise ValueError(f"n_times and n_epochs must be at most {MAX_DIM}")
         if self.n_voxels > MAX_GRID_AXIS**3:
             raise ValueError(
                 f"n_voxels: the cube grid would exceed {MAX_GRID_AXIS} per axis"

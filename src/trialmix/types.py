@@ -31,6 +31,8 @@ TRACE_TOL = 1e-8
 # the volume grid's largest axis: it bounds a map's cells (2**24) and
 # its slice images
 MAX_GRID_AXIS = 256
+# the largest covariance factor side, n_times or n_epochs
+MAX_FACTOR_DIM = 64
 
 
 @contextlib.contextmanager
@@ -84,6 +86,8 @@ class Dims:
                 f"invalid dimensions: n_times={self.n_times}, "
                 f"n_epochs={self.n_epochs}, n_voxels={self.n_voxels}"
             )
+        if max(self.n_times, self.n_epochs) > MAX_FACTOR_DIM:
+            raise ValueError(f"n_times and n_epochs must be at most {MAX_FACTOR_DIM}")
         if self.n_covariates < 0 or self.n_covariates >= self.n_images:
             raise ValueError(
                 f"n_covariates={self.n_covariates} must lie in [0, {self.n_images})"

@@ -6,6 +6,9 @@ Every builder takes an explicit numpy Generator so tests stay
 reproducible. Dimensions default small enough that dense oracles
 stay cheap.
 """
+import json
+import os
+
 import numpy as np
 
 import trialmix.em as em
@@ -32,6 +35,30 @@ from trialmix.types import (Dataset, DegenerateDataError, Dims, Hrf, MixturePara
 # mask_shape values past the volume bound; each once ended in a
 # MemoryError, a ValueError from numpy, or 40,004 slice images
 OVERSIZED_GRIDS = ([10**6] * 3, [2**40, 2**40, 8], [4, 4, 20000])
+# (n_times, n_epochs) one past the covariance factor bound; each bundle
+# was once read without complaint and its fit ended in a traceback
+OVERSIZED_FACTORS = ((65, 2), (4, 65))
+
+
+def write_bundle_by_hand(path, n_times, n_epochs, n_voxels=30, seed=0):
+    """A bundle written file by file, not through write_dataset, so its
+    dims need not be valid: white series, no covariates, cube coords."""
+    os.makedirs(path)
+    header = {
+        "version": "1",
+        "endianness": "little",
+        "dims": {"n_times": n_times, "n_epochs": n_epochs,
+                 "n_voxels": n_voxels, "n_covariates": 0},
+        "tr": 2.0,
+        "stimulus_times": [2.0 * n_times * j for j in range(n_epochs)],
+        "coords": cube_coords(n_voxels).tolist(),
+        "mask_shape": None,
+    }
+    with open(os.path.join(path, "header.json"), "w") as f:
+        json.dump(header, f)
+    series = np.random.default_rng(seed).standard_normal(
+        n_voxels * n_epochs * n_times)
+    series.astype("<f8").tofile(os.path.join(path, "data.f64"))
 
 
 # ------------------------------------------------ single-voxel oracles
@@ -212,6 +239,15 @@ def t_statistics_all(
 def seed_params(dataset, config=EmConfig(), structure=ModelStructure()):
     """em_fit's seeding of a mixture's main loop, from its start values."""
     return em._seed(dataset, *em._start(dataset), config, structure)
+
+
+def sweep_covariances(resid, resp, within, between, sweeps):
+    """``sweeps`` flip-flop sweeps of the Kronecker factors, an even
+    number: each update_covariances call makes two."""
+    assert sweeps % 2 == 0
+    for _ in range(sweeps // 2):
+        within, between = update_covariances(resid, resp, within, between)
+    return within, between
 
 
 def t_statistic(
@@ -408,9 +444,7 @@ def mstep_stationarity_gaps(dataset, resp, params, step=1e-6, cov_sweeps=100):
     within = params.within_cov
     between = params.between_cov
     for _ in range(50):
-        new_w, new_b = update_covariances(
-            resid, resp, within, between, sweeps=cov_sweeps
-        )
+        new_w, new_b = sweep_covariances(resid, resp, within, between, cov_sweeps)
         delta = max(
             np.max(np.abs(new_w - within)) / max(1.0, np.max(np.abs(new_w))),
             np.max(np.abs(new_b - between)) / max(1.0, np.max(np.abs(new_b))),

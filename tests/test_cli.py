@@ -19,6 +19,8 @@ from trialmix.io import read_dataset, write_csv, write_dataset
 from trialmix.simulate import SimConfig, simulate_dataset
 from trialmix.types import DegenerateDataError
 
+from helpers import OVERSIZED_FACTORS, write_bundle_by_hand
+
 CONFIG = {
     "seed": 5,
     "simulate": {
@@ -390,6 +392,20 @@ def test_coordinate_outside_mask_shape_exits_2_before_any_work(
     err = _single_error_line(capsys)
     assert err["type"] == "BundleFormatError"
     assert "outside mask_shape" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n_times, n_epochs", OVERSIZED_FACTORS)
+@pytest.mark.parametrize("command", ["fit", "preprocess"])
+def test_oversized_covariance_factor_exits_2(tmp_path, capsys, command,
+                                             n_times, n_epochs):
+    bundle = str(tmp_path / "dataset")
+    write_bundle_by_hand(bundle, n_times, n_epochs)
+    out = tmp_path / "out"
+    assert main([command, bundle, "--out", str(out)]) == 2
+    err = _single_error_line(capsys)
+    assert err["type"] == "BundleFormatError"
+    assert err["message"].startswith("header.json: dims: ")
     assert not out.exists()
 
 

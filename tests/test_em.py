@@ -37,6 +37,7 @@ from helpers import (
     q_function,
     rand_spd,
     seed_params,
+    sweep_covariances,
     update_b,
 )
 
@@ -192,10 +193,10 @@ def test_update_h_degenerate_mass_keeps_previous_shape():
 
 def test_covariance_updates_require_mass():
     resid = np.zeros((3, 2, 2))
-    for free_within in (True, False):
+    for covariance in em.FACTOR_STEPS:
         with pytest.raises(DegenerateDataError):
             update_covariances(resid, np.zeros(3), np.eye(2), np.eye(2),
-                               free_within=free_within)
+                               covariance)
 
 
 @pytest.mark.filterwarnings("ignore:.*adding ridge:RuntimeWarning")
@@ -207,9 +208,9 @@ def test_covariance_updates_are_exactly_symmetric_for_one_voxel():
     between0 = rand_spd(rng, 10)
     within0 = rand_spd(rng, 14)
     within, _ = update_covariances(resid, np.ones(1), within0, between0,
-                                   sweeps=1, free_between=False)
+                                   "within")
     _, between = update_covariances(resid, np.ones(1), within0, between0,
-                                    sweeps=1, free_within=False)
+                                    "between")
     np.testing.assert_array_equal(within, within.T)
     np.testing.assert_array_equal(between, between.T)
 
@@ -262,10 +263,10 @@ def test_flipflop_is_idempotent_at_its_fixed_point():
     params = make_params(dims, rng)
     resp = rng.uniform(0.3, 1.0, dims.n_voxels)
     resid = residual_matrices(ds, params)
-    within, between = update_covariances(
-        resid, resp, params.within_cov, params.between_cov, sweeps=200
+    within, between = sweep_covariances(
+        resid, resp, params.within_cov, params.between_cov, 200
     )
-    w2, b2 = update_covariances(resid, resp, within, between, sweeps=1)
+    w2, b2 = update_covariances(resid, resp, within, between)
     np.testing.assert_allclose(w2, within, rtol=1e-10)
     np.testing.assert_allclose(b2, between, rtol=1e-10)
 
@@ -296,7 +297,7 @@ def test_estep_unchanged_under_dense_quad_oracle(monkeypatch):
         flat = resid.reshape(resid.shape[0], -1)
         return np.einsum("vn,nm,vm->v", flat, big, flat)
 
-    monkeypatch.setattr(em, "_active_quads", dense_quads)
+    monkeypatch.setattr(em.kernels, "quad_forms_kron", dense_quads)
     slow = estep(ds, params)
     np.testing.assert_allclose(fast, slow, atol=1e-12)
 
@@ -334,7 +335,7 @@ def test_fit_result_matches_public_estep_and_loglik(small_mixture):
 def test_one_density_evaluation_per_parameter_value(small_mixture, monkeypatch):
     ds, _ = small_mixture
     calls, phases = [], []
-    quads = em._active_quads
+    quads = em.kernels.quad_forms_kron
     iterate = em._iterate
 
     def counting_quads(*args):
@@ -345,7 +346,7 @@ def test_one_density_evaluation_per_parameter_value(small_mixture, monkeypatch):
         phases.append(iterate(*args))
         return phases[-1]
 
-    monkeypatch.setattr(em, "_active_quads", counting_quads)
+    monkeypatch.setattr(em.kernels, "quad_forms_kron", counting_quads)
     monkeypatch.setattr(em, "_iterate", recording_iterate)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -376,10 +377,10 @@ def test_one_residual_owner_per_fit(small_mixture, monkeypatch):
     config = EmConfig(max_iter=20)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        for spec in MODEL_SPECS.values():
+        for model_id, spec in MODEL_SPECS.items():
             builds.clear()
             em_fit(ds, config, spec.structure)
-            assert len(builds) == 1, spec.model_id
+            assert len(builds) == 1, model_id
         builds.clear()
         seed_params(ds, config)
         assert len(builds) == 1
@@ -463,9 +464,63 @@ def test_config_validation():
 
 def test_rescale_trace_property():
     assert ModelStructure().rescale_trace
-    assert not ModelStructure(free_within=False).rescale_trace
-    assert not ModelStructure(free_between=False).rescale_trace
-    assert not ModelStructure(spherical=True).rescale_trace
+    for covariance in ("within", "between"):
+        assert not ModelStructure(covariance=covariance).rescale_trace
+    assert not ModelStructure(mixture=False, covariance="spherical").rescale_trace
+
+
+@pytest.mark.parametrize("mixture", [True, False])
+@pytest.mark.parametrize("estimate_hrf", [True, False])
+@pytest.mark.parametrize(
+    "covariance", ["kronecker", "within", "between", "spherical", "full", ""]
+)
+def test_model_structure_states(mixture, estimate_hrf, covariance):
+    # a mixture's non-responding side already is the spherical model, and
+    # an unknown name has no conditional steps
+    valid = covariance in ("kronecker", "within", "between") or (
+        covariance == "spherical" and not mixture)
+    if valid:
+        structure = ModelStructure(mixture, estimate_hrf, covariance)
+        assert structure.covariance == covariance
+    else:
+        with pytest.raises(ValueError, match="covariance"):
+            ModelStructure(mixture, estimate_hrf, covariance)
+
+
+@pytest.mark.parametrize("covariance, within, between", [
+    ("kronecker", 2, 2), ("within", 1, 0), ("between", 0, 1),
+])
+def test_variance_step_runs_each_conditional_step_once(
+        small_mixture, monkeypatch, covariance, within, between):
+    # one free factor takes one step: its partner stays at the identity,
+    # so a repeat would recompute the same value
+    ds, _ = small_mixture
+    structure = ModelStructure(covariance=covariance)
+    params, resid = em._start(ds)
+    resp = np.linspace(0.1, 0.9, ds.dims.n_voxels)
+    calls = {"within": 0, "between": 0}
+    for factor in calls:
+        scatter = getattr(em.kernels, f"scatter_{factor}")
+
+        def counting(*args, factor=factor, scatter=scatter):
+            calls[factor] += 1
+            return scatter(*args)
+
+        monkeypatch.setattr(em.kernels, f"scatter_{factor}", counting)
+    em._variance_step(ds, resp, params, resid, EmConfig(), structure)
+    assert calls == {"within": within, "between": between}
+
+
+@pytest.mark.parametrize("covariance", ["within", "between"])
+def test_one_free_factor_step_is_idempotent(small_mixture, covariance):
+    ds, _ = small_mixture
+    params, resid = em._start(ds)
+    resp = np.linspace(0.1, 0.9, ds.dims.n_voxels)
+    once = update_covariances(resid.active, resp, params.within_cov,
+                              params.between_cov, covariance)
+    twice = update_covariances(resid.active, resp, *once, covariance)
+    for a, b in zip(once, twice):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_dataset_is_checked_once_when_built(small_mixture, monkeypatch,

@@ -22,10 +22,11 @@ from trialmix.io import (
 )
 from trialmix.inference import FdrResult
 from trialmix.simulate import SimConfig, simulate_dataset
-from trialmix.types import (ActivationMap, Dims, FitResult, Hrf,
-                            validate_params)
+from trialmix.types import (MAX_FACTOR_DIM, ActivationMap, Dims, FitResult,
+                            Hrf, validate_params)
 
-from helpers import OVERSIZED_GRIDS, make_dataset, make_dims, make_params
+from helpers import (OVERSIZED_FACTORS, OVERSIZED_GRIDS, make_dataset,
+                     make_dims, make_params, write_bundle_by_hand)
 
 
 @pytest.fixture()
@@ -209,6 +210,21 @@ def test_read_rejects_an_oversized_volume_grid(bundle, mask_shape):
     _, _, path = bundle
     _patch_header(path, mask_shape=mask_shape)
     with pytest.raises(BundleFormatError, match="exceeds 256 per axis"):
+        read_dataset(path)
+
+
+@pytest.mark.parametrize("n_times, n_epochs", OVERSIZED_FACTORS)
+def test_read_rejects_an_oversized_covariance_factor(tmp_path, n_times,
+                                                     n_epochs):
+    # the same bundle at the bound is valid
+    path = str(tmp_path / "at_bound")
+    write_bundle_by_hand(path, min(n_times, MAX_FACTOR_DIM),
+                         min(n_epochs, MAX_FACTOR_DIM))
+    read_dataset(path)
+    path = str(tmp_path / "oversized")
+    write_bundle_by_hand(path, n_times, n_epochs)
+    with pytest.raises(BundleFormatError,
+                       match=f"^header.json: dims: .*at most {MAX_FACTOR_DIM}"):
         read_dataset(path)
 
 

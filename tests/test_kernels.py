@@ -1,4 +1,6 @@
 """The batched contractions against per-voxel loop oracles."""
+import tracemalloc
+
 import numpy as np
 
 from helpers import kron_quad_form, rand_spd
@@ -93,3 +95,38 @@ def test_zero_weight_voxels_drop_out_of_scatters():
 def test_quad_forms_positive_for_spd_weights():
     resid, w_within, w_between, _ = _instance(5)
     assert np.all(kernels.quad_forms_kron(resid, w_within, w_between) > 0.0)
+
+
+def _temporary_peak(kernel, *args):
+    """Peak traced bytes of one call, less the result it returns."""
+    kernel(*args)  # first-call allocations stay out of the measurement
+    tracemalloc.start()
+    try:
+        result = kernel(*args)
+        return tracemalloc.get_traced_memory()[1] - result.nbytes
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernel_temporaries_do_not_grow_with_voxels():
+    # the voxel blocking bounds every temporary by a few blocks, however
+    # many voxels the residual holds; a full-size copy would add 4 MB
+    n_ep, n_t = 10, 14
+    block_bytes = kernels.BLOCK * n_ep * n_t * 8
+    peaks = {}
+    for n_vox in (2 * kernels.BLOCK, 16 * kernels.BLOCK):
+        resid, w_within, w_between, weights = _instance(
+            0, n_vox=n_vox, n_ep=n_ep, n_t=n_t)
+        calls = {
+            kernels.quad_forms_kron: (resid, w_within, w_between),
+            kernels.scatter_within: (resid, w_between, weights),
+            kernels.scatter_between: (resid, w_within, weights),
+        }
+        for kernel, args in calls.items():
+            peaks.setdefault(kernel.__name__, []).append(
+                _temporary_peak(kernel, *args))
+    for name, (small, large) in peaks.items():
+        # a few bytes of loop bookkeeping may differ, never an array
+        assert abs(large - small) < 1024, (name, small, large)
+        # two blocks each, four for scatter_between's epoch-major copies
+        assert large < 5 * block_bytes, (name, large / block_bytes)

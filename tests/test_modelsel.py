@@ -55,9 +55,11 @@ def test_model_spec_lookup():
     assert ModelSpec.from_id(5).structure.mixture
     assert not MODEL_SPECS[1].structure.estimate_hrf
     assert MODEL_SPECS[2].structure.estimate_hrf
-    assert not MODEL_SPECS[3].structure.free_within
-    assert MODEL_SPECS[3].structure.free_between
-    assert not MODEL_SPECS[4].structure.free_between
+    covariances = [spec.structure.covariance for spec in MODEL_SPECS.values()]
+    assert covariances == ["spherical", "spherical", "between", "within",
+                           "kronecker"]
+    assert [spec.structure.mixture for spec in MODEL_SPECS.values()] == [
+        False, False, True, True, True]
     with pytest.raises(ValueError, match="unknown model id"):
         ModelSpec.from_id(6)
 
