@@ -40,7 +40,6 @@ from .types import (
     Dataset,
     DegenerateDataError,
     FitResult,
-    Hrf,
     MixtureParams,
     _intervene,
     validate_params,
@@ -138,14 +137,26 @@ def hrf_shape_raw(times: np.ndarray) -> np.ndarray:
     return gamma_pdf(times, 6.0) - gamma_pdf(times, 16.0) / 6.0
 
 
-def canonical_hrf(times: np.ndarray) -> Hrf:
+def _unit_shape(raw: np.ndarray) -> tuple[np.ndarray, bool]:
+    """``raw`` scaled to unit norm with its entry of largest magnitude
+    positive, and whether that took a sign flip."""
+    vec = np.asarray(raw, dtype=np.float64)
+    nrm = float(np.linalg.norm(vec))
+    if nrm == 0.0 or not np.isfinite(nrm):
+        raise DegenerateDataError("response shape must be nonzero and finite")
+    vec = vec / nrm
+    flip = bool(vec[int(np.argmax(np.abs(vec)))] < 0.0)
+    return (-vec if flip else vec), flip
+
+
+def canonical_hrf(times: np.ndarray) -> np.ndarray:
     """Unit-norm difference-of-gammas shape sampled at given times."""
     times = np.asarray(times, dtype=np.float64)
     if times.ndim != 1 or times.size < 2:
         raise ValueError("times must be a vector with at least two entries")
     if np.any(times < 0.0):
         raise ValueError("times must be nonnegative")
-    return Hrf.from_raw(hrf_shape_raw(times))
+    return _unit_shape(hrf_shape_raw(times))[0]
 
 
 def _epoch_design(dataset: Dataset) -> np.ndarray:
@@ -173,7 +184,7 @@ class _Residuals:
         self.ssq = np.empty(d.n_voxels)
         self.active = np.empty((d.n_voxels, d.n_epochs, d.n_times))
         self.set_coeffs(params.coeffs)
-        self.set_mean(params.amplitude, params.hrf.values)
+        self.set_mean(params.amplitude, params.hrf)
 
     def set_coeffs(self, coeffs: np.ndarray) -> None:
         """Refresh ``inactive`` and ``ssq`` for new coefficients;
@@ -187,10 +198,10 @@ class _Residuals:
             # the noise sum of squares while the block is in cache
             np.einsum("vn,vn->v", block, block, out=self.ssq[sl])
 
-    def set_mean(self, amplitude: np.ndarray, hrf_values: np.ndarray) -> None:
+    def set_mean(self, amplitude: np.ndarray, hrf: np.ndarray) -> None:
         """Refresh ``active`` for a new amplitude and shape."""
         flat = self.active.reshape(self.inactive.shape)
-        mean = np.tile(hrf_values, self.active.shape[1])
+        mean = np.tile(hrf, self.active.shape[1])
         for sl in kernels.voxel_blocks(flat.shape[0]):
             np.einsum("v,n->vn", amplitude[sl], mean, out=flat[sl])
             np.subtract(self.inactive[sl], flat[sl], out=flat[sl])
@@ -246,14 +257,14 @@ def _mixture_loglik(p: float, log_f1: np.ndarray, log_f2: np.ndarray) -> float:
 
 def _update_beta_all(
     resid_inactive: np.ndarray,
-    hrf_values: np.ndarray,
+    hrf: np.ndarray,
     w_within: np.ndarray,
     w_between: np.ndarray,
 ) -> np.ndarray:
     """Amplitudes for every voxel from the residuals of its current coeffs."""
-    wt_h = w_within @ hrf_values
+    wt_h = w_within @ hrf
     row_wb = w_between.sum(axis=1)
-    denom = float(row_wb.sum() * (hrf_values @ wt_h))
+    denom = float(row_wb.sum() * (hrf @ wt_h))
     if denom <= 0.0:
         raise DegenerateDataError("amplitude update: nonpositive normalizer")
     return resid_inactive @ np.kron(row_wb, wt_h) / denom
@@ -281,7 +292,7 @@ def _update_b_all(
     dataset: Dataset,
     resp: np.ndarray,
     amplitude: np.ndarray,
-    hrf_values: np.ndarray,
+    hrf: np.ndarray,
     w_within: np.ndarray,
     w_between: np.ndarray,
     noise_var: float,
@@ -297,7 +308,7 @@ def _update_b_all(
     gram_active = dataset.design.T @ wx
     gram_inactive = dataset.design.T @ dataset.design / noise_var
     proj = dataset.series @ np.concatenate([wx, dataset.design], axis=1)
-    mean_proj = np.tile(hrf_values, d.n_epochs) @ wx
+    mean_proj = np.tile(hrf, d.n_epochs) @ wx
     rhs_active = proj[:, :q] - amplitude[:, None] * mean_proj[None, :]
     rhs_inactive = proj[:, q:] / noise_var
     rhs = resp[:, None] * rhs_active + (1.0 - resp)[:, None] * rhs_inactive
@@ -337,7 +348,7 @@ def _update_h_raw(
 
 def update_h(
     resp: np.ndarray, params: MixtureParams, resid_inactive: np.ndarray
-) -> tuple[Hrf, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Shape update with unit-norm and sign renormalization.
 
     ``resid_inactive`` is the non-responding residual of params.coeffs.
@@ -348,15 +359,13 @@ def update_h(
     """
     w_between = inv_spd(params.between_cov)
     raw = _update_h_raw(resp, params.amplitude, w_between, resid_inactive)
-    if raw is None or float(np.linalg.norm(raw)) == 0.0:
+    norm = 0.0 if raw is None else float(np.linalg.norm(raw))
+    if norm == 0.0:
         _intervene("shape update skipped: weighted amplitude mass is degenerate")
         return params.hrf, params.amplitude
-    norm = float(np.linalg.norm(raw))
-    hrf = Hrf.from_raw(raw)
+    hrf, flip = _unit_shape(raw)
     amplitude = params.amplitude * norm
-    if hrf.flipped:
-        amplitude = -amplitude
-    return hrf, amplitude
+    return hrf, (-amplitude if flip else amplitude)
 
 
 def update_covariances(
@@ -432,9 +441,9 @@ def _mean_step(
     hrf = params.hrf
     w_within = inv_spd(params.within_cov)
     w_between = inv_spd(params.between_cov)
-    amplitude = _update_beta_all(resid.inactive, hrf.values, w_within, w_between)
+    amplitude = _update_beta_all(resid.inactive, hrf, w_within, w_between)
     coeffs = _update_b_all(
-        dataset, resp, amplitude, hrf.values, w_within, w_between, params.noise_var
+        dataset, resp, amplitude, hrf, w_within, w_between, params.noise_var
     )
     # the amplitude update was the old residuals' last reader
     resid.set_coeffs(coeffs)
@@ -514,7 +523,7 @@ def _iterate(
             resp = _posterior(params.active_prob, *log_f)
         old_vec = params.global_vector()
         params = _mean_step(dataset, resp, params, resid, structure)
-        resid.set_mean(params.amplitude, params.hrf.values)
+        resid.set_mean(params.amplitude, params.hrf)
         params = _variance_step(dataset, resp, params, resid, config, structure)
         validate_params(params, dataset.dims, trace_convention=structure.rescale_trace)
         log_f = _log_densities(params, resid)

@@ -36,7 +36,7 @@ def _whitening(
     half_within = inv_sqrt(params.within_cov)
     half_between = inv_sqrt(params.between_cov)
     mu_w = np.einsum(
-        "k,t->kt", half_between.sum(axis=1), half_within @ params.hrf.values
+        "k,t->kt", half_between.sum(axis=1), half_within @ params.hrf
     ).reshape(d.n_images)
     if d.n_covariates:
         x_ep = dataset.design.reshape(d.n_epochs, d.n_times, d.n_covariates)

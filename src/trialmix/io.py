@@ -9,7 +9,9 @@ A dataset lives in a directory as a tiny self-described format:
 
 Everything round-trips bit-identically: raw bytes for the series, 17
 significant digits for CSV floats, shortest-roundtrip repr for JSON
-floats. CSV output uses '.' decimals, ',' separators, LF line endings.
+floats; params.json holds every MixtureParams field, so read_fit gives
+back the parameters write_fit wrote. CSV output uses '.' decimals, ','
+separators, LF line endings.
 
 Text artifacts are rendered a row or an array at a time, not a cell at a
 time. write_csv turns each column into Python values once (ndarray
@@ -49,8 +51,8 @@ import numpy as np
 
 from .inference import FdrResult
 from .modelsel import ModelComparison
-from .types import (ActivationMap, Dataset, Dims, FitResult, Hrf,
-                    MixtureParams, SimTruth, _gc_paused, validate_params)
+from .types import (ActivationMap, Dataset, Dims, FitResult, MixtureParams,
+                    SimTruth, _gc_paused, validate_params)
 from .variability import PcAnalysis
 
 __all__ = [
@@ -412,7 +414,7 @@ def params_to_dict(params: MixtureParams) -> dict:
         "active_prob": float(params.active_prob),
         "amplitude": params.amplitude.tolist(),
         "coeffs": params.coeffs.tolist(),
-        "hrf": params.hrf.values.tolist(),
+        "hrf": params.hrf.tolist(),
         "within_cov": params.within_cov.tolist(),
         "between_cov": params.between_cov.tolist(),
         "noise_var": float(params.noise_var),
@@ -421,11 +423,7 @@ def params_to_dict(params: MixtureParams) -> dict:
 
 def params_from_dict(obj: dict, name: str = "params") -> MixtureParams:
     """A parameter block checked against params.json's declaration."""
-    return _params(_check_object(obj, ARTIFACTS["params.json"], name))
-
-
-def _params(values: dict) -> MixtureParams:
-    return MixtureParams(**{**values, "hrf": Hrf(values["hrf"])})
+    return MixtureParams(**_check_object(obj, ARTIFACTS["params.json"], name))
 
 
 @_gc_paused()
@@ -458,7 +456,7 @@ def read_truth(path: str) -> SimTruth | None:
     if not os.path.exists(os.path.join(path, TRUTH_NAME)):
         return None
     truth = _read_record(path, TRUTH_NAME)
-    return SimTruth(**{**truth, "params": _params(truth["params"])})
+    return SimTruth(**{**truth, "params": MixtureParams(**truth["params"])})
 
 
 def read_truth_bytes(path: str) -> bytes | None:

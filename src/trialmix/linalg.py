@@ -7,16 +7,13 @@ factor dimensions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 
-from .types import _check_symmetric, _intervene
+from .types import _check_symmetric, _intervene, _spd_floor
 
 __all__ = [
     "SingularMatrixError",
-    "SymEigen",
     "sym_eigen",
     "matrix_sqrt",
     "inv_sqrt",
@@ -35,14 +32,6 @@ class SingularMatrixError(np.linalg.LinAlgError):
     """A matrix required to be positive definite is not."""
 
 
-@dataclass(frozen=True)
-class SymEigen:
-    """Eigendecomposition with eigenvalues in descending order."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
 def _check_square_sym(mat: np.ndarray) -> np.ndarray:
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -51,36 +40,37 @@ def _check_square_sym(mat: np.ndarray) -> np.ndarray:
     return mat
 
 
-def sym_eigen(mat: np.ndarray) -> SymEigen:
-    """Eigendecomposition of a symmetric matrix, eigenvalues descending."""
+def sym_eigen(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values, vectors) of a symmetric matrix, eigenvalues descending."""
     mat = _check_square_sym(mat)
     vals, vecs = np.linalg.eigh(mat)
     order = np.argsort(vals)[::-1]
-    return SymEigen(values=vals[order], vectors=vecs[:, order])
+    return vals[order], vecs[:, order]
 
 
-def _positive_eigen(mat: np.ndarray, what: str) -> SymEigen:
-    eig = sym_eigen(mat)
-    dim = mat.shape[0]
-    floor = 1e-12 * max(float(np.trace(mat)), 0.0) / dim
-    if eig.values[-1] <= floor:
+def _positive_eigen(mat: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """sym_eigen of a factor that passes the positivity rule of
+    types._spd_floor, or SingularMatrixError."""
+    values, vectors = sym_eigen(mat)
+    floor = _spd_floor(mat)
+    if values[-1] <= floor:
         raise SingularMatrixError(
-            f"{what}: smallest eigenvalue {eig.values[-1]:.3e} below "
+            f"{what}: smallest eigenvalue {values[-1]:.3e} below "
             f"positivity floor {floor:.3e}"
         )
-    return eig
+    return values, vectors
 
 
 def matrix_sqrt(mat: np.ndarray) -> np.ndarray:
     """Symmetric square root of an SPD matrix."""
-    eig = _positive_eigen(mat, "matrix_sqrt")
-    return (eig.vectors * np.sqrt(eig.values)) @ eig.vectors.T
+    values, vectors = _positive_eigen(mat, "matrix_sqrt")
+    return (vectors * np.sqrt(values)) @ vectors.T
 
 
 def inv_sqrt(mat: np.ndarray) -> np.ndarray:
     """Symmetric inverse square root of an SPD matrix."""
-    eig = _positive_eigen(mat, "inv_sqrt")
-    return (eig.vectors / np.sqrt(eig.values)) @ eig.vectors.T
+    values, vectors = _positive_eigen(mat, "inv_sqrt")
+    return (vectors / np.sqrt(values)) @ vectors.T
 
 
 def regularize_spd(mat: np.ndarray, where: str = "") -> np.ndarray:
@@ -128,10 +118,9 @@ def kron_logdet(between: np.ndarray, within: np.ndarray) -> float:
     """log det of between (x) within via the factor identity."""
     n_times = within.shape[0]
     n_epochs = between.shape[0]
-    eig_b = _positive_eigen(between, "kron_logdet(between)")
-    eig_w = _positive_eigen(within, "kron_logdet(within)")
+    vals_b, _ = _positive_eigen(between, "kron_logdet(between)")
+    vals_w, _ = _positive_eigen(within, "kron_logdet(within)")
     return float(
-        n_times * np.sum(np.log(eig_b.values))
-        + n_epochs * np.sum(np.log(eig_w.values))
+        n_times * np.sum(np.log(vals_b)) + n_epochs * np.sum(np.log(vals_w))
     )
 

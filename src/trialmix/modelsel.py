@@ -83,7 +83,8 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class CompareConfig:
-    """Candidate models, and the BIC sample size (None: every scalar)."""
+    """Candidate models, each once, and the BIC sample size (None: every
+    scalar)."""
 
     models: tuple[int, ...] = (1, 2, 3, 4, 5)
     n_obs: int | None = None
@@ -92,6 +93,8 @@ class CompareConfig:
         bad = [m for m in self.models if m not in MODEL_SPECS]
         if bad or not self.models:
             raise ValueError(f"unknown model id(s) {bad}" if bad else "no models")
+        if len(set(self.models)) < len(self.models):
+            raise ValueError(f"models {list(self.models)} name a model twice")
         if self.n_obs is not None and not 1 <= self.n_obs < 2**63:
             raise ValueError("n_obs must lie in [1, 2**63)")
 

@@ -14,7 +14,7 @@ import numpy as np
 from .em import canonical_hrf, hrf_shape_raw
 from .linalg import matrix_sqrt
 from .types import (MAX_GRID_AXIS, Dataset, Dims, MixtureParams, SimTruth,
-                    _gc_paused, validate_params)
+                    _check_spd, _gc_paused, validate_params)
 
 __all__ = [
     "SimConfig",
@@ -39,7 +39,8 @@ class SimConfig:
     ``amp_spread``, the log-normal spread of the amplitudes, lies in
     [0, 10], so exp(amp_spread * z) is finite for every normal draw z.
     ``n_voxels`` is at most MAX_GRID_AXIS**3, so the cube grid the
-    voxels fill stays within the volume bound.
+    voxels fill stays within the volume bound. The AR(1) covariance
+    factors (``factors``) pass validate_params's positivity rule.
     """
 
     n_times: int = 14
@@ -83,6 +84,9 @@ class SimConfig:
             raise ValueError('phase must be "zero" or "jitter"')
         if self.noise_var <= 0.0 or self.within_scale <= 0.0:
             raise ValueError("variances must be positive")
+        # the factors default_scenario draws with, under validate_params's rule
+        for name, factor in zip(("within_rho", "between_rho"), self.factors):
+            _check_spd(factor, f"the AR(1) factor of {name}={getattr(self, name)}")
 
     @property
     def dims(self) -> Dims:
@@ -92,6 +96,12 @@ class SimConfig:
             n_voxels=self.n_voxels,
             n_covariates=self.n_covariates,
         )
+
+    @property
+    def factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (within, between) AR(1) covariance factors."""
+        return (ar1_cov(self.n_times, self.within_rho, self.within_scale),
+                ar1_cov(self.n_epochs, self.between_rho))
 
     @property
     def sample_times(self) -> np.ndarray:
@@ -152,10 +162,9 @@ def default_scenario(
     """
     d = config.dims
     hrf = canonical_hrf(config.sample_times)
-    within = ar1_cov(d.n_times, config.within_rho, config.within_scale)
-    between = ar1_cov(d.n_epochs, config.between_rho, 1.0)
+    within, between = config.factors
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5EED]))
-    amp_center = config.snr / np.sqrt(_mu_quad(hrf.values, within, between))
+    amp_center = config.snr / np.sqrt(_mu_quad(hrf, within, between))
     amplitude = amp_center * np.exp(
         config.amp_spread * rng.standard_normal(d.n_voxels)
     )
@@ -240,7 +249,7 @@ def generate(
     else:
         # onsets on the sampling grid: derived alignment shifts are zero
         stimulus_times = np.round(epochs * stimulus_interval / tr) * tr
-        mean_shape = np.tile(truth.hrf.values, (dims.n_epochs, 1))
+        mean_shape = np.tile(truth.hrf, (dims.n_epochs, 1))
         shift_undo = np.zeros(dims.n_epochs)
 
     l_within = matrix_sqrt(truth.within_cov)

@@ -3,6 +3,10 @@
 Arrays are float64 throughout. Voxel series are stored epoch-major: the
 response vector of one voxel has length ``n_epochs * n_times`` and its
 first ``n_times`` entries belong to the first epoch.
+
+Every parameter is a plain array or number; validate_params states
+their invariants, among them the one positivity rule for a covariance
+factor (_spd_floor).
 """
 from __future__ import annotations
 
@@ -16,7 +20,6 @@ import numpy as np
 __all__ = [
     "DegenerateDataError",
     "Dims",
-    "Hrf",
     "Dataset",
     "MixtureParams",
     "FitResult",
@@ -28,6 +31,12 @@ __all__ = [
 HRF_NORM_TOL = 1e-10
 SYM_TOL = 1e-12
 TRACE_TOL = 1e-8
+# A covariance factor is positive definite when its smallest eigenvalue
+# exceeds SPD_FLOOR times its mean eigenvalue. Fits stay above it:
+# regularize_spd keeps an estimated factor's condition number at most
+# 1e12, the trace rescale keeps eigenvalue ratios, and the spherical and
+# identity factors are multiples of I.
+SPD_FLOOR = 1e-12
 # the volume grid's largest axis: it bounds a map's cells (2**24) and
 # its slice images
 MAX_GRID_AXIS = 256
@@ -97,42 +106,6 @@ class Dims:
     def n_images(self) -> int:
         """Total samples per voxel (epochs times samples per epoch)."""
         return self.n_times * self.n_epochs
-
-
-@dataclass(frozen=True)
-class Hrf:
-    """Unit-norm response shape sampled at the post-stimulus times.
-
-    ``flipped`` records whether the sign convention (entry of maximum
-    absolute value is positive) required a flip of the raw estimate.
-    """
-
-    values: np.ndarray
-    flipped: bool = False
-
-    @classmethod
-    def from_raw(cls, raw: np.ndarray) -> "Hrf":
-        """Normalize a raw shape estimate to unit norm and fixed sign."""
-        vec = np.asarray(raw, dtype=np.float64)
-        nrm = float(np.linalg.norm(vec))
-        if nrm == 0.0 or not np.isfinite(nrm):
-            raise DegenerateDataError("response shape must be nonzero and finite")
-        vec = vec / nrm
-        peak = vec[int(np.argmax(np.abs(vec)))]
-        flipped = bool(peak < 0.0)
-        if flipped:
-            vec = -vec
-        return cls(values=vec, flipped=flipped)
-
-    def validate(self) -> None:
-        vec = self.values
-        if vec.ndim != 1:
-            raise ValueError("response shape must be a vector")
-        if not abs(np.linalg.norm(vec) - 1.0) <= HRF_NORM_TOL:  # NaN fails
-            raise ValueError("response shape is not finite and unit norm")
-        peak = vec[int(np.argmax(np.abs(vec)))]
-        if peak < 0.0:
-            raise ValueError("sign convention violated: dominant entry negative")
 
 
 @dataclass(frozen=True)
@@ -212,7 +185,8 @@ class MixtureParams:
     active_prob: mixing proportion of the responding component.
     amplitude: (n_voxels,) per-voxel response amplitudes.
     coeffs: (n_voxels, n_covariates) per-voxel covariate coefficients.
-    hrf: shared unit-norm response shape.
+    hrf: (n_times,) shared response shape, unit norm with its entry of
+        largest magnitude positive.
     within_cov: (n_times, n_times) within-epoch covariance factor.
     between_cov: (n_epochs, n_epochs) between-epoch covariance factor.
     noise_var: isotropic variance of the non-responding component.
@@ -224,7 +198,7 @@ class MixtureParams:
     active_prob: float
     amplitude: np.ndarray
     coeffs: np.ndarray
-    hrf: Hrf
+    hrf: np.ndarray
     within_cov: np.ndarray
     between_cov: np.ndarray
     noise_var: float
@@ -237,7 +211,7 @@ class MixtureParams:
         return np.concatenate(
             [
                 [self.active_prob],
-                self.hrf.values,
+                self.hrf,
                 self.within_cov.ravel(),
                 self.between_cov.ravel(),
                 [self.noise_var],
@@ -251,11 +225,16 @@ def _check_symmetric(mat: np.ndarray, label: str) -> None:
         raise ValueError(f"{label} is not symmetric")
 
 
+def _spd_floor(mat: np.ndarray) -> float:
+    """The bound a positive definite factor's smallest eigenvalue exceeds."""
+    return SPD_FLOOR * max(float(np.trace(mat)), 0.0) / mat.shape[0]
+
+
 def _check_spd(mat: np.ndarray, label: str) -> None:
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{label} must be square")
     _check_symmetric(mat, label)
-    if np.linalg.eigvalsh(mat)[0] <= 0.0:
+    if np.linalg.eigvalsh(mat)[0] <= _spd_floor(mat):
         raise ValueError(f"{label} is not positive definite")
 
 
@@ -274,7 +253,13 @@ def validate_params(
         raise ValueError(f"active_prob={params.active_prob} outside [0, 1]")
     if not 0.0 < params.noise_var < np.inf:
         raise ValueError("noise_var must be positive and finite")
-    params.hrf.validate()
+    hrf = params.hrf
+    if hrf.shape != (dims.n_times,):
+        raise ValueError("response shape length does not match n_times")
+    if not abs(np.linalg.norm(hrf) - 1.0) <= HRF_NORM_TOL:  # NaN fails
+        raise ValueError("response shape is not finite and unit norm")
+    if hrf[int(np.argmax(np.abs(hrf)))] < 0.0:
+        raise ValueError("sign convention violated: dominant entry negative")
     _check_spd(params.within_cov, "within_cov")
     _check_spd(params.between_cov, "between_cov")
     n_epochs = params.between_cov.shape[0]
@@ -284,8 +269,6 @@ def validate_params(
             raise ValueError(
                 f"trace(between_cov)={tr_between} violates the scale convention"
             )
-    if params.hrf.values.shape != (dims.n_times,):
-        raise ValueError("response shape length does not match n_times")
     if params.within_cov.shape != (dims.n_times, dims.n_times):
         raise ValueError("within_cov does not match n_times")
     if params.between_cov.shape != (dims.n_epochs, dims.n_epochs):

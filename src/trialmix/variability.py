@@ -17,7 +17,7 @@ import numpy as np
 
 from .em import residual_matrices
 from .kernels import voxel_blocks
-from .linalg import SymEigen, sym_eigen
+from .linalg import sym_eigen
 from .types import ActivationMap, Dataset, DegenerateDataError, FitResult
 
 __all__ = [
@@ -50,21 +50,23 @@ class PcaResult:
 
 def pca_cov(cov: np.ndarray) -> PcaResult:
     """Principal components of a covariance matrix, largest first."""
-    eig: SymEigen = sym_eigen(cov)
-    if eig.values[-1] < 0.0 and abs(eig.values[-1]) > 1e-10 * abs(eig.values[0]):
+    values, vectors = sym_eigen(cov)
+    if values[-1] < 0.0 and abs(values[-1]) > 1e-10 * abs(values[0]):
         raise ValueError("covariance has a substantially negative eigenvalue")
-    vectors = eig.vectors.copy()
+    # a C-ordered copy: the loadings' memory order sets the bits of the
+    # products that score with them
+    vectors = vectors.copy()
     for k in range(vectors.shape[1]):
         col = vectors[:, k]
         if col[int(np.argmax(np.abs(col)))] < 0.0:
             vectors[:, k] = -col
-    total = float(np.sum(eig.values))
+    total = float(np.sum(values))
     if total <= 0.0:
         raise ValueError("covariance has nonpositive total variance")
     return PcaResult(
-        eigenvalues=eig.values,
+        eigenvalues=values,
         loadings=vectors,
-        variance_pct=100.0 * eig.values / total,
+        variance_pct=100.0 * values / total,
     )
 
 
@@ -226,7 +228,7 @@ def anova_two_way(
 
 def fitted_response(
     amplitude: float,
-    hrf_values: np.ndarray,
+    hrf: np.ndarray,
     loadings: np.ndarray,
     score_row: np.ndarray,
 ) -> np.ndarray:
@@ -235,11 +237,11 @@ def fitted_response(
     amplitude * hrf + sum_k score_k * loading_k for one (cluster, epoch)
     cell; loadings is (n_times, K) and score_row is (K,).
     """
-    return amplitude * hrf_values + loadings @ score_row
+    return amplitude * hrf + loadings @ score_row
 
 
 def pc_effect_curves(
-    hrf_values: np.ndarray,
+    hrf: np.ndarray,
     pca: PcaResult,
     n_components: int,
     scale: float,
@@ -249,8 +251,8 @@ def pc_effect_curves(
     Returns (n_components, 2, n_times): scale * hrf plus and minus one
     standard deviation (sqrt eigenvalue) of each component.
     """
-    base = scale * hrf_values
-    out = np.empty((n_components, 2, hrf_values.size))
+    base = scale * hrf
+    out = np.empty((n_components, 2, hrf.size))
     for k in range(n_components):
         bump = np.sqrt(max(pca.eigenvalues[k], 0.0)) * pca.loadings[:, k]
         out[k, 0] = base + bump
@@ -323,13 +325,13 @@ def analyze_variability(
             for c in cluster_levels
         ]
     )
-    hrf_values = fit.params.hrf.values
+    hrf = fit.params.hrf
     gamma = within_pca.loadings[:, :n_components]
     curves = np.empty((cluster_levels.size, d.n_epochs, d.n_times))
     for ci in range(cluster_levels.size):
         for j in range(d.n_epochs):
-            curves[ci, j] = fitted_response(amps[ci], hrf_values, gamma, cells[ci, j])
-    effects = pc_effect_curves(hrf_values, within_pca, n_components,
+            curves[ci, j] = fitted_response(amps[ci], hrf, gamma, cells[ci, j])
+    effects = pc_effect_curves(hrf, within_pca, n_components,
                                config.effect_scale)
     return PcAnalysis(
         within_pca=within_pca,

@@ -28,7 +28,7 @@ from trialmix.inference import (
     _whitening,
 )
 from trialmix.linalg import inv_spd, kron_logdet, solve_spd
-from trialmix.types import (Dataset, DegenerateDataError, Dims, Hrf, MixtureParams,
+from trialmix.types import (Dataset, DegenerateDataError, Dims, MixtureParams,
                             _intervene)
 
 
@@ -91,7 +91,7 @@ def log_density_active(y: np.ndarray, design: np.ndarray, params: MixtureParams,
     d_t = params.within_cov.shape[0]
     d_e = params.between_cov.shape[0]
     n = d_t * d_e
-    mu = np.tile(params.hrf.values, d_e)
+    mu = np.tile(params.hrf, d_e)
     resid = y - params.amplitude[voxel] * mu - design @ params.coeffs[voxel]
     resid_te = resid.reshape(d_e, d_t).T
     quad = kron_quad_form(params.between_cov, params.within_cov, resid_te)
@@ -370,7 +370,7 @@ def mstep_stationarity_gaps(dataset, resp, params, step=1e-6, cov_sweeps=100):
                 dataset.series[i],
                 dataset.design,
                 params.coeffs[i],
-                params.hrf.values,
+                params.hrf,
                 params.within_cov,
                 params.between_cov,
             )
@@ -396,7 +396,7 @@ def mstep_stationarity_gaps(dataset, resp, params, step=1e-6, cov_sweeps=100):
                     dataset.design,
                     float(amp[i]),
                     float(resp[i]),
-                    params.hrf.values,
+                    params.hrf,
                     params.within_cov,
                     params.between_cov,
                     params.noise_var,
@@ -429,9 +429,9 @@ def mstep_stationarity_gaps(dataset, resp, params, step=1e-6, cov_sweeps=100):
         np.abs(
             central_diff(
                 lambda v: q_function(
-                    dataset, resp, p_h.with_updates(hrf=Hrf(values=v))
+                    dataset, resp, p_h.with_updates(hrf=v)
                 ),
-                hrf.values,
+                hrf,
                 step,
             )
         )

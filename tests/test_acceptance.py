@@ -112,7 +112,7 @@ def test_criterion_04_kronecker_dense_equivalence():
         got = kron_logdet(params.between_cov, params.within_cov)
         assert abs(got - logdet_d) <= 1e-8 * max(1.0, abs(logdet_d))
 
-        mu = np.tile(params.hrf.values, e)
+        mu = np.tile(params.hrf, e)
         for v in range(dims.n_voxels):
             resid = (
                 ds.series[v]
@@ -154,7 +154,7 @@ def test_criterion_05_parameter_recovery(default_fit):
     """Default 2000-voxel scenario: shape, labels, p, covariance recovered."""
     _, truth, fit, elapsed = default_fit
     assert elapsed < 300.0
-    h_corr = np.corrcoef(fit.params.hrf.values, truth.params.hrf.values)[0, 1]
+    h_corr = np.corrcoef(fit.params.hrf, truth.params.hrf)[0, 1]
     assert abs(h_corr) > 0.99, f"|corr(h_hat, h)| = {abs(h_corr):.5f}"
     accuracy = np.mean((fit.resp >= 0.5) == truth.labels)
     assert accuracy >= 0.95, f"classification accuracy = {accuracy:.4f}"

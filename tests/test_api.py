@@ -1,5 +1,6 @@
-"""The public surface: every exported name exists, the README's library
-example runs, and warnings leave the package through one seam."""
+"""The public surface: every exported name exists, each has one import
+path, the README's library example runs, and warnings leave the package
+through one seam."""
 import ast
 import importlib
 import inspect
@@ -7,8 +8,11 @@ import json
 import pathlib
 import pkgutil
 import re
+import subprocess
+import sys
 
 import numpy as np
+import pytest
 
 import trialmix
 from trialmix.io import write_map_pgm
@@ -30,6 +34,21 @@ def test_public_names_resolve():
     ]
     assert len(modules) > 10
     assert missing == []
+
+
+# (module imported, prefix of the modules it must not load): the package
+# root re-exports nothing, and the value types need no scipy
+LEAN_IMPORTS = [("trialmix", "trialmix."), ("trialmix.types", "scipy")]
+
+
+@pytest.mark.parametrize("module, absent", LEAN_IMPORTS)
+def test_import_loads_only_what_it_needs(module, absent):
+    code = (f"import sys, {module}; "
+            f"print(sorted(m for m in sys.modules if m.startswith({absent!r})))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # perfbench/tracer.py reads these arguments by name from the calls it

@@ -258,7 +258,7 @@ def test_unknown_compare_model_exits_2(pipeline, tmp_path, capsys):
 
 
 # name: (command, config, extra flags); each value once ended in a
-# traceback or was accepted and ignored
+# traceback, in exit 3 or in a run that accepted it
 BAD_RUNS = {
     "q-above-1": ("report", {"inference": {"q": 2.0}}, []),
     "q-string": ("report", {"inference": {"q": "abc"}}, []),
@@ -269,6 +269,7 @@ BAD_RUNS = {
     "effect_scale-string": ("report", {"pcs": {"effect_scale": "big"}}, []),
     "n_obs-zero": ("report", {"compare": {"n_obs": 0}}, []),
     "models-empty": ("report", {"compare": {"models": []}}, []),
+    "models-twice": ("compare", {"compare": {"models": [2, 2, 1]}}, []),
     "seed-string": ("report", {"seed": "x"}, []),
     "seed-negative": ("report", {"seed": -1}, []),
     "seed-flag-negative": ("simulate", {}, ["--seed", "-1"]),
@@ -278,6 +279,10 @@ BAD_RUNS = {
         ("preprocess", {"preprocess": {"smooth_fwhm": 2.0}}, []),
     "sim-tr-zero": ("simulate", {"simulate": {"tr": 0}}, []),
     "sim-rho-one": ("simulate", {"simulate": {"between_rho": 1.0}}, []),
+    # AR(1) factors below the positivity floor, though |rho| < 1
+    **{f"sim-{name}-{rho}": ("simulate", {"simulate": {name: rho}}, [])
+       for name in ("within_rho", "between_rho")
+       for rho in (0.9999999999999999, 0.999999999999)},
     "sim-n_times-above-64": ("simulate", {"simulate": {"n_times": 65}}, []),
     "removed-resp_clamp": ("report", {"em": {"resp_clamp": 1e-12}}, []),
     "removed-m_sweeps": ("report", {"em": {"m_sweeps": 1}}, []),
@@ -799,11 +804,14 @@ def _corrupt(path, how):
         f.write("\n".join(lines[:1] if how == "no-rows" else lines))
 
 
-# (file, how); fit files are read back by infer, inference files by pcs.
-# Before io checked each cell against its declared type, every case after
-# the first four but df=three exited 0 or 3, read back another value, or
-# (no-rows) ended in a traceback; loglik=nan exited 0 until a fit's trace
-# had to be finite.
+# (file, how); fit files are read back by infer and pcs, inference files
+# by pcs. Before io checked each cell against its declared type, every
+# case after the first four but df=three exited 0 or 3, read back another
+# value, or (no-rows) ended in a traceback; loglik=nan exited 0 until a
+# fit's trace had to be finite. A within_cov whose smallest eigenvalue is
+# positive but below the positivity floor exited 3 from infer and 0 from
+# pcs until both checks read one floor.
+FLOORED = np.diag([1e-20] + [1.0] * (CONFIG["simulate"]["n_times"] - 1))
 MALFORMED = [
     ("resp.csv", "non-numeric"),
     ("resp.csv", "ragged"),
@@ -827,7 +835,10 @@ MALFORMED = [
     ("fit.json", "iterations=2.7"),
     ("fdr.json", "df=three"),
     ("fdr.json", "df=true"),
+    pytest.param("params.json", f"within_cov={json.dumps(FLOORED.tolist())}",
+                 id="params.json-within_cov=diag(1e-20,1,...)"),
 ]
+FIT_FILES = ("params.json", "resp.csv", "loglik.csv", "fit.json")
 
 
 @pytest.mark.parametrize("table, how", MALFORMED)
@@ -837,21 +848,21 @@ def test_malformed_fit_or_infer_csv_exits_2(pipeline, tmp_path, capsys, table,
     infer_dir = str(tmp_path / "infer")
     shutil.copytree(pipeline["fit"], fit_dir)
     shutil.copytree(pipeline["infer"], infer_dir)
-    if table in ("resp.csv", "loglik.csv", "fit.json"):
-        _corrupt(os.path.join(fit_dir, table), how)
-        argv = ["infer", pipeline["bundle"], fit_dir]
-    else:
-        _corrupt(os.path.join(infer_dir, table), how)
-        argv = ["pcs", pipeline["bundle"], fit_dir, infer_dir]
-    capsys.readouterr()
-    out = str(tmp_path / "o")
-    rc = main(argv + ["--config", pipeline["cfg"], "--out", out])
-    assert rc == 2
-    err = _single_error_line(capsys)
-    assert err["code"] == 2
-    assert err["type"] == "BundleFormatError"
-    assert err["message"].startswith(table)
-    assert not os.path.exists(out)
+    _corrupt(os.path.join(fit_dir if table in FIT_FILES else infer_dir, table),
+             how)
+    argvs = [["pcs", pipeline["bundle"], fit_dir, infer_dir]]
+    if table in FIT_FILES:
+        argvs.append(["infer", pipeline["bundle"], fit_dir])
+    for argv in argvs:
+        capsys.readouterr()
+        out = str(tmp_path / f"out-{argv[0]}")
+        rc = main(argv + ["--config", pipeline["cfg"], "--out", out])
+        assert rc == 2, argv[0]
+        err = _single_error_line(capsys)
+        assert err["code"] == 2
+        assert err["type"] == "BundleFormatError"
+        assert err["message"].startswith(table)
+        assert not os.path.exists(out)
 
 
 def _declared_keys(declared, path=""):

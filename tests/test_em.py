@@ -22,7 +22,7 @@ from trialmix.io import write_dataset
 from trialmix.linalg import inv_spd
 from trialmix.modelsel import MODEL_SPECS, compare_models
 from trialmix.simulate import SimConfig, simulate_dataset
-from trialmix.types import Dataset, DegenerateDataError, Hrf
+from trialmix.types import Dataset, DegenerateDataError
 
 from helpers import (
     central_diff,
@@ -45,10 +45,10 @@ from helpers import (
 def test_canonical_hrf_shape():
     times = np.linspace(0.5, 24.0, 48)
     hrf = canonical_hrf(times)
-    assert abs(np.linalg.norm(hrf.values) - 1.0) < 1e-12
+    assert abs(np.linalg.norm(hrf) - 1.0) < 1e-12
     # difference of gammas peaks near 5 s and undershoots after 10 s
-    assert abs(times[int(np.argmax(hrf.values))] - 5.0) < 0.5
-    late = hrf.values[times > 10.0]
+    assert abs(times[int(np.argmax(hrf))] - 5.0) < 0.5
+    late = hrf[times > 10.0]
     assert late.min() < 0.0
     assert hrf_shape_raw(np.array([-1.0, 0.0]))[0] == 0.0
     assert hrf_shape_raw(np.array([-1.0, 0.0]))[1] == 0.0
@@ -61,13 +61,40 @@ def test_canonical_hrf_validates():
         canonical_hrf(np.array([-1.0, 2.0]))
 
 
-def test_hrf_from_raw_sign_and_norm():
-    flipped = Hrf.from_raw(np.array([1.0, -3.0, 0.5]))
-    assert flipped.flipped
-    assert flipped.values[1] > 0.0
-    assert abs(np.linalg.norm(flipped.values) - 1.0) < 1e-12
+def test_unit_shape_sign_and_norm():
+    raw = np.array([1.0, -3.0, 0.5])
+    shape, flip = em._unit_shape(raw)
+    assert flip
+    assert shape[1] > 0.0
+    assert abs(np.linalg.norm(shape) - 1.0) < 1e-12
+    np.testing.assert_array_equal(shape, -(raw / np.linalg.norm(raw)))
+    assert em._unit_shape(-raw)[1] is False
     with pytest.raises(ValueError):
-        Hrf.from_raw(np.zeros(3))
+        em._unit_shape(np.zeros(3))
+
+
+def test_update_h_flips_the_amplitudes_with_the_shape():
+    # a shape estimate with a negative dominant entry: the amplitudes
+    # change sign so amplitude * shape stays the raw estimate's
+    rng = np.random.default_rng(7)
+    dims = make_dims(n_times=4, n_epochs=3, n_voxels=12, n_covariates=1)
+    params = make_params(dims, rng)
+    # data of positive amplitudes, fitted with negative ones
+    amplitude = np.abs(params.amplitude) + 1.0
+    ds = make_dataset(dims, rng)
+    ds = replace(ds, series=0.1 * ds.series
+                 + np.outer(amplitude, np.tile(params.hrf, dims.n_epochs)))
+    params = params.with_updates(amplitude=-amplitude,
+                                 coeffs=np.zeros_like(params.coeffs))
+    resp = rng.uniform(0.2, 0.9, dims.n_voxels)
+    resid_inactive = em._Residuals(ds, params).inactive
+    w_between = inv_spd(params.between_cov)
+    raw = em._update_h_raw(resp, params.amplitude, w_between, resid_inactive)
+    assert raw[int(np.argmax(np.abs(raw)))] < 0.0
+    hrf, amp = update_h(resp, params, resid_inactive)
+    assert hrf[int(np.argmax(np.abs(hrf)))] > 0.0
+    assert abs(np.linalg.norm(hrf) - 1.0) < 1e-12
+    np.testing.assert_array_equal(amp, -(params.amplitude * np.linalg.norm(raw)))
 
 
 def test_estep_matches_direct_bayes():
@@ -167,14 +194,14 @@ def test_update_h_keeps_fitted_mean_and_convention():
     resp = rng.uniform(0.2, 0.9, dims.n_voxels)
     resid_inactive = em._Residuals(ds, params).inactive
     hrf, amp = update_h(resp, params, resid_inactive)
-    assert abs(np.linalg.norm(hrf.values) - 1.0) < 1e-12
-    peak = hrf.values[int(np.argmax(np.abs(hrf.values)))]
+    assert abs(np.linalg.norm(hrf) - 1.0) < 1e-12
+    peak = hrf[int(np.argmax(np.abs(hrf)))]
     assert peak > 0.0
     # raw solution times old amplitudes equals new shape times new amplitudes
     w_between = np.linalg.inv(params.between_cov)
     raw = em._update_h_raw(resp, params.amplitude, w_between, resid_inactive)
     np.testing.assert_allclose(
-        np.outer(params.amplitude, raw), np.outer(amp, hrf.values), atol=1e-12
+        np.outer(params.amplitude, raw), np.outer(amp, hrf), atol=1e-12
     )
 
 
@@ -233,7 +260,7 @@ def test_update_b_all_matches_per_voxel_oracle(n_covariates, noise_scale):
         ds,
         resp,
         params.amplitude,
-        params.hrf.values,
+        params.hrf,
         inv_spd(within),
         inv_spd(between),
         noise_var,
@@ -245,7 +272,7 @@ def test_update_b_all_matches_per_voxel_oracle(n_covariates, noise_scale):
                 ds.design,
                 params.amplitude[v],
                 resp[v],
-                params.hrf.values,
+                params.hrf,
                 within,
                 between,
                 noise_var,
@@ -405,7 +432,7 @@ def test_init_fit_returns_valid_params():
         params = seed_params(ds)
     assert 0.01 <= params.active_prob <= 0.99
     assert params.noise_var > 0.0
-    assert abs(np.linalg.norm(params.hrf.values) - 1.0) < 1e-10
+    assert abs(np.linalg.norm(params.hrf) - 1.0) < 1e-10
 
 
 def test_init_fit_all_active_screen_seeds_pooled_noise():

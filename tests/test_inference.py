@@ -37,7 +37,7 @@ def test_whiten_matches_dense_kronecker():
     series_w, mu_w, design_w = whiten(ds, params)
     half = inv_sqrt(np.kron(params.between_cov, params.within_cov))
     np.testing.assert_allclose(series_w, ds.series @ half.T, atol=1e-10)
-    mu = np.tile(params.hrf.values, dims.n_epochs)
+    mu = np.tile(params.hrf, dims.n_epochs)
     np.testing.assert_allclose(mu_w, half @ mu, atol=1e-10)
     np.testing.assert_allclose(design_w, half @ ds.design, atol=1e-10)
 

@@ -23,7 +23,7 @@ from trialmix.io import (
 from trialmix.inference import FdrResult
 from trialmix.simulate import SimConfig, simulate_dataset
 from trialmix.types import (MAX_FACTOR_DIM, ActivationMap, Dims, FitResult,
-                            Hrf, validate_params)
+                            MixtureParams, validate_params)
 
 from helpers import (OVERSIZED_FACTORS, OVERSIZED_GRIDS, make_dataset,
                      make_dims, make_params, write_bundle_by_hand)
@@ -96,7 +96,7 @@ def test_writers_agree_with_the_declarations(bundle, tmp_path):
         pairs += [(getattr(params, k), getattr(truth.params, k)) for k in
                   ("active_prob", "amplitude", "coeffs", "within_cov",
                    "between_cov", "noise_var")]
-        pairs.append((params.hrf.values, truth.params.hrf.values))
+        pairs.append((params.hrf, truth.params.hrf))
     for read, wrote in pairs:
         assert _bits(read) == _bits(wrote)
 
@@ -108,10 +108,10 @@ def test_validate_params_rejects_non_finite_values():
     validate_params(params, dims)
     with pytest.raises(ValueError, match="noise_var must be positive and finite"):
         validate_params(params.with_updates(noise_var=np.nan), dims)
-    hrf = params.hrf.values.copy()
+    hrf = params.hrf.copy()
     hrf[2] = np.nan
     with pytest.raises(ValueError, match="response shape is not finite"):
-        validate_params(params.with_updates(hrf=Hrf(hrf)), dims)
+        validate_params(params.with_updates(hrf=hrf), dims)
 
 
 def test_truth_absent_returns_none(tmp_path):
@@ -340,7 +340,7 @@ def test_params_json_roundtrip(tmp_path):
         np.testing.assert_array_equal(
             getattr(back, field), getattr(params, field)
         )
-    np.testing.assert_array_equal(back.hrf.values, params.hrf.values)
+    np.testing.assert_array_equal(back.hrf, params.hrf)
     assert back.active_prob == params.active_prob
     assert back.noise_var == params.noise_var
     # dict form survives a JSON round trip bit-for-bit
@@ -368,7 +368,7 @@ def test_params_json_bytes_match_json_dump(tmp_path, n_voxels, n_covariates):
         np.testing.assert_array_equal(
             getattr(back, field), getattr(params, field)
         )
-    np.testing.assert_array_equal(back.hrf.values, params.hrf.values)
+    np.testing.assert_array_equal(back.hrf, params.hrf)
     assert back.active_prob == params.active_prob
     assert back.noise_var == params.noise_var
 
@@ -628,15 +628,16 @@ def test_fit_and_infer_directories_read_back_their_bits(tmp_path, stage):
         io.write_infer(out, ds, amap, fdr)
     if stage == "fit":
         got = io.read_fit(str(tmp_path), ds)
-        pairs = [(got.params.active_prob, fit.params.active_prob),
-                 (got.params.noise_var, fit.params.noise_var),
-                 (got.resp, fit.resp),
+        pairs = [(got.resp, fit.resp),
                  (got.loglik_trace, fit.loglik_trace),
                  (got.iterations, fit.iterations),
                  (got.converged, fit.converged)]
-        pairs += [(getattr(got.params, k), getattr(fit.params, k)) for k in
-                  ("amplitude", "coeffs", "within_cov", "between_cov")]
-        pairs.append((got.params.hrf.values, fit.params.hrf.values))
+        # every parameter, so a field params.json does not hold fails here
+        for field in fields(MixtureParams):
+            read = getattr(got.params, field.name)
+            written = getattr(fit.params, field.name)
+            np.testing.assert_array_equal(read, written, strict=True)
+            pairs.append((read, written))
     else:
         got = io.read_amap(str(tmp_path), ds)
         pairs = [(got.t_stat, t), (got.pvals, pvals), (got.reject, reject),

@@ -87,7 +87,7 @@ def test_fit_model_dispatch(tiny_dataset):
     d = tiny_dataset.dims
     times = tiny_dataset.tr * (np.arange(d.n_times) + 0.5)
     np.testing.assert_allclose(
-        fit1.params.hrf.values, canonical_hrf(times).values
+        fit1.params.hrf, canonical_hrf(times)
     )
     assert np.all(fit1.resp == 1.0)
     assert fit1.params.active_prob == 1.0

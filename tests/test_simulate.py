@@ -56,7 +56,7 @@ def test_sim_config_defaults_and_validation():
 def test_default_scenario_satisfies_conventions():
     cfg = SimConfig(n_voxels=50)
     params = default_scenario(cfg, seed=4)
-    assert abs(np.linalg.norm(params.hrf.values) - 1.0) < 1e-12
+    assert abs(np.linalg.norm(params.hrf) - 1.0) < 1e-12
     # AR(1) with unit diagonal: trace equals the epoch count by itself
     assert abs(np.trace(params.between_cov) - cfg.n_epochs) < 1e-12
     np.testing.assert_allclose(

@@ -247,7 +247,7 @@ def test_analyze_variability_end_to_end():
     for c in range(n_clusters):
         for j in range(d.n_epochs):
             expected = (
-                pa.cluster_amplitude[c] * fit.params.hrf.values
+                pa.cluster_amplitude[c] * fit.params.hrf
                 + gamma @ pa.fitted[c, j]
             )
             np.testing.assert_allclose(pa.curves[c, j], expected, atol=1e-10)
