@@ -96,7 +96,10 @@ def _check_pcs(config: RunConfig, dataset: Dataset) -> None:
 
 
 def cmd_simulate(args, config: RunConfig, out: io.OutputDir) -> str:
-    dataset, truth = simulate_dataset(config.simulate, seed=config.seed)
+    try:
+        dataset, truth = simulate_dataset(config.simulate, seed=config.seed)
+    except ValueError as e:  # values in range whose draws overflow
+        raise ConfigError(f"simulate: {e}") from None
     io.write_dataset(dataset, out.path("dataset"), truth=truth)
     return os.path.join(out.root, "dataset")
 

@@ -20,7 +20,9 @@ t-test, and seeds the covariance factors and the noise variance through
 the same variance block; the main loop then continues on the same
 owner, whose residuals seeding leaves unchanged. A Dataset is valid by
 construction, so a fit checks only its own condition, centered design
-columns. Identification:
+columns. Every floor is relative to the data (the noise variance's,
+VAR_FLOOR of the series variance; a shape update's, MASS_EPS of the
+amplitudes' mass), so scaled series give the same fit. Identification:
 hrf has unit norm with its dominant entry positive, and for the
 "kronecker" covariance the between factor is rescaled to trace
 n_epochs with the scale absorbed into the within factor.
@@ -59,6 +61,7 @@ __all__ = [
 LOG_2PI = float(np.log(2.0 * np.pi))
 EXP_CUTOFF = 700.0
 MASS_EPS = 1e-12
+VAR_FLOOR = 1e-12  # the noise variance's floor per unit series variance
 
 
 @dataclass(frozen=True)
@@ -69,7 +72,6 @@ class EmConfig:
     max_iter: int = 500
     init_alpha: float = 1e-3
     init_max_iter: int = 50
-    noise_floor: float = 1e-12
 
     def __post_init__(self) -> None:
         if self.tol <= 0.0 or min(self.max_iter, self.init_max_iter) < 1:
@@ -157,11 +159,6 @@ def canonical_hrf(times: np.ndarray) -> np.ndarray:
     if np.any(times < 0.0):
         raise ValueError("times must be nonnegative")
     return _unit_shape(hrf_shape_raw(times))[0]
-
-
-def _epoch_design(dataset: Dataset) -> np.ndarray:
-    d = dataset.dims
-    return dataset.design.reshape(d.n_epochs, d.n_times, d.n_covariates)
 
 
 class _Residuals:
@@ -298,13 +295,11 @@ def _update_b_all(
     noise_var: float,
 ) -> np.ndarray:
     d = dataset.dims
-    if d.n_covariates == 0:
-        return np.zeros((d.n_voxels, 0))
     q = d.n_covariates
     # (w_between (x) w_within) X, the design under the responding precision
-    wx = np.einsum(
-        "jk,kta,ts->jsa", w_between, _epoch_design(dataset), w_within
-    ).reshape(d.n_images, q)
+    x_ep = dataset.design.reshape(d.n_epochs, d.n_times, q)
+    wx = np.einsum("jk,kta,ts->jsa", w_between, x_ep, w_within).reshape(
+        d.n_images, q)
     gram_active = dataset.design.T @ wx
     gram_inactive = dataset.design.T @ dataset.design / noise_var
     proj = dataset.series @ np.concatenate([wx, dataset.design], axis=1)
@@ -334,16 +329,17 @@ def _update_h_raw(
     """Stationarity solution for the shape, before renormalization.
 
     ``resid_inactive`` is series - coeffs @ design.T. Returns None when
-    the weighted amplitude mass is too small to identify a shape.
+    the weighted amplitude mass is too small a share of the amplitudes'
+    mass to identify a shape.
     """
     n_epochs = w_between.shape[0]
     diff = resid_inactive.reshape(resid_inactive.shape[0], n_epochs, -1)
     row_wb = w_between.sum(axis=1)
-    denom = float(np.sum(resp * amplitude**2) * row_wb.sum())
-    if not np.isfinite(denom) or denom <= MASS_EPS:
+    mass = float(np.sum(resp * amplitude**2))
+    if not np.isfinite(mass) or mass <= MASS_EPS * float(np.sum(amplitude**2)):
         return None
     numer = np.einsum("vj,vjt->t", (resp * amplitude)[:, None] * row_wb, diff)
-    return numer / denom
+    return numer / (mass * float(row_wb.sum()))
 
 
 def update_h(
@@ -460,18 +456,18 @@ def _variance_step(
     resp: np.ndarray,
     params: MixtureParams,
     resid: _Residuals,
-    config: EmConfig,
+    floor: float,
     structure: ModelStructure,
 ) -> MixtureParams:
-    """Variance block: covariance factors, then noise variance, given
-    ``resid`` holding both residuals of ``params``."""
+    """Variance block: covariance factors, then noise variance, at least
+    ``floor``, given ``resid`` holding both residuals of ``params``."""
     d = dataset.dims
     within = params.within_cov
     between = params.between_cov
     noise_var = params.noise_var
     if structure.covariance == "spherical":
         ssq = float(np.einsum("vjt,vjt->", resid.active, resid.active))
-        var = max(ssq / (d.n_voxels * d.n_images), config.noise_floor)
+        var = max(ssq / (d.n_voxels * d.n_images), floor)
         within = var * np.eye(d.n_times)
         between = np.eye(d.n_epochs)
         noise_var = var
@@ -488,10 +484,7 @@ def _variance_step(
         if structure.mixture:
             off_mass = float(np.sum(1.0 - resp))
             if off_mass > max(MASS_EPS * d.n_voxels, MASS_EPS):
-                noise_var = max(
-                    update_sigma2(resp, resid.ssq, d.n_images),
-                    config.noise_floor,
-                )
+                noise_var = max(update_sigma2(resp, resid.ssq, d.n_images), floor)
             else:
                 _intervene("noise update skipped: non-responding mass is negligible")
     return params.with_updates(
@@ -499,18 +492,30 @@ def _variance_step(
     )
 
 
+def _degenerate(check, *args, **kwargs) -> None:
+    """Run a check of a fit's own values; data that drive the fit out of
+    the model's range fail it, a DegenerateDataError."""
+    try:
+        check(*args, **kwargs)
+    except ValueError as e:
+        raise DegenerateDataError(f"fit: {e}") from None
+
+
 def _iterate(
     dataset: Dataset,
     params: MixtureParams,
     resid: _Residuals,
+    floor: float,
     config: EmConfig,
     structure: ModelStructure,
     diagnostics,
 ) -> FitResult:
     """The EM loop from ``params``, on ``resid`` holding their residuals;
-    on return it holds those of the result's parameters. A fit whose
-    log-likelihood decreases raises DegenerateDataError."""
-    validate_params(params, dataset.dims, trace_convention=structure.rescale_trace)
+    on return it holds those of the result's parameters. ``floor`` bounds
+    the noise variance from below. Parameters that break an invariant,
+    and a decreasing log-likelihood, raise DegenerateDataError."""
+    rescale = structure.rescale_trace
+    _degenerate(validate_params, params, dataset.dims, trace_convention=rescale)
     # one density evaluation per parameter value: it gives the trace
     # entry and the next (or final) responsibilities
     log_f = _log_densities(params, resid)
@@ -524,8 +529,8 @@ def _iterate(
         old_vec = params.global_vector()
         params = _mean_step(dataset, resp, params, resid, structure)
         resid.set_mean(params.amplitude, params.hrf)
-        params = _variance_step(dataset, resp, params, resid, config, structure)
-        validate_params(params, dataset.dims, trace_convention=structure.rescale_trace)
+        params = _variance_step(dataset, resp, params, resid, floor, structure)
+        _degenerate(validate_params, params, dataset.dims, trace_convention=rescale)
         log_f = _log_densities(params, resid)
         trace.append(_mixture_loglik(params.active_prob, *log_f))
         iterations = it
@@ -549,18 +554,16 @@ def _iterate(
         iterations=iterations,
         converged=converged,
     )
-    try:
-        result.validate()
-    except ValueError as e:
-        # a likelihood decrease is the data failing the model's ascent
-        raise DegenerateDataError(f"fit: {e}") from None
+    _degenerate(result.validate)
     return result
 
 
-def _start(dataset: Dataset) -> tuple[MixtureParams, _Residuals]:
-    """Every fit's start values and its one residual owner, which holds
-    their residuals. Design columns that are not mean-centered raise
-    DegenerateDataError."""
+def _start(dataset: Dataset) -> tuple[MixtureParams, _Residuals, float]:
+    """Every fit's start values, its one residual owner, which holds
+    their residuals, and its noise variance floor, VAR_FLOOR times the
+    series variance: the start noise variance, which _iterate rejects if
+    it is 0 or overflowed. Design columns that are not mean-centered
+    raise DegenerateDataError."""
     d = dataset.dims
     if np.any(np.abs(dataset.design.sum(axis=0)) > 1e-9 * d.n_images):
         raise DegenerateDataError(
@@ -568,6 +571,7 @@ def _start(dataset: Dataset) -> tuple[MixtureParams, _Residuals]:
         )
     # mid-interval post-stimulus convention; the EM refines the shape
     times = dataset.tr * (np.arange(d.n_times) + 0.5)
+    var = float(np.var(dataset.series))
     params = MixtureParams(
         active_prob=1.0,
         amplitude=np.zeros(d.n_voxels),
@@ -575,15 +579,16 @@ def _start(dataset: Dataset) -> tuple[MixtureParams, _Residuals]:
         hrf=canonical_hrf(times),
         within_cov=np.eye(d.n_times),
         between_cov=np.eye(d.n_epochs),
-        noise_var=max(float(np.var(dataset.series)), 1e-8),
+        noise_var=var,
     )
-    return params, _Residuals(dataset, params)
+    return params, _Residuals(dataset, params), VAR_FLOOR * var
 
 
 def _seed(
     dataset: Dataset,
     params: MixtureParams,
     resid: _Residuals,
+    floor: float,
     config: EmConfig,
     structure: ModelStructure,
 ) -> MixtureParams:
@@ -602,7 +607,7 @@ def _seed(
     """
     d = dataset.dims
     params = _iterate(
-        dataset, params, resid,
+        dataset, params, resid, floor,
         replace(config, max_iter=config.init_max_iter),
         replace(structure, mixture=False),
         None,
@@ -628,11 +633,11 @@ def _seed(
             "from the pooled residuals"
         )
         noise = float(np.mean(resid.inactive**2))
-        seed = seed.with_updates(noise_var=max(noise, config.noise_floor))
+        seed = seed.with_updates(noise_var=max(noise, floor))
         # no non-responding mass is left for the variance block's noise update
         structure = replace(structure, mixture=False)
     return _variance_step(
-        dataset, active.astype(np.float64), seed, resid, config, structure
+        dataset, active.astype(np.float64), seed, resid, floor, structure
     )
 
 
@@ -651,10 +656,11 @@ def em_fit(
     covariance factors, noise variance) drops below config.tol, or the
     fit stops after config.max_iter iterations. ``diagnostics``, when
     given, receives one JSON line per iteration. Design columns that are
-    not mean-centered, and a fit whose log-likelihood decreases, raise
-    DegenerateDataError.
+    not mean-centered, parameters that break an invariant (a variance
+    that overflows on huge values), and a log-likelihood that decreases
+    raise DegenerateDataError.
     """
-    params, resid = _start(dataset)
+    params, resid, floor = _start(dataset)
     if structure.mixture:
-        params = _seed(dataset, params, resid, config, structure)
-    return _iterate(dataset, params, resid, config, structure, diagnostics)
+        params = _seed(dataset, params, resid, floor, config, structure)
+    return _iterate(dataset, params, resid, floor, config, structure, diagnostics)

@@ -38,13 +38,10 @@ def _whitening(
     mu_w = np.einsum(
         "k,t->kt", half_between.sum(axis=1), half_within @ params.hrf
     ).reshape(d.n_images)
-    if d.n_covariates:
-        x_ep = dataset.design.reshape(d.n_epochs, d.n_times, d.n_covariates)
-        design_w = np.einsum(
-            "kj,jtq,ts->ksq", half_between, x_ep, half_within, optimize=True
-        ).reshape(d.n_images, d.n_covariates)
-    else:
-        design_w = np.zeros((d.n_images, 0))
+    x_ep = dataset.design.reshape(d.n_epochs, d.n_times, d.n_covariates)
+    design_w = np.einsum(
+        "kj,jtq,ts->ksq", half_between, x_ep, half_within, optimize=True
+    ).reshape(d.n_images, d.n_covariates)
     return half_between, half_within, mu_w, design_w
 
 
@@ -156,10 +153,6 @@ def fdr_adaptive(pvals: np.ndarray, q: float) -> FdrResult:
     pvals = np.asarray(pvals, dtype=np.float64)
     if pvals.ndim != 1:
         raise ValueError("p-values must form a vector")
-    if pvals.size == 0:
-        return FdrResult(
-            reject=np.zeros(0, dtype=bool), threshold=0.0, m0_hat=0, n_rejected=0
-        )
     if np.any(~np.isfinite(pvals)) or np.any(pvals < 0.0) or np.any(pvals > 1.0):
         raise ValueError("p-values must lie in [0, 1]")
     if not (0.0 < q < 1.0):
@@ -264,7 +257,6 @@ def activation_map(
                     m0_hat=sub.m0_hat, n_rejected=int(np.sum(reject)))
     cluster = np.zeros(m, dtype=np.int64)
     idx = np.nonzero(reject)[0]
-    if idx.size:
-        cluster[idx] = cluster_active(dataset.coords[idx], config.min_cluster)
+    cluster[idx] = cluster_active(dataset.coords[idx], config.min_cluster)
     amap = ActivationMap(t_stat=t, pvals=pvals, reject=reject, cluster=cluster, df=df)
     return amap, fdr

@@ -26,9 +26,11 @@ template instead of json's pure-Python indenting encoder.
 Every command artifact is written here. Each file trialmix reads is
 declared once, in ARTIFACTS (design.csv, whose header is x1..xq, in
 _design_columns). Every JSON object read, the run config too, is checked
-against its declaration by _check_object, and every CSV by _read_table;
-the table writers take their header from it. A write-only file keeps its
-header in its one writer.
+against its declaration by _check_object, and every CSV by _read_table.
+The writers take their layout from the same declaration: the table
+writers their header, and _write_record, the one writer of a declared
+JSON object, its keys and the type each value is cast to (_render, the
+inverse of _check). A write-only file keeps its layout in its one writer.
 
 OutputDir stages a run's files inside its output directory and moves
 them into place together when the run succeeds.
@@ -45,7 +47,7 @@ import shutil
 import sys
 import tempfile
 import typing
-from dataclasses import MISSING, asdict, fields, is_dataclass
+from dataclasses import MISSING, fields, is_dataclass
 
 import numpy as np
 
@@ -62,8 +64,6 @@ __all__ = [
     "read_dataset",
     "read_truth",
     "read_truth_bytes",
-    "params_to_dict",
-    "params_from_dict",
     "write_params_json",
     "read_params_json",
     "write_json",
@@ -223,6 +223,31 @@ def _check_array(value: list, hint) -> np.ndarray:
     return array
 
 
+def _render(value, hint):
+    """``value`` as the JSON value of the type ``hint`` declares: the
+    inverse of _check.
+
+    A dataclass or declaration hint gives an object rendered key by key
+    from a mapping's items or an object's attributes; an array hint
+    nested lists of its dtype; a tuple hint a list; a union such as
+    float | None null for None and its first member's rendering
+    otherwise; any other hint (float, int, bool, str) casts.
+    """
+    if isinstance(hint, dict) or is_dataclass(hint):
+        hints = hint if isinstance(hint, dict) else typing.get_type_hints(hint)
+        items = value if isinstance(value, dict) else vars(value)
+        return {key: _render(items[key], h) for key, h in hints.items()}
+    if hint in (np.ndarray, np.int64):
+        return np.asarray(value, np.float64 if hint is np.ndarray
+                          else np.int64).tolist()
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        return list(map(_render, value, args))
+    if args:
+        return None if value is None else _render(value, args[0])
+    return hint(value)
+
+
 def _check_object(obj, schema, name: str, error: type = BundleFormatError,
                   path: str = ""):
     """``obj`` with every key known and every value of its declared type.
@@ -333,16 +358,10 @@ def write_dataset(
     """
     os.makedirs(path, exist_ok=True)
     d = dataset.dims
-    header = {
-        "version": FORMAT_VERSION,
-        "endianness": "little",
-        "dims": asdict(d),
-        "tr": float(dataset.tr),
-        "stimulus_times": [float(t) for t in dataset.stimulus_times],
-        "coords": [[int(c) for c in row] for row in dataset.coords],
-        "mask_shape": list(dataset.mask_shape) if dataset.mask_shape else None,
-    }
-    write_json(header, os.path.join(path, HEADER_NAME))
+    _write_record(os.path.join(path, HEADER_NAME), HEADER_NAME, {
+        "version": FORMAT_VERSION, "endianness": "little", "dims": d,
+        "tr": dataset.tr, "stimulus_times": dataset.stimulus_times,
+        "coords": dataset.coords, "mask_shape": dataset.mask_shape})
     data = np.ascontiguousarray(dataset.series, dtype="<f8")
     with open(os.path.join(path, DATA_NAME), "wb") as f:
         f.write(data.tobytes())
@@ -354,7 +373,7 @@ def write_dataset(
         with open(truth_path, "wb") as f:
             f.write(truth)
     elif truth is not None:
-        write_json(_truth_to_dict(truth), truth_path)
+        _write_record(truth_path, TRUTH_NAME, truth)
 
 
 def _design_columns(dims: Dims) -> dict:
@@ -409,45 +428,15 @@ def read_dataset(path: str) -> Dataset:
         raise BundleFormatError(f"{path}: {e}") from None
 
 
-def params_to_dict(params: MixtureParams) -> dict:
-    return {
-        "active_prob": float(params.active_prob),
-        "amplitude": params.amplitude.tolist(),
-        "coeffs": params.coeffs.tolist(),
-        "hrf": params.hrf.tolist(),
-        "within_cov": params.within_cov.tolist(),
-        "between_cov": params.between_cov.tolist(),
-        "noise_var": float(params.noise_var),
-    }
-
-
-def params_from_dict(obj: dict, name: str = "params") -> MixtureParams:
-    """A parameter block checked against params.json's declaration."""
-    return MixtureParams(**_check_object(obj, ARTIFACTS["params.json"], name))
-
-
 @_gc_paused()
 def write_params_json(params: MixtureParams, path: str) -> None:
-    write_json(params_to_dict(params), path)
+    _write_record(path, "params.json", params)
 
 
 @_gc_paused()
 def read_params_json(path: str) -> MixtureParams:
     name = os.path.basename(path)
-    return params_from_dict(_load_json(path, name), name)
-
-
-def _truth_to_dict(truth: SimTruth) -> dict:
-    return {
-        "seed": int(truth.seed),
-        "labels": [int(z) for z in truth.labels],
-        "shift_offsets": (
-            truth.shift_offsets.tolist()
-            if truth.shift_offsets is not None
-            else None
-        ),
-        "params": params_to_dict(truth.params),
-    }
+    return _check_object(_load_json(path, name), ARTIFACTS["params.json"], name)
 
 
 @_gc_paused()
@@ -455,8 +444,7 @@ def read_truth(path: str) -> SimTruth | None:
     """Ground truth from a bundle, or None when the sidecar is absent."""
     if not os.path.exists(os.path.join(path, TRUTH_NAME)):
         return None
-    truth = _read_record(path, TRUTH_NAME)
-    return SimTruth(**{**truth, "params": MixtureParams(**truth["params"])})
+    return SimTruth(**_read_record(path, TRUTH_NAME))
 
 
 def read_truth_bytes(path: str) -> bytes | None:
@@ -526,22 +514,19 @@ def write_map_pgm(
 
 # ---------------------------------------------------------------- artifacts
 
-# The parameter block of params.json and of truth.json's "params".
-_PARAMS = {"active_prob": float, "amplitude": np.ndarray, "coeffs": np.ndarray,
-           "hrf": np.ndarray, "within_cov": np.ndarray,
-           "between_cov": np.ndarray, "noise_var": float}
 # Each file trialmix reads, declared once: its ordered CSV columns, each
 # int, float or bool (0/1 in CSV), or its JSON keys, each of a type
-# _check takes (np.ndarray: lists of finite numbers; np.int64: of ints).
-# design.csv's columns depend on the bundle: _design_columns.
+# _check takes (np.ndarray: lists of finite numbers; np.int64: of ints);
+# a dataclass declares its fields' keys and types. design.csv's columns
+# depend on the bundle: _design_columns.
 ARTIFACTS = {
     "header.json": {"version": str, "endianness": str, "dims": Dims,
                     "tr": float, "stimulus_times": np.ndarray,
                     "coords": np.int64,
                     "mask_shape": tuple[int, int, int] | None},
     "truth.json": {"seed": int, "labels": np.int64,
-                   "shift_offsets": np.ndarray | None, "params": _PARAMS},
-    "params.json": _PARAMS,
+                   "shift_offsets": np.ndarray | None, "params": MixtureParams},
+    "params.json": MixtureParams,
     "resp.csv": {"voxel": int, "resp": float, "amplitude": float},
     "loglik.csv": {"iteration": int, "loglik": float},
     "fit.json": {"iterations": int, "converged": bool, "loglik": float,
@@ -562,11 +547,10 @@ def _write_table(out: OutputDir, name: str, columns: list) -> None:
     ])
 
 
-def _write_record(out: OutputDir, name: str, values: list) -> None:
-    """A declared JSON object; ``values`` in declaration order."""
-    declared = ARTIFACTS[name].items()
-    write_json({key: kind(v) for (key, kind), v in
-                zip(declared, values, strict=True)}, out.path(name))
+def _write_record(path: str, name: str, value) -> None:
+    """The declared JSON object ``name`` at ``path``, rendered from a
+    mapping or an object's attributes by its declaration's keys."""
+    write_json(_render(value, ARTIFACTS[name]), path)
 
 
 def _read_table(folder: str, name: str, n_rows: int,
@@ -636,8 +620,9 @@ def _table_fault(path: str, declared: dict) -> str | None:
     return None
 
 
-def _read_record(folder: str, name: str) -> dict:
-    """The keys of a declared JSON object, each checked by _check_object."""
+def _read_record(folder: str, name: str):
+    """A declared JSON object as _check_object builds it: a dict of
+    checked values, or the declared dataclass."""
     return _check_object(_load_json(os.path.join(folder, name), name),
                          ARTIFACTS[name], name)
 
@@ -648,8 +633,9 @@ def write_fit(out: OutputDir, fit: FitResult) -> None:
                  [np.arange(fit.resp.size), fit.resp, fit.params.amplitude])
     _write_table(out, "loglik.csv",
                  [np.arange(fit.loglik_trace.size), fit.loglik_trace])
-    _write_record(out, "fit.json", [fit.iterations, fit.converged,
-                                    fit.loglik_trace[-1], fit.params.active_prob])
+    _write_record(out.path("fit.json"), "fit.json", {
+        "iterations": fit.iterations, "converged": fit.converged,
+        "loglik": fit.loglik_trace[-1], "active_prob": fit.params.active_prob})
 
 
 def read_fit(folder: str, dataset: Dataset) -> FitResult:
@@ -690,8 +676,9 @@ def write_infer(
         np.arange(amap.t_stat.size), *dataset.coords.T, amap.t_stat,
         amap.pvals, amap.reject, amap.cluster,
     ])
-    _write_record(out, "fdr.json", [amap.df, fdr.threshold, fdr.m0_hat,
-                                    fdr.n_rejected, amap.cluster.max()])
+    _write_record(out.path("fdr.json"), "fdr.json", {
+        "df": amap.df, "threshold": fdr.threshold, "m0_hat": fdr.m0_hat,
+        "n_rejected": fdr.n_rejected, "n_clusters": amap.cluster.max()})
     tvol, mask = _volume_from_voxels(dataset, amap.t_stat)
     write_map_pgm(tvol, out.path("tmap.pgm"), mask=mask)
     avol, _ = _volume_from_voxels(dataset, np.where(amap.reject, amap.t_stat, 0.0))

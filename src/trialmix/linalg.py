@@ -18,7 +18,6 @@ __all__ = [
     "matrix_sqrt",
     "inv_sqrt",
     "inv_spd",
-    "solve_spd",
     "regularize_spd",
     "kron_logdet",
 ]
@@ -98,19 +97,15 @@ def regularize_spd(mat: np.ndarray, where: str = "") -> np.ndarray:
     return mat + bump * np.eye(dim)
 
 
-def solve_spd(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve mat @ x = rhs for SPD mat via Cholesky."""
+def inv_spd(mat: np.ndarray) -> np.ndarray:
+    """Inverse of an SPD matrix via Cholesky, symmetrized against
+    roundoff; SingularMatrixError when the factorization fails."""
     mat = _check_square_sym(mat)
     try:
         factor = scipy.linalg.cho_factor(mat, lower=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"solve_spd: {exc}") from exc
-    return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
-
-
-def inv_spd(mat: np.ndarray) -> np.ndarray:
-    """Inverse of an SPD matrix, symmetrized against roundoff."""
-    inv = solve_spd(mat, np.eye(mat.shape[0]))
+        raise SingularMatrixError(f"inv_spd: {exc}") from exc
+    inv = scipy.linalg.cho_solve(factor, np.eye(mat.shape[0]), check_finite=False)
     return 0.5 * (inv + inv.T)
 
 

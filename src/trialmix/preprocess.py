@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import ndimage
 
-from .types import Dataset, Dims
+from .types import Dataset, DegenerateDataError, Dims
 
 __all__ = [
     "PreprocConfig",
@@ -58,8 +58,6 @@ def mean_center(series: np.ndarray) -> np.ndarray:
 def center_columns(design: np.ndarray) -> np.ndarray:
     """Subtract column means of a design matrix."""
     design = np.asarray(design, dtype=np.float64)
-    if design.size == 0:
-        return design.copy()
     return design - design.mean(axis=0, keepdims=True)
 
 
@@ -76,15 +74,6 @@ def dct_basis(n: int, n_funcs: int) -> np.ndarray:
     return np.cos(np.pi * np.outer(2.0 * t + 1.0, k) / (2.0 * n))
 
 
-def _n_drift_funcs(n: int, tr: float, cutoff: float) -> int:
-    if cutoff <= 2.0 * tr:
-        raise ValueError(
-            f"high-pass cutoff {cutoff} s must exceed twice the sampling "
-            f"interval ({2.0 * tr} s)"
-        )
-    return int(np.floor(2.0 * n * tr / cutoff))
-
-
 def dct_highpass(series: np.ndarray, tr: float, cutoff: float) -> np.ndarray:
     """Remove slow drift below the cutoff period (seconds).
 
@@ -93,12 +82,14 @@ def dct_highpass(series: np.ndarray, tr: float, cutoff: float) -> np.ndarray:
     a single series or a (batch, n) array. The projection is idempotent
     and leaves constant series untouched.
     """
+    if cutoff <= 2.0 * tr:
+        raise ValueError(
+            f"high-pass cutoff {cutoff} s must exceed twice the sampling "
+            f"interval ({2.0 * tr} s)"
+        )
     series = np.asarray(series, dtype=np.float64)
     n = series.shape[-1]
-    n_funcs = _n_drift_funcs(n, tr, cutoff)
-    if n_funcs == 0:
-        return series.copy()
-    basis = dct_basis(n, n_funcs)
+    basis = dct_basis(n, int(np.floor(2.0 * n * tr / cutoff)))
     # basis columns are exactly orthogonal with squared norm n/2
     coef = series @ basis * (2.0 / n)
     return series - coef @ basis.T
@@ -290,7 +281,7 @@ def preprocess_dataset(ds: Dataset, cfg: PreprocConfig) -> Dataset:
     Applies, in order: Gaussian smoothing (when smooth_fwhm > 0), trial
     alignment from the stimulus times, high-pass filtering of both the
     series and the design (when a cutoff is set), and mean-centering of
-    both.
+    both. A result that overflowed raises DegenerateDataError.
     """
     series = ds.series
     design = ds.design
@@ -301,9 +292,11 @@ def preprocess_dataset(ds: Dataset, cfg: PreprocConfig) -> Dataset:
         series = trial_time_shift(series, shifts)
     if cfg.highpass_cutoff is not None:
         series = dct_highpass(series, ds.tr, cfg.highpass_cutoff)
-        if design.shape[1] > 0:
-            design = dct_highpass(design.T, ds.tr, cfg.highpass_cutoff).T
+        design = dct_highpass(design.T, ds.tr, cfg.highpass_cutoff).T
     if cfg.center:
         series = mean_center(series)
         design = center_columns(design)
-    return replace(ds, series=series, design=design)
+    try:
+        return replace(ds, series=series, design=design)
+    except ValueError as e:  # finite input whose processing overflowed
+        raise DegenerateDataError(f"preprocess: {e}") from None

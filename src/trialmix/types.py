@@ -174,6 +174,8 @@ class Dataset:
             raise ValueError("voxel coordinates are not unique")
         if self.stimulus_times.shape != (d.n_epochs,):
             raise ValueError("stimulus_times must have one entry per epoch")
+        if not np.all(np.isfinite(self.stimulus_times)):
+            raise ValueError("stimulus_times contains non-finite values")
         if not 0.0 < self.tr < np.inf:
             raise ValueError("tr must be positive and finite")
 

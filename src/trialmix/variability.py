@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .em import residual_matrices
-from .kernels import voxel_blocks
 from .linalg import sym_eigen
 from .types import ActivationMap, Dataset, DegenerateDataError, FitResult
 
@@ -27,7 +26,6 @@ __all__ = [
     "pc_scores",
     "AnovaTable",
     "anova_two_way",
-    "fitted_response",
     "pc_effect_curves",
     "PcAnalysis",
     "analyze_variability",
@@ -92,16 +90,12 @@ def pc_scores(
     if idx.size == 0:
         raise DegenerateDataError("no voxels qualify for scoring")
     pca = pca_cov(fit.params.within_cov)
-    gamma = pca.loadings[:, :n_components]
-    scores = np.empty((idx.size, d.n_epochs, n_components))
-    for sl in voxel_blocks(idx.size):
-        rows = idx[sl]
-        block = replace(dataset, dims=replace(d, n_voxels=rows.size),
-                        series=dataset.series[rows], coords=dataset.coords[rows])
-        params = fit.params.with_updates(amplitude=fit.params.amplitude[rows],
-                                         coeffs=fit.params.coeffs[rows])
-        resid = residual_matrices(block, params)
-        scores[sl] = np.einsum("vjt,tk->vjk", resid, gamma)
+    scored = replace(dataset, dims=replace(d, n_voxels=idx.size),
+                     series=dataset.series[idx], coords=dataset.coords[idx])
+    params = fit.params.with_updates(amplitude=fit.params.amplitude[idx],
+                                     coeffs=fit.params.coeffs[idx])
+    resid = residual_matrices(scored, params)
+    scores = np.einsum("vjt,tk->vjk", resid, pca.loadings[:, :n_components])
     return idx, scores, pca
 
 
@@ -226,20 +220,6 @@ def anova_two_way(
     )
 
 
-def fitted_response(
-    amplitude: float,
-    hrf: np.ndarray,
-    loadings: np.ndarray,
-    score_row: np.ndarray,
-) -> np.ndarray:
-    """Fitted single-trial response curve.
-
-    amplitude * hrf + sum_k score_k * loading_k for one (cluster, epoch)
-    cell; loadings is (n_times, K) and score_row is (K,).
-    """
-    return amplitude * hrf + loadings @ score_row
-
-
 def pc_effect_curves(
     hrf: np.ndarray,
     pca: PcaResult,
@@ -330,7 +310,7 @@ def analyze_variability(
     curves = np.empty((cluster_levels.size, d.n_epochs, d.n_times))
     for ci in range(cluster_levels.size):
         for j in range(d.n_epochs):
-            curves[ci, j] = fitted_response(amps[ci], hrf, gamma, cells[ci, j])
+            curves[ci, j] = amps[ci] * hrf + gamma @ cells[ci, j]
     effects = pc_effect_curves(hrf, within_pca, n_components,
                                config.effect_scale)
     return PcAnalysis(

@@ -27,7 +27,7 @@ from trialmix.inference import (
     _whiten_series,
     _whitening,
 )
-from trialmix.linalg import inv_spd, kron_logdet, solve_spd
+from trialmix.linalg import inv_spd, kron_logdet
 from trialmix.types import (Dataset, DegenerateDataError, Dims, MixtureParams,
                             _intervene)
 
@@ -81,8 +81,8 @@ def kron_quad_form(
             f"residual shape {resid.shape} does not match factors "
             f"({within.shape[0]}, {between.shape[0]})"
         )
-    left = solve_spd(within, resid)
-    right = solve_spd(between, resid.T).T
+    left = np.linalg.solve(within, resid)
+    right = np.linalg.solve(between, resid.T).T
     return float(np.sum(left * right))
 
 
@@ -234,6 +234,18 @@ def t_statistics_all(
             "or 0 where the amplitude is 0"
         )
     return t, test.df
+
+
+def fitted_response(
+    amplitude: float,
+    hrf: np.ndarray,
+    loadings: np.ndarray,
+    score_row: np.ndarray,
+) -> np.ndarray:
+    """Fitted single-trial response curve of one (cluster, epoch) cell:
+    amplitude * hrf + sum_k score_k * loading_k, with loadings
+    (n_times, K) and score_row (K,)."""
+    return amplitude * hrf + loadings @ score_row
 
 
 def seed_params(dataset, config=EmConfig(), structure=ModelStructure()):

@@ -27,9 +27,10 @@ from trialmix.preprocess import (
 )
 from trialmix.simulate import SimConfig, default_scenario, generate, simulate_dataset
 from trialmix.types import Dims, FitResult
-from trialmix.variability import anova_two_way, fitted_response, pc_scores, pca_cov
+from trialmix.variability import anova_two_way, pc_scores, pca_cov
 
 from helpers import (
+    fitted_response,
     kron_quad_form,
     log_density_active,
     make_dataset,

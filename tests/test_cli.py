@@ -866,12 +866,13 @@ def test_malformed_fit_or_infer_csv_exits_2(pipeline, tmp_path, capsys, table,
 
 
 def _declared_keys(declared, path=""):
-    """(dotted key, hint) for every leaf of a declaration in io.ARTIFACTS."""
+    """(dotted key, hint) for every leaf of a declaration in io.ARTIFACTS,
+    a {key: hint} dict or a dataclass."""
+    if dataclasses.is_dataclass(declared):
+        declared = typing.get_type_hints(declared)
     for key, hint in declared.items():
         where = f"{path}.{key}" if path else key
-        if dataclasses.is_dataclass(hint):
-            hint = typing.get_type_hints(hint)
-        if isinstance(hint, dict):
+        if isinstance(hint, dict) or dataclasses.is_dataclass(hint):
             yield from _declared_keys(hint, where)
         else:
             yield where, hint

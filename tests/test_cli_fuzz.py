@@ -8,6 +8,7 @@ import contextlib
 import io
 import json
 import os
+import sys
 import tempfile
 import typing
 import warnings
@@ -18,13 +19,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from trialmix.cli import RunConfig, main
-from trialmix.io import ARTIFACTS, _check, write_dataset
+from trialmix.io import ARTIFACTS, _check, read_dataset, write_dataset
 from trialmix.simulate import SimConfig, simulate_dataset
 from trialmix.types import Dims
 
 from helpers import OVERSIZED_GRIDS
 
-EDITS = ("none", "flat", "identical", "constant-epochs")
+EDITS = ("none", "flat", "identical", "constant-epochs", "huge")
 CORRUPTIONS = ("nan", "inf", "truncate", "header-cut", "header-value",
                "header-coord", "design-shift")
 HEADER_KEYS = ("version", "endianness", "tr", "stimulus_times", "coords",
@@ -43,6 +44,8 @@ def _edit_series(series, edit, n_epochs, n_times):
     elif edit == "constant-epochs":
         by_epoch = series.reshape(-1, n_epochs, n_times)
         by_epoch[:] = by_epoch[:, :1]
+    elif edit == "huge":  # finite, but the series variance overflows
+        series *= 1e200
 
 
 def _corrupt(bundle, corruption, where, value):
@@ -169,6 +172,10 @@ SMOOTH_FWHM = st.sampled_from([0.0, 2.0])
 @example("preprocess", 1, 2, 1, 0, 0.3, 0, "none", 1, False, 0.0)
 @example("report", 30, 5, 4, 1, 0.0, 2, "none", 1, True, 0.0)
 @example("report", 30, 5, 4, 1, 1.0, 0, "none", 1, True, 0.0)
+@example("preprocess", 30, 6, 4, 1, 0.3, 0, "huge", 1, True, 2.0)
+@example("fit", 30, 6, 4, 1, 0.3, 0, "huge", 1, True, 0.0)
+@example("compare", 30, 6, 4, 1, 0.3, 0, "huge", 1, False, 0.0)
+@example("report", 30, 6, 4, 1, 0.3, 0, "huge", 1, True, 0.0)
 def test_main_on_degenerate_bundles(
     command, n_voxels, n_times, n_epochs, n_covariates, active_frac, seed,
     edit, min_cluster, previous, smooth_fwhm,
@@ -245,7 +252,8 @@ CONFIG_FIELDS = list(_config_fields())
 READER = {None: "simulate", "simulate": "simulate", "preprocess": "preprocess",
           "em": "fit", "fit": "fit", "inference": "infer", "pcs": "pcs",
           "compare": "compare"}
-EXTREMES = (0, -1, 0.5, -1e-300, 1e300, 10**30, 2**63)
+EXTREMES = (0, -1, 0.5, -1e-300, 1e300, 10**30, 2**63,
+            sys.float_info.max, -sys.float_info.max)
 TINY = {"simulate": {"n_voxels": 60, "n_times": 6, "n_epochs": 4,
                      "n_covariates": 1},
         "em": {"max_iter": 30}, "inference": {"min_cluster": 1},
@@ -285,5 +293,8 @@ def test_main_on_extreme_config_values(staged, case):
         path = os.path.join(root, "config.json")
         with open(path, "w") as f:
             json.dump(config, f)
-        _main_keeps_rule([command, *staged[command], "--config", path],
-                         os.path.join(root, "out"), True)
+        out = os.path.join(root, "out")
+        rc = _main_keeps_rule([command, *staged[command], "--config", path],
+                              out, True)
+        if command == "simulate" and rc == 0:
+            read_dataset(os.path.join(out, "dataset"))

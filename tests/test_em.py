@@ -423,6 +423,17 @@ def test_init_fit_rejects_uncentered_design(small_mixture):
         seed_params(shifted)
 
 
+def test_fit_rejects_a_series_variance_of_zero_or_overflowed(small_mixture):
+    # the fit starts from the series variance and floors the noise
+    # variance at a share of it, so a constant series (0) and one whose
+    # variance overflows (inf) are numerical failures, not tracebacks
+    ds, _ = small_mixture
+    for series in (np.full_like(ds.series, 3.0), ds.series * 1e200):
+        with np.errstate(over="ignore"), pytest.raises(
+                DegenerateDataError, match="^fit: noise_var must be positive"):
+            em_fit(replace(ds, series=series))
+
+
 def test_init_fit_returns_valid_params():
     ds, _ = simulate_dataset(
         SimConfig(n_voxels=80, n_times=6, n_epochs=4, n_covariates=1), seed=3
@@ -523,7 +534,7 @@ def test_variance_step_runs_each_conditional_step_once(
     # so a repeat would recompute the same value
     ds, _ = small_mixture
     structure = ModelStructure(covariance=covariance)
-    params, resid = em._start(ds)
+    params, resid, floor = em._start(ds)
     resp = np.linspace(0.1, 0.9, ds.dims.n_voxels)
     calls = {"within": 0, "between": 0}
     for factor in calls:
@@ -534,14 +545,14 @@ def test_variance_step_runs_each_conditional_step_once(
             return scatter(*args)
 
         monkeypatch.setattr(em.kernels, f"scatter_{factor}", counting)
-    em._variance_step(ds, resp, params, resid, EmConfig(), structure)
+    em._variance_step(ds, resp, params, resid, floor, structure)
     assert calls == {"within": within, "between": between}
 
 
 @pytest.mark.parametrize("covariance", ["within", "between"])
 def test_one_free_factor_step_is_idempotent(small_mixture, covariance):
     ds, _ = small_mixture
-    params, resid = em._start(ds)
+    params, resid, _ = em._start(ds)
     resp = np.linspace(0.1, 0.9, ds.dims.n_voxels)
     once = update_covariances(resid.active, resp, params.within_cov,
                               params.between_cov, covariance)
@@ -573,3 +584,22 @@ def test_dataset_is_checked_once_when_built(small_mixture, monkeypatch,
         seed_params(ds)
         compare_models(ds, EmConfig(max_iter=20))
     assert calls == []
+
+
+@pytest.fixture(scope="module")
+def fit_2000():
+    ds, _ = simulate_dataset(SimConfig(n_voxels=2000), seed=0)
+    return ds, em_fit(ds)
+
+
+@pytest.mark.parametrize("scale", [1e-7, 1e-3, 1e6, 1e-20])
+def test_fit_is_scale_equivariant(fit_2000, scale):
+    # every floor is relative to the data's scale: the series scaled by c
+    # gives the same responding voxels and mixing proportion, and no
+    # intervention (an absolute floor once made p 1 at 1e-7)
+    ds, base = fit_2000
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        fit = em_fit(replace(ds, series=ds.series * scale))
+    np.testing.assert_array_equal(fit.resp >= 0.5, base.resp >= 0.5)
+    assert abs(fit.params.active_prob - base.params.active_prob) <= 1e-5

@@ -17,7 +17,7 @@ from trialmix.preprocess import (
     _axis_kernel,
     _smooth_dataset,
 )
-from trialmix.types import Dataset, Dims
+from trialmix.types import Dataset, DegenerateDataError, Dims
 
 from helpers import make_dataset, make_dims
 
@@ -289,6 +289,18 @@ def test_preprocess_dataset_composes_the_steps():
     np.testing.assert_allclose(out.series, manual, atol=1e-12)
     expected_design = center_columns(dct_highpass(ds.design.T, ds.tr, 30.0).T)
     np.testing.assert_allclose(out.design, expected_design, atol=1e-12)
+
+
+def test_preprocess_overflow_is_degenerate():
+    # finite values near the float64 limit overflow in the shift's FFT
+    rng = np.random.default_rng(9)
+    dims = make_dims(n_times=9, n_epochs=4, n_voxels=5, n_covariates=2)
+    ds = make_dataset(dims, rng)
+    huge = Dataset(dims, ds.series * 1e307, ds.design, ds.coords,
+                   ds.stimulus_times + 0.5, ds.tr)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            DegenerateDataError, match="^preprocess: series contains non-finite"):
+        preprocess_dataset(huge, PreprocConfig())
 
 
 def test_preprocess_config_validation():

@@ -10,13 +10,13 @@ from trialmix.variability import (
     PcsConfig,
     analyze_variability,
     anova_two_way,
-    fitted_response,
     pc_effect_curves,
     pc_scores,
     pca_cov,
 )
 
-from helpers import make_dataset, make_dims, make_params, rand_spd
+from helpers import (fitted_response, make_dataset, make_dims, make_params,
+                     rand_spd)
 
 
 def test_pca_cov_diagonal_oracle():
@@ -196,6 +196,13 @@ def test_fitted_scores_stacks_cells():
     assert pa.fitted.shape == (3, ds.dims.n_epochs, 2)
     for k, tab in enumerate(pa.tables):
         np.testing.assert_array_equal(pa.fitted[:, :, k], tab.fitted)
+    # and each curve is the single-cell oracle's response of its cell
+    loadings = pa.within_pca.loadings[:, :2]
+    for c in range(3):
+        for j in range(ds.dims.n_epochs):
+            np.testing.assert_array_equal(pa.curves[c, j], fitted_response(
+                pa.cluster_amplitude[c], fit.params.hrf, loadings,
+                pa.fitted[c, j]))
 
 
 def test_fitted_response_full_rank_reconstructs():
