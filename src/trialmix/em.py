@@ -33,7 +33,6 @@ import json
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import kernels
 from .inference import t_sf, t_statistics
@@ -117,26 +116,33 @@ class ModelStructure:
         return self.covariance == "kronecker"
 
 
+# log Gamma(6) and log Gamma(16) as scipy.special.gammaln gives them in
+# float64; math.lgamma differs from both in the last bit
+LOG_GAMMA_6 = 4.787491742782046
+LOG_GAMMA_16 = 27.899271383840894
+
+
 def hrf_shape_raw(times: np.ndarray) -> np.ndarray:
     """Unnormalized difference-of-gammas response at given times.
 
     gamma(shape 6, scale 1) minus one sixth of gamma(shape 16, scale 1),
     evaluated at ``times`` seconds after stimulus onset. Peaks near 5 s
-    with an undershoot after 10 s. Zero at nonpositive times.
+    with an undershoot after 10 s. Zero at nonpositive times. The
+    log-gamma normalizers are scipy's float64 values of gammaln(6) and
+    gammaln(16), written as literals so that the shape needs no scipy.
     """
     times = np.asarray(times, dtype=np.float64)
     if not np.all(np.isfinite(times)):
         raise ValueError("times must be finite")
 
-    def gamma_pdf(t: np.ndarray, shape: float) -> np.ndarray:
+    def gamma_pdf(t: np.ndarray, shape: float, log_gamma: float) -> np.ndarray:
         out = np.zeros_like(t)
         pos = t > 0.0
-        out[pos] = np.exp(
-            (shape - 1.0) * np.log(t[pos]) - t[pos] - gammaln(shape)
-        )
+        out[pos] = np.exp((shape - 1.0) * np.log(t[pos]) - t[pos] - log_gamma)
         return out
 
-    return gamma_pdf(times, 6.0) - gamma_pdf(times, 16.0) / 6.0
+    return (gamma_pdf(times, 6.0, LOG_GAMMA_6)
+            - gamma_pdf(times, 16.0, LOG_GAMMA_16) / 6.0)
 
 
 def _unit_shape(raw: np.ndarray) -> tuple[np.ndarray, bool]:

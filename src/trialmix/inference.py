@@ -3,14 +3,17 @@ and spatial clustering of the rejected voxels.
 
 InferenceConfig declares the stage's settings and defaults once;
 activation_map takes it whole, and its steps take plain values.
+
+t_sf and cluster_active import scipy inside the function, on first
+call: importing scipy.special and scipy.ndimage at the top would cost
+every command about half a second of start-up, also the ones (simulate,
+pcs) that never test or cluster.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
-from scipy.special import betainc
 
 from .kernels import voxel_blocks
 from .linalg import inv_sqrt
@@ -118,6 +121,8 @@ def t_sf(t: np.ndarray | float, df: int) -> np.ndarray | float:
     half-argument form that keeps relative accuracy in the far tail:
     for t >= 0, sf = betainc(df/2, 1/2, df / (df + t^2)) / 2.
     """
+    from scipy.special import betainc
+
     if df < 1:
         raise ValueError("df must be at least 1")
     t_arr = np.asarray(t, dtype=np.float64)
@@ -192,6 +197,8 @@ def cluster_active(coords: np.ndarray, min_size: int) -> np.ndarray:
     diagonals) and relabels them 1, 2, ... by descending size;
     components smaller than min_size get label 0.
     """
+    from scipy import ndimage
+
     coords = np.asarray(coords)
     if coords.ndim != 2 or coords.shape[1] != 3:
         raise ValueError("coords must be (n, 3)")

@@ -364,7 +364,7 @@ def write_dataset(
         "coords": dataset.coords, "mask_shape": dataset.mask_shape})
     data = np.ascontiguousarray(dataset.series, dtype="<f8")
     with open(os.path.join(path, DATA_NAME), "wb") as f:
-        f.write(data.tobytes())
+        data.tofile(f)
     if d.n_covariates > 0:
         write_csv(os.path.join(path, DESIGN_NAME), list(_design_columns(d)),
                   columns=dataset.design.T)

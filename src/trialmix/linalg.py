@@ -4,11 +4,14 @@ The structured covariance of a responding voxel is between_cov (x)
 within_cov. Nothing here ever materializes that product; the
 log-determinant goes through the factor identity so the cost stays at the
 factor dimensions.
+
+inv_spd imports scipy.linalg inside the function, on first call, so
+that commands which never invert a covariance (simulate, pcs) start
+without loading it.
 """
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .types import _check_symmetric, _intervene, _spd_floor
 
@@ -100,6 +103,8 @@ def regularize_spd(mat: np.ndarray, where: str = "") -> np.ndarray:
 def inv_spd(mat: np.ndarray) -> np.ndarray:
     """Inverse of an SPD matrix via Cholesky, symmetrized against
     roundoff; SingularMatrixError when the factorization fails."""
+    import scipy.linalg
+
     mat = _check_square_sym(mat)
     try:
         factor = scipy.linalg.cho_factor(mat, lower=True, check_finite=False)

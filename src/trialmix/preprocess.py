@@ -4,13 +4,16 @@ Pipeline order is mask -> smooth -> trial alignment -> high-pass ->
 mean-centering. The high-pass removes slow drift by projecting out
 low-order cosine basis functions; trial alignment resamples each epoch
 onto a common post-stimulus grid with a Fourier phase shift.
+
+_smooth_axes imports scipy.ndimage inside the function: only smoothing
+needs it, and loading it at the top would slow the start-up of every
+command.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import ndimage
 
 from .types import Dataset, DegenerateDataError, Dims
 
@@ -162,6 +165,8 @@ def _smooth_axes(
     Every line is filtered on its own, so a stack of volumes along a
     fourth axis gives the same bits as smoothing each volume alone.
     """
+    from scipy import ndimage
+
     for axis in range(3):
         kern = _axis_kernel(fwhm * FWHM_TO_SIGMA / voxel_size[axis],
                             arr.shape[axis] - 1)

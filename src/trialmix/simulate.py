@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .em import canonical_hrf, hrf_shape_raw
+from .kernels import BLOCK
 from .linalg import matrix_sqrt
 from .types import (MAX_GRID_AXIS, Dataset, Dims, MixtureParams, SimTruth,
                     _check_spd, _gc_paused, validate_params)
@@ -190,6 +191,22 @@ def _block_coords(n_voxels: int) -> tuple[np.ndarray, tuple[int, int, int]]:
     return np.ascontiguousarray(grid[:n_voxels]), (side, side, side)
 
 
+def _covariate_blocks(n_voxels: int):
+    """Slices of BLOCK consecutive voxels covering range(n_voxels), the
+    last one taking the remainder too (BLOCK to 2 BLOCK - 1 voxels).
+
+    Each block's covariate term is one GEMM. Measured on OpenBLAS 0.3.31,
+    these blocks round every column as a single-threaded product over
+    all voxels does, at 1 and 2 threads. A narrow last block rounds its
+    columns differently, and one product over all voxels rounds by how
+    the threads split it (at 631 or 20001 voxels, for example).
+    """
+    start = 0
+    for stop in [*range(BLOCK, n_voxels - BLOCK + 1, BLOCK), n_voxels]:
+        yield slice(start, stop)
+        start = stop
+
+
 @_gc_paused()
 def generate(
     dims: Dims,
@@ -217,9 +234,14 @@ def generate(
     validate_params(truth, dims)
     if phase not in ("zero", "jitter"):
         raise ValueError('phase must be "zero" or "jitter"')
-    root = np.random.SeedSequence(seed)
-    streams = root.spawn(dims.n_voxels + 1)
-    shared = np.random.default_rng(streams[-1])
+
+    def stream(index: int) -> np.random.Generator:
+        # child ``index`` of SeedSequence(seed), as spawn(n_voxels + 1)
+        # makes it, built when needed instead of all V + 1 held at once
+        return np.random.default_rng(
+            np.random.SeedSequence(seed, spawn_key=(index,)))
+
+    shared = stream(dims.n_voxels)
     if design is None:
         design = random_walk_design(
             dims.n_images, dims.n_covariates, shared, jitter=design_jitter
@@ -257,19 +279,21 @@ def generate(
     noise_sd = float(np.sqrt(truth.noise_var))
     series = np.empty((dims.n_voxels, dims.n_images))
     labels = np.empty(dims.n_voxels, dtype=np.int64)
-    covar_part = design @ truth.coeffs.T
-    for v in range(dims.n_voxels):
-        rng = np.random.default_rng(streams[v])
-        z = rng.random() < truth.active_prob
-        labels[v] = int(z)
-        if z:
-            g = rng.standard_normal((dims.n_times, dims.n_epochs))
-            structured = l_within @ g @ l_between
-            mean = truth.amplitude[v] * mean_shape
-            series[v] = (mean + structured.T).ravel()
-        else:
-            series[v] = noise_sd * rng.standard_normal(dims.n_images)
-        series[v] += covar_part[:, v]
+    for block in _covariate_blocks(dims.n_voxels):
+        # the covariate term one block at a time, never a second (N, V) array
+        covar_part = design @ truth.coeffs[block].T
+        for v in range(block.start, block.stop):
+            rng = stream(v)
+            z = rng.random() < truth.active_prob
+            labels[v] = int(z)
+            if z:
+                g = rng.standard_normal((dims.n_times, dims.n_epochs))
+                structured = l_within @ g @ l_between
+                mean = truth.amplitude[v] * mean_shape
+                series[v] = (mean + structured.T).ravel()
+            else:
+                series[v] = noise_sd * rng.standard_normal(dims.n_images)
+            series[v] += covar_part[:, v - block.start]
     coords, mask_shape = _block_coords(dims.n_voxels)
     dataset = Dataset(
         dims=dims,

@@ -10,6 +10,7 @@ import json
 import os
 
 import numpy as np
+from scipy.special import gammaln
 
 import trialmix.em as em
 from trialmix.em import (
@@ -234,6 +235,18 @@ def t_statistics_all(
             "or 0 where the amplitude is 0"
         )
     return t, test.df
+
+
+def scipy_hrf_shape_raw(times: np.ndarray) -> np.ndarray:
+    """The difference of gamma densities em.hrf_shape_raw evaluates, with
+    its log-gamma normalizers computed by scipy.special.gammaln."""
+    times = np.asarray(times, dtype=np.float64)
+    out = np.zeros_like(times)
+    pos = times > 0.0
+    t = times[pos]
+    out[pos] = (np.exp(5.0 * np.log(t) - t - gammaln(6.0))
+                - np.exp(15.0 * np.log(t) - t - gammaln(16.0)) / 6.0)
+    return out
 
 
 def fitted_response(

@@ -37,8 +37,10 @@ def test_public_names_resolve():
 
 
 # (module imported, prefix of the modules it must not load): the package
-# root re-exports nothing, and the value types need no scipy
-LEAN_IMPORTS = [("trialmix", "trialmix."), ("trialmix.types", "scipy")]
+# root re-exports nothing, and the value types, the command line and the
+# generator need no scipy until a function that calls it runs
+LEAN_IMPORTS = [("trialmix", "trialmix."), ("trialmix.types", "scipy"),
+                ("trialmix.cli", "scipy"), ("trialmix.simulate", "scipy")]
 
 
 @pytest.mark.parametrize("module, absent", LEAN_IMPORTS)

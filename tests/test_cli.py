@@ -1009,12 +1009,18 @@ def test_successful_command_still_raises_its_warnings(tmp_path):
                      "--out", str(tmp_path / "infer")]) == 0
 
 
-def test_cli_import_leaves_out_scipy_interpolate():
-    # no command needs it, and importing it costs ~0.2 s of start-up
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, trialmix.cli; print('scipy.interpolate' in sys.modules)"],
-        capture_output=True, text=True,
-    )
+def test_simulate_and_pcs_run_without_scipy(pipeline, tmp_path):
+    # scipy costs about half a second of start-up, and neither command
+    # tests, clusters, smooths or inverts a covariance
+    argvs = [
+        ["simulate", "--config", pipeline["cfg"], "--out", str(tmp_path / "s")],
+        ["pcs", pipeline["bundle"], pipeline["fit"], pipeline["infer"],
+         "--config", pipeline["cfg"], "--out", str(tmp_path / "p")],
+    ]
+    code = ("import sys; from trialmix.cli import main; "
+            f"print([main(argv) for argv in {argvs!r}]); "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines()[-2:] == ["[0, 0]", "[]"]

@@ -8,6 +8,7 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 import typing
@@ -298,3 +299,29 @@ def test_main_on_extreme_config_values(staged, case):
                               out, True)
         if command == "simulate" and rc == 0:
             read_dataset(os.path.join(out, "dataset"))
+
+
+FAILING_PROPERTY = '''
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None)
+@given(st.integers())
+def test_small(x):
+    assert x < 10
+'''
+
+
+def test_failing_example_is_reported_under_the_suite_settings(tmp_path):
+    # a failure found by the fuzz tests above must end in a report of its
+    # example, not in an INTERNALERROR from the warning filters
+    path = tmp_path / "test_property.py"
+    path.write_text(FAILING_PROPERTY)
+    pyproject = os.path.join(os.path.dirname(__file__), "..", "pyproject.toml")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", pyproject, "--rootdir",
+         str(tmp_path), "-p", "no:cacheprovider", "-q", str(path)],
+        capture_output=True, text=True, cwd=tmp_path)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "Falsifying example" in proc.stdout
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 import trialmix.em as em
 from trialmix.em import (
@@ -36,6 +37,7 @@ from helpers import (
     observed_loglik,
     q_function,
     rand_spd,
+    scipy_hrf_shape_raw,
     seed_params,
     sweep_covariances,
     update_b,
@@ -52,6 +54,19 @@ def test_canonical_hrf_shape():
     assert late.min() < 0.0
     assert hrf_shape_raw(np.array([-1.0, 0.0]))[0] == 0.0
     assert hrf_shape_raw(np.array([-1.0, 0.0]))[1] == 0.0
+
+
+def test_log_gamma_literals_are_scipys_bits():
+    # math.lgamma differs from both in the last bit
+    assert em.LOG_GAMMA_6.hex() == float(gammaln(6.0)).hex()
+    assert em.LOG_GAMMA_16.hex() == float(gammaln(16.0)).hex()
+
+
+def test_hrf_shape_raw_matches_scipy_oracle():
+    times = np.concatenate([np.linspace(-5.0, 60.0, 1301),
+                            [0.0, -0.0, 5e-324, 1e-300, 1e-3, 700.0, 1e4]])
+    got = hrf_shape_raw(times)
+    assert got.tobytes() == scipy_hrf_shape_raw(times).tobytes()
 
 
 def test_canonical_hrf_validates():

@@ -1,4 +1,9 @@
 """Generator checks: determinism, calibration, and truth bookkeeping."""
+import os
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -172,3 +177,34 @@ def test_generate_geometry():
     side = ds.mask_shape[0]
     assert ds.mask_shape == (side, side, side)
     assert side**3 >= 30 > (side - 1) ** 3
+
+
+def test_generate_holds_no_second_series_array():
+    # the covariate term is added per block and each voxel's stream is
+    # made when it draws, so the series is the only full-size array
+    cfg = SimConfig(n_voxels=4096)
+    truth = default_scenario(cfg, seed=0)
+    tracemalloc.start()
+    try:
+        ds, _ = generate(cfg.dims, truth, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (peak - ds.series.nbytes) / ds.series.nbytes < 0.75
+
+
+def test_generate_bits_do_not_depend_on_blas_threads():
+    # one covariate GEMM over all 631 voxels would round its last columns
+    # by how OpenBLAS splits it between threads
+    code = ("import hashlib; from trialmix.simulate import SimConfig, "
+            "simulate_dataset; ds, _ = simulate_dataset(SimConfig(n_voxels=631)); "
+            "print(hashlib.sha256(ds.series.tobytes()).hexdigest())")
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        digests.add(proc.stdout)
+    assert len(digests) == 1
