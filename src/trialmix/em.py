@@ -13,9 +13,13 @@ the mean block (mixing proportion, amplitudes, coefficients, shape),
 then the refresh of the responding residuals, then the variance block
 (the conditional steps of the structure's responding covariance, each
 once, then the noise variance). _Residuals is the only code that
-builds residuals, and a fit builds them once: em_fit fits every model
-structure on one _Residuals owner. A mixture first runs the reduced
-(all-responding) phase on that owner, screens it with the amplitude
+builds residuals, and em_fit fits every model structure on one
+_Residuals owner, whose one full-size buffer is the responding residual.
+The non-responding residual has no buffer: the mean block's
+conditional steps need only per-voxel quantities and one sum over
+voxels, so they, and the refresh of the responding residual, rebuild it
+from the series one voxel block at a time, bit for bit. A mixture first
+runs the reduced (all-responding) phase on that owner, screens it with the amplitude
 t-test, and seeds the covariance factors and the noise variance through
 the same variance block; the main loop then continues on the same
 owner, whose residuals seeding leaves unchanged. A Dataset is valid by
@@ -171,43 +175,78 @@ class _Residuals:
     """Residuals of the fit's current parameters; the only code that
     builds them.
 
-    ``inactive`` (n_voxels, n_images) is series - coeffs @ design.T and
-    ``ssq`` its per-voxel sum of squares; ``active`` (n_voxels, n_epochs,
-    n_times) is the responding-model residual. A fit allocates the
-    buffers once, the two refreshes rewrite them in place block by block,
-    and the fit loop hands the owner to every block that reads them.
+    ``active`` (n_voxels, n_epochs, n_times) is the responding-model
+    residual and ``ssq`` each voxel's sum of squared non-responding
+    residuals, series - coeffs @ design.T for the owner's ``coeffs``. The
+    non-responding residual has no full-size buffer: inactive_blocks
+    rebuilds it from the series one kernels.BLOCK of voxels at a time,
+    bit for bit. A fit allocates the buffers once, the two refreshes
+    rewrite them in place block by block, and the fit loop hands the
+    owner to every block that reads them.
     """
 
-    __slots__ = ("dataset", "inactive", "ssq", "active")
+    __slots__ = ("dataset", "coeffs", "ssq", "active", "_rows")
 
     def __init__(self, dataset: Dataset, params: MixtureParams) -> None:
         d = dataset.dims
         self.dataset = dataset
-        self.inactive = np.empty(dataset.series.shape)
         self.ssq = np.empty(d.n_voxels)
         self.active = np.empty((d.n_voxels, d.n_epochs, d.n_times))
+        # one block of the non-responding residual as (voxel, epoch) rows
+        # of n_times, behind a spare leading row for a running sum
+        self._rows = np.empty(
+            (1 + min(kernels.BLOCK, d.n_voxels) * d.n_epochs, d.n_times))
         self.set_coeffs(params.coeffs)
         self.set_mean(params.amplitude, params.hrf)
 
-    def set_coeffs(self, coeffs: np.ndarray) -> None:
-        """Refresh ``inactive`` and ``ssq`` for new coefficients;
-        ``active`` is stale until set_mean."""
+    def inactive_blocks(self):
+        """(slice, block) pairs covering series - coeffs @ design.T, one
+        kernels.BLOCK of voxels at a time; every block is the same
+        scratch buffer, valid until the next step."""
         series = self.dataset.series
         design_t = self.dataset.design.T
+        flat = self._rows.reshape(-1)[self._rows.shape[1]:]
         for sl in kernels.voxel_blocks(series.shape[0]):
-            block = self.inactive[sl]
-            np.matmul(coeffs[sl], design_t, out=block)
+            block = flat[:series[sl].size].reshape(-1, series.shape[1])
+            np.matmul(self.coeffs[sl], design_t, out=block)
             np.subtract(series[sl], block, out=block)
+            yield sl, block
+
+    def set_coeffs(
+        self, coeffs: np.ndarray, shape_weights: np.ndarray | None = None
+    ) -> np.ndarray | None:
+        """Take new coefficients and refresh ``ssq``; ``active`` is stale
+        until set_mean.
+
+        With (n_voxels, n_epochs) ``shape_weights`` w, also returns the
+        (n_times,) sum over voxels v and epochs j of w_vj r_vj, r_vj the
+        new residual's epoch j of voxel v, added row by row in (voxel,
+        epoch) order: each block's sum starts from the running sum,
+        carried in the spare leading row with weight 1.0, so the blocks
+        give the bits of one sum over all rows.
+        """
+        self.coeffs = coeffs
+        n_t = self._rows.shape[1]
+        numer = None if shape_weights is None else np.zeros(n_t)
+        weights = np.ones(self._rows.shape[0])
+        for sl, block in self.inactive_blocks():
             # the noise sum of squares while the block is in cache
             np.einsum("vn,vn->v", block, block, out=self.ssq[sl])
+            if numer is not None:
+                n_rows = 1 + shape_weights[sl].size
+                weights[1:n_rows] = shape_weights[sl].ravel()
+                self._rows[0] = numer
+                np.einsum("n,nt->t", weights[:n_rows], self._rows[:n_rows],
+                          out=numer)
+        return numer
 
     def set_mean(self, amplitude: np.ndarray, hrf: np.ndarray) -> None:
         """Refresh ``active`` for a new amplitude and shape."""
-        flat = self.active.reshape(self.inactive.shape)
+        flat = self.active.reshape(self.dataset.series.shape)
         mean = np.tile(hrf, self.active.shape[1])
-        for sl in kernels.voxel_blocks(flat.shape[0]):
+        for sl, block in self.inactive_blocks():
             np.einsum("v,n->vn", amplitude[sl], mean, out=flat[sl])
-            np.subtract(self.inactive[sl], flat[sl], out=flat[sl])
+            np.subtract(block, flat[sl], out=flat[sl])
 
 
 def residual_matrices(dataset: Dataset, params: MixtureParams) -> np.ndarray:
@@ -220,7 +259,7 @@ def _log_densities(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-voxel log densities under each component; ``resid`` holds the
     residuals of ``params``."""
-    n = resid.inactive.shape[1]
+    n = resid.dataset.dims.n_images
     w_within = inv_spd(params.within_cov)
     w_between = inv_spd(params.between_cov)
     quad_a = kernels.quad_forms_kron(resid.active, w_within, w_between)
@@ -258,19 +297,17 @@ def _mixture_loglik(p: float, log_f1: np.ndarray, log_f2: np.ndarray) -> float:
     return float(np.sum(np.logaddexp(np.log(p) + log_f1, np.log1p(-p) + log_f2)))
 
 
-def _update_beta_all(
-    resid_inactive: np.ndarray,
-    hrf: np.ndarray,
-    w_within: np.ndarray,
-    w_between: np.ndarray,
-) -> np.ndarray:
-    """Amplitudes for every voxel from the residuals of its current coeffs."""
+def _amplitude_weights(
+    hrf: np.ndarray, w_within: np.ndarray, w_between: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """The amplitude update's weight vector and normalizer: a voxel's
+    amplitude is its non-responding residual @ weights / normalizer."""
     wt_h = w_within @ hrf
     row_wb = w_between.sum(axis=1)
     denom = float(row_wb.sum() * (hrf @ wt_h))
     if denom <= 0.0:
         raise DegenerateDataError("amplitude update: nonpositive normalizer")
-    return resid_inactive @ np.kron(row_wb, wt_h) / denom
+    return np.kron(row_wb, wt_h), denom
 
 
 def _solve_pencil(
@@ -291,6 +328,28 @@ def _solve_pencil(
     return ((rhs @ proj) / (1.0 + weight[:, None] * lam)) @ proj.T
 
 
+# OpenBLAS 0.3.31 takes a GEMM of m * n * k <= 1e6 down a small-matrix
+# path that rounds differently
+SMALL_GEMM = 10**6
+
+
+def _projection(series: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """series @ basis in voxel blocks of a multiple of kernels.BLOCK rows,
+    each above SMALL_GEMM, the last one taking the remainder.
+
+    The blocks give the bits of one product over all voxels, whose BLAS
+    packing buffers grow with the voxels: a V=50,000 fit peaked at 229
+    instead of 204 MB of RSS with it.
+    """
+    n_vox = series.shape[0]
+    rows = kernels.BLOCK * (1 + SMALL_GEMM // (kernels.BLOCK * max(basis.size, 1)))
+    starts = range(0, max(n_vox // rows, 1) * rows, rows)
+    out = np.empty((n_vox, basis.shape[1]))
+    for start, stop in zip(starts, [*starts[1:], n_vox]):
+        np.matmul(series[start:stop], basis, out=out[start:stop])
+    return out
+
+
 def _update_b_all(
     dataset: Dataset,
     resp: np.ndarray,
@@ -308,7 +367,8 @@ def _update_b_all(
         d.n_images, q)
     gram_active = dataset.design.T @ wx
     gram_inactive = dataset.design.T @ dataset.design / noise_var
-    proj = dataset.series @ np.concatenate([wx, dataset.design], axis=1)
+    proj = _projection(
+        dataset.series, np.concatenate([wx, dataset.design], axis=1))
     mean_proj = np.tile(hrf, d.n_epochs) @ wx
     rhs_active = proj[:, :q] - amplitude[:, None] * mean_proj[None, :]
     rhs_inactive = proj[:, q:] / noise_var
@@ -326,42 +386,26 @@ def _update_b_all(
     return coeffs
 
 
-def _update_h_raw(
-    resp: np.ndarray,
-    amplitude: np.ndarray,
-    w_between: np.ndarray,
-    resid_inactive: np.ndarray,
-) -> np.ndarray | None:
-    """Stationarity solution for the shape, before renormalization.
-
-    ``resid_inactive`` is series - coeffs @ design.T. Returns None when
-    the weighted amplitude mass is too small a share of the amplitudes'
-    mass to identify a shape.
-    """
-    n_epochs = w_between.shape[0]
-    diff = resid_inactive.reshape(resid_inactive.shape[0], n_epochs, -1)
-    row_wb = w_between.sum(axis=1)
-    mass = float(np.sum(resp * amplitude**2))
-    if not np.isfinite(mass) or mass <= MASS_EPS * float(np.sum(amplitude**2)):
-        return None
-    numer = np.einsum("vj,vjt->t", (resp * amplitude)[:, None] * row_wb, diff)
-    return numer / (mass * float(row_wb.sum()))
-
-
 def update_h(
-    resp: np.ndarray, params: MixtureParams, resid_inactive: np.ndarray
+    resp: np.ndarray, params: MixtureParams, numer: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Shape update with unit-norm and sign renormalization.
 
-    ``resid_inactive`` is the non-responding residual of params.coeffs.
-    Returns the new shape and the amplitudes rescaled so that
-    amplitude * shape is unchanged by the renormalization. When the
-    weighted amplitude mass is degenerate the previous shape is kept and
-    a warning is emitted.
+    ``numer`` is the stationarity equation's right side, the sum over
+    voxels v and epochs j of resp_v amplitude_v (w_between 1)_j r_vj,
+    where r_vj is epoch j of voxel v's non-responding residual of
+    params.coeffs (_Residuals.set_coeffs sums it). Returns the new shape
+    and the amplitudes rescaled so that amplitude * shape is unchanged by
+    the renormalization. When the weighted amplitude mass is too small a
+    share of the amplitudes' mass to identify a shape, the previous shape
+    is kept and a warning is emitted.
     """
-    w_between = inv_spd(params.between_cov)
-    raw = _update_h_raw(resp, params.amplitude, w_between, resid_inactive)
-    norm = 0.0 if raw is None else float(np.linalg.norm(raw))
+    row_wb = inv_spd(params.between_cov).sum(axis=1)
+    mass = float(np.sum(resp * params.amplitude**2))
+    norm = 0.0
+    if np.isfinite(mass) and mass > MASS_EPS * float(np.sum(params.amplitude**2)):
+        raw = numer / (mass * float(row_wb.sum()))
+        norm = float(np.linalg.norm(raw))
     if norm == 0.0:
         _intervene("shape update skipped: weighted amplitude mass is degenerate")
         return params.hrf, params.amplitude
@@ -443,15 +487,29 @@ def _mean_step(
     hrf = params.hrf
     w_within = inv_spd(params.within_cov)
     w_between = inv_spd(params.between_cov)
-    amplitude = _update_beta_all(resid.inactive, hrf, w_within, w_between)
+    weights, denom = _amplitude_weights(hrf, w_within, w_between)
+    n_vox = dataset.dims.n_voxels
+    amplitude = np.empty(n_vox)
+    for sl, block in resid.inactive_blocks():
+        if block.shape[0] == 1 < n_vox:
+            # numpy takes one row @ vector as a dot; as the last of three
+            # rows it gets the one-column GEMV kernel that a GEMV over all
+            # voxels ends with, n_vox % 4 being 1
+            padded = np.concatenate([np.zeros((2, block.shape[1])), block])
+            amplitude[sl] = (padded @ weights)[2:]
+        else:
+            np.matmul(block, weights, out=amplitude[sl])
+    amplitude /= denom
     coeffs = _update_b_all(
         dataset, resp, amplitude, hrf, w_within, w_between, params.noise_var
     )
-    # the amplitude update was the old residuals' last reader
-    resid.set_coeffs(coeffs)
     if structure.estimate_hrf:
+        shape_weights = (resp * amplitude)[:, None] * w_between.sum(axis=1)
+        numer = resid.set_coeffs(coeffs, shape_weights)
         interim = params.with_updates(amplitude=amplitude, coeffs=coeffs)
-        hrf, amplitude = update_h(resp, interim, resid.inactive)
+        hrf, amplitude = update_h(resp, interim, numer)
+    else:
+        resid.set_coeffs(coeffs)
     return params.with_updates(
         active_prob=p, amplitude=amplitude, coeffs=coeffs, hrf=hrf
     )
@@ -638,7 +696,7 @@ def _seed(
             "no voxels classified non-responding; seeding noise variance "
             "from the pooled residuals"
         )
-        noise = float(np.mean(resid.inactive**2))
+        noise = float(np.sum(resid.ssq)) / (d.n_voxels * d.n_images)
         seed = seed.with_updates(noise_var=max(noise, floor))
         # no non-responding mass is left for the variance block's noise update
         structure = replace(structure, mixture=False)

@@ -94,13 +94,18 @@ def scatter_between(
     _, n_ep, n_t = resid.shape
     acc = np.zeros((n_ep, n_ep))
     for sl in voxel_blocks(resid.shape[0]):
-        blk = resid[sl]
-        weighted = (blk.reshape(-1, n_t) @ w_within).reshape(blk.shape)
-        weighted *= weights[sl, None, None]
-        # epoch-major copies turn the block's sum over (voxel, time) into
-        # one (n_epochs, b * n_times) @ (b * n_times, n_epochs) GEMM
-        left = weighted.transpose(1, 0, 2).reshape(n_ep, -1)
-        right = blk.transpose(1, 0, 2).reshape(n_ep, -1)
-        acc += left @ right.T
+        # epoch-major blocks turn the block's sum over (voxel, time) into
+        # one (n_epochs, b * n_times) @ (b * n_times, n_epochs) GEMM: the
+        # product with w_within writes the weighted block epoch-major, and
+        # the block itself takes the one copy. numpy computes a one-voxel
+        # block's (1, n_times) rows as GEMVs, which round differently from
+        # a GEMM, so that block is one 2-D product
+        blk = resid[sl].transpose(1, 0, 2)
+        if blk.shape[1] == 1:
+            weighted = (blk.reshape(n_ep, n_t) @ w_within).reshape(blk.shape)
+        else:
+            weighted = np.matmul(blk, w_within)
+        weighted *= weights[sl, None]
+        acc += weighted.reshape(n_ep, -1) @ blk.reshape(n_ep, -1).T
     return acc
 

@@ -13,6 +13,7 @@ import numpy as np
 from scipy.special import gammaln
 
 import trialmix.em as em
+from trialmix import kernels
 from trialmix.em import (
     LOG_2PI,
     EmConfig,
@@ -205,6 +206,126 @@ def update_b(
     lhs = p_i * gram_active + (1.0 - p_i) * gram_inactive
     rhs = p_i * rhs_active + (1.0 - p_i) * rhs_inactive
     return np.linalg.solve(lhs, rhs)
+
+
+def inactive_residual(dataset: Dataset, coeffs: np.ndarray) -> np.ndarray:
+    """The whole non-responding residual series - coeffs @ design.T,
+    built in the kernels.BLOCK voxel blocks em._Residuals uses."""
+    out = np.empty(dataset.series.shape)
+    for sl in kernels.voxel_blocks(out.shape[0]):
+        np.matmul(coeffs[sl], dataset.design.T, out=out[sl])
+        np.subtract(dataset.series[sl], out[sl], out=out[sl])
+    return out
+
+
+def update_beta_all(
+    resid_inactive: np.ndarray,
+    hrf: np.ndarray,
+    w_within: np.ndarray,
+    w_between: np.ndarray,
+) -> np.ndarray:
+    """Amplitudes for every voxel from the residuals of its current
+    coeffs: one GEMV over the whole residual."""
+    wt_h = w_within @ hrf
+    row_wb = w_between.sum(axis=1)
+    denom = float(row_wb.sum() * (hrf @ wt_h))
+    if denom <= 0.0:
+        raise DegenerateDataError("amplitude update: nonpositive normalizer")
+    return resid_inactive @ np.kron(row_wb, wt_h) / denom
+
+
+def update_b_all(
+    dataset: Dataset,
+    resp: np.ndarray,
+    amplitude: np.ndarray,
+    hrf: np.ndarray,
+    w_within: np.ndarray,
+    w_between: np.ndarray,
+    noise_var: float,
+) -> np.ndarray:
+    """Coefficients for every voxel, as em._update_b_all with the series
+    projected in one product over all voxels."""
+    d = dataset.dims
+    q = d.n_covariates
+    x_ep = dataset.design.reshape(d.n_epochs, d.n_times, q)
+    wx = np.einsum("jk,kta,ts->jsa", w_between, x_ep, w_within).reshape(
+        d.n_images, q)
+    gram_active = dataset.design.T @ wx
+    gram_inactive = dataset.design.T @ dataset.design / noise_var
+    proj = dataset.series @ np.concatenate([wx, dataset.design], axis=1)
+    mean_proj = np.tile(hrf, d.n_epochs) @ wx
+    rhs_active = proj[:, :q] - amplitude[:, None] * mean_proj[None, :]
+    rhs_inactive = proj[:, q:] / noise_var
+    rhs = resp[:, None] * rhs_active + (1.0 - resp)[:, None] * rhs_inactive
+    coeffs = np.empty((d.n_voxels, q))
+    near_inactive = resp <= 0.5
+    for near, weight, g_near, g_far in (
+        (near_inactive, resp, gram_inactive, gram_active),
+        (~near_inactive, 1.0 - resp, gram_active, gram_inactive),
+    ):
+        coeffs[near] = em._solve_pencil(rhs[near], weight[near], g_near, g_far)
+    return coeffs
+
+
+def shape_numerator(
+    resp: np.ndarray,
+    amplitude: np.ndarray,
+    w_between: np.ndarray,
+    resid_inactive: np.ndarray,
+) -> np.ndarray:
+    """update_h's ``numer``: one sum over every (voxel, epoch) row of the
+    whole non-responding residual."""
+    n_epochs = w_between.shape[0]
+    diff = resid_inactive.reshape(resid_inactive.shape[0], n_epochs, -1)
+    row_wb = w_between.sum(axis=1)
+    return np.einsum("vj,vjt->t", (resp * amplitude)[:, None] * row_wb, diff)
+
+
+def update_h_raw(
+    resp: np.ndarray,
+    amplitude: np.ndarray,
+    w_between: np.ndarray,
+    resid_inactive: np.ndarray,
+) -> np.ndarray | None:
+    """Stationarity solution for the shape, before renormalization, or
+    None when the weighted amplitude mass is too small a share of the
+    amplitudes' mass to identify a shape."""
+    mass = float(np.sum(resp * amplitude**2))
+    if not np.isfinite(mass) or mass <= em.MASS_EPS * float(np.sum(amplitude**2)):
+        return None
+    numer = shape_numerator(resp, amplitude, w_between, resid_inactive)
+    return numer / (mass * float(w_between.sum(axis=1).sum()))
+
+
+def mean_step_oracle(
+    dataset: Dataset,
+    resp: np.ndarray,
+    params: MixtureParams,
+    structure: ModelStructure,
+) -> tuple[MixtureParams, np.ndarray]:
+    """em._mean_step on whole non-responding residuals: the returned
+    parameters and the per-voxel sums of squares of their residual."""
+    p = float(np.mean(resp)) if structure.mixture else 1.0
+    hrf = params.hrf
+    w_within = inv_spd(params.within_cov)
+    w_between = inv_spd(params.between_cov)
+    amplitude = update_beta_all(
+        inactive_residual(dataset, params.coeffs), hrf, w_within, w_between)
+    coeffs = update_b_all(
+        dataset, resp, amplitude, hrf, w_within, w_between, params.noise_var)
+    resid_inactive = inactive_residual(dataset, coeffs)
+    if structure.estimate_hrf:
+        raw = update_h_raw(resp, amplitude, w_between, resid_inactive)
+        norm = 0.0 if raw is None else float(np.linalg.norm(raw))
+        if norm == 0.0:
+            _intervene("shape update skipped: weighted amplitude mass is degenerate")
+        else:
+            hrf, flip = em._unit_shape(raw)
+            amplitude = amplitude * norm
+            amplitude = -amplitude if flip else amplitude
+    ssq = np.einsum("vn,vn->v", resid_inactive, resid_inactive)
+    return params.with_updates(
+        active_prob=p, amplitude=amplitude, coeffs=coeffs, hrf=hrf), ssq
 
 
 def whiten(
@@ -448,7 +569,9 @@ def mstep_stationarity_gaps(dataset, resp, params, step=1e-6, cov_sweeps=100):
         p_b = p_amp
         gaps["update_b"] = 0.0
 
-    hrf, amp2 = update_h(resp, p_b, em._Residuals(dataset, p_b).inactive)
+    hrf, amp2 = update_h(resp, p_b, shape_numerator(
+        resp, p_b.amplitude, inv_spd(p_b.between_cov),
+        inactive_residual(dataset, p_b.coeffs)))
     p_h = p_b.with_updates(hrf=hrf, amplitude=amp2)
     gaps["update_h"] = np.max(
         np.abs(

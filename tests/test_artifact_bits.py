@@ -1,4 +1,4 @@
-"""The artifacts' bits, pinned: every file two pipeline runs write hashes to
+"""The artifacts' bits, pinned: every file three pipeline runs write hashes to
 the SHA-256 digest stored in artifact_digests.json.
 
 The digests hold for the numpy and OpenBLAS versions stored with them;
@@ -32,6 +32,12 @@ RUNS = {
         (["simulate", "--seed", "0"], "sim"),
         (["preprocess", "sim/dataset"], "pre"),
         (["fit", "pre/dataset"], "fit"),
+    ]),
+    # ten 256-voxel blocks plus a remainder; three blocks of the coefficient
+    # update's projection, the last one taking the remainder
+    "fit": ({"simulate": {"n_voxels": 2600}}, [
+        (["simulate", "--seed", "0"], "sim"),
+        (["fit", "sim/dataset"], "fit"),
     ]),
 }
 

@@ -1,5 +1,6 @@
 """E-step identities, M-step stationarity, and the fitting loop."""
 import inspect
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -28,19 +29,23 @@ from trialmix.types import Dataset, DegenerateDataError
 from helpers import (
     central_diff,
     estep,
+    inactive_residual,
     log_density_active,
     log_density_inactive,
     make_dataset,
     make_dims,
     make_params,
+    mean_step_oracle,
     mstep_stationarity_gaps,
     observed_loglik,
     q_function,
     rand_spd,
     scipy_hrf_shape_raw,
     seed_params,
+    shape_numerator,
     sweep_covariances,
     update_b,
+    update_h_raw,
 )
 
 
@@ -102,11 +107,12 @@ def test_update_h_flips_the_amplitudes_with_the_shape():
     params = params.with_updates(amplitude=-amplitude,
                                  coeffs=np.zeros_like(params.coeffs))
     resp = rng.uniform(0.2, 0.9, dims.n_voxels)
-    resid_inactive = em._Residuals(ds, params).inactive
+    resid_inactive = inactive_residual(ds, params.coeffs)
     w_between = inv_spd(params.between_cov)
-    raw = em._update_h_raw(resp, params.amplitude, w_between, resid_inactive)
+    raw = update_h_raw(resp, params.amplitude, w_between, resid_inactive)
     assert raw[int(np.argmax(np.abs(raw)))] < 0.0
-    hrf, amp = update_h(resp, params, resid_inactive)
+    hrf, amp = update_h(resp, params, shape_numerator(
+        resp, params.amplitude, w_between, resid_inactive))
     assert hrf[int(np.argmax(np.abs(hrf)))] > 0.0
     assert abs(np.linalg.norm(hrf) - 1.0) < 1e-12
     np.testing.assert_array_equal(amp, -(params.amplitude * np.linalg.norm(raw)))
@@ -207,14 +213,15 @@ def test_update_h_keeps_fitted_mean_and_convention():
     ds = make_dataset(dims, rng)
     params = make_params(dims, rng)
     resp = rng.uniform(0.2, 0.9, dims.n_voxels)
-    resid_inactive = em._Residuals(ds, params).inactive
-    hrf, amp = update_h(resp, params, resid_inactive)
+    resid_inactive = inactive_residual(ds, params.coeffs)
+    hrf, amp = update_h(resp, params, shape_numerator(
+        resp, params.amplitude, inv_spd(params.between_cov), resid_inactive))
     assert abs(np.linalg.norm(hrf) - 1.0) < 1e-12
     peak = hrf[int(np.argmax(np.abs(hrf)))]
     assert peak > 0.0
     # raw solution times old amplitudes equals new shape times new amplitudes
     w_between = np.linalg.inv(params.between_cov)
-    raw = em._update_h_raw(resp, params.amplitude, w_between, resid_inactive)
+    raw = update_h_raw(resp, params.amplitude, w_between, resid_inactive)
     np.testing.assert_allclose(
         np.outer(params.amplitude, raw), np.outer(amp, hrf), atol=1e-12
     )
@@ -225,10 +232,11 @@ def test_update_h_degenerate_mass_keeps_previous_shape():
     dims = make_dims(n_times=3, n_epochs=2, n_voxels=5, n_covariates=0)
     ds = make_dataset(dims, rng)
     params = make_params(dims, rng).with_updates(amplitude=np.zeros(5))
+    resp = np.full(5, 0.5)
+    numer = shape_numerator(resp, params.amplitude, inv_spd(params.between_cov),
+                            inactive_residual(ds, params.coeffs))
     with pytest.warns(RuntimeWarning, match="degenerate"):
-        hrf, amp = update_h(
-            np.full(5, 0.5), params, em._Residuals(ds, params).inactive
-        )
+        hrf, amp = update_h(resp, params, numer)
     assert hrf is params.hrf
     np.testing.assert_array_equal(amp, params.amplitude)
 
@@ -255,6 +263,67 @@ def test_covariance_updates_are_exactly_symmetric_for_one_voxel():
                                     "between")
     np.testing.assert_array_equal(within, within.T)
     np.testing.assert_array_equal(between, between.T)
+
+
+@pytest.mark.parametrize("n_covariates", [1, 6])
+@pytest.mark.parametrize("n_voxels", [1, 255, 256, 257, 1000, 2600])
+def test_mean_step_keeps_the_whole_array_bits(n_voxels, n_covariates):
+    # the mean block rebuilds the non-responding residual block by block
+    # and sums the shape numerator across blocks; every output keeps the
+    # bits of the same step over whole residual arrays
+    rng = np.random.default_rng(n_voxels + n_covariates)
+    dims = make_dims(n_times=14, n_epochs=10, n_voxels=n_voxels,
+                     n_covariates=n_covariates)
+    ds = make_dataset(dims, rng)
+    params = make_params(dims, rng)
+    for mixture in (True, False):
+        resp = (rng.uniform(0.0, 1.0, n_voxels) if mixture
+                else np.ones(n_voxels))
+        for estimate_hrf in (True, False):
+            structure = ModelStructure(mixture=mixture, estimate_hrf=estimate_hrf)
+            resid = em._Residuals(ds, params)
+            got = em._mean_step(ds, resp, params, resid, structure)
+            want, ssq = mean_step_oracle(ds, resp, params, structure)
+            for name in ("active_prob", "amplitude", "coeffs", "hrf"):
+                np.testing.assert_array_equal(
+                    getattr(got, name), getattr(want, name),
+                    err_msg=f"{name}, {structure}")
+            np.testing.assert_array_equal(resid.ssq, ssq, err_msg=str(structure))
+            resid.set_mean(got.amplitude, got.hrf)
+            np.testing.assert_array_equal(resid.active, residual_matrices(ds, got))
+
+
+@pytest.mark.parametrize("q", [1, 2, 6])
+def test_projection_blocks_keep_the_whole_products_bits(q):
+    # blocks smaller than SMALL_GEMM would round differently from the
+    # product over all voxels
+    rng = np.random.default_rng(q)
+    n = 140
+    basis = rng.standard_normal((n, 2 * q))
+    rows = em.kernels.BLOCK * (1 + em.SMALL_GEMM // (em.kernels.BLOCK * basis.size))
+    for n_vox in (1, 255, rows - 1, rows, rows + 1, 2 * rows + 7, 3 * rows + rows // 2):
+        series = rng.standard_normal((n_vox, n))
+        np.testing.assert_array_equal(em._projection(series, basis), series @ basis,
+                                      err_msg=f"{n_vox} voxels")
+
+
+def test_fit_holds_one_full_size_residual():
+    # the non-responding residual is rebuilt per block from the series,
+    # so the responding residual is the fit's one series-sized buffer
+    ds, _ = simulate_dataset(SimConfig(n_voxels=4096), seed=0)
+    config = EmConfig(max_iter=3, init_max_iter=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        # first-call allocations (scipy's import) stay out of the measurement
+        em_fit(ds, config, MODEL_SPECS[5].structure)
+        tracemalloc.start()
+        try:
+            em_fit(ds, config, MODEL_SPECS[5].structure)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    # a second full-size residual buffer put it at 2.59
+    assert peak / ds.series.nbytes <= 1.8
 
 
 @pytest.mark.parametrize("noise_scale", [1e-6, 1.0, 1e6])
