@@ -17,16 +17,18 @@ builds residuals, and em_fit fits every model structure on one
 _Residuals owner, whose one full-size buffer is the responding residual.
 The non-responding residual has no buffer: the mean block's
 conditional steps need only per-voxel quantities and one sum over
-voxels, so they, and the refresh of the responding residual, rebuild it
-from the series one voxel block at a time, bit for bit. A mixture first
-runs the reduced (all-responding) phase on that owner, screens it with the amplitude
-t-test, and seeds the covariance factors and the noise variance through
-the same variance block; the main loop then continues on the same
-owner, whose residuals seeding leaves unchanged. A Dataset is valid by
-construction, so a fit checks only its own condition, centered design
-columns. Every floor is relative to the data (the noise variance's,
-VAR_FLOOR of the series variance; a shape update's, MASS_EPS of the
-amplitudes' mass), so scaled series give the same fit. Identification:
+voxels, so they rebuild it from the series one voxel block at a time,
+bit for bit. The coefficient refresh builds the new coefficients'
+residual once and leaves it in the responding buffer, where the refresh
+of the responding residual subtracts the mean in place. A mixture first
+runs the reduced (all-responding) phase on that owner, screens it with
+the amplitude t-test, and seeds the covariance factors and the noise
+variance through the same variance block; the main loop then continues
+on the same owner, whose residuals seeding leaves unchanged. A Dataset
+is valid by construction, so a fit checks only its own condition,
+centered design columns. Every floor is relative to the data (the noise
+variance's, VAR_FLOOR of the series variance; a shape update's, MASS_EPS
+of the amplitudes' mass), so scaled series give the same fit. Identification:
 hrf has unit norm with its dominant entry positive, and for the
 "kronecker" covariance the between factor is rescaled to trace
 n_epochs with the scale absorbed into the within factor.
@@ -178,11 +180,13 @@ class _Residuals:
     ``active`` (n_voxels, n_epochs, n_times) is the responding-model
     residual and ``ssq`` each voxel's sum of squared non-responding
     residuals, series - coeffs @ design.T for the owner's ``coeffs``. The
-    non-responding residual has no full-size buffer: inactive_blocks
+    non-responding residual has no buffer of its own: inactive_blocks
     rebuilds it from the series one kernels.BLOCK of voxels at a time,
-    bit for bit. A fit allocates the buffers once, the two refreshes
-    rewrite them in place block by block, and the fit loop hands the
-    owner to every block that reads them.
+    bit for bit. A refresh builds it once: set_coeffs leaves the new
+    coefficients' residual in ``active``, and the set_mean that must
+    follow subtracts the responding mean there in place. A fit allocates
+    the buffers once, the two refreshes rewrite them block by block, and
+    the fit loop hands the owner to every block that reads them.
     """
 
     __slots__ = ("dataset", "coeffs", "ssq", "active", "_rows")
@@ -192,12 +196,18 @@ class _Residuals:
         self.dataset = dataset
         self.ssq = np.empty(d.n_voxels)
         self.active = np.empty((d.n_voxels, d.n_epochs, d.n_times))
-        # one block of the non-responding residual as (voxel, epoch) rows
-        # of n_times, behind a spare leading row for a running sum
+        # one block of (voxel, epoch) rows of n_times, behind a spare
+        # leading row for a running sum
         self._rows = np.empty(
             (1 + min(kernels.BLOCK, d.n_voxels) * d.n_epochs, d.n_times))
         self.set_coeffs(params.coeffs)
         self.set_mean(params.amplitude, params.hrf)
+
+    def _block(self, n_voxels: int) -> np.ndarray:
+        """The scratch block behind the spare row, as (n_voxels, n_images)."""
+        flat = self._rows.reshape(-1)[self._rows.shape[1]:]
+        n_images = self.dataset.dims.n_images
+        return flat[:n_voxels * n_images].reshape(n_voxels, n_images)
 
     def inactive_blocks(self):
         """(slice, block) pairs covering series - coeffs @ design.T, one
@@ -205,9 +215,8 @@ class _Residuals:
         scratch buffer, valid until the next step."""
         series = self.dataset.series
         design_t = self.dataset.design.T
-        flat = self._rows.reshape(-1)[self._rows.shape[1]:]
         for sl in kernels.voxel_blocks(series.shape[0]):
-            block = flat[:series[sl].size].reshape(-1, series.shape[1])
+            block = self._block(series[sl].shape[0])
             np.matmul(self.coeffs[sl], design_t, out=block)
             np.subtract(series[sl], block, out=block)
             yield sl, block
@@ -215,8 +224,9 @@ class _Residuals:
     def set_coeffs(
         self, coeffs: np.ndarray, shape_weights: np.ndarray | None = None
     ) -> np.ndarray | None:
-        """Take new coefficients and refresh ``ssq``; ``active`` is stale
-        until set_mean.
+        """Take new coefficients, refresh ``ssq`` and leave their
+        non-responding residual in ``active``, which is stale until
+        set_mean.
 
         With (n_voxels, n_epochs) ``shape_weights`` w, also returns the
         (n_times,) sum over voxels v and epochs j of w_vj r_vj, r_vj the
@@ -226,6 +236,7 @@ class _Residuals:
         give the bits of one sum over all rows.
         """
         self.coeffs = coeffs
+        flat = self.active.reshape(self.dataset.series.shape)
         n_t = self._rows.shape[1]
         numer = None if shape_weights is None else np.zeros(n_t)
         weights = np.ones(self._rows.shape[0])
@@ -238,15 +249,19 @@ class _Residuals:
                 self._rows[0] = numer
                 np.einsum("n,nt->t", weights[:n_rows], self._rows[:n_rows],
                           out=numer)
+            flat[sl] = block
         return numer
 
     def set_mean(self, amplitude: np.ndarray, hrf: np.ndarray) -> None:
-        """Refresh ``active`` for a new amplitude and shape."""
+        """Refresh ``active`` for a new amplitude and shape; it must
+        follow set_coeffs, whose residual it turns into the responding
+        one."""
         flat = self.active.reshape(self.dataset.series.shape)
         mean = np.tile(hrf, self.active.shape[1])
-        for sl, block in self.inactive_blocks():
-            np.einsum("v,n->vn", amplitude[sl], mean, out=flat[sl])
-            np.subtract(block, flat[sl], out=flat[sl])
+        for sl in kernels.voxel_blocks(flat.shape[0]):
+            block = self._block(flat[sl].shape[0])
+            np.einsum("v,n->vn", amplitude[sl], mean, out=block)
+            np.subtract(flat[sl], block, out=flat[sl])
 
 
 def residual_matrices(dataset: Dataset, params: MixtureParams) -> np.ndarray:
@@ -328,25 +343,13 @@ def _solve_pencil(
     return ((rhs @ proj) / (1.0 + weight[:, None] * lam)) @ proj.T
 
 
-# OpenBLAS 0.3.31 takes a GEMM of m * n * k <= 1e6 down a small-matrix
-# path that rounds differently
-SMALL_GEMM = 10**6
-
-
 def _projection(series: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """series @ basis in voxel blocks of a multiple of kernels.BLOCK rows,
-    each above SMALL_GEMM, the last one taking the remainder.
-
-    The blocks give the bits of one product over all voxels, whose BLAS
-    packing buffers grow with the voxels: a V=50,000 fit peaked at 229
-    instead of 204 MB of RSS with it.
-    """
-    n_vox = series.shape[0]
-    rows = kernels.BLOCK * (1 + SMALL_GEMM // (kernels.BLOCK * max(basis.size, 1)))
-    starts = range(0, max(n_vox // rows, 1) * rows, rows)
-    out = np.empty((n_vox, basis.shape[1]))
-    for start, stop in zip(starts, [*starts[1:], n_vox]):
-        np.matmul(series[start:stop], basis, out=out[start:stop])
+    """series @ basis in kernels.gemm_blocks of voxels, which give the
+    bits of one product over all voxels: with that one product a
+    V=50,000 fit peaked at 229 instead of 204 MB of RSS."""
+    out = np.empty((series.shape[0], basis.shape[1]))
+    for sl in kernels.gemm_blocks(series.shape[0], basis.size):
+        np.matmul(series[sl], basis, out=out[sl])
     return out
 
 

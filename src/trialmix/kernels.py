@@ -51,6 +51,25 @@ def voxel_blocks(n_vox: int):
         yield slice(start, start + BLOCK)
 
 
+# OpenBLAS 0.3.31 takes a GEMM of m * n * k <= 1e6 down a small-matrix
+# path that rounds differently
+SMALL_GEMM = 10**6
+
+
+def gemm_blocks(n_rows: int, row_size: int):
+    """Row slices covering range(n_rows) for a GEMM of row_size (n * k)
+    multiply-adds per row: each a multiple of BLOCK rows with rows *
+    row_size above SMALL_GEMM, the last one taking the remainder.
+
+    Such blocks give the bits of one product over all rows, whose BLAS
+    packing buffers grow with the rows.
+    """
+    rows = BLOCK * (1 + SMALL_GEMM // (BLOCK * max(row_size, 1)))
+    starts = range(0, max(n_rows // rows, 1) * rows, rows)
+    for start, stop in zip(starts, [*starts[1:], n_rows]):
+        yield slice(start, stop)
+
+
 def quad_forms_kron(
     resid: np.ndarray, w_within: np.ndarray, w_between: np.ndarray
 ) -> np.ndarray:

@@ -5,6 +5,16 @@ mean-centering. The high-pass removes slow drift by projecting out
 low-order cosine basis functions; trial alignment resamples each epoch
 onto a common post-stimulus grid with a Fourier phase shift.
 
+preprocess_dataset holds one output array the size of the series.
+Alignment, the high-pass and centering act on each voxel's series
+alone, so they run on one block of voxels at a time and write it into
+that array; only the (n_images, n_covariates) design is filtered whole.
+The blocks are kernels.gemm_blocks of the high-pass GEMMs: a multiple of
+kernels.BLOCK voxels, large enough that OpenBLAS does not take its
+small-matrix path, which rounds differently. The shift's FFTs and the
+means are per voxel, so the blocks give the bits of the whole-array
+steps.
+
 _smooth_axes imports scipy.ndimage inside the function: only smoothing
 needs it, and loading it at the top would slow the start-up of every
 command.
@@ -15,6 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import kernels
 from .types import Dataset, DegenerateDataError, Dims
 
 __all__ = [
@@ -77,6 +88,11 @@ def dct_basis(n: int, n_funcs: int) -> np.ndarray:
     return np.cos(np.pi * np.outer(2.0 * t + 1.0, k) / (2.0 * n))
 
 
+def _n_drift_funcs(n: int, tr: float, cutoff: float) -> int:
+    """Cosine functions with period above ``cutoff`` s in n samples."""
+    return int(np.floor(2.0 * n * tr / cutoff))
+
+
 def dct_highpass(series: np.ndarray, tr: float, cutoff: float) -> np.ndarray:
     """Remove slow drift below the cutoff period (seconds).
 
@@ -92,7 +108,7 @@ def dct_highpass(series: np.ndarray, tr: float, cutoff: float) -> np.ndarray:
         )
     series = np.asarray(series, dtype=np.float64)
     n = series.shape[-1]
-    basis = dct_basis(n, int(np.floor(2.0 * n * tr / cutoff)))
+    basis = dct_basis(n, _n_drift_funcs(n, tr, cutoff))
     # basis columns are exactly orthogonal with squared norm n/2
     coef = series @ basis * (2.0 / n)
     return series - coef @ basis.T
@@ -263,16 +279,18 @@ def apply_mask(
 
 def _smooth_dataset(ds: Dataset, cfg: PreprocConfig) -> np.ndarray:
     """gaussian_smooth_3d of every image under the dataset's mask, one
-    epoch (n_times images) per call."""
+    epoch (n_times images) per call, in one new (n_voxels, n_images)
+    array."""
     if ds.mask_shape is None:
         raise ValueError("smoothing requires mask_shape on the dataset")
     mask = np.zeros(ds.mask_shape, dtype=bool)
     idx = tuple(ds.coords.T)
     mask[idx] = True
     out = np.empty_like(ds.series)
+    # every epoch fills the same voxels, so the rest stays 0
+    stack = np.zeros(mask.shape + (ds.dims.n_times,))
     for start in range(0, ds.dims.n_images, ds.dims.n_times):
         chunk = slice(start, start + ds.dims.n_times)
-        stack = np.zeros(mask.shape + (ds.dims.n_times,))
         stack[idx] = ds.series[:, chunk]
         out[:, chunk] = gaussian_smooth_3d(
             stack, cfg.smooth_fwhm, cfg.voxel_size, mask
@@ -287,21 +305,34 @@ def preprocess_dataset(ds: Dataset, cfg: PreprocConfig) -> Dataset:
     alignment from the stimulus times, high-pass filtering of both the
     series and the design (when a cutoff is set), and mean-centering of
     both. A result that overflowed raises DegenerateDataError.
+
+    The series gets one new (n_voxels, n_images) array: smoothing writes
+    it, and the later steps read each block of voxels from it (or from
+    the input) and write the block back, so they add only the block's
+    temporaries.
     """
-    series = ds.series
-    design = ds.design
     if cfg.smooth_fwhm > 0.0:
-        series = _smooth_dataset(ds, cfg)
-    if cfg.align_trials:
-        shifts = shift_offsets_from_stimulus(ds.stimulus_times, ds.tr)
-        series = trial_time_shift(series, shifts)
+        series = out = _smooth_dataset(ds, cfg)
+    else:
+        series, out = ds.series, np.empty_like(ds.series)
+    design = ds.design
+    shifts = shift_offsets_from_stimulus(ds.stimulus_times, ds.tr)
+    n_funcs = 0
     if cfg.highpass_cutoff is not None:
-        series = dct_highpass(series, ds.tr, cfg.highpass_cutoff)
         design = dct_highpass(design.T, ds.tr, cfg.highpass_cutoff).T
+        n_funcs = _n_drift_funcs(ds.dims.n_images, ds.tr, cfg.highpass_cutoff)
     if cfg.center:
-        series = mean_center(series)
         design = center_columns(design)
+    for sl in kernels.gemm_blocks(ds.dims.n_voxels, ds.dims.n_images * n_funcs):
+        block = series[sl]
+        if cfg.align_trials:
+            block = trial_time_shift(block, shifts)
+        if cfg.highpass_cutoff is not None:
+            block = dct_highpass(block, ds.tr, cfg.highpass_cutoff)
+        if cfg.center:
+            block = mean_center(block)
+        out[sl] = block
     try:
-        return replace(ds, series=series, design=design)
+        return replace(ds, series=out, design=design)
     except ValueError as e:  # finite input whose processing overflowed
         raise DegenerateDataError(f"preprocess: {e}") from None

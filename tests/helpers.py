@@ -8,6 +8,7 @@ stay cheap.
 """
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 from scipy.special import gammaln
@@ -30,6 +31,14 @@ from trialmix.inference import (
     _whitening,
 )
 from trialmix.linalg import inv_spd, kron_logdet
+from trialmix.preprocess import (
+    _smooth_dataset,
+    center_columns,
+    dct_highpass,
+    mean_center,
+    shift_offsets_from_stimulus,
+    trial_time_shift,
+)
 from trialmix.types import (Dataset, DegenerateDataError, Dims, MixtureParams,
                             _intervene)
 
@@ -328,6 +337,24 @@ def mean_step_oracle(
         active_prob=p, amplitude=amplitude, coeffs=coeffs, hrf=hrf), ssq
 
 
+def preprocess_whole(dataset: Dataset, cfg) -> Dataset:
+    """preprocess.preprocess_dataset with each step on the whole series."""
+    series = dataset.series
+    design = dataset.design
+    if cfg.smooth_fwhm > 0.0:
+        series = _smooth_dataset(dataset, cfg)
+    if cfg.align_trials:
+        shifts = shift_offsets_from_stimulus(dataset.stimulus_times, dataset.tr)
+        series = trial_time_shift(series, shifts)
+    if cfg.highpass_cutoff is not None:
+        series = dct_highpass(series, dataset.tr, cfg.highpass_cutoff)
+        design = dct_highpass(design.T, dataset.tr, cfg.highpass_cutoff).T
+    if cfg.center:
+        series = mean_center(series)
+        design = center_columns(design)
+    return replace(dataset, series=series, design=design)
+
+
 def whiten(
     dataset: Dataset, params: MixtureParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -448,6 +475,30 @@ def make_dataset(dims, rng, tr=2.0):
         coords=cube_coords(dims.n_voxels),
         stimulus_times=stimulus_times,
         tr=tr,
+    )
+
+
+def make_bundle(n_voxels, seed=0, n_times=14, n_epochs=10, n_covariates=3):
+    """A scanner-like dataset without simulate: white series around a
+    baseline with a linear drift, an uncentered design, stimulus onsets
+    off the sampling grid, and the smallest cube holding the voxels as
+    mask_shape."""
+    rng = np.random.default_rng(seed)
+    dims = make_dims(n_times, n_epochs, n_voxels, n_covariates)
+    tr = 2.0
+    drift = np.linspace(-1.0, 1.0, dims.n_images)
+    series = rng.standard_normal((n_voxels, dims.n_images))
+    series += 100.0 + rng.standard_normal((n_voxels, 1)) * drift
+    coords = cube_coords(n_voxels)
+    return Dataset(
+        dims=dims,
+        series=series,
+        design=rng.standard_normal((dims.n_images, n_covariates)) + 1.0,
+        coords=coords,
+        stimulus_times=tr * n_times * np.arange(n_epochs)
+        + rng.uniform(0.0, tr, n_epochs),
+        tr=tr,
+        mask_shape=(int(coords.max()) + 1,) * 3,
     )
 
 

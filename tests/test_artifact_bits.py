@@ -1,4 +1,4 @@
-"""The artifacts' bits, pinned: every file three pipeline runs write hashes to
+"""The artifacts' bits, pinned: every file four pipeline runs write hashes to
 the SHA-256 digest stored in artifact_digests.json.
 
 The digests hold for the numpy and OpenBLAS versions stored with them;
@@ -32,6 +32,13 @@ RUNS = {
         (["simulate", "--seed", "0"], "sim"),
         (["preprocess", "sim/dataset"], "pre"),
         (["fit", "pre/dataset"], "fit"),
+    ]),
+    # two 1792-voxel blocks of preprocessing's high-pass, the second
+    # taking the 416-voxel remainder
+    "preprocess": ({"simulate": {"n_voxels": 4000, "phase": "jitter"},
+                    "preprocess": {"smooth_fwhm": 2.0}}, [
+        (["simulate", "--seed", "0"], "sim"),
+        (["preprocess", "sim/dataset"], "pre"),
     ]),
     # ten 256-voxel blocks plus a remainder; three blocks of the coefficient
     # update's projection, the last one taking the remainder

@@ -300,7 +300,7 @@ def test_projection_blocks_keep_the_whole_products_bits(q):
     rng = np.random.default_rng(q)
     n = 140
     basis = rng.standard_normal((n, 2 * q))
-    rows = em.kernels.BLOCK * (1 + em.SMALL_GEMM // (em.kernels.BLOCK * basis.size))
+    rows = next(em.kernels.gemm_blocks(10**9, basis.size)).stop
     for n_vox in (1, 255, rows - 1, rows, rows + 1, 2 * rows + 7, 3 * rows + rows // 2):
         series = rng.standard_normal((n_vox, n))
         np.testing.assert_array_equal(em._projection(series, basis), series @ basis,

@@ -159,3 +159,19 @@ def test_kernel_temporaries_do_not_grow_with_voxels():
         # two blocks each: scatter_between's are its weighted block, made
         # epoch-major by its GEMM, and the epoch-major copy of the block
         assert large < 3 * block_bytes, (name, large / block_bytes)
+
+
+def test_gemm_blocks_stay_above_the_small_matrix_cutoff():
+    for row_size in (0, 1, 140 * 4, 140 * 12, 10**6, 10**7):
+        for n_rows in (1, 255, 256, 1791, 1792, 1793, 3621, 20000):
+            blocks = list(kernels.gemm_blocks(n_rows, row_size))
+            assert blocks[0].start == 0 and blocks[-1].stop == n_rows
+            for a, b in zip(blocks, blocks[1:]):
+                assert a.stop == b.start
+            for sl in blocks[:-1]:
+                rows = sl.stop - sl.start
+                assert rows % kernels.BLOCK == 0
+                assert rows * row_size > kernels.SMALL_GEMM
+            # the last block takes the remainder; only a lone block is small
+            last = blocks[-1].stop - blocks[-1].start
+            assert len(blocks) == 1 or last * row_size > kernels.SMALL_GEMM
