@@ -18,9 +18,13 @@ _Residuals owner, whose one full-size buffer is the responding residual.
 The non-responding residual has no buffer: the mean block's
 conditional steps need only per-voxel quantities and one sum over
 voxels, so they rebuild it from the series one voxel block at a time,
-bit for bit. The coefficient refresh builds the new coefficients'
-residual once and leaves it in the responding buffer, where the refresh
-of the responding residual subtracts the mean in place. A mixture first
+bit for bit. Every pass over voxels walks kernels.voxel_blocks, fixed
+256-voxel blocks in a fixed order, and adds any sum over voxels in
+block order: those blocks define the fit's bits, which are the same at
+any BLAS thread count. The coefficient refresh builds the new
+coefficients' residual once and leaves it in the responding buffer,
+where the refresh of the responding residual subtracts the mean in
+place. A mixture first
 runs the reduced (all-responding) phase on that owner, screens it with
 the amplitude t-test, and seeds the covariance factors and the noise
 variance through the same variance block; the main loop then continues
@@ -196,18 +200,10 @@ class _Residuals:
         self.dataset = dataset
         self.ssq = np.empty(d.n_voxels)
         self.active = np.empty((d.n_voxels, d.n_epochs, d.n_times))
-        # one block of (voxel, epoch) rows of n_times, behind a spare
-        # leading row for a running sum
-        self._rows = np.empty(
-            (1 + min(kernels.BLOCK, d.n_voxels) * d.n_epochs, d.n_times))
+        # scratch for one block of voxels
+        self._rows = np.empty((min(kernels.BLOCK, d.n_voxels), d.n_images))
         self.set_coeffs(params.coeffs)
         self.set_mean(params.amplitude, params.hrf)
-
-    def _block(self, n_voxels: int) -> np.ndarray:
-        """The scratch block behind the spare row, as (n_voxels, n_images)."""
-        flat = self._rows.reshape(-1)[self._rows.shape[1]:]
-        n_images = self.dataset.dims.n_images
-        return flat[:n_voxels * n_images].reshape(n_voxels, n_images)
 
     def inactive_blocks(self):
         """(slice, block) pairs covering series - coeffs @ design.T, one
@@ -216,7 +212,7 @@ class _Residuals:
         series = self.dataset.series
         design_t = self.dataset.design.T
         for sl in kernels.voxel_blocks(series.shape[0]):
-            block = self._block(series[sl].shape[0])
+            block = self._rows[:series[sl].shape[0]]
             np.matmul(self.coeffs[sl], design_t, out=block)
             np.subtract(series[sl], block, out=block)
             yield sl, block
@@ -230,25 +226,19 @@ class _Residuals:
 
         With (n_voxels, n_epochs) ``shape_weights`` w, also returns the
         (n_times,) sum over voxels v and epochs j of w_vj r_vj, r_vj the
-        new residual's epoch j of voxel v, added row by row in (voxel,
-        epoch) order: each block's sum starts from the running sum,
-        carried in the spare leading row with weight 1.0, so the blocks
-        give the bits of one sum over all rows.
+        new residual's epoch j of voxel v: one partial sum per block,
+        added in block order.
         """
         self.coeffs = coeffs
         flat = self.active.reshape(self.dataset.series.shape)
-        n_t = self._rows.shape[1]
+        n_t = self.dataset.dims.n_times
         numer = None if shape_weights is None else np.zeros(n_t)
-        weights = np.ones(self._rows.shape[0])
         for sl, block in self.inactive_blocks():
             # the noise sum of squares while the block is in cache
             np.einsum("vn,vn->v", block, block, out=self.ssq[sl])
             if numer is not None:
-                n_rows = 1 + shape_weights[sl].size
-                weights[1:n_rows] = shape_weights[sl].ravel()
-                self._rows[0] = numer
-                np.einsum("n,nt->t", weights[:n_rows], self._rows[:n_rows],
-                          out=numer)
+                numer += np.einsum("n,nt->t", shape_weights[sl].ravel(),
+                                   block.reshape(-1, n_t))
             flat[sl] = block
         return numer
 
@@ -259,7 +249,7 @@ class _Residuals:
         flat = self.active.reshape(self.dataset.series.shape)
         mean = np.tile(hrf, self.active.shape[1])
         for sl in kernels.voxel_blocks(flat.shape[0]):
-            block = self._block(flat[sl].shape[0])
+            block = self._rows[:flat[sl].shape[0]]
             np.einsum("v,n->vn", amplitude[sl], mean, out=block)
             np.subtract(flat[sl], block, out=flat[sl])
 
@@ -344,11 +334,10 @@ def _solve_pencil(
 
 
 def _projection(series: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """series @ basis in kernels.gemm_blocks of voxels, which give the
-    bits of one product over all voxels: with that one product a
-    V=50,000 fit peaked at 229 instead of 204 MB of RSS."""
+    """series @ basis one voxel block at a time: one product over all
+    voxels made a V=50,000 fit peak at 229 instead of 204 MB of RSS."""
     out = np.empty((series.shape[0], basis.shape[1]))
-    for sl in kernels.gemm_blocks(series.shape[0], basis.size):
+    for sl in kernels.voxel_blocks(series.shape[0]):
         np.matmul(series[sl], basis, out=out[sl])
     return out
 
@@ -491,17 +480,9 @@ def _mean_step(
     w_within = inv_spd(params.within_cov)
     w_between = inv_spd(params.between_cov)
     weights, denom = _amplitude_weights(hrf, w_within, w_between)
-    n_vox = dataset.dims.n_voxels
-    amplitude = np.empty(n_vox)
+    amplitude = np.empty(dataset.dims.n_voxels)
     for sl, block in resid.inactive_blocks():
-        if block.shape[0] == 1 < n_vox:
-            # numpy takes one row @ vector as a dot; as the last of three
-            # rows it gets the one-column GEMV kernel that a GEMV over all
-            # voxels ends with, n_vox % 4 being 1
-            padded = np.concatenate([np.zeros((2, block.shape[1])), block])
-            amplitude[sl] = (padded @ weights)[2:]
-        else:
-            np.matmul(block, weights, out=amplitude[sl])
+        np.matmul(block, weights, out=amplitude[sl])
     amplitude /= denom
     coeffs = _update_b_all(
         dataset, resp, amplitude, hrf, w_within, w_between, params.noise_var

@@ -163,6 +163,8 @@ def _load_json(path: str, name: str, error: type = BundleFormatError) -> dict:
             raw = f.read()
     except FileNotFoundError:
         raise error(f"{name}: file not found") from None
+    except OSError as e:  # a directory, or a path through a file
+        raise error(f"{name}: {e.strerror}") from None
     try:
         obj = json.loads(raw)
     except json.JSONDecodeError as e:
@@ -454,6 +456,8 @@ def read_truth_bytes(path: str) -> bytes | None:
             return f.read()
     except FileNotFoundError:
         return None
+    except OSError as e:
+        raise BundleFormatError(f"{TRUTH_NAME}: {e.strerror}") from None
 
 
 def _scale_to_bytes(plane: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -565,6 +569,8 @@ def _read_table(folder: str, name: str, n_rows: int,
             table = np.loadtxt(f, delimiter=",", ndmin=2, comments=None)
     except FileNotFoundError:
         raise BundleFormatError(f"{name}: file not found") from None
+    except OSError as e:
+        raise BundleFormatError(f"{name}: {e.strerror}") from None
     except ValueError as e:
         fault = _table_fault(os.path.join(folder, name), declared) or e
         raise BundleFormatError(f"{name}: {fault}") from None

@@ -1,24 +1,34 @@
-"""Batched per-voxel contractions used by the E- and M-steps.
+"""Batched per-voxel contractions used by the E- and M-steps, and the
+package's one block rule.
 
-The three kernels are numpy code built on flat GEMMs. They walk the
-voxels in blocks of BLOCK rows, so every temporary is a block
-(BLOCK * n_epochs * n_times doubles, 280 kB at the default geometry) and
-stays in cache instead of being a full-size copy of the residual. BLAS
-threads come from the process environment (OPENBLAS_NUM_THREADS at
-start-up); nothing here sets them.
+Fixed voxel blocks in a fixed order define the bits. voxel_blocks cuts
+range(n_voxels) into BLOCK = 256 consecutive voxels, the last block
+taking the remainder, and every pass over voxels in the kernels, the EM
+residuals and projection (em), the per-voxel preprocessing steps
+(preprocess) and the t-statistics (inference) walks those blocks in
+order; only simulate keeps its own. A result has the bits of its
+blocks' operations, with any sum over voxels added in block order; it
+does not have the bits of one operation over all voxels, since BLAS
+picks its kernel by matrix size. The blocks depend only on n_voxels, so
+outputs are bit-identical across runs and BLAS thread counts.
+
+The three kernels are numpy code built on flat GEMMs. Every temporary
+is a block (BLOCK * n_epochs * n_times doubles, 280 kB at the default
+geometry) and stays in cache instead of being a full-size copy of the
+residual. BLAS threads come from the process environment
+(OPENBLAS_NUM_THREADS at start-up); nothing here sets them.
 
 No reduction over the voxel axis goes through a BLAS GEMV or dot: BLAS
 splits those reductions by thread count, so their last bits would change
 with OPENBLAS_NUM_THREADS. Per-voxel sums are np.einsum row dots. Sums
 over voxels are one GEMM per block with an n_times x n_times or
-n_epochs x n_epochs output, and the scatters add the block partials in
-block order, so outputs are bit-identical across runs and thread counts.
-Two other shapes were measured thread-variant on OpenBLAS 0.3.31
-(SkylakeX core) and are not to be used: a weighted second moment summed
-over all voxels in one (140 x V)(V x 140) GEMM, or in 14 x 140 tiles of
-it, and quadratic forms taken as block @ kron(w_between, w_within), a
-(256 x 140)(140 x 140) product. 14 x 14 tiles of the second moment are
-invariant but cost more than the four scatters they would replace.
+n_epochs x n_epochs output. Two other shapes were measured
+thread-variant on OpenBLAS 0.3.31 (SkylakeX core) and are not to be
+used: a weighted second moment summed over all voxels in one
+(140 x V)(V x 140) GEMM, or in 14 x 140 tiles of it, and quadratic forms
+taken as block @ kron(w_between, w_within), a (256 x 140)(140 x 140)
+product. 14 x 14 tiles of the second moment are invariant but cost more
+than the four scatters they would replace.
 
 resid arrays have shape (n_voxels, n_epochs, n_times); w_within is the
 inverse of the within-epoch factor (n_times, n_times) and w_between the
@@ -35,8 +45,8 @@ __all__ = [
     "scatter_between",
 ]
 
-# voxels per block of the kernels (and of the EM residual rebuilds);
-# 256 measured fastest at the default geometry on a 2-vCPU host
+# voxels per block of every pass over voxels; 256 measured fastest for
+# the kernels at the default geometry on a 2-vCPU host
 BLOCK = 256
 
 
@@ -49,25 +59,6 @@ def voxel_blocks(n_vox: int):
     """Slices of at most BLOCK consecutive voxels covering range(n_vox)."""
     for start in range(0, n_vox, BLOCK):
         yield slice(start, start + BLOCK)
-
-
-# OpenBLAS 0.3.31 takes a GEMM of m * n * k <= 1e6 down a small-matrix
-# path that rounds differently
-SMALL_GEMM = 10**6
-
-
-def gemm_blocks(n_rows: int, row_size: int):
-    """Row slices covering range(n_rows) for a GEMM of row_size (n * k)
-    multiply-adds per row: each a multiple of BLOCK rows with rows *
-    row_size above SMALL_GEMM, the last one taking the remainder.
-
-    Such blocks give the bits of one product over all rows, whose BLAS
-    packing buffers grow with the rows.
-    """
-    rows = BLOCK * (1 + SMALL_GEMM // (BLOCK * max(row_size, 1)))
-    starts = range(0, max(n_rows // rows, 1) * rows, rows)
-    for start, stop in zip(starts, [*starts[1:], n_rows]):
-        yield slice(start, stop)
 
 
 def quad_forms_kron(
@@ -116,14 +107,9 @@ def scatter_between(
         # epoch-major blocks turn the block's sum over (voxel, time) into
         # one (n_epochs, b * n_times) @ (b * n_times, n_epochs) GEMM: the
         # product with w_within writes the weighted block epoch-major, and
-        # the block itself takes the one copy. numpy computes a one-voxel
-        # block's (1, n_times) rows as GEMVs, which round differently from
-        # a GEMM, so that block is one 2-D product
+        # the block itself takes the one copy
         blk = resid[sl].transpose(1, 0, 2)
-        if blk.shape[1] == 1:
-            weighted = (blk.reshape(n_ep, n_t) @ w_within).reshape(blk.shape)
-        else:
-            weighted = np.matmul(blk, w_within)
+        weighted = np.matmul(blk, w_within)
         weighted *= weights[sl, None]
         acc += weighted.reshape(n_ep, -1) @ blk.reshape(n_ep, -1).T
     return acc

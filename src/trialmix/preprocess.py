@@ -9,11 +9,10 @@ preprocess_dataset holds one output array the size of the series.
 Alignment, the high-pass and centering act on each voxel's series
 alone, so they run on one block of voxels at a time and write it into
 that array; only the (n_images, n_covariates) design is filtered whole.
-The blocks are kernels.gemm_blocks of the high-pass GEMMs: a multiple of
-kernels.BLOCK voxels, large enough that OpenBLAS does not take its
-small-matrix path, which rounds differently. The shift's FFTs and the
-means are per voxel, so the blocks give the bits of the whole-array
-steps.
+The blocks are kernels.voxel_blocks, fixed 256-voxel blocks in a fixed
+order, and they define the bits: the high-pass GEMMs round as products
+of a block, not of the whole series, and the same at any BLAS thread
+count.
 
 _smooth_axes imports scipy.ndimage inside the function: only smoothing
 needs it, and loading it at the top would slow the start-up of every
@@ -88,11 +87,6 @@ def dct_basis(n: int, n_funcs: int) -> np.ndarray:
     return np.cos(np.pi * np.outer(2.0 * t + 1.0, k) / (2.0 * n))
 
 
-def _n_drift_funcs(n: int, tr: float, cutoff: float) -> int:
-    """Cosine functions with period above ``cutoff`` s in n samples."""
-    return int(np.floor(2.0 * n * tr / cutoff))
-
-
 def dct_highpass(series: np.ndarray, tr: float, cutoff: float) -> np.ndarray:
     """Remove slow drift below the cutoff period (seconds).
 
@@ -108,7 +102,7 @@ def dct_highpass(series: np.ndarray, tr: float, cutoff: float) -> np.ndarray:
         )
     series = np.asarray(series, dtype=np.float64)
     n = series.shape[-1]
-    basis = dct_basis(n, _n_drift_funcs(n, tr, cutoff))
+    basis = dct_basis(n, int(np.floor(2.0 * n * tr / cutoff)))
     # basis columns are exactly orthogonal with squared norm n/2
     coef = series @ basis * (2.0 / n)
     return series - coef @ basis.T
@@ -317,13 +311,11 @@ def preprocess_dataset(ds: Dataset, cfg: PreprocConfig) -> Dataset:
         series, out = ds.series, np.empty_like(ds.series)
     design = ds.design
     shifts = shift_offsets_from_stimulus(ds.stimulus_times, ds.tr)
-    n_funcs = 0
     if cfg.highpass_cutoff is not None:
         design = dct_highpass(design.T, ds.tr, cfg.highpass_cutoff).T
-        n_funcs = _n_drift_funcs(ds.dims.n_images, ds.tr, cfg.highpass_cutoff)
     if cfg.center:
         design = center_columns(design)
-    for sl in kernels.gemm_blocks(ds.dims.n_voxels, ds.dims.n_images * n_funcs):
+    for sl in kernels.voxel_blocks(ds.dims.n_voxels):
         block = series[sl]
         if cfg.align_trials:
             block = trial_time_shift(block, shifts)

@@ -337,6 +337,15 @@ def mean_step_oracle(
         active_prob=p, amplitude=amplitude, coeffs=coeffs, hrf=hrf), ssq
 
 
+def assert_near(got, want, err_msg="", rel=1e-12):
+    """|got - want| <= rel * max|want| in every entry: a result computed
+    in voxel blocks against its whole-array oracle, whose BLAS kernels
+    may round differently."""
+    want = np.asarray(want)
+    bound = rel * float(np.max(np.abs(want), initial=0.0))
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=bound, err_msg=err_msg)
+
+
 def preprocess_whole(dataset: Dataset, cfg) -> Dataset:
     """preprocess.preprocess_dataset with each step on the whole series."""
     series = dataset.series

@@ -33,15 +33,15 @@ RUNS = {
         (["preprocess", "sim/dataset"], "pre"),
         (["fit", "pre/dataset"], "fit"),
     ]),
-    # two 1792-voxel blocks of preprocessing's high-pass, the second
-    # taking the 416-voxel remainder
+    # fifteen 256-voxel blocks of preprocessing's per-voxel steps and a
+    # 160-voxel last block
     "preprocess": ({"simulate": {"n_voxels": 4000, "phase": "jitter"},
                     "preprocess": {"smooth_fwhm": 2.0}}, [
         (["simulate", "--seed", "0"], "sim"),
         (["preprocess", "sim/dataset"], "pre"),
     ]),
-    # ten 256-voxel blocks plus a remainder; three blocks of the coefficient
-    # update's projection, the last one taking the remainder
+    # ten 256-voxel blocks of every pass over voxels and a 40-voxel last
+    # block
     "fit": ({"simulate": {"n_voxels": 2600}}, [
         (["simulate", "--seed", "0"], "sim"),
         (["fit", "sim/dataset"], "fit"),

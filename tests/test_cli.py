@@ -223,6 +223,44 @@ def test_missing_bundle_exits_2(tmp_path, capsys):
     assert "not found" in err["message"]
 
 
+# name: (command line, with BUNDLE, CFG (a config file) and DIR (a
+# directory) standing for paths; the bundle file replaced by a directory)
+WRONG_PATHS = {
+    "bundle-is-a-file": (["fit", "CFG"], None),
+    "fit-dir-is-a-file": (["infer", "BUNDLE", "CFG"], None),
+    "header.json-is-a-directory": (["preprocess", "BUNDLE"], "header.json"),
+    "design.csv-is-a-directory": (["preprocess", "BUNDLE"], "design.csv"),
+    "truth.json-is-a-directory": (["preprocess", "BUNDLE"], "truth.json"),
+    "config-is-a-directory": (["simulate", "--config", "DIR"], None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_PATHS))
+def test_wrong_kind_of_path_exits_2(tmp_path, capsys, case):
+    # each once ended in a NotADirectoryError or IsADirectoryError traceback
+    argv, made_directory = WRONG_PATHS[case]
+    bundle = _write_bundle(str(tmp_path / "bundle"))
+    if made_directory:
+        path = os.path.join(bundle, made_directory)
+        if os.path.exists(path):
+            os.remove(path)
+        os.mkdir(path)
+    cfg = str(tmp_path / "config.json")
+    with open(cfg, "w") as f:
+        json.dump({}, f)
+    paths = {"BUNDLE": bundle, "CFG": cfg, "DIR": str(tmp_path)}
+    out = str(tmp_path / "out")
+    argv = [paths.get(a, a) for a in argv] + ["--out", out]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.endswith("\n") and err.count("\n") == 1
+    record = json.loads(err)["error"]
+    assert record["code"] == 2
+    assert record["type"] in ("BundleFormatError", "ConfigError")
+    assert not os.path.exists(out)
+
+
 def test_malformed_config_json_exits_2(tmp_path, capsys):
     cfg = str(tmp_path / "oops.json")
     with open(cfg, "w") as f:
@@ -752,6 +790,24 @@ def test_report_bit_identical_across_blas_threads(tmp_path):
     assert sorted(reports[1]) == sorted(reports[2])
     differ = [n for n in sorted(reports[1]) if reports[1][n] != reports[2][n]]
     assert not differ, f"artifacts differ between 1 and 2 threads: {differ}"
+
+
+def test_fit_with_a_one_voxel_last_block_is_bit_identical_across_blas_threads(
+        tmp_path):
+    # 2561 voxels end in a one-voxel block, whose products numpy takes as
+    # GEMVs and dots
+    cfg = str(tmp_path / "config.json")
+    with open(cfg, "w") as f:
+        json.dump({"seed": 0, "simulate": {"n_voxels": 10 * 256 + 1}}, f)
+    sim = str(tmp_path / "sim")
+    _run_cli(["simulate", "--config", cfg, "--out", sim])
+    fits = {}
+    for threads in (1, 2):
+        out = str(tmp_path / f"fit{threads}")
+        _run_cli(["fit", os.path.join(sim, "dataset"), "--config", cfg,
+                  "--out", out], threads)
+        fits[threads] = _tree_bytes(out)
+    assert fits[1] == fits[2]
 
 
 def test_flat_voxel_is_not_flagged_active(tmp_path):
