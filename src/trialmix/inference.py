@@ -3,14 +3,10 @@ and spatial clustering of the rejected voxels.
 
 InferenceConfig declares the stage's settings and defaults once;
 activation_map takes it whole, and its steps take plain values.
-
-t_sf and cluster_active import scipy inside the function, on first
-call: importing scipy.special and scipy.ndimage at the top would cost
-every command about half a second of start-up, also the ones (simulate,
-pcs) that never test or cluster.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,23 +110,114 @@ def t_statistics(dataset: Dataset, params: MixtureParams) -> tuple[np.ndarray, i
     return t, test.df
 
 
+# an entry's continued fraction stops once its last factor lies this
+# close to 1; at 1e-16, below the factors' roundoff, some never stopped
+CF_TOL = 1e-15
+CF_MAX_TERMS = 1000
+_CF_TINY = 1e-300
+
+
+def _off_zero(v: np.ndarray) -> np.ndarray:
+    return np.where(np.abs(v) < _CF_TINY, _CF_TINY, v)
+
+
+def _beta_cf(a: float, b: float, x: np.ndarray) -> np.ndarray:
+    """Continued fraction of the regularized incomplete beta function,
+    I_x(a, b) = x^a (1-x)^b / (a B(a, b)) * cf, by the modified Lentz
+    method; it converges fast for x < (a + 1) / (a + b + 2).
+
+    Entries leave the iteration as their factor reaches CF_TOL;
+    FloatingPointError if some entry has not after CF_MAX_TERMS terms.
+    """
+    out = np.empty_like(x)
+    live = np.arange(x.size)
+    c = np.ones_like(x)
+    d = 1.0 / _off_zero(1.0 - (a + b) * x / (a + 1.0))
+    h = d.copy()
+    for m in range(1, CF_MAX_TERMS + 1):
+        for coef in (m * (b - m) / ((a + 2 * m - 1.0) * (a + 2 * m)),
+                     -(a + m) * (a + b + m) / ((a + 2 * m) * (a + 2 * m + 1.0))):
+            num = coef * x
+            d = 1.0 / _off_zero(1.0 + num * d)
+            c = _off_zero(1.0 + num / c)
+            delta = c * d
+            h *= delta
+        done = np.abs(delta - 1.0) < CF_TOL
+        out[live[done]] = h[done]
+        live, x, c, d, h = (v[~done] for v in (live, x, c, d, h))
+        if not live.size:
+            return out
+    raise FloatingPointError(
+        f"t_sf: incomplete beta continued fraction for a={a}, b={b} did not "
+        f"converge in {CF_MAX_TERMS} terms"
+    )
+
+
+def _log_beta(a: float, b: float) -> float:
+    """log B(a, b) for a >= b > 0. For a >= 100, lgamma(a) - lgamma(a + b)
+    would cancel to an absolute error of 1e-16 lgamma(a), so it comes from
+    Stirling's series, truncated past the z^-7 term (remainder < 1e-21)."""
+    if a < 100.0:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+
+    def stirling_rest(z: float) -> float:  # lgamma(z) - Stirling's formula
+        w = 1.0 / (z * z)
+        return (1.0 / 12 - w * (1.0 / 360 - w * (1.0 / 1260 - w / 1680))) / z
+
+    return (math.lgamma(b) - b * math.log(a) - (a + b - 0.5) * math.log1p(b / a)
+            + b + stirling_rest(a) - stirling_rest(a + b))
+
+
+def _beta_inc(a: float, b: float, x: np.ndarray, y: np.ndarray,
+              log_x: np.ndarray, log_y: np.ndarray) -> np.ndarray:
+    """I_x(a, b) at x in [0, 1], given y = 1 - x and both logarithms
+    (which may be -inf) computed without cancellation: the continued
+    fraction in x where it converges fast, else 1 - I_y(b, a)."""
+    log_beta = _log_beta(max(a, b), min(a, b))
+    direct = x <= (a + 1.0) / (a + b + 2.0)
+    out = np.empty_like(x)
+    front = np.exp(a * log_x + b * log_y - log_beta)
+    out[direct] = front[direct] * _beta_cf(a, b, x[direct]) / a
+    flip = ~direct
+    out[flip] = 1.0 - front[flip] * _beta_cf(b, a, y[flip]) / b
+    return out
+
+
 def t_sf(t: np.ndarray | float, df: int) -> np.ndarray | float:
     """Upper-tail probability of the t distribution.
 
     Evaluated through the regularized incomplete beta function in the
     half-argument form that keeps relative accuracy in the far tail:
-    for t >= 0, sf = betainc(df/2, 1/2, df / (df + t^2)) / 2.
+    for t >= 0, sf = I_x(df/2, 1/2) / 2 with x = df / (df + t^2), by its
+    continued fraction (DiDonato & Morris, ACM TOMS 18:360, 1992). x and
+    1 - x come from g = min(|t|, sqrt(df)) / max(|t|, sqrt(df)), so
+    neither overflows nor cancels, and log x stays finite where t^2
+    would overflow. NaN stays NaN.
     """
-    from scipy.special import betainc
-
     if df < 1:
         raise ValueError("df must be at least 1")
     t_arr = np.asarray(t, dtype=np.float64)
-    x = df / (df + t_arr**2)
-    half_tail = 0.5 * betainc(0.5 * df, 0.5, x)
-    out = np.where(t_arr >= 0.0, half_tail, 1.0 - half_tail)
-    out = np.where(np.isposinf(t_arr), 0.0, out)
-    out = np.where(np.isneginf(t_arr), 1.0, out)
+    out = np.full(t_arr.shape, np.nan)
+    out[np.isposinf(t_arr)] = 0.0
+    out[np.isneginf(t_arr)] = 1.0
+    finite = np.isfinite(t_arr)
+    ts = t_arr[finite]
+    s = np.abs(ts)
+    root = math.sqrt(df)
+    far = s > root
+    with np.errstate(divide="ignore"):  # log 0 at t = 0
+        g = np.where(far, root / np.where(far, s, 1.0), s / root)
+        g2 = g * g
+        near_one = 1.0 / (1.0 + g2)
+        near_zero = g2 / (1.0 + g2)
+        log_near_one = -np.log1p(g2)
+        log_near_zero = 2.0 * np.log(g) + log_near_one
+    x = np.where(far, near_zero, near_one)
+    y = np.where(far, near_one, near_zero)
+    log_x = np.where(far, log_near_zero, log_near_one)
+    log_y = np.where(far, log_near_one, log_near_zero)
+    half_tail = 0.5 * _beta_inc(0.5 * df, 0.5, x, y, log_x, log_y)
+    out[finite] = np.where(ts >= 0.0, half_tail, 1.0 - half_tail)
     if np.isscalar(t) or t_arr.ndim == 0:
         return float(out)
     return out
@@ -190,34 +277,78 @@ def fdr_adaptive(pvals: np.ndarray, q: float) -> FdrResult:
     )
 
 
+# the lattice offsets of a voxel's 13 neighbors that come after it in
+# raster order (with their negatives, all 26), and the voxel's own, which
+# joins repeated coordinates
+_FORWARD = np.array(list(np.ndindex(3, 3, 3)))[13:] - 1
+
+
+def _components(coords: np.ndarray) -> np.ndarray:
+    """26-connected component of each voxel, numbered 0, 1, ... by the
+    raster order of each component's first voxel, as
+    scipy.ndimage.label numbers them.
+
+    A union-find over the voxels: every round links the root of each
+    neighbor pair's larger index to the smaller one, and pointer jumping
+    then flattens the trees. Each round at least halves the roots that
+    still have a neighbor elsewhere, so the work grows with the number
+    of voxels and not with a cluster's diameter.
+    """
+    # raster keys in a grid with a margin of one, so no offset wraps
+    shifted = coords - coords.min(axis=0) + 1
+    extent = shifted.max(axis=0) + 2
+    strides = np.array([extent[1] * extent[2], extent[2], 1])
+    keys = shifted @ strides
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    heads, tails = [], []
+    for step in _FORWARD @ strides:
+        pos = np.minimum(np.searchsorted(keys, keys + step), keys.size - 1)
+        hit = keys[pos] == keys + step
+        heads.append(np.nonzero(hit)[0])
+        tails.append(pos[hit])
+    head = np.concatenate(heads)
+    tail = np.concatenate(tails)
+    parent = np.arange(keys.size)
+    while True:
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+        root_h, root_t = parent[head], parent[tail]
+        apart = root_h != root_t
+        if not apart.any():
+            break
+        root_h, root_t = root_h[apart], root_t[apart]
+        np.minimum.at(parent, np.maximum(root_h, root_t),
+                      np.minimum(root_h, root_t))
+    # a root is its component's first voxel in raster order
+    _, label = np.unique(parent, return_inverse=True)
+    out = np.empty_like(label)
+    out[order] = label
+    return out
+
+
 def cluster_active(coords: np.ndarray, min_size: int) -> np.ndarray:
     """Group voxel coordinates into spatial clusters.
 
     Groups 26-connected components (all lattice neighbors including
-    diagonals) and relabels them 1, 2, ... by descending size;
-    components smaller than min_size get label 0.
+    diagonals) and relabels them 1, 2, ... by descending size, ties in
+    the raster order of their first voxels; components smaller than
+    min_size get label 0.
     """
-    from scipy import ndimage
-
     coords = np.asarray(coords)
     if coords.ndim != 2 or coords.shape[1] != 3:
         raise ValueError("coords must be (n, 3)")
     if coords.shape[0] == 0:
         return np.zeros(0, dtype=np.int64)
-    origin = coords.min(axis=0)
-    extent = coords.max(axis=0) - origin + 1
-    grid = np.zeros(tuple(extent), dtype=bool)
-    shifted = coords - origin
-    grid[tuple(shifted.T)] = True
-    labeled, _ = ndimage.label(grid, structure=np.ones((3, 3, 3), dtype=int))
-    raw = labeled[tuple(shifted.T)]
+    raw = _components(coords.astype(np.int64))
     counts = np.bincount(raw)
-    counts[0] = 0
     keep = np.nonzero(counts >= max(min_size, 1))[0]
     keep = keep[np.argsort(-counts[keep], kind="stable")]
     relabel = np.zeros(counts.size, dtype=np.int64)
-    for new, old in enumerate(keep, start=1):
-        relabel[old] = new
+    relabel[keep] = np.arange(1, keep.size + 1)
     return relabel[raw]
 
 

@@ -4,10 +4,6 @@ The structured covariance of a responding voxel is between_cov (x)
 within_cov. Nothing here ever materializes that product; the
 log-determinant goes through the factor identity so the cost stays at the
 factor dimensions.
-
-inv_spd imports scipy.linalg inside the function, on first call, so
-that commands which never invert a covariance (simulate, pcs) start
-without loading it.
 """
 from __future__ import annotations
 
@@ -101,16 +97,17 @@ def regularize_spd(mat: np.ndarray, where: str = "") -> np.ndarray:
 
 
 def inv_spd(mat: np.ndarray) -> np.ndarray:
-    """Inverse of an SPD matrix via Cholesky, symmetrized against
-    roundoff; SingularMatrixError when the factorization fails."""
-    import scipy.linalg
-
+    """Inverse of an SPD matrix via Cholesky, inv(L)' inv(L) for
+    mat = L L', symmetrized against roundoff; SingularMatrixError when
+    the factorization fails."""
     mat = _check_square_sym(mat)
     try:
-        factor = scipy.linalg.cho_factor(mat, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
+        low = np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"inv_spd: {exc}") from exc
-    inv = scipy.linalg.cho_solve(factor, np.eye(mat.shape[0]), check_finite=False)
+    # np.linalg.inv, not a triangular solve, as in em._solve_pencil
+    inv_low = np.linalg.inv(low)
+    inv = inv_low.T @ inv_low
     return 0.5 * (inv + inv.T)
 
 

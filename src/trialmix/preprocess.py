@@ -13,10 +13,6 @@ The blocks are kernels.voxel_blocks, fixed 256-voxel blocks in a fixed
 order, and they define the bits: the high-pass GEMMs round as products
 of a block, not of the whole series, and the same at any BLAS thread
 count.
-
-_smooth_axes imports scipy.ndimage inside the function: only smoothing
-needs it, and loading it at the top would slow the start-up of every
-command.
 """
 from __future__ import annotations
 
@@ -167,6 +163,30 @@ def _axis_kernel(sigma: float, max_radius: int) -> np.ndarray:
     return kern / kern.sum()
 
 
+def _correlate_symmetric(arr: np.ndarray, kern: np.ndarray, axis: int) -> np.ndarray:
+    """Correlate ``arr`` along ``axis`` with an odd, symmetric kernel,
+    zero outside the array.
+
+    Every output sums in the order of scipy.ndimage.correlate1d with
+    mode="constant", so the two agree bit for bit: the centre tap times
+    its weight, then (x[i - j] + x[i + j]) * w_j from the outermost tap
+    inward.
+    """
+    radius = kern.size // 2
+    lines = np.moveaxis(arr, axis, 0)
+    n = lines.shape[0]
+    padded = np.zeros((n + 2 * radius,) + lines.shape[1:])
+    padded[radius:radius + n] = lines
+    out = lines * kern[radius]
+    pair = np.empty_like(out)
+    for j in range(radius, 0, -1):
+        np.add(padded[radius - j:radius - j + n], padded[radius + j:radius + j + n],
+               out=pair)
+        pair *= kern[radius - j]
+        out += pair
+    return np.moveaxis(out, 0, axis)
+
+
 def _smooth_axes(
     arr: np.ndarray, fwhm: float, voxel_size: tuple[float, float, float]
 ) -> np.ndarray:
@@ -175,12 +195,10 @@ def _smooth_axes(
     Every line is filtered on its own, so a stack of volumes along a
     fourth axis gives the same bits as smoothing each volume alone.
     """
-    from scipy import ndimage
-
     for axis in range(3):
         kern = _axis_kernel(fwhm * FWHM_TO_SIGMA / voxel_size[axis],
                             arr.shape[axis] - 1)
-        arr = ndimage.correlate1d(arr, kern, axis=axis, mode="constant", cval=0.0)
+        arr = _correlate_symmetric(arr, kern, axis)
     return arr
 
 

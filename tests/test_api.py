@@ -38,7 +38,7 @@ def test_public_names_resolve():
 
 # (module imported, prefix of the modules it must not load): the package
 # root re-exports nothing, and the value types, the command line and the
-# generator need no scipy until a function that calls it runs
+# generator load no scipy (test_cli checks that no command does)
 LEAN_IMPORTS = [("trialmix", "trialmix."), ("trialmix.types", "scipy"),
                 ("trialmix.cli", "scipy"), ("trialmix.simulate", "scipy")]
 

@@ -3,9 +3,13 @@ the SHA-256 digest stored in artifact_digests.json.
 
 The digests hold for the numpy and OpenBLAS versions stored with them;
 under other versions the test skips, since a BLAS kernel may round
-differently. A change meant to move bits states so and rewrites the
-stored digests from the failure message, which lists each differing file
-with its new digest.
+differently. The pipeline runs on numpy alone, so these two versions
+are all the bits depend on: when inv_spd factored through scipy.linalg,
+its Cholesky ran in scipy's own bundled OpenBLAS, whose version was not
+stored, and a scipy upgrade could have moved the bits without the test
+skipping. A change meant to move bits states so and rewrites the stored
+digests from the failure message, which lists each differing file with
+its new digest.
 """
 import contextlib
 import hashlib

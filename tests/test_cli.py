@@ -1065,18 +1065,34 @@ def test_successful_command_still_raises_its_warnings(tmp_path):
                      "--out", str(tmp_path / "infer")]) == 0
 
 
-def test_simulate_and_pcs_run_without_scipy(pipeline, tmp_path):
-    # scipy costs about half a second of start-up, and neither command
-    # tests, clusters, smooths or inverts a covariance
+def test_no_command_loads_scipy(tmp_path):
+    # the package runs on numpy alone: scipy is a test-only dependency,
+    # and importing it would load a second BLAS into the process
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**CONFIG, "preprocess": {"smooth_fwhm": 2.0}}))
+    out = {name: str(tmp_path / name)
+           for name in ("sim", "pre", "fit", "infer", "pcs", "cmp", "report")}
+    bundle = os.path.join(out["pre"], "dataset")
     argvs = [
-        ["simulate", "--config", pipeline["cfg"], "--out", str(tmp_path / "s")],
-        ["pcs", pipeline["bundle"], pipeline["fit"], pipeline["infer"],
-         "--config", pipeline["cfg"], "--out", str(tmp_path / "p")],
+        ["simulate", "--out", out["sim"]],
+        ["preprocess", os.path.join(out["sim"], "dataset"), "--out", out["pre"]],
+        ["fit", bundle, "--out", out["fit"]],
+        ["infer", bundle, out["fit"], "--out", out["infer"]],
+        ["pcs", bundle, out["fit"], out["infer"], "--out", out["pcs"]],
+        ["compare", bundle, "--out", out["cmp"]],
+        ["report", bundle, "--out", out["report"]],
     ]
-    code = ("import sys; from trialmix.cli import main; "
-            f"print([main(argv) for argv in {argvs!r}]); "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    code = ("import json, sys, warnings\n"
+            "from trialmix.cli import main\n"
+            "warnings.simplefilter('ignore', RuntimeWarning)\n"
+            "runs = []\n"
+            f"for argv in {argvs!r}:\n"
+            f"    rc = main(argv + ['--config', {str(cfg)!r}])\n"
+            "    runs.append([argv[0], rc, sorted(m for m in sys.modules\n"
+            "                                     if m.startswith('scipy'))])\n"
+            "print(json.dumps(runs))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-2:] == ["[0, 0]", "[]"]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [
+        [argv[0], 0, []] for argv in argvs]

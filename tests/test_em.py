@@ -315,7 +315,8 @@ def test_fit_holds_one_full_size_residual():
     config = EmConfig(max_iter=3, init_max_iter=3)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        # first-call allocations (scipy's import) stay out of the measurement
+        # first-call allocations (numpy's lazy imports and caches) stay out
+        # of the measurement
         em_fit(ds, config, MODEL_SPECS[5].structure)
         tracemalloc.start()
         try:

@@ -399,7 +399,8 @@ def test_preprocess_holds_one_series_sized_buffer(fwhm):
     # the per-voxel steps run in voxel blocks into the one output array;
     # whole-array steps peaked at 3.03 (3.29 smoothed) series above the input
     cfg = PreprocConfig(smooth_fwhm=fwhm)
-    # first-call allocations (scipy's import) stay out of the measurement
+    # first-call allocations (numpy's lazy imports and caches) stay out of
+    # the measurement
     preprocess_dataset(make_bundle(30), cfg)
     ds = make_bundle(20000)
     tracemalloc.start()
