@@ -610,12 +610,24 @@ def _start(dataset: Dataset) -> tuple[MixtureParams, _Residuals, float]:
     """Every fit's start values, its one residual owner, which holds
     their residuals, and its noise variance floor, VAR_FLOOR times the
     series variance: the start noise variance, which _iterate rejects if
-    it is 0 or overflowed. Design columns that are not mean-centered
-    raise DegenerateDataError."""
+    it is 0 or overflowed. Design columns that are not mean-centered,
+    or one that is zero or a linear combination of the columns before
+    it, raise DegenerateDataError."""
     d = dataset.dims
     if np.any(np.abs(dataset.design.sum(axis=0)) > 1e-9 * d.n_images):
         raise DegenerateDataError(
             "design columns are not mean-centered; run trialmix preprocess"
+        )
+    # |R_kk| is column k's distance from the span of the columns before
+    # it; the tolerance follows numpy.linalg.matrix_rank
+    dist = np.abs(np.diag(np.linalg.qr(dataset.design, mode="r")))
+    tol = d.n_images * np.finfo(np.float64).eps * dist.max(initial=0.0)
+    dependent = np.flatnonzero(dist <= tol)
+    if dependent.size:
+        raise DegenerateDataError(
+            f"design column x{dependent[0] + 1} is zero or a linear "
+            "combination of the columns before it; drop it from design.csv "
+            "(the high-pass zeroes a covariate of pure slow drift)"
         )
     # mid-interval post-stimulus convention; the EM refines the shape
     times = dataset.tr * (np.arange(d.n_times) + 0.5)

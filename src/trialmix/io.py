@@ -62,7 +62,6 @@ __all__ = [
     "OutputDir",
     "write_dataset",
     "read_dataset",
-    "read_truth",
     "read_truth_bytes",
     "write_params_json",
     "read_params_json",
@@ -441,14 +440,6 @@ def read_params_json(path: str) -> MixtureParams:
     return _check_object(_load_json(path, name), ARTIFACTS["params.json"], name)
 
 
-@_gc_paused()
-def read_truth(path: str) -> SimTruth | None:
-    """Ground truth from a bundle, or None when the sidecar is absent."""
-    if not os.path.exists(os.path.join(path, TRUTH_NAME)):
-        return None
-    return SimTruth(**_read_record(path, TRUTH_NAME))
-
-
 def read_truth_bytes(path: str) -> bytes | None:
     """A bundle's truth.json as raw bytes, or None when it is absent."""
     try:
@@ -666,12 +657,9 @@ def read_fit(folder: str, dataset: Dataset) -> FitResult:
 
 
 def _volume_from_voxels(dataset: Dataset, values: np.ndarray):
-    coords = dataset.coords
-    shape = dataset.mask_shape or tuple(coords.max(axis=0) + 1)
-    vol = np.zeros(shape)
-    mask = np.zeros(shape, dtype=bool)
-    vol[coords[:, 0], coords[:, 1], coords[:, 2]] = values
-    mask[coords[:, 0], coords[:, 1], coords[:, 2]] = True
+    mask = dataset.grid_mask()
+    vol = np.zeros(mask.shape)
+    vol[tuple(dataset.coords.T)] = values
     return vol, mask
 
 

@@ -5,8 +5,8 @@ Fixed voxel blocks in a fixed order define the bits. voxel_blocks cuts
 range(n_voxels) into BLOCK = 256 consecutive voxels, the last block
 taking the remainder, and every pass over voxels in the kernels, the EM
 residuals and projection (em), the per-voxel preprocessing steps
-(preprocess) and the t-statistics (inference) walks those blocks in
-order; only simulate keeps its own. A result has the bits of its
+(preprocess), the t-statistics (inference) and the simulated covariate
+term (simulate) walks those blocks in order. A result has the bits of its
 blocks' operations, with any sum over voxels added in block order; it
 does not have the bits of one operation over all voxels, since BLAS
 picks its kernel by matrix size. The blocks depend only on n_voxels, so

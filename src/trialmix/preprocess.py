@@ -1,6 +1,6 @@
 """Time-series and volume preprocessing.
 
-Pipeline order is mask -> smooth -> trial alignment -> high-pass ->
+Pipeline order is smooth -> trial alignment -> high-pass ->
 mean-centering. The high-pass removes slow drift by projecting out
 low-order cosine basis functions; trial alignment resamples each epoch
 onto a common post-stimulus grid with a Fourier phase shift.
@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels
-from .types import Dataset, DegenerateDataError, Dims
+from .types import Dataset, DegenerateDataError
 
 __all__ = [
     "PreprocConfig",
@@ -32,7 +32,6 @@ __all__ = [
     "trial_time_shift",
     "shift_offsets_from_stimulus",
     "gaussian_smooth_3d",
-    "apply_mask",
     "preprocess_dataset",
 ]
 
@@ -240,64 +239,14 @@ def gaussian_smooth_3d(
     return out.reshape(volume.shape)
 
 
-def apply_mask(
-    volumes: np.ndarray,
-    mask: np.ndarray,
-    tr: float,
-    stimulus_times: np.ndarray,
-    design: np.ndarray | None = None,
-) -> Dataset:
-    """Extract masked voxel series from a (X, Y, Z, N) volume stack.
-
-    Voxels appear in C-scan order of their coordinates. ``design``
-    defaults to an empty (N, 0) matrix.
-    """
-    volumes = np.asarray(volumes, dtype=np.float64)
-    if volumes.ndim != 4:
-        raise ValueError("volumes must be 4-D (x, y, z, time)")
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != volumes.shape[:3]:
-        raise ValueError("mask shape must match the volume grid")
-    n_total = volumes.shape[3]
-    stimulus_times = np.asarray(stimulus_times, dtype=np.float64)
-    n_epochs = stimulus_times.shape[0]
-    if n_total % n_epochs != 0:
-        raise ValueError(
-            f"{n_total} samples do not divide into {n_epochs} epochs"
-        )
-    coords = np.argwhere(mask)
-    if coords.shape[0] == 0:
-        raise ValueError("mask selects no voxels")
-    series = volumes[mask]
-    if design is None:
-        design = np.zeros((n_total, 0))
-    design = np.asarray(design, dtype=np.float64)
-    dims = Dims(
-        n_times=n_total // n_epochs,
-        n_epochs=n_epochs,
-        n_voxels=coords.shape[0],
-        n_covariates=design.shape[1],
-    )
-    return Dataset(
-        dims=dims,
-        series=np.ascontiguousarray(series),
-        design=design,
-        coords=np.ascontiguousarray(coords),
-        stimulus_times=stimulus_times,
-        tr=float(tr),
-        mask_shape=tuple(int(s) for s in mask.shape),
-    )
-
-
 def _smooth_dataset(ds: Dataset, cfg: PreprocConfig) -> np.ndarray:
     """gaussian_smooth_3d of every image under the dataset's mask, one
     epoch (n_times images) per call, in one new (n_voxels, n_images)
     array."""
     if ds.mask_shape is None:
         raise ValueError("smoothing requires mask_shape on the dataset")
-    mask = np.zeros(ds.mask_shape, dtype=bool)
+    mask = ds.grid_mask()
     idx = tuple(ds.coords.T)
-    mask[idx] = True
     out = np.empty_like(ds.series)
     # every epoch fills the same voxels, so the rest stays 0
     stack = np.zeros(mask.shape + (ds.dims.n_times,))

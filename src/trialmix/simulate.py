@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .em import canonical_hrf, hrf_shape_raw
-from .kernels import BLOCK
+from .kernels import voxel_blocks
 from .linalg import matrix_sqrt
 from .types import (MAX_GRID_AXIS, Dataset, Dims, MixtureParams, SimTruth,
                     _check_spd, _gc_paused, validate_params)
@@ -191,22 +191,6 @@ def _block_coords(n_voxels: int) -> tuple[np.ndarray, tuple[int, int, int]]:
     return np.ascontiguousarray(grid[:n_voxels]), (side, side, side)
 
 
-def _covariate_blocks(n_voxels: int):
-    """Slices of BLOCK consecutive voxels covering range(n_voxels), the
-    last one taking the remainder too (BLOCK to 2 BLOCK - 1 voxels).
-
-    Each block's covariate term is one GEMM. Measured on OpenBLAS 0.3.31,
-    these blocks round every column as a single-threaded product over
-    all voxels does, at 1 and 2 threads. A narrow last block rounds its
-    columns differently, and one product over all voxels rounds by how
-    the threads split it (at 631 or 20001 voxels, for example).
-    """
-    start = 0
-    for stop in [*range(BLOCK, n_voxels - BLOCK + 1, BLOCK), n_voxels]:
-        yield slice(start, stop)
-        start = stop
-
-
 @_gc_paused()
 def generate(
     dims: Dims,
@@ -226,6 +210,10 @@ def generate(
     per-voxel reproducibility survives changes elsewhere. Responding
     noise is L_w G L_b for a standard normal (n_times, n_epochs) G and
     symmetric square roots of the covariance factors.
+
+    The covariate term is one GEMM per kernels.voxel_blocks block, so
+    the series bits depend only on n_voxels, not on the BLAS thread
+    count.
 
     phase="jitter" samples each epoch's mean response at a uniformly
     offset grid, stores the offsets in the stimulus times, and records
@@ -279,10 +267,11 @@ def generate(
     noise_sd = float(np.sqrt(truth.noise_var))
     series = np.empty((dims.n_voxels, dims.n_images))
     labels = np.empty(dims.n_voxels, dtype=np.int64)
-    for block in _covariate_blocks(dims.n_voxels):
+    for block in voxel_blocks(dims.n_voxels):
         # the covariate term one block at a time, never a second (N, V) array
         covar_part = design @ truth.coeffs[block].T
-        for v in range(block.start, block.stop):
+        # a block's slice may stop past n_voxels
+        for v in range(dims.n_voxels)[block]:
             rng = stream(v)
             z = rng.random() < truth.active_prob
             labels[v] = int(z)

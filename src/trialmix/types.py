@@ -139,6 +139,18 @@ class Dataset:
         d = self.dims
         return self.series.reshape(d.n_voxels, d.n_epochs, d.n_times)
 
+    @property
+    def grid_shape(self) -> tuple[int, int, int]:
+        """The volume grid: mask_shape, or else the coordinates' extent."""
+        grid = self.mask_shape or self.coords.max(axis=0) + 1
+        return tuple(int(n) for n in grid)
+
+    def grid_mask(self) -> np.ndarray:
+        """Boolean volume of grid_shape, True at the voxels' coordinates."""
+        mask = np.zeros(self.grid_shape, dtype=bool)
+        mask[tuple(self.coords.T)] = True
+        return mask
+
     def __post_init__(self) -> None:
         d = self.dims
         if self.series.shape != (d.n_voxels, d.n_images):
@@ -161,11 +173,9 @@ class Dataset:
             raise ValueError("coords must be nonnegative and mask_shape 3-D")
         if self.mask_shape is not None and np.any(self.coords >= self.mask_shape):
             raise ValueError("coords lie outside mask_shape")
-        grid = self.mask_shape or self.coords.max(axis=0) + 1
-        if max(grid) > MAX_GRID_AXIS:
+        if max(self.grid_shape) > MAX_GRID_AXIS:
             raise ValueError(
-                f"volume grid {tuple(int(n) for n in grid)} exceeds "
-                f"{MAX_GRID_AXIS} per axis"
+                f"volume grid {self.grid_shape} exceeds {MAX_GRID_AXIS} per axis"
             )
         # any lexicographic row order puts equal rows next to each other;
         # np.unique(axis=0) sorts the rows as void records, 7x slower

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import gammaln
 
 import trialmix.em as em
-from trialmix import kernels
+from trialmix import io, kernels
 from trialmix.em import (
     LOG_2PI,
     EmConfig,
@@ -40,7 +40,7 @@ from trialmix.preprocess import (
     trial_time_shift,
 )
 from trialmix.types import (Dataset, DegenerateDataError, Dims, MixtureParams,
-                            _intervene)
+                            SimTruth, _intervene)
 
 
 # mask_shape values past the volume bound; each once ended in a
@@ -70,6 +70,14 @@ def write_bundle_by_hand(path, n_times, n_epochs, n_voxels=30, seed=0):
     series = np.random.default_rng(seed).standard_normal(
         n_voxels * n_epochs * n_times)
     series.astype("<f8").tofile(os.path.join(path, "data.f64"))
+
+
+def read_truth(path: str) -> SimTruth | None:
+    """A bundle's ground truth through truth.json's declaration, or None
+    when the sidecar is absent."""
+    if not os.path.exists(os.path.join(path, io.TRUTH_NAME)):
+        return None
+    return SimTruth(**io._read_record(path, io.TRUTH_NAME))
 
 
 # ------------------------------------------------ single-voxel oracles

@@ -36,6 +36,58 @@ def test_public_names_resolve():
     assert missing == []
 
 
+# public names that no module of the package refers to, with the reason
+# each stays public
+UNREACHED = {
+    "kernels.backend_name": "perfbench/run.py's set-up probe calls it; "
+                            "ROADMAP item 1 deletes it together with that call",
+}
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Names a module refers to: loaded names, attributes and imported
+    names, each outside the definition that binds it."""
+    found = set()
+
+    def visit(node, owners):
+        for child in ast.iter_child_nodes(node):
+            inner = owners
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = owners | {child.name}
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                name = child.id
+            elif isinstance(child, ast.Attribute):
+                name = child.attr
+            elif isinstance(child, ast.alias):
+                name = child.name
+            else:
+                name = None
+            if name is not None and name not in owners:
+                found.add(name)
+            visit(child, inner)
+
+    visit(tree, frozenset())
+    return found
+
+
+def test_every_public_name_is_reached():
+    # a public name no module calls is reached only by tests, and belongs
+    # in tests/helpers.py or nowhere
+    package = pathlib.Path(trialmix.__file__).parent
+    exported, referenced = [], set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        referenced |= _references(tree)
+        exported += [(path.stem, name) for node in tree.body
+                     if isinstance(node, ast.Assign)
+                     and [getattr(t, "id", None) for t in node.targets] == ["__all__"]
+                     for name in ast.literal_eval(node.value)]
+    unreached = {f"{module}.{name}" for module, name in exported
+                 if name not in referenced}
+    assert unreached == set(UNREACHED)
+
+
 # (module imported, prefix of the modules it must not load): the package
 # root re-exports nothing, and the value types, the command line and the
 # generator load no scipy (test_cli checks that no command does)
@@ -58,7 +110,7 @@ def test_import_loads_only_what_it_needs(module, absent):
 TRACED_ARGUMENTS = {
     **{f"io.{name}": ("path",) for name in (
         "write_csv", "read_params_json", "write_params_json", "read_dataset",
-        "write_dataset", "read_truth", "write_map_pgm")},
+        "write_dataset", "write_map_pgm")},
     **{f"kernels.{name}": ("resid",) for name in (
         "quad_forms_kron", "scatter_within", "scatter_between")},
     "em.em_fit": ("config", "structure"),

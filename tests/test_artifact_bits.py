@@ -31,6 +31,8 @@ RUNS = {
         (["simulate", "--seed", "0"], "sim"),
         (["report", "sim/dataset"], "report"),
     ]),
+    # a 256-voxel block and a 44-voxel last block, narrow and not a
+    # multiple of 8, in every pass over voxels, the simulated one included
     "stages": ({"simulate": {"n_voxels": 300, "phase": "jitter"},
                 "preprocess": {"smooth_fwhm": 2.0}}, [
         (["simulate", "--seed", "0"], "sim"),

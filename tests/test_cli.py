@@ -19,7 +19,7 @@ from trialmix.io import read_dataset, write_csv, write_dataset
 from trialmix.simulate import SimConfig, simulate_dataset
 from trialmix.types import DegenerateDataError
 
-from helpers import OVERSIZED_FACTORS, write_bundle_by_hand
+from helpers import OVERSIZED_FACTORS, read_truth, write_bundle_by_hand
 
 CONFIG = {
     "seed": 5,
@@ -470,6 +470,34 @@ def test_uncentered_design_exits_3(pipeline, tmp_path, capsys, command):
     err = _single_error_line(capsys)
     assert err["type"] == "DegenerateDataError"
     assert "trialmix preprocess" in err["message"]
+    assert os.listdir(out) == ["mine.txt"]
+
+
+# design.csv columns built from the bundle's one centered covariate x
+RANK_DEFICIENT = {"duplicate": (lambda x: [x, x], "x2"),
+                  "zero": (lambda x: [0.0 * x, x], "x1")}
+
+
+@pytest.mark.parametrize("case", sorted(RANK_DEFICIENT))
+@pytest.mark.parametrize("command", ["fit", "report"])
+def test_rank_deficient_design_exits_3_naming_the_column(pipeline, tmp_path,
+                                                         capsys, command, case):
+    columns, name = RANK_DEFICIENT[case]
+    bundle = str(tmp_path / "dataset")
+    shutil.copytree(pipeline["bundle"], bundle)
+    design = os.path.join(bundle, "design.csv")
+    x = np.loadtxt(design, skiprows=1, ndmin=1)
+    write_csv(design, ["x1", "x2"], columns(x))
+    _edit_header(bundle, dims={**CONFIG["simulate"], "n_covariates": 2})
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "mine.txt").write_bytes(b"mine\n")
+    capsys.readouterr()
+    assert main([command, bundle, "--out", str(out)]) == 3
+    err = _single_error_line(capsys)
+    assert err["type"] == "DegenerateDataError"
+    assert err["message"].startswith(f"design column {name} is zero or a "
+                                     "linear combination")
     assert os.listdir(out) == ["mine.txt"]
 
 
@@ -982,7 +1010,7 @@ def test_wrong_typed_json_value_is_a_format_error(pipeline, tmp_path, capsys,
     message = f"{name}: {key}: expected "
     dataset = read_dataset(pipeline["bundle"])
     read = {"header.json": lambda: read_dataset(dirs["bundle"]),
-            "truth.json": lambda: io.read_truth(dirs["bundle"]),
+            "truth.json": lambda: read_truth(dirs["bundle"]),
             "params.json": lambda: io.read_fit(dirs["fit"], dataset),
             "fit.json": lambda: io.read_fit(dirs["fit"], dataset),
             "fdr.json": lambda: io.read_amap(dirs["infer"], dataset)}[name]

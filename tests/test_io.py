@@ -11,7 +11,6 @@ from trialmix.io import (
     BundleFormatError,
     read_dataset,
     read_params_json,
-    read_truth,
     read_truth_bytes,
     write_csv,
     write_dataset,
@@ -24,7 +23,7 @@ from trialmix.types import (MAX_FACTOR_DIM, ActivationMap, FitResult,
                             MixtureParams, validate_params)
 
 from helpers import (OVERSIZED_FACTORS, OVERSIZED_GRIDS, make_dataset,
-                     make_dims, make_params, write_bundle_by_hand)
+                     make_dims, make_params, read_truth, write_bundle_by_hand)
 
 
 @pytest.fixture()

@@ -1,5 +1,5 @@
 """Preprocessing oracles: cosine drift removal, Fourier trial alignment,
-mask-aware smoothing, and the masked-extraction entry point."""
+and mask-aware smoothing."""
 import itertools
 import os
 import pathlib
@@ -12,7 +12,6 @@ import pytest
 
 from trialmix.preprocess import (
     PreprocConfig,
-    apply_mask,
     center_columns,
     dct_basis,
     dct_highpass,
@@ -242,36 +241,6 @@ def test_smoothing_validates_inputs():
         gaussian_smooth_3d(np.zeros((2, 2, 2)), -1.0)
     with pytest.raises(ValueError, match="mask shape"):
         gaussian_smooth_3d(np.zeros((2, 2, 2)), 1.0, mask=np.ones((3, 3, 3), bool))
-
-
-def test_apply_mask_extracts_in_scan_order():
-    rng = np.random.default_rng(8)
-    volumes = rng.standard_normal((3, 4, 2, 12))
-    mask = np.zeros((3, 4, 2), dtype=bool)
-    mask[0, 1, 0] = True
-    mask[2, 0, 1] = True
-    mask[0, 0, 0] = True
-    ds = apply_mask(volumes, mask, tr=2.0, stimulus_times=np.array([0.0, 12.0]))
-    assert ds.dims.n_voxels == 3
-    assert ds.dims.n_times == 6 and ds.dims.n_epochs == 2
-    np.testing.assert_array_equal(
-        ds.coords, [[0, 0, 0], [0, 1, 0], [2, 0, 1]]
-    )
-    np.testing.assert_array_equal(ds.series[1], volumes[0, 1, 0])
-    assert ds.design.shape == (12, 0)
-    assert ds.mask_shape == (3, 4, 2)
-
-
-def test_apply_mask_validates():
-    volumes = np.zeros((2, 2, 2, 6))
-    with pytest.raises(ValueError, match="no voxels"):
-        apply_mask(volumes, np.zeros((2, 2, 2), bool), 2.0, np.array([0.0]))
-    with pytest.raises(ValueError, match="divide"):
-        apply_mask(
-            volumes, np.ones((2, 2, 2), bool), 2.0, np.array([0.0, 1.0, 2.0, 3.0])
-        )
-    with pytest.raises(ValueError, match="4-D"):
-        apply_mask(np.zeros((2, 2, 2)), np.ones((2, 2, 2), bool), 2.0, np.array([0.0]))
 
 
 def test_preprocess_dataset_composes_the_steps():

@@ -194,17 +194,20 @@ def test_generate_holds_no_second_series_array():
 
 
 def test_generate_bits_do_not_depend_on_blas_threads():
-    # one covariate GEMM over all 631 voxels would round its last columns
-    # by how OpenBLAS splits it between threads
-    code = ("import hashlib; from trialmix.simulate import SimConfig, "
-            "simulate_dataset; ds, _ = simulate_dataset(SimConfig(n_voxels=631)); "
+    # the covariate term is one GEMM per kernels.voxel_blocks block; both
+    # sizes end in a narrow block that is not a multiple of 8 voxels
+    # (119 and 44), the GEMM shape most likely to round by thread split
+    code = ("import hashlib, sys; from trialmix.simulate import SimConfig, "
+            "simulate_dataset; ds, _ = simulate_dataset(SimConfig("
+            "n_voxels=int(sys.argv[1]))); "
             "print(hashlib.sha256(ds.series.tobytes()).hexdigest())")
-    digests = set()
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   OMP_NUM_THREADS=threads)
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        digests.add(proc.stdout)
-    assert len(digests) == 1
+    for n_voxels in ("631", "300"):
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", code, n_voxels],
+                                  env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            digests.add(proc.stdout)
+        assert len(digests) == 1, n_voxels
