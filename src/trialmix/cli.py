@@ -18,6 +18,16 @@ io.OutputDir and returns its summary line, and main prints that line
 once the files are in place. Output is all or nothing: a failing command
 leaves --out as it was (and removes it if the run made it).
 
+report runs two lanes. After reading the bundle it forks one worker
+process, which fits the other compare.models in model order, up to the
+first failure; the parent fits report's own model, infers and runs pcs
+meanwhile. Then the parent takes the worker's fits, issues the warnings
+they raised, in model order, and raises the worker's failure, if any,
+so report's warnings and error are those of running fit, infer, pcs and
+the other models one after another. A failure in the parent's lane
+kills the worker and drops its fits and warnings. compare fits its
+models one after another in its own process.
+
 Exit codes: 0 success, 2 usage or configuration error (including a
 malformed bundle, fit or inference directory, or an --out that cannot
 be a directory), 3 numerical failure. Failures print one
@@ -28,8 +38,11 @@ succeeds prints its warnings as Python does.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
+import pickle
+import signal
 import sys
 import warnings
 from dataclasses import dataclass
@@ -41,7 +54,7 @@ from .em import EmConfig, em_fit
 from .inference import FdrResult, InferenceConfig, activation_map
 from .linalg import SingularMatrixError
 from .modelsel import (MODEL_SPECS, CompareConfig, FitConfig, ModelComparison,
-                       compare_models)
+                       compare_models, fit_model)
 from .preprocess import PreprocConfig, preprocess_dataset
 from .simulate import SimConfig, simulate_dataset
 from .types import ActivationMap, Dataset, DegenerateDataError, FitResult
@@ -195,16 +208,108 @@ def cmd_compare(args, config: RunConfig, out: io.OutputDir) -> str:
     return f"best_aic=model{cmp.best_aic} best_bic=model{cmp.best_bic}"
 
 
+def _fit_in_order(
+    dataset: Dataset, config: EmConfig, models: list[int]
+) -> tuple[dict[int, FitResult], Exception | None, list]:
+    """Fits of ``models`` in order up to the first failure, that failure
+    (None if every fit succeeded), and every warning the fits raised as
+    (message, category, filename, lineno)."""
+    fits, error = {}, None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for mid in models:
+            try:
+                fits[mid] = fit_model(dataset, mid, config)
+            except Exception as e:
+                error = e
+                break
+    return fits, error, [(w.message, w.category, w.filename, w.lineno)
+                         for w in caught]
+
+
+def _warn_again(caught: list) -> None:
+    """Issue warnings recorded in another process as warnings.warn would
+    have issued them at their source lines: the caller's filters and each
+    module's de-duplication registry decide what is shown."""
+    by_file = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
+    for message, category, filename, lineno in caught:
+        module = by_file.get(filename)
+        if module is None:
+            warnings.warn_explicit(message, category, filename, lineno)
+            continue
+        namespace = vars(module)
+        warnings.warn_explicit(
+            message, category, filename, lineno, module=module.__name__,
+            registry=namespace.setdefault("__warningregistry__", {}),
+            module_globals=namespace,
+        )
+
+
+def _receive_fits(pipe) -> dict[int, FitResult]:
+    """The worker's fits, after issuing the warnings they raised and
+    raising the failure that stopped them."""
+    try:
+        fits, error, caught = pickle.load(pipe)
+    except EOFError:
+        raise RuntimeError("the comparison worker ended without its fits") from None
+    _warn_again(caught)
+    if error is not None:
+        raise error
+    return fits
+
+
+@contextlib.contextmanager
+def _worker_fits(dataset: Dataset, config: EmConfig, models: list[int]):
+    """Fit ``models`` in one forked worker process while the block runs.
+
+    Yields join: it waits for the worker, issues the warnings its fits
+    raised, in model order, then raises its failure or returns its fits.
+    The worker inherits the dataset through the fork, sends one pickle
+    back through a pipe and ends by os._exit, so it never returns into
+    the caller. Leaving the block kills the worker, so a block left
+    without join drops its fits; the worker is reaped on every path.
+    """
+    read_fd, write_fd = os.pipe()
+    with warnings.catch_warnings():
+        # Python 3.12 warns on forking a process with threads. OpenBLAS's
+        # are safe: it shuts them down before a fork (pthread_atfork) and
+        # starts them again on demand. The warning is not the command's
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                pickle.dump(_fit_in_order(dataset, config, models), pipe,
+                            protocol=pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as pipe:
+            yield lambda: _receive_fits(pipe)
+    finally:
+        # after join the worker has sent all it will; before, it is dropped
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+
 def cmd_report(args, config: RunConfig, out: io.OutputDir) -> str:
     dataset = io.read_dataset(args.bundle)
     _check_pcs(config, dataset)
-    fit = _run_fit(args, config, dataset, out)
-    amap, fdr = _run_infer(config, dataset, fit, out)
-    pa = None
-    if np.any(amap.cluster > 0):
-        pa = _run_pcs(config, dataset, fit, amap, out)
+    # the other compared models fit in a worker beside report's own lane
+    others = [m for m in config.compare.models if m != config.fit.model]
+    with _worker_fits(dataset, config.em, others) as join:
+        fit = _run_fit(args, config, dataset, out)
+        amap, fdr = _run_infer(config, dataset, fit, out)
+        pa = None
+        if np.any(amap.cluster > 0):
+            pa = _run_pcs(config, dataset, fit, amap, out)
+        fits = join()
     # report's own fit is the comparison's fit of that model
-    cmp = _run_compare(config, dataset, out, {config.fit.model: fit})
+    cmp = _run_compare(config, dataset, out, {**fits, config.fit.model: fit})
     manifest = {
         "loglik": float(fit.loglik_trace[-1]),
         "iterations": fit.iterations,

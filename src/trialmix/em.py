@@ -21,7 +21,11 @@ voxels, so they rebuild it from the series one voxel block at a time,
 bit for bit. Every pass over voxels walks kernels.voxel_blocks, fixed
 256-voxel blocks in a fixed order, and adds any sum over voxels in
 block order: those blocks define the fit's bits, which are the same at
-any BLAS thread count. The coefficient refresh builds the new
+any BLAS thread count. No BLAS call covers more than one block of rows,
+the coefficient step's gathered rows included: OpenBLAS splits a larger
+product over its threads, and the helper it wakes spins for about 0.1 s
+after the call, so a fit would burn a second core for no gain. The
+coefficient refresh builds the new
 coefficients' residual once and leaves it in the responding buffer,
 where the refresh of the responding residual subtracts the mean in
 place. A mixture first
@@ -323,14 +327,21 @@ def _solve_pencil(
     With g_near = L L' and inv(L) (g_far - g_near) inv(L)' = U diag(lam) U',
     each system is L U (I + weight_v diag(lam)) U' L', so
     b = ((rhs @ P) / (1 + weight lam)) @ P' with P = inv(L)' U: one small
-    eigenproblem and two tall GEMMs instead of one solve per voxel.
+    eigenproblem and two GEMMs per block of rows instead of one solve per
+    voxel.
     """
     # np.linalg.inv, not a triangular solve: at q x q the level-3 solve
     # costs more in BLAS thread wake-ups than the arithmetic
     inv_low = np.linalg.inv(np.linalg.cholesky(g_near))
     lam, vecs = np.linalg.eigh(inv_low @ (g_far - g_near) @ inv_low.T)
     proj = inv_low.T @ vecs
-    return ((rhs @ proj) / (1.0 + weight[:, None] * lam)) @ proj.T
+    # rhs holds the gathered rows of every voxel near one endpoint; a
+    # product over more than about 14,600 of them (q = 6) would wake a
+    # second OpenBLAS thread, so the products take one block at a time
+    out = np.empty(rhs.shape)
+    for sl in kernels.voxel_blocks(rhs.shape[0]):
+        out[sl] = ((rhs[sl] @ proj) / (1.0 + weight[sl, None] * lam)) @ proj.T
+    return out
 
 
 def _projection(series: np.ndarray, basis: np.ndarray) -> np.ndarray:

@@ -12,6 +12,13 @@ does not have the bits of one operation over all voxels, since BLAS
 picks its kernel by matrix size. The blocks depend only on n_voxels, so
 outputs are bit-identical across runs and BLAS thread counts.
 
+No BLAS call covers more than one block of rows. Past about 5.2e5
+multiply-adds OpenBLAS splits a GEMM over its threads, and the woken
+helper thread then spins for about 0.1 s after the call returns: a
+2-thread process spends up to 1.6 cores for no gain, and takes a core
+from any process beside it. At the default geometry a block's largest
+product, 256 * 10 * 14 * 14 = 501,760 multiply-adds, stays under that.
+
 The three kernels are numpy code built on flat GEMMs. Every temporary
 is a block (BLOCK * n_epochs * n_times doubles, 280 kB at the default
 geometry) and stays in cache instead of being a full-size copy of the

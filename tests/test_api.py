@@ -92,7 +92,11 @@ def test_every_public_name_is_reached():
 # root re-exports nothing, and the value types, the command line and the
 # generator load no scipy (test_cli checks that no command does)
 LEAN_IMPORTS = [("trialmix", "trialmix."), ("trialmix.types", "scipy"),
-                ("trialmix.cli", "scipy"), ("trialmix.simulate", "scipy")]
+                ("trialmix.cli", "scipy"), ("trialmix.simulate", "scipy"),
+                # report's worker is a bare os.fork: no command pays for a
+                # process pool's import
+                ("trialmix.cli", "multiprocessing"),
+                ("trialmix.cli", "concurrent")]
 
 
 @pytest.mark.parametrize("module, absent", LEAN_IMPORTS)

@@ -16,6 +16,7 @@ import pytest
 from trialmix import cli, io
 from trialmix.cli import main
 from trialmix.io import read_dataset, write_csv, write_dataset
+from trialmix.modelsel import fit_model
 from trialmix.simulate import SimConfig, simulate_dataset
 from trialmix.types import DegenerateDataError
 
@@ -166,6 +167,55 @@ def test_report_manifest(pipeline):
     with open(os.path.join(pipeline["fit"], "fit.json")) as f:
         fit_meta = json.load(f)
     assert manifest["loglik"] == fit_meta["loglik"]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_report_comparison_equals_compare(pipeline):
+    # report fits the other models in a worker process; its table is the
+    # compare command's, byte for byte
+    for name in ("comparison.csv", "comparison.json"):
+        with open(os.path.join(pipeline["cmp"], name), "rb") as f:
+            expected = f.read()
+        with open(os.path.join(pipeline["report"], name), "rb") as f:
+            assert f.read() == expected
+    _no_child_left()
+
+
+@pytest.mark.parametrize("model", [1, 5])
+def test_failing_report_fit_keeps_the_sequential_outcome(tmp_path, capsys,
+                                                         model):
+    # null data at V=50, seed 2: model 5's fit loses likelihood. With
+    # model 1 as report's own fit, model 5 fails in the worker; with model
+    # 5, report's own fit fails and the worker is killed. Either way the
+    # error and the warnings are those of fitting report's model, then
+    # the other models in order, up to the first failure
+    cfg = str(tmp_path / "null.json")
+    with open(cfg, "w") as f:
+        json.dump({"simulate": {"n_voxels": 50, "active_frac": 0.0},
+                   "fit": {"model": model}}, f)
+    sim = str(tmp_path / "sim")
+    assert main(["simulate", "--config", cfg, "--out", sim, "--seed", "2"]) == 0
+    bundle = os.path.join(sim, "dataset")
+    dataset = read_dataset(bundle)
+    with warnings.catch_warnings(record=True) as caught:
+        with pytest.raises(DegenerateDataError) as exc:
+            for mid in [model] + [m for m in range(1, 6) if m != model]:
+                fit_model(dataset, mid)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["report", bundle, "--config", cfg, "--out", str(out)]) == 3
+    _no_child_left()
+    err = _single_error_line(capsys)
+    assert err["type"] == "DegenerateDataError"
+    assert err["message"] == str(exc.value)
+    assert "log-likelihood trace decreased beyond slack" in err["message"]
+    assert err["warnings"] == [str(w.message) for w in caught]
+    assert len(caught) == (23 if model == 1 else 18)
+    assert not out.exists()
 
 
 def test_seed_flag_overrides_config(pipeline, tmp_path):

@@ -1,5 +1,8 @@
 """E-step identities, M-step stationarity, and the fitting loop."""
 import inspect
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -367,6 +370,40 @@ def test_update_b_all_matches_per_voxel_oracle(n_covariates, noise_scale):
         ]
     )
     np.testing.assert_allclose(got, expected, rtol=1e-9)
+
+
+# three coefficient steps with every voxel near one endpoint, then 50 ms
+# of busy-waiting; prints the CPU seconds of every thread but the main one
+HELPER_CPU = """
+import time
+import numpy as np
+import trialmix.em as em
+from trialmix.simulate import SimConfig, simulate_dataset
+ds, _ = simulate_dataset(SimConfig(n_voxels=20000), seed=0)
+d = ds.dims
+args = (np.ones(d.n_voxels), np.ones(d.n_voxels),
+        np.full(d.n_times, d.n_times ** -0.5), np.eye(d.n_times),
+        np.eye(d.n_epochs), 1.0)
+time.sleep(0.3)  # any helper thread woken while building the bundle rests
+before = time.process_time() - time.thread_time()
+for _ in range(3):
+    em._update_b_all(ds, *args)
+stop = time.perf_counter() + 0.05
+while time.perf_counter() < stop:
+    pass
+print(time.process_time() - time.thread_time() - before)
+"""
+
+
+def test_coefficient_step_wakes_no_second_blas_thread():
+    # one (rows x q)(q x q) product over 20,000 gathered rows would be
+    # split over two OpenBLAS threads, whose helper then spins for about
+    # 0.1 s. Where numpy's BLAS does not thread, no helper time accrues
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
+    proc = subprocess.run([sys.executable, "-c", HELPER_CPU],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 0.010
 
 
 def test_flipflop_is_idempotent_at_its_fixed_point():
