@@ -33,10 +33,12 @@ runs the reduced (all-responding) phase on that owner, screens it with
 the amplitude t-test, and seeds the covariance factors and the noise
 variance through the same variance block; the main loop then continues
 on the same owner, whose residuals seeding leaves unchanged. A Dataset
-is valid by construction, so a fit checks only its own condition,
-centered design columns. Every floor is relative to the data (the noise
-variance's, VAR_FLOOR of the series variance; a shape update's, MASS_EPS
-of the amplitudes' mass), so scaled series give the same fit. Identification:
+is valid by construction, so a fit checks only its own conditions on
+the design: its columns are mean-centered, and none is zero or a linear
+combination of the columns before it. Every floor is relative to the
+data (the noise variance's, VAR_FLOOR of the series variance; a shape
+update's, MASS_EPS of the amplitudes' mass), so scaled series give the
+same fit. Identification:
 hrf has unit norm with its dominant entry positive, and for the
 "kronecker" covariance the between factor is rescaled to trace
 n_epochs with the scale absorbed into the within factor.
@@ -75,22 +77,20 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 EXP_CUTOFF = 700.0
 MASS_EPS = 1e-12
 VAR_FLOOR = 1e-12  # the noise variance's floor per unit series variance
+INIT_ALPHA = 1e-3  # level of the seeding's uncorrected amplitude screen
+INIT_MAX_ITER = 50  # iteration cap of the seeding's reduced phase
 
 
 @dataclass(frozen=True)
 class EmConfig:
-    """Tuning constants for the EM engine."""
+    """The EM engine's stopping rule: tolerance and iteration cap."""
 
     tol: float = 1e-4
     max_iter: int = 500
-    init_alpha: float = 1e-3
-    init_max_iter: int = 50
 
     def __post_init__(self) -> None:
-        if self.tol <= 0.0 or min(self.max_iter, self.init_max_iter) < 1:
-            raise ValueError("tol must be positive and iteration caps at least 1")
-        if not (0.0 < self.init_alpha < 1.0):
-            raise ValueError("init_alpha must lie in (0, 1)")
+        if self.tol <= 0.0 or self.max_iter < 1:
+            raise ValueError("tol must be positive and max_iter at least 1")
 
 
 # The conditional steps of each factored responding covariance, in
@@ -668,7 +668,7 @@ def _seed(
     of ``params`` on entry and of the returned seed on exit.
 
     Fits the all-responding reduced model, classifies voxels with the
-    pre-whitened amplitude t-test at config.init_alpha (uncorrected),
+    pre-whitened amplitude t-test at INIT_ALPHA (uncorrected),
     and seeds the covariance factors and the noise variance by running
     the variance block on the reduced fit with the screen's 0/1
     responsibilities. Falls back to the top percentile by t-statistic if
@@ -679,13 +679,13 @@ def _seed(
     d = dataset.dims
     params = _iterate(
         dataset, params, resid, floor,
-        replace(config, max_iter=config.init_max_iter),
+        replace(config, max_iter=INIT_MAX_ITER),
         replace(structure, mixture=False),
         None,
     ).params
     t_stats, df = t_statistics(dataset, params)
     pvals = t_sf(t_stats, df)
-    active = pvals < config.init_alpha
+    active = pvals < INIT_ALPHA
     if not np.any(active):
         n_top = max(1, int(np.ceil(0.01 * d.n_voxels)))
         order = np.argsort(t_stats)[::-1]
@@ -727,9 +727,10 @@ def em_fit(
     covariance factors, noise variance) drops below config.tol, or the
     fit stops after config.max_iter iterations. ``diagnostics``, when
     given, receives one JSON line per iteration. Design columns that are
-    not mean-centered, parameters that break an invariant (a variance
-    that overflows on huge values), and a log-likelihood that decreases
-    raise DegenerateDataError.
+    not mean-centered, a design column that is zero or a linear
+    combination of the columns before it, parameters that break an
+    invariant (a variance that overflows on huge values), and a
+    log-likelihood that decreases raise DegenerateDataError.
     """
     params, resid, floor = _start(dataset)
     if structure.mixture:

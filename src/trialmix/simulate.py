@@ -26,19 +26,25 @@ __all__ = [
     "simulate_dataset",
 ]
 
+# The scenario's fixed constants, which no run sets
+STIMULUS_INTERVAL = 28.25  # s between epoch onsets
+FIRST_SAMPLE = 5.0 / 6.0  # s from onset to an epoch's first sample
+AMP_SPREAD = 0.25  # log-normal spread of the amplitudes
+COEFF_SCALE = 0.3  # standard deviation of the covariate coefficients
+DESIGN_JITTER = 1.0  # scan-to-scan noise parts of a design column
+WITHIN_SCALE = 1.3  # scale of the within-epoch AR(1) factor
+
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Shape and signal constants of the synthetic scenario.
+    """The synthetic scenario's settings, the run config's simulate section.
 
     The defaults mirror the acquisition the model was designed around:
-    14 samples per epoch at a 2 s interval, 10 epochs 28.25 s apart,
-    6 drifting covariates, and first post-stimulus sample at 5/6 s.
+    14 samples per epoch at a 2 s interval and 10 epochs with 6 drifting
+    covariates; the module constants fix the rest of the scenario.
     ``phase`` controls trial timing: "zero" samples every epoch on the
     nominal grid (data follow the model exactly), "jitter" adds a
     uniform offset per epoch that preprocessing must undo.
-    ``amp_spread``, the log-normal spread of the amplitudes, lies in
-    [0, 10], so exp(amp_spread * z) is finite for every normal draw z.
     ``n_voxels`` is at most MAX_GRID_AXIS**3, so the cube grid the
     voxels fill stays within the volume bound. The AR(1) covariance
     factors (``factors``) pass validate_params's positivity rule.
@@ -49,15 +55,9 @@ class SimConfig:
     n_voxels: int = 2000
     n_covariates: int = 6
     tr: float = 2.0
-    stimulus_interval: float = 28.25
-    first_sample: float = 5.0 / 6.0
     active_frac: float = 0.3
     snr: float = 3.8
-    amp_spread: float = 0.25
-    coeff_scale: float = 0.3
-    design_jitter: float = 1.0
     within_rho: float = 0.35
-    within_scale: float = 1.3
     between_rho: float = 0.25
     noise_var: float = 1.0
     phase: str = "zero"
@@ -72,19 +72,19 @@ class SimConfig:
             raise ValueError(
                 f"n_voxels: the cube grid would exceed {MAX_GRID_AXIS} per axis"
             )
-        if not 0.0 <= self.amp_spread <= 10.0:
-            raise ValueError("amp_spread must lie in [0, 10]")
-        if self.tr <= 0.0 or self.first_sample < 0.0:
-            raise ValueError("tr must be positive and first_sample nonnegative")
-        canonical_hrf(self.sample_times)  # a shape that underflows to 0 fails
+        if self.tr <= 0.0:
+            raise ValueError("tr must be positive")
+        # a tr near the float64 limit overflows the sample times; the
+        # shape cannot underflow, as the first sample is FIRST_SAMPLE
+        canonical_hrf(self.sample_times)
         if not (abs(self.within_rho) < 1.0 and abs(self.between_rho) < 1.0):
             raise ValueError("within_rho and between_rho must lie in (-1, 1)")
         if not (0.0 <= self.active_frac <= 1.0):
             raise ValueError("active_frac must lie in [0, 1]")
         if self.phase not in ("zero", "jitter"):
             raise ValueError('phase must be "zero" or "jitter"')
-        if self.noise_var <= 0.0 or self.within_scale <= 0.0:
-            raise ValueError("variances must be positive")
+        if self.noise_var <= 0.0:
+            raise ValueError("noise_var must be positive")
         # the factors default_scenario draws with, under validate_params's rule
         for name, factor in zip(("within_rho", "between_rho"), self.factors):
             _check_spd(factor, f"the AR(1) factor of {name}={getattr(self, name)}")
@@ -101,13 +101,13 @@ class SimConfig:
     @property
     def factors(self) -> tuple[np.ndarray, np.ndarray]:
         """The (within, between) AR(1) covariance factors."""
-        return (ar1_cov(self.n_times, self.within_rho, self.within_scale),
+        return (ar1_cov(self.n_times, self.within_rho, WITHIN_SCALE),
                 ar1_cov(self.n_epochs, self.between_rho))
 
     @property
     def sample_times(self) -> np.ndarray:
         """Post-stimulus times of the in-epoch samples, seconds."""
-        return self.first_sample + self.tr * np.arange(self.n_times)
+        return FIRST_SAMPLE + self.tr * np.arange(self.n_times)
 
 
 def ar1_cov(dim: int, rho: float, scale: float = 1.0) -> np.ndarray:
@@ -118,12 +118,10 @@ def ar1_cov(dim: int, rho: float, scale: float = 1.0) -> np.ndarray:
     return scale * rho ** np.abs(idx[:, None] - idx[None, :])
 
 
-def random_walk_design(
-    n: int, q: int, rng: np.random.Generator, jitter: float = 1.0
-) -> np.ndarray:
+def random_walk_design(n: int, q: int, rng: np.random.Generator) -> np.ndarray:
     """Realignment-style covariates, mean-centered with unit variance.
 
-    Each column is a random-walk drift plus ``jitter`` parts of
+    Each column is a random-walk drift plus DESIGN_JITTER parts of
     scan-to-scan noise. The noise part keeps the columns from lying
     entirely in the low-frequency subspace; pure walks are so smooth
     that per-voxel nuisance fits absorb a noticeable share of the
@@ -135,7 +133,7 @@ def random_walk_design(
     walk = np.cumsum(steps, axis=0)
     sd = walk.std(axis=0, ddof=0)
     sd[sd == 0.0] = 1.0
-    raw = walk / sd + jitter * rng.standard_normal((n, q))
+    raw = walk / sd + DESIGN_JITTER * rng.standard_normal((n, q))
     raw = raw - raw.mean(axis=0, keepdims=True)
     sd = raw.std(axis=0, ddof=0)
     sd[sd == 0.0] = 1.0
@@ -159,17 +157,15 @@ def default_scenario(
     ``snr``; covariate coefficients are independent normals. Covariance
     factors are AR(1): between-epoch correlation between_rho (unit
     diagonal, so the trace convention holds), within-epoch correlation
-    within_rho scaled by within_scale.
+    within_rho scaled by WITHIN_SCALE.
     """
     d = config.dims
     hrf = canonical_hrf(config.sample_times)
     within, between = config.factors
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5EED]))
     amp_center = config.snr / np.sqrt(_mu_quad(hrf, within, between))
-    amplitude = amp_center * np.exp(
-        config.amp_spread * rng.standard_normal(d.n_voxels)
-    )
-    coeffs = config.coeff_scale * rng.standard_normal((d.n_voxels, d.n_covariates))
+    amplitude = amp_center * np.exp(AMP_SPREAD * rng.standard_normal(d.n_voxels))
+    coeffs = COEFF_SCALE * rng.standard_normal((d.n_voxels, d.n_covariates))
     params = MixtureParams(
         active_prob=config.active_frac,
         amplitude=amplitude,
@@ -193,17 +189,13 @@ def _block_coords(n_voxels: int) -> tuple[np.ndarray, tuple[int, int, int]]:
 
 @_gc_paused()
 def generate(
-    dims: Dims,
+    config: SimConfig,
     truth: MixtureParams,
     seed: int,
-    tr: float = 2.0,
-    stimulus_interval: float = 28.25,
-    sample_times: np.ndarray | None = None,
     design: np.ndarray | None = None,
-    design_jitter: float = 1.0,
-    phase: str = "zero",
 ) -> tuple[Dataset, SimTruth]:
-    """Draw one dataset from the model.
+    """Draw one dataset from the model at ``config``'s dims, TR, sample
+    times and phase, with epochs STIMULUS_INTERVAL apart.
 
     Each voxel gets its own split random stream: membership first, then
     the structured (responding) or isotropic (non-responding) noise, so
@@ -219,9 +211,8 @@ def generate(
     offset grid, stores the offsets in the stimulus times, and records
     the undo shifts in the returned truth.
     """
+    dims, tr = config.dims, config.tr
     validate_params(truth, dims)
-    if phase not in ("zero", "jitter"):
-        raise ValueError('phase must be "zero" or "jitter"')
 
     def stream(index: int) -> np.random.Generator:
         # child ``index`` of SeedSequence(seed), as spawn(n_voxels + 1)
@@ -231,23 +222,19 @@ def generate(
 
     shared = stream(dims.n_voxels)
     if design is None:
-        design = random_walk_design(
-            dims.n_images, dims.n_covariates, shared, jitter=design_jitter
-        )
+        design = random_walk_design(dims.n_images, dims.n_covariates, shared)
     design = np.asarray(design, dtype=np.float64)
     if design.shape != (dims.n_images, dims.n_covariates):
         raise ValueError("design shape does not match dims")
 
     epochs = np.arange(dims.n_epochs)
-    if phase == "jitter":
+    if config.phase == "jitter":
         offsets = shared.uniform(-0.5, 0.5, size=dims.n_epochs)
         # onsets carry the jitter so alignment can derive the undo shifts
         stimulus_times = (
-            np.round(epochs * stimulus_interval / tr) * tr + offsets * tr
+            np.round(epochs * STIMULUS_INTERVAL / tr) * tr + offsets * tr
         )
-        if sample_times is None:
-            sample_times = tr * (np.arange(dims.n_times) + 0.5)
-        sample_times = np.asarray(sample_times, dtype=np.float64)
+        sample_times = config.sample_times
         # every epoch's shape shares the on-grid normalization, so after
         # realignment the shapes coincide with truth.hrf
         base_norm = float(np.linalg.norm(hrf_shape_raw(sample_times)))
@@ -258,7 +245,7 @@ def generate(
         shift_undo = -offsets
     else:
         # onsets on the sampling grid: derived alignment shifts are zero
-        stimulus_times = np.round(epochs * stimulus_interval / tr) * tr
+        stimulus_times = np.round(epochs * STIMULUS_INTERVAL / tr) * tr
         mean_shape = np.tile(truth.hrf, (dims.n_epochs, 1))
         shift_undo = np.zeros(dims.n_epochs)
 
@@ -303,14 +290,4 @@ def simulate_dataset(
     config: SimConfig = SimConfig(), seed: int = 0
 ) -> tuple[Dataset, SimTruth]:
     """Scenario parameters plus one generated dataset."""
-    truth = default_scenario(config, seed)
-    return generate(
-        config.dims,
-        truth,
-        seed,
-        tr=config.tr,
-        stimulus_interval=config.stimulus_interval,
-        sample_times=config.sample_times,
-        design_jitter=config.design_jitter,
-        phase=config.phase,
-    )
+    return generate(config, default_scenario(config, seed), seed)

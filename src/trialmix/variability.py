@@ -31,6 +31,8 @@ __all__ = [
     "analyze_variability",
 ]
 
+EFFECT_SCALE = 10.0  # the plot scale of the shape in the effect curves
+
 
 @dataclass(frozen=True)
 class PcaResult:
@@ -262,10 +264,9 @@ class PcAnalysis:
 
 @dataclass(frozen=True)
 class PcsConfig:
-    """analyze_variability's component count and effect-curve scale."""
+    """analyze_variability's component count."""
 
     n_components: int = 3
-    effect_scale: float = 10.0
 
     def __post_init__(self) -> None:
         if self.n_components < 1:
@@ -311,8 +312,7 @@ def analyze_variability(
     for ci in range(cluster_levels.size):
         for j in range(d.n_epochs):
             curves[ci, j] = amps[ci] * hrf + gamma @ cells[ci, j]
-    effects = pc_effect_curves(hrf, within_pca, n_components,
-                               config.effect_scale)
+    effects = pc_effect_curves(hrf, within_pca, n_components, EFFECT_SCALE)
     return PcAnalysis(
         within_pca=within_pca,
         active_idx=idx,

@@ -8,13 +8,14 @@ stay cheap.
 """
 import json
 import os
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 from scipy.special import gammaln
 
 import trialmix.em as em
 from trialmix import io, kernels
+from trialmix.cli import RunConfig
 from trialmix.em import (
     LOG_2PI,
     EmConfig,
@@ -49,6 +50,19 @@ OVERSIZED_GRIDS = ([10**6] * 3, [2**40, 2**40, 8], [4, 4, 20000])
 # (n_times, n_epochs) one past the covariance factor bound; each bundle
 # was once read without complaint and its fit ended in a traceback
 OVERSIZED_FACTORS = ((65, 2), (4, 65))
+
+
+def config_fields():
+    """(section, name, default) of every RunConfig field; the section is
+    None for a top-level field."""
+    default = RunConfig()
+    for f in fields(RunConfig):
+        value = getattr(default, f.name)
+        if is_dataclass(value):
+            yield from ((f.name, g.name, getattr(value, g.name))
+                        for g in fields(value))
+        else:
+            yield None, f.name, value
 
 
 def write_bundle_by_hand(path, n_times, n_epochs, n_voxels=30, seed=0):

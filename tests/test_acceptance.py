@@ -183,10 +183,7 @@ def test_criterion_07_null_calibration():
     pooled = []
     reps_with_rejection = 0
     for rep in range(n_reps):
-        ds, _ = generate(
-            cfg.dims, null_params, seed=10_000 + rep,
-            sample_times=cfg.sample_times,
-        )
+        ds, _ = generate(cfg, null_params, seed=10_000 + rep)
         series_w, mu_w, design_w = whiten(ds, null_params)
         t, df = t_statistics_all(series_w, mu_w, design_w)
         pvals = t_sf(t, df)

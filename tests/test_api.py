@@ -17,6 +17,8 @@ import pytest
 import trialmix
 from trialmix.io import write_map_pgm
 
+from helpers import config_fields
+
 
 def test_public_names_resolve():
     # perfbench's tracer wraps exactly these names, so a stale entry
@@ -86,6 +88,49 @@ def test_every_public_name_is_reached():
     unreached = {f"{module}.{name}" for module, name in exported
                  if name not in referenced}
     assert unreached == set(UNREACHED)
+
+
+# every run config setting, with what sets it: a benchmark workload
+# (perfbench/run.py), the README's config or library example, an
+# acceptance criterion, a pipeline test, or for snr, noise_var and tr the
+# scenario quantity a simulation study varies. A value nothing sets is a
+# module constant, not a setting
+SETTINGS = {
+    (None, "seed"): "README config example; simulate --seed in every workload",
+    ("simulate", "n_times"): "README config example; criterion 09",
+    ("simulate", "n_epochs"): "README config example; criterion 09",
+    ("simulate", "n_voxels"): "every workload",
+    ("simulate", "n_covariates"): "README config example; criterion 09",
+    ("simulate", "tr"): "the scenario's sampling interval",
+    ("simulate", "active_frac"): "every workload",
+    ("simulate", "snr"): "the scenario's signal",
+    ("simulate", "within_rho"): "criterion 09",
+    ("simulate", "between_rho"): "criterion 09",
+    ("simulate", "noise_var"): "the scenario's noise",
+    ("simulate", "phase"): "stages-20k",
+    ("preprocess", "smooth_fwhm"): "stages-20k",
+    ("preprocess", "voxel_size"):
+        "test_dataset_smoothing_matches_per_image_bits",
+    ("preprocess", "align_trials"): "stages-20k",
+    ("preprocess", "highpass_cutoff"): "stages-20k; README config example",
+    ("preprocess", "center"): "stages-20k",
+    ("em", "tol"): "README config example",
+    ("em", "max_iter"): "README config example; criteria 09 and 12",
+    ("fit", "model"): "fit-50k",
+    ("inference", "q"): "README config and library examples",
+    ("inference", "screen_alpha"):
+        "test_activation_map_screen_none_adjusts_everything",
+    ("inference", "min_cluster"): "README config example; criterion 12",
+    ("pcs", "n_components"): "README config and library examples",
+    ("compare", "models"): "README config example",
+    ("compare", "n_obs"): "test_compare_models_subset_and_custom_n_obs",
+}
+
+
+def test_every_setting_is_set_by_a_run():
+    # the config's version of test_every_public_name_is_reached
+    assert {(section, name) for section, name, _ in config_fields()} \
+        == set(SETTINGS)
 
 
 # (module imported, prefix of the modules it must not load): the package

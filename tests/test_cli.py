@@ -354,7 +354,6 @@ BAD_RUNS = {
     "screen_alpha-above-1": ("report", {"inference": {"screen_alpha": 5}}, []),
     "model-unknown": ("report", {"fit": {"model": 9}}, []),
     "n_components-above-n_times": ("report", {"pcs": {"n_components": 40}}, []),
-    "effect_scale-string": ("report", {"pcs": {"effect_scale": "big"}}, []),
     "n_obs-zero": ("report", {"compare": {"n_obs": 0}}, []),
     "models-empty": ("report", {"compare": {"models": []}}, []),
     "models-twice": ("compare", {"compare": {"models": [2, 2, 1]}}, []),
@@ -378,11 +377,14 @@ BAD_RUNS = {
     "removed-cluster_method":
         ("report", {"inference": {"cluster_method": "connected"}}, []),
     "removed-out": ("report", {"out": "elsewhere"}, []),
+    # scenario, seeding and plot constants that are module constants now
+    **{f"removed-{name}": ("simulate", {"simulate": {name: 1.0}}, [])
+       for name in ("stimulus_interval", "first_sample", "amp_spread",
+                    "coeff_scale", "design_jitter", "within_scale")},
+    "removed-init_alpha": ("report", {"em": {"init_alpha": 1e-3}}, []),
+    "removed-init_max_iter": ("report", {"em": {"init_max_iter": 50}}, []),
+    "removed-effect_scale": ("report", {"pcs": {"effect_scale": 10.0}}, []),
     "n_obs-above-int64": ("report", {"compare": {"n_obs": 10**20}}, []),
-    "sim-first_sample-underflow":
-        ("simulate", {"simulate": {"first_sample": 2000}}, []),
-    "sim-amp_spread-overflow":
-        ("simulate", {"simulate": {"amp_spread": 2000}}, []),
     "sim-n_voxels-beyond-address-space":
         ("simulate", {"simulate": {"n_voxels": 10**30}}, []),
     **{f"verbose-flag-on-{command}": (command, {}, ["--verbose"])
@@ -809,6 +811,30 @@ def test_console_stdout_summaries(pipeline, tmp_path, capsys):
                  "--out", str(tmp_path / "f")]) == 0
     out = capsys.readouterr().out
     assert "loglik=" in out and "converged=True" in out
+
+
+@pytest.mark.parametrize("command", ["fit", "report"])
+def test_verbose_writes_one_record_per_iteration(pipeline, tmp_path, command):
+    # a fresh process, so that anything report's worker wrote to stderr
+    # would show; its fits write nothing, so the records are report's own
+    out = str(tmp_path / command)
+    proc = subprocess.run(
+        [sys.executable, "-W", "ignore::RuntimeWarning", "-m", "trialmix",
+         command, pipeline["bundle"], "--config", pipeline["cfg"],
+         "--out", out, "--verbose"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    records = [json.loads(line) for line in proc.stderr.splitlines()]
+    with open(os.path.join(out, "fit.json")) as f:
+        iterations = json.load(f)["iterations"]
+    with open(os.path.join(out, "loglik.csv")) as f:
+        trace = {int(row["iteration"]): float(row["loglik"])
+                 for row in csv.DictReader(f)}
+    assert [r["iteration"] for r in records] == list(range(1, iterations + 1))
+    for r in records:
+        assert set(r) == {"iteration", "loglik", "param_change", "mix_prob"}
+        assert r["loglik"] == trace[r["iteration"]]
 
 
 def _run_cli(argv, threads=1, flags=()):

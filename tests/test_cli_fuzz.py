@@ -13,18 +13,17 @@ import sys
 import tempfile
 import typing
 import warnings
-from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from trialmix.cli import RunConfig, main
+from trialmix.cli import main
 from trialmix.io import ARTIFACTS, _check, read_dataset, write_dataset
 from trialmix.simulate import SimConfig, simulate_dataset
 from trialmix.types import Dims
 
-from helpers import OVERSIZED_GRIDS
+from helpers import OVERSIZED_GRIDS, config_fields
 
 EDITS = ("none", "flat", "identical", "constant-epochs", "huge")
 CORRUPTIONS = ("nan", "inf", "truncate", "header-cut", "header-value",
@@ -235,20 +234,7 @@ def test_main_on_corrupted_bundles(command, corruption, where, value, previous,
             assert rc == 2
 
 
-def _config_fields():
-    """(section, name, default) of every RunConfig field; the section is
-    None for a top-level field."""
-    default = RunConfig()
-    for f in fields(RunConfig):
-        value = getattr(default, f.name)
-        if is_dataclass(value):
-            yield from ((f.name, g.name, getattr(value, g.name))
-                        for g in fields(value))
-        else:
-            yield None, f.name, value
-
-
-CONFIG_FIELDS = list(_config_fields())
+CONFIG_FIELDS = list(config_fields())
 # the command that reads each section; the top-level seed is simulate's
 READER = {None: "simulate", "simulate": "simulate", "preprocess": "preprocess",
           "em": "fit", "fit": "fit", "inference": "infer", "pcs": "pcs",

@@ -315,7 +315,7 @@ def test_fit_holds_one_full_size_residual():
     # the non-responding residual is rebuilt per block from the series,
     # so the responding residual is the fit's one series-sized buffer
     ds, _ = simulate_dataset(SimConfig(n_voxels=4096), seed=0)
-    config = EmConfig(max_iter=3, init_max_iter=3)
+    config = EmConfig(max_iter=3)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         # first-call allocations (numpy's lazy imports and caches) stay out
@@ -569,7 +569,7 @@ def test_init_fit_returns_valid_params():
     assert abs(np.linalg.norm(params.hrf) - 1.0) < 1e-10
 
 
-def test_init_fit_all_active_screen_seeds_pooled_noise():
+def test_init_fit_all_active_screen_seeds_pooled_noise(monkeypatch):
     # every voxel responds and the screen passes them all, so no
     # non-responding voxel is left to seed the noise variance from
     ds, _ = simulate_dataset(
@@ -577,11 +577,11 @@ def test_init_fit_all_active_screen_seeds_pooled_noise():
                   active_frac=1.0),
         seed=4,
     )
-    config = EmConfig(init_alpha=1.0 - 1e-9)
+    monkeypatch.setattr(em, "INIT_ALPHA", 1.0 - 1e-9)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", RuntimeWarning)
-        params = seed_params(ds, config)
-        reduced = em_fit(ds, replace(config, max_iter=config.init_max_iter),
+        params = seed_params(ds)
+        reduced = em_fit(ds, EmConfig(max_iter=em.INIT_MAX_ITER),
                          ModelStructure(mixture=False))
     messages = [str(w.message) for w in caught]
     assert any("no voxels classified non-responding" in m for m in messages)
@@ -619,8 +619,6 @@ def test_config_validation():
         EmConfig(tol=0.0)
     with pytest.raises(ValueError):
         EmConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        EmConfig(init_alpha=1.0)
 
 
 def test_rescale_trace_property():

@@ -9,6 +9,7 @@ import pytest
 
 from trialmix.preprocess import shift_offsets_from_stimulus
 from trialmix.simulate import (
+    WITHIN_SCALE,
     SimConfig,
     ar1_cov,
     default_scenario,
@@ -18,7 +19,7 @@ from trialmix.simulate import (
 )
 from trialmix.types import MAX_GRID_AXIS
 
-from helpers import make_dims, make_params, observed_loglik
+from helpers import make_params, observed_loglik
 
 
 def test_ar1_cov_hand_values():
@@ -66,7 +67,7 @@ def test_default_scenario_satisfies_conventions():
     assert abs(np.trace(params.between_cov) - cfg.n_epochs) < 1e-12
     np.testing.assert_allclose(
         params.within_cov,
-        ar1_cov(cfg.n_times, cfg.within_rho, cfg.within_scale),
+        ar1_cov(cfg.n_times, cfg.within_rho, WITHIN_SCALE),
     )
     assert np.all(params.amplitude > 0.0)
     assert params.active_prob == cfg.active_frac
@@ -91,16 +92,16 @@ def test_generate_voxel_streams_are_prefix_stable():
     # each voxel draws from its own split stream, so truncating the
     # voxel set leaves the shared draws of the survivors untouched
     rng = np.random.default_rng(11)
-    dims20 = make_dims(n_times=4, n_epochs=3, n_voxels=20, n_covariates=1)
-    dims10 = make_dims(n_times=4, n_epochs=3, n_voxels=10, n_covariates=1)
-    params20 = make_params(dims20, rng)
+    cfg20 = SimConfig(n_times=4, n_epochs=3, n_voxels=20, n_covariates=1)
+    cfg10 = SimConfig(n_times=4, n_epochs=3, n_voxels=10, n_covariates=1)
+    params20 = make_params(cfg20.dims, rng)
     params10 = params20.with_updates(
         amplitude=params20.amplitude[:10], coeffs=params20.coeffs[:10]
     )
-    design = rng.standard_normal((dims20.n_images, 1))
+    design = rng.standard_normal((cfg20.dims.n_images, 1))
     design -= design.mean(axis=0)
-    ds20, tr20 = generate(dims20, params20, seed=5, design=design)
-    ds10, tr10 = generate(dims10, params10, seed=5, design=design)
+    ds20, tr20 = generate(cfg20, params20, seed=5, design=design)
+    ds10, tr10 = generate(cfg10, params10, seed=5, design=design)
     np.testing.assert_array_equal(tr10.labels, tr20.labels[:10])
     np.testing.assert_array_equal(ds10.series, ds20.series[:10])
 
@@ -161,12 +162,10 @@ def test_jitter_phase_records_undo_shifts():
 
 def test_generate_validation():
     rng = np.random.default_rng(1)
-    dims = make_dims()
-    params = make_params(dims, rng)
+    cfg = SimConfig(n_times=4, n_epochs=3, n_voxels=6, n_covariates=2)
+    params = make_params(cfg.dims, rng)
     with pytest.raises(ValueError, match="design shape"):
-        generate(dims, params, seed=0, design=np.zeros((3, 3)))
-    with pytest.raises(ValueError, match="phase"):
-        generate(dims, params, seed=0, phase="skewed")
+        generate(cfg, params, seed=0, design=np.zeros((3, 3)))
 
 
 def test_generate_geometry():
@@ -186,7 +185,7 @@ def test_generate_holds_no_second_series_array():
     truth = default_scenario(cfg, seed=0)
     tracemalloc.start()
     try:
-        ds, _ = generate(cfg.dims, truth, seed=0)
+        ds, _ = generate(cfg, truth, seed=0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
