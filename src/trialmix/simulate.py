@@ -7,12 +7,13 @@ voxel's draws are reproducible independently of the others.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .em import canonical_hrf, hrf_shape_raw
-from .kernels import voxel_blocks
+from .kernels import BLOCK, voxel_blocks
 from .linalg import matrix_sqrt
 from .types import (MAX_GRID_AXIS, Dataset, Dims, MixtureParams, SimTruth,
                     _check_spd, _gc_paused, validate_params)
@@ -187,6 +188,81 @@ def _block_coords(n_voxels: int) -> tuple[np.ndarray, tuple[int, int, int]]:
     return np.ascontiguousarray(grid[:n_voxels]), (side, side, side)
 
 
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # entropy hash
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # output hash
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK128 = (1 << 128) - 1
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's multiply-xorshift hash, its constant advancing per call."""
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ const
+        const = (const * mult) & _MASK32
+        value = value * const
+        return value ^ (value >> 16)
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return result ^ (result >> 16)
+
+
+def _spawn_words(seed: int, n_streams: int) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=(v,)).generate_state(4, np.uint64)``
+    for every v in range(n_streams), as an (n_streams, 4) uint64 array.
+
+    SeedSequence's pool mixing and output hash in uint32 arithmetic, each
+    word a uint32 array over v: numpy builds one SeedSequence per v.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
+    # the seed's little-endian 32-bit words, zero-padded to the pool size
+    # because a spawn key follows; then the spawn key v
+    n_words = max(_POOL_SIZE, -(-seed.bit_length() // 32))
+    entropy = [np.array([(seed >> 32 * i) & _MASK32], dtype=np.uint32)
+               for i in range(n_words)]
+    entropy.append(np.arange(n_streams, dtype=np.uint32))
+
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    # every pool word into every other, then each word past the pool's
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+
+    hashout = _hasher(_INIT_B, _MULT_B)
+    state = np.empty((n_streams, 2 * _POOL_SIZE), dtype="<u4")
+    for i in range(2 * _POOL_SIZE):
+        state[:, i] = hashout(pool[i % _POOL_SIZE])
+    # consecutive uint32 outputs pair into little-endian uint64 words
+    return state.view("<u8").astype(np.uint64)
+
+
+def _seat(bitgen: np.random.PCG64, words: list[int]) -> None:
+    """Set ``bitgen`` to the state PCG64 seeds from four SeedSequence words."""
+    w0, w1, w2, w3 = words
+    inc = ((((w2 << 64) | w3) << 1) | 1) & _MASK128
+    state = ((inc + ((w0 << 64) | w1)) * _PCG64_MULT + inc) & _MASK128
+    bitgen.state = {"bit_generator": "PCG64",
+                    "state": {"state": state, "inc": inc},
+                    "has_uint32": 0, "uinteger": 0}
+
+
 @_gc_paused()
 def generate(
     config: SimConfig,
@@ -197,15 +273,22 @@ def generate(
     """Draw one dataset from the model at ``config``'s dims, TR, sample
     times and phase, with epochs STIMULUS_INTERVAL apart.
 
-    Each voxel gets its own split random stream: membership first, then
-    the structured (responding) or isotropic (non-responding) noise, so
-    per-voxel reproducibility survives changes elsewhere. Responding
-    noise is L_w G L_b for a standard normal (n_times, n_epochs) G and
-    symmetric square roots of the covariance factors.
+    Voxel v draws from its own stream,
+    ``default_rng(SeedSequence(seed, spawn_key=(v,)))``: membership
+    first, then the structured (responding) or isotropic
+    (non-responding) noise, so per-voxel reproducibility survives
+    changes elsewhere. The design and the jitter offsets draw from the
+    stream at index n_voxels. numpy would build two Python-level seeding
+    objects per stream; instead every stream's four seed words come from
+    one vectorized pass of SeedSequence's arithmetic (_spawn_words), and
+    one reused PCG64 is set to each stream's state in turn. The draws,
+    and so the bits, are the same.
 
-    The covariate term is one GEMM per kernels.voxel_blocks block, so
-    the series bits depend only on n_voxels, not on the BLAS thread
-    count.
+    Responding noise is L_w G L_b for a standard normal
+    (n_times, n_epochs) G and symmetric square roots of the covariance
+    factors, one batched product per kernels.voxel_blocks block. The
+    covariate term is one GEMM and one add per block, so the series
+    bits depend only on n_voxels, not on the BLAS thread count.
 
     phase="jitter" samples each epoch's mean response at a uniformly
     offset grid, stores the offsets in the stimulus times, and records
@@ -214,22 +297,19 @@ def generate(
     dims, tr = config.dims, config.tr
     validate_params(truth, dims)
 
-    def stream(index: int) -> np.random.Generator:
-        # child ``index`` of SeedSequence(seed), as spawn(n_voxels + 1)
-        # makes it, built when needed instead of all V + 1 held at once
-        return np.random.default_rng(
-            np.random.SeedSequence(seed, spawn_key=(index,)))
-
-    shared = stream(dims.n_voxels)
+    words = _spawn_words(seed, dims.n_voxels + 1)
+    bitgen = np.random.PCG64(0)  # set to each stream's state before it draws
+    rng = np.random.Generator(bitgen)
+    _seat(bitgen, words[dims.n_voxels].tolist())
     if design is None:
-        design = random_walk_design(dims.n_images, dims.n_covariates, shared)
+        design = random_walk_design(dims.n_images, dims.n_covariates, rng)
     design = np.asarray(design, dtype=np.float64)
     if design.shape != (dims.n_images, dims.n_covariates):
         raise ValueError("design shape does not match dims")
 
     epochs = np.arange(dims.n_epochs)
     if config.phase == "jitter":
-        offsets = shared.uniform(-0.5, 0.5, size=dims.n_epochs)
+        offsets = rng.uniform(-0.5, 0.5, size=dims.n_epochs)
         # onsets carry the jitter so alignment can derive the undo shifts
         stimulus_times = (
             np.round(epochs * STIMULUS_INTERVAL / tr) * tr + offsets * tr
@@ -253,23 +333,31 @@ def generate(
     l_between = matrix_sqrt(truth.between_cov)
     noise_sd = float(np.sqrt(truth.noise_var))
     series = np.empty((dims.n_voxels, dims.n_images))
-    labels = np.empty(dims.n_voxels, dtype=np.int64)
+    labels = np.zeros(dims.n_voxels, dtype=np.int64)
+    normals = np.empty((BLOCK, dims.n_times, dims.n_epochs))
     for block in voxel_blocks(dims.n_voxels):
-        # the covariate term one block at a time, never a second (N, V) array
-        covar_part = design @ truth.coeffs[block].T
         # a block's slice may stop past n_voxels
-        for v in range(dims.n_voxels)[block]:
-            rng = stream(v)
-            z = rng.random() < truth.active_prob
-            labels[v] = int(z)
-            if z:
-                g = rng.standard_normal((dims.n_times, dims.n_epochs))
-                structured = l_within @ g @ l_between
-                mean = truth.amplitude[v] * mean_shape
-                series[v] = (mean + structured.T).ravel()
+        voxels = range(dims.n_voxels)[block]
+        active, idle = [], []
+        for v, voxel_words in zip(voxels,
+                                  words[voxels.start:voxels.stop].tolist()):
+            _seat(bitgen, voxel_words)
+            if rng.random() < truth.active_prob:
+                rng.standard_normal(out=normals[len(active)])
+                active.append(v)
             else:
-                series[v] = noise_sd * rng.standard_normal(dims.n_images)
-            series[v] += covar_part[:, v - block.start]
+                rng.standard_normal(out=series[v])
+                idle.append(v)
+        series[idle] *= noise_sd
+        if active:
+            labels[active] = 1
+            structured = l_within @ normals[:len(active)] @ l_between
+            mean = truth.amplitude[active][:, None, None] * mean_shape
+            series[active] = (
+                mean + structured.transpose(0, 2, 1)
+            ).reshape(len(active), -1)
+        # the covariate term one block at a time, never a second (N, V) array
+        series[block] += (design @ truth.coeffs[block].T).T
     coords, mask_shape = _block_coords(dims.n_voxels)
     dataset = Dataset(
         dims=dims,

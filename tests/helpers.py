@@ -21,6 +21,7 @@ from trialmix.em import (
     EmConfig,
     ModelStructure,
     canonical_hrf,
+    hrf_shape_raw,
     residual_matrices,
     update_covariances,
     update_h,
@@ -31,7 +32,7 @@ from trialmix.inference import (
     _whiten_series,
     _whitening,
 )
-from trialmix.linalg import inv_spd, kron_logdet
+from trialmix.linalg import inv_spd, kron_logdet, matrix_sqrt
 from trialmix.preprocess import (
     _smooth_dataset,
     center_columns,
@@ -40,6 +41,7 @@ from trialmix.preprocess import (
     shift_offsets_from_stimulus,
     trial_time_shift,
 )
+from trialmix.simulate import STIMULUS_INTERVAL, random_walk_design
 from trialmix.types import (Dataset, DegenerateDataError, Dims, MixtureParams,
                             SimTruth, _intervene)
 
@@ -719,3 +721,56 @@ def mstep_stationarity_gaps(dataset, resp, params, step=1e-6, cov_sweeps=100):
         )
     )
     return gaps
+
+
+def generate_reference(config, truth, seed, design=None):
+    """simulate.generate's draws the way numpy spells them: one
+    default_rng(SeedSequence(seed, spawn_key=(v,))) per voxel v, the
+    design's at v = n_voxels, and each voxel's noise made alone.
+    Returns (series, labels, design, stimulus_times, shift_offsets)."""
+    dims, tr = config.dims, config.tr
+
+    def stream(index):
+        return np.random.default_rng(
+            np.random.SeedSequence(seed, spawn_key=(index,)))
+
+    shared = stream(dims.n_voxels)
+    if design is None:
+        design = random_walk_design(dims.n_images, dims.n_covariates, shared)
+    epochs = np.arange(dims.n_epochs)
+    stimulus_times = np.round(epochs * STIMULUS_INTERVAL / tr) * tr
+    if config.phase == "jitter":
+        offsets = shared.uniform(-0.5, 0.5, size=dims.n_epochs)
+        stimulus_times = stimulus_times + offsets * tr
+        sample_times = config.sample_times
+        base_norm = float(np.linalg.norm(hrf_shape_raw(sample_times)))
+        mean_shape = np.array([
+            hrf_shape_raw(sample_times - offset * tr) / base_norm
+            for offset in offsets
+        ])
+        shift_undo = -offsets
+    else:
+        mean_shape = np.tile(truth.hrf, (dims.n_epochs, 1))
+        shift_undo = np.zeros(dims.n_epochs)
+
+    l_within = matrix_sqrt(truth.within_cov)
+    l_between = matrix_sqrt(truth.between_cov)
+    noise_sd = float(np.sqrt(truth.noise_var))
+    series = np.empty((dims.n_voxels, dims.n_images))
+    labels = np.empty(dims.n_voxels, dtype=np.int64)
+    for block in kernels.voxel_blocks(dims.n_voxels):
+        # the covariate term's rounding is that of one GEMM per block
+        covar_part = design @ truth.coeffs[block].T
+        for v in range(dims.n_voxels)[block]:
+            rng = stream(v)
+            z = rng.random() < truth.active_prob
+            labels[v] = int(z)
+            if z:
+                g = rng.standard_normal((dims.n_times, dims.n_epochs))
+                structured = l_within @ g @ l_between
+                mean = truth.amplitude[v] * mean_shape
+                series[v] = (mean + structured.T).ravel()
+            else:
+                series[v] = noise_sd * rng.standard_normal(dims.n_images)
+            series[v] += covar_part[:, v - block.start]
+    return series, labels, design, stimulus_times, shift_undo

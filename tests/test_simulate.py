@@ -1,4 +1,5 @@
 """Generator checks: determinism, calibration, and truth bookkeeping."""
+import itertools
 import os
 import subprocess
 import sys
@@ -11,6 +12,8 @@ from trialmix.preprocess import shift_offsets_from_stimulus
 from trialmix.simulate import (
     WITHIN_SCALE,
     SimConfig,
+    _seat,
+    _spawn_words,
     ar1_cov,
     default_scenario,
     generate,
@@ -19,7 +22,7 @@ from trialmix.simulate import (
 )
 from trialmix.types import MAX_GRID_AXIS
 
-from helpers import make_params, observed_loglik
+from helpers import generate_reference, make_params, observed_loglik
 
 
 def test_ar1_cov_hand_values():
@@ -104,6 +107,78 @@ def test_generate_voxel_streams_are_prefix_stable():
     ds10, tr10 = generate(cfg10, params10, seed=5, design=design)
     np.testing.assert_array_equal(tr10.labels, tr20.labels[:10])
     np.testing.assert_array_equal(ds10.series, ds20.series[:10])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32, 2**64 + 1, 2**130 + 5])
+def test_spawn_words_are_numpys_streams(seed):
+    # one to five seed words: the zero-padded pool, a full pool, and
+    # words mixed in after the pool's cross-mix
+    n = 300  # the shared stream's index, past a block of 256 voxels
+    words = _spawn_words(seed, n + 1)
+    assert words.shape == (n + 1, 4) and words.dtype == np.uint64
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    for v in (0, 1, 255, 256, 257, n - 1, n):
+        seq = np.random.SeedSequence(seed, spawn_key=(v,))
+        np.testing.assert_array_equal(
+            words[v], seq.generate_state(4, np.uint64), err_msg=str(v))
+        _seat(bitgen, words[v].tolist())
+        want = np.random.default_rng(seq)
+        assert rng.random() == want.random(), v
+        np.testing.assert_array_equal(
+            rng.standard_normal(5), want.standard_normal(5), err_msg=str(v))
+
+
+def test_spawn_words_reject_a_negative_seed():
+    with pytest.raises(ValueError, match="nonnegative"):
+        _spawn_words(-1, 3)
+    with pytest.raises(TypeError):
+        _spawn_words(1.5, 3)
+
+
+def assert_generate_is_the_per_voxel_loop(cfg, seed, design=None):
+    truth = default_scenario(cfg, seed)
+    ds, sim = generate(cfg, truth, seed, design)
+    series, labels, want_design, stimulus_times, shifts = generate_reference(
+        cfg, truth, seed, design)
+    np.testing.assert_array_equal(ds.series, series)
+    np.testing.assert_array_equal(sim.labels, labels)
+    np.testing.assert_array_equal(ds.design, want_design)
+    np.testing.assert_array_equal(ds.stimulus_times, stimulus_times)
+    np.testing.assert_array_equal(sim.shift_offsets, shifts)
+
+
+@pytest.mark.parametrize("n_voxels, active_frac, phase, n_covariates",
+                         itertools.product((1, 255, 257, 1000), (0.0, 0.3, 1.0),
+                                           ("zero", "jitter"), (0, 6)))
+def test_generate_matches_per_voxel_streams(n_voxels, active_frac, phase,
+                                            n_covariates):
+    assert_generate_is_the_per_voxel_loop(
+        SimConfig(n_voxels=n_voxels, active_frac=active_frac, phase=phase,
+                  n_covariates=n_covariates), seed=3)
+
+
+def test_generate_matches_per_voxel_streams_at_a_given_design():
+    cfg = SimConfig(n_voxels=300, n_covariates=2, phase="jitter")
+    design = np.random.default_rng(8).standard_normal((cfg.dims.n_images, 2))
+    assert_generate_is_the_per_voxel_loop(cfg, seed=5, design=design)
+
+
+def test_generate_builds_no_seed_sequence_per_voxel(monkeypatch):
+    # the per-voxel SeedSequence and PCG64 constructors were most of
+    # simulate's time; one vectorized pass seeds every stream instead
+    built = []
+    seed_sequence = np.random.SeedSequence
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return seed_sequence(*args, **kwargs)
+
+    cfg = SimConfig(n_voxels=2000)
+    truth = default_scenario(cfg, seed=0)
+    monkeypatch.setattr(np.random, "SeedSequence", counting)
+    generate(cfg, truth, seed=0)
+    assert len(built) <= 1
 
 
 def test_label_fraction_tracks_active_frac():
