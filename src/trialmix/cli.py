@@ -18,15 +18,16 @@ io.OutputDir and returns its summary line, and main prints that line
 once the files are in place. Output is all or nothing: a failing command
 leaves --out as it was (and removes it if the run made it).
 
-report runs two lanes. After reading the bundle it forks one worker
-process, which fits the other compare.models in model order, up to the
-first failure; the parent fits report's own model, infers and runs pcs
-meanwhile. Then the parent takes the worker's fits, issues the warnings
-they raised, in model order, and raises the worker's failure, if any,
-so report's warnings and error are those of running fit, infer, pcs and
-the other models one after another. A failure in the parent's lane
-kills the worker and drops its fits and warnings. compare fits its
-models one after another in its own process.
+report and compare run two lanes. After reading the bundle each forks
+one worker process, which fits the compare.models other than fit.model
+in model order, up to the first failure. Meanwhile the parent fits
+fit.model (compare only when it is one of compare.models), and report
+also infers and runs pcs. Then the parent takes the worker's fits,
+issues the warnings they raised, in model order, and raises the
+worker's failure, if any, so the warnings and error are those of
+running the parent's lane, then the other models, one after another. A
+failure in the parent's lane kills the worker and drops its fits and
+warnings; a worker that dies ends the run in exit 3.
 
 Exit codes: 0 success, 2 usage or configuration error (including a
 malformed bundle, fit or inference directory, or an --out that cannot
@@ -50,10 +51,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import io
-from .em import EmConfig, em_fit
+from .em import EmConfig
 from .inference import FdrResult, InferenceConfig, activation_map
 from .linalg import SingularMatrixError
-from .modelsel import (MODEL_SPECS, CompareConfig, FitConfig, ModelComparison,
+from .modelsel import (CompareConfig, FitConfig, ModelComparison,
                        compare_models, fit_model)
 from .preprocess import PreprocConfig, preprocess_dataset
 from .simulate import SimConfig, simulate_dataset
@@ -139,12 +140,8 @@ def cmd_preprocess(args, config: RunConfig, out: io.OutputDir) -> str:
 def _run_fit(
     args, config: RunConfig, dataset: Dataset, out: io.OutputDir
 ) -> FitResult:
-    fit = em_fit(
-        dataset,
-        config.em,
-        MODEL_SPECS[config.fit.model].structure,
-        diagnostics=sys.stderr if args.verbose else None,
-    )
+    fit = fit_model(dataset, config.fit.model, config.em,
+                    diagnostics=sys.stderr if args.verbose else None)
     io.write_fit(out, fit)
     return fit
 
@@ -195,16 +192,21 @@ def cmd_pcs(args, config: RunConfig, out: io.OutputDir) -> str:
 
 
 def _run_compare(
-    config: RunConfig, dataset: Dataset, out: io.OutputDir,
-    fits: dict | None = None,
+    config: RunConfig, dataset: Dataset, out: io.OutputDir, fits: dict
 ) -> ModelComparison:
-    cmp = compare_models(dataset, config.em, config.compare, fits)
+    cmp = compare_models(dataset, fits, config.compare)
     io.write_compare(out, cmp)
     return cmp
 
 
 def cmd_compare(args, config: RunConfig, out: io.OutputDir) -> str:
-    cmp = _run_compare(config, io.read_dataset(args.bundle), out)
+    dataset = io.read_dataset(args.bundle)
+    with _worker_fits(dataset, config) as join:
+        own = config.fit.model
+        fits = ({own: fit_model(dataset, own, config.em)}
+                if own in config.compare.models else {})
+        fits.update(join())
+    cmp = _run_compare(config, dataset, out, fits)
     return f"best_aic=model{cmp.best_aic} best_bic=model{cmp.best_bic}"
 
 
@@ -245,30 +247,22 @@ def _warn_again(caught: list) -> None:
         )
 
 
-def _receive_fits(pipe) -> dict[int, FitResult]:
-    """The worker's fits, after issuing the warnings they raised and
-    raising the failure that stopped them."""
-    try:
-        fits, error, caught = pickle.load(pipe)
-    except EOFError:
-        raise RuntimeError("the comparison worker ended without its fits") from None
-    _warn_again(caught)
-    if error is not None:
-        raise error
-    return fits
-
-
 @contextlib.contextmanager
-def _worker_fits(dataset: Dataset, config: EmConfig, models: list[int]):
-    """Fit ``models`` in one forked worker process while the block runs.
+def _worker_fits(dataset: Dataset, config: RunConfig):
+    """Fit every compare.models id but fit.model, in model order, in one
+    forked worker process while the block runs: the one place that
+    splits the comparison between the two lanes.
 
-    Yields join: it waits for the worker, issues the warnings its fits
-    raised, in model order, then raises its failure or returns its fits.
-    The worker inherits the dataset through the fork, sends one pickle
-    back through a pipe and ends by os._exit, so it never returns into
-    the caller. Leaving the block kills the worker, so a block left
-    without join drops its fits; the worker is reaped on every path.
+    Yields join: it reads the worker's one pickle to the end, reaps the
+    worker, issues the warnings its fits raised, in model order, then
+    raises its failure or returns its fits. A worker that ended without
+    sending them (os._exit, a signal) raises ChildProcessError naming
+    its exit status or signal. The worker inherits the dataset through
+    the fork and ends by os._exit, so it never returns into the caller.
+    Leaving the block before join kills the worker and drops its fits;
+    the worker is reaped on every path.
     """
+    models = [m for m in config.compare.models if m != config.fit.model]
     read_fd, write_fd = os.pipe()
     with warnings.catch_warnings():
         # Python 3.12 warns on forking a process with threads. OpenBLAS's
@@ -281,27 +275,43 @@ def _worker_fits(dataset: Dataset, config: EmConfig, models: list[int]):
         try:
             os.close(read_fd)
             with open(write_fd, "wb") as pipe:
-                pickle.dump(_fit_in_order(dataset, config, models), pipe,
+                pickle.dump(_fit_in_order(dataset, config.em, models), pipe,
                             protocol=pickle.HIGHEST_PROTOCOL)
             code = 0
         finally:
             os._exit(code)
     os.close(write_fd)
+    status = None
+
+    def join() -> dict[int, FitResult]:
+        nonlocal status
+        data = pipe.read()
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if status != 0:
+            how = (f"was killed by signal {-status} "
+                   f"({signal.strsignal(-status)})" if status < 0
+                   else f"exited with status {status}")
+            raise ChildProcessError(
+                f"the comparison worker {how} before sending its fits")
+        fits, error, caught = pickle.loads(data)
+        _warn_again(caught)
+        if error is not None:
+            raise error
+        return fits
+
     try:
         with open(read_fd, "rb") as pipe:
-            yield lambda: _receive_fits(pipe)
+            yield join
     finally:
-        # after join the worker has sent all it will; before, it is dropped
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
+        if status is None:  # not reaped by join: drop the worker
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def cmd_report(args, config: RunConfig, out: io.OutputDir) -> str:
     dataset = io.read_dataset(args.bundle)
     _check_pcs(config, dataset)
-    # the other compared models fit in a worker beside report's own lane
-    others = [m for m in config.compare.models if m != config.fit.model]
-    with _worker_fits(dataset, config.em, others) as join:
+    with _worker_fits(dataset, config) as join:
         fit = _run_fit(args, config, dataset, out)
         amap, fdr = _run_infer(config, dataset, fit, out)
         pa = None
@@ -413,7 +423,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, io.BundleFormatError, FileNotFoundError) as e:
         return _fail(2, e, caught)
     except (DegenerateDataError, SingularMatrixError, np.linalg.LinAlgError,
-            FloatingPointError) as e:
+            FloatingPointError, ChildProcessError) as e:
         return _fail(3, e, caught)
     except BaseException:
         _show_warnings(caught)

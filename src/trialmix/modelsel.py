@@ -8,7 +8,8 @@ states each once; a model's ModelStructure names its covariance
 ("spherical", "between", "within" or "kronecker").
 
 FitConfig and CompareConfig declare the candidate settings and defaults
-once; compare_models takes its section whole.
+once. fit_model is every candidate's fit; compare_models takes its
+section whole and ranks fits it is given.
 """
 from __future__ import annotations
 
@@ -138,10 +139,12 @@ def bic(loglik: float, n_params: int, n_obs: int) -> float:
 
 
 def fit_model(
-    dataset: Dataset, model_id: int, config: EmConfig = EmConfig()
+    dataset: Dataset, model_id: int, config: EmConfig = EmConfig(),
+    diagnostics=None,
 ) -> FitResult:
-    """Fit one candidate model."""
-    return em_fit(dataset, config, ModelSpec.from_id(model_id).structure)
+    """Fit one candidate model; ``diagnostics`` as in em_fit."""
+    return em_fit(dataset, config, ModelSpec.from_id(model_id).structure,
+                  diagnostics)
 
 
 @dataclass(frozen=True)
@@ -164,38 +167,24 @@ class ModelComparison:
 
 def compare_models(
     dataset: Dataset,
-    config: EmConfig = EmConfig(),
+    fits: Mapping[int, FitResult],
     compare: CompareConfig = CompareConfig(),
-    fits: Mapping[int, FitResult] | None = None,
 ) -> ModelComparison:
-    """Fit the candidates compare.models and rank them by information
-    criteria.
+    """Rank the candidates compare.models by information criteria.
 
-    The BIC sample size is compare.n_obs, or when None the total number
-    of scalar observations, n_voxels * n_images. ``fits`` maps model ids
-    to fits the caller already made with fit_model(dataset, id, config);
-    those models are not fitted again.
+    ``fits`` maps each of those model ids to its fit_model fit on
+    ``dataset``; compare_models fits nothing. The BIC sample size is
+    compare.n_obs, or when None the total number of scalar
+    observations, n_voxels * n_images.
     """
     d = dataset.dims
-    n_obs = compare.n_obs
-    if n_obs is None:
-        n_obs = d.n_voxels * d.n_images
+    n_obs = d.n_voxels * d.n_images if compare.n_obs is None else compare.n_obs
     rows = []
     for mid in compare.models:
-        spec = ModelSpec.from_id(mid)
-        fit = fits[mid] if fits and mid in fits else fit_model(dataset, mid, config)
-        ll = float(fit.loglik_trace[-1])
-        p = count_params(mid, d)
-        rows.append(
-            ComparisonRow(
-                model_id=mid,
-                description=spec.description,
-                n_params=p,
-                loglik=ll,
-                aic=aic(ll, p),
-                bic=bic(ll, p, n_obs),
-            )
-        )
+        ll, p = float(fits[mid].loglik_trace[-1]), count_params(mid, d)
+        rows.append(ComparisonRow(
+            model_id=mid, description=MODEL_SPECS[mid].description,
+            n_params=p, loglik=ll, aic=aic(ll, p), bic=bic(ll, p, n_obs)))
     best_aic = rows[int(np.argmin([r.aic for r in rows]))].model_id
     best_bic = rows[int(np.argmin([r.bic for r in rows]))].model_id
     return ModelComparison(rows=rows, n_obs=n_obs, best_aic=best_aic, best_bic=best_bic)

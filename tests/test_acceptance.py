@@ -19,7 +19,7 @@ from scipy import stats
 from trialmix.em import EmConfig, em_fit
 from trialmix.inference import fdr_adaptive, t_sf
 from trialmix.linalg import kron_logdet
-from trialmix.modelsel import aic, compare_models, count_params
+from trialmix.modelsel import aic, compare_models, count_params, fit_model
 from trialmix.preprocess import (
     dct_highpass,
     gaussian_smooth_3d,
@@ -240,7 +240,8 @@ def test_criterion_09_model_selection():
     n_seeds = 20
     for seed in range(n_seeds):
         ds, _ = simulate_dataset(cfg, seed=seed)
-        cmp = compare_models(ds, EmConfig(max_iter=200))
+        cmp = compare_models(ds, {m: fit_model(ds, m, EmConfig(max_iter=200))
+                                  for m in range(1, 6)})
         ll = {r.model_id: r.loglik for r in cmp.rows}
         if cmp.best_aic == 5:
             best_full += 1

@@ -138,8 +138,8 @@ def test_every_setting_is_set_by_a_run():
 # generator load no scipy (test_cli checks that no command does)
 LEAN_IMPORTS = [("trialmix", "trialmix."), ("trialmix.types", "scipy"),
                 ("trialmix.cli", "scipy"), ("trialmix.simulate", "scipy"),
-                # report's worker is a bare os.fork: no command pays for a
-                # process pool's import
+                # the comparison worker is a bare os.fork: no command
+                # pays for a process pool's import
                 ("trialmix.cli", "multiprocessing"),
                 ("trialmix.cli", "concurrent")]
 

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import typing
@@ -15,8 +16,9 @@ import pytest
 
 from trialmix import cli, io
 from trialmix.cli import main
+from trialmix.em import EmConfig
 from trialmix.io import read_dataset, write_csv, write_dataset
-from trialmix.modelsel import fit_model
+from trialmix.modelsel import CompareConfig, compare_models, fit_model
 from trialmix.simulate import SimConfig, simulate_dataset
 from trialmix.types import DegenerateDataError
 
@@ -185,14 +187,16 @@ def test_report_comparison_equals_compare(pipeline):
     _no_child_left()
 
 
+@pytest.mark.parametrize("command", ["report", "compare"])
 @pytest.mark.parametrize("model", [1, 5])
 def test_failing_report_fit_keeps_the_sequential_outcome(tmp_path, capsys,
-                                                         model):
+                                                         model, command):
     # null data at V=50, seed 2: model 5's fit loses likelihood. With
-    # model 1 as report's own fit, model 5 fails in the worker; with model
-    # 5, report's own fit fails and the worker is killed. Either way the
-    # error and the warnings are those of fitting report's model, then
-    # the other models in order, up to the first failure
+    # model 1 as the command's own fit, model 5 fails in the worker; with
+    # model 5, the own fit fails and the worker is killed. Either way,
+    # for report and compare alike, the error and the warnings are those
+    # of fitting fit.model, then the other models in order, up to the
+    # first failure
     cfg = str(tmp_path / "null.json")
     with open(cfg, "w") as f:
         json.dump({"simulate": {"n_voxels": 50, "active_frac": 0.0},
@@ -207,7 +211,7 @@ def test_failing_report_fit_keeps_the_sequential_outcome(tmp_path, capsys,
                 fit_model(dataset, mid)
     capsys.readouterr()
     out = tmp_path / "out"
-    assert main(["report", bundle, "--config", cfg, "--out", str(out)]) == 3
+    assert main([command, bundle, "--config", cfg, "--out", str(out)]) == 3
     _no_child_left()
     err = _single_error_line(capsys)
     assert err["type"] == "DegenerateDataError"
@@ -216,6 +220,77 @@ def test_failing_report_fit_keeps_the_sequential_outcome(tmp_path, capsys,
     assert err["warnings"] == [str(w.message) for w in caught]
     assert len(caught) == (23 if model == 1 else 18)
     assert not out.exists()
+
+
+def test_compare_fits_only_the_compared_models(pipeline, tmp_path,
+                                               monkeypatch):
+    # fit.model 5 is not among compare.models (1, 2): compare's own
+    # process fits nothing, the worker fits models 1 and 2, and the table
+    # is that of fitting them one after another in one process
+    dataset = read_dataset(pipeline["bundle"])
+    em = EmConfig(**CONFIG["em"])
+    compare = CompareConfig(models=(1, 2))
+    expected = str(tmp_path / "expected")
+    with io.OutputDir(expected) as out:
+        io.write_compare(out, compare_models(
+            dataset, {m: fit_model(dataset, m, em) for m in (1, 2)}, compare))
+    fit = cli.fit_model
+
+    def fit_compared(dataset, model_id, *args, **kwargs):
+        assert model_id != 5, "compare fitted a model it does not compare"
+        return fit(dataset, model_id, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "fit_model", fit_compared)
+    cfg = str(tmp_path / "config.json")
+    with open(cfg, "w") as f:
+        json.dump({**CONFIG, "fit": {"model": 5},
+                   "compare": {"models": [1, 2]}}, f)
+    out = str(tmp_path / "cmp")
+    assert main(["compare", pipeline["bundle"], "--config", cfg,
+                 "--out", out]) == 0
+    _no_child_left()
+    for name in ("comparison.csv", "comparison.json"):
+        with open(os.path.join(expected, name), "rb") as f:
+            want = f.read()
+        with open(os.path.join(out, name), "rb") as f:
+            assert f.read() == want
+
+
+def _exit_1(*args):
+    os._exit(1)
+
+
+def _kill_self(*args):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("death, how", [
+    (_exit_1, "the comparison worker exited with status 1 "),
+    (_kill_self, "the comparison worker was killed by signal 9 "),
+], ids=["exit_1", "sigkill"])
+@pytest.mark.parametrize("command", ["report", "compare"])
+def test_worker_that_dies_exits_3(pipeline, tmp_path, capsys, monkeypatch,
+                                  command, death, how):
+    # a worker that ends without sending its fits, by os._exit or by a
+    # signal such as the OOM killer's SIGKILL, ends the run in one JSON
+    # error naming how it ended, is reaped, and leaves --out as it was
+    monkeypatch.setattr(cli, "_fit_in_order", death)
+    fresh = tmp_path / "fresh"
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "mine.txt").write_bytes(b"mine\n")
+    for out in (fresh, kept):
+        capsys.readouterr()
+        assert main([command, pipeline["bundle"], "--config", pipeline["cfg"],
+                     "--out", str(out)]) == 3
+        _no_child_left()
+        err = _single_error_line(capsys)
+        assert err["code"] == 3
+        assert err["type"] == "ChildProcessError"
+        assert err["message"].startswith(how)
+    assert not fresh.exists()
+    assert os.listdir(kept) == ["mine.txt"]
+    assert (kept / "mine.txt").read_bytes() == b"mine\n"
 
 
 def test_seed_flag_overrides_config(pipeline, tmp_path):
@@ -457,7 +532,7 @@ def test_out_that_cannot_be_a_directory_exits_2(pipeline, tmp_path, capsys,
     def fit(*args, **kwargs):
         raise AssertionError("the fit ran before --out was checked")
 
-    monkeypatch.setattr(cli, "em_fit", fit)
+    monkeypatch.setattr(cli, "fit_model", fit)
     path = tmp_path / "file"
     path.write_bytes(b"x")
     for out in (path, path / "sub"):
@@ -474,7 +549,7 @@ def test_coordinate_outside_mask_shape_exits_2_before_any_work(
     def fit(*args, **kwargs):
         raise AssertionError("the fit ran on a bundle that fails its checks")
 
-    monkeypatch.setattr(cli, "em_fit", fit)
+    monkeypatch.setattr(cli, "fit_model", fit)
     bundle = str(tmp_path / "dataset")
     shutil.copytree(pipeline["bundle"], bundle)
     with open(os.path.join(bundle, "header.json")) as f:

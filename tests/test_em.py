@@ -25,7 +25,7 @@ from trialmix.em import (
 from trialmix.cli import main
 from trialmix.io import write_dataset
 from trialmix.linalg import inv_spd
-from trialmix.modelsel import MODEL_SPECS, compare_models
+from trialmix.modelsel import MODEL_SPECS, compare_models, fit_model
 from trialmix.simulate import SimConfig, simulate_dataset
 from trialmix.types import Dataset, DegenerateDataError
 
@@ -535,7 +535,8 @@ def test_one_residual_owner_per_fit(small_mixture, monkeypatch):
         seed_params(ds, config)
         assert len(builds) == 1
         builds.clear()
-        compare_models(ds, config)
+        fits = {mid: fit_model(ds, mid, config) for mid in MODEL_SPECS}
+        compare_models(ds, fits)
         assert len(builds) == 5
 
 
@@ -703,7 +704,8 @@ def test_dataset_is_checked_once_when_built(small_mixture, monkeypatch,
         calls.clear()
         em_fit(ds)
         seed_params(ds)
-        compare_models(ds, EmConfig(max_iter=20))
+        compare_models(ds, {mid: fit_model(ds, mid, EmConfig(max_iter=20))
+                            for mid in MODEL_SPECS})
     assert calls == []
 
 

@@ -105,7 +105,8 @@ def test_fit_model_dispatch(tiny_dataset):
 
 def test_compare_models_table(tiny_dataset):
     cfg = EmConfig(max_iter=60)
-    cmp = compare_models(tiny_dataset, cfg)
+    fits = {mid: fit_model(tiny_dataset, mid, cfg) for mid in MODEL_SPECS}
+    cmp = compare_models(tiny_dataset, fits)
     d = tiny_dataset.dims
     assert [r.model_id for r in cmp.rows] == [1, 2, 3, 4, 5]
     assert cmp.n_obs == d.n_voxels * d.n_images
@@ -121,7 +122,9 @@ def test_compare_models_table(tiny_dataset):
 
 def test_compare_models_subset_and_custom_n_obs(tiny_dataset):
     cfg = EmConfig(max_iter=30)
-    cmp = compare_models(tiny_dataset, cfg, CompareConfig(models=(1, 2), n_obs=50))
+    fits = {mid: fit_model(tiny_dataset, mid, cfg) for mid in (1, 2)}
+    cmp = compare_models(tiny_dataset, fits,
+                         CompareConfig(models=(1, 2), n_obs=50))
     assert [r.model_id for r in cmp.rows] == [1, 2]
     assert cmp.n_obs == 50
     with pytest.raises(ValueError):
