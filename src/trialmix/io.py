@@ -5,7 +5,11 @@ A dataset lives in a directory as a tiny self-described format:
     header.json   geometry, timing, format version "1", endianness tag
     data.f64      little-endian float64, voxel-major then time (8*V*N bytes)
     design.csv    N rows by q columns with a header row (absent when q = 0)
-    truth.json    optional generator ground truth
+    truth.json    optional generator ground truth: seed, jitter undo shifts
+                  and the global parameters
+    truth.f64     with truth.json: little-endian float64, one row per voxel
+                  of label, amplitude and coefficients x1..xq (8*V*(2+q)
+                  bytes)
 
 Everything round-trips bit-identically: raw bytes for the series, 17
 significant digits for CSV floats, shortest-roundtrip repr for JSON
@@ -33,7 +37,8 @@ JSON object, its keys and the type each value is cast to (_render, the
 inverse of _check). A write-only file keeps its layout in its one writer.
 
 OutputDir stages a run's files inside its output directory and moves
-them into place together when the run succeeds.
+them into place together when the run succeeds; a staged directory
+(a bundle) replaces the one it lands on whole.
 """
 from __future__ import annotations
 
@@ -82,6 +87,7 @@ HEADER_NAME = "header.json"
 DATA_NAME = "data.f64"
 DESIGN_NAME = "design.csv"
 TRUTH_NAME = "truth.json"
+TRUTH_ARRAYS_NAME = "truth.f64"
 
 
 class BundleFormatError(ValueError):
@@ -94,8 +100,10 @@ class OutputDir:
     Making it creates ``root`` if needed (OSError if it cannot be a
     directory) and a fresh staging directory inside it, where
     ``path(name)`` points. A clean exit from the ``with`` block moves
-    every staged file to its relative path under ``root``; an exception
-    leaves ``root`` as it was, or removes it if this run made it.
+    every staged file to its name under ``root``, and every staged
+    directory to its name in place of whatever held that name, so a
+    bundle directory holds one run's files; an exception leaves ``root``
+    as it was, or removes it if this run made it.
     """
 
     def __init__(self, root: str) -> None:
@@ -114,11 +122,16 @@ class OutputDir:
         failed = exc_type is not None
         try:
             if not failed:
-                for folder, _, names in os.walk(self._staging):
-                    dest = self.root + folder[len(self._staging):]
-                    os.makedirs(dest, exist_ok=True)
-                    for name in names:
-                        os.replace(f"{folder}/{name}", f"{dest}/{name}")
+                names = os.listdir(self._staging)
+                # what a staged directory replaces moves into the staging
+                # directory, removed below
+                old = tempfile.mkdtemp(prefix=".old-", dir=self._staging)
+                for name in names:
+                    staged = os.path.join(self._staging, name)
+                    dest = os.path.join(self.root, name)
+                    if os.path.isdir(staged) and os.path.lexists(dest):
+                        os.rename(dest, os.path.join(old, name))
+                    os.replace(staged, dest)
         finally:
             shutil.rmtree(self.root if failed and self._made else self._staging)
 
@@ -350,12 +363,14 @@ def write_json(obj: dict, path: str) -> None:
 
 @_gc_paused()
 def write_dataset(
-    dataset: Dataset, path: str, truth: SimTruth | bytes | None = None
+    dataset: Dataset, path: str,
+    truth: SimTruth | tuple[bytes, bytes] | None = None,
 ) -> None:
     """Write a bundle directory; creates it if needed.
 
-    ``truth`` is ground truth to render into truth.json, or the bytes of
-    another bundle's truth.json (read_truth_bytes), copied as they are.
+    ``truth`` is ground truth to write into truth.json and truth.f64, or
+    the bytes of another bundle's two truth files (read_truth_bytes),
+    copied as they are.
     """
     os.makedirs(path, exist_ok=True)
     d = dataset.dims
@@ -369,12 +384,16 @@ def write_dataset(
     if d.n_covariates > 0:
         write_csv(os.path.join(path, DESIGN_NAME), list(_design_columns(d)),
                   columns=dataset.design.T)
-    truth_path = os.path.join(path, TRUTH_NAME)
-    if isinstance(truth, bytes):
-        with open(truth_path, "wb") as f:
-            f.write(truth)
+    if isinstance(truth, SimTruth):
+        _write_record(os.path.join(path, TRUTH_NAME), TRUTH_NAME, truth)
+        rows = np.column_stack([truth.labels, truth.params.amplitude,
+                                truth.params.coeffs])
+        np.ascontiguousarray(rows, dtype="<f8").tofile(
+            os.path.join(path, TRUTH_ARRAYS_NAME))
     elif truth is not None:
-        _write_record(truth_path, TRUTH_NAME, truth)
+        for name, raw in zip((TRUTH_NAME, TRUTH_ARRAYS_NAME), truth, strict=True):
+            with open(os.path.join(path, name), "wb") as f:
+                f.write(raw)
 
 
 def _design_columns(dims: Dims) -> dict:
@@ -440,15 +459,24 @@ def read_params_json(path: str) -> MixtureParams:
     return _check_object(_load_json(path, name), ARTIFACTS["params.json"], name)
 
 
-def read_truth_bytes(path: str) -> bytes | None:
-    """A bundle's truth.json as raw bytes, or None when it is absent."""
-    try:
-        with open(os.path.join(path, TRUTH_NAME), "rb") as f:
-            return f.read()
-    except FileNotFoundError:
-        return None
-    except OSError as e:
-        raise BundleFormatError(f"{TRUTH_NAME}: {e.strerror}") from None
+def read_truth_bytes(path: str) -> tuple[bytes, bytes] | None:
+    """A bundle's truth.json and truth.f64 as raw bytes, or None when it
+    has neither; one without the other is a BundleFormatError."""
+    raws = {}
+    for name in (TRUTH_NAME, TRUTH_ARRAYS_NAME):
+        try:
+            with open(os.path.join(path, name), "rb") as f:
+                raws[name] = f.read()
+        except FileNotFoundError:
+            pass
+        except OSError as e:
+            raise BundleFormatError(f"{name}: {e.strerror}") from None
+    if len(raws) == 1:
+        (present,) = raws
+        missing = TRUTH_ARRAYS_NAME if present == TRUTH_NAME else TRUTH_NAME
+        raise BundleFormatError(
+            f"{missing}: file not found, though {present} is present")
+    return tuple(raws.values()) or None
 
 
 def _scale_to_bytes(plane: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -519,8 +547,11 @@ ARTIFACTS = {
                     "tr": float, "stimulus_times": np.ndarray,
                     "coords": np.int64,
                     "mask_shape": tuple[int, int, int] | None},
-    "truth.json": {"seed": int, "labels": np.int64,
-                   "shift_offsets": np.ndarray | None, "params": MixtureParams},
+    # the per-voxel truth (label, amplitude, coeffs) is truth.f64's rows
+    "truth.json": {"seed": int, "shift_offsets": np.ndarray | None,
+                   "params": {"active_prob": float, "hrf": np.ndarray,
+                              "within_cov": np.ndarray,
+                              "between_cov": np.ndarray, "noise_var": float}},
     "params.json": MixtureParams,
     "resp.csv": {"voxel": int, "resp": float, "amplitude": float},
     "loglik.csv": {"iteration": int, "loglik": float},

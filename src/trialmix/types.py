@@ -48,12 +48,13 @@ MAX_FACTOR_DIM = 64
 def _gc_paused():
     """Run a block, or a decorated function, with the cyclic GC paused.
 
-    Bundle, truth and parameter JSON hold one short list per voxel row;
-    the lists hold no cycles, and the short-lived ones are gone before
-    the collector resumes. With the collector on, building them set off
-    132 young, 11 middle and one full collection (12 ms), 21-23 ms in
-    all, in a V=50k simulate, and 57 collections (3.5 ms) in a V=20k fit
-    or infer; paused, one or two young collections run.
+    Bundle and parameter JSON hold one short list per voxel row; the
+    lists hold no cycles, and the short-lived ones are gone before the
+    collector resumes. With the collector on, building them set off 132
+    young, 11 middle and one full collection (12 ms), 21-23 ms in all,
+    in a V=50k simulate whose truth.json still held per-voxel rows, and
+    57 collections (3.5 ms) in a V=20k fit or infer; paused, one or two
+    young collections run.
     """
     if not gc.isenabled():
         yield

@@ -89,11 +89,28 @@ def write_bundle_by_hand(path, n_times, n_epochs, n_voxels=30, seed=0):
 
 
 def read_truth(path: str) -> SimTruth | None:
-    """A bundle's ground truth through truth.json's declaration, or None
-    when the sidecar is absent."""
-    if not os.path.exists(os.path.join(path, io.TRUTH_NAME)):
+    """A bundle's ground truth, or None when it carries none: truth.json
+    through its declaration, and truth.f64's rows (label, amplitude,
+    x1..xq per voxel) at header.json's dims. A sidecar of another size
+    than 8*V*(2+q) bytes, or a label other than 0 or 1, raises
+    BundleFormatError."""
+    if io.read_truth_bytes(path) is None:
         return None
-    return SimTruth(**io._read_record(path, io.TRUTH_NAME))
+    record = io._read_record(path, io.TRUTH_NAME)
+    dims = io._read_record(path, io.HEADER_NAME)["dims"]
+    width = 2 + dims.n_covariates
+    sidecar = os.path.join(path, io.TRUTH_ARRAYS_NAME)
+    expected, actual = 8 * dims.n_voxels * width, os.path.getsize(sidecar)
+    if actual != expected:
+        raise io.BundleFormatError(
+            f"{io.TRUTH_ARRAYS_NAME}: expected {expected} bytes, found {actual}")
+    rows = np.fromfile(sidecar, dtype="<f8").reshape(dims.n_voxels, width)
+    if not np.isin(rows[:, 0], (0.0, 1.0)).all():
+        raise io.BundleFormatError(
+            f"{io.TRUTH_ARRAYS_NAME}: a label is not 0 or 1")
+    params = MixtureParams(amplitude=rows[:, 1].copy(),
+                           coeffs=rows[:, 2:].copy(), **record.pop("params"))
+    return SimTruth(params=params, labels=rows[:, 0].astype(np.int64), **record)
 
 
 # ------------------------------------------------ single-voxel oracles

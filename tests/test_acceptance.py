@@ -375,6 +375,7 @@ def test_criterion_12_bitwise_determinism(tmp_path):
             "data.f64": os.path.join(bundle, "data.f64"),
             "header.json": os.path.join(bundle, "header.json"),
             "truth.json": os.path.join(bundle, "truth.json"),
+            "truth.f64": os.path.join(bundle, "truth.f64"),
             "params.json": os.path.join(fit, "params.json"),
             "resp.csv": os.path.join(fit, "resp.csv"),
             "loglik.csv": os.path.join(fit, "loglik.csv"),

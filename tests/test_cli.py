@@ -356,6 +356,7 @@ WRONG_PATHS = {
     "header.json-is-a-directory": (["preprocess", "BUNDLE"], "header.json"),
     "design.csv-is-a-directory": (["preprocess", "BUNDLE"], "design.csv"),
     "truth.json-is-a-directory": (["preprocess", "BUNDLE"], "truth.json"),
+    "truth.f64-is-a-directory": (["preprocess", "BUNDLE"], "truth.f64"),
     "config-is-a-directory": (["simulate", "--config", "DIR"], None),
 }
 
@@ -648,6 +649,40 @@ def test_rerun_into_an_output_directory_replaces_only_its_files(pipeline,
                  "--out", out]) == 0
     assert _tree_bytes(out) == {**_tree_bytes(pipeline["fit"]),
                                 "mine.txt": b"mine\n"}
+
+
+def test_rerun_into_an_output_directory_replaces_its_bundle_whole(tmp_path):
+    # a bundle without truth preprocessed into an --out that holds one
+    # with truth once kept the earlier truth.json
+    ds, truth = simulate_dataset(SimConfig(n_voxels=60, n_covariates=1), seed=0)
+    with_truth, without = str(tmp_path / "with"), str(tmp_path / "without")
+    write_dataset(ds, with_truth, truth)
+    write_dataset(ds, without)
+    out = str(tmp_path / "pre")
+    assert main(["preprocess", with_truth, "--out", out]) == 0
+    assert {"truth.json", "truth.f64"} <= set(os.listdir(f"{out}/dataset"))
+    with open(os.path.join(out, "mine.txt"), "w") as f:
+        f.write("mine\n")
+    assert main(["preprocess", without, "--out", out]) == 0
+    fresh = str(tmp_path / "fresh")
+    assert main(["preprocess", without, "--out", fresh]) == 0
+    assert _tree_bytes(out) == {**_tree_bytes(fresh), "mine.txt": b"mine\n"}
+    assert sorted(os.listdir(out)) == ["dataset", "mine.txt"]
+
+
+@pytest.mark.parametrize("missing", ["truth.json", "truth.f64"])
+def test_one_truth_file_without_the_other_exits_2(tmp_path, capsys, missing):
+    ds, truth = simulate_dataset(SimConfig(n_voxels=60, n_covariates=1), seed=0)
+    bundle = str(tmp_path / "bundle")
+    write_dataset(ds, bundle, truth)
+    os.remove(os.path.join(bundle, missing))
+    out = str(tmp_path / "out")
+    capsys.readouterr()
+    assert main(["preprocess", bundle, "--out", out]) == 2
+    err = _single_error_line(capsys)
+    assert err["type"] == "BundleFormatError"
+    assert err["message"].startswith(f"{missing}: file not found")
+    assert not os.path.exists(out)
 
 
 def test_readme_config_block_loads(tmp_path):
@@ -949,6 +984,20 @@ def test_fit_bit_identical_under_optimization(tmp_path):
         stdout = _run_cli(["fit", bundle, "--out", out], flags=flags)
         fits.append((stdout.replace(out, "OUT"), _tree_bytes(out)))
     assert fits[1] == fits[0]
+
+
+def test_simulate_bit_identical_across_blas_threads(tmp_path):
+    # 631 voxels end in a 119-voxel block, not a multiple of 8
+    cfg = str(tmp_path / "config.json")
+    with open(cfg, "w") as f:
+        json.dump({"simulate": {"n_voxels": 631}}, f)
+    bundles = {}
+    for threads in (1, 2):
+        out = str(tmp_path / f"sim{threads}")
+        _run_cli(["simulate", "--config", cfg, "--out", out], threads)
+        bundles[threads] = _tree_bytes(out)
+    assert "dataset/truth.f64" in bundles[1]
+    assert bundles[1] == bundles[2]
 
 
 def test_report_bit_identical_across_blas_threads(tmp_path):

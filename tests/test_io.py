@@ -52,20 +52,47 @@ def test_dataset_roundtrip_is_bitwise(bundle):
         assert f.read() == np.ascontiguousarray(ds.series, "<f8").tobytes()
 
 
-def test_truth_roundtrip(bundle):
-    _, truth, path = bundle
-    back = read_truth(path)
-    assert back is not None
-    np.testing.assert_array_equal(back.labels, truth.labels)
-    assert back.seed == truth.seed
-    np.testing.assert_array_equal(back.shift_offsets, truth.shift_offsets)
-    np.testing.assert_array_equal(
-        back.params.amplitude, truth.params.amplitude
-    )
-    np.testing.assert_array_equal(
-        back.params.within_cov, truth.params.within_cov
-    )
-    assert back.params.active_prob == truth.params.active_prob
+def _truth_bits(truth):
+    """Every SimTruth field's shape, dtype and bytes, parameters included."""
+    values = ([getattr(truth, k) for k in ("labels", "seed", "shift_offsets")]
+              + [getattr(truth.params, f.name) for f in fields(truth.params)])
+    return [(np.shape(v), _bits(v)) for v in values]
+
+
+# q=6, q=0 (a two-column sidecar) and jittered phase (shift_offsets set)
+TRUTH_CASES = {
+    "q6": dict(n_voxels=300, n_covariates=6),
+    "q0": dict(n_voxels=7, n_times=4, n_epochs=3, n_covariates=0),
+    "jitter": dict(n_voxels=12, n_times=4, n_epochs=3, n_covariates=2,
+                   phase="jitter"),
+}
+
+
+def test_truth_roundtrip(tmp_path):
+    for case, sim in TRUTH_CASES.items():
+        ds, truth = simulate_dataset(SimConfig(**sim), seed=6)
+        path = str(tmp_path / case)
+        write_dataset(ds, path, truth)
+        assert _truth_bits(read_truth(path)) == _truth_bits(truth), case
+        q = ds.dims.n_covariates
+        assert os.path.getsize(os.path.join(path, "truth.f64")) == \
+            8 * ds.dims.n_voxels * (2 + q), case
+        with open(os.path.join(path, "truth.json")) as f:
+            assert set(json.load(f)) == {"seed", "shift_offsets", "params"}
+
+
+def test_truth_sidecar_of_another_size_or_label_is_refused(bundle):
+    _, _, path = bundle
+    sidecar = os.path.join(path, "truth.f64")
+    rows = np.fromfile(sidecar, dtype="<f8").reshape(12, 4)
+    rows[:-1].tofile(sidecar)
+    with pytest.raises(BundleFormatError,
+                       match="truth.f64: expected 384 bytes, found 352"):
+        read_truth(path)
+    rows[3, 0] = 2.0
+    rows.tofile(sidecar)
+    with pytest.raises(BundleFormatError, match="label is not 0 or 1"):
+        read_truth(path)
 
 
 def test_writers_agree_with_the_declarations(bundle, tmp_path):
@@ -120,7 +147,8 @@ def test_write_twice_is_byte_identical(bundle, tmp_path):
     ds, truth, path = bundle
     other = str(tmp_path / "again")
     write_dataset(ds, other, truth)
-    for name in ("header.json", "data.f64", "design.csv", "truth.json"):
+    for name in ("header.json", "data.f64", "design.csv", "truth.json",
+                 "truth.f64"):
         with open(os.path.join(path, name), "rb") as f:
             a = f.read()
         with open(os.path.join(other, name), "rb") as f:
@@ -584,9 +612,9 @@ def test_write_dataset_copies_truth_bytes(tmp_path):
     raw = read_truth_bytes(src)
     dst = str(tmp_path / "dst")
     write_dataset(ds, dst, raw)
-    assert _read_bytes(os.path.join(dst, "truth.json")) == raw
-    back = read_truth(dst)
-    np.testing.assert_array_equal(back.labels, truth.labels)
+    assert tuple(_read_bytes(os.path.join(dst, name))
+                 for name in ("truth.json", "truth.f64")) == raw
+    assert _truth_bits(read_truth(dst)) == _truth_bits(truth)
     assert read_truth_bytes(str(tmp_path)) is None
 
 
