@@ -30,8 +30,9 @@ failure in the parent's lane kills the worker and drops its fits and
 warnings; a worker that dies ends the run in exit 3.
 
 Exit codes: 0 success, 2 usage or configuration error (including a
-malformed bundle, fit or inference directory, or an --out that cannot
-be a directory), 3 numerical failure. Failures print one
+malformed bundle, fit or inference directory, an --out that cannot be
+a directory, or one that holds a directory where the run writes a
+file), 3 numerical failure. Failures print one
 machine-readable JSON object to stderr, with the messages of the
 warnings the command raised in its "warnings" list; a command that
 succeeds prints its warnings as Python does.
@@ -420,7 +421,8 @@ def main(argv: list[str] | None = None) -> int:
             # the command stages its files; they appear only if it succeeds
             with out:
                 summary = args.func(args, config, out)
-    except (ConfigError, io.BundleFormatError, FileNotFoundError) as e:
+    except (ConfigError, io.BundleFormatError, FileNotFoundError,
+            IsADirectoryError) as e:
         return _fail(2, e, caught)
     except (DegenerateDataError, SingularMatrixError, np.linalg.LinAlgError,
             FloatingPointError, ChildProcessError) as e:

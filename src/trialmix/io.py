@@ -2,8 +2,10 @@
 
 A dataset lives in a directory as a tiny self-described format:
 
-    header.json   geometry, timing, format version "1", endianness tag
+    header.json   geometry, timing, format version "2", endianness tag
     data.f64      little-endian float64, voxel-major then time (8*V*N bytes)
+    coords.csv    one row of integer coordinates x,y,z per voxel, in the
+                  order of data.f64's voxels
     design.csv    N rows by q columns with a header row (absent when q = 0)
     truth.json    optional generator ground truth: seed, jitter undo shifts
                   and the global parameters
@@ -11,30 +13,36 @@ A dataset lives in a directory as a tiny self-described format:
                   of label, amplitude and coefficients x1..xq (8*V*(2+q)
                   bytes)
 
+One rule places every value: JSON holds only global values, and per-voxel
+values live in tables (CSV files and the float64 files), so no JSON file
+grows with the voxel count. A fit directory keeps it too: params.json
+holds the global parameters (GLOBAL_PARAMS), and resp.csv one row per
+voxel of its responsibility, amplitude and coefficients x1..xq.
+
 Everything round-trips bit-identically: raw bytes for the series, 17
 significant digits for CSV floats, shortest-roundtrip repr for JSON
-floats; params.json holds every MixtureParams field, so read_fit gives
-back the parameters write_fit wrote. CSV output uses '.' decimals, ','
-separators, LF line endings.
+floats; read_fit rebuilds from params.json and resp.csv the parameters
+write_fit wrote. CSV output uses '.' decimals, ',' separators, LF line
+endings.
 
-Text artifacts are rendered a row or an array at a time, not a cell at a
-time. write_csv turns each column into Python values once (ndarray
-.tolist()) and formats every row through one printf template, %.17g for
-float columns and %s for columns that hold no float, which is the text
-f"{x:.17g}" and str give per cell; a column mixing floats with other
-values raises ValueError. JSON files are the bytes of json.dump(indent=2,
-sort_keys=True) plus a newline; _json_text writes lists of plain ints or
-finite floats, and lists of equal-length rows of them, with one %r
-template instead of json's pure-Python indenting encoder.
+CSV files are rendered a row at a time, not a cell at a time. write_csv
+turns each column into Python values once (ndarray .tolist()) and
+formats every row through one printf template, %.17g for float columns
+and %s for columns that hold no float, which is the text f"{x:.17g}" and
+str give per cell; a column mixing floats with other values raises
+ValueError. JSON files are json.dump(indent=2, sort_keys=True) plus a
+newline.
 
 Every command artifact is written here. Each file trialmix reads is
-declared once, in ARTIFACTS (design.csv, whose header is x1..xq, in
-_design_columns). Every JSON object read, the run config too, is checked
-against its declaration by _check_object, and every CSV by _read_table.
-The writers take their layout from the same declaration: the table
-writers their header, and _write_record, the one writer of a declared
-JSON object, its keys and the type each value is cast to (_render, the
-inverse of _check). A write-only file keeps its layout in its one writer.
+declared once, in ARTIFACTS (design.csv and resp.csv, whose columns
+follow the dims, in _design_columns and _resp_columns). Every JSON
+object read, the run config too, is checked against its declaration by
+_check_object, and every CSV by _read_table. The writers take their
+layout from the same declaration: _write_table, the one writer of a
+declared CSV, its header and the type each column is cast to, and
+_write_record, the one writer of a declared JSON object, its keys and
+the type each value is cast to (_render, the inverse of _check). A
+write-only file keeps its layout in its one writer.
 
 OutputDir stages a run's files inside its output directory and moves
 them into place together when the run succeeds; a staged directory
@@ -42,10 +50,10 @@ them into place together when the run succeeds; a staged directory
 """
 from __future__ import annotations
 
+import errno
 import inspect
 import itertools
 import json
-import math
 import os
 import reprlib
 import shutil
@@ -59,7 +67,7 @@ import numpy as np
 from .inference import FdrResult
 from .modelsel import ModelComparison
 from .types import (ActivationMap, Dataset, Dims, FitResult, MixtureParams,
-                    SimTruth, _gc_paused, validate_params)
+                    SimTruth, validate_params)
 from .variability import PcAnalysis
 
 __all__ = [
@@ -82,9 +90,10 @@ __all__ = [
     "write_compare",
 ]
 
-FORMAT_VERSION = "1"
+FORMAT_VERSION = "2"
 HEADER_NAME = "header.json"
 DATA_NAME = "data.f64"
+COORDS_NAME = "coords.csv"
 DESIGN_NAME = "design.csv"
 TRUTH_NAME = "truth.json"
 TRUTH_ARRAYS_NAME = "truth.f64"
@@ -103,7 +112,9 @@ class OutputDir:
     every staged file to its name under ``root``, and every staged
     directory to its name in place of whatever held that name, so a
     bundle directory holds one run's files; an exception leaves ``root``
-    as it was, or removes it if this run made it.
+    as it was, or removes it if this run made it. Every destination is
+    checked before the first move: a staged file whose name ``root``
+    holds as a directory raises IsADirectoryError naming that path.
     """
 
     def __init__(self, root: str) -> None:
@@ -123,6 +134,13 @@ class OutputDir:
         try:
             if not failed:
                 names = os.listdir(self._staging)
+                for name in names:
+                    dest = os.path.join(self.root, name)
+                    if (not os.path.isdir(os.path.join(self._staging, name))
+                            and os.path.isdir(dest) and not os.path.islink(dest)):
+                        raise IsADirectoryError(
+                            errno.EISDIR, "a file of this run cannot replace "
+                            "the directory", dest)
                 # what a staged directory replaces moves into the staging
                 # directory, removed below
                 old = tempfile.mkdtemp(prefix=".old-", dir=self._staging)
@@ -192,8 +210,7 @@ def _check(value, hint):
     Only a bool hint takes true or false. A float hint takes any finite
     number, as a float; a tuple hint a list of its length; a union what
     one of its members takes. An np.ndarray hint takes lists, nested to
-    any depth, of finite numbers, as a float64 array, and an np.int64
-    hint lists of ints, as an int64 array.
+    any depth, of finite numbers, as a float64 array.
     """
     args = typing.get_args(hint)
     if isinstance(value, bool) and hint is not bool:
@@ -201,8 +218,8 @@ def _check(value, hint):
     elif hint is float and isinstance(value, (int, float)):
         if abs(value) <= sys.float_info.max:
             return float(value)
-    elif hint in (np.ndarray, np.int64) and isinstance(value, list):
-        return _check_array(value, hint)
+    elif hint is np.ndarray and isinstance(value, list):
+        return _check_array(value)
     elif typing.get_origin(hint) is tuple:
         if isinstance(value, list):
             if args[-1] is Ellipsis:
@@ -220,20 +237,19 @@ def _check(value, hint):
     raise TypeError(hint)
 
 
-def _check_array(value: list, hint) -> np.ndarray:
-    """Nested lists of JSON numbers as _check's array ``hint``, or TypeError."""
+def _check_array(value: list) -> np.ndarray:
+    """Nested lists of finite JSON numbers as a float64 array, or TypeError."""
     leaves = value
     while leaves and type(leaves[0]) is list:
         leaves = list(itertools.chain.from_iterable(leaves))
-    ints = hint is np.int64
-    if not set(map(type, leaves)) <= ({int} if ints else {int, float}):
-        raise TypeError(hint)
+    if not set(map(type, leaves)) <= {int, float}:
+        raise TypeError(np.ndarray)
     try:
-        array = np.array(value, dtype=np.int64 if ints else np.float64)
-    except (ValueError, OverflowError):  # ragged, or out of the dtype's range
-        raise TypeError(hint) from None
-    if not ints and not np.isfinite(array).all():
-        raise TypeError(hint)
+        array = np.array(value, dtype=np.float64)
+    except (ValueError, OverflowError):  # ragged, or out of float64's range
+        raise TypeError(np.ndarray) from None
+    if not np.isfinite(array).all():
+        raise TypeError(np.ndarray)
     return array
 
 
@@ -243,7 +259,7 @@ def _render(value, hint):
 
     A dataclass or declaration hint gives an object rendered key by key
     from a mapping's items or an object's attributes; an array hint
-    nested lists of its dtype; a tuple hint a list; a union such as
+    nested lists of floats; a tuple hint a list; a union such as
     float | None null for None and its first member's rendering
     otherwise; any other hint (float, int, bool, str) casts.
     """
@@ -251,9 +267,8 @@ def _render(value, hint):
         hints = hint if isinstance(hint, dict) else typing.get_type_hints(hint)
         items = value if isinstance(value, dict) else vars(value)
         return {key: _render(items[key], h) for key, h in hints.items()}
-    if hint in (np.ndarray, np.int64):
-        return np.asarray(value, np.float64 if hint is np.ndarray
-                          else np.int64).tolist()
+    if hint is np.ndarray:
+        return np.asarray(value, np.float64).tolist()
     args = typing.get_args(hint)
     if typing.get_origin(hint) is tuple:
         return list(map(_render, value, args))
@@ -298,8 +313,7 @@ def _check_object(obj, schema, name: str, error: type = BundleFormatError,
             values[key] = _check(obj.get(key), hint)
         except TypeError:
             kind = inspect.formatannotation(hint).replace(
-                "numpy.ndarray", "array of finite numbers").replace(
-                "numpy.int64", "array of ints")
+                "numpy.ndarray", "array of finite numbers")
             got = reprlib.repr(obj[key]) if key in obj else "no value"
             raise error(f"{name}: {where}: expected {kind}, got {got}") from None
     if isinstance(schema, dict):
@@ -310,58 +324,13 @@ def _check_object(obj, schema, name: str, error: type = BundleFormatError,
         raise error(f"{prefix}{e}") from None
 
 
-def _plain_numbers(values: list) -> bool:
-    """All plain ints, or all finite plain floats: json writes repr()."""
-    kinds = set(map(type, values))
-    return kinds == {int} or (
-        kinds == {float} and all(map(math.isfinite, values))
-    )
-
-
-def _row_width(values: list) -> int:
-    """The common length of rows of plain numbers, or 0 if not such rows."""
-    widths = {len(v) if isinstance(v, (list, tuple)) else 0 for v in values}
-    if len(widths) != 1 or 0 in widths:
-        return 0
-    return widths.pop() if _plain_numbers([x for r in values for x in r]) else 0
-
-
-def _json_text(value, depth: int = 0) -> str:
-    """json.dumps(value, indent=2, sort_keys=True), nested ``depth`` deep.
-
-    Lists of plain ints or finite floats, and lists of equal-length rows
-    of them, are rendered through one %r template (repr is the text json
-    writes for those), so long arrays skip json's pure-Python indenting
-    encoder; the bytes are the same. Everything else goes to json.
-    """
-    pad = "\n" + "  " * (depth + 1)
-    if isinstance(value, dict) and value and all(type(k) is str for k in value):
-        items = [
-            json.dumps(key) + ": " + _json_text(value[key], depth + 1)
-            for key in sorted(value)
-        ]
-        return "{" + pad + ("," + pad).join(items) + pad[:-2] + "}"
-    if isinstance(value, (list, tuple)) and value:
-        if _plain_numbers(value):
-            items = list(map(repr, value))
-        elif width := _row_width(value):
-            inner = pad + "  "
-            row = "[" + inner + ("," + inner).join(["%r"] * width) + pad + "]"
-            items = [row % tuple(r) for r in value]
-        else:
-            items = [_json_text(v, depth + 1) for v in value]
-        return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
-    # json's own newlines are all structural: strings escape theirs
-    return json.dumps(value, indent=2, sort_keys=True).replace("\n", pad[:-2])
-
-
 def write_json(obj: dict, path: str) -> None:
-    """The bytes of json.dump(obj, indent=2, sort_keys=True) plus a newline."""
+    """json.dump(obj, indent=2, sort_keys=True) plus a newline."""
     with open(path, "w", newline="\n") as f:
-        f.write(_json_text(obj) + "\n")
+        json.dump(obj, f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
-@_gc_paused()
 def write_dataset(
     dataset: Dataset, path: str,
     truth: SimTruth | tuple[bytes, bytes] | None = None,
@@ -377,13 +346,15 @@ def write_dataset(
     _write_record(os.path.join(path, HEADER_NAME), HEADER_NAME, {
         "version": FORMAT_VERSION, "endianness": "little", "dims": d,
         "tr": dataset.tr, "stimulus_times": dataset.stimulus_times,
-        "coords": dataset.coords, "mask_shape": dataset.mask_shape})
+        "mask_shape": dataset.mask_shape})
     data = np.ascontiguousarray(dataset.series, dtype="<f8")
     with open(os.path.join(path, DATA_NAME), "wb") as f:
         data.tofile(f)
+    _write_table(os.path.join(path, COORDS_NAME), ARTIFACTS[COORDS_NAME],
+                 dataset.coords.T)
     if d.n_covariates > 0:
-        write_csv(os.path.join(path, DESIGN_NAME), list(_design_columns(d)),
-                  columns=dataset.design.T)
+        _write_table(os.path.join(path, DESIGN_NAME),
+                     _design_columns(d.n_covariates), dataset.design.T)
     if isinstance(truth, SimTruth):
         _write_record(os.path.join(path, TRUTH_NAME), TRUTH_NAME, truth)
         rows = np.column_stack([truth.labels, truth.params.amplitude,
@@ -396,25 +367,35 @@ def write_dataset(
                 f.write(raw)
 
 
-def _design_columns(dims: Dims) -> dict:
+def _design_columns(n_covariates: int) -> dict:
     """design.csv's declaration: one float column x1..xq per covariate."""
-    return {f"x{j + 1}": float for j in range(dims.n_covariates)}
+    return {f"x{j + 1}": float for j in range(n_covariates)}
 
 
-@_gc_paused()
+def _resp_columns(n_covariates: int) -> dict:
+    """resp.csv's declaration: each voxel's responsibility, amplitude and
+    covariate coefficients x1..xq."""
+    return {"voxel": int, "resp": float, "amplitude": float,
+            **_design_columns(n_covariates)}
+
+
 def read_dataset(path: str) -> Dataset:
     """Read a bundle directory back; exact inverse of write_dataset.
 
-    Unparseable files, values of a type other than the declared one, and
-    contents the Dataset constructor rejects raise BundleFormatError; the
-    design need not be centered.
+    The format version is checked first, so a bundle of another version
+    is refused by its version, not by a key that version has. Unparseable
+    files, values of a type other than the declared one, and contents
+    the Dataset constructor rejects raise BundleFormatError; the design
+    need not be centered.
     """
-    header = _read_record(path, HEADER_NAME)
-    if header["version"] != FORMAT_VERSION:
+    raw = _load_json(os.path.join(path, HEADER_NAME), HEADER_NAME)
+    version = raw.get("version")
+    if isinstance(version, str) and version != FORMAT_VERSION:
         raise BundleFormatError(
-            f"{HEADER_NAME}: format version {header['version']!r} unsupported "
-            f"(expected {FORMAT_VERSION!r})"
+            f"{HEADER_NAME}: format version {reprlib.repr(version)} "
+            f"unsupported (expected {FORMAT_VERSION!r})"
         )
+    header = _check_object(raw, ARTIFACTS[HEADER_NAME], HEADER_NAME)
     if header["endianness"] != "little":
         raise BundleFormatError(
             f"{HEADER_NAME}: endianness {header['endianness']!r} unsupported"
@@ -435,26 +416,28 @@ def read_dataset(path: str) -> Dataset:
     series = np.fromfile(data_path, dtype="<f8").reshape(
         dims.n_voxels, dims.n_images
     )
+    coords = np.column_stack(list(_read_table(
+        path, COORDS_NAME, dims.n_voxels).values()))
+    design = np.zeros((dims.n_images, 0))
     if dims.n_covariates > 0:
         design = np.column_stack(list(_read_table(
-            path, DESIGN_NAME, dims.n_images, _design_columns(dims)).values()))
-    else:
-        design = np.zeros((dims.n_images, 0))
+            path, DESIGN_NAME, dims.n_images,
+            _design_columns(dims.n_covariates)).values()))
     try:
-        return Dataset(dims, series, design, header["coords"],
-                       header["stimulus_times"], header["tr"],
-                       header["mask_shape"])
+        return Dataset(dims, series, design, coords, header["stimulus_times"],
+                       header["tr"], header["mask_shape"])
     except ValueError as e:
         raise BundleFormatError(f"{path}: {e}") from None
 
 
-@_gc_paused()
 def write_params_json(params: MixtureParams, path: str) -> None:
+    """params.json: the global parameters of ``params`` (GLOBAL_PARAMS)."""
     _write_record(path, "params.json", params)
 
 
-@_gc_paused()
-def read_params_json(path: str) -> MixtureParams:
+def read_params_json(path: str) -> dict:
+    """params.json's global parameters, by name, checked against
+    GLOBAL_PARAMS; read_fit adds resp.csv's per-voxel ones."""
     name = os.path.basename(path)
     return _check_object(_load_json(path, name), ARTIFACTS["params.json"], name)
 
@@ -537,23 +520,25 @@ def write_map_pgm(
 
 # ---------------------------------------------------------------- artifacts
 
+# MixtureParams' global parameters: the fields but the per-voxel
+# amplitude and coeffs, which live in tables (truth.f64, resp.csv)
+GLOBAL_PARAMS = {"active_prob": float, "hrf": np.ndarray,
+                 "within_cov": np.ndarray, "between_cov": np.ndarray,
+                 "noise_var": float}
+
 # Each file trialmix reads, declared once: its ordered CSV columns, each
 # int, float or bool (0/1 in CSV), or its JSON keys, each of a type
-# _check takes (np.ndarray: lists of finite numbers; np.int64: of ints);
-# a dataclass declares its fields' keys and types. design.csv's columns
-# depend on the bundle: _design_columns.
+# _check takes (np.ndarray: lists of finite numbers); a dataclass
+# declares its fields' keys and types. The columns of design.csv and
+# resp.csv depend on the dims: _design_columns, _resp_columns.
 ARTIFACTS = {
     "header.json": {"version": str, "endianness": str, "dims": Dims,
                     "tr": float, "stimulus_times": np.ndarray,
-                    "coords": np.int64,
                     "mask_shape": tuple[int, int, int] | None},
-    # the per-voxel truth (label, amplitude, coeffs) is truth.f64's rows
+    COORDS_NAME: {"x": int, "y": int, "z": int},
     "truth.json": {"seed": int, "shift_offsets": np.ndarray | None,
-                   "params": {"active_prob": float, "hrf": np.ndarray,
-                              "within_cov": np.ndarray,
-                              "between_cov": np.ndarray, "noise_var": float}},
-    "params.json": MixtureParams,
-    "resp.csv": {"voxel": int, "resp": float, "amplitude": float},
+                   "params": GLOBAL_PARAMS},
+    "params.json": GLOBAL_PARAMS,
     "loglik.csv": {"iteration": int, "loglik": float},
     "fit.json": {"iterations": int, "converged": bool, "loglik": float,
                  "active_prob": float},
@@ -564,10 +549,9 @@ ARTIFACTS = {
 }
 
 
-def _write_table(out: OutputDir, name: str, columns: list) -> None:
-    """A declared CSV, each column cast to its declared type."""
-    declared = ARTIFACTS[name]
-    write_csv(out.path(name), list(declared), [
+def _write_table(path: str, declared: dict, columns) -> None:
+    """The CSV ``declared`` lays out, each column cast to its declared type."""
+    write_csv(path, list(declared), [
         np.asarray(c, dtype=np.float64 if kind is float else np.int64)
         for c, kind in zip(columns, declared.values(), strict=True)
     ])
@@ -656,26 +640,35 @@ def _read_record(folder: str, name: str):
 
 
 def write_fit(out: OutputDir, fit: FitResult) -> None:
-    write_params_json(fit.params, out.path("params.json"))
-    _write_table(out, "resp.csv",
-                 [np.arange(fit.resp.size), fit.resp, fit.params.amplitude])
-    _write_table(out, "loglik.csv",
+    p = fit.params
+    write_params_json(p, out.path("params.json"))
+    _write_table(out.path("resp.csv"), _resp_columns(p.coeffs.shape[1]),
+                 [np.arange(fit.resp.size), fit.resp, p.amplitude, *p.coeffs.T])
+    _write_table(out.path("loglik.csv"), ARTIFACTS["loglik.csv"],
                  [np.arange(fit.loglik_trace.size), fit.loglik_trace])
     _write_record(out.path("fit.json"), "fit.json", {
         "iterations": fit.iterations, "converged": fit.converged,
-        "loglik": fit.loglik_trace[-1], "active_prob": fit.params.active_prob})
+        "loglik": fit.loglik_trace[-1], "active_prob": p.active_prob})
 
 
 def read_fit(folder: str, dataset: Dataset) -> FitResult:
     """The fit write_fit left in ``folder``, checked against ``dataset``
-    and by FitResult.validate, the check em_fit ends with."""
-    params = read_params_json(os.path.join(folder, "params.json"))
+    and by FitResult.validate, the check em_fit ends with. Its parameters
+    join params.json's global ones and resp.csv's per-voxel columns."""
+    dims, q = dataset.dims, dataset.dims.n_covariates
+    global_params = read_params_json(os.path.join(folder, "params.json"))
+    table = _read_table(folder, "resp.csv", dims.n_voxels, _resp_columns(q))
+    coeffs = [table[c] for c in _design_columns(q)]
+    params = MixtureParams(
+        **global_params, amplitude=np.ascontiguousarray(table["amplitude"]),
+        coeffs=np.column_stack(coeffs) if q else np.zeros((dims.n_voxels, 0)))
     try:
-        validate_params(params, dataset.dims, trace_convention=False)
+        validate_params(params, dims, trace_convention=False)
     except ValueError as e:
-        raise BundleFormatError(f"params.json: {e}") from None
+        name = "resp.csv" if "per-voxel" in str(e) else "params.json"
+        raise BundleFormatError(f"{name}: {e}") from None
     meta = _read_record(folder, "fit.json")
-    resp = _read_table(folder, "resp.csv", dataset.dims.n_voxels)["resp"]
+    resp = table["resp"]
     # the trace holds the start value and one value per iteration
     trace = _read_table(folder, "loglik.csv", meta["iterations"] + 1)["loglik"]
     fit = FitResult(params, resp, trace, meta["iterations"], meta["converged"])
@@ -697,7 +690,7 @@ def _volume_from_voxels(dataset: Dataset, values: np.ndarray):
 def write_infer(
     out: OutputDir, dataset: Dataset, amap: ActivationMap, fdr: FdrResult
 ) -> None:
-    _write_table(out, "tstats.csv", [
+    _write_table(out.path("tstats.csv"), ARTIFACTS["tstats.csv"], [
         np.arange(amap.t_stat.size), *dataset.coords.T, amap.t_stat,
         amap.pvals, amap.reject, amap.cluster,
     ])

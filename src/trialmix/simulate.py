@@ -16,7 +16,7 @@ from .em import canonical_hrf, hrf_shape_raw
 from .kernels import BLOCK, voxel_blocks
 from .linalg import matrix_sqrt
 from .types import (MAX_GRID_AXIS, Dataset, Dims, MixtureParams, SimTruth,
-                    _check_spd, _gc_paused, validate_params)
+                    _check_spd, validate_params)
 
 __all__ = [
     "SimConfig",
@@ -263,7 +263,6 @@ def _seat(bitgen: np.random.PCG64, words: list[int]) -> None:
                     "has_uint32": 0, "uinteger": 0}
 
 
-@_gc_paused()
 def generate(
     config: SimConfig,
     truth: MixtureParams,

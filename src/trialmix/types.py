@@ -10,8 +10,6 @@ factor (_spd_floor).
 """
 from __future__ import annotations
 
-import contextlib
-import gc
 import warnings
 from dataclasses import dataclass, replace
 
@@ -42,28 +40,6 @@ SPD_FLOOR = 1e-12
 MAX_GRID_AXIS = 256
 # the largest covariance factor side, n_times or n_epochs
 MAX_FACTOR_DIM = 64
-
-
-@contextlib.contextmanager
-def _gc_paused():
-    """Run a block, or a decorated function, with the cyclic GC paused.
-
-    Bundle and parameter JSON hold one short list per voxel row; the
-    lists hold no cycles, and the short-lived ones are gone before the
-    collector resumes. With the collector on, building them set off 132
-    young, 11 middle and one full collection (12 ms), 21-23 ms in all,
-    in a V=50k simulate whose truth.json still held per-voxel rows, and
-    57 collections (3.5 ms) in a V=20k fit or infer; paused, one or two
-    young collections run.
-    """
-    if not gc.isenabled():
-        yield
-        return
-    gc.disable()
-    try:
-        yield
-    finally:
-        gc.enable()
 
 
 class DegenerateDataError(ValueError):

@@ -72,17 +72,19 @@ def write_bundle_by_hand(path, n_times, n_epochs, n_voxels=30, seed=0):
     dims need not be valid: white series, no covariates, cube coords."""
     os.makedirs(path)
     header = {
-        "version": "1",
+        "version": "2",
         "endianness": "little",
         "dims": {"n_times": n_times, "n_epochs": n_epochs,
                  "n_voxels": n_voxels, "n_covariates": 0},
         "tr": 2.0,
         "stimulus_times": [2.0 * n_times * j for j in range(n_epochs)],
-        "coords": cube_coords(n_voxels).tolist(),
         "mask_shape": None,
     }
     with open(os.path.join(path, "header.json"), "w") as f:
         json.dump(header, f)
+    with open(os.path.join(path, "coords.csv"), "w") as f:
+        f.write("x,y,z\n" + "".join(
+            "%d,%d,%d\n" % tuple(row) for row in cube_coords(n_voxels)))
     series = np.random.default_rng(seed).standard_normal(
         n_voxels * n_epochs * n_times)
     series.astype("<f8").tofile(os.path.join(path, "data.f64"))

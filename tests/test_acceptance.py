@@ -374,6 +374,7 @@ def test_criterion_12_bitwise_determinism(tmp_path):
         return {
             "data.f64": os.path.join(bundle, "data.f64"),
             "header.json": os.path.join(bundle, "header.json"),
+            "coords.csv": os.path.join(bundle, "coords.csv"),
             "truth.json": os.path.join(bundle, "truth.json"),
             "truth.f64": os.path.join(bundle, "truth.f64"),
             "params.json": os.path.join(fit, "params.json"),

@@ -86,7 +86,7 @@ def test_fit_artifacts(pipeline):
     assert 0.0 <= meta["active_prob"] <= 1.0
     with open(os.path.join(out, "resp.csv")) as f:
         lines = f.read().strip().split("\n")
-    assert lines[0] == "voxel,resp,amplitude"
+    assert lines[0] == "voxel,resp,amplitude,x1"
     assert len(lines) == 151
     with open(os.path.join(out, "loglik.csv")) as f:
         trace = f.read().strip().split("\n")
@@ -94,6 +94,37 @@ def test_fit_artifacts(pipeline):
     lls = [float(ln.split(",")[1]) for ln in trace[1:]]
     assert meta["loglik"] == lls[-1]
     assert os.path.exists(os.path.join(out, "params.json"))
+
+
+def _json_sizes(root, n_voxels):
+    """simulate, preprocess and report at ``n_voxels`` under ``root``: the
+    size of every JSON file they write, by path under ``root``."""
+    cfg = root / "config.json"
+    cfg.write_text(json.dumps({"simulate": {"n_voxels": n_voxels}}))
+    for argv, out in ((["simulate"], "sim"),
+                      (["preprocess", "sim/dataset"], "pre"),
+                      (["report", "pre/dataset"], "report")):
+        argv = [str(root / a) if "/" in a else a for a in argv]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(argv + ["--config", str(cfg),
+                                "--out", str(root / out)]) == 0
+    return {str(p.relative_to(root)): p.stat().st_size
+            for p in root.rglob("*.json") if p != cfg}
+
+
+def test_no_json_file_grows_with_the_voxel_count(tmp_path, capsys):
+    # JSON holds global values only; per-voxel values live in tables
+    small, large = (tmp_path / "small", tmp_path / "large")
+    small.mkdir()
+    large.mkdir()
+    sizes = _json_sizes(small, 300)
+    grown = _json_sizes(large, 2600)
+    assert {"sim/dataset/header.json", "pre/dataset/truth.json",
+            "report/params.json", "report/report.json"} <= set(sizes)
+    assert set(grown) == set(sizes)
+    assert {name: (sizes[name], grown[name]) for name in sizes
+            if abs(grown[name] - sizes[name]) >= 2000} == {}
 
 
 def test_infer_artifacts(pipeline):
@@ -545,6 +576,28 @@ def test_out_that_cannot_be_a_directory_exits_2(pipeline, tmp_path, capsys,
     assert path.read_bytes() == b"x"
 
 
+def test_out_holding_a_directory_where_a_file_lands_exits_2(pipeline,
+                                                            tmp_path, capsys):
+    # a fit once moved two of its files into such an --out, then ended
+    # in an IsADirectoryError traceback
+    out = tmp_path / "fit"
+    out.mkdir()
+    for name in ("fit.json", "loglik.csv", "params.json"):
+        (out / name).write_bytes(b"stale\n")
+    (out / "resp.csv").mkdir()
+    (out / "resp.csv" / "mine.txt").write_bytes(b"mine\n")
+    before = _tree_bytes(out)
+    capsys.readouterr()
+    assert main(["fit", pipeline["bundle"], "--config", pipeline["cfg"],
+                 "--out", str(out)]) == 2
+    err = _single_error_line(capsys)
+    assert err["code"] == 2
+    assert str(out / "resp.csv") in err["message"]
+    assert _tree_bytes(out) == before
+    assert sorted(os.listdir(out)) == ["fit.json", "loglik.csv",
+                                       "params.json", "resp.csv"]
+
+
 def test_coordinate_outside_mask_shape_exits_2_before_any_work(
         pipeline, tmp_path, capsys, monkeypatch):
     def fit(*args, **kwargs):
@@ -554,9 +607,12 @@ def test_coordinate_outside_mask_shape_exits_2_before_any_work(
     bundle = str(tmp_path / "dataset")
     shutil.copytree(pipeline["bundle"], bundle)
     with open(os.path.join(bundle, "header.json")) as f:
-        header = json.load(f)
-    header["coords"][7] = [header["mask_shape"][0], 0, 0]
-    _edit_header(bundle, coords=header["coords"])
+        grid = json.load(f)["mask_shape"]
+    with open(os.path.join(bundle, "coords.csv")) as f:
+        lines = f.read().split("\n")
+    lines[8] = f"{grid[0]},0,0"  # the eighth voxel's row
+    with open(os.path.join(bundle, "coords.csv"), "w") as f:
+        f.write("\n".join(lines))
     out = tmp_path / "out"
     capsys.readouterr()
     assert main(["report", bundle, "--out", str(out)]) == 2
@@ -1105,6 +1161,8 @@ MALFORMED = [
     ("resp.csv", "resp=7"),
     ("resp.csv", "resp=-0.5"),
     ("resp.csv", "voxel=2.5"),
+    ("resp.csv", "amplitude=nan"),
+    ("resp.csv", "x1=inf"),
     ("loglik.csv", "loglik=-1e300"),
     ("loglik.csv", "iteration=inf"),
     ("loglik.csv", "no-rows"),
@@ -1165,8 +1223,8 @@ def _declared_keys(declared, path=""):
 def _wrong_typed(value, hint):
     """``value`` turned into one of another JSON type than ``hint``'s: a
     string for a bool or a null, true for a string, 2.5 for an int, NaN
-    for a float, and a first entry of NaN (float arrays) or 0.5 (int
-    arrays and tuples) in an array."""
+    for a float, and a first entry of NaN (arrays) or 0.5 (tuples) in a
+    list."""
     if value is None:
         return "x"
     if type(None) in typing.get_args(hint):  # an optional value's own type

@@ -27,9 +27,9 @@ from helpers import OVERSIZED_GRIDS, config_fields
 
 EDITS = ("none", "flat", "identical", "constant-epochs", "huge")
 CORRUPTIONS = ("nan", "inf", "truncate", "header-cut", "header-value",
-               "header-coord", "design-shift")
-HEADER_KEYS = ("version", "endianness", "tr", "stimulus_times", "coords",
-               "mask_shape", "n_times", "n_epochs", "n_voxels", "n_covariates")
+               "coords-cell", "design-shift")
+HEADER_KEYS = ("version", "endianness", "tr", "stimulus_times", "mask_shape",
+               "n_times", "n_epochs", "n_voxels", "n_covariates")
 BAD_VALUES = (None, "x", -1, 0, 2.5, 10**30, 10**6, [], {}, [[0, 0, 0]],
               *OVERSIZED_GRIDS)
 PREVIOUS = {"mine.txt": b"mine\n", "report.json": b"old\n"}
@@ -69,12 +69,16 @@ def _corrupt(bundle, corruption, where, value):
         (obj["dims"] if key.startswith("n_") else obj)[key] = value
         with open(header, "w") as f:
             json.dump(obj, f)
-    elif corruption == "header-coord":
-        with open(header) as f:
-            obj = json.load(f)
-        obj["coords"][where % len(obj["coords"])][where % 3] = value
-        with open(header, "w") as f:
-            json.dump(obj, f)
+    elif corruption == "coords-cell":
+        # one coordinate of coords.csv replaced by the value's JSON text
+        coords = os.path.join(bundle, "coords.csv")
+        with open(coords) as f:
+            head, *rows = f.read().splitlines()
+        cells = rows[where % len(rows)].split(",")
+        cells[where % 3] = json.dumps(value)
+        rows[where % len(rows)] = ",".join(cells)
+        with open(coords, "w") as f:
+            f.write("\n".join([head, *rows]) + "\n")
     elif corruption == "design-shift":
         # well formed, but no column is mean-centered any more
         design = os.path.join(bundle, "design.csv")
@@ -206,13 +210,15 @@ SMALL, _ = simulate_dataset(
 @example("report", "truncate", 99, None, True, 0.0)
 @example("report", "header-cut", 40, None, False, 0.0)
 @example("preprocess", "header-value", 2, 0, True, 0.0)
-@example("preprocess", "header-value", 5, None, True, 2.0)  # mask_shape null
+@example("preprocess", "header-value", 4, None, True, 2.0)  # mask_shape null
 @example("report", "design-shift", 0, None, True, 0.0)
-@example("report", "header-value", 9, 2.5, True, 0.0)  # n_covariates
-@example("preprocess", "header-value", 7, 2.5, True, 0.0)  # n_epochs
-@example("report", "header-value", 5, OVERSIZED_GRIDS[0], True, 0.0)
-@example("report", "header-value", 5, OVERSIZED_GRIDS[1], False, 0.0)
-@example("report", "header-value", 5, OVERSIZED_GRIDS[2], True, 0.0)
+@example("report", "header-value", 8, 2.5, True, 0.0)  # n_covariates
+@example("preprocess", "header-value", 6, 2.5, True, 0.0)  # n_epochs
+@example("report", "header-value", 4, OVERSIZED_GRIDS[0], True, 0.0)
+@example("report", "header-value", 4, OVERSIZED_GRIDS[1], False, 0.0)
+@example("report", "header-value", 4, OVERSIZED_GRIDS[2], True, 0.0)
+@example("report", "coords-cell", 7, 2.5, True, 0.0)
+@example("preprocess", "coords-cell", 3, 10**6, False, 2.0)
 def test_main_on_corrupted_bundles(command, corruption, where, value, previous,
                                    smooth_fwhm):
     rc = _run(command, SMALL, 1, previous, smooth_fwhm,
@@ -222,10 +228,10 @@ def test_main_on_corrupted_bundles(command, corruption, where, value, previous,
     if corruption == "header-value" and value in OVERSIZED_GRIDS:
         # as a mask_shape past the volume bound, or as any other key's value
         assert rc == 2
-    if corruption in ("header-value", "header-coord"):
-        # a value the header's declaration does not take must exit 2
+    if corruption in ("header-value", "coords-cell"):
+        # a value the declaration does not take must exit 2
         key = HEADER_KEYS[where % len(HEADER_KEYS)]
-        hint = (int if corruption == "header-coord"  # one int64 coordinate
+        hint = (int if corruption == "coords-cell"  # one coordinate
                 else typing.get_type_hints(Dims)[key] if key.startswith("n_")
                 else ARTIFACTS["header.json"][key])
         try:

@@ -100,6 +100,8 @@ def test_writers_agree_with_the_declarations(bundle, tmp_path):
     write_params_json(truth.params, str(tmp_path / "params.json"))
     with open(os.path.join(path, "design.csv")) as f:
         assert f.readline() == "x1,x2\n"
+    with open(os.path.join(path, "coords.csv")) as f:
+        assert f.readline() == "x,y,z\n"
     # each record reads back, through its declaration, to the same bits
     back = read_dataset(path)
     assert (back.dims, back.mask_shape) == (ds.dims, ds.mask_shape)
@@ -108,11 +110,12 @@ def test_writers_agree_with_the_declarations(bundle, tmp_path):
     got = read_truth(path)
     pairs += [(got.labels, truth.labels), (got.seed, truth.seed),
               (got.shift_offsets, truth.shift_offsets)]
-    for params in (got.params, read_params_json(str(tmp_path / "params.json"))):
-        pairs += [(getattr(params, k), getattr(truth.params, k)) for k in
-                  ("active_prob", "amplitude", "coeffs", "within_cov",
-                   "between_cov", "noise_var")]
-        pairs.append((params.hrf, truth.params.hrf))
+    pairs += [(getattr(got.params, f.name), getattr(truth.params, f.name))
+              for f in fields(MixtureParams)]
+    # params.json holds the global parameters only
+    written = read_params_json(str(tmp_path / "params.json"))
+    assert list(written) == list(io.GLOBAL_PARAMS)
+    pairs += [(v, getattr(truth.params, k)) for k, v in written.items()]
     for read, wrote in pairs:
         assert _bits(read) == _bits(wrote)
 
@@ -147,8 +150,8 @@ def test_write_twice_is_byte_identical(bundle, tmp_path):
     ds, truth, path = bundle
     other = str(tmp_path / "again")
     write_dataset(ds, other, truth)
-    for name in ("header.json", "data.f64", "design.csv", "truth.json",
-                 "truth.f64"):
+    for name in ("header.json", "data.f64", "coords.csv", "design.csv",
+                 "truth.json", "truth.f64"):
         with open(os.path.join(path, name), "rb") as f:
             a = f.read()
         with open(os.path.join(other, name), "rb") as f:
@@ -176,18 +179,29 @@ def _patch_header(path, **changes):
 
 def test_read_rejects_bad_version_and_endianness(bundle):
     _, _, path = bundle
-    _patch_header(path, version="2")
-    with pytest.raises(BundleFormatError, match="version '2' unsupported"):
+    _patch_header(path, version="1")
+    with pytest.raises(BundleFormatError, match="version '1' unsupported"):
         read_dataset(path)
-    _patch_header(path, version="1", endianness="big")
+    _patch_header(path, version="2", endianness="big")
     with pytest.raises(BundleFormatError, match="endianness 'big'"):
+        read_dataset(path)
+
+
+def test_read_refuses_a_version_1_bundle_by_its_version(bundle):
+    # version "1" held the coordinates in header.json; the version is
+    # checked before the keys, so the error names it, not the key
+    ds, _, path = bundle
+    _patch_header(path, version="1", coords=ds.coords.tolist())
+    os.remove(os.path.join(path, "coords.csv"))
+    with pytest.raises(BundleFormatError,
+                       match=r"^header.json: format version '1' unsupported "
+                             r"\(expected '2'\)$"):
         read_dataset(path)
 
 
 @pytest.mark.parametrize(
     "changes",
     [
-        {"coords": [[0, 1, 2]] * 11 + [[0, 1]]},
         {"stimulus_times": ["a", "b", "c"]},
         {"tr": "fast"},
         {"mask_shape": [4, "x", 4]},
@@ -201,15 +215,44 @@ def test_read_rejects_malformed_header_values(bundle, changes):
         read_dataset(path)
 
 
+def _write_coords(path, coords):
+    """coords.csv holding ``coords``, one x,y,z row per voxel."""
+    with open(os.path.join(path, "coords.csv"), "w") as f:
+        f.write("x,y,z\n" + "".join(f"{x},{y},{z}\n" for x, y, z in coords))
+
+
+@pytest.mark.parametrize("line, message", [
+    ("0,1,2.5", r"row 3, column 3 \(z\): 2.5 is not an integer"),
+    ("0,1", "row 3: expected 3 columns, found 2"),
+    ("0,one,2", r"row 3, column 2 \(y\): cannot parse 'one' as a number"),
+    ("0,1,1e300", r"row 3, column 3 \(z\): 1e\+300 is not an integer"),
+])
+def test_read_rejects_malformed_coordinates(bundle, line, message):
+    ds, _, path = bundle
+    rows = [",".join(map(str, c)) for c in ds.coords.tolist()]
+    rows[2] = line
+    with open(os.path.join(path, "coords.csv"), "w") as f:
+        f.write("x,y,z\n" + "\n".join(rows) + "\n")
+    with pytest.raises(BundleFormatError, match=f"^coords.csv: {message}$"):
+        read_dataset(path)
+    _write_coords(path, ds.coords[:-1])
+    with pytest.raises(BundleFormatError,
+                       match="^coords.csv: expected the header 'x,y,z' and 12 rows"):
+        read_dataset(path)
+    os.remove(os.path.join(path, "coords.csv"))
+    with pytest.raises(BundleFormatError, match="^coords.csv: file not found"):
+        read_dataset(path)
+
+
 def test_read_rejects_duplicate_coordinates(bundle):
     ds, _, path = bundle
     coords = ds.coords.tolist()
-    _patch_header(path, coords=coords[:-1] + [coords[2]])
+    _write_coords(path, coords[:-1] + [coords[2]])
     with pytest.raises(BundleFormatError, match="not unique"):
         read_dataset(path)
     # same column values in other rows are not duplicates
-    _patch_header(path, coords=[[v, v % 2, 0] for v in range(len(coords))],
-                  mask_shape=[len(coords), 2, 1])
+    _write_coords(path, [[v, v % 2, 0] for v in range(len(coords))])
+    _patch_header(path, mask_shape=[len(coords), 2, 1])
     read_dataset(path)
 
 
@@ -217,7 +260,7 @@ def test_read_rejects_coordinates_outside_mask_shape(bundle):
     ds, _, path = bundle
     coords = ds.coords.tolist()
     coords[3] = [ds.mask_shape[0], 0, 0]
-    _patch_header(path, coords=coords)
+    _write_coords(path, coords)
     with pytest.raises(BundleFormatError, match="outside mask_shape"):
         read_dataset(path)
 
@@ -249,10 +292,11 @@ def test_read_bounds_the_coordinate_extent_without_mask_shape(bundle):
     ds, _, path = bundle
     coords = ds.coords.tolist()
     coords[3] = [0, 0, 255]
-    _patch_header(path, coords=coords, mask_shape=None)
+    _write_coords(path, coords)
+    _patch_header(path, mask_shape=None)
     assert read_dataset(path).mask_shape is None
     coords[3] = [0, 0, 256]
-    _patch_header(path, coords=coords)
+    _write_coords(path, coords)
     with pytest.raises(BundleFormatError, match=r"\(\d+, \d+, 257\) exceeds"):
         read_dataset(path)
 
@@ -351,23 +395,24 @@ def test_params_json_roundtrip(tmp_path):
     path = str(tmp_path / "params.json")
     write_params_json(params, path)
     back = read_params_json(path)
-    for field in (
-        "amplitude",
-        "coeffs",
-        "within_cov",
-        "between_cov",
-    ):
-        np.testing.assert_array_equal(
-            getattr(back, field), getattr(params, field)
-        )
-    np.testing.assert_array_equal(back.hrf, params.hrf)
-    assert back.active_prob == params.active_prob
-    assert back.noise_var == params.noise_var
+    assert set(back) == {"active_prob", "hrf", "within_cov", "between_cov",
+                         "noise_var"}
+    for field in ("hrf", "within_cov", "between_cov"):
+        np.testing.assert_array_equal(back[field], getattr(params, field))
+    assert back["active_prob"] == params.active_prob
+    assert back["noise_var"] == params.noise_var
     # a file short of a declared key is a format error that names it
     with open(path, "w") as f:
         json.dump({"active_prob": 0.5}, f)
     with pytest.raises(BundleFormatError,
-                       match="^params.json: amplitude: expected .*, got no value"):
+                       match="^params.json: hrf: expected .*, got no value"):
+        read_params_json(path)
+    # per-voxel values are no params.json keys
+    with open(path, "w") as f:
+        json.dump({**{k: v.tolist() if isinstance(v, np.ndarray) else v
+                      for k, v in back.items()}, "amplitude": [1.0]}, f)
+    with pytest.raises(BundleFormatError,
+                       match="^params.json: unknown key.s. amplitude"):
         read_params_json(path)
 
 
@@ -380,18 +425,17 @@ def test_params_json_bytes_match_json_dump(tmp_path, n_voxels, n_covariates):
     params = make_params(dims, rng)
     path = tmp_path / "params.json"
     write_params_json(params, str(path))
+    # the global parameters only: the file's size does not depend on V
     expected = json.dumps({k: v.tolist() if isinstance(v, np.ndarray) else v
-                           for k, v in vars(params).items()},
+                           for k, v in vars(params).items()
+                           if k not in ("amplitude", "coeffs")},
                           indent=2, sort_keys=True)
     assert path.read_bytes() == (expected + "\n").encode()
     back = read_params_json(str(path))
-    for field in ("amplitude", "coeffs", "within_cov", "between_cov"):
-        np.testing.assert_array_equal(
-            getattr(back, field), getattr(params, field)
-        )
-    np.testing.assert_array_equal(back.hrf, params.hrf)
-    assert back.active_prob == params.active_prob
-    assert back.noise_var == params.noise_var
+    for field in ("hrf", "within_cov", "between_cov"):
+        np.testing.assert_array_equal(back[field], getattr(params, field))
+    assert back["active_prob"] == params.active_prob
+    assert back["noise_var"] == params.noise_var
 
 
 def test_format_float_roundtrips(tmp_path):
@@ -665,3 +709,30 @@ def test_fit_and_infer_directories_read_back_their_bits(tmp_path, stage):
                  (got.cluster, cluster), (got.df, amap.df)]
     for read, written in pairs:
         assert _bits(read) == _bits(written)
+
+
+@pytest.mark.parametrize("n_covariates", [6, 0])
+def test_read_fit_rebuilds_the_parameters_from_two_files(tmp_path,
+                                                         n_covariates):
+    # params.json holds the global parameters and resp.csv the per-voxel
+    # ones; read_fit joins them back into the MixtureParams written
+    rng = np.random.default_rng(n_covariates)
+    dims = make_dims(n_voxels=30, n_covariates=n_covariates)
+    params = make_params(dims, rng)
+    params = params.with_updates(amplitude=np.concatenate(
+        [[-0.0, 5e-324, 1e300, 1.0 / 3.0], params.amplitude[4:]]))
+    fit = FitResult(params, rng.uniform(size=dims.n_voxels),
+                    np.array([-10.0, -5.0]), 1, True)
+    with io.OutputDir(str(tmp_path)) as out:
+        io.write_fit(out, fit)
+    with open(tmp_path / "params.json") as f:
+        assert list(json.load(f)) == sorted(io.GLOBAL_PARAMS)
+    with open(tmp_path / "resp.csv") as f:
+        assert f.readline() == ",".join(
+            ["voxel", "resp", "amplitude"]
+            + [f"x{j + 1}" for j in range(n_covariates)]) + "\n"
+    got = io.read_fit(str(tmp_path), make_dataset(dims, rng)).params
+    for field in fields(MixtureParams):
+        read, written = getattr(got, field.name), getattr(params, field.name)
+        np.testing.assert_array_equal(read, written, strict=True)
+        assert _bits(read) == _bits(written), field.name
