@@ -16,7 +16,10 @@ preprocess.highpass_cutoff and smooth_fwhm) run as soon as it is read.
 main alone owns the output directory: a command stages its files in an
 io.OutputDir and returns its summary line, and main prints that line
 once the files are in place. Output is all or nothing: a failing command
-leaves --out as it was (and removes it if the run made it).
+leaves --out as it was (and removes it if the run made it). A command
+owns the files of the stages it runs (STAGES), and a successful one
+removes those it did not write, so --out holds one run's files and the
+files the command does not own.
 
 report and compare run two lanes. After reading the bundle each forks
 one worker process, which fits the compare.models other than fit.model
@@ -108,6 +111,13 @@ def _check_pcs(config: RunConfig, dataset: Dataset) -> None:
 
 
 # ----------------------------------------------------------------- commands
+
+# the stages each command runs, whose files (io.STAGE_FILES) it owns in
+# --out: report owns the pcs files also when it skips pcs
+STAGES = {"simulate": ("dataset",), "preprocess": ("dataset",),
+          "fit": ("fit",), "infer": ("infer",), "pcs": ("pcs",),
+          "compare": ("compare",),
+          "report": ("fit", "infer", "pcs", "compare", "report")}
 
 
 def cmd_simulate(args, config: RunConfig, out: io.OutputDir) -> str:
@@ -321,18 +331,7 @@ def cmd_report(args, config: RunConfig, out: io.OutputDir) -> str:
         fits = join()
     # report's own fit is the comparison's fit of that model
     cmp = _run_compare(config, dataset, out, {**fits, config.fit.model: fit})
-    manifest = {
-        "loglik": float(fit.loglik_trace[-1]),
-        "iterations": fit.iterations,
-        "converged": fit.converged,
-        "active_prob": float(fit.params.active_prob),
-        "n_rejected": int(fdr.n_rejected),
-        "n_clusters": int(amap.cluster.max()),
-        "pcs_run": pa is not None,
-        "best_aic": cmp.best_aic,
-        "best_bic": cmp.best_bic,
-    }
-    io.write_json(manifest, out.path("report.json"))
+    io.write_report(out, fit, amap, fdr, pa is not None, cmp)
     return f"report written to {out.root}"
 
 
@@ -415,7 +414,7 @@ def main(argv: list[str] | None = None) -> int:
         with warnings.catch_warnings(record=True) as caught:
             config = load_config(args.config, getattr(args, "seed", None))
             try:
-                out = io.OutputDir(args.out)
+                out = io.OutputDir(args.out, STAGES[args.command])
             except OSError as e:
                 raise ConfigError(f"--out {args.out}: {e.strerror}") from None
             # the command stages its files; they appear only if it succeeds

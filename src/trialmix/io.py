@@ -25,28 +25,28 @@ floats; read_fit rebuilds from params.json and resp.csv the parameters
 write_fit wrote. CSV output uses '.' decimals, ',' separators, LF line
 endings.
 
-CSV files are rendered a row at a time, not a cell at a time. write_csv
-turns each column into Python values once (ndarray .tolist()) and
-formats every row through one printf template, %.17g for float columns
-and %s for columns that hold no float, which is the text f"{x:.17g}" and
-str give per cell; a column mixing floats with other values raises
-ValueError. JSON files are json.dump(indent=2, sort_keys=True) plus a
-newline.
+Every CSV and JSON file a command writes is declared once, in ARTIFACTS:
+its ordered CSV columns or its JSON keys, each with its type (design.csv,
+resp.csv and pc_scores.csv, whose columns follow the dims, in
+_design_columns, _resp_columns and _pc_columns). Every JSON object read,
+the run config too, is checked against its declaration by _check_object,
+and every CSV by _read_table. The writers take their layout from the
+same declaration: write_csv, the one CSV writer, its header and the type
+each column is cast to, and _write_record, the one JSON writer, its keys
+and the type each value is cast to (_render, the inverse of _check).
 
-Every command artifact is written here. Each file trialmix reads is
-declared once, in ARTIFACTS (design.csv and resp.csv, whose columns
-follow the dims, in _design_columns and _resp_columns). Every JSON
-object read, the run config too, is checked against its declaration by
-_check_object, and every CSV by _read_table. The writers take their
-layout from the same declaration: _write_table, the one writer of a
-declared CSV, its header and the type each column is cast to, and
-_write_record, the one writer of a declared JSON object, its keys and
-the type each value is cast to (_render, the inverse of _check). A
-write-only file keeps its layout in its one writer.
+CSV files are rendered a row at a time, not a cell at a time: write_csv
+turns each cast column into Python values once (ndarray .tolist()) and
+formats every row through one printf template, %.17g for a float column,
+integer text for an int or bool (0/1) one and %s for a str one. JSON
+files are json.dump(indent=2, sort_keys=True) plus a newline.
 
 OutputDir stages a run's files inside its output directory and moves
 them into place together when the run succeeds; a staged directory
-(a bundle) replaces the one it lands on whole.
+(a bundle) replaces the one it lands on whole. A run owns the files of
+the stages it runs (STAGE_FILES), by name or by pattern, and an owned
+file it did not write is removed, so the directory holds one run's files
+and the files the run does not own.
 """
 from __future__ import annotations
 
@@ -55,12 +55,13 @@ import inspect
 import itertools
 import json
 import os
+import re
 import reprlib
 import shutil
 import sys
 import tempfile
 import typing
-from dataclasses import MISSING, fields, is_dataclass
+from dataclasses import MISSING, astuple, fields, is_dataclass
 
 import numpy as np
 
@@ -78,7 +79,6 @@ __all__ = [
     "read_truth_bytes",
     "write_params_json",
     "read_params_json",
-    "write_json",
     "write_csv",
     "write_map_pgm",
     "write_svg_curves",
@@ -88,6 +88,7 @@ __all__ = [
     "read_amap",
     "write_pcs",
     "write_compare",
+    "write_report",
 ]
 
 FORMAT_VERSION = "2"
@@ -108,17 +109,21 @@ class OutputDir:
 
     Making it creates ``root`` if needed (OSError if it cannot be a
     directory) and a fresh staging directory inside it, where
-    ``path(name)`` points. A clean exit from the ``with`` block moves
-    every staged file to its name under ``root``, and every staged
-    directory to its name in place of whatever held that name, so a
-    bundle directory holds one run's files; an exception leaves ``root``
-    as it was, or removes it if this run made it. Every destination is
-    checked before the first move: a staged file whose name ``root``
-    holds as a directory raises IsADirectoryError naming that path.
+    ``path(name)`` points. The run owns the files of ``stages``, keys of
+    STAGE_FILES. A clean exit from the ``with`` block removes every owned
+    file ``root`` holds that the run did not stage, then moves every
+    staged file to its name under ``root``, and every staged directory to
+    its name in place of whatever held that name, so ``root`` holds one
+    run's files and the files the run does not own; an exception leaves
+    ``root`` as it was, or removes it if this run made it. Every
+    destination is checked before anything is removed or moved: a staged
+    file whose name ``root`` holds as a directory raises IsADirectoryError
+    naming that path.
     """
 
-    def __init__(self, root: str) -> None:
+    def __init__(self, root: str, stages: tuple[str, ...]) -> None:
         self.root = root
+        self._stages = stages
         self._made = not os.path.isdir(root)
         os.makedirs(root, exist_ok=True)
         self._staging = tempfile.mkdtemp(prefix=".tmp-", dir=root)
@@ -141,6 +146,11 @@ class OutputDir:
                         raise IsADirectoryError(
                             errno.EISDIR, "a file of this run cannot replace "
                             "the directory", dest)
+                for name in os.listdir(self.root):
+                    dest = os.path.join(self.root, name)
+                    if (name not in names and _owned(name, self._stages)
+                            and not os.path.isdir(dest)):
+                        os.remove(dest)
                 # what a staged directory replaces moves into the staging
                 # directory, removed below
                 old = tempfile.mkdtemp(prefix=".old-", dir=self._staging)
@@ -154,36 +164,31 @@ class OutputDir:
             shutil.rmtree(self.root if failed and self._made else self._staging)
 
 
-def _column_cells(column) -> tuple[str, list]:
-    """One CSV column as (printf conversion, values to format): %.17g,
-    which round-trips a float64 exactly, when every value is a float,
-    and %s when none is. A column mixing the two raises ValueError.
+def _owned(name: str, stages: tuple[str, ...]) -> bool:
+    """Whether ``name`` at the top of an output directory is a file of
+    ``stages``: one of their names, or a match of one of their patterns."""
+    return any(name == entry if isinstance(entry, str) else entry.fullmatch(name)
+               for stage in stages for entry in STAGE_FILES[stage])
+
+
+# each CSV column type: the type a column is cast to, and its printf
+# conversion (%.17g round-trips a float64 exactly)
+_CSV_TYPES = {float: (np.float64, "%.17g"), int: (np.int64, "%d"),
+              bool: (np.int64, "%d"), str: (str, "%s")}
+
+
+def write_csv(path: str, declared: dict, columns) -> None:
+    """The CSV ``declared`` lays out: its header, then one row per value of
+    ``columns``, one sequence or 1-D array per declared column, each cast
+    to its declared type. Floats at full precision, LF endings.
     """
-    values = column.tolist() if isinstance(column, np.ndarray) else list(column)
-    kinds = set(map(type, values))
-    floats = {k for k in kinds if issubclass(k, (float, np.floating))}
-    if floats == kinds:
-        return "%.17g", values
-    if floats:
-        raise ValueError("a CSV column mixes floats with other values")
-    return "%s", values
-
-
-def write_csv(path: str, header: list[str], columns) -> None:
-    """Comma-separated values, floats at full precision, LF endings.
-
-    ``columns`` holds one sequence or 1-D array per header name.
-    """
-    if len(columns) != len(header):
-        raise ValueError(
-            f"{len(columns)} columns for a header of {len(header)} names"
-        )
-    convs, values = zip(*map(_column_cells, columns)) if len(columns) else ((), ())
+    values = [np.asarray(c, dtype=_CSV_TYPES[kind][0]).tolist()
+              for c, kind in zip(columns, declared.values(), strict=True)]
     if len({len(v) for v in values}) > 1:
         raise ValueError("columns differ in length")
-    template = ",".join(convs) + "\n"
+    template = ",".join(_CSV_TYPES[kind][1] for kind in declared.values()) + "\n"
     with open(path, "w", newline="\n") as f:
-        f.write(",".join(header) + "\n")
+        f.write(",".join(declared) + "\n")
         f.write("".join(map(template.__mod__, zip(*values))))
 
 
@@ -271,6 +276,8 @@ def _render(value, hint):
         return np.asarray(value, np.float64).tolist()
     args = typing.get_args(hint)
     if typing.get_origin(hint) is tuple:
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
         return list(map(_render, value, args))
     if args:
         return None if value is None else _render(value, args[0])
@@ -324,13 +331,6 @@ def _check_object(obj, schema, name: str, error: type = BundleFormatError,
         raise error(f"{prefix}{e}") from None
 
 
-def write_json(obj: dict, path: str) -> None:
-    """json.dump(obj, indent=2, sort_keys=True) plus a newline."""
-    with open(path, "w", newline="\n") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
 def write_dataset(
     dataset: Dataset, path: str,
     truth: SimTruth | tuple[bytes, bytes] | None = None,
@@ -343,20 +343,21 @@ def write_dataset(
     """
     os.makedirs(path, exist_ok=True)
     d = dataset.dims
-    _write_record(os.path.join(path, HEADER_NAME), HEADER_NAME, {
+    _write_record(os.path.join(path, HEADER_NAME), ARTIFACTS[HEADER_NAME], {
         "version": FORMAT_VERSION, "endianness": "little", "dims": d,
         "tr": dataset.tr, "stimulus_times": dataset.stimulus_times,
         "mask_shape": dataset.mask_shape})
     data = np.ascontiguousarray(dataset.series, dtype="<f8")
     with open(os.path.join(path, DATA_NAME), "wb") as f:
         data.tofile(f)
-    _write_table(os.path.join(path, COORDS_NAME), ARTIFACTS[COORDS_NAME],
-                 dataset.coords.T)
+    write_csv(os.path.join(path, COORDS_NAME), ARTIFACTS[COORDS_NAME],
+              dataset.coords.T)
     if d.n_covariates > 0:
-        _write_table(os.path.join(path, DESIGN_NAME),
-                     _design_columns(d.n_covariates), dataset.design.T)
+        write_csv(os.path.join(path, DESIGN_NAME),
+                  _design_columns(d.n_covariates), dataset.design.T)
     if isinstance(truth, SimTruth):
-        _write_record(os.path.join(path, TRUTH_NAME), TRUTH_NAME, truth)
+        _write_record(os.path.join(path, TRUTH_NAME), ARTIFACTS[TRUTH_NAME],
+                      truth)
         rows = np.column_stack([truth.labels, truth.params.amplitude,
                                 truth.params.coeffs])
         np.ascontiguousarray(rows, dtype="<f8").tofile(
@@ -377,6 +378,13 @@ def _resp_columns(n_covariates: int) -> dict:
     covariate coefficients x1..xq."""
     return {"voxel": int, "resp": float, "amplitude": float,
             **_design_columns(n_covariates)}
+
+
+def _pc_columns(n_components: int) -> dict:
+    """pc_scores.csv's declaration: each active voxel's epoch scores on
+    components pc1..pck."""
+    return {"voxel": int, "epoch": int,
+            **{f"pc{k + 1}": float for k in range(n_components)}}
 
 
 def read_dataset(path: str) -> Dataset:
@@ -432,7 +440,7 @@ def read_dataset(path: str) -> Dataset:
 
 def write_params_json(params: MixtureParams, path: str) -> None:
     """params.json: the global parameters of ``params`` (GLOBAL_PARAMS)."""
-    _write_record(path, "params.json", params)
+    _write_record(path, GLOBAL_PARAMS, params)
 
 
 def read_params_json(path: str) -> dict:
@@ -466,8 +474,8 @@ def _scale_to_bytes(plane: np.ndarray, lo: float, hi: float) -> np.ndarray:
     if hi > lo:
         scaled = np.rint(255.0 * (plane - lo) / (hi - lo))
     else:
-        # degenerate range: mid-gray by convention
-        scaled = np.full(plane.shape, 128.0)
+        # degenerate range: mid-gray by convention, infinities saturate
+        scaled = np.where(plane > hi, 255.0, np.where(plane < lo, 0.0, 128.0))
     return np.clip(scaled, 0, 255).astype(np.uint8)
 
 
@@ -507,15 +515,9 @@ def write_map_pgm(
             f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
             f.write(pixels.tobytes())
         files.append(os.path.basename(out))
-    sidecar = {
-        "min": lo,
-        "max": hi,
-        "maxval": 255,
-        "constant": hi <= lo,
-        "masked": masked,
-        "files": files,
-    }
-    write_json(sidecar, stem + ".json")
+    _write_record(stem + ".json", MAP_SIDECAR, {
+        "min": lo, "max": hi, "maxval": 255, "constant": hi <= lo,
+        "masked": masked, "files": files})
 
 
 # ---------------------------------------------------------------- artifacts
@@ -526,11 +528,16 @@ GLOBAL_PARAMS = {"active_prob": float, "hrf": np.ndarray,
                  "within_cov": np.ndarray, "between_cov": np.ndarray,
                  "noise_var": float}
 
-# Each file trialmix reads, declared once: its ordered CSV columns, each
-# int, float or bool (0/1 in CSV), or its JSON keys, each of a type
-# _check takes (np.ndarray: lists of finite numbers); a dataclass
-# declares its fields' keys and types. The columns of design.csv and
-# resp.csv depend on the dims: _design_columns, _resp_columns.
+# a map's JSON sidecar: its gray scale and its slice images
+MAP_SIDECAR = {"min": float, "max": float, "maxval": int, "constant": bool,
+               "masked": bool, "files": tuple[str, ...]}
+
+# Each CSV and JSON file trialmix writes, declared once: its ordered CSV
+# columns, each int, float, bool (0/1 in CSV) or str, or its JSON keys,
+# each of a type _check takes (np.ndarray: lists of finite numbers); a
+# dataclass declares its fields' keys and types. The columns of
+# design.csv, resp.csv and pc_scores.csv depend on the dims:
+# _design_columns, _resp_columns, _pc_columns.
 ARTIFACTS = {
     "header.json": {"version": str, "endianness": str, "dims": Dims,
                     "tr": float, "stimulus_times": np.ndarray,
@@ -546,21 +553,48 @@ ARTIFACTS = {
                    "p": float, "reject": bool, "cluster": int},
     "fdr.json": {"df": int, "threshold": float, "m0_hat": int,
                  "n_rejected": int, "n_clusters": int},
+    "tmap.json": MAP_SIDECAR,
+    "activemap.json": MAP_SIDECAR,
+    "pc_spectrum.csv": {"component": int, "eigenvalue": float,
+                        "variance_pct": float},
+    "anova.csv": {"component": int, "factor": str, "level": int,
+                  "effect": float, "se": float},
+    "curves.csv": {"cluster": int, "epoch": int, "sample": int, "value": float},
+    "effect_curves.csv": {"component": int, "direction": str, "sample": int,
+                          "value": float},
+    "comparison.csv": {"model": int, "description": str, "n_params": int,
+                       "loglik": float, "aic": float, "bic": float},
+    "comparison.json": {"n_obs": int, "best_aic": int, "best_bic": int},
+    "report.json": {"loglik": float, "iterations": int, "converged": bool,
+                    "active_prob": float, "n_rejected": int,
+                    "n_clusters": int, "pcs_run": bool, "best_aic": int,
+                    "best_bic": int},
+}
+
+# The files each stage writes at the top of an output directory: names,
+# and patterns for the slice images and cluster plots, whose number
+# follows the data. A run owns the files of the stages it runs.
+STAGE_FILES = {
+    "dataset": ("dataset",),
+    "fit": ("params.json", "resp.csv", "loglik.csv", "fit.json"),
+    "infer": ("tstats.csv", "fdr.json", "tmap.json", "activemap.json",
+              re.compile(r"tmap_s\d{3,}\.pgm"),
+              re.compile(r"activemap_s\d{3,}\.pgm")),
+    "pcs": ("pc_spectrum.csv", "pc_scores.csv", "anova.csv", "curves.csv",
+            "effect_curves.csv", "effect_curves.svg",
+            re.compile(r"curves_cluster[1-9]\d*\.svg")),
+    "compare": ("comparison.csv", "comparison.json"),
+    "report": ("report.json",),
 }
 
 
-def _write_table(path: str, declared: dict, columns) -> None:
-    """The CSV ``declared`` lays out, each column cast to its declared type."""
-    write_csv(path, list(declared), [
-        np.asarray(c, dtype=np.float64 if kind is float else np.int64)
-        for c, kind in zip(columns, declared.values(), strict=True)
-    ])
-
-
-def _write_record(path: str, name: str, value) -> None:
-    """The declared JSON object ``name`` at ``path``, rendered from a
-    mapping or an object's attributes by its declaration's keys."""
-    write_json(_render(value, ARTIFACTS[name]), path)
+def _write_record(path: str, declared: dict, value) -> None:
+    """The JSON object ``declared`` lays out, rendered from a mapping or an
+    object's attributes by its keys: json.dump(indent=2, sort_keys=True)
+    plus a newline."""
+    with open(path, "w", newline="\n") as f:
+        json.dump(_render(value, declared), f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
 def _read_table(folder: str, name: str, n_rows: int,
@@ -642,11 +676,11 @@ def _read_record(folder: str, name: str):
 def write_fit(out: OutputDir, fit: FitResult) -> None:
     p = fit.params
     write_params_json(p, out.path("params.json"))
-    _write_table(out.path("resp.csv"), _resp_columns(p.coeffs.shape[1]),
-                 [np.arange(fit.resp.size), fit.resp, p.amplitude, *p.coeffs.T])
-    _write_table(out.path("loglik.csv"), ARTIFACTS["loglik.csv"],
-                 [np.arange(fit.loglik_trace.size), fit.loglik_trace])
-    _write_record(out.path("fit.json"), "fit.json", {
+    write_csv(out.path("resp.csv"), _resp_columns(p.coeffs.shape[1]),
+              [np.arange(fit.resp.size), fit.resp, p.amplitude, *p.coeffs.T])
+    write_csv(out.path("loglik.csv"), ARTIFACTS["loglik.csv"],
+              [np.arange(fit.loglik_trace.size), fit.loglik_trace])
+    _write_record(out.path("fit.json"), ARTIFACTS["fit.json"], {
         "iterations": fit.iterations, "converged": fit.converged,
         "loglik": fit.loglik_trace[-1], "active_prob": p.active_prob})
 
@@ -690,11 +724,11 @@ def _volume_from_voxels(dataset: Dataset, values: np.ndarray):
 def write_infer(
     out: OutputDir, dataset: Dataset, amap: ActivationMap, fdr: FdrResult
 ) -> None:
-    _write_table(out.path("tstats.csv"), ARTIFACTS["tstats.csv"], [
+    write_csv(out.path("tstats.csv"), ARTIFACTS["tstats.csv"], [
         np.arange(amap.t_stat.size), *dataset.coords.T, amap.t_stat,
         amap.pvals, amap.reject, amap.cluster,
     ])
-    _write_record(out.path("fdr.json"), "fdr.json", {
+    _write_record(out.path("fdr.json"), ARTIFACTS["fdr.json"], {
         "df": amap.df, "threshold": fdr.threshold, "m0_hat": fdr.m0_hat,
         "n_rejected": fdr.n_rejected, "n_clusters": amap.cluster.max()})
     tvol, mask = _volume_from_voxels(dataset, amap.t_stat)
@@ -788,61 +822,33 @@ def write_svg_curves(
 def write_pcs(out: OutputDir, dataset: Dataset, pa: PcAnalysis) -> None:
     d = dataset.dims
     n_pc = pa.scores.shape[2]
-    write_csv(
-        out.path("pc_spectrum.csv"),
-        ["component", "eigenvalue", "variance_pct"],
-        columns=[
-            np.arange(1, pa.within_pca.eigenvalues.size + 1),
-            pa.within_pca.eigenvalues,
-            pa.within_pca.variance_pct,
-        ],
-    )
+    write_csv(out.path("pc_spectrum.csv"), ARTIFACTS["pc_spectrum.csv"], [
+        np.arange(1, pa.within_pca.eigenvalues.size + 1),
+        pa.within_pca.eigenvalues, pa.within_pca.variance_pct])
     # one row per (voxel, epoch), in C order of the scores array
     vox, epoch = np.indices(pa.scores.shape[:2]).reshape(2, -1)
-    write_csv(
-        out.path("pc_scores.csv"),
-        ["voxel", "epoch"] + [f"pc{k + 1}" for k in range(n_pc)],
-        columns=[
-            pa.active_idx[vox], epoch + 1, *pa.scores.reshape(-1, n_pc).T
-        ],
-    )
+    write_csv(out.path("pc_scores.csv"), _pc_columns(n_pc), [
+        pa.active_idx[vox], epoch + 1, *pa.scores.reshape(-1, n_pc).T])
     anova_rows = []
     for k, tab in enumerate(pa.tables):
-        anova_rows.append((k + 1, "grand_mean", 0, float(tab.grand_mean), 0.0))
+        anova_rows.append((k + 1, "grand_mean", 0, tab.grand_mean, 0.0))
         for lvl, eff, se in zip(
             tab.epoch_levels, tab.epoch_effects, tab.epoch_se
         ):
-            anova_rows.append((k + 1, "epoch", int(lvl), float(eff), float(se)))
+            anova_rows.append((k + 1, "epoch", lvl, eff, se))
         for lvl, eff, se in zip(
             tab.cluster_levels, tab.cluster_effects, tab.cluster_se
         ):
-            anova_rows.append(
-                (k + 1, "cluster", int(lvl), float(eff), float(se))
-            )
-    write_csv(
-        out.path("anova.csv"),
-        ["component", "factor", "level", "effect", "se"],
-        columns=list(zip(*anova_rows)),
-    )
+            anova_rows.append((k + 1, "cluster", lvl, eff, se))
+    write_csv(out.path("anova.csv"), ARTIFACTS["anova.csv"],
+              list(zip(*anova_rows)))
     cluster, epoch, sample = np.indices(pa.curves.shape).reshape(3, -1)
-    write_csv(
-        out.path("curves.csv"),
-        ["cluster", "epoch", "sample", "value"],
-        columns=[
-            pa.cluster_levels[cluster], epoch + 1, sample + 1, pa.curves.ravel()
-        ],
-    )
+    write_csv(out.path("curves.csv"), ARTIFACTS["curves.csv"], [
+        pa.cluster_levels[cluster], epoch + 1, sample + 1, pa.curves.ravel()])
     comp, sign, sample = np.indices(pa.effect_curves.shape).reshape(3, -1)
-    write_csv(
-        out.path("effect_curves.csv"),
-        ["component", "direction", "sample", "value"],
-        columns=[
-            comp + 1,
-            np.array(["plus", "minus"])[sign],
-            sample + 1,
-            pa.effect_curves.ravel(),
-        ],
-    )
+    write_csv(out.path("effect_curves.csv"), ARTIFACTS["effect_curves.csv"], [
+        comp + 1, np.array(["plus", "minus"])[sign], sample + 1,
+        pa.effect_curves.ravel()])
     samples = np.arange(1, d.n_times + 1, dtype=np.float64)
     for c in range(pa.curves.shape[0]):
         write_svg_curves(
@@ -868,14 +874,19 @@ def write_pcs(out: OutputDir, dataset: Dataset, pa: PcAnalysis) -> None:
 
 
 def write_compare(out: OutputDir, cmp: ModelComparison) -> None:
-    rows = [(r.model_id, r.description, r.n_params, float(r.loglik),
-             float(r.aic), float(r.bic)) for r in cmp.rows]
-    write_csv(
-        out.path("comparison.csv"),
-        ["model", "description", "n_params", "loglik", "aic", "bic"],
-        columns=list(zip(*rows)),
-    )
-    write_json(
-        {"n_obs": cmp.n_obs, "best_aic": cmp.best_aic, "best_bic": cmp.best_bic},
-        out.path("comparison.json"),
-    )
+    write_csv(out.path("comparison.csv"), ARTIFACTS["comparison.csv"],
+              list(zip(*map(astuple, cmp.rows))))
+    _write_record(out.path("comparison.json"), ARTIFACTS["comparison.json"],
+                  cmp)
+
+
+def write_report(out: OutputDir, fit: FitResult, amap: ActivationMap,
+                 fdr: FdrResult, pcs_run: bool, cmp: ModelComparison) -> None:
+    """report.json: the headline numbers of report's fit, inference and
+    comparison, and whether pcs ran."""
+    _write_record(out.path("report.json"), ARTIFACTS["report.json"], {
+        "loglik": fit.loglik_trace[-1], "iterations": fit.iterations,
+        "converged": fit.converged, "active_prob": fit.params.active_prob,
+        "n_rejected": fdr.n_rejected, "n_clusters": amap.cluster.max(),
+        "pcs_run": pcs_run, "best_aic": cmp.best_aic,
+        "best_bic": cmp.best_bic})

@@ -84,11 +84,9 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class CompareConfig:
-    """Candidate models, each once, and the BIC sample size (None: every
-    scalar)."""
+    """Candidate models, each once."""
 
     models: tuple[int, ...] = (1, 2, 3, 4, 5)
-    n_obs: int | None = None
 
     def __post_init__(self) -> None:
         bad = [m for m in self.models if m not in MODEL_SPECS]
@@ -96,8 +94,6 @@ class CompareConfig:
             raise ValueError(f"unknown model id(s) {bad}" if bad else "no models")
         if len(set(self.models)) < len(self.models):
             raise ValueError(f"models {list(self.models)} name a model twice")
-        if self.n_obs is not None and not 1 <= self.n_obs < 2**63:
-            raise ValueError("n_obs must lie in [1, 2**63)")
 
 
 def count_params(model_id: int, dims: Dims) -> int:
@@ -173,12 +169,11 @@ def compare_models(
     """Rank the candidates compare.models by information criteria.
 
     ``fits`` maps each of those model ids to its fit_model fit on
-    ``dataset``; compare_models fits nothing. The BIC sample size is
-    compare.n_obs, or when None the total number of scalar
-    observations, n_voxels * n_images.
+    ``dataset``; compare_models fits nothing. The BIC sample size is the
+    total number of scalar observations, n_voxels * n_images.
     """
     d = dataset.dims
-    n_obs = d.n_voxels * d.n_images if compare.n_obs is None else compare.n_obs
+    n_obs = d.n_voxels * d.n_images
     rows = []
     for mid in compare.models:
         ll, p = float(fits[mid].loglik_trace[-1]), count_params(mid, d)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import trialmix
+from trialmix import io
 from trialmix.io import write_map_pgm
 
 from helpers import config_fields
@@ -123,7 +124,6 @@ SETTINGS = {
     ("inference", "min_cluster"): "README config example; criterion 12",
     ("pcs", "n_components"): "README config and library examples",
     ("compare", "models"): "README config example",
-    ("compare", "n_obs"): "test_compare_models_subset_and_custom_n_obs",
 }
 
 
@@ -212,6 +212,11 @@ def test_warnings_leave_the_package_through_one_seam():
     package = pathlib.Path(trialmix.__file__).parent
     sites = [s for path in sorted(package.glob("*.py")) for s in _warn_calls(path)]
     assert sites == ["types._intervene"]
+
+
+def test_readme_names_every_declared_file():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    assert [name for name in io.ARTIFACTS if f"`{name}`" not in readme] == []
 
 
 def test_readme_library_example_runs():

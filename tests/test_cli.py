@@ -262,7 +262,7 @@ def test_compare_fits_only_the_compared_models(pipeline, tmp_path,
     em = EmConfig(**CONFIG["em"])
     compare = CompareConfig(models=(1, 2))
     expected = str(tmp_path / "expected")
-    with io.OutputDir(expected) as out:
+    with io.OutputDir(expected, cli.STAGES["compare"]) as out:
         io.write_compare(out, compare_models(
             dataset, {m: fit_model(dataset, m, em) for m in (1, 2)}, compare))
     fit = cli.fit_model
@@ -461,7 +461,6 @@ BAD_RUNS = {
     "screen_alpha-above-1": ("report", {"inference": {"screen_alpha": 5}}, []),
     "model-unknown": ("report", {"fit": {"model": 9}}, []),
     "n_components-above-n_times": ("report", {"pcs": {"n_components": 40}}, []),
-    "n_obs-zero": ("report", {"compare": {"n_obs": 0}}, []),
     "models-empty": ("report", {"compare": {"models": []}}, []),
     "models-twice": ("compare", {"compare": {"models": [2, 2, 1]}}, []),
     "seed-string": ("report", {"seed": "x"}, []),
@@ -491,7 +490,7 @@ BAD_RUNS = {
     "removed-init_alpha": ("report", {"em": {"init_alpha": 1e-3}}, []),
     "removed-init_max_iter": ("report", {"em": {"init_max_iter": 50}}, []),
     "removed-effect_scale": ("report", {"pcs": {"effect_scale": 10.0}}, []),
-    "n_obs-above-int64": ("report", {"compare": {"n_obs": 10**20}}, []),
+    "removed-n_obs": ("report", {"compare": {"n_obs": 50}}, []),
     "sim-n_voxels-beyond-address-space":
         ("simulate", {"simulate": {"n_voxels": 10**30}}, []),
     **{f"verbose-flag-on-{command}": (command, {}, ["--verbose"])
@@ -548,6 +547,9 @@ def test_failing_report_leaves_out_as_it_was(pipeline, tmp_path, capsys,
     kept = tmp_path / "kept"
     kept.mkdir()
     (kept / "mine.txt").write_bytes(b"mine\n")
+    # a file report owns and would not write: a failing run keeps it too
+    (kept / "curves_cluster9.svg").write_bytes(b"old\n")
+    before = _tree_bytes(kept)
     for out in (fresh, kept):
         capsys.readouterr()
         rc = main(["report", pipeline["bundle"], "--config", pipeline["cfg"],
@@ -555,8 +557,7 @@ def test_failing_report_leaves_out_as_it_was(pipeline, tmp_path, capsys,
         assert rc == 3
         assert _single_error_line(capsys)["message"] == "no comparison"
     assert not fresh.exists()
-    assert os.listdir(kept) == ["mine.txt"]
-    assert (kept / "mine.txt").read_bytes() == b"mine\n"
+    assert _tree_bytes(kept) == before
 
 
 def test_out_that_cannot_be_a_directory_exits_2(pipeline, tmp_path, capsys,
@@ -596,6 +597,23 @@ def test_out_holding_a_directory_where_a_file_lands_exits_2(pipeline,
     assert _tree_bytes(out) == before
     assert sorted(os.listdir(out)) == ["fit.json", "loglik.csv",
                                        "params.json", "resp.csv"]
+
+
+def test_out_is_checked_before_an_owned_file_is_removed(pipeline, tmp_path,
+                                                       capsys):
+    out = tmp_path / "infer"
+    out.mkdir()
+    # infer owns a slice image it will not write, and finds a directory
+    # where tstats.csv lands
+    (out / "tmap_s999.pgm").write_bytes(b"old\n")
+    (out / "tstats.csv").mkdir()
+    before = _tree_bytes(out)
+    capsys.readouterr()
+    assert main(["infer", pipeline["bundle"], pipeline["fit"], "--config",
+                 pipeline["cfg"], "--out", str(out)]) == 2
+    assert str(out / "tstats.csv") in _single_error_line(capsys)["message"]
+    assert _tree_bytes(out) == before
+    assert sorted(os.listdir(out)) == ["tmap_s999.pgm", "tstats.csv"]
 
 
 def test_coordinate_outside_mask_shape_exits_2_before_any_work(
@@ -671,7 +689,7 @@ def test_rank_deficient_design_exits_3_naming_the_column(pipeline, tmp_path,
     shutil.copytree(pipeline["bundle"], bundle)
     design = os.path.join(bundle, "design.csv")
     x = np.loadtxt(design, skiprows=1, ndmin=1)
-    write_csv(design, ["x1", "x2"], columns(x))
+    write_csv(design, io._design_columns(2), columns(x))
     _edit_header(bundle, dims={**CONFIG["simulate"], "n_covariates": 2})
     out = tmp_path / "out"
     out.mkdir()
@@ -724,6 +742,110 @@ def test_rerun_into_an_output_directory_replaces_its_bundle_whole(tmp_path):
     assert main(["preprocess", without, "--out", fresh]) == 0
     assert _tree_bytes(out) == {**_tree_bytes(fresh), "mine.txt": b"mine\n"}
     assert sorted(os.listdir(out)) == ["dataset", "mine.txt"]
+
+
+def _config(tmp_path, **sections):
+    """CONFIG with ``sections`` replaced, as a config file in ``tmp_path``."""
+    cfg = str(tmp_path / "config.json")
+    with open(cfg, "w") as f:
+        json.dump({**CONFIG, **sections}, f)
+    return cfg
+
+
+def _rerun_into(tmp_path, used, argv):
+    """Run ``argv`` into a copy of the output directory ``used`` that also
+    holds an unowned mine.txt, and into a fresh one; the copy must end as
+    the fresh directory plus mine.txt. Returns the copy."""
+    out, fresh = str(tmp_path / "out"), str(tmp_path / "fresh")
+    shutil.copytree(used, out)
+    with open(os.path.join(out, "mine.txt"), "w") as f:
+        f.write("mine\n")
+    for where in (out, fresh):
+        assert main(argv + ["--out", where]) == 0
+    assert _tree_bytes(out) == {**_tree_bytes(fresh), "mine.txt": b"mine\n"}
+    return out
+
+
+def test_rerun_of_a_report_that_skips_pcs_removes_the_pcs_files(pipeline,
+                                                                 tmp_path):
+    # no cluster is large enough, so report runs no pcs; rerun into the
+    # --out of a report that did, it once kept the earlier pcs files
+    cfg = _config(tmp_path, inference={"min_cluster": 100000})
+    out = _rerun_into(tmp_path, pipeline["report"],
+                      ["report", pipeline["bundle"], "--config", cfg])
+    with open(os.path.join(out, "report.json")) as f:
+        assert json.load(f)["pcs_run"] is False
+    assert not [name for name in os.listdir(out)
+                if name.startswith(("pc_", "anova", "curves", "effect"))]
+
+
+def _cluster_plots(root):
+    return [name for name in os.listdir(root)
+            if name.startswith("curves_cluster")]
+
+
+def test_rerun_with_fewer_clusters_removes_their_plots(pipeline, tmp_path):
+    cfg = _config(tmp_path, inference={"min_cluster": 3})
+    infer = str(tmp_path / "infer")
+    assert main(["infer", pipeline["bundle"], pipeline["fit"], "--config",
+                 cfg, "--out", infer]) == 0
+    out = _rerun_into(tmp_path, pipeline["pcs"],
+                      ["pcs", pipeline["bundle"], pipeline["fit"], infer,
+                       "--config", cfg])
+    assert 0 < len(_cluster_plots(out)) < len(_cluster_plots(pipeline["pcs"]))
+
+
+def _slice_images(root):
+    return [name for name in os.listdir(root) if name.endswith(".pgm")]
+
+
+def test_rerun_with_fewer_slices_removes_their_images(pipeline, tmp_path):
+    cfg = _config(tmp_path, simulate={**CONFIG["simulate"], "n_voxels": 60})
+    sim, fit = str(tmp_path / "sim"), str(tmp_path / "fit")
+    assert main(["simulate", "--config", cfg, "--out", sim]) == 0
+    bundle = os.path.join(sim, "dataset")
+    assert main(["fit", bundle, "--config", cfg, "--out", fit]) == 0
+    out = _rerun_into(tmp_path, pipeline["infer"],
+                      ["infer", bundle, fit, "--config", cfg])
+    assert 0 < len(_slice_images(out)) < len(_slice_images(pipeline["infer"]))
+
+
+# each directory of the pipeline fixture and the command that wrote it
+PIPELINE_COMMANDS = {"fit": "fit", "infer": "infer", "pcs": "pcs",
+                     "cmp": "compare", "report": "report"}
+# the files whose columns follow the dims, at CONFIG's dims
+DIMS_DECLARED = {"design.csv": io._design_columns(1),
+                 "resp.csv": io._resp_columns(1),
+                 "pc_scores.csv": io._pc_columns(2)}
+
+
+def test_every_written_file_is_declared(pipeline):
+    runs = [(os.path.dirname(pipeline["bundle"]), "simulate")]
+    runs += [(pipeline[key], command)
+             for key, command in PIPELINE_COMMANDS.items()]
+    for root, command in runs:
+        names = os.listdir(root)
+        stages = cli.STAGES[command]
+        entries = [e for stage in stages for e in io.STAGE_FILES[stage]]
+        # every file is one the command owns, and the pipeline's runs
+        # (its report runs pcs) write every name and pattern owned
+        assert [n for n in names if not io._owned(n, stages)] == [], command
+        assert [e for e in entries if not any(
+            n == e if isinstance(e, str) else e.fullmatch(n)
+            for n in names)] == [], command
+    # every CSV and JSON file has the header or keys declared
+    for folder, _, files in os.walk(pipeline["root"]):
+        for name in files:
+            if not name.endswith((".csv", ".json")) or name == "config.json":
+                continue
+            path = os.path.join(folder, name)
+            assert name in io.ARTIFACTS or name in DIMS_DECLARED, path
+            declared = DIMS_DECLARED.get(name) or io.ARTIFACTS[name]
+            with open(path) as f:
+                if name.endswith(".csv"):
+                    assert f.readline() == ",".join(declared) + "\n", path
+                else:
+                    assert sorted(json.load(f)) == sorted(declared), path
 
 
 @pytest.mark.parametrize("missing", ["truth.json", "truth.f64"])
@@ -1300,7 +1422,7 @@ def test_column_csv_reads_the_float_bits_it_wrote(tmp_path):
         [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e16, 2.0**-1074],
     ])
     path = str(tmp_path / "loglik.csv")
-    write_csv(path, ["iteration", "loglik"],
+    write_csv(path, io.ARTIFACTS["loglik.csv"],
               columns=[np.arange(values.size), values])
     table = io._read_table(str(tmp_path), "loglik.csv", values.size)
     with open(path) as f:

@@ -19,7 +19,7 @@ from trialmix.io import (
 )
 from trialmix.inference import FdrResult
 from trialmix.simulate import SimConfig, simulate_dataset
-from trialmix.types import (MAX_FACTOR_DIM, ActivationMap, FitResult,
+from trialmix.types import (MAX_FACTOR_DIM, ActivationMap, Dims, FitResult,
                             MixtureParams, validate_params)
 
 from helpers import (OVERSIZED_FACTORS, OVERSIZED_GRIDS, make_dataset,
@@ -370,7 +370,7 @@ def test_read_reports_design_parse_position(bundle):
     ("1", "row 2: expected 2 columns, found 1"),
 ])
 def test_table_errors_count_rows_and_columns_from_1(tmp_path, cells, message):
-    write_csv(str(tmp_path / "loglik.csv"), ["iteration", "loglik"],
+    write_csv(str(tmp_path / "loglik.csv"), io.ARTIFACTS["loglik.csv"],
               columns=[np.arange(4), np.zeros(4)])
     lines = (tmp_path / "loglik.csv").read_text().split("\n")
     lines[2] = cells
@@ -442,7 +442,7 @@ def test_format_float_roundtrips(tmp_path):
     # a float column's text gives back every float64 exactly
     floats = [0.1, 1.0 / 3.0, 1e-300, -0.0, 2.0**-52, np.pi, 1e308]
     path = str(tmp_path / "f.csv")
-    write_csv(path, ["x"], columns=[floats])
+    write_csv(path, {"x": float}, columns=[floats])
     with open(path) as f:
         cells = f.read().split("\n")[1:-1]
     assert [float(c) for c in cells] == floats
@@ -451,7 +451,7 @@ def test_format_float_roundtrips(tmp_path):
 
 def test_write_csv_uses_lf_only(tmp_path):
     path = str(tmp_path / "t.csv")
-    write_csv(path, ["a", "b"], columns=[[1, "x"], [0.1, 2.5]])
+    write_csv(path, {"a": str, "b": float}, columns=[[1, "x"], [0.1, 2.5]])
     with open(path, "rb") as f:
         raw = f.read()
     assert b"\r" not in raw
@@ -489,6 +489,18 @@ def test_pgm_constant_field_is_midgray(tmp_path):
         sidecar = json.load(f)
     assert sidecar["constant"] is True
     assert sidecar["min"] == sidecar["max"] == 7.5
+
+
+def test_pgm_infinities_saturate_on_a_flat_scale(tmp_path):
+    # the finite values are all equal: they are mid-gray, and +inf and
+    # -inf still take the ends of the scale
+    write_map_pgm(np.array([[0.0, 0.0], [np.inf, -np.inf]])[:, :, None],
+                  str(tmp_path / "inf.pgm"))
+    assert _read_bytes(str(tmp_path / "inf_s000.pgm")) == (
+        b"P5\n2 2\n255\n" + bytes([128, 128, 255, 0]))
+    with open(str(tmp_path / "inf.json")) as f:
+        sidecar = json.load(f)
+    assert (sidecar["min"], sidecar["max"], sidecar["constant"]) == (0.0, 0.0, True)
 
 
 def test_pgm_volume_writes_slices(tmp_path):
@@ -533,19 +545,17 @@ def test_pgm_validation(tmp_path):
         write_map_pgm(np.zeros((2, 2, 1)), path, mask=np.ones((3, 3, 3), bool))
 
 
-def _write_csv_per_cell(path, header, rows):
-    """The cell-by-cell rendering write_csv replaced, as the byte oracle."""
+def _write_csv_per_cell(path, declared, rows):
+    """Cell-by-cell rendering by the declared types, as the byte oracle:
+    f"{x:.17g}" for a float, the integer's text for an int or bool, str
+    for a str."""
+    render = {float: lambda c: f"{float(c):.17g}",
+              int: lambda c: str(int(c)), bool: lambda c: str(int(c)), str: str}
     with open(path, "w", newline="\n") as f:
-        f.write(",".join(header) + "\n")
+        f.write(",".join(declared) + "\n")
         for row in rows:
-            f.write(
-                ",".join(
-                    f"{float(c):.17g}" if isinstance(c, (float, np.floating))
-                    else str(c)
-                    for c in row
-                )
-                + "\n"
-            )
+            f.write(",".join(render[kind](c)
+                             for c, kind in zip(row, declared.values())) + "\n")
 
 
 def _read_bytes(path):
@@ -556,49 +566,50 @@ def _read_bytes(path):
 def test_write_csv_matches_per_cell_rendering(tmp_path):
     floats = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 0.1, 1.0 / 3.0]
     n = len(floats)
-    columns = [
-        np.arange(n),
-        np.array(floats),
-        [np.float64(x) for x in floats],
-        np.array(floats, dtype=np.float32),
-        [int(i) * 10**20 for i in range(n)],
-        [np.int64(-i) for i in range(n)],
-        np.arange(n) % 2 == 0,
-        [True, False] * (n // 2),
-        [f"s{i}" for i in range(n)],
+    declared_columns = [
+        (int, np.arange(n)),
+        (float, np.array(floats)),
+        (float, [np.float64(x) for x in floats]),
+        (float, np.array(floats, dtype=np.float32)),
+        (float, list(range(n))),
+        (int, [int(i) * 10**17 for i in range(n)]),
+        (int, [np.int64(-i) for i in range(n)]),
+        (int, np.arange(n, dtype=np.float64)),
+        (bool, np.arange(n) % 2 == 0),
+        (bool, [True, False] * (n // 2)),
+        (str, [f"s{i}" for i in range(n)]),
+        (str, np.array(["plus", "minus"])[np.arange(n) % 2]),
     ]
-    header = [f"c{j}" for j in range(len(columns))]
-    rows = list(zip(*columns))
+    declared = {f"c{j}": kind for j, (kind, _) in enumerate(declared_columns)}
+    columns = [column for _, column in declared_columns]
     oracle = str(tmp_path / "oracle.csv")
-    _write_csv_per_cell(oracle, header, rows)
+    _write_csv_per_cell(oracle, declared, list(zip(*columns)))
     path = str(tmp_path / "columns.csv")
-    write_csv(path, header, columns=columns)
+    write_csv(path, declared, columns=columns)
     assert _read_bytes(path) == _read_bytes(oracle)
     table = np.random.default_rng(0).standard_normal((7, 3))
-    _write_csv_per_cell(oracle, ["a", "b", "c"], table)
-    write_csv(str(tmp_path / "array.csv"), ["a", "b", "c"], columns=table.T)
+    declared = {"a": float, "b": float, "c": float}
+    _write_csv_per_cell(oracle, declared, table)
+    write_csv(str(tmp_path / "array.csv"), declared, columns=table.T)
     assert _read_bytes(str(tmp_path / "array.csv")) == _read_bytes(oracle)
-    # no artifact holds a column of floats and other values
-    mixed = [x if i % 2 else "x" for i, x in enumerate(floats)]
-    with pytest.raises(ValueError, match="mixes floats"):
-        write_csv(str(tmp_path / "mixed.csv"), ["m"], columns=[mixed])
 
 
 def test_write_csv_zero_rows_and_bad_shapes(tmp_path):
     oracle = str(tmp_path / "oracle.csv")
-    _write_csv_per_cell(oracle, ["a", "b"], [])
+    declared = {"a": float, "b": int}
+    _write_csv_per_cell(oracle, declared, [])
     for name, columns in (
         ("columns", [np.zeros(0), np.zeros(0, dtype=np.int64)]),
         ("array", np.zeros((0, 2)).T),
     ):
         path = str(tmp_path / f"{name}.csv")
-        write_csv(path, ["a", "b"], columns=columns)
+        write_csv(path, declared, columns=columns)
         assert _read_bytes(path) == _read_bytes(oracle) == b"a,b\n", name
     path = str(tmp_path / "bad.csv")
     with pytest.raises(ValueError, match="differ in length"):
-        write_csv(path, ["a", "b"], columns=[[1, 2], [1.0]])
-    with pytest.raises(ValueError, match="header"):
-        write_csv(path, ["a", "b"], columns=[[1, 2]])
+        write_csv(path, declared, columns=[[1, 2], [1.0]])
+    with pytest.raises(ValueError, match="zip"):
+        write_csv(path, declared, columns=[[1, 2]])
 
 
 def _json_dump_bytes(obj, path):
@@ -609,41 +620,44 @@ def _json_dump_bytes(obj, path):
 
 
 def test_dump_json_matches_json_dump(tmp_path):
+    # a record is rendered by its declaration, every float to the same
+    # bits and arrays and tuples to lists, then written as json.dump
+    # writes it
     header = {
-        "version": "1",
+        "version": "2",
         "endianness": "little",
         "dims": {"n_times": 4, "n_epochs": 3, "n_voxels": 3, "n_covariates": 0},
         "tr": 2.0,
         "stimulus_times": [0.0, 8.5, 17.25],
-        "coords": [[0, 1, 2], [3, 4, 5], [10, 0, 7]],
-        "mask_shape": None,
+        "mask_shape": [2, 2, 1],
     }
     truth = {
         "seed": 7,
-        "labels": [0, 1, 1, 0],
         "shift_offsets": None,
         "params": {
             "active_prob": 0.25,
-            "amplitude": [1.5, float("nan"), -0.0, 5e-324],
-            "coeffs": [[0.1, 0.2], [1e16, -1e-300], [3.0, 4.0], [5.0, 6.0]],
-            "hrf": [0.5, 0.5],
-            "within_cov": [[1.0, float("inf")], [0.0, 1.0]],
+            "hrf": [0.5, -0.0],
+            "within_cov": [[1.0, 5e-324], [1e16, -1e-300]],
             "between_cov": [[1.0]],
-            "noise_var": 1.0,
+            "noise_var": 1.0 / 3.0,
         },
     }
-    odd = {
-        "empty": [[], []],
-        "ragged": [[1, 2], [3]],
-        "mixed": [1, 2.5, True, None, "x\ny"],
-        "tuple": (1, 2),
-        "nested": {"z": {}, "a": [{"k": [np.float64(0.5)]}]},
-        "int_keys": {2: "b", 1: "a"},
-        "big": 10**30,
+    sidecar = {"min": -0.0, "max": 0.1, "maxval": 255, "constant": False,
+               "masked": True, "files": ["m_s000.pgm", "m_s001.pgm"]}
+    values = {
+        "header.json": {**header, "dims": Dims(**header["dims"]),
+                        "stimulus_times": np.array(header["stimulus_times"]),
+                        "mask_shape": (2, 2, 1)},
+        "truth.json": {**truth, "params": {
+            k: np.asarray(v) if isinstance(v, list) else np.float64(v)
+            for k, v in truth["params"].items()}},
+        "tmap.json": {**sidecar, "min": np.float64(-0.0), "maxval": np.int64(255),
+                      "masked": np.bool_(True), "files": tuple(sidecar["files"])},
     }
-    for name, obj in (("header", header), ("truth", truth), ("odd", odd)):
-        path = str(tmp_path / f"{name}.json")
-        io.write_json(obj, path)
+    for name, obj in (("header.json", header), ("truth.json", truth),
+                      ("tmap.json", sidecar)):
+        path = str(tmp_path / name)
+        io._write_record(path, io.ARTIFACTS[name], values[name])
         assert _read_bytes(path) == _json_dump_bytes(obj, path + ".ref"), name
 
 
@@ -688,7 +702,7 @@ def test_fit_and_infer_directories_read_back_their_bits(tmp_path, stage):
     cluster = np.where(reject, rng.integers(1, 4, dims.n_voxels), 0)
     amap = ActivationMap(t, pvals, reject, cluster, df=17)
     fdr = FdrResult(reject, threshold=0.3, m0_hat=30, n_rejected=int(reject.sum()))
-    with io.OutputDir(str(tmp_path)) as out:
+    with io.OutputDir(str(tmp_path), ("fit", "infer")) as out:
         io.write_fit(out, fit)
         io.write_infer(out, ds, amap, fdr)
     if stage == "fit":
@@ -723,7 +737,7 @@ def test_read_fit_rebuilds_the_parameters_from_two_files(tmp_path,
         [[-0.0, 5e-324, 1e300, 1.0 / 3.0], params.amplitude[4:]]))
     fit = FitResult(params, rng.uniform(size=dims.n_voxels),
                     np.array([-10.0, -5.0]), 1, True)
-    with io.OutputDir(str(tmp_path)) as out:
+    with io.OutputDir(str(tmp_path), ("fit",)) as out:
         io.write_fit(out, fit)
     with open(tmp_path / "params.json") as f:
         assert list(json.load(f)) == sorted(io.GLOBAL_PARAMS)

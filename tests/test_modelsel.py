@@ -120,12 +120,10 @@ def test_compare_models_table(tiny_dataset):
     assert cmp.best_bic == cmp.rows[int(np.argmin(bics))].model_id
 
 
-def test_compare_models_subset_and_custom_n_obs(tiny_dataset):
+def test_compare_models_subset(tiny_dataset):
     cfg = EmConfig(max_iter=30)
     fits = {mid: fit_model(tiny_dataset, mid, cfg) for mid in (1, 2)}
-    cmp = compare_models(tiny_dataset, fits,
-                         CompareConfig(models=(1, 2), n_obs=50))
+    cmp = compare_models(tiny_dataset, fits, CompareConfig(models=(1, 2)))
     assert [r.model_id for r in cmp.rows] == [1, 2]
-    assert cmp.n_obs == 50
     with pytest.raises(ValueError):
         CompareConfig(models=())
