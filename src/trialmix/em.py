@@ -52,7 +52,7 @@ import numpy as np
 
 from . import kernels
 from .inference import t_sf, t_statistics
-from .linalg import inv_spd, kron_logdet, regularize_spd
+from .linalg import inv_spd, kron_apply, kron_logdet, regularize_spd
 from .types import (
     Dataset,
     DegenerateDataError,
@@ -364,10 +364,8 @@ def _update_b_all(
 ) -> np.ndarray:
     d = dataset.dims
     q = d.n_covariates
-    # (w_between (x) w_within) X, the design under the responding precision
-    x_ep = dataset.design.reshape(d.n_epochs, d.n_times, q)
-    wx = np.einsum("jk,kta,ts->jsa", w_between, x_ep, w_within).reshape(
-        d.n_images, q)
+    # the design under the responding precision
+    wx = kron_apply(w_between, dataset.design, w_within)
     gram_active = dataset.design.T @ wx
     gram_inactive = dataset.design.T @ dataset.design / noise_var
     proj = _projection(
@@ -668,7 +666,7 @@ def _seed(
     of ``params`` on entry and of the returned seed on exit.
 
     Fits the all-responding reduced model, classifies voxels with the
-    pre-whitened amplitude t-test at INIT_ALPHA (uncorrected),
+    amplitude t-test at INIT_ALPHA (uncorrected),
     and seeds the covariance factors and the noise variance by running
     the variance block on the reduced fit with the screen's 0/1
     responsibilities. Falls back to the top percentile by t-statistic if

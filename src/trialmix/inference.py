@@ -1,5 +1,5 @@
-"""Activation inference: pre-whitening, amplitude t-tests, adaptive FDR,
-and spatial clustering of the rejected voxels.
+"""Activation inference: amplitude t-tests under the fitted responding
+precision, adaptive FDR, and spatial clustering of the rejected voxels.
 
 InferenceConfig declares the stage's settings and defaults once;
 activation_map takes it whole, and its steps take plain values.
@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import voxel_blocks
-from .linalg import inv_sqrt
+from .kernels import quad_forms_kron, voxel_blocks
+from .linalg import inv_spd, kron_apply
 from .types import (ActivationMap, Dataset, DegenerateDataError, FitResult,
                     MixtureParams, _intervene)
 
@@ -27,87 +27,54 @@ __all__ = [
 ]
 
 
-def _whitening(
-    dataset: Dataset, params: MixtureParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(half_between, half_within, mu_w, design_w) of the whitening."""
-    d = dataset.dims
-    half_within = inv_sqrt(params.within_cov)
-    half_between = inv_sqrt(params.between_cov)
-    mu_w = np.einsum(
-        "k,t->kt", half_between.sum(axis=1), half_within @ params.hrf
-    ).reshape(d.n_images)
-    x_ep = dataset.design.reshape(d.n_epochs, d.n_times, d.n_covariates)
-    design_w = np.einsum(
-        "kj,jtq,ts->ksq", half_between, x_ep, half_within, optimize=True
-    ).reshape(d.n_images, d.n_covariates)
-    return half_between, half_within, mu_w, design_w
-
-
-def _whiten_series(
-    series_ep: np.ndarray, half_between: np.ndarray, half_within: np.ndarray
-) -> np.ndarray:
-    """(n_voxels, n_epochs, n_times) series to whitened (n_voxels, n_images)."""
-    return np.einsum(
-        "kj,vjs,st->vkt", half_between, series_ep, half_within, optimize=True
-    ).reshape(series_ep.shape[0], -1)
-
-
-class _AmplitudeTest:
-    """The regressors [mu_w, design_w] of the amplitude t-test, factored
-    once and applied to any number of whitened voxel series."""
-
-    def __init__(self, mu_w: np.ndarray, design_w: np.ndarray) -> None:
-        n = mu_w.shape[0]
-        q = design_w.shape[1]
-        self.df = n - q - 1
-        if self.df < 1:
-            raise DegenerateDataError(f"nonpositive degrees of freedom: n={n}, q={q}")
-        self.mu_norm2 = float(mu_w @ mu_w)
-        if self.mu_norm2 <= 0.0:
-            raise DegenerateDataError("whitened shape regressor has zero norm")
-        self.z = np.concatenate([mu_w[:, None], design_w], axis=1)
-        self.gram = self.z.T @ self.z
-
-    def __call__(self, series_w: np.ndarray) -> tuple[np.ndarray, int]:
-        """t-statistics of (n_voxels, n_images) series, and how many of
-        them fit exactly."""
-        coef = np.linalg.solve(self.gram, self.z.T @ series_w.T)
-        resid = series_w.T - self.z @ coef
-        rss = np.einsum("nv,nv->v", resid, resid)
-        s2 = rss / self.df
-        amp = coef[0]
-        t = np.where(amp < 0.0, -np.inf, np.inf)
-        t[amp == 0.0] = 0.0
-        good = s2 > 0.0
-        t[good] = amp[good] / np.sqrt(s2[good] / self.mu_norm2)
-        return t, int(np.sum(~good))
-
-
 def t_statistics(dataset: Dataset, params: MixtureParams) -> tuple[np.ndarray, int]:
     """Amplitude t-statistics of every voxel, and their degrees of freedom.
 
-    Series, shape and design are whitened by the fitted Kronecker
-    covariance, and amplitude and covariates re-fitted by least squares
-    on n - q - 1 degrees of freedom, one block of kernels.BLOCK voxels at
-    a time. An exact fit gives +-inf by the amplitude's sign, or 0 for a
-    zero amplitude (a flat voxel carries no evidence of a response).
+    Amplitude and covariates are re-fitted by generalized least squares
+    under the responding precision P = inv(between_cov) (x)
+    inv(within_cov), on df = n - q - 1 degrees of freedom, one block of
+    kernels.BLOCK voxels at a time: with Z = [m, design] and
+    m = 1_E (x) hrf, the coefficients c solve (Z'PZ) c = Z'Py, and
+    s^2 = r'Pr / df for the residual r = y - Zc. Then
+    t = c_0 / sqrt(s^2 / m'Pm): this standard error leaves out the
+    covariates, which s^2 [inv(Z'PZ)]_00 would count. An exact fit
+    gives +-inf by the amplitude's sign, or 0 for a zero amplitude (a
+    flat voxel carries no evidence of a response).
     """
-    half_between, half_within, mu_w, design_w = _whitening(dataset, params)
-    test = _AmplitudeTest(mu_w, design_w)
-    series_ep = dataset.epoch_view()
-    t = np.empty(dataset.dims.n_voxels)
+    d = dataset.dims
+    df = d.n_images - d.n_covariates - 1
+    if df < 1:
+        raise DegenerateDataError(
+            f"nonpositive degrees of freedom: n={d.n_images}, q={d.n_covariates}")
+    w_within = inv_spd(params.within_cov)
+    w_between = inv_spd(params.between_cov)
+    z = np.concatenate(
+        [np.tile(params.hrf, d.n_epochs)[:, None], dataset.design], axis=1)
+    pz = kron_apply(w_between, z, w_within)
+    gram = z.T @ pz
+    if gram[0, 0] <= 0.0:
+        raise DegenerateDataError("shape regressor has zero precision norm")
+    t = np.empty(d.n_voxels)
     n_exact = 0
-    for sl in voxel_blocks(dataset.dims.n_voxels):
-        series_w = _whiten_series(series_ep[sl], half_between, half_within)
-        t[sl], n_blk = test(series_w)
-        n_exact += n_blk
+    for sl in voxel_blocks(d.n_voxels):
+        series = dataset.series[sl]
+        coef = np.linalg.solve(gram, (series @ pz).T)
+        resid = series - (z @ coef).T
+        s2 = quad_forms_kron(
+            resid.reshape(-1, d.n_epochs, d.n_times), w_within, w_between) / df
+        amp = coef[0]
+        t_blk = np.where(amp < 0.0, -np.inf, np.inf)
+        t_blk[amp == 0.0] = 0.0
+        good = s2 > 0.0
+        t_blk[good] = amp[good] / np.sqrt(s2[good] / gram[0, 0])
+        t[sl] = t_blk
+        n_exact += int(np.sum(~good))
     if n_exact:
         _intervene(
             f"{n_exact} voxel(s) fit exactly; t set to +-inf, "
             "or 0 where the amplitude is 0"
         )
-    return t, test.df
+    return t, df
 
 
 # an entry's continued fraction stops once its last factor lies this
@@ -375,8 +342,8 @@ def activation_map(
 ) -> tuple[ActivationMap, FdrResult]:
     """Full inference pass over a fitted dataset.
 
-    Whitens with the fitted covariance factors, tests every voxel's
-    amplitude, optionally screens at an uncorrected level before the
+    Tests every voxel's amplitude under the fitted covariance factors
+    (t_statistics), optionally screens at an uncorrected level before the
     adaptive FDR pass (config.screen_alpha=None adjusts all voxels),
     and clusters the rejected voxels. A screen that nothing passes
     gives an FdrResult with threshold 0.0 and m0_hat 0.

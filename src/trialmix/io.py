@@ -204,6 +204,8 @@ def _load_json(path: str, name: str, error: type = BundleFormatError) -> dict:
         obj = json.loads(raw)
     except json.JSONDecodeError as e:
         raise error(f"{name}: invalid JSON at byte {e.pos}: {e.msg}") from None
+    except UnicodeDecodeError as e:
+        raise error(f"{name}: not {e.encoding} text: {e.reason}") from None
     if not isinstance(obj, dict):
         raise error(f"{name}: top level must be an object")
     return obj
@@ -413,17 +415,19 @@ def read_dataset(path: str) -> Dataset:
     data_path = os.path.join(path, DATA_NAME)
     try:
         actual = os.path.getsize(data_path)
+        if actual != expected:
+            raise BundleFormatError(
+                f"{DATA_NAME}: expected {expected} bytes "
+                f"({dims.n_voxels} voxels x {dims.n_images} images x 8), "
+                f"found {actual}"
+            )
+        series = np.fromfile(data_path, dtype="<f8").reshape(
+            dims.n_voxels, dims.n_images
+        )
     except FileNotFoundError:
         raise BundleFormatError(f"{DATA_NAME}: file not found") from None
-    if actual != expected:
-        raise BundleFormatError(
-            f"{DATA_NAME}: expected {expected} bytes "
-            f"({dims.n_voxels} voxels x {dims.n_images} images x 8), "
-            f"found {actual}"
-        )
-    series = np.fromfile(data_path, dtype="<f8").reshape(
-        dims.n_voxels, dims.n_images
-    )
+    except OSError as e:  # a link that loops, or a file it cannot open
+        raise BundleFormatError(f"{DATA_NAME}: {e.strerror}") from None
     coords = np.column_stack(list(_read_table(
         path, COORDS_NAME, dims.n_voxels).values()))
     design = np.zeros((dims.n_images, 0))
@@ -611,6 +615,9 @@ def _read_table(folder: str, name: str, n_rows: int,
         raise BundleFormatError(f"{name}: file not found") from None
     except OSError as e:
         raise BundleFormatError(f"{name}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise BundleFormatError(
+            f"{name}: not {e.encoding} text: {e.reason}") from None
     except ValueError as e:
         fault = _table_fault(os.path.join(folder, name), declared) or e
         raise BundleFormatError(f"{name}: {fault}") from None

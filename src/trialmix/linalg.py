@@ -15,8 +15,8 @@ __all__ = [
     "SingularMatrixError",
     "sym_eigen",
     "matrix_sqrt",
-    "inv_sqrt",
     "inv_spd",
+    "kron_apply",
     "regularize_spd",
     "kron_logdet",
 ]
@@ -65,12 +65,6 @@ def matrix_sqrt(mat: np.ndarray) -> np.ndarray:
     return (vectors * np.sqrt(values)) @ vectors.T
 
 
-def inv_sqrt(mat: np.ndarray) -> np.ndarray:
-    """Symmetric inverse square root of an SPD matrix."""
-    values, vectors = _positive_eigen(mat, "inv_sqrt")
-    return (vectors / np.sqrt(values)) @ vectors.T
-
-
 def regularize_spd(mat: np.ndarray, where: str = "") -> np.ndarray:
     """Return an SPD version of a symmetric matrix, ridging if needed.
 
@@ -109,6 +103,16 @@ def inv_spd(mat: np.ndarray) -> np.ndarray:
     inv_low = np.linalg.inv(low)
     inv = inv_low.T @ inv_low
     return 0.5 * (inv + inv.T)
+
+
+def kron_apply(
+    between: np.ndarray, columns: np.ndarray, within: np.ndarray
+) -> np.ndarray:
+    """(between (x) within) @ columns for symmetric factors and epoch-major
+    (n_epochs * n_times, k) columns, one einsum over the factors."""
+    cols = columns.reshape(between.shape[0], within.shape[0], columns.shape[1])
+    return np.einsum("jk,kta,ts->jsa", between, cols, within).reshape(
+        columns.shape)
 
 
 def kron_logdet(between: np.ndarray, within: np.ndarray) -> float:

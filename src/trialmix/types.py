@@ -111,11 +111,6 @@ class Dataset:
     tr: float
     mask_shape: tuple[int, int, int] | None = None
 
-    def epoch_view(self) -> np.ndarray:
-        """Series reshaped to (n_voxels, n_epochs, n_times) without copying."""
-        d = self.dims
-        return self.series.reshape(d.n_voxels, d.n_epochs, d.n_times)
-
     @property
     def grid_shape(self) -> tuple[int, int, int]:
         """The volume grid: mask_shape, or else the coordinates' extent."""

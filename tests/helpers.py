@@ -1,6 +1,6 @@
 """Shared builders for random but valid model objects, and the
-single-voxel and unblocked oracles the batched package code is checked
-against.
+single-voxel, unblocked and dense oracles the batched package code is
+checked against.
 
 Every builder takes an explicit numpy Generator so tests stay
 reproducible. Dimensions default small enough that dense oracles
@@ -26,11 +26,6 @@ from trialmix.em import (
     update_covariances,
     update_h,
     update_sigma2,
-)
-from trialmix.inference import (
-    _AmplitudeTest,
-    _whiten_series,
-    _whitening,
 )
 from trialmix.linalg import inv_spd, kron_logdet, matrix_sqrt
 from trialmix.preprocess import (
@@ -407,34 +402,27 @@ def preprocess_whole(dataset: Dataset, cfg) -> Dataset:
     return replace(dataset, series=series, design=design)
 
 
-def whiten(
+def dense_t_statistics(
     dataset: Dataset, params: MixtureParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Series, shape regressor and design of the whole dataset whitened
-    by the inverse square root of the fitted Kronecker covariance.
-
-    Returns (series_w, mu_w, design_w): series_w is (n_voxels, n_images),
-    mu_w is (n_images,), design_w is (n_images, n_covariates), all
-    epoch-major. With t_statistics_all it is the unblocked form of
-    inference.t_statistics.
-    """
-    half_between, half_within, mu_w, design_w = _whitening(dataset, params)
-    series_w = _whiten_series(dataset.epoch_view(), half_between, half_within)
-    return series_w, mu_w, design_w
-
-
-def t_statistics_all(
-    series_w: np.ndarray, mu_w: np.ndarray, design_w: np.ndarray
 ) -> tuple[np.ndarray, int]:
-    """Amplitude t-statistics of every whitened voxel series at once."""
-    test = _AmplitudeTest(mu_w, design_w)
-    t, n_exact = test(series_w)
-    if n_exact:
-        _intervene(
-            f"{n_exact} voxel(s) fit exactly; t set to +-inf, "
-            "or 0 where the amplitude is 0"
-        )
-    return t, test.df
+    """Amplitude t-statistics of every voxel, and their degrees of
+    freedom, by the dense route inference.t_statistics avoids: series,
+    shape regressor and design whitened by the inverse square root of
+    kron(between_cov, within_cov), from its eigendecomposition, then
+    ordinary least squares by np.linalg.lstsq and
+    t = amplitude / sqrt(s^2 / |whitened shape regressor|^2)."""
+    d = dataset.dims
+    values, vectors = np.linalg.eigh(
+        np.kron(params.between_cov, params.within_cov))
+    half = (vectors / np.sqrt(values)) @ vectors.T
+    z = half @ np.column_stack(
+        [np.tile(params.hrf, d.n_epochs), dataset.design])
+    series_w = dataset.series @ half.T
+    coef = np.linalg.lstsq(z, series_w.T, rcond=None)[0]
+    resid = series_w.T - z @ coef
+    df = d.n_images - d.n_covariates - 1
+    s2 = np.sum(resid * resid, axis=0) / df
+    return coef[0] / np.sqrt(s2 / (z[:, 0] @ z[:, 0])), df
 
 
 def scipy_hrf_shape_raw(times: np.ndarray) -> np.ndarray:
@@ -473,14 +461,6 @@ def sweep_covariances(resid, resp, within, between, sweeps):
     for _ in range(sweeps // 2):
         within, between = update_covariances(resid, resp, within, between)
     return within, between
-
-
-def t_statistic(
-    y_w: np.ndarray, mu_w: np.ndarray, design_w: np.ndarray
-) -> tuple[float, int]:
-    """Amplitude t-statistic for one whitened voxel series."""
-    t, df = t_statistics_all(y_w[None, :], mu_w, design_w)
-    return float(t[0]), df
 
 
 # ------------------------------------------------------------ builders

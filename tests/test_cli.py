@@ -418,6 +418,21 @@ def test_wrong_kind_of_path_exits_2(tmp_path, capsys, case):
     assert not os.path.exists(out)
 
 
+def test_data_file_that_links_to_itself_exits_2(tmp_path, capsys):
+    # once ended in an OSError (too many levels of symbolic links) traceback
+    bundle = _write_bundle(str(tmp_path / "bundle"))
+    path = os.path.join(bundle, "data.f64")
+    os.remove(path)
+    os.symlink("data.f64", path)
+    out = str(tmp_path / "out")
+    capsys.readouterr()
+    assert main(["fit", bundle, "--out", out]) == 2
+    err = _single_error_line(capsys)
+    assert err["type"] == "BundleFormatError"
+    assert err["message"].startswith("data.f64: ")
+    assert not os.path.exists(out)
+
+
 def test_malformed_config_json_exits_2(tmp_path, capsys):
     cfg = str(tmp_path / "oops.json")
     with open(cfg, "w") as f:
@@ -437,6 +452,38 @@ def _edit_header(bundle, **changes):
     header.update(changes)
     with open(path, "w") as f:
         json.dump(header, f)
+
+
+# (file, how) with a 0xff byte, which no UTF-8 text holds; each once
+# ended in a UnicodeDecodeError traceback
+UNDECODABLE = [("header.json", "0xff"), ("coords.csv", "0xff"),
+               ("coords.csv", "0xff-header"), ("config", "0xff")]
+
+
+@pytest.mark.parametrize("name, how", UNDECODABLE)
+def test_undecodable_bundle_or_config_exits_2(pipeline, tmp_path, capsys,
+                                              name, how):
+    bundle = str(tmp_path / "bundle")
+    shutil.copytree(pipeline["bundle"], bundle)
+    cfg = str(tmp_path / "config.json")
+    if name == "config":
+        with open(cfg, "wb") as f:
+            f.write(b'{"seed": "\xff"}')
+    else:
+        shutil.copy(pipeline["cfg"], cfg)
+        _corrupt(os.path.join(bundle, name), how)
+    out = str(tmp_path / "out")
+    capsys.readouterr()
+    assert main(["fit", bundle, "--config", cfg, "--out", out]) == 2
+    err = _single_error_line(capsys)
+    assert err["code"] == 2
+    if name == "config":
+        assert err["type"] == "ConfigError"
+        assert err["message"].startswith(f"{cfg}: not utf-8 text")
+    else:
+        assert err["type"] == "BundleFormatError"
+        assert err["message"].startswith(f"{name}: not utf-8 text")
+    assert not os.path.exists(out)
 
 
 def test_unknown_compare_model_exits_2(pipeline, tmp_path, capsys):
@@ -1237,10 +1284,19 @@ def _corrupt(path, how):
     """Edit one cell of a CSV's fourth line, or one key of a JSON file.
 
     ``how`` is "non-numeric" (the second cell), "ragged" (drop the last
-    cell), "no-rows" (keep only the header) or "name=value" for the named
-    column or key; a JSON value is parsed as JSON where it can be, else
-    kept as a string.
+    cell), "no-rows" (keep only the header), "0xff" (a byte no UTF-8 text
+    holds, in the fourth line), "0xff-header" (the same in the first) or
+    "name=value" for the named column or key; a JSON value is parsed as
+    JSON where it can be, else kept as a string.
     """
+    if how.startswith("0xff"):
+        with open(path, "rb") as f:
+            lines = f.read().split(b"\n")
+        row = 0 if how == "0xff-header" else 4
+        lines[row] = lines[row][:2] + b"\xff" + lines[row][2:]
+        with open(path, "wb") as f:
+            f.write(b"\n".join(lines))
+        return
     name, _, value = how.partition("=")
     if path.endswith(".json"):
         with open(path) as f:
@@ -1272,7 +1328,8 @@ def _corrupt(path, how):
 # value, or (no-rows) ended in a traceback; loglik=nan exited 0 until a
 # fit's trace had to be finite. A within_cov whose smallest eigenvalue is
 # positive but below the positivity floor exited 3 from infer and 0 from
-# pcs until both checks read one floor.
+# pcs until both checks read one floor. The 0xff cases ended in a
+# UnicodeDecodeError traceback until io mapped it to a format error.
 FLOORED = np.diag([1e-20] + [1.0] * (CONFIG["simulate"]["n_times"] - 1))
 MALFORMED = [
     ("resp.csv", "non-numeric"),
@@ -1299,6 +1356,8 @@ MALFORMED = [
     ("fit.json", "iterations=2.7"),
     ("fdr.json", "df=three"),
     ("fdr.json", "df=true"),
+    ("resp.csv", "0xff"),
+    ("params.json", "0xff"),
     pytest.param("params.json", f"within_cov={json.dumps(FLOORED.tolist())}",
                  id="params.json-within_cov=diag(1e-20,1,...)"),
 ]

@@ -1,9 +1,11 @@
-"""Whitening, t statistics, tail probabilities, FDR, and clustering.
+"""t statistics, tail probabilities, FDR, and clustering.
 
 The t tail is checked against the arctan and algebraic closed forms it
 must reproduce at one and two degrees of freedom; the FDR procedure is
 checked against hand-worked step-up examples.
 """
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,79 +17,49 @@ from trialmix.inference import (
     t_sf,
     t_statistics,
 )
-from trialmix.linalg import inv_sqrt
+from trialmix.kernels import voxel_blocks
 from trialmix.simulate import SimConfig, simulate_dataset
 from trialmix.em import em_fit
 
 from helpers import (
+    dense_t_statistics,
     make_dataset,
     make_dims,
     make_params,
-    t_statistic,
-    t_statistics_all,
-    whiten,
 )
-
-
-def test_whiten_matches_dense_kronecker():
-    rng = np.random.default_rng(0)
-    dims = make_dims(n_times=3, n_epochs=4, n_voxels=5, n_covariates=2)
-    ds = make_dataset(dims, rng)
-    params = make_params(dims, rng)
-    series_w, mu_w, design_w = whiten(ds, params)
-    half = inv_sqrt(np.kron(params.between_cov, params.within_cov))
-    np.testing.assert_allclose(series_w, ds.series @ half.T, atol=1e-10)
-    mu = np.tile(params.hrf, dims.n_epochs)
-    np.testing.assert_allclose(mu_w, half @ mu, atol=1e-10)
-    np.testing.assert_allclose(design_w, half @ ds.design, atol=1e-10)
-
-
-def test_whiten_spheres_the_active_covariance():
-    rng = np.random.default_rng(1)
-    dims = make_dims(n_times=3, n_epochs=3, n_voxels=2000, n_covariates=0)
-    params = make_params(dims, rng)
-    chol = np.linalg.cholesky(np.kron(params.between_cov, params.within_cov))
-    noise = rng.standard_normal((dims.n_voxels, dims.n_images)) @ chol.T
-    ds = make_dataset(dims, rng)
-    ds = type(ds)(
-        dims=dims, series=noise, design=ds.design, coords=ds.coords,
-        stimulus_times=ds.stimulus_times, tr=ds.tr,
-    )
-    series_w, _, _ = whiten(ds, params)
-    cov = series_w.T @ series_w / dims.n_voxels
-    # sample covariance of whitened noise is near identity
-    assert np.max(np.abs(cov - np.eye(dims.n_images))) < 0.15
 
 
 def test_t_statistics_match_least_squares_oracle():
     rng = np.random.default_rng(2)
-    n, q, v = 24, 3, 6
-    series_w = rng.standard_normal((v, n))
-    mu_w = rng.standard_normal(n)
-    design_w = rng.standard_normal((n, q))
-    t, df = t_statistics_all(series_w, mu_w, design_w)
-    assert df == n - q - 1
-    z = np.column_stack([mu_w, design_w])
-    for i in range(v):
-        coef, rss, _, _ = np.linalg.lstsq(z, series_w[i], rcond=None)
-        s2 = float(rss[0]) / df
-        expected = coef[0] / np.sqrt(s2 / float(mu_w @ mu_w))
-        assert abs(t[i] - expected) < 1e-10
-    one, df_one = t_statistic(series_w[0], mu_w, design_w)
-    assert df_one == df and abs(one - t[0]) < 1e-12
+    dims = make_dims(n_times=6, n_epochs=4, n_voxels=6, n_covariates=3)
+    ds = make_dataset(dims, rng)
+    params = make_params(dims, rng)
+    t, df = t_statistics(ds, params)
+    t_ref, df_ref = dense_t_statistics(ds, params)
+    assert df == df_ref == dims.n_images - dims.n_covariates - 1
+    np.testing.assert_allclose(t, t_ref, rtol=1e-10, atol=0)
 
 
 def test_t_statistics_exact_fit_gives_infinity():
-    mu_w = np.array([1.0, 2.0, -1.0, 0.5])
-    series_w = np.stack([3.0 * mu_w, -2.0 * mu_w])
-    with pytest.warns(RuntimeWarning, match="exactly"):
-        t, _ = t_statistics_all(series_w, mu_w, np.zeros((4, 0)))
-    assert t[0] == np.inf and t[1] == -np.inf
+    # identity factors and a dyadic shape: every product is exact, so
+    # multiples of the shape regressor leave a residual of exactly 0
+    rng = np.random.default_rng(3)
+    dims = make_dims(n_times=4, n_epochs=2, n_voxels=3, n_covariates=0)
+    ds = make_dataset(dims, rng)
+    params = make_params(dims, rng).with_updates(
+        hrf=np.full(4, 0.5), within_cov=np.eye(4), between_cov=np.eye(2))
+    mu = np.tile(params.hrf, dims.n_epochs)
+    ds.series[:] = np.stack([3.0 * mu, -2.0 * mu, 0.0 * mu])
+    with pytest.warns(RuntimeWarning, match="^3 voxel.*exactly"):
+        t, _ = t_statistics(ds, params)
+    assert t.tolist() == [np.inf, -np.inf, 0.0]
 
 
 def test_t_statistics_reject_nonpositive_df():
+    rng = np.random.default_rng(5)
+    dims = make_dims(n_times=2, n_epochs=2, n_voxels=1, n_covariates=3)
     with pytest.raises(ValueError, match="degrees of freedom"):
-        t_statistics_all(np.zeros((1, 3)), np.ones(3), np.zeros((3, 2)))
+        t_statistics(make_dataset(dims, rng), make_params(dims, rng))
 
 
 T_GRID = np.array([
@@ -250,15 +222,19 @@ def test_activation_map_screen_none_adjusts_everything():
 
 
 def test_blocked_t_statistics_match_the_unblocked_bits():
-    # three blocks of kernels.BLOCK voxels, the last one partial
+    # three blocks of kernels.BLOCK voxels, the last one partial; each
+    # block's voxels on their own make one block, computed unblocked
     rng = np.random.default_rng(12)
     dims = make_dims(n_times=5, n_epochs=4, n_voxels=600, n_covariates=2)
     ds = make_dataset(dims, rng)
     params = make_params(dims, rng)
     ds.series[7] = 0.0
     with pytest.warns(RuntimeWarning, match="^1 voxel"):
-        t_ref, df_ref = t_statistics_all(*whiten(ds, params))
+        t, _ = t_statistics(ds, params)
+    assert t[7] == 0.0
+    parts = [replace(ds, dims=replace(dims, n_voxels=ds.series[sl].shape[0]),
+                     series=ds.series[sl], coords=ds.coords[sl])
+             for sl in voxel_blocks(dims.n_voxels)]
     with pytest.warns(RuntimeWarning, match="^1 voxel"):
-        t, df = t_statistics(ds, params)
-    assert df == df_ref
-    assert t.tobytes() == t_ref.tobytes()
+        t_parts = [t_statistics(part, params)[0] for part in parts]
+    assert np.concatenate(t_parts).tobytes() == t.tobytes()

@@ -10,7 +10,7 @@ from helpers import kron_quad_form, rand_spd
 from trialmix.linalg import (
     SingularMatrixError,
     inv_spd,
-    inv_sqrt,
+    kron_apply,
     kron_logdet,
     matrix_sqrt,
     regularize_spd,
@@ -47,21 +47,21 @@ def test_matrix_sqrt_squares_back():
         np.testing.assert_allclose(root, root.T, atol=1e-12)
 
 
-def test_inv_sqrt_whitens():
+def test_kron_apply_matches_dense_kronecker():
     rng = np.random.default_rng(2)
     for _ in range(20):
-        n = int(rng.integers(2, 8))
-        mat = rand_spd(rng, n)
-        half = inv_sqrt(mat)
-        np.testing.assert_allclose(half @ mat @ half, np.eye(n), atol=1e-10)
+        n_t, n_e, k = (int(n) for n in rng.integers(1, 6, size=3))
+        within, between = rand_spd(rng, n_t), rand_spd(rng, n_e)
+        columns = rng.standard_normal((n_e * n_t, k))
+        np.testing.assert_allclose(
+            kron_apply(between, columns, within),
+            np.kron(between, within) @ columns, rtol=0, atol=1e-12)
 
 
 def test_sqrt_rejects_singular():
     singular = np.ones((3, 3))
     with pytest.raises(SingularMatrixError):
         matrix_sqrt(singular)
-    with pytest.raises(SingularMatrixError):
-        inv_sqrt(singular)
     # the error type stays catchable as a numpy linalg failure
     assert issubclass(SingularMatrixError, np.linalg.LinAlgError)
 
