@@ -57,7 +57,6 @@ import numpy as np
 from . import io
 from .em import EmConfig
 from .inference import FdrResult, InferenceConfig, activation_map
-from .linalg import SingularMatrixError
 from .modelsel import (CompareConfig, FitConfig, ModelComparison,
                        compare_models, fit_model)
 from .preprocess import PreprocConfig, preprocess_dataset
@@ -423,8 +422,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, io.BundleFormatError, FileNotFoundError,
             IsADirectoryError) as e:
         return _fail(2, e, caught)
-    except (DegenerateDataError, SingularMatrixError, np.linalg.LinAlgError,
-            FloatingPointError, ChildProcessError) as e:
+    except (DegenerateDataError, np.linalg.LinAlgError, FloatingPointError,
+            ChildProcessError) as e:
         return _fail(3, e, caught)
     except BaseException:
         _show_warnings(caught)

@@ -10,35 +10,40 @@ The E-step computes posterior responding probabilities; the M-step runs
 one sweep of conditional maximizers (generalized EM in the ECM sense),
 so the observed-data log-likelihood never decreases. Its order is fixed:
 the mean block (mixing proportion, amplitudes, coefficients, shape),
-then the refresh of the responding residuals, then the variance block
-(the conditional steps of the structure's responding covariance, each
-once, then the noise variance). _Residuals is the only code that
-builds residuals, and em_fit fits every model structure on one
-_Residuals owner, whose one full-size buffer is the responding residual.
-The non-responding residual has no buffer: the mean block's
-conditional steps need only per-voxel quantities and one sum over
-voxels, so they rebuild it from the series one voxel block at a time,
-bit for bit. Every pass over voxels walks kernels.voxel_blocks, fixed
-256-voxel blocks in a fixed order, and adds any sum over voxels in
-block order: those blocks define the fit's bits, which are the same at
-any BLAS thread count. No BLAS call covers more than one block of rows,
-the coefficient step's gathered rows included: OpenBLAS splits a larger
-product over its threads, and the helper it wakes spins for about 0.1 s
-after the call, so a fit would burn a second core for no gain. The
-coefficient refresh builds the new
-coefficients' residual once and leaves it in the responding buffer,
-where the refresh of the responding residual subtracts the mean in
-place. A mixture first
-runs the reduced (all-responding) phase on that owner, screens it with
-the amplitude t-test, and seeds the covariance factors and the noise
-variance through the same variance block; the main loop then continues
-on the same owner, whose residuals seeding leaves unchanged. A Dataset
-is valid by construction, so a fit checks only its own conditions on
-the design: its columns are mean-centered, and none is zero or a linear
+then the variance block (the conditional steps of the structure's
+responding covariance, each once, then the noise variance). _Residuals
+is the only code that builds residuals, and em_fit fits every model
+structure on one _Residuals owner, whose one full-size buffer is the
+responding residual; every step leaves it holding the residuals of the
+parameters it returns. The mean block makes one projection of the series
+onto [PZ, design], where Z is the responding component's
+generalized-least-squares design and P its precision
+(inference._gls_design, shared with the amplitude t-test); that gives
+every voxel's amplitude and both sides of its coefficient step. It then
+makes one refresh of the non-responding residual.
+That residual has no buffer: the refresh rebuilds it from the series one
+voxel block at a time, bit for bit, sums the shape step's numerator
+from it and leaves it in the responding buffer, where the responding
+mean is subtracted in place. Every pass over voxels walks
+kernels.voxel_blocks, fixed 256-voxel blocks in a fixed order, and adds
+any sum over voxels in block order: those blocks define the fit's bits,
+which are the same at any BLAS thread count. No BLAS call covers more
+than one block of rows, the coefficient step's gathered rows included:
+OpenBLAS splits a larger product over its threads, and the helper it
+wakes spins for about 0.1 s after the call, so a fit would burn a second
+core for no gain. A mixture first runs the reduced (all-responding)
+phase on that owner, screens it with the amplitude t-test, and seeds the
+covariance factors and the noise variance through the same variance
+block; the main loop then continues on the same owner. A Dataset is
+valid by construction, so a fit checks only its own conditions on the
+design: its columns are mean-centered, and none is zero or a linear
 combination of the columns before it. Every floor is relative to the
 data (the noise variance's, VAR_FLOOR of the series variance; a shape
-update's, MASS_EPS of the amplitudes' mass), so scaled series give the
-same fit. Identification:
+update's, MASS_EPS of the amplitudes' mass), and so is the centering
+check, but the stopping rule is not unit-free: its parameter change
+mixes unit-free blocks with blocks in data units squared, so scaled
+series can stop after a different number of iterations (6, 7 and 8 at
+x1e-3, x1 and x1e3 on one 2000-voxel bundle). Identification:
 hrf has unit norm with its dominant entry positive, and for the
 "kronecker" covariance the between factor is rescaled to trace
 n_epochs with the scale absorbed into the within factor.
@@ -51,8 +56,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels
-from .inference import t_sf, t_statistics
-from .linalg import inv_spd, kron_apply, kron_logdet, regularize_spd
+from .inference import _gls_design, t_sf, t_statistics
+from .linalg import inv_spd, kron_logdet, regularize_spd
 from .types import (
     Dataset,
     DegenerateDataError,
@@ -188,13 +193,13 @@ class _Residuals:
     ``active`` (n_voxels, n_epochs, n_times) is the responding-model
     residual and ``ssq`` each voxel's sum of squared non-responding
     residuals, series - coeffs @ design.T for the owner's ``coeffs``. The
-    non-responding residual has no buffer of its own: inactive_blocks
-    rebuilds it from the series one kernels.BLOCK of voxels at a time,
-    bit for bit. A refresh builds it once: set_coeffs leaves the new
-    coefficients' residual in ``active``, and the set_mean that must
-    follow subtracts the responding mean there in place. A fit allocates
-    the buffers once, the two refreshes rewrite them block by block, and
-    the fit loop hands the owner to every block that reads them.
+    non-responding residual has no buffer of its own; the mean block
+    refreshes it once: set_coeffs rebuilds it from the series one
+    kernels.BLOCK of voxels at a time, bit for bit, and leaves it in
+    ``active``, and the set_mean that must follow subtracts the
+    responding mean there in place. A fit allocates the buffers once, the
+    two refreshes rewrite them block by block, and the fit loop hands the
+    owner to every block that reads them.
     """
 
     __slots__ = ("dataset", "coeffs", "ssq", "active", "_rows")
@@ -209,18 +214,6 @@ class _Residuals:
         self.set_coeffs(params.coeffs)
         self.set_mean(params.amplitude, params.hrf)
 
-    def inactive_blocks(self):
-        """(slice, block) pairs covering series - coeffs @ design.T, one
-        kernels.BLOCK of voxels at a time; every block is the same
-        scratch buffer, valid until the next step."""
-        series = self.dataset.series
-        design_t = self.dataset.design.T
-        for sl in kernels.voxel_blocks(series.shape[0]):
-            block = self._rows[:series[sl].shape[0]]
-            np.matmul(self.coeffs[sl], design_t, out=block)
-            np.subtract(series[sl], block, out=block)
-            yield sl, block
-
     def set_coeffs(
         self, coeffs: np.ndarray, shape_weights: np.ndarray | None = None
     ) -> np.ndarray | None:
@@ -234,16 +227,20 @@ class _Residuals:
         added in block order.
         """
         self.coeffs = coeffs
-        flat = self.active.reshape(self.dataset.series.shape)
+        series = self.dataset.series
+        design_t = self.dataset.design.T
+        flat = self.active.reshape(series.shape)
         n_t = self.dataset.dims.n_times
         numer = None if shape_weights is None else np.zeros(n_t)
-        for sl, block in self.inactive_blocks():
+        for sl in kernels.voxel_blocks(series.shape[0]):
+            block = flat[sl]
+            np.matmul(coeffs[sl], design_t, out=block)
+            np.subtract(series[sl], block, out=block)
             # the noise sum of squares while the block is in cache
             np.einsum("vn,vn->v", block, block, out=self.ssq[sl])
             if numer is not None:
                 numer += np.einsum("n,nt->t", shape_weights[sl].ravel(),
                                    block.reshape(-1, n_t))
-            flat[sl] = block
         return numer
 
     def set_mean(self, amplitude: np.ndarray, hrf: np.ndarray) -> None:
@@ -306,19 +303,6 @@ def _mixture_loglik(p: float, log_f1: np.ndarray, log_f2: np.ndarray) -> float:
     return float(np.sum(np.logaddexp(np.log(p) + log_f1, np.log1p(-p) + log_f2)))
 
 
-def _amplitude_weights(
-    hrf: np.ndarray, w_within: np.ndarray, w_between: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """The amplitude update's weight vector and normalizer: a voxel's
-    amplitude is its non-responding residual @ weights / normalizer."""
-    wt_h = w_within @ hrf
-    row_wb = w_between.sum(axis=1)
-    denom = float(row_wb.sum() * (hrf @ wt_h))
-    if denom <= 0.0:
-        raise DegenerateDataError("amplitude update: nonpositive normalizer")
-    return np.kron(row_wb, wt_h), denom
-
-
 def _solve_pencil(
     rhs: np.ndarray, weight: np.ndarray, g_near: np.ndarray, g_far: np.ndarray
 ) -> np.ndarray:
@@ -351,40 +335,6 @@ def _projection(series: np.ndarray, basis: np.ndarray) -> np.ndarray:
     for sl in kernels.voxel_blocks(series.shape[0]):
         np.matmul(series[sl], basis, out=out[sl])
     return out
-
-
-def _update_b_all(
-    dataset: Dataset,
-    resp: np.ndarray,
-    amplitude: np.ndarray,
-    hrf: np.ndarray,
-    w_within: np.ndarray,
-    w_between: np.ndarray,
-    noise_var: float,
-) -> np.ndarray:
-    d = dataset.dims
-    q = d.n_covariates
-    # the design under the responding precision
-    wx = kron_apply(w_between, dataset.design, w_within)
-    gram_active = dataset.design.T @ wx
-    gram_inactive = dataset.design.T @ dataset.design / noise_var
-    proj = _projection(
-        dataset.series, np.concatenate([wx, dataset.design], axis=1))
-    mean_proj = np.tile(hrf, d.n_epochs) @ wx
-    rhs_active = proj[:, :q] - amplitude[:, None] * mean_proj[None, :]
-    rhs_inactive = proj[:, q:] / noise_var
-    rhs = resp[:, None] * rhs_active + (1.0 - resp)[:, None] * rhs_inactive
-    # each voxel solves (resp gram_active + (1 - resp) gram_inactive) b = rhs;
-    # factoring at the nearer endpoint keeps 1 + weight lam >= 1/2, so it
-    # cannot cancel when noise_var and the Kronecker factors differ in scale
-    coeffs = np.empty((d.n_voxels, q))
-    near_inactive = resp <= 0.5
-    for near, weight, g_near, g_far in (
-        (near_inactive, resp, gram_inactive, gram_active),
-        (~near_inactive, 1.0 - resp, gram_active, gram_inactive),
-    ):
-        coeffs[near] = _solve_pencil(rhs[near], weight[near], g_near, g_far)
-    return coeffs
 
 
 def update_h(
@@ -480,22 +430,40 @@ def _mean_step(
 ) -> MixtureParams:
     """Mean block: mixing proportion, amplitudes, coefficients, shape.
 
-    ``resid`` holds the residuals of ``params`` on entry. On return its
-    non-responding side holds those of the returned coefficients, and
-    its responding side is stale until set_mean.
+    One projection of the series y onto [PZ, design] (_gls_design: P the
+    responding precision, Z = [m, X]) gives each voxel's y'Pm, y'PX and
+    y'X. Its amplitude given its coefficients b is (y'Pm - b'X'Pm) / m'Pm,
+    the generalized-least-squares fit of y - Xb on m; its coefficients
+    given that amplitude a solve
+        (resp X'PX + (1 - resp) X'X / noise_var) b
+            = resp (y'PX - a m'PX) + (1 - resp) y'X / noise_var.
+    ``resid`` holds the residuals of ``params`` on entry and of the
+    returned parameters on return.
     """
+    d = dataset.dims
+    q = d.n_covariates
     p = float(np.mean(resp)) if structure.mixture else 1.0
+    _, w_between, _, pz, gram = _gls_design(dataset, params)
+    proj = _projection(
+        dataset.series, np.concatenate([pz, dataset.design], axis=1))
+    amplitude = (proj[:, 0] - np.einsum("vk,k->v", params.coeffs, gram[1:, 0])
+                 ) / gram[0, 0]
+    rhs_active = proj[:, 1:q + 1] - amplitude[:, None] * gram[0, 1:]
+    rhs_inactive = proj[:, q + 1:] / params.noise_var
+    rhs = resp[:, None] * rhs_active + (1.0 - resp)[:, None] * rhs_inactive
+    gram_active = gram[1:, 1:]
+    gram_inactive = dataset.design.T @ dataset.design / params.noise_var
+    # each voxel solves (resp gram_active + (1 - resp) gram_inactive) b = rhs;
+    # factoring at the nearer endpoint keeps 1 + weight lam >= 1/2, so it
+    # cannot cancel when noise_var and the Kronecker factors differ in scale
+    coeffs = np.empty((d.n_voxels, q))
+    near_inactive = resp <= 0.5
+    for near, weight, g_near, g_far in (
+        (near_inactive, resp, gram_inactive, gram_active),
+        (~near_inactive, 1.0 - resp, gram_active, gram_inactive),
+    ):
+        coeffs[near] = _solve_pencil(rhs[near], weight[near], g_near, g_far)
     hrf = params.hrf
-    w_within = inv_spd(params.within_cov)
-    w_between = inv_spd(params.between_cov)
-    weights, denom = _amplitude_weights(hrf, w_within, w_between)
-    amplitude = np.empty(dataset.dims.n_voxels)
-    for sl, block in resid.inactive_blocks():
-        np.matmul(block, weights, out=amplitude[sl])
-    amplitude /= denom
-    coeffs = _update_b_all(
-        dataset, resp, amplitude, hrf, w_within, w_between, params.noise_var
-    )
     if structure.estimate_hrf:
         shape_weights = (resp * amplitude)[:, None] * w_between.sum(axis=1)
         numer = resid.set_coeffs(coeffs, shape_weights)
@@ -503,6 +471,7 @@ def _mean_step(
         hrf, amplitude = update_h(resp, interim, numer)
     else:
         resid.set_coeffs(coeffs)
+    resid.set_mean(amplitude, hrf)
     return params.with_updates(
         active_prob=p, amplitude=amplitude, coeffs=coeffs, hrf=hrf
     )
@@ -585,7 +554,6 @@ def _iterate(
             resp = _posterior(params.active_prob, *log_f)
         old_vec = params.global_vector()
         params = _mean_step(dataset, resp, params, resid, structure)
-        resid.set_mean(params.amplitude, params.hrf)
         params = _variance_step(dataset, resp, params, resid, floor, structure)
         _degenerate(validate_params, params, dataset.dims, trace_convention=rescale)
         log_f = _log_densities(params, resid)
@@ -621,9 +589,11 @@ def _start(dataset: Dataset) -> tuple[MixtureParams, _Residuals, float]:
     series variance: the start noise variance, which _iterate rejects if
     it is 0 or overflowed. Design columns that are not mean-centered,
     or one that is zero or a linear combination of the columns before
-    it, raise DegenerateDataError."""
+    it, raise DegenerateDataError; a column counts as centered when its
+    sum is at most 1e-9 * n_images times its largest magnitude."""
     d = dataset.dims
-    if np.any(np.abs(dataset.design.sum(axis=0)) > 1e-9 * d.n_images):
+    scale = np.abs(dataset.design).max(axis=0)
+    if np.any(np.abs(dataset.design.sum(axis=0)) > 1e-9 * d.n_images * scale):
         raise DegenerateDataError(
             "design columns are not mean-centered; run trialmix preprocess"
         )

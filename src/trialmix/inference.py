@@ -27,33 +27,45 @@ __all__ = [
 ]
 
 
+def _gls_design(
+    dataset: Dataset, params: MixtureParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The responding component's generalized-least-squares design: the
+    inverse factors w_within and w_between, Z = [m, design] with
+    m = 1_E (x) hrf, PZ under P = w_between (x) w_within, and the Gram
+    matrix Z'PZ. The fit's mean block and the amplitude t-test share it;
+    a shape regressor with no precision norm raises DegenerateDataError.
+    """
+    w_within = inv_spd(params.within_cov)
+    w_between = inv_spd(params.between_cov)
+    z = np.concatenate(
+        [np.tile(params.hrf, dataset.dims.n_epochs)[:, None], dataset.design],
+        axis=1)
+    pz = kron_apply(w_between, z, w_within)
+    gram = z.T @ pz
+    if gram[0, 0] <= 0.0:
+        raise DegenerateDataError("shape regressor has zero precision norm")
+    return w_within, w_between, z, pz, gram
+
+
 def t_statistics(dataset: Dataset, params: MixtureParams) -> tuple[np.ndarray, int]:
     """Amplitude t-statistics of every voxel, and their degrees of freedom.
 
     Amplitude and covariates are re-fitted by generalized least squares
-    under the responding precision P = inv(between_cov) (x)
-    inv(within_cov), on df = n - q - 1 degrees of freedom, one block of
-    kernels.BLOCK voxels at a time: with Z = [m, design] and
-    m = 1_E (x) hrf, the coefficients c solve (Z'PZ) c = Z'Py, and
-    s^2 = r'Pr / df for the residual r = y - Zc. Then
-    t = c_0 / sqrt(s^2 / m'Pm): this standard error leaves out the
-    covariates, which s^2 [inv(Z'PZ)]_00 would count. An exact fit
-    gives +-inf by the amplitude's sign, or 0 for a zero amplitude (a
-    flat voxel carries no evidence of a response).
+    under the responding precision P (_gls_design) on df = n - q - 1
+    degrees of freedom, one block of kernels.BLOCK voxels at a time: the
+    coefficients c solve (Z'PZ) c = Z'Py, and s^2 = r'Pr / df for the
+    residual r = y - Zc. Then t = c_0 / sqrt(s^2 / m'Pm): this standard
+    error leaves out the covariates, which s^2 [inv(Z'PZ)]_00 would
+    count. An exact fit gives +-inf by the amplitude's sign, or 0 for a
+    zero amplitude (a flat voxel carries no evidence of a response).
     """
     d = dataset.dims
     df = d.n_images - d.n_covariates - 1
     if df < 1:
         raise DegenerateDataError(
             f"nonpositive degrees of freedom: n={d.n_images}, q={d.n_covariates}")
-    w_within = inv_spd(params.within_cov)
-    w_between = inv_spd(params.between_cov)
-    z = np.concatenate(
-        [np.tile(params.hrf, d.n_epochs)[:, None], dataset.design], axis=1)
-    pz = kron_apply(w_between, z, w_within)
-    gram = z.T @ pz
-    if gram[0, 0] <= 0.0:
-        raise DegenerateDataError("shape regressor has zero precision norm")
+    w_within, w_between, z, pz, gram = _gls_design(dataset, params)
     t = np.empty(d.n_voxels)
     n_exact = 0
     for sl in voxel_blocks(d.n_voxels):

@@ -290,8 +290,10 @@ def update_b_all(
     w_between: np.ndarray,
     noise_var: float,
 ) -> np.ndarray:
-    """Coefficients for every voxel, as em._update_b_all with the series
-    projected in one product over all voxels."""
+    """Coefficients for every voxel given their amplitudes, as the
+    coefficient step of em._mean_step, with the series projected onto
+    the design and its product with the responding precision in one
+    product over all voxels."""
     d = dataset.dims
     q = d.n_covariates
     x_ep = dataset.design.reshape(d.n_epochs, d.n_times, q)

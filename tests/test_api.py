@@ -189,29 +189,38 @@ def test_map_sidecar_lists_the_slice_files(tmp_path):
     assert all((tmp_path / name).is_file() for name in files)
 
 
-def _warn_calls(path: pathlib.Path) -> list[str]:
-    """module.function of every warn(...) call in a source file."""
+def _call_sites(name: str) -> list[str]:
+    """module.function of every call to ``name``, bare or as an
+    attribute, in the package's source files."""
     sites = []
 
-    def visit(node, owner):
+    def visit(node, owner, path):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
+                visit(child, child.name, path)
                 continue
             func = child.func if isinstance(child, ast.Call) else None
-            if (isinstance(func, ast.Attribute) and func.attr == "warn") or (
-                    isinstance(func, ast.Name) and func.id == "warn"):
+            if (isinstance(func, ast.Attribute) and func.attr == name) or (
+                    isinstance(func, ast.Name) and func.id == name):
                 sites.append(f"{path.stem}.{owner}")
-            visit(child, owner)
+            visit(child, owner, path)
 
-    visit(ast.parse(path.read_text()), None)
+    package = pathlib.Path(trialmix.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text()), None, path)
     return sites
 
 
 def test_warnings_leave_the_package_through_one_seam():
-    package = pathlib.Path(trialmix.__file__).parent
-    sites = [s for path in sorted(package.glob("*.py")) for s in _warn_calls(path)]
-    assert sites == ["types._intervene"]
+    assert _call_sites("warn") == ["types._intervene"]
+
+
+def test_one_function_builds_the_responding_design():
+    # the fit's mean block and the amplitude t-test share one product of
+    # the design with the responding precision; a second one would let
+    # their bits drift apart
+    assert _call_sites("kron_apply") == ["inference._gls_design"]
+    assert _call_sites("kron") == []
 
 
 def test_readme_names_every_declared_file():

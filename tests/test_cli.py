@@ -249,7 +249,7 @@ def test_failing_report_fit_keeps_the_sequential_outcome(tmp_path, capsys,
     assert err["message"] == str(exc.value)
     assert "log-likelihood trace decreased beyond slack" in err["message"]
     assert err["warnings"] == [str(w.message) for w in caught]
-    assert len(caught) == (23 if model == 1 else 18)
+    assert len(caught) == (22 if model == 1 else 17)
     assert not out.exists()
 
 

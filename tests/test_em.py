@@ -26,6 +26,7 @@ from trialmix.cli import main
 from trialmix.io import write_dataset
 from trialmix.linalg import inv_spd
 from trialmix.modelsel import MODEL_SPECS, compare_models, fit_model
+from trialmix.preprocess import center_columns
 from trialmix.simulate import SimConfig, simulate_dataset
 from trialmix.types import Dataset, DegenerateDataError
 
@@ -49,6 +50,7 @@ from helpers import (
     shape_numerator,
     sweep_covariances,
     update_b,
+    update_beta,
     update_h_raw,
 )
 
@@ -293,7 +295,6 @@ def test_mean_step_keeps_the_whole_array_bits(n_voxels, n_covariates):
                 assert_near(getattr(got, name), getattr(want, name),
                             f"{name}, {structure}")
             assert_near(resid.ssq, ssq, str(structure))
-            resid.set_mean(got.amplitude, got.hrf)
             np.testing.assert_array_equal(resid.active, residual_matrices(ds, got))
 
 
@@ -334,6 +335,7 @@ def test_fit_holds_one_full_size_residual():
 @pytest.mark.parametrize("noise_scale", [1e-6, 1.0, 1e6])
 @pytest.mark.parametrize("n_covariates", [1, 6])
 def test_update_b_all_matches_per_voxel_oracle(n_covariates, noise_scale):
+    # the mean block's coefficient step, after its amplitude step
     resp = np.array([0.0, 0.3, 0.5, 0.7, 1.0])
     rng = np.random.default_rng(20 + n_covariates)
     dims = make_dims(
@@ -344,50 +346,99 @@ def test_update_b_all_matches_per_voxel_oracle(n_covariates, noise_scale):
     within, between = params.within_cov, params.between_cov
     # noise variance against the mean variance of the Kronecker covariance
     kron_var = np.trace(within) * np.trace(between) / dims.n_images
-    noise_var = noise_scale * kron_var
-    got = em._update_b_all(
-        ds,
-        resp,
-        params.amplitude,
-        params.hrf,
-        inv_spd(within),
-        inv_spd(between),
-        noise_var,
-    )
+    params = params.with_updates(noise_var=noise_scale * kron_var)
+    got = em._mean_step(ds, resp, params, em._Residuals(ds, params),
+                        ModelStructure(estimate_hrf=False))
     expected = np.array(
         [
             update_b(
                 ds.series[v],
                 ds.design,
-                params.amplitude[v],
+                got.amplitude[v],
                 resp[v],
                 params.hrf,
                 within,
                 between,
-                noise_var,
+                params.noise_var,
             )
             for v in range(dims.n_voxels)
         ]
     )
-    np.testing.assert_allclose(got, expected, rtol=1e-9)
+    np.testing.assert_allclose(got.coeffs, expected, rtol=1e-9)
 
 
-# three coefficient steps with every voxel near one endpoint, then 50 ms
-# of busy-waiting; prints the CPU seconds of every thread but the main one
+def test_amplitude_step_matches_per_voxel_oracle():
+    # a voxel's amplitude is (y - Xb)'Pm / m'Pm, taken from the shared
+    # projection as (y'Pm - b'X'Pm) / m'Pm. The last voxel is its
+    # covariates' fit Xb plus noise 1e-8 of its size, so the two
+    # products cancel: its amplitude is 9e-11 of their size
+    # ||y|| ||Pm|| / m'Pm. Every error stays within 1e-13 of that size
+    # (3e-16 measured), which leaves the last amplitude within 1e-5
+    # (4e-7 measured)
+    rng = np.random.default_rng(31)
+    dims = make_dims(n_times=14, n_epochs=10, n_voxels=6, n_covariates=6)
+    ds = make_dataset(dims, rng)
+    params = make_params(dims, rng)
+    fitted = ds.design @ params.coeffs[-1]
+    noise = rng.standard_normal(dims.n_images)
+    series = ds.series.copy()
+    series[-1] = fitted + 1e-8 * np.linalg.norm(fitted) / np.linalg.norm(noise) * noise
+    ds = replace(ds, series=series)
+    structure = ModelStructure(mixture=False, estimate_hrf=False)
+    got = em._mean_step(ds, np.ones(dims.n_voxels), params,
+                        em._Residuals(ds, params), structure).amplitude
+    want = np.array([
+        update_beta(series[v], ds.design, params.coeffs[v], params.hrf,
+                    params.within_cov, params.between_cov)
+        for v in range(dims.n_voxels)
+    ])
+    mean = np.tile(params.hrf, dims.n_epochs)
+    pm = np.linalg.solve(np.kron(params.between_cov, params.within_cov), mean)
+    size = np.linalg.norm(series, axis=1) * np.linalg.norm(pm) / (mean @ pm)
+    assert np.all(np.abs(got - want) <= 1e-13 * size)
+    np.testing.assert_allclose(got[:-1], want[:-1], rtol=1e-12)
+    np.testing.assert_allclose(got[-1], want[-1], rtol=1e-5)
+
+
+@pytest.mark.parametrize("structure", [
+    ModelStructure(), ModelStructure(mixture=False, covariance="spherical")])
+def test_every_step_leaves_the_residuals_of_its_parameters(structure):
+    # the owner holds the residuals of the parameters each step returns,
+    # bit for bit those a fresh owner builds on them
+    rng = np.random.default_rng(13)
+    dims = make_dims(n_times=14, n_epochs=10, n_voxels=300, n_covariates=3)
+    ds = make_dataset(dims, rng)
+    params = make_params(dims, rng)
+    resp = (rng.uniform(0.0, 1.0, dims.n_voxels) if structure.mixture
+            else np.ones(dims.n_voxels))
+    resid = em._Residuals(ds, params)
+
+    def assert_owner_holds(params, step):
+        fresh = em._Residuals(ds, params)
+        assert resid.active.tobytes() == fresh.active.tobytes(), step
+        assert resid.ssq.tobytes() == fresh.ssq.tobytes(), step
+
+    params = em._mean_step(ds, resp, params, resid, structure)
+    assert_owner_holds(params, "mean")
+    params = em._variance_step(ds, resp, params, resid, 1e-12, structure)
+    assert_owner_holds(params, "variance")
+
+
+# three mean steps with every voxel near one endpoint, then 50 ms of
+# busy-waiting; prints the CPU seconds of every thread but the main one
 HELPER_CPU = """
 import time
 import numpy as np
 import trialmix.em as em
 from trialmix.simulate import SimConfig, simulate_dataset
 ds, _ = simulate_dataset(SimConfig(n_voxels=20000), seed=0)
-d = ds.dims
-args = (np.ones(d.n_voxels), np.ones(d.n_voxels),
-        np.full(d.n_times, d.n_times ** -0.5), np.eye(d.n_times),
-        np.eye(d.n_epochs), 1.0)
+params, resid, _ = em._start(ds)
+resp = np.ones(ds.dims.n_voxels)
+structure = em.ModelStructure(mixture=False)
 time.sleep(0.3)  # any helper thread woken while building the bundle rests
 before = time.process_time() - time.thread_time()
 for _ in range(3):
-    em._update_b_all(ds, *args)
+    params = em._mean_step(ds, resp, params, resid, structure)
 stop = time.perf_counter() + 0.05
 while time.perf_counter() < stop:
     pass
@@ -398,7 +449,8 @@ print(time.process_time() - time.thread_time() - before)
 def test_coefficient_step_wakes_no_second_blas_thread():
     # one (rows x q)(q x q) product over 20,000 gathered rows would be
     # split over two OpenBLAS threads, whose helper then spins for about
-    # 0.1 s. Where numpy's BLAS does not thread, no helper time accrues
+    # 0.1 s, and so would one projection of the series over all voxels.
+    # Where numpy's BLAS does not thread, no helper time accrues
     env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
     proc = subprocess.run([sys.executable, "-c", HELPER_CPU],
                           capture_output=True, text=True, env=env)
@@ -545,6 +597,24 @@ def test_init_fit_rejects_uncentered_design(small_mixture):
     shifted = replace(ds, design=ds.design + 1.0)
     with pytest.raises(DegenerateDataError, match="not mean-centered"):
         seed_params(shifted)
+
+
+def test_centering_check_scales_with_each_column():
+    # a centered design in any units fits with the same labels: the
+    # bound on a column's sum scales with its largest magnitude, where a
+    # fixed 1e-9 * n_images failed a x1e8 design that preprocess had
+    # just centered; an offset of 0.01 in one column still fails
+    ds, _ = simulate_dataset(SimConfig(n_voxels=300), seed=0)
+    config = EmConfig(max_iter=20)
+    labels = em_fit(ds, config).resp > 0.5
+    for factor in (1e-8, 1e8, 1e10):
+        scaled = replace(ds, design=center_columns(ds.design * factor))
+        np.testing.assert_array_equal(
+            em_fit(scaled, config).resp > 0.5, labels, f"x{factor:g}")
+    offset = ds.design.copy()
+    offset[:, 0] += 0.01
+    with pytest.raises(DegenerateDataError, match="not mean-centered"):
+        em_fit(replace(ds, design=offset), config)
 
 
 def test_fit_rejects_a_series_variance_of_zero_or_overflowed(small_mixture):
