@@ -57,6 +57,7 @@ import numpy as np
 from . import io
 from .em import EmConfig
 from .inference import FdrResult, InferenceConfig, activation_map
+from .kernels import _fork, _reap, _warn_again, cpus
 from .modelsel import (CompareConfig, FitConfig, ModelComparison,
                        compare_models, fit_model)
 from .preprocess import PreprocConfig, preprocess_dataset
@@ -148,16 +149,21 @@ def cmd_preprocess(args, config: RunConfig, out: io.OutputDir) -> str:
 
 
 def _run_fit(
-    args, config: RunConfig, dataset: Dataset, out: io.OutputDir
+    args, config: RunConfig, dataset: Dataset, out: io.OutputDir,
+    helper: bool = False,
 ) -> FitResult:
     fit = fit_model(dataset, config.fit.model, config.em,
-                    diagnostics=sys.stderr if args.verbose else None)
+                    diagnostics=sys.stderr if args.verbose else None,
+                    helper=helper)
     io.write_fit(out, fit)
     return fit
 
 
 def cmd_fit(args, config: RunConfig, out: io.OutputDir) -> str:
-    fit = _run_fit(args, config, io.read_dataset(args.bundle), out)
+    # the one fit takes a second CPU through a helper process; report's
+    # and compare's two lanes already keep two CPUs busy
+    fit = _run_fit(args, config, io.read_dataset(args.bundle), out,
+                   helper=len(cpus()) >= 2)
     return (
         f"loglik={fit.loglik_trace[-1]:.6f} iterations={fit.iterations} "
         f"converged={fit.converged} active_prob={fit.params.active_prob:.4f}"
@@ -239,24 +245,6 @@ def _fit_in_order(
                          for w in caught]
 
 
-def _warn_again(caught: list) -> None:
-    """Issue warnings recorded in another process as warnings.warn would
-    have issued them at their source lines: the caller's filters and each
-    module's de-duplication registry decide what is shown."""
-    by_file = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
-    for message, category, filename, lineno in caught:
-        module = by_file.get(filename)
-        if module is None:
-            warnings.warn_explicit(message, category, filename, lineno)
-            continue
-        namespace = vars(module)
-        warnings.warn_explicit(
-            message, category, filename, lineno, module=module.__name__,
-            registry=namespace.setdefault("__warningregistry__", {}),
-            module_globals=namespace,
-        )
-
-
 @contextlib.contextmanager
 def _worker_fits(dataset: Dataset, config: RunConfig):
     """Fit every compare.models id but fit.model, in model order, in one
@@ -274,12 +262,7 @@ def _worker_fits(dataset: Dataset, config: RunConfig):
     """
     models = [m for m in config.compare.models if m != config.fit.model]
     read_fd, write_fd = os.pipe()
-    with warnings.catch_warnings():
-        # Python 3.12 warns on forking a process with threads. OpenBLAS's
-        # are safe: it shuts them down before a fork (pthread_atfork) and
-        # starts them again on demand. The warning is not the command's
-        warnings.simplefilter("ignore", DeprecationWarning)
-        pid = os.fork()
+    pid = _fork()
     if pid == 0:
         code = 1
         try:
@@ -291,16 +274,14 @@ def _worker_fits(dataset: Dataset, config: RunConfig):
         finally:
             os._exit(code)
     os.close(write_fd)
-    status = None
+    reaped = False
 
     def join() -> dict[int, FitResult]:
-        nonlocal status
+        nonlocal reaped
         data = pipe.read()
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if status != 0:
-            how = (f"was killed by signal {-status} "
-                   f"({signal.strsignal(-status)})" if status < 0
-                   else f"exited with status {status}")
+        how = _reap(pid)
+        reaped = True
+        if how is not None:
             raise ChildProcessError(
                 f"the comparison worker {how} before sending its fits")
         fits, error, caught = pickle.loads(data)
@@ -313,7 +294,7 @@ def _worker_fits(dataset: Dataset, config: RunConfig):
         with open(read_fd, "rb") as pipe:
             yield join
     finally:
-        if status is None:  # not reaped by join: drop the worker
+        if not reaped:  # not reaped by join: drop the worker
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 

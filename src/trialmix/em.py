@@ -27,9 +27,18 @@ from it and leaves it in the responding buffer, where the responding
 mean is subtracted in place. Every pass over voxels walks
 kernels.voxel_blocks, fixed 256-voxel blocks in a fixed order, and adds
 any sum over voxels in block order: those blocks define the fit's bits,
-which are the same at any BLAS thread count. No BLAS call covers more
+which are the same at any BLAS thread count. A fit with a helper
+(em_fit's ``helper``) splits each such pass with kernels.split: the two
+refreshes, the projection and the three kernels run their first half of
+the blocks in the fit's process and the rest in one forked helper, which
+writes its rows of ``active``, ``ssq`` and the pass outputs into shared
+memory and sends back its partial sums, one per block, for the caller to
+add after its own in block order; so the bits are those of the fit
+without a helper. The spherical variance step's one whole-array einsum
+over ``active``, the amplitude t-test of the seeding and every step on
+per-voxel vectors stay in the caller. No BLAS call covers more
 than one block of rows, the coefficient step's gathered rows included:
-OpenBLAS splits a larger product over its threads, and the helper it
+OpenBLAS splits a larger product over its threads, and the thread it
 wakes spins for about 0.1 s after the call, so a fit would burn a second
 core for no gain. A mixture first runs the reduced (all-responding)
 phase on that owner, screens it with the amplitude t-test, and seeds the
@@ -197,62 +206,82 @@ class _Residuals:
     refreshes it once: set_coeffs rebuilds it from the series one
     kernels.BLOCK of voxels at a time, bit for bit, and leaves it in
     ``active``, and the set_mean that must follow subtracts the
-    responding mean there in place. A fit allocates the buffers once, the
-    two refreshes rewrite them block by block, and the fit loop hands the
-    owner to every block that reads them.
+    responding mean there in place. A fit allocates the buffers once,
+    from its ``lanes`` (shared with the fit's helper, if it has one), the
+    two refreshes rewrite them block by block, each one kernels.split
+    pass, and the fit loop hands the owner to every block that reads
+    them.
     """
 
-    __slots__ = ("dataset", "coeffs", "ssq", "active", "_rows")
+    __slots__ = ("dataset", "coeffs", "ssq", "active", "lanes")
 
-    def __init__(self, dataset: Dataset, params: MixtureParams) -> None:
+    def __init__(self, dataset: Dataset, params: MixtureParams,
+                 lanes: kernels.Lanes | None = None) -> None:
         d = dataset.dims
         self.dataset = dataset
-        self.ssq = np.empty(d.n_voxels)
-        self.active = np.empty((d.n_voxels, d.n_epochs, d.n_times))
-        # scratch for one block of voxels
-        self._rows = np.empty((min(kernels.BLOCK, d.n_voxels), d.n_images))
+        self.lanes = kernels.Lanes(d.n_voxels) if lanes is None else lanes
+        self.lanes.inherit(dataset.series)
+        self.ssq = self.lanes.empty(d.n_voxels)
+        self.active = self.lanes.empty((d.n_voxels, d.n_epochs, d.n_times))
         self.set_coeffs(params.coeffs)
         self.set_mean(params.amplitude, params.hrf)
 
     def set_coeffs(
-        self, coeffs: np.ndarray, shape_weights: np.ndarray | None = None
+        self, coeffs: np.ndarray, voxel_weights: np.ndarray | None = None,
+        epoch_weights: np.ndarray | None = None,
     ) -> np.ndarray | None:
         """Take new coefficients, refresh ``ssq`` and leave their
         non-responding residual in ``active``, which is stale until
         set_mean.
 
-        With (n_voxels, n_epochs) ``shape_weights`` w, also returns the
-        (n_times,) sum over voxels v and epochs j of w_vj r_vj, r_vj the
-        new residual's epoch j of voxel v: one partial sum per block,
-        added in block order.
+        With (n_voxels,) ``voxel_weights`` u and (n_epochs,)
+        ``epoch_weights`` e, also returns the (n_times,) sum over voxels
+        v and epochs j of u_v e_j r_vj, r_vj the new residual's epoch j
+        of voxel v: one partial sum per block, added in block order.
         """
         self.coeffs = coeffs
         series = self.dataset.series
-        design_t = self.dataset.design.T
-        flat = self.active.reshape(series.shape)
         n_t = self.dataset.dims.n_times
-        numer = None if shape_weights is None else np.zeros(n_t)
-        for sl in kernels.voxel_blocks(series.shape[0]):
-            block = flat[sl]
-            np.matmul(coeffs[sl], design_t, out=block)
-            np.subtract(series[sl], block, out=block)
-            # the noise sum of squares while the block is in cache
-            np.einsum("vn,vn->v", block, block, out=self.ssq[sl])
-            if numer is not None:
-                numer += np.einsum("n,nt->t", shape_weights[sl].ravel(),
-                                   block.reshape(-1, n_t))
-        return numer
+        return kernels.split(
+            _refresh_rows, None if voxel_weights is None else np.zeros(n_t),
+            (self.active.reshape(series.shape), self.ssq, series, coeffs,
+             voxel_weights),
+            self.dataset.design.T, epoch_weights)
 
     def set_mean(self, amplitude: np.ndarray, hrf: np.ndarray) -> None:
         """Refresh ``active`` for a new amplitude and shape; it must
         follow set_coeffs, whose residual it turns into the responding
         one."""
-        flat = self.active.reshape(self.dataset.series.shape)
-        mean = np.tile(hrf, self.active.shape[1])
-        for sl in kernels.voxel_blocks(flat.shape[0]):
-            block = self._rows[:flat[sl].shape[0]]
-            np.einsum("v,n->vn", amplitude[sl], mean, out=block)
-            np.subtract(flat[sl], block, out=flat[sl])
+        kernels.split(_set_mean_rows, None,
+                      (self.active.reshape(self.dataset.series.shape),
+                       amplitude),
+                      np.tile(hrf, self.active.shape[1]))
+
+
+def _refresh_rows(flat, ssq, series, coeffs, voxel_weights, design_t,
+                  epoch_weights):
+    """_Residuals.set_coeffs over one lane's rows; yields the shape
+    numerator's partial of each block when ``voxel_weights`` is given."""
+    for sl in kernels.voxel_blocks(series.shape[0]):
+        block = flat[sl]
+        np.matmul(coeffs[sl], design_t, out=block)
+        np.subtract(series[sl], block, out=block)
+        # the noise sum of squares while the block is in cache
+        np.einsum("vn,vn->v", block, block, out=ssq[sl])
+        if voxel_weights is not None:
+            weights = voxel_weights[sl, None] * epoch_weights
+            yield np.einsum("n,nt->t", weights.ravel(),
+                            block.reshape(weights.size, -1))
+
+
+def _set_mean_rows(flat, amplitude, mean) -> None:
+    """_Residuals.set_mean over one lane's rows."""
+    # scratch for one block of voxels
+    rows = np.empty((min(kernels.BLOCK, flat.shape[0]), flat.shape[1]))
+    for sl in kernels.voxel_blocks(flat.shape[0]):
+        block = rows[:flat[sl].shape[0]]
+        np.einsum("v,n->vn", amplitude[sl], mean, out=block)
+        np.subtract(flat[sl], block, out=flat[sl])
 
 
 def residual_matrices(dataset: Dataset, params: MixtureParams) -> np.ndarray:
@@ -330,11 +359,17 @@ def _solve_pencil(
 
 def _projection(series: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """series @ basis one voxel block at a time: one product over all
-    voxels made a V=50,000 fit peak at 229 instead of 204 MB of RSS."""
-    out = np.empty((series.shape[0], basis.shape[1]))
+    voxels made a V=50,000 fit peak at 229 instead of 204 MB of RSS. A
+    split pass leaves it in the helper's shared scratch, which the fit's
+    next quadratic forms overwrite."""
+    out = kernels._output(series, (series.shape[0], basis.shape[1]))
+    kernels.split(_projection_rows, None, (series, out), basis)
+    return out
+
+
+def _projection_rows(series, out, basis) -> None:
     for sl in kernels.voxel_blocks(series.shape[0]):
         np.matmul(series[sl], basis, out=out[sl])
-    return out
 
 
 def update_h(
@@ -465,8 +500,8 @@ def _mean_step(
         coeffs[near] = _solve_pencil(rhs[near], weight[near], g_near, g_far)
     hrf = params.hrf
     if structure.estimate_hrf:
-        shape_weights = (resp * amplitude)[:, None] * w_between.sum(axis=1)
-        numer = resid.set_coeffs(coeffs, shape_weights)
+        numer = resid.set_coeffs(coeffs, resp * amplitude,
+                                 w_between.sum(axis=1))
         interim = params.with_updates(amplitude=amplitude, coeffs=coeffs)
         hrf, amplitude = update_h(resp, interim, numer)
     else:
@@ -583,11 +618,15 @@ def _iterate(
     return result
 
 
-def _start(dataset: Dataset) -> tuple[MixtureParams, _Residuals, float]:
+def _start(
+    dataset: Dataset, helper: bool = False
+) -> tuple[MixtureParams, _Residuals, float]:
     """Every fit's start values, its one residual owner, which holds
     their residuals, and its noise variance floor, VAR_FLOOR times the
     series variance: the start noise variance, which _iterate rejects if
-    it is 0 or overflowed. Design columns that are not mean-centered,
+    it is 0 or overflowed. The owner's lanes split the fit's passes with
+    a helper when ``helper`` is set (kernels.Lanes); entering them forks
+    it. Design columns that are not mean-centered,
     or one that is zero or a linear combination of the columns before
     it, raise DegenerateDataError; a column counts as centered when its
     sum is at most 1e-9 * n_images times its largest magnitude."""
@@ -620,7 +659,9 @@ def _start(dataset: Dataset) -> tuple[MixtureParams, _Residuals, float]:
         between_cov=np.eye(d.n_epochs),
         noise_var=var,
     )
-    return params, _Residuals(dataset, params), VAR_FLOOR * var
+    # the widest pass output is the mean block's projection onto [PZ, X]
+    lanes = kernels.Lanes(d.n_voxels, helper, 2 * d.n_covariates + 1)
+    return params, _Residuals(dataset, params, lanes), VAR_FLOOR * var
 
 
 def _seed(
@@ -685,6 +726,7 @@ def em_fit(
     config: EmConfig = EmConfig(),
     structure: ModelStructure = ModelStructure(),
     diagnostics=None,
+    helper: bool = False,
 ) -> FitResult:
     """Fit ``structure`` by generalized EM; the one fit entry point.
 
@@ -699,8 +741,16 @@ def em_fit(
     combination of the columns before it, parameters that break an
     invariant (a variance that overflows on huge values), and a
     log-likelihood that decreases raise DegenerateDataError.
+
+    With ``helper``, a dataset of at least two voxel blocks is fitted by
+    this process and one forked helper process, which takes the second
+    half of the blocks of every pass over voxels (kernels.Lanes) and is
+    reaped before em_fit returns or raises. The result has the same bits.
+    A helper that dies raises ChildProcessError.
     """
-    params, resid, floor = _start(dataset)
-    if structure.mixture:
-        params = _seed(dataset, params, resid, floor, config, structure)
-    return _iterate(dataset, params, resid, floor, config, structure, diagnostics)
+    params, resid, floor = _start(dataset, helper)
+    with resid.lanes:
+        if structure.mixture:
+            params = _seed(dataset, params, resid, floor, config, structure)
+        return _iterate(dataset, params, resid, floor, config, structure,
+                        diagnostics)

@@ -136,11 +136,12 @@ def bic(loglik: float, n_params: int, n_obs: int) -> float:
 
 def fit_model(
     dataset: Dataset, model_id: int, config: EmConfig = EmConfig(),
-    diagnostics=None,
+    diagnostics=None, helper: bool = False,
 ) -> FitResult:
-    """Fit one candidate model; ``diagnostics`` as in em_fit."""
+    """Fit one candidate model; ``diagnostics`` and ``helper`` as in
+    em_fit."""
     return em_fit(dataset, config, ModelSpec.from_id(model_id).structure,
-                  diagnostics)
+                  diagnostics, helper)
 
 
 @dataclass(frozen=True)

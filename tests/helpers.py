@@ -451,6 +451,21 @@ def fitted_response(
     return amplitude * hrf + loadings @ score_row
 
 
+def record_forks(monkeypatch) -> list[int]:
+    """The pids of the helper processes that fits fork from now on."""
+    forks = []
+    fork = kernels._fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(kernels, "_fork", recording_fork)
+    return forks
+
+
 def seed_params(dataset, config=EmConfig(), structure=ModelStructure()):
     """em_fit's seeding of a mixture's main loop, from its start values."""
     return em._seed(dataset, *em._start(dataset), config, structure)

@@ -45,6 +45,7 @@ from helpers import (
     observed_loglik,
     q_function,
     rand_spd,
+    record_forks,
     scipy_hrf_shape_raw,
     seed_params,
     shape_numerator,
@@ -796,3 +797,40 @@ def test_fit_is_scale_equivariant(fit_2000, scale):
         fit = em_fit(replace(ds, series=ds.series * scale))
     np.testing.assert_array_equal(fit.resp >= 0.5, base.resp >= 0.5)
     assert abs(fit.params.active_prob - base.params.active_prob) <= 1e-5
+
+
+def _fit_bytes(fit) -> list[bytes]:
+    params = [np.asarray(getattr(fit.params, name)).tobytes() for name in (
+        "active_prob", "amplitude", "coeffs", "hrf", "within_cov",
+        "between_cov", "noise_var")]
+    return [fit.resp.tobytes(), fit.loglik_trace.tobytes(),
+            repr((fit.iterations, fit.converged)).encode(), *params]
+
+
+@pytest.fixture(scope="module")
+def helper_bundles():
+    return {n_vox: simulate_dataset(
+        SimConfig(n_voxels=n_vox, active_frac=0.3), seed=0)[0]
+        for n_vox in (256, 257, 300, 4999, 5000)}
+
+
+@pytest.mark.parametrize("model", [3, 4, 5])
+@pytest.mark.parametrize("n_vox", [256, 257, 300, 4999, 5000])
+def test_fit_with_a_helper_keeps_every_bit(helper_bundles, monkeypatch,
+                                           n_vox, model):
+    # the helper takes the second half of the blocks of every pass over
+    # voxels, and the caller adds the helper's partial sums after its
+    # own, in block order: the fit is the one-process fit, byte for byte.
+    # One block (256 voxels) has no second half, so nothing forks
+    ds = helper_bundles[n_vox]
+    forks = record_forks(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        alone = fit_model(ds, model)
+        assert forks == []
+        helped = fit_model(ds, model, helper=True)
+    assert len(forks) == (0 if n_vox == 256 else 1)
+    assert _fit_bytes(helped) == _fit_bytes(alone)
+    for pid in forks:  # reaped before the fit returned
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)

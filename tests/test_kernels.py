@@ -1,7 +1,9 @@
 """The batched contractions against per-voxel loop oracles."""
 import tracemalloc
+import warnings
 
 import numpy as np
+import pytest
 
 from helpers import assert_near, kron_quad_form, rand_spd
 from trialmix import kernels
@@ -160,3 +162,37 @@ def test_kernel_temporaries_do_not_grow_with_voxels():
         # epoch-major by its GEMM, and the epoch-major copy of the block
         assert large < 3 * block_bytes, (name, large / block_bytes)
 
+
+
+def _scaled_rows(values, out, scale):
+    if np.any(values < 0.0):
+        raise ValueError("negative value")
+    np.multiply(values, scale, out=out)
+
+
+def _split_instance(n_vox=3 * kernels.BLOCK):
+    lanes = kernels.Lanes(n_vox, helper=True)
+    values, out = lanes.empty(n_vox), lanes.empty(n_vox)
+    values[:] = 1.0
+    return lanes, values, out
+
+
+def test_split_emits_the_helpers_warnings_in_the_caller():
+    # only the helper's rows overflow: their warning comes back to the
+    # caller, from the line that raised it, and the rows land in out
+    lanes, values, out = _split_instance()
+    values[-1] = 1e10
+    with lanes, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        kernels.split(_scaled_rows, None, (values, out), 1e300)
+    assert [str(w.message) for w in caught] == [
+        "overflow encountered in multiply"]
+    assert caught[0].filename == __file__
+    assert np.all(out[:-1] == 1e300) and out[-1] == np.inf
+
+
+def test_split_raises_the_helpers_error_in_the_caller():
+    lanes, values, out = _split_instance()
+    values[-1] = -1.0
+    with lanes, pytest.raises(ValueError, match="negative value"):
+        kernels.split(_scaled_rows, None, (values, out), 2.0)
