@@ -18,9 +18,10 @@ responding residual; every step leaves it holding the residuals of the
 parameters it returns. The mean block makes one projection of the series
 onto [PZ, design], where Z is the responding component's
 generalized-least-squares design and P its precision
-(inference._gls_design, shared with the amplitude t-test); that gives
-every voxel's amplitude and both sides of its coefficient step. It then
-makes one refresh of the non-responding residual.
+(inference._gls_design, shared with the amplitude t-test); each voxel
+block's projection gives its voxels' amplitudes and the right-hand
+sides of their coefficient step, and is dropped. It then makes one
+refresh of the non-responding residual.
 That residual has no buffer: the refresh rebuilds it from the series one
 voxel block at a time, bit for bit, sums the shape step's numerator
 from it and leaves it in the responding buffer, where the responding
@@ -28,22 +29,28 @@ mean is subtracted in place. Every pass over voxels walks
 kernels.voxel_blocks, fixed 256-voxel blocks in a fixed order, and adds
 any sum over voxels in block order: those blocks define the fit's bits,
 which are the same at any BLAS thread count. A fit with a helper
-(em_fit's ``helper``) splits each such pass with kernels.split: the two
-refreshes, the projection and the three kernels run their first half of
-the blocks in the fit's process and the rest in one forked helper, which
-writes its rows of ``active``, ``ssq`` and the pass outputs into shared
-memory and sends back its partial sums, one per block, for the caller to
-add after its own in block order; so the bits are those of the fit
-without a helper. The spherical variance step's one whole-array einsum
-over ``active``, the amplitude t-test of the seeding and every step on
-per-voxel vectors stay in the caller. No BLAS call covers more
+(em_fit's ``helper``) forks it before the start residuals are built and
+splits each such pass with kernels.split: the two refreshes (the start
+fill included), the projection and the three kernels run their first
+half of the blocks in the fit's process and the rest in one forked
+helper, which writes its rows of ``active``, ``ssq`` and the pass
+outputs into shared memory and sends back its partial sums, one per
+block, for the caller to add after its own in block order; so the bits
+are those of the fit without a helper. Each process thus touches only
+its own rows of ``active``: the two together hold the buffer once, and
+neither holds all of it. The spherical variance step's one whole-array
+einsum over ``active``, the amplitude t-test of the seeding and every
+step on per-voxel vectors stay in the caller. No BLAS call covers more
 than one block of rows, the coefficient step's gathered rows included:
 OpenBLAS splits a larger product over its threads, and the thread it
 wakes spins for about 0.1 s after the call, so a fit would burn a second
-core for no gain. A mixture first runs the reduced (all-responding)
-phase on that owner, screens it with the amplitude t-test, and seeds the
-covariance factors and the noise variance through the same variance
-block; the main loop then continues on the same owner. A Dataset is
+core for no gain. No step builds a full-size temporary either: the
+start's series variance sums squares one leaf of numpy's summation tree
+at a time (_series_var), with np.var's bits. A mixture first runs the
+reduced (all-responding) phase on that owner, screens it with the
+amplitude t-test, and seeds the covariance factors and the noise
+variance through the same variance block; the main loop then continues
+on the same owner. A Dataset is
 valid by construction, so a fit checks only its own conditions on the
 design: its columns are mean-centered, and none is zero or a linear
 combination of the columns before it. Every floor is relative to the
@@ -91,8 +98,10 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 EXP_CUTOFF = 700.0
 MASS_EPS = 1e-12
 VAR_FLOOR = 1e-12  # the noise variance's floor per unit series variance
+SUM_LEAF = 1 << 16  # leaf size of the series variance's summation tree
 INIT_ALPHA = 1e-3  # level of the seeding's uncorrected amplitude screen
 INIT_MAX_ITER = 50  # iteration cap of the seeding's reduced phase
+SCREEN_CHUNK = 4096  # voxels per t_sf call of the seeding's screen
 
 
 @dataclass(frozen=True)
@@ -207,15 +216,19 @@ class _Residuals:
     kernels.BLOCK of voxels at a time, bit for bit, and leaves it in
     ``active``, and the set_mean that must follow subtracts the
     responding mean there in place. A fit allocates the buffers once,
-    from its ``lanes`` (shared with the fit's helper, if it has one), the
-    two refreshes rewrite them block by block, each one kernels.split
-    pass, and the fit loop hands the owner to every block that reads
-    them.
+    from its ``lanes`` (shared with the fit's helper, if it has one),
+    before the helper is forked; fill then builds the start residuals
+    inside ``with lanes:``, and it and every later refresh rewrite the
+    buffers block by block, each one kernels.split pass. So the fit's
+    process writes and reads only its lane's rows of ``active`` and the
+    helper only the rest, each touching its own pages of the shared
+    buffer, which the two hold once between them. The fit loop hands the
+    owner to every block that reads them.
     """
 
     __slots__ = ("dataset", "coeffs", "ssq", "active", "lanes")
 
-    def __init__(self, dataset: Dataset, params: MixtureParams,
+    def __init__(self, dataset: Dataset,
                  lanes: kernels.Lanes | None = None) -> None:
         d = dataset.dims
         self.dataset = dataset
@@ -223,8 +236,12 @@ class _Residuals:
         self.lanes.inherit(dataset.series)
         self.ssq = self.lanes.empty(d.n_voxels)
         self.active = self.lanes.empty((d.n_voxels, d.n_epochs, d.n_times))
+
+    def fill(self, params: MixtureParams) -> "_Residuals":
+        """Build the residuals of ``params``; returns the owner."""
         self.set_coeffs(params.coeffs)
         self.set_mean(params.amplitude, params.hrf)
+        return self
 
     def set_coeffs(
         self, coeffs: np.ndarray, voxel_weights: np.ndarray | None = None,
@@ -286,7 +303,7 @@ def _set_mean_rows(flat, amplitude, mean) -> None:
 
 def residual_matrices(dataset: Dataset, params: MixtureParams) -> np.ndarray:
     """Responding-model residuals, shape (n_voxels, n_epochs, n_times)."""
-    return _Residuals(dataset, params).active
+    return _Residuals(dataset).fill(params).active
 
 
 def _log_densities(
@@ -333,14 +350,16 @@ def _mixture_loglik(p: float, log_f1: np.ndarray, log_f2: np.ndarray) -> float:
 
 
 def _solve_pencil(
-    rhs: np.ndarray, weight: np.ndarray, g_near: np.ndarray, g_far: np.ndarray
-) -> np.ndarray:
-    """Rows b_v = rhs_v inv(g_near + weight_v (g_far - g_near)).
+    rhs: np.ndarray, rows: np.ndarray, weight: np.ndarray,
+    g_near: np.ndarray, g_far: np.ndarray, out: np.ndarray,
+) -> None:
+    """out[v] = rhs[v] inv(g_near + weight[v] (g_far - g_near)) for v in
+    ``rows``.
 
     With g_near = L L' and inv(L) (g_far - g_near) inv(L)' = U diag(lam) U',
     each system is L U (I + weight_v diag(lam)) U' L', so
     b = ((rhs @ P) / (1 + weight lam)) @ P' with P = inv(L)' U: one small
-    eigenproblem and two GEMMs per block of rows instead of one solve per
+    eigenproblem and two GEMMs per batch of rows instead of one solve per
     voxel.
     """
     # np.linalg.inv, not a triangular solve: at q x q the level-3 solve
@@ -348,28 +367,46 @@ def _solve_pencil(
     inv_low = np.linalg.inv(np.linalg.cholesky(g_near))
     lam, vecs = np.linalg.eigh(inv_low @ (g_far - g_near) @ inv_low.T)
     proj = inv_low.T @ vecs
-    # rhs holds the gathered rows of every voxel near one endpoint; a
-    # product over more than about 14,600 of them (q = 6) would wake a
-    # second OpenBLAS thread, so the products take one block at a time
-    out = np.empty(rhs.shape)
-    for sl in kernels.voxel_blocks(rhs.shape[0]):
-        out[sl] = ((rhs[sl] @ proj) / (1.0 + weight[sl, None] * lam)) @ proj.T
-    return out
+    # a product over more than about 14,600 rows (q = 6) would wake a
+    # second OpenBLAS thread, so the products take one batch of
+    # kernels.BLOCK of ``rows`` at a time, gathered by index; a batch's
+    # GEMM rounds by its row count, so the batches fix the bits
+    for sl in kernels.voxel_blocks(rows.size):
+        batch = rows[sl]
+        out[batch] = ((rhs[batch] @ proj)
+                      / (1.0 + weight[batch, None] * lam)) @ proj.T
 
 
-def _projection(series: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """series @ basis one voxel block at a time: one product over all
-    voxels made a V=50,000 fit peak at 229 instead of 204 MB of RSS. A
-    split pass leaves it in the helper's shared scratch, which the fit's
-    next quadratic forms overwrite."""
-    out = kernels._output(series, (series.shape[0], basis.shape[1]))
-    kernels.split(_projection_rows, None, (series, out), basis)
-    return out
+def _projection(
+    dataset: Dataset, resp: np.ndarray, params: MixtureParams,
+    pz: np.ndarray, gram: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each voxel's amplitude and its coefficient step's right-hand side
+    (_mean_step), from one projection of the series onto [PZ, design],
+    made and used one voxel block at a time: no per-voxel array wider
+    than their q + 1 columns is built. A split pass leaves the
+    right-hand side in the helper's shared scratch, which the fit's next
+    quadratic forms overwrite; the amplitude is copied out."""
+    series = dataset.series
+    out = kernels._output(series, (series.shape[0], gram.shape[0]))
+    kernels.split(_projection_rows, None, (series, out, params.coeffs, resp),
+                  np.concatenate([pz, dataset.design], axis=1), gram,
+                  params.noise_var)
+    return out[:, 0].copy(), out[:, 1:]
 
 
-def _projection_rows(series, out, basis) -> None:
+def _projection_rows(series, out, coeffs, resp, basis, gram,
+                     noise_var) -> None:
+    q = coeffs.shape[1]
     for sl in kernels.voxel_blocks(series.shape[0]):
-        np.matmul(series[sl], basis, out=out[sl])
+        proj = series[sl] @ basis
+        amplitude = (proj[:, 0] - np.einsum("vk,k->v", coeffs[sl], gram[1:, 0])
+                     ) / gram[0, 0]
+        weight = resp[sl, None]
+        out[sl, 0] = amplitude
+        out[sl, 1:] = (
+            weight * (proj[:, 1:q + 1] - amplitude[:, None] * gram[0, 1:])
+            + (1.0 - weight) * (proj[:, q + 1:] / noise_var))
 
 
 def update_h(
@@ -476,28 +513,21 @@ def _mean_step(
     returned parameters on return.
     """
     d = dataset.dims
-    q = d.n_covariates
     p = float(np.mean(resp)) if structure.mixture else 1.0
     _, w_between, _, pz, gram = _gls_design(dataset, params)
-    proj = _projection(
-        dataset.series, np.concatenate([pz, dataset.design], axis=1))
-    amplitude = (proj[:, 0] - np.einsum("vk,k->v", params.coeffs, gram[1:, 0])
-                 ) / gram[0, 0]
-    rhs_active = proj[:, 1:q + 1] - amplitude[:, None] * gram[0, 1:]
-    rhs_inactive = proj[:, q + 1:] / params.noise_var
-    rhs = resp[:, None] * rhs_active + (1.0 - resp)[:, None] * rhs_inactive
+    amplitude, rhs = _projection(dataset, resp, params, pz, gram)
     gram_active = gram[1:, 1:]
     gram_inactive = dataset.design.T @ dataset.design / params.noise_var
     # each voxel solves (resp gram_active + (1 - resp) gram_inactive) b = rhs;
     # factoring at the nearer endpoint keeps 1 + weight lam >= 1/2, so it
     # cannot cancel when noise_var and the Kronecker factors differ in scale
-    coeffs = np.empty((d.n_voxels, q))
+    coeffs = np.empty((d.n_voxels, d.n_covariates))
     near_inactive = resp <= 0.5
     for near, weight, g_near, g_far in (
         (near_inactive, resp, gram_inactive, gram_active),
         (~near_inactive, 1.0 - resp, gram_active, gram_inactive),
     ):
-        coeffs[near] = _solve_pencil(rhs[near], weight[near], g_near, g_far)
+        _solve_pencil(rhs, np.flatnonzero(near), weight, g_near, g_far, coeffs)
     hrf = params.hrf
     if structure.estimate_hrf:
         numer = resid.set_coeffs(coeffs, resp * amplitude,
@@ -621,15 +651,16 @@ def _iterate(
 def _start(
     dataset: Dataset, helper: bool = False
 ) -> tuple[MixtureParams, _Residuals, float]:
-    """Every fit's start values, its one residual owner, which holds
-    their residuals, and its noise variance floor, VAR_FLOOR times the
+    """Every fit's start values, its one residual owner, whose buffers
+    are allocated but not yet filled (_Residuals.fill builds the start
+    values' residuals), and its noise variance floor, VAR_FLOOR times the
     series variance: the start noise variance, which _iterate rejects if
     it is 0 or overflowed. The owner's lanes split the fit's passes with
     a helper when ``helper`` is set (kernels.Lanes); entering them forks
-    it. Design columns that are not mean-centered,
-    or one that is zero or a linear combination of the columns before
-    it, raise DegenerateDataError; a column counts as centered when its
-    sum is at most 1e-9 * n_images times its largest magnitude."""
+    it. Design columns that are not mean-centered, or one that is zero or
+    a linear combination of the columns before it, raise
+    DegenerateDataError; a column counts as centered when its sum is at
+    most 1e-9 * n_images times its largest magnitude."""
     d = dataset.dims
     scale = np.abs(dataset.design).max(axis=0)
     if np.any(np.abs(dataset.design.sum(axis=0)) > 1e-9 * d.n_images * scale):
@@ -649,7 +680,7 @@ def _start(
         )
     # mid-interval post-stimulus convention; the EM refines the shape
     times = dataset.tr * (np.arange(d.n_times) + 0.5)
-    var = float(np.var(dataset.series))
+    var = _series_var(dataset.series)
     params = MixtureParams(
         active_prob=1.0,
         amplitude=np.zeros(d.n_voxels),
@@ -659,9 +690,42 @@ def _start(
         between_cov=np.eye(d.n_epochs),
         noise_var=var,
     )
-    # the widest pass output is the mean block's projection onto [PZ, X]
-    lanes = kernels.Lanes(d.n_voxels, helper, 2 * d.n_covariates + 1)
-    return params, _Residuals(dataset, params, lanes), VAR_FLOOR * var
+    # the widest pass output is the mean block's amplitude and right-hand side
+    lanes = kernels.Lanes(d.n_voxels, helper, d.n_covariates + 1)
+    return params, _Residuals(dataset, lanes), VAR_FLOOR * var
+
+
+def _pairwise_sum(flat: np.ndarray, leaf_sum) -> float:
+    """numpy's pairwise sum of the 1-D ``flat``, with leaf_sum(leaf) in
+    place of np.sum(leaf) on each leaf of at most SUM_LEAF elements.
+
+    np.add.reduce sums a contiguous run as one tree: a run of more than
+    128 elements splits at half its length, rounded down to a multiple of
+    the 8-way unrolled loop that sums each piece of at most 128, and the
+    two halves' sums are added. A leaf is such a subtree, so np.sum of it
+    gives the tree's bits.
+    """
+    n = flat.size
+    if n <= SUM_LEAF:
+        return leaf_sum(flat)
+    half = n // 2
+    half -= half % 8
+    return (_pairwise_sum(flat[:half], leaf_sum)
+            + _pairwise_sum(flat[half:], leaf_sum))
+
+
+def _series_var(series: np.ndarray) -> float:
+    """np.var(series), bit for bit, without np.var's full-size temporary:
+    the sum of squared deviations from the mean is taken one leaf of the
+    summation tree at a time (_pairwise_sum)."""
+    flat = series.reshape(-1)
+    mean = _pairwise_sum(flat, np.sum) / flat.size
+
+    def squares(leaf: np.ndarray) -> float:
+        dev = leaf - mean
+        return np.sum(np.multiply(dev, dev, out=dev))
+
+    return float(_pairwise_sum(flat, squares) / flat.size)
 
 
 def _seed(
@@ -693,8 +757,11 @@ def _seed(
         None,
     ).params
     t_stats, df = t_statistics(dataset, params)
-    pvals = t_sf(t_stats, df)
-    active = pvals < INIT_ALPHA
+    # the tail probabilities SCREEN_CHUNK voxels at a time: t_sf's
+    # temporaries over every voxel at once set a V=50,000 fit's peak
+    active = np.concatenate([
+        t_sf(t_stats[start:start + SCREEN_CHUNK], df) < INIT_ALPHA
+        for start in range(0, d.n_voxels, SCREEN_CHUNK)])
     if not np.any(active):
         n_top = max(1, int(np.ceil(0.01 * d.n_voxels)))
         order = np.argsort(t_stats)[::-1]
@@ -742,14 +809,16 @@ def em_fit(
     invariant (a variance that overflows on huge values), and a
     log-likelihood that decreases raise DegenerateDataError.
 
-    With ``helper``, a dataset of at least two voxel blocks is fitted by
-    this process and one forked helper process, which takes the second
-    half of the blocks of every pass over voxels (kernels.Lanes) and is
-    reaped before em_fit returns or raises. The result has the same bits.
-    A helper that dies raises ChildProcessError.
+    With ``helper``, a dataset of at least kernels.SPLIT_BLOCKS voxel
+    blocks is fitted by this process and one forked helper process, which
+    is forked before the start residuals are built, takes the second half
+    of the blocks of every pass over voxels (kernels.Lanes) and is reaped
+    before em_fit returns or raises. The result has the same bits. A
+    helper that dies raises ChildProcessError.
     """
     params, resid, floor = _start(dataset, helper)
     with resid.lanes:
+        resid.fill(params)
         if structure.mixture:
             params = _seed(dataset, params, resid, floor, config, structure)
         return _iterate(dataset, params, resid, floor, config, structure,

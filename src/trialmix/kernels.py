@@ -41,11 +41,12 @@ resid arrays have shape (n_voxels, n_epochs, n_times); w_within is the
 inverse of the within-epoch factor (n_times, n_times) and w_between the
 inverse of the between-epoch factor (n_epochs, n_epochs).
 
-A fit may split its passes over voxels between its own process and one
-forked helper (Lanes). split runs a pass: the caller's process takes the
-first half of the blocks, n_blocks // 2 of them, and the helper the rest,
-each through the same private per-rows function (the _..._rows and
-_..._parts functions here and in em) over its rows. A lane's rows start
+A fit of at least SPLIT_BLOCKS blocks may split its passes over voxels
+between its own process and one forked helper (Lanes). split runs a
+pass: the caller's process takes the first half of the blocks,
+n_blocks // 2 of them, and the helper the rest, each through the same
+private per-rows function (the _..._rows and _..._parts functions here
+and in em) over its rows. A lane's rows start
 on a block boundary, so its blocks are the blocks of the whole pass. A
 pass that sums over voxels yields one partial per block; the helper
 sends its partials back, and the caller adds every partial to the
@@ -54,7 +55,10 @@ the same pass run in one process. A pass splits when its first array
 lies in a running helper's shared memory; anything else, a kernel called
 on a block of rows by inference say, runs whole in the caller. The
 public kernels are called once per pass, by the caller, with the full
-buffer.
+buffer. The shared arrays are made before the fork and filled by split
+passes after it, so each process faults in only the pages of its own
+rows: the caller's process and the helper hold a shared buffer once
+between them, and neither holds all of it.
 """
 from __future__ import annotations
 
@@ -78,6 +82,12 @@ __all__ = [
 # voxels per block of every pass over voxels; 256 measured fastest for
 # the kernels at the default geometry on a 2-vCPU host
 BLOCK = 256
+# fewest voxel blocks whose passes a helper takes half of (at least 2):
+# each pass pays a pipe round trip and wakes the idle CPU, so a small fit
+# is slower split. In-process model-5 fits on a 2-vCPU host (2 BLAS
+# threads, medians of 11 alternating runs) took 1.24 times as long with
+# a helper at 12 blocks, 1.03 at 16, 0.96 at 20 and 0.87 at 24
+SPLIT_BLOCKS = 20
 
 
 def backend_name() -> str:
@@ -177,21 +187,24 @@ class Lanes:
     """One fit's passes over voxel blocks, split between the caller's
     process and at most one forked helper.
 
-    With ``helper`` and at least two blocks, the arrays from ``empty``
-    are shared memory (MAP_SHARED anonymous maps), so the helper's writes
-    to its rows land where the caller reads them, and ``inherit`` names
-    an array the helper only reads, which it has through the fork; a
-    pass's output goes to one shared scratch of n_vox * out_width
-    doubles. All of them are made before ``with lanes:`` forks the
-    helper, which then serves passes until the block ends and is reaped
-    there, killed first if the block raised. Otherwise nothing forks,
-    the arrays are private and every pass runs whole in the caller.
+    With ``helper`` and at least SPLIT_BLOCKS blocks, the arrays from
+    ``empty`` are shared memory (MAP_SHARED anonymous maps), so the
+    helper's writes to its rows land where the caller reads them, and
+    ``inherit`` names an array the helper only reads, which it has
+    through the fork; a pass's output goes to one shared scratch of
+    n_vox * out_width doubles. All of them are made before ``with
+    lanes:`` forks the helper, which then serves passes until the block
+    ends and is reaped there, killed first if the block raised. A shared
+    array's pages are faulted in by the first process to touch them, so
+    an array that is first written by split passes inside the block
+    costs each process only its own rows. Otherwise nothing forks, the
+    arrays are private and every pass runs whole in the caller.
     """
 
     def __init__(self, n_vox: int, helper: bool = False,
                  out_width: int = 1) -> None:
         n_blocks = -(-n_vox // BLOCK)
-        self.shared = helper and n_blocks >= 2
+        self.shared = helper and n_blocks >= SPLIT_BLOCKS
         # the caller's lane is the first n_blocks // 2 blocks
         self.mid = n_blocks // 2 * BLOCK if self.shared else n_vox
         self._regions: list[np.ndarray] = []

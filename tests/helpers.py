@@ -168,20 +168,20 @@ def estep(dataset: Dataset, params: MixtureParams) -> np.ndarray:
     c = log(1 - p) - log(p) + log f2 - log f1, saturating to exactly 0
     or 1 beyond +-700, and exactly 0 or 1 everywhere when p is 0 or 1.
     """
-    log_f = em._log_densities(params, em._Residuals(dataset, params))
+    log_f = em._log_densities(params, em._Residuals(dataset).fill(params))
     return em._posterior(params.active_prob, *log_f)
 
 
 def observed_loglik(dataset: Dataset, params: MixtureParams) -> float:
     """Observed-data log-likelihood of the mixture, from scratch."""
-    log_f = em._log_densities(params, em._Residuals(dataset, params))
+    log_f = em._log_densities(params, em._Residuals(dataset).fill(params))
     return em._mixture_loglik(params.active_prob, *log_f)
 
 
 def q_function(dataset: Dataset, resp: np.ndarray, params: MixtureParams) -> float:
     """Expected complete-data log-likelihood given responsibilities."""
     p = params.active_prob
-    log_f1, log_f2 = em._log_densities(params, em._Residuals(dataset, params))
+    log_f1, log_f2 = em._log_densities(params, em._Residuals(dataset).fill(params))
     active = np.where(resp > 0.0, resp * (np.log(p) if p > 0.0 else -np.inf), 0.0)
     active = active + resp * log_f1
     off = 1.0 - resp
@@ -312,7 +312,8 @@ def update_b_all(
         (near_inactive, resp, gram_inactive, gram_active),
         (~near_inactive, 1.0 - resp, gram_active, gram_inactive),
     ):
-        coeffs[near] = em._solve_pencil(rhs[near], weight[near], g_near, g_far)
+        em._solve_pencil(rhs, np.flatnonzero(near), weight, g_near, g_far,
+                         coeffs)
     return coeffs
 
 
@@ -723,7 +724,7 @@ def mstep_stationarity_gaps(dataset, resp, params, step=1e-6, cov_sweeps=100):
         np.max(np.abs(grad_w)), np.max(np.abs(grad_b))
     )
 
-    noise = update_sigma2(resp, em._Residuals(dataset, p_b).ssq, d.n_images)
+    noise = update_sigma2(resp, em._Residuals(dataset).fill(p_b).ssq, d.n_images)
     p_s = p_cov.with_updates(noise_var=noise)
     gaps["update_sigma2"] = np.max(
         np.abs(

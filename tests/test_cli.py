@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
-from trialmix import cli, em, io
+from trialmix import cli, em, io, kernels
 from trialmix.cli import main
 from trialmix.em import EmConfig
 from trialmix.io import read_dataset, write_csv, write_dataset
@@ -345,8 +345,10 @@ def real_affinity():
 
 
 def _helper_forks(monkeypatch, cpus):
-    """The pids of the helpers that fit forks with ``cpus`` CPUs."""
+    """The pids of the helpers that fit forks with ``cpus`` CPUs, with the
+    split threshold lowered so that the two-block bundle splits."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(kernels, "SPLIT_BLOCKS", 2)
     return record_forks(monkeypatch)
 
 
@@ -428,6 +430,7 @@ def stuck_step(*args):
     print("stuck", flush=True)
     time.sleep(60)
 kernels._fork = reporting_fork
+kernels.SPLIT_BLOCKS = 2
 em._variance_step = stuck_step
 warnings.simplefilter("ignore")
 em.em_fit(read_dataset(sys.argv[1]), helper=True)
@@ -1387,13 +1390,15 @@ def test_report_bit_identical_across_blas_threads(tmp_path):
 
 def test_fit_with_a_one_voxel_last_block_is_bit_identical_across_blas_threads(
         tmp_path):
-    # 2561 voxels end in a one-voxel block, whose products numpy takes as
-    # GEMVs and dots. On a host with two CPUs the fits at 1 and 2 threads
-    # split their passes with a helper process, and the fit confined to
-    # one CPU forks none: all three write the same bytes
+    # the bundle ends in a one-voxel block, whose products numpy takes as
+    # GEMVs and dots, and spans enough blocks to split: on a host with two
+    # CPUs the fits at 1 and 2 threads split their passes with a helper
+    # process, and the fit confined to one CPU forks none: all three
+    # write the same bytes
+    n_vox = kernels.SPLIT_BLOCKS * kernels.BLOCK + 1
     cfg = str(tmp_path / "config.json")
     with open(cfg, "w") as f:
-        json.dump({"seed": 0, "simulate": {"n_voxels": 10 * 256 + 1}}, f)
+        json.dump({"seed": 0, "simulate": {"n_voxels": n_vox}}, f)
     sim = str(tmp_path / "sim")
     _run_cli(["simulate", "--config", cfg, "--out", sim])
     fits = {}

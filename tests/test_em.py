@@ -1,4 +1,5 @@
 """E-step identities, M-step stationarity, and the fitting loop."""
+import functools
 import inspect
 import os
 import subprocess
@@ -23,6 +24,7 @@ from trialmix.em import (
     update_h,
 )
 from trialmix.cli import main
+from trialmix.inference import _gls_design
 from trialmix.io import write_dataset
 from trialmix.linalg import inv_spd
 from trialmix.modelsel import MODEL_SPECS, compare_models, fit_model
@@ -189,7 +191,7 @@ def test_update_p_is_stationary_mean():
     params = make_params(dims, rng)
     resp = rng.uniform(0.1, 0.9, dims.n_voxels)
     p_hat = em._mean_step(
-        ds, resp, params, em._Residuals(ds, params), ModelStructure()
+        ds, resp, params, em._Residuals(ds).fill(params), ModelStructure()
     ).active_prob
     assert abs(p_hat - resp.mean()) < 1e-15
     grad = central_diff(
@@ -289,7 +291,7 @@ def test_mean_step_keeps_the_whole_array_bits(n_voxels, n_covariates):
                 else np.ones(n_voxels))
         for estimate_hrf in (True, False):
             structure = ModelStructure(mixture=mixture, estimate_hrf=estimate_hrf)
-            resid = em._Residuals(ds, params)
+            resid = em._Residuals(ds).fill(params)
             got = em._mean_step(ds, resp, params, resid, structure)
             want, ssq = mean_step_oracle(ds, resp, params, structure)
             for name in ("active_prob", "amplitude", "coeffs", "hrf"):
@@ -301,16 +303,26 @@ def test_mean_step_keeps_the_whole_array_bits(n_voxels, n_covariates):
 
 @pytest.mark.parametrize("q", [1, 2, 6])
 def test_projection_blocks_keep_the_whole_products_bits(q):
-    # the blocks may round differently from the product over all voxels,
-    # never by more than 1e-12 of its largest entry
+    # the amplitudes and right-hand sides taken from one block's
+    # projection at a time may round differently from the same arithmetic
+    # on the product over all voxels, never by more than 1e-12 of its
+    # largest entry
     rng = np.random.default_rng(q)
-    n = 140
-    basis = rng.standard_normal((n, 2 * q))
     block = em.kernels.BLOCK
     for n_vox in (1, block - 1, block, block + 1, 7 * block + 1, 10 * block + 37):
-        series = rng.standard_normal((n_vox, n))
-        assert_near(em._projection(series, basis), series @ basis,
-                    f"{n_vox} voxels")
+        dims = make_dims(n_times=14, n_epochs=10, n_voxels=n_vox,
+                         n_covariates=q)
+        ds = make_dataset(dims, rng)
+        params = make_params(dims, rng)
+        resp = rng.uniform(0.0, 1.0, n_vox)
+        _, _, _, pz, gram = _gls_design(ds, params)
+        amplitude, rhs = em._projection(ds, resp, params, pz, gram)
+        proj = ds.series @ np.concatenate([pz, ds.design], axis=1)
+        want = (proj[:, 0] - params.coeffs @ gram[1:, 0]) / gram[0, 0]
+        assert_near(amplitude, want, f"amplitude, {n_vox} voxels")
+        want = (resp[:, None] * (proj[:, 1:q + 1] - want[:, None] * gram[0, 1:])
+                + (1.0 - resp)[:, None] * proj[:, q + 1:] / params.noise_var)
+        assert_near(rhs, want, f"right-hand side, {n_vox} voxels")
 
 
 def test_fit_holds_one_full_size_residual():
@@ -348,7 +360,7 @@ def test_update_b_all_matches_per_voxel_oracle(n_covariates, noise_scale):
     # noise variance against the mean variance of the Kronecker covariance
     kron_var = np.trace(within) * np.trace(between) / dims.n_images
     params = params.with_updates(noise_var=noise_scale * kron_var)
-    got = em._mean_step(ds, resp, params, em._Residuals(ds, params),
+    got = em._mean_step(ds, resp, params, em._Residuals(ds).fill(params),
                         ModelStructure(estimate_hrf=False))
     expected = np.array(
         [
@@ -387,7 +399,7 @@ def test_amplitude_step_matches_per_voxel_oracle():
     ds = replace(ds, series=series)
     structure = ModelStructure(mixture=False, estimate_hrf=False)
     got = em._mean_step(ds, np.ones(dims.n_voxels), params,
-                        em._Residuals(ds, params), structure).amplitude
+                        em._Residuals(ds).fill(params), structure).amplitude
     want = np.array([
         update_beta(series[v], ds.design, params.coeffs[v], params.hrf,
                     params.within_cov, params.between_cov)
@@ -412,10 +424,10 @@ def test_every_step_leaves_the_residuals_of_its_parameters(structure):
     params = make_params(dims, rng)
     resp = (rng.uniform(0.0, 1.0, dims.n_voxels) if structure.mixture
             else np.ones(dims.n_voxels))
-    resid = em._Residuals(ds, params)
+    resid = em._Residuals(ds).fill(params)
 
     def assert_owner_holds(params, step):
-        fresh = em._Residuals(ds, params)
+        fresh = em._Residuals(ds).fill(params)
         assert resid.active.tobytes() == fresh.active.tobytes(), step
         assert resid.ssq.tobytes() == fresh.ssq.tobytes(), step
 
@@ -821,7 +833,9 @@ def test_fit_with_a_helper_keeps_every_bit(helper_bundles, monkeypatch,
     # the helper takes the second half of the blocks of every pass over
     # voxels, and the caller adds the helper's partial sums after its
     # own, in block order: the fit is the one-process fit, byte for byte.
-    # One block (256 voxels) has no second half, so nothing forks
+    # One block (256 voxels) has no second half, so nothing forks; the
+    # threshold is lowered to two blocks so that small bundles split
+    monkeypatch.setattr(em.kernels, "SPLIT_BLOCKS", 2)
     ds = helper_bundles[n_vox]
     forks = record_forks(monkeypatch)
     with warnings.catch_warnings():
@@ -834,3 +848,86 @@ def test_fit_with_a_helper_keeps_every_bit(helper_bundles, monkeypatch,
     for pid in forks:  # reaped before the fit returned
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
+
+
+def test_fit_with_a_helper_allocates_under_half_a_series(monkeypatch):
+    # the fit's process holds its lane's rows of the shared residual,
+    # which tracemalloc does not count, and builds no full-size temporary:
+    # np.var's put the peak at one series above the dataset
+    monkeypatch.setattr(em.kernels, "SPLIT_BLOCKS", 2)
+    ds, _ = simulate_dataset(SimConfig(n_voxels=8192, active_frac=0.3), seed=0)
+    config = EmConfig(max_iter=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        # first-call allocations stay out of the measurement
+        em_fit(ds, config, helper=True)
+        tracemalloc.start()
+        try:
+            em_fit(ds, config, helper=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak / ds.series.nbytes < 0.5
+
+
+def _recording(rows_fn, seen):
+    """``rows_fn`` that records the row count of each call in this
+    process; it pickles by the name it replaces, so the helper runs it
+    too (its records stay in its own copy of ``seen``)."""
+    @functools.wraps(rows_fn)
+    def recording(flat, *args):
+        seen.append(flat.shape[0])
+        return rows_fn(flat, *args)
+    return recording
+
+
+def test_fit_with_a_helper_fills_only_its_lanes_rows(monkeypatch):
+    # the helper is forked before the start residuals are built, so the
+    # fit's process writes only its own rows of the residual, from the
+    # first fill on, and never touches the helper's pages
+    monkeypatch.setattr(em.kernels, "SPLIT_BLOCKS", 2)
+    ds, _ = simulate_dataset(SimConfig(n_voxels=1000, active_frac=0.3), seed=0)
+    seen = {"_refresh_rows": [], "_set_mean_rows": []}
+    for name, rows in seen.items():
+        monkeypatch.setattr(em, name, _recording(getattr(em, name), rows))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        fit = em_fit(ds, EmConfig(max_iter=2), helper=True)
+    mid = em.kernels.Lanes(ds.dims.n_voxels, helper=True).mid
+    assert mid == 2 * em.kernels.BLOCK
+    for name, rows in seen.items():
+        # the start fill, and one refresh per mean step
+        assert len(rows) >= 2 + fit.iterations, name
+        assert set(rows) == {mid}, name
+
+
+SUM_LEAF = em.SUM_LEAF
+
+
+@pytest.mark.parametrize("size", [
+    1, 7, 129, SUM_LEAF - 1, SUM_LEAF, SUM_LEAF + 1, SUM_LEAF + 7,
+    2 * SUM_LEAF + 13, 8 * SUM_LEAF + 3])
+def test_series_var_is_np_vars_bits_on_random_series(size):
+    # summed one leaf of numpy's pairwise tree at a time, the variance has
+    # np.var's bits; a numpy that sums in another order fails here
+    rng = np.random.default_rng(size)
+    series = 1e3 + rng.standard_normal(size) * rng.uniform(0.1, 10.0)
+    got = em._series_var(series.reshape(1, -1))
+    want = float(np.var(series))
+    assert got.hex() == want.hex(), (
+        f"numpy {np.__version__} no longer sums like the tree em._series_var "
+        f"follows: {got.hex()} != {want.hex()}")
+
+
+def test_series_var_is_np_vars_bits_on_simulated_series():
+    orders = []
+    for n_vox in (400, 1000, 4999):
+        series = simulate_dataset(SimConfig(n_voxels=n_vox), seed=n_vox)[0].series
+        want = float(np.var(series))
+        assert em._series_var(series).hex() == want.hex(), n_vox
+        # the series tell summation orders apart: squares summed in
+        # 256-voxel blocks, added in turn, give other bits
+        dev = series - series.mean()
+        blocks = sum(np.sum(dev[i:i + 256] ** 2) for i in range(0, n_vox, 256))
+        orders.append(float(blocks / series.size) != want)
+    assert any(orders)

@@ -612,6 +612,26 @@ def test_write_csv_zero_rows_and_bad_shapes(tmp_path):
         write_csv(path, declared, columns=[[1, 2]])
 
 
+@pytest.mark.parametrize("n_rows", [
+    0, 1, io.CSV_CHUNK - 1, io.CSV_CHUNK, io.CSV_CHUNK + 1,
+    3 * io.CSV_CHUNK + 7])
+def test_chunked_write_csv_matches_one_shot_rendering(tmp_path, n_rows):
+    # rows rendered CSV_CHUNK at a time are the bytes of all rows
+    # rendered through the template at once
+    rng = np.random.default_rng(n_rows)
+    declared = {"voxel": int, "value": float, "flag": bool, "name": str}
+    values = (rng.standard_normal(n_rows)
+              * 10.0 ** rng.integers(-300, 300, n_rows))
+    flags = rng.uniform(size=n_rows) < 0.5
+    names = [f"v{i}" for i in range(n_rows)]
+    one_shot = "voxel,value,flag,name\n" + "".join(
+        "%d,%.17g,%d,%s\n" % row for row in zip(
+            range(n_rows), values.tolist(), flags.astype(int).tolist(), names))
+    path = str(tmp_path / "chunks.csv")
+    write_csv(path, declared, [np.arange(n_rows), values, flags, names])
+    assert _read_bytes(path) == one_shot.encode()
+
+
 def _json_dump_bytes(obj, path):
     with open(path, "w", newline="\n") as f:
         json.dump(obj, f, indent=2, sort_keys=True)

@@ -170,17 +170,18 @@ def _scaled_rows(values, out, scale):
     np.multiply(values, scale, out=out)
 
 
-def _split_instance(n_vox=3 * kernels.BLOCK):
+def _split_instance(monkeypatch, n_vox=3 * kernels.BLOCK):
+    monkeypatch.setattr(kernels, "SPLIT_BLOCKS", 2)
     lanes = kernels.Lanes(n_vox, helper=True)
     values, out = lanes.empty(n_vox), lanes.empty(n_vox)
     values[:] = 1.0
     return lanes, values, out
 
 
-def test_split_emits_the_helpers_warnings_in_the_caller():
+def test_split_emits_the_helpers_warnings_in_the_caller(monkeypatch):
     # only the helper's rows overflow: their warning comes back to the
     # caller, from the line that raised it, and the rows land in out
-    lanes, values, out = _split_instance()
+    lanes, values, out = _split_instance(monkeypatch)
     values[-1] = 1e10
     with lanes, warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -191,8 +192,8 @@ def test_split_emits_the_helpers_warnings_in_the_caller():
     assert np.all(out[:-1] == 1e300) and out[-1] == np.inf
 
 
-def test_split_raises_the_helpers_error_in_the_caller():
-    lanes, values, out = _split_instance()
+def test_split_raises_the_helpers_error_in_the_caller(monkeypatch):
+    lanes, values, out = _split_instance(monkeypatch)
     values[-1] = -1.0
     with lanes, pytest.raises(ValueError, match="negative value"):
         kernels.split(_scaled_rows, None, (values, out), 2.0)
