@@ -143,7 +143,8 @@ def cmd_preprocess(args, config: RunConfig, out: io.OutputDir) -> str:
         )
     # preprocessing leaves the generator's ground truth as it was
     truth = io.read_truth_bytes(args.bundle)
-    processed = preprocess_dataset(dataset, config.preprocess)
+    # nothing else holds the series just read, so the steps rewrite it
+    processed = preprocess_dataset(dataset, config.preprocess, overwrite=True)
     io.write_dataset(processed, out.path("dataset"), truth=truth)
     return os.path.join(out.root, "dataset")
 

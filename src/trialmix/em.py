@@ -101,7 +101,6 @@ VAR_FLOOR = 1e-12  # the noise variance's floor per unit series variance
 SUM_LEAF = 1 << 16  # leaf size of the series variance's summation tree
 INIT_ALPHA = 1e-3  # level of the seeding's uncorrected amplitude screen
 INIT_MAX_ITER = 50  # iteration cap of the seeding's reduced phase
-SCREEN_CHUNK = 4096  # voxels per t_sf call of the seeding's screen
 
 
 @dataclass(frozen=True)
@@ -757,11 +756,7 @@ def _seed(
         None,
     ).params
     t_stats, df = t_statistics(dataset, params)
-    # the tail probabilities SCREEN_CHUNK voxels at a time: t_sf's
-    # temporaries over every voxel at once set a V=50,000 fit's peak
-    active = np.concatenate([
-        t_sf(t_stats[start:start + SCREEN_CHUNK], df) < INIT_ALPHA
-        for start in range(0, d.n_voxels, SCREEN_CHUNK)])
+    active = t_sf(t_stats, df) < INIT_ALPHA
     if not np.any(active):
         n_top = max(1, int(np.ceil(0.01 * d.n_voxels)))
         order = np.argsort(t_stats)[::-1]

@@ -94,6 +94,9 @@ def t_statistics(dataset: Dataset, params: MixtureParams) -> tuple[np.ndarray, i
 CF_TOL = 1e-15
 CF_MAX_TERMS = 1000
 _CF_TINY = 1e-300
+# entries per pass of t_sf: its temporaries over all 50,000 voxels of a
+# fit at once set the fit's peak
+SCREEN_CHUNK = 4096
 
 
 def _off_zero(v: np.ndarray) -> np.ndarray:
@@ -171,11 +174,24 @@ def t_sf(t: np.ndarray | float, df: int) -> np.ndarray | float:
     continued fraction (DiDonato & Morris, ACM TOMS 18:360, 1992). x and
     1 - x come from g = min(|t|, sqrt(df)) / max(|t|, sqrt(df)), so
     neither overflows nor cancels, and log x stays finite where t^2
-    would overflow. NaN stays NaN.
+    would overflow. NaN stays NaN. Entries are taken SCREEN_CHUNK at a
+    time, so the temporaries stay a chunk's size whatever the input's.
     """
     if df < 1:
         raise ValueError("df must be at least 1")
     t_arr = np.asarray(t, dtype=np.float64)
+    out = np.empty(t_arr.shape)
+    flat_t, flat_out = t_arr.reshape(-1), out.reshape(-1)
+    for start in range(0, flat_t.size, SCREEN_CHUNK):
+        chunk = slice(start, start + SCREEN_CHUNK)
+        flat_out[chunk] = _t_sf_flat(flat_t[chunk], df)
+    if np.isscalar(t) or t_arr.ndim == 0:
+        return float(out)
+    return out
+
+
+def _t_sf_flat(t_arr: np.ndarray, df: int) -> np.ndarray:
+    """t_sf of a vector, all at once."""
     out = np.full(t_arr.shape, np.nan)
     out[np.isposinf(t_arr)] = 0.0
     out[np.isneginf(t_arr)] = 1.0
@@ -197,8 +213,6 @@ def t_sf(t: np.ndarray | float, df: int) -> np.ndarray | float:
     log_y = np.where(far, log_near_one, log_near_zero)
     half_tail = 0.5 * _beta_inc(0.5 * df, 0.5, x, y, log_x, log_y)
     out[finite] = np.where(ts >= 0.0, half_tail, 1.0 - half_tail)
-    if np.isscalar(t) or t_arr.ndim == 0:
-        return float(out)
     return out
 
 

@@ -101,12 +101,21 @@ def voxel_blocks(n_vox: int):
         yield slice(start, start + BLOCK)
 
 
+def _unless_identity(w: np.ndarray) -> np.ndarray | None:
+    """``w``, or None when it is exactly the identity: a model that fixes
+    a factor at I skips its products. A product with I has each entry's
+    bits, but for -0.0, which it makes +0.0; every kernel sums each
+    output from +0.0, so its results keep the generic path's bits."""
+    return None if np.array_equal(w, np.eye(w.shape[0])) else w
+
+
 def quad_forms_kron(
     resid: np.ndarray, w_within: np.ndarray, w_between: np.ndarray
 ) -> np.ndarray:
     """Per-voxel quadratic forms under the inverse Kronecker covariance."""
     out = _output(resid, resid.shape[:1])
-    split(_quad_forms_rows, None, (resid, out), w_within, w_between)
+    split(_quad_forms_rows, None, (resid, out), _unless_identity(w_within),
+          _unless_identity(w_between))
     # a split pass leaves its result in scratch that the next pass reuses
     return out if out.flags.owndata else out.copy()
 
@@ -115,8 +124,11 @@ def _quad_forms_rows(resid, out, w_within, w_between) -> None:
     n_vox, _, n_t = resid.shape
     for sl in voxel_blocks(n_vox):
         blk = resid[sl]
-        tmp = (blk.reshape(-1, n_t) @ w_within).reshape(blk.shape)
-        tmp = w_between @ tmp
+        tmp = blk
+        if w_within is not None:
+            tmp = (blk.reshape(-1, n_t) @ w_within).reshape(blk.shape)
+        if w_between is not None:
+            tmp = w_between @ tmp
         n_blk = blk.shape[0]
         out[sl] = np.einsum(
             "vn,vn->v", tmp.reshape(n_blk, -1), blk.reshape(n_blk, -1)
@@ -133,15 +145,18 @@ def scatter_within(
     """
     n_t = resid.shape[2]
     return split(_scatter_within_parts, np.zeros((n_t, n_t)),
-                 (resid, weights), w_between)
+                 (resid, weights), _unless_identity(w_between))
 
 
 def _scatter_within_parts(resid, weights, w_between):
     n_t = resid.shape[2]
     for sl in voxel_blocks(resid.shape[0]):
         blk = resid[sl]
-        weighted = w_between @ blk
-        weighted *= weights[sl, None, None]
+        if w_between is None:
+            weighted = blk * weights[sl, None, None]
+        else:
+            weighted = w_between @ blk
+            weighted *= weights[sl, None, None]
         yield weighted.reshape(-1, n_t).T @ blk.reshape(-1, n_t)
 
 
@@ -152,7 +167,7 @@ def scatter_between(
     taken on the epoch side; result is (n_epochs, n_epochs)."""
     n_ep = resid.shape[1]
     return split(_scatter_between_parts, np.zeros((n_ep, n_ep)),
-                 (resid, weights), w_within)
+                 (resid, weights), _unless_identity(w_within))
 
 
 def _scatter_between_parts(resid, weights, w_within):
@@ -160,11 +175,15 @@ def _scatter_between_parts(resid, weights, w_within):
     for sl in voxel_blocks(resid.shape[0]):
         # epoch-major blocks turn the block's sum over (voxel, time) into
         # one (n_epochs, b * n_times) @ (b * n_times, n_epochs) GEMM: the
-        # product with w_within writes the weighted block epoch-major, and
-        # the block itself takes the one copy
+        # product with w_within (or the weighting alone) writes the
+        # weighted block epoch-major, and the block itself takes the one
+        # copy
         blk = resid[sl].transpose(1, 0, 2)
-        weighted = np.matmul(blk, w_within)
-        weighted *= weights[sl, None]
+        if w_within is None:
+            weighted = np.multiply(blk, weights[sl, None], order="C")
+        else:
+            weighted = np.matmul(blk, w_within)
+            weighted *= weights[sl, None]
         yield weighted.reshape(n_ep, -1) @ blk.reshape(n_ep, -1).T
 
 
@@ -417,6 +436,8 @@ def _warn_again(caught: list) -> None:
     """Emit warnings recorded in another process as warnings.warn would
     have emitted them at their source lines: the caller's filters and each
     module's de-duplication registry decide what is shown."""
+    if not caught:
+        return
     by_file = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
     for message, category, filename, lineno in caught:
         module = by_file.get(filename)

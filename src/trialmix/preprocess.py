@@ -5,14 +5,18 @@ mean-centering. The high-pass removes slow drift by projecting out
 low-order cosine basis functions; trial alignment resamples each epoch
 onto a common post-stimulus grid with a Fourier phase shift.
 
-preprocess_dataset holds one output array the size of the series.
-Alignment, the high-pass and centering act on each voxel's series
-alone, so they run on one block of voxels at a time and write it into
-that array; only the (n_images, n_covariates) design is filtered whole.
-The blocks are kernels.voxel_blocks, fixed 256-voxel blocks in a fixed
-order, and they define the bits: the high-pass GEMMs round as products
-of a block, not of the whole series, and the same at any BLAS thread
-count.
+preprocess_dataset writes every step into one series-sized array: a
+copy of the input's series, or with overwrite=True the input's series
+itself, which `trialmix preprocess` gives it right after reading the
+bundle. Its other temporaries are no bigger than a block or a volume.
+Smoothing rewrites the array one image (column) at a time, under a
+normalizer computed once. Alignment, the high-pass and centering act on
+each voxel's series alone, so they run on one block of voxels at a time
+and write it back into the same rows; only the (n_images, n_covariates)
+design is filtered whole. The blocks are kernels.voxel_blocks, fixed
+256-voxel blocks in a fixed order, and they define the bits: the
+high-pass GEMMs round as products of a block, not of the whole series,
+and the same at any BLAS thread count.
 """
 from __future__ import annotations
 
@@ -176,7 +180,9 @@ def _correlate_symmetric(arr: np.ndarray, kern: np.ndarray, axis: int) -> np.nda
     n = lines.shape[0]
     padded = np.zeros((n + 2 * radius,) + lines.shape[1:])
     padded[radius:radius + n] = lines
-    out = lines * kern[radius]
+    # every operand is a slice of padded's layout, so numpy's loops run
+    # over contiguous memory
+    out = padded[radius:radius + n] * kern[radius]
     pair = np.empty_like(out)
     for j in range(radius, 0, -1):
         np.add(padded[radius - j:radius - j + n], padded[radius + j:radius + j + n],
@@ -189,16 +195,13 @@ def _correlate_symmetric(arr: np.ndarray, kern: np.ndarray, axis: int) -> np.nda
 def _smooth_axes(
     arr: np.ndarray, fwhm: float, voxel_size: tuple[float, float, float]
 ) -> np.ndarray:
-    """Correlate the first three axes with their sampled Gaussians.
-
-    Every line is filtered on its own, so a stack of volumes along a
-    fourth axis gives the same bits as smoothing each volume alone.
-    """
+    """Correlate the three axes of a volume with their sampled Gaussians,
+    into a new C-ordered volume."""
     for axis in range(3):
         kern = _axis_kernel(fwhm * FWHM_TO_SIGMA / voxel_size[axis],
                             arr.shape[axis] - 1)
         arr = _correlate_symmetric(arr, kern, axis)
-    return arr
+    return np.ascontiguousarray(arr)
 
 
 def gaussian_smooth_3d(
@@ -230,36 +233,44 @@ def gaussian_smooth_3d(
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != grid:
             raise ValueError("mask shape must match the volume grid")
-    stack = volume.reshape(grid + (-1,))
-    num = _smooth_axes(np.where(mask[..., None], stack, 0.0), fwhm, voxel_size)
-    den = _smooth_axes(mask.astype(np.float64), fwhm, voxel_size)
-    inside = mask & (den > 0.0)
+    stack = volume.reshape(mask.size, -1)
+    flat = np.flatnonzero(mask)
+    values = stack[flat]
+    _smooth_columns(values, flat, mask, fwhm, voxel_size)
     out = np.zeros_like(stack)
-    out[inside] = num[inside] / den[inside][:, None]
+    out[flat] = values
     return out.reshape(volume.shape)
 
 
-def _smooth_dataset(ds: Dataset, cfg: PreprocConfig) -> np.ndarray:
-    """gaussian_smooth_3d of every image under the dataset's mask, one
-    epoch (n_times images) per call, in one new (n_voxels, n_images)
-    array."""
-    if ds.mask_shape is None:
-        raise ValueError("smoothing requires mask_shape on the dataset")
-    mask = ds.grid_mask()
-    idx = tuple(ds.coords.T)
-    out = np.empty_like(ds.series)
-    # every epoch fills the same voxels, so the rest stays 0
-    stack = np.zeros(mask.shape + (ds.dims.n_times,))
-    for start in range(0, ds.dims.n_images, ds.dims.n_times):
-        chunk = slice(start, start + ds.dims.n_times)
-        stack[idx] = ds.series[:, chunk]
-        out[:, chunk] = gaussian_smooth_3d(
-            stack, cfg.smooth_fwhm, cfg.voxel_size, mask
-        )[idx]
-    return out
+def _smooth_columns(
+    values: np.ndarray,
+    flat: np.ndarray,
+    mask: np.ndarray,
+    fwhm: float,
+    voxel_size: tuple[float, float, float],
+) -> None:
+    """gaussian_smooth_3d, in place, of each column of ``values``: the
+    images of one volume at the mask voxels of flat (C-order) indices
+    ``flat``.
+
+    Every line is filtered on its own, so smoothing one image at a time
+    gives the bits of any stack of images; one at a time keeps the
+    temporaries to a few volumes and was measured fastest. The
+    normalizer is smoothed once, and a mask voxel's own tap has positive
+    weight, so its normalizer is positive.
+    """
+    den = _smooth_axes(mask.astype(np.float64), fwhm, voxel_size).ravel()[flat]
+    # every image fills the same voxels, so the rest stays 0
+    volume = np.zeros(mask.size)
+    for image in values.T:
+        volume[flat] = image
+        smoothed = _smooth_axes(volume.reshape(mask.shape), fwhm, voxel_size)
+        np.divide(smoothed.ravel()[flat], den, out=image)
 
 
-def preprocess_dataset(ds: Dataset, cfg: PreprocConfig) -> Dataset:
+def preprocess_dataset(
+    ds: Dataset, cfg: PreprocConfig, *, overwrite: bool = False
+) -> Dataset:
     """Run the enabled pipeline steps and return a new dataset.
 
     Applies, in order: Gaussian smoothing (when smooth_fwhm > 0), trial
@@ -267,15 +278,19 @@ def preprocess_dataset(ds: Dataset, cfg: PreprocConfig) -> Dataset:
     series and the design (when a cutoff is set), and mean-centering of
     both. A result that overflowed raises DegenerateDataError.
 
-    The series gets one new (n_voxels, n_images) array: smoothing writes
-    it, and the later steps read each block of voxels from it (or from
-    the input) and write the block back, so they add only the block's
-    temporaries.
+    Every step writes into one (n_voxels, n_images) array: a copy of
+    ds.series, so ds is unchanged, or with ``overwrite`` ds.series
+    itself, which the caller must then hold alone. Smoothing rewrites it
+    one image at a time, and the later steps one block of voxels at a
+    time, so they add only temporaries of a volume's or a block's size.
     """
+    series = ds.series if overwrite else ds.series.copy()
     if cfg.smooth_fwhm > 0.0:
-        series = out = _smooth_dataset(ds, cfg)
-    else:
-        series, out = ds.series, np.empty_like(ds.series)
+        if ds.mask_shape is None:
+            raise ValueError("smoothing requires mask_shape on the dataset")
+        flat = np.ravel_multi_index(tuple(ds.coords.T), ds.grid_shape)
+        _smooth_columns(series, flat, ds.grid_mask(), cfg.smooth_fwhm,
+                        cfg.voxel_size)
     design = ds.design
     shifts = shift_offsets_from_stimulus(ds.stimulus_times, ds.tr)
     if cfg.highpass_cutoff is not None:
@@ -290,8 +305,8 @@ def preprocess_dataset(ds: Dataset, cfg: PreprocConfig) -> Dataset:
             block = dct_highpass(block, ds.tr, cfg.highpass_cutoff)
         if cfg.center:
             block = mean_center(block)
-        out[sl] = block
+        series[sl] = block
     try:
-        return replace(ds, series=out, design=design)
+        return replace(ds, series=series, design=design)
     except ValueError as e:  # finite input whose processing overflowed
         raise DegenerateDataError(f"preprocess: {e}") from None

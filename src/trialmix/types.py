@@ -100,7 +100,9 @@ class Dataset:
 
     Valid by construction: __post_init__ (so also dataclasses.replace)
     raises ValueError on a broken invariant. The package never mutates
-    the arrays; centered design columns are em_fit's own condition.
+    the arrays, with one owner's exception: `trialmix preprocess` has
+    preprocess_dataset(..., overwrite=True) rewrite the series it has just
+    read. Centered design columns are em_fit's own condition.
     """
 
     dims: Dims

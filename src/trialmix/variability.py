@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 EFFECT_SCALE = 10.0  # the plot scale of the shape in the effect curves
+ANOVA_CHUNK = 4096  # observations per pass of anova_two_way over its input
 
 
 @dataclass(frozen=True)
@@ -130,14 +131,38 @@ class AnovaTable:
         )
 
 
-def _sum_zero_codes(labels: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """Sum-to-zero coding columns for all levels but the last."""
-    n_levels = levels.size
-    cols = np.zeros((labels.size, n_levels - 1))
-    for j, level in enumerate(levels[:-1]):
-        cols[labels == level, j] = 1.0
-    cols[labels == levels[-1], :] = -1.0
-    return cols
+def _levels(labels: np.ndarray) -> np.ndarray:
+    """np.unique(labels), taken ANOVA_CHUNK labels at a time."""
+    levels = np.unique(labels[:ANOVA_CHUNK])
+    for start in range(ANOVA_CHUNK, labels.size, ANOVA_CHUNK):
+        levels = np.union1d(levels, labels[start:start + ANOVA_CHUNK])
+    return levels
+
+
+def _sum_zero_rows(n_levels: int) -> np.ndarray:
+    """Row j is level j's sum-to-zero code over all levels but the last."""
+    return np.vstack([np.eye(n_levels - 1), -np.ones((1, n_levels - 1))])
+
+
+def _inverse_spd(mat: np.ndarray) -> np.ndarray:
+    """Inverse of a positive definite normal matrix by Gauss-Jordan
+    elimination in elementwise operations, or DegenerateDataError when a
+    pivot is not clearly positive (a design whose cells do not connect
+    every level). LAPACK's inverse splits its work by BLAS thread count
+    past 100 x 100 and then changes in its last bits."""
+    n = mat.shape[0]
+    work = np.concatenate([mat, np.eye(n)], axis=1)
+    tol = n * np.finfo(np.float64).eps * float(np.max(np.diag(mat)))
+    for k in range(n):
+        pivot = work[k, k]
+        if not pivot > tol:
+            raise DegenerateDataError("singular ANOVA design: the cells do "
+                                      "not connect every level")
+        work[k] /= pivot
+        col = work[:, k].copy()
+        col[k] = 0.0
+        work -= np.multiply.outer(col, work[k])
+    return work[:, n:]
 
 
 def anova_two_way(
@@ -151,6 +176,17 @@ def anova_two_way(
     Standard errors come from the residual variance times the diagonal
     of the inverse normal matrix; the dropped level of each factor gets
     the standard error of minus the sum of the kept effects.
+
+    Every observation of an (epoch, cluster) cell has the same design
+    row, so the fit needs only each cell's count and score sum, its
+    sufficient statistics: the normal equations are sums over one row
+    per cell, and a residual is a score less its cell's fitted value.
+    Observations are read ANOVA_CHUNK at a time, so the fit's memory
+    does not grow with their number. Sums over cells and parameters go
+    through einsum and the inverse through _inverse_spd: BLAS and LAPACK
+    split a product's sums by thread count once it is large enough (a
+    GEMM over many cells would be), while these keep one order, so the
+    table is bit-identical across thread counts.
     """
     scores = np.asarray(scores, dtype=np.float64).ravel()
     epoch_labels = np.asarray(epoch_labels).ravel()
@@ -159,33 +195,47 @@ def anova_two_way(
         raise ValueError("scores and factor labels must have equal length")
     if scores.size == 0:
         raise DegenerateDataError("no observations for the ANOVA")
-    epoch_levels = np.unique(epoch_labels)
-    cluster_levels = np.unique(cluster_labels)
-    use_epoch = epoch_levels.size >= 2
-    use_cluster = cluster_levels.size >= 2
+    epoch_levels = _levels(epoch_labels)
+    cluster_levels = _levels(cluster_labels)
+    n_epochs, n_clusters = epoch_levels.size, cluster_levels.size
+    use_epoch = n_epochs >= 2
+    use_cluster = n_clusters >= 2
     if not use_epoch and not use_cluster:
         raise DegenerateDataError("both factors have a single level")
-    blocks = [np.ones((scores.size, 1))]
+    # one design row per cell, epoch-major
+    blocks = [np.ones((n_epochs * n_clusters, 1))]
     if use_epoch:
-        blocks.append(_sum_zero_codes(epoch_labels, epoch_levels))
+        blocks.append(np.repeat(_sum_zero_rows(n_epochs), n_clusters, axis=0))
     if use_cluster:
-        blocks.append(_sum_zero_codes(cluster_labels, cluster_levels))
+        blocks.append(np.tile(_sum_zero_rows(n_clusters), (n_epochs, 1)))
     design = np.concatenate(blocks, axis=1)
     n_params = design.shape[1]
     df_resid = scores.size - n_params
     if df_resid < 1:
         raise DegenerateDataError("no residual degrees of freedom")
-    # BLAS splits sums over observations by thread count (a GEMM or GEMV
-    # with the observations as inner dimension, or a dot); einsum keeps
-    # one order, so the table is bit-identical across thread counts
-    gram = np.einsum("na,nb->ab", design, design)
-    try:
-        gram_inv = np.linalg.inv(gram)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateDataError(f"singular ANOVA design: {exc}") from exc
-    coef = gram_inv @ np.einsum("na,n->a", design, scores)
-    resid = scores - design @ coef
-    resid_var = float(np.einsum("n,n->", resid, resid) / df_resid)
+
+    def cells(sl: slice) -> np.ndarray:
+        return (np.searchsorted(epoch_levels, epoch_labels[sl]) * n_clusters
+                + np.searchsorted(cluster_levels, cluster_labels[sl]))
+
+    chunks = [slice(start, start + ANOVA_CHUNK)
+              for start in range(0, scores.size, ANOVA_CHUNK)]
+    counts = np.zeros(design.shape[0])
+    sums = np.zeros(design.shape[0])
+    for sl in chunks:
+        cell = cells(sl)
+        counts += np.bincount(cell, minlength=counts.size)
+        sums += np.bincount(cell, weights=scores[sl], minlength=sums.size)
+    # integer counts times codes in {-1, 0, 1}: the normal matrix is exact
+    gram_inv = _inverse_spd(
+        np.einsum("ca,cb->ab", design * counts[:, None], design))
+    coef = np.einsum("ab,b->a", gram_inv, np.einsum("ca,c->a", design, sums))
+    fitted = np.einsum("ca,a->c", design, coef)
+    ssr = 0.0
+    for sl in chunks:
+        resid = scores[sl] - fitted[cells(sl)]
+        ssr += float(np.einsum("n,n->", resid, resid))
+    resid_var = ssr / df_resid
     cov = resid_var * gram_inv
 
     def expand(offset: int, n_levels: int) -> tuple[np.ndarray, np.ndarray]:
@@ -199,16 +249,16 @@ def anova_two_way(
 
     offset = 1
     if use_epoch:
-        epoch_effects, epoch_se = expand(offset, epoch_levels.size)
-        offset += epoch_levels.size - 1
+        epoch_effects, epoch_se = expand(offset, n_epochs)
+        offset += n_epochs - 1
     else:
-        epoch_effects = np.zeros(epoch_levels.size)
-        epoch_se = np.full(epoch_levels.size, np.nan)
+        epoch_effects = np.zeros(n_epochs)
+        epoch_se = np.full(n_epochs, np.nan)
     if use_cluster:
-        cluster_effects, cluster_se = expand(offset, cluster_levels.size)
+        cluster_effects, cluster_se = expand(offset, n_clusters)
     else:
-        cluster_effects = np.zeros(cluster_levels.size)
-        cluster_se = np.full(cluster_levels.size, np.nan)
+        cluster_effects = np.zeros(n_clusters)
+        cluster_se = np.full(n_clusters, np.nan)
     return AnovaTable(
         grand_mean=float(coef[0]),
         epoch_levels=epoch_levels,

@@ -8,6 +8,7 @@ stay cheap.
 """
 import json
 import os
+import tracemalloc
 from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
@@ -29,9 +30,9 @@ from trialmix.em import (
 )
 from trialmix.linalg import inv_spd, kron_logdet, matrix_sqrt
 from trialmix.preprocess import (
-    _smooth_dataset,
     center_columns,
     dct_highpass,
+    gaussian_smooth_3d,
     mean_center,
     shift_offsets_from_stimulus,
     trial_time_shift,
@@ -39,6 +40,7 @@ from trialmix.preprocess import (
 from trialmix.simulate import STIMULUS_INTERVAL, random_walk_design
 from trialmix.types import (Dataset, DegenerateDataError, Dims, MixtureParams,
                             SimTruth, _intervene)
+from trialmix.variability import AnovaTable
 
 
 # mask_shape values past the volume bound; each once ended in a
@@ -387,12 +389,74 @@ def assert_near(got, want, err_msg="", rel=1e-12):
     np.testing.assert_allclose(got, want, rtol=0.0, atol=bound, err_msg=err_msg)
 
 
+def traced_peak(call):
+    """(peak, result) of ``call()``: the most memory tracemalloc saw
+    allocated during the call, above what was allocated when it began."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def anova_explicit_design(scores, epoch_labels, cluster_labels) -> AnovaTable:
+    """variability.anova_two_way from the (observations x parameters)
+    sum-to-zero design itself, not from cell statistics."""
+    scores = np.asarray(scores, dtype=np.float64).ravel()
+    epoch_labels = np.asarray(epoch_labels).ravel()
+    cluster_labels = np.asarray(cluster_labels).ravel()
+    epoch_levels = np.unique(epoch_labels)
+    cluster_levels = np.unique(cluster_labels)
+
+    def codes(labels, levels):
+        cols = np.zeros((labels.size, levels.size - 1))
+        for j, level in enumerate(levels[:-1]):
+            cols[labels == level, j] = 1.0
+        cols[labels == levels[-1], :] = -1.0
+        return cols
+
+    blocks = [np.ones((scores.size, 1))]
+    for labels, levels in ((epoch_labels, epoch_levels),
+                           (cluster_labels, cluster_levels)):
+        if levels.size >= 2:
+            blocks.append(codes(labels, levels))
+    design = np.concatenate(blocks, axis=1)
+    df_resid = scores.size - design.shape[1]
+    gram_inv = np.linalg.inv(design.T @ design)
+    coef = gram_inv @ (design.T @ scores)
+    resid = scores - design @ coef
+    resid_var = float(resid @ resid / df_resid)
+    cov = resid_var * gram_inv
+
+    def effects(offset, levels):
+        if levels.size < 2:
+            return np.zeros(levels.size), np.full(levels.size, np.nan), offset
+        end = offset + levels.size - 1
+        kept = coef[offset:end]
+        block = cov[offset:end, offset:end]
+        ses = np.sqrt(np.append(np.diag(block), block.sum()))
+        return np.append(kept, -kept.sum()), ses, end
+
+    epoch_effects, epoch_se, offset = effects(1, epoch_levels)
+    cluster_effects, cluster_se, _ = effects(offset, cluster_levels)
+    return AnovaTable(
+        grand_mean=float(coef[0]), epoch_levels=epoch_levels,
+        epoch_effects=epoch_effects, epoch_se=epoch_se,
+        cluster_levels=cluster_levels, cluster_effects=cluster_effects,
+        cluster_se=cluster_se, resid_var=resid_var, df_resid=df_resid)
+
+
 def preprocess_whole(dataset: Dataset, cfg) -> Dataset:
     """preprocess.preprocess_dataset with each step on the whole series."""
     series = dataset.series
     design = dataset.design
     if cfg.smooth_fwhm > 0.0:
-        series = _smooth_dataset(dataset, cfg)
+        idx = tuple(dataset.coords.T)
+        volumes = np.zeros(dataset.grid_shape + (dataset.dims.n_images,))
+        volumes[idx] = series
+        series = gaussian_smooth_3d(volumes, cfg.smooth_fwhm, cfg.voxel_size,
+                                    dataset.grid_mask())[idx]
     if cfg.align_trials:
         shifts = shift_offsets_from_stimulus(dataset.stimulus_times, dataset.tr)
         series = trial_time_shift(series, shifts)

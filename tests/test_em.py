@@ -4,7 +4,6 @@ import inspect
 import os
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -52,6 +51,7 @@ from helpers import (
     seed_params,
     shape_numerator,
     sweep_covariances,
+    traced_peak,
     update_b,
     update_beta,
     update_h_raw,
@@ -335,12 +335,8 @@ def test_fit_holds_one_full_size_residual():
         # first-call allocations (numpy's lazy imports and caches) stay out
         # of the measurement
         em_fit(ds, config, MODEL_SPECS[5].structure)
-        tracemalloc.start()
-        try:
-            em_fit(ds, config, MODEL_SPECS[5].structure)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak, _ = traced_peak(
+            lambda: em_fit(ds, config, MODEL_SPECS[5].structure))
     # a second full-size residual buffer put it at 2.59
     assert peak / ds.series.nbytes <= 1.8
 
@@ -861,12 +857,7 @@ def test_fit_with_a_helper_allocates_under_half_a_series(monkeypatch):
         warnings.simplefilter("ignore", RuntimeWarning)
         # first-call allocations stay out of the measurement
         em_fit(ds, config, helper=True)
-        tracemalloc.start()
-        try:
-            em_fit(ds, config, helper=True)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak, _ = traced_peak(lambda: em_fit(ds, config, helper=True))
     assert peak / ds.series.nbytes < 0.5
 
 

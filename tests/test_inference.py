@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from trialmix.inference import (
+    SCREEN_CHUNK,
     InferenceConfig,
     activation_map,
     cluster_active,
@@ -26,6 +27,7 @@ from helpers import (
     make_dataset,
     make_dims,
     make_params,
+    traced_peak,
 )
 
 
@@ -80,6 +82,22 @@ def test_t_sf_closed_form_df2():
     expected = 0.5 * (1.0 - T_GRID / np.sqrt(2.0 + T_GRID**2))
     got = t_sf(T_GRID, 2)
     np.testing.assert_allclose(got, expected, atol=1e-12, rtol=0.0)
+
+
+def test_t_sf_walks_its_input_in_chunks():
+    # each entry's continued fraction runs on its own, so any cut of the
+    # input gives the same bits, and the temporaries are some 26 arrays of
+    # a chunk: all 50,000 entries at once took 24 times the output
+    rng = np.random.default_rng(12)
+    t = rng.standard_normal((250, 200)) * 4.0
+    t[0, :3] = (np.inf, -np.inf, np.nan)
+    got = t_sf(t, 9)
+    assert got.shape == t.shape
+    flat = t.ravel()
+    pieces = [t_sf(flat[i:i + 1000], 9) for i in range(0, flat.size, 1000)]
+    assert got.tobytes() == np.concatenate(pieces).tobytes()
+    peak, out = traced_peak(lambda: t_sf(t, 9))
+    assert peak - out.nbytes < 40 * SCREEN_CHUNK * 8
 
 
 def test_t_sf_monotone_symmetric_and_bounded():

@@ -1,11 +1,10 @@
 """The batched contractions against per-voxel loop oracles."""
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from helpers import assert_near, kron_quad_form, rand_spd
+from helpers import assert_near, kron_quad_form, rand_spd, traced_peak
 from trialmix import kernels
 
 
@@ -130,12 +129,8 @@ def test_quad_forms_positive_for_spd_weights():
 def _temporary_peak(kernel, *args):
     """Peak traced bytes of one call, less the result it returns."""
     kernel(*args)  # first-call allocations stay out of the measurement
-    tracemalloc.start()
-    try:
-        result = kernel(*args)
-        return tracemalloc.get_traced_memory()[1] - result.nbytes
-    finally:
-        tracemalloc.stop()
+    peak, result = traced_peak(lambda: kernel(*args))
+    return peak - result.nbytes
 
 
 def test_kernel_temporaries_do_not_grow_with_voxels():
@@ -161,6 +156,31 @@ def test_kernel_temporaries_do_not_grow_with_voxels():
         # two blocks each: scatter_between's are its weighted block, made
         # epoch-major by its GEMM, and the epoch-major copy of the block
         assert large < 3 * block_bytes, (name, large / block_bytes)
+
+
+def test_identity_factors_skip_their_products_and_keep_the_bits(monkeypatch):
+    # models 3 and 4 fix one factor at I; exact zeros in the residual,
+    # -0.0 among them and a voxel of nothing else, keep the generic bits
+    n_ep, n_t = 4, 5
+    resid, w_within, w_between, weights = _instance(
+        11, n_vox=kernels.BLOCK + 9, n_ep=n_ep, n_t=n_t)
+    resid[::3, 1] = 0.0
+    resid[1::3, :, 2] = -0.0
+    resid[5] = -0.0
+    weights[::4] = 0.0
+    eye_t, eye_e = np.eye(n_t), np.eye(n_ep)
+    assert kernels._unless_identity(eye_t) is None
+    calls = [
+        (kernels.quad_forms_kron, (resid, eye_t, w_between)),
+        (kernels.quad_forms_kron, (resid, w_within, eye_e)),
+        (kernels.quad_forms_kron, (resid, eye_t, eye_e)),
+        (kernels.scatter_within, (resid, eye_e, weights)),
+        (kernels.scatter_between, (resid, eye_t, weights)),
+    ]
+    skipped = [kernel(*args).tobytes() for kernel, args in calls]
+    monkeypatch.setattr(kernels, "_unless_identity", lambda w: w)
+    generic = [kernel(*args).tobytes() for kernel, args in calls]
+    assert skipped == generic
 
 
 

@@ -5,7 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
-import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,12 +21,11 @@ from trialmix.preprocess import (
     shift_offsets_from_stimulus,
     trial_time_shift,
     _axis_kernel,
-    _smooth_dataset,
 )
 from trialmix.types import Dataset, DegenerateDataError, Dims
 
 from helpers import (assert_near, make_bundle, make_dataset, make_dims,
-                     preprocess_whole)
+                     preprocess_whole, traced_peak)
 
 
 def test_centering_helpers():
@@ -290,11 +289,12 @@ def test_preprocess_config_validation():
 
 
 def test_dataset_smoothing_matches_per_image_bits():
-    # one gaussian_smooth_3d call per epoch of images
+    # the dataset's columns are smoothed a few images at a time, in place
     rng = np.random.default_rng(13)
     mask = rng.random((6, 5, 4)) < 0.6
     coords = np.argwhere(mask)
-    n_epochs, n_times = 3, 4
+    # 15 images: the last smoothing pass takes a remainder
+    n_epochs, n_times = 3, 5
     dims = Dims(n_times=n_times, n_epochs=n_epochs, n_voxels=coords.shape[0],
                 n_covariates=0)
     ds = Dataset(
@@ -314,7 +314,9 @@ def test_dataset_smoothing_matches_per_image_bits():
         expected[:, n] = gaussian_smooth_3d(
             vol, cfg.smooth_fwhm, cfg.voxel_size, mask
         )[mask]
-    assert _smooth_dataset(ds, cfg).tobytes() == expected.tobytes()
+    smoothed = preprocess_dataset(ds, replace(
+        cfg, align_trials=False, highpass_cutoff=None, center=False))
+    assert smoothed.series.tobytes() == expected.tobytes()
     # a (X, Y, Z, K) stack gets each volume's bits, masked or not, at any fwhm
     stack = rng.standard_normal(mask.shape + (5,))
     for m, fwhm in ((mask, 2.5), (None, 2.5), (mask, 0.0), (None, 0.0)):
@@ -372,10 +374,43 @@ def test_preprocess_holds_one_series_sized_buffer(fwhm):
     # the measurement
     preprocess_dataset(make_bundle(30), cfg)
     ds = make_bundle(20000)
-    tracemalloc.start()
-    try:
-        preprocess_dataset(ds, cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_peak(lambda: preprocess_dataset(ds, cfg))
     assert peak / ds.series.nbytes <= 1.7
+
+
+ALL_STEPS = PreprocConfig(smooth_fwhm=2.0, align_trials=True,
+                          highpass_cutoff=128.0, center=True)
+
+
+def test_preprocess_in_place_holds_no_second_series():
+    # with overwrite, every step writes the series it is given, and its
+    # temporaries are a few volumes or blocks; the output array alone put
+    # the copying pipeline at 1.6 series above the dataset
+    preprocess_dataset(make_bundle(30), ALL_STEPS)
+    ds = make_bundle(5000)
+    series = ds.series
+    peak, out = traced_peak(
+        lambda: preprocess_dataset(ds, ALL_STEPS, overwrite=True))
+    assert out.series is series
+    assert peak < 0.25 * series.nbytes
+
+
+def test_preprocess_dataset_leaves_its_input_and_matches_the_command(tmp_path):
+    from trialmix import io
+    from trialmix.cli import main
+    bundle = make_bundle(700, seed=3)
+    before = bundle.series.tobytes()
+    out = preprocess_dataset(bundle, ALL_STEPS)
+    assert bundle.series.tobytes() == before
+    io.write_dataset(bundle, str(tmp_path / "sim"))
+    config = tmp_path / "config.json"
+    config.write_text(
+        '{"preprocess": {"smooth_fwhm": 2.0, "align_trials": true, '
+        '"highpass_cutoff": 128.0, "center": true}}')
+    rc = main(["preprocess", str(tmp_path / "sim"), "--config", str(config),
+               "--out", str(tmp_path / "pre")])
+    assert rc == 0
+    io.write_dataset(out, str(tmp_path / "api"))
+    for name in ("header.json", "data.f64", "coords.csv", "design.csv"):
+        assert ((tmp_path / "pre" / "dataset" / name).read_bytes()
+                == (tmp_path / "api" / name).read_bytes()), name

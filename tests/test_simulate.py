@@ -3,7 +3,6 @@ import itertools
 import os
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +21,8 @@ from trialmix.simulate import (
 )
 from trialmix.types import MAX_GRID_AXIS
 
-from helpers import generate_reference, make_params, observed_loglik
+from helpers import (generate_reference, make_params, observed_loglik,
+                     traced_peak)
 
 
 def test_ar1_cov_hand_values():
@@ -258,12 +258,7 @@ def test_generate_holds_no_second_series_array():
     # made when it draws, so the series is the only full-size array
     cfg = SimConfig(n_voxels=4096)
     truth = default_scenario(cfg, seed=0)
-    tracemalloc.start()
-    try:
-        ds, _ = generate(cfg, truth, seed=0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak, (ds, _) = traced_peak(lambda: generate(cfg, truth, seed=0))
     assert (peak - ds.series.nbytes) / ds.series.nbytes < 0.75
 
 

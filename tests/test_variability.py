@@ -1,4 +1,9 @@
 """Component scores, the additive two-way summary, and curve rebuilding."""
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -15,8 +20,9 @@ from trialmix.variability import (
     pca_cov,
 )
 
-from helpers import (fitted_response, make_dataset, make_dims, make_params,
-                     rand_spd)
+from helpers import (anova_explicit_design, assert_near, fitted_response,
+                     make_dataset, make_dims, make_params, rand_spd,
+                     traced_peak)
 
 
 def test_pca_cov_diagonal_oracle():
@@ -176,9 +182,98 @@ def test_anova_single_level_factor_is_dropped():
         anova_two_way(scores, [1, 2], [1, 1, 1, 1])
 
 
+def test_anova_refuses_cells_that_leave_levels_unconnected():
+    # epoch 1 is seen only in cluster 1 and epoch 2 only in cluster 2, so
+    # the epoch and cluster effects cannot be told apart
+    labels = [1, 1, 1, 2, 2, 2]
+    with pytest.raises(DegenerateDataError, match="singular ANOVA design"):
+        anova_two_way(np.arange(6.0), labels, labels)
+
+
 def test_anova_needs_residual_df():
     with pytest.raises(DegenerateDataError, match="degrees of freedom"):
         anova_two_way(np.ones(4), [1, 2, 3, 4], [1, 1, 1, 1])
+
+
+def _anova_bytes(tab) -> bytes:
+    return b"".join(np.asarray(getattr(tab, f)).tobytes() for f in (
+        "grand_mean", "epoch_levels", "epoch_effects", "epoch_se",
+        "cluster_levels", "cluster_effects", "cluster_se", "resid_var",
+        "df_resid"))
+
+
+def _unbalanced_layout(rng, n_obs, n_epochs, n_clusters):
+    """Random labels whose cells hold unequal counts, with cell (1, 2)
+    left empty when both factors vary, and scores with real effects."""
+    epochs = rng.integers(1, n_epochs + 1, n_obs)
+    clusters = rng.integers(1, n_clusters + 1, n_obs)
+    if n_epochs > 1 and n_clusters > 1:
+        epochs[(epochs == 1) & (clusters == 2)] = 2
+    scores = (0.3 * epochs - 0.5 * clusters + rng.standard_normal(n_obs)
+              + np.where(rng.random(n_obs) < 0.1, 5.0, 0.0))
+    return scores, epochs, clusters
+
+
+@pytest.mark.parametrize("n_obs,n_epochs,n_clusters", [
+    (60, 4, 3),           # unbalanced, with an empty cell
+    (10000, 10, 7),       # several ANOVA_CHUNK passes
+    (500, 1, 6),          # a single epoch level
+    (500, 5, 1),          # a single cluster level
+])
+def test_anova_matches_the_explicit_design(n_obs, n_epochs, n_clusters):
+    rng = np.random.default_rng(n_obs + n_epochs + n_clusters)
+    scores, epochs, clusters = _unbalanced_layout(rng, n_obs, n_epochs,
+                                                  n_clusters)
+    if n_epochs > 1 and n_clusters > 1:
+        assert not np.any((epochs == 1) & (clusters == 2))
+        assert np.unique(np.stack([epochs, clusters]), axis=1).shape[1] == (
+            n_epochs * n_clusters - 1)
+    got = anova_two_way(scores, epochs, clusters)
+    want = anova_explicit_design(scores, epochs, clusters)
+    assert got.df_resid == want.df_resid
+    for name in ("grand_mean", "resid_var", "epoch_effects", "cluster_effects",
+                 "fitted"):
+        assert_near(getattr(got, name), getattr(want, name), name)
+    for name in ("epoch_se", "cluster_se"):
+        got_se, want_se = getattr(got, name), getattr(want, name)
+        np.testing.assert_array_equal(np.isnan(got_se), np.isnan(want_se))
+        if not np.isnan(want_se).all():
+            assert_near(got_se, want_se, name)
+    np.testing.assert_array_equal(got.epoch_levels, want.epoch_levels)
+    np.testing.assert_array_equal(got.cluster_levels, want.cluster_levels)
+
+
+def test_anova_bits_do_not_depend_on_blas_threads():
+    # 100 clusters x 10 epochs: 1,000 cells x 109^2 parameters is past the
+    # 5.2e5 multiply-adds where OpenBLAS splits a product over threads
+    code = (
+        f"import sys; sys.path.insert(0, {str(pathlib.Path(__file__).parent)!r})\n"
+        "import hashlib, numpy as np\n"
+        "from test_variability import _anova_bytes, _unbalanced_layout\n"
+        "from trialmix.variability import anova_two_way\n"
+        "args = _unbalanced_layout(np.random.default_rng(3), 20000, 10, 100)\n"
+        "print(hashlib.sha256(_anova_bytes(anova_two_way(*args))).hexdigest())\n"
+    )
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        digests.add(proc.stdout)
+    assert len(digests) == 1
+
+
+def test_anova_memory_does_not_grow_with_the_observations():
+    # the explicit design took 39 doubles per observation at pcs's size
+    rng = np.random.default_rng(8)
+    peaks = []
+    for n_obs in (20000, 200000):
+        args = _unbalanced_layout(rng, n_obs, 10, 30)
+        anova_two_way(*args)  # first-call allocations stay out
+        peaks.append(traced_peak(lambda: anova_two_way(*args))[0])
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 def test_fitted_scores_stacks_cells():
