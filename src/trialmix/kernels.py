@@ -101,21 +101,12 @@ def voxel_blocks(n_vox: int):
         yield slice(start, start + BLOCK)
 
 
-def _unless_identity(w: np.ndarray) -> np.ndarray | None:
-    """``w``, or None when it is exactly the identity: a model that fixes
-    a factor at I skips its products. A product with I has each entry's
-    bits, but for -0.0, which it makes +0.0; every kernel sums each
-    output from +0.0, so its results keep the generic path's bits."""
-    return None if np.array_equal(w, np.eye(w.shape[0])) else w
-
-
 def quad_forms_kron(
     resid: np.ndarray, w_within: np.ndarray, w_between: np.ndarray
 ) -> np.ndarray:
     """Per-voxel quadratic forms under the inverse Kronecker covariance."""
     out = _output(resid, resid.shape[:1])
-    split(_quad_forms_rows, None, (resid, out), _unless_identity(w_within),
-          _unless_identity(w_between))
+    split(_quad_forms_rows, None, (resid, out), w_within, w_between)
     # a split pass leaves its result in scratch that the next pass reuses
     return out if out.flags.owndata else out.copy()
 
@@ -124,11 +115,8 @@ def _quad_forms_rows(resid, out, w_within, w_between) -> None:
     n_vox, _, n_t = resid.shape
     for sl in voxel_blocks(n_vox):
         blk = resid[sl]
-        tmp = blk
-        if w_within is not None:
-            tmp = (blk.reshape(-1, n_t) @ w_within).reshape(blk.shape)
-        if w_between is not None:
-            tmp = w_between @ tmp
+        tmp = (blk.reshape(-1, n_t) @ w_within).reshape(blk.shape)
+        tmp = w_between @ tmp
         n_blk = blk.shape[0]
         out[sl] = np.einsum(
             "vn,vn->v", tmp.reshape(n_blk, -1), blk.reshape(n_blk, -1)
@@ -145,18 +133,15 @@ def scatter_within(
     """
     n_t = resid.shape[2]
     return split(_scatter_within_parts, np.zeros((n_t, n_t)),
-                 (resid, weights), _unless_identity(w_between))
+                 (resid, weights), w_between)
 
 
 def _scatter_within_parts(resid, weights, w_between):
     n_t = resid.shape[2]
     for sl in voxel_blocks(resid.shape[0]):
         blk = resid[sl]
-        if w_between is None:
-            weighted = blk * weights[sl, None, None]
-        else:
-            weighted = w_between @ blk
-            weighted *= weights[sl, None, None]
+        weighted = w_between @ blk
+        weighted *= weights[sl, None, None]
         yield weighted.reshape(-1, n_t).T @ blk.reshape(-1, n_t)
 
 
@@ -167,7 +152,7 @@ def scatter_between(
     taken on the epoch side; result is (n_epochs, n_epochs)."""
     n_ep = resid.shape[1]
     return split(_scatter_between_parts, np.zeros((n_ep, n_ep)),
-                 (resid, weights), _unless_identity(w_within))
+                 (resid, weights), w_within)
 
 
 def _scatter_between_parts(resid, weights, w_within):
@@ -175,15 +160,11 @@ def _scatter_between_parts(resid, weights, w_within):
     for sl in voxel_blocks(resid.shape[0]):
         # epoch-major blocks turn the block's sum over (voxel, time) into
         # one (n_epochs, b * n_times) @ (b * n_times, n_epochs) GEMM: the
-        # product with w_within (or the weighting alone) writes the
-        # weighted block epoch-major, and the block itself takes the one
-        # copy
+        # product with w_within writes the weighted block epoch-major, and
+        # the block itself takes the one copy
         blk = resid[sl].transpose(1, 0, 2)
-        if w_within is None:
-            weighted = np.multiply(blk, weights[sl, None], order="C")
-        else:
-            weighted = np.matmul(blk, w_within)
-            weighted *= weights[sl, None]
+        weighted = np.matmul(blk, w_within)
+        weighted *= weights[sl, None]
         yield weighted.reshape(n_ep, -1) @ blk.reshape(n_ep, -1).T
 
 

@@ -32,7 +32,6 @@ __all__ = [
 ]
 
 EFFECT_SCALE = 10.0  # the plot scale of the shape in the effect curves
-ANOVA_CHUNK = 4096  # observations per pass of anova_two_way over its input
 
 
 @dataclass(frozen=True)
@@ -131,14 +130,6 @@ class AnovaTable:
         )
 
 
-def _levels(labels: np.ndarray) -> np.ndarray:
-    """np.unique(labels), taken ANOVA_CHUNK labels at a time."""
-    levels = np.unique(labels[:ANOVA_CHUNK])
-    for start in range(ANOVA_CHUNK, labels.size, ANOVA_CHUNK):
-        levels = np.union1d(levels, labels[start:start + ANOVA_CHUNK])
-    return levels
-
-
 def _sum_zero_rows(n_levels: int) -> np.ndarray:
     """Row j is level j's sum-to-zero code over all levels but the last."""
     return np.vstack([np.eye(n_levels - 1), -np.ones((1, n_levels - 1))])
@@ -181,9 +172,10 @@ def anova_two_way(
     row, so the fit needs only each cell's count and score sum, its
     sufficient statistics: the normal equations are sums over one row
     per cell, and a residual is a score less its cell's fitted value.
-    Observations are read ANOVA_CHUNK at a time, so the fit's memory
-    does not grow with their number. Sums over cells and parameters go
-    through einsum and the inverse through _inverse_spd: BLAS and LAPACK
+    No observations x parameters design is built: beyond its inputs the
+    fit holds a few arrays of one number per observation, whatever the
+    number of levels. Sums over cells and parameters go through einsum
+    and the inverse through _inverse_spd: BLAS and LAPACK
     split a product's sums by thread count once it is large enough (a
     GEMM over many cells would be), while these keep one order, so the
     table is bit-identical across thread counts.
@@ -195,8 +187,9 @@ def anova_two_way(
         raise ValueError("scores and factor labels must have equal length")
     if scores.size == 0:
         raise DegenerateDataError("no observations for the ANOVA")
-    epoch_levels = _levels(epoch_labels)
-    cluster_levels = _levels(cluster_labels)
+    epoch_levels, epoch_idx = np.unique(epoch_labels, return_inverse=True)
+    cluster_levels, cluster_idx = np.unique(cluster_labels,
+                                            return_inverse=True)
     n_epochs, n_clusters = epoch_levels.size, cluster_levels.size
     use_epoch = n_epochs >= 2
     use_cluster = n_clusters >= 2
@@ -213,28 +206,16 @@ def anova_two_way(
     df_resid = scores.size - n_params
     if df_resid < 1:
         raise DegenerateDataError("no residual degrees of freedom")
-
-    def cells(sl: slice) -> np.ndarray:
-        return (np.searchsorted(epoch_levels, epoch_labels[sl]) * n_clusters
-                + np.searchsorted(cluster_levels, cluster_labels[sl]))
-
-    chunks = [slice(start, start + ANOVA_CHUNK)
-              for start in range(0, scores.size, ANOVA_CHUNK)]
-    counts = np.zeros(design.shape[0])
-    sums = np.zeros(design.shape[0])
-    for sl in chunks:
-        cell = cells(sl)
-        counts += np.bincount(cell, minlength=counts.size)
-        sums += np.bincount(cell, weights=scores[sl], minlength=sums.size)
+    cell = epoch_idx * n_clusters + cluster_idx
+    counts = np.bincount(cell, minlength=design.shape[0]).astype(np.float64)
+    sums = np.bincount(cell, weights=scores, minlength=design.shape[0])
     # integer counts times codes in {-1, 0, 1}: the normal matrix is exact
     gram_inv = _inverse_spd(
         np.einsum("ca,cb->ab", design * counts[:, None], design))
     coef = np.einsum("ab,b->a", gram_inv, np.einsum("ca,c->a", design, sums))
     fitted = np.einsum("ca,a->c", design, coef)
-    ssr = 0.0
-    for sl in chunks:
-        resid = scores[sl] - fitted[cells(sl)]
-        ssr += float(np.einsum("n,n->", resid, resid))
+    resid = scores - fitted[cell]
+    ssr = float(np.einsum("n,n->", resid, resid))
     resid_var = ssr / df_resid
     cov = resid_var * gram_inv
 

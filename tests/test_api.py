@@ -44,10 +44,11 @@ def test_public_names_resolve():
 UNREACHED = {
     "kernels.backend_name": "perfbench/run.py's set-up probe calls it; "
                             "ROADMAP item 1 deletes it together with that call",
-    "preprocess.gaussian_smooth_3d": "the one-volume smoothing API; "
-                                     "perfbench/layers.py counts its calls by name, "
-                                     "and preprocess_dataset smooths through the "
-                                     "same _smooth_columns (ROADMAP item 1)",
+    "preprocess.gaussian_smooth_3d": "kept only because perfbench/layers.py "
+                                     "looks it up by name (its call count now "
+                                     "reads 0); ROADMAP item 1 deletes it or "
+                                     "moves it to tests/helpers.py once that "
+                                     "counter is replaced",
 }
 
 

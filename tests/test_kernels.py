@@ -158,31 +158,6 @@ def test_kernel_temporaries_do_not_grow_with_voxels():
         assert large < 3 * block_bytes, (name, large / block_bytes)
 
 
-def test_identity_factors_skip_their_products_and_keep_the_bits(monkeypatch):
-    # models 3 and 4 fix one factor at I; exact zeros in the residual,
-    # -0.0 among them and a voxel of nothing else, keep the generic bits
-    n_ep, n_t = 4, 5
-    resid, w_within, w_between, weights = _instance(
-        11, n_vox=kernels.BLOCK + 9, n_ep=n_ep, n_t=n_t)
-    resid[::3, 1] = 0.0
-    resid[1::3, :, 2] = -0.0
-    resid[5] = -0.0
-    weights[::4] = 0.0
-    eye_t, eye_e = np.eye(n_t), np.eye(n_ep)
-    assert kernels._unless_identity(eye_t) is None
-    calls = [
-        (kernels.quad_forms_kron, (resid, eye_t, w_between)),
-        (kernels.quad_forms_kron, (resid, w_within, eye_e)),
-        (kernels.quad_forms_kron, (resid, eye_t, eye_e)),
-        (kernels.scatter_within, (resid, eye_e, weights)),
-        (kernels.scatter_between, (resid, eye_t, weights)),
-    ]
-    skipped = [kernel(*args).tobytes() for kernel, args in calls]
-    monkeypatch.setattr(kernels, "_unless_identity", lambda w: w)
-    generic = [kernel(*args).tobytes() for kernel, args in calls]
-    assert skipped == generic
-
-
 
 def _scaled_rows(values, out, scale):
     if np.any(values < 0.0):

@@ -289,12 +289,12 @@ def test_preprocess_config_validation():
 
 
 def test_dataset_smoothing_matches_per_image_bits():
-    # the dataset's columns are smoothed a few images at a time, in place
+    # _smooth_columns smooths one image per pass, in place, and must give
+    # each image gaussian_smooth_3d's bits
     rng = np.random.default_rng(13)
     mask = rng.random((6, 5, 4)) < 0.6
     coords = np.argwhere(mask)
-    # 15 images: the last smoothing pass takes a remainder
-    n_epochs, n_times = 3, 5
+    n_epochs, n_times = 3, 4
     dims = Dims(n_times=n_times, n_epochs=n_epochs, n_voxels=coords.shape[0],
                 n_covariates=0)
     ds = Dataset(
