@@ -22,15 +22,18 @@ removes those it did not write, so --out holds one run's files and the
 files the command does not own.
 
 report and compare run two lanes. After reading the bundle each forks
-one worker process, which fits the compare.models other than fit.model
-in model order, up to the first failure. Meanwhile the parent fits
-fit.model (compare only when it is one of compare.models), and report
-also infers and runs pcs. Then the parent takes the worker's fits,
-issues the warnings they raised, in model order, and raises the
-worker's failure, if any, so the warnings and error are those of
-running the parent's lane, then the other models, one after another. A
-failure in the parent's lane kills the worker and drops its fits and
-warnings; a worker that dies ends the run in exit 3.
+one worker process through kernels.Child, the package's one seam for
+child processes (the fit's helper is its other use), which fits the
+compare.models other than fit.model in model order, up to the first
+failure. Meanwhile the parent fits fit.model (compare only when it is
+one of compare.models), and report also infers and runs pcs. Then the
+parent receives the worker's fits: Child issues the warnings they
+raised, in model order, and raises the worker's failure, if any, so the
+warnings and error are those of running the parent's lane, then the
+other models, one after another. A failure in the parent's lane kills
+the worker and drops its fits and warnings; a worker that dies, or
+cannot be forked, ends the run in exit 3. fit asks for the fit's helper
+and kernels.Lanes decides whether to fork it.
 
 Exit codes: 0 success, 2 usage or configuration error (including a
 malformed bundle, fit or inference directory, an --out that cannot be
@@ -43,11 +46,8 @@ succeeds prints its warnings as Python does.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
-import pickle
-import signal
 import sys
 import warnings
 from dataclasses import dataclass
@@ -57,7 +57,7 @@ import numpy as np
 from . import io
 from .em import EmConfig
 from .inference import FdrResult, InferenceConfig, activation_map
-from .kernels import _fork, _reap, _warn_again, cpus
+from .kernels import Child
 from .modelsel import (CompareConfig, FitConfig, ModelComparison,
                        compare_models, fit_model)
 from .preprocess import PreprocConfig, preprocess_dataset
@@ -161,10 +161,11 @@ def _run_fit(
 
 
 def cmd_fit(args, config: RunConfig, out: io.OutputDir) -> str:
-    # the one fit takes a second CPU through a helper process; report's
-    # and compare's two lanes already keep two CPUs busy
+    # the one fit may take a second CPU through a helper process
+    # (kernels.Lanes); report's and compare's two lanes already keep two
+    # CPUs busy
     fit = _run_fit(args, config, io.read_dataset(args.bundle), out,
-                   helper=len(cpus()) >= 2)
+                   helper=True)
     return (
         f"loglik={fit.loglik_trace[-1]:.6f} iterations={fit.iterations} "
         f"converged={fit.converged} active_prob={fit.params.active_prob:.4f}"
@@ -218,98 +219,51 @@ def _run_compare(
 
 def cmd_compare(args, config: RunConfig, out: io.OutputDir) -> str:
     dataset = io.read_dataset(args.bundle)
-    with _worker_fits(dataset, config) as join:
+    with _worker_fits(dataset, config) as worker:
         own = config.fit.model
         fits = ({own: fit_model(dataset, own, config.em)}
                 if own in config.compare.models else {})
-        fits.update(join())
+        fits.update(worker.receive())
     cmp = _run_compare(config, dataset, out, fits)
     return f"best_aic=model{cmp.best_aic} best_bic=model{cmp.best_bic}"
 
 
 def _fit_in_order(
     dataset: Dataset, config: EmConfig, models: list[int]
-) -> tuple[dict[int, FitResult], Exception | None, list]:
-    """Fits of ``models`` in order up to the first failure, that failure
-    (None if every fit succeeded), and every warning the fits raised as
-    (message, category, filename, lineno)."""
-    fits, error = {}, None
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        for mid in models:
-            try:
-                fits[mid] = fit_model(dataset, mid, config)
-            except Exception as e:
-                error = e
-                break
-    return fits, error, [(w.message, w.category, w.filename, w.lineno)
-                         for w in caught]
+) -> dict[int, FitResult]:
+    """Fits of ``models``, in model order."""
+    return {mid: fit_model(dataset, mid, config) for mid in models}
 
 
-@contextlib.contextmanager
-def _worker_fits(dataset: Dataset, config: RunConfig):
-    """Fit every compare.models id but fit.model, in model order, in one
-    forked worker process while the block runs: the one place that
-    splits the comparison between the two lanes.
+def _worker_fits(dataset: Dataset, config: RunConfig) -> Child:
+    """The comparison worker: a forked process (kernels.Child) that fits
+    every compare.models id but fit.model, in model order, while the
+    ``with`` block runs, the one place that splits the comparison
+    between the two lanes.
 
-    Yields join: it reads the worker's one pickle to the end, reaps the
-    worker, issues the warnings its fits raised, in model order, then
-    raises its failure or returns its fits. A worker that ended without
-    sending them (os._exit, a signal) raises ChildProcessError naming
-    its exit status or signal. The worker inherits the dataset through
-    the fork and ends by os._exit, so it never returns into the caller.
-    Leaving the block before join kills the worker and drops its fits;
-    the worker is reaped on every path.
+    Its receive waits for the worker's reply and issues the warnings its
+    fits raised, in model order; then it returns the fits, or raises the
+    first fit failure, whose warnings are those of the fits up to it. A
+    worker that ended without replying (os._exit, a signal) raises
+    ChildProcessError naming its exit status or signal. The worker
+    inherits the dataset through the fork. A block that raises kills the
+    worker and drops its fits; the worker is reaped on every path.
     """
     models = [m for m in config.compare.models if m != config.fit.model]
-    read_fd, write_fd = os.pipe()
-    pid = _fork()
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_fd)
-            with open(write_fd, "wb") as pipe:
-                pickle.dump(_fit_in_order(dataset, config.em, models), pipe,
-                            protocol=pickle.HIGHEST_PROTOCOL)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    reaped = False
-
-    def join() -> dict[int, FitResult]:
-        nonlocal reaped
-        data = pipe.read()
-        how = _reap(pid)
-        reaped = True
-        if how is not None:
-            raise ChildProcessError(
-                f"the comparison worker {how} before sending its fits")
-        fits, error, caught = pickle.loads(data)
-        _warn_again(caught)
-        if error is not None:
-            raise error
-        return fits
-
-    try:
-        with open(read_fd, "rb") as pipe:
-            yield join
-    finally:
-        if not reaped:  # not reaped by join: drop the worker
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+    return Child("the comparison worker", lambda worker: worker.reply(
+        _fit_in_order, dataset, config.em, models))
 
 
 def cmd_report(args, config: RunConfig, out: io.OutputDir) -> str:
     dataset = io.read_dataset(args.bundle)
     _check_pcs(config, dataset)
-    with _worker_fits(dataset, config) as join:
+    with _worker_fits(dataset, config) as worker:
         fit = _run_fit(args, config, dataset, out)
         amap, fdr = _run_infer(config, dataset, fit, out)
         pa = None
         if np.any(amap.cluster > 0):
             pa = _run_pcs(config, dataset, fit, amap, out)
-        fits = join()
+        fits = worker.receive()
     # report's own fit is the comparison's fit of that model
     cmp = _run_compare(config, dataset, out, {**fits, config.fit.model: fit})
     io.write_report(out, fit, amap, fdr, pa is not None, cmp)

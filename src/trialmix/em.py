@@ -29,8 +29,10 @@ mean is subtracted in place. Every pass over voxels walks
 kernels.voxel_blocks, fixed 256-voxel blocks in a fixed order, and adds
 any sum over voxels in block order: those blocks define the fit's bits,
 which are the same at any BLAS thread count. A fit with a helper
-(em_fit's ``helper``) forks it before the start residuals are built and
-splits each such pass with kernels.split: the two refreshes (the start
+(em_fit's ``helper``; kernels.Lanes, a kernels.Child, forks one when
+the fit spans at least kernels.SPLIT_BLOCKS blocks and may run on two
+CPUs) forks it before the start residuals are built and splits each
+such pass with kernels.split: the two refreshes (the start
 fill included), the projection and the three kernels run their first
 half of the blocks in the fit's process and the rest in one forked
 helper, which writes its rows of ``active``, ``ssq`` and the pass
@@ -654,11 +656,11 @@ def _start(
     are allocated but not yet filled (_Residuals.fill builds the start
     values' residuals), and its noise variance floor, VAR_FLOOR times the
     series variance: the start noise variance, which _iterate rejects if
-    it is 0 or overflowed. The owner's lanes split the fit's passes with
-    a helper when ``helper`` is set (kernels.Lanes); entering them forks
-    it. Design columns that are not mean-centered, or one that is zero or
-    a linear combination of the columns before it, raise
-    DegenerateDataError; a column counts as centered when its sum is at
+    it is 0 or overflowed. The owner's lanes may split the fit's passes
+    with a helper when ``helper`` is set (kernels.Lanes decides);
+    entering them forks it. Design columns that are not mean-centered,
+    or one that is zero or a linear combination of the columns before
+    it, raise DegenerateDataError; a column counts as centered when its sum is at
     most 1e-9 * n_images times its largest magnitude."""
     d = dataset.dims
     scale = np.abs(dataset.design).max(axis=0)
@@ -805,11 +807,12 @@ def em_fit(
     log-likelihood that decreases raise DegenerateDataError.
 
     With ``helper``, a dataset of at least kernels.SPLIT_BLOCKS voxel
-    blocks is fitted by this process and one forked helper process, which
-    is forked before the start residuals are built, takes the second half
+    blocks, in a process whose CPU mask holds at least two CPUs, is
+    fitted by this process and one forked helper process, which is
+    forked before the start residuals are built, takes the second half
     of the blocks of every pass over voxels (kernels.Lanes) and is reaped
     before em_fit returns or raises. The result has the same bits. A
-    helper that dies raises ChildProcessError.
+    helper that dies or cannot be forked raises ChildProcessError.
     """
     params, resid, floor = _start(dataset, helper)
     with resid.lanes:

@@ -41,15 +41,20 @@ resid arrays have shape (n_voxels, n_epochs, n_times); w_within is the
 inverse of the within-epoch factor (n_times, n_times) and w_between the
 inverse of the between-epoch factor (n_epochs, n_epochs).
 
-A fit of at least SPLIT_BLOCKS blocks may split its passes over voxels
-between its own process and one forked helper (Lanes). split runs a
-pass: the caller's process takes the first half of the blocks,
-n_blocks // 2 of them, and the helper the rest, each through the same
-private per-rows function (the _..._rows and _..._parts functions here
-and in em) over its rows. A lane's rows start
-on a block boundary, so its blocks are the blocks of the whole pass. A
-pass that sums over voxels yields one partial per block; the helper
-sends its partials back, and the caller adds every partial to the
+Child is the package's one seam for child processes: it forks, feeds
+and answers a child through two pipes, passes back the child's value or
+exception and its warnings, and kills and reaps it. It has two uses:
+cli's comparison worker, and the fit's helper (Lanes, a Child).
+
+A fit of at least SPLIT_BLOCKS blocks, in a process that may run on two
+CPUs, may split its passes over voxels between its own process and one
+forked helper (Lanes). split runs a pass: the caller's process takes
+the first half of the blocks, n_blocks // 2 of them, and the helper the
+rest, each through the same private per-rows function (the _..._rows
+and _..._parts functions here and in em) over its rows. A lane's rows
+start on a block boundary, so its blocks are the blocks of the whole
+pass. A pass that sums over voxels yields one partial per block; the
+helper sends its partials back, and the caller adds every partial to the
 result in block order, its own first. A split pass thus has the bits of
 the same pass run in one process. A pass splits when its first array
 lies in a running helper's shared memory; anything else, a kernel called
@@ -168,6 +173,159 @@ def _scatter_between_parts(resid, weights, w_within):
         yield weighted.reshape(n_ep, -1) @ blk.reshape(n_ep, -1).T
 
 
+# --------------------------------------------------------- child processes
+
+
+class Child:
+    """One forked child process, fed and answered through two pipes: the
+    one place where the package forks, kills and reaps a process.
+
+    ``with Child(name, target):`` forks; the child runs target(child) and
+    ends by os._exit, status 0 if target returned and 1 if it raised, so
+    it never returns into the caller's code. In the child, ``commands``
+    yields each message the caller ``send``s, and ``reply`` answers one.
+    In the caller, ``receive`` takes the next answer: it issues the
+    warnings that the child's call raised, as warnings.warn would have
+    issued them here, then raises the call's exception or returns its
+    value. A child that ends before it replies (os._exit, a signal such
+    as the out-of-memory killer's SIGKILL) is reaped and raises
+    ChildProcessError naming ``name`` and how it ended; a fork or pipe
+    that fails raises ChildProcessError naming ``name`` and the system's
+    reason, and leaves no pipe open. The child is killed if the block
+    raises and reaped on every path: a block that ends normally closes
+    the pipes, so a child reading commands reads end of file, and waits
+    for it.
+    """
+
+    def __init__(self, name: str, target) -> None:
+        self.name = name
+        self._target = target
+        self._pid = None
+
+    def __enter__(self):
+        fds = []
+        try:
+            for _ in range(2):
+                fds += os.pipe()
+            pid = _fork()
+        except OSError as e:
+            for fd in fds:
+                os.close(fd)
+            raise ChildProcessError(
+                f"{self.name} could not be started: {e.strerror}") from None
+        cmd_read, cmd_write, reply_read, reply_write = fds
+        if pid == 0:
+            code = 1
+            try:
+                self._open(cmd_read, reply_write, cmd_write, reply_read)
+                self._target(self)
+                code = 0
+            finally:
+                os._exit(code)
+        self._open(reply_read, cmd_write, cmd_read, reply_write)
+        self._pid = pid
+        return self
+
+    def _open(self, read_fd, write_fd, *other_end) -> None:
+        for fd in other_end:
+            os.close(fd)
+        self._in, self._out = open(read_fd, "rb"), open(write_fd, "wb")
+
+    def __exit__(self, kind, error, tb) -> None:
+        if self._pid is not None and kind is not None:
+            os.kill(self._pid, signal.SIGKILL)
+        for pipe in (self._out, self._in):
+            try:  # a child that died leaves unsent bytes behind
+                pipe.close()
+            except OSError:
+                pass
+        if self._pid is not None:
+            os.waitpid(self._pid, 0)
+            self._pid = None
+
+    def _write(self, message) -> None:
+        pickle.dump(message, self._out, protocol=pickle.HIGHEST_PROTOCOL)
+        self._out.flush()
+
+    def send(self, *message) -> None:
+        """In the caller: pickle ``message`` to the child's commands."""
+        try:
+            self._write(message)
+        except BrokenPipeError:
+            self._lost()
+
+    def commands(self):
+        """In the child: each message the caller sends, until it closes
+        its end."""
+        while True:
+            try:
+                yield pickle.load(self._in)
+            except EOFError:
+                return
+
+    def reply(self, fn, *args) -> None:
+        """In the child: send fn(*args), or the exception it raised, and
+        every warning it raised, to the caller's receive."""
+        value, error = None, None
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                value = fn(*args)
+            except Exception as e:
+                error = e
+        self._write((value, error, [(w.message, w.category, w.filename,
+                                     w.lineno) for w in caught]))
+
+    def receive(self):
+        """In the caller: the child's next reply, its warnings issued
+        here, then its exception raised or its value returned."""
+        try:
+            value, error, caught = pickle.load(self._in)
+        except (EOFError, pickle.UnpicklingError):
+            self._lost()
+        _warn_again(caught)
+        if error is not None:
+            raise error
+        return value
+
+    def _lost(self):
+        status = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
+        self._pid = None
+        how = (f"was killed by signal {-status} ({signal.strsignal(-status)})"
+               if status < 0 else f"exited with status {status}")
+        raise ChildProcessError(f"{self.name} {how} before replying")
+
+
+def _fork() -> int:
+    """os.fork, without the warning that the process has threads."""
+    with warnings.catch_warnings():
+        # Python 3.12 warns on forking a process with threads. OpenBLAS's
+        # are safe: it shuts them down before a fork (pthread_atfork) and
+        # starts them again on demand. The warning is not the command's
+        warnings.simplefilter("ignore", DeprecationWarning)
+        return os.fork()
+
+
+def _warn_again(caught: list) -> None:
+    """Emit warnings recorded in another process as warnings.warn would
+    have emitted them at their source lines: the caller's filters and each
+    module's de-duplication registry decide what is shown."""
+    if not caught:
+        return
+    by_file = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
+    for message, category, filename, lineno in caught:
+        module = by_file.get(filename)
+        if module is None:
+            warnings.warn_explicit(message, category, filename, lineno)
+            continue
+        namespace = vars(module)
+        warnings.warn_explicit(
+            message, category, filename, lineno, module=module.__name__,
+            registry=namespace.setdefault("__warningregistry__", {}),
+            module_globals=namespace,
+        )
+
+
 # ------------------------------------------------------------------- lanes
 
 # the Lanes of this process whose helper is running
@@ -183,32 +341,37 @@ class _Ref(NamedTuple):
     strides: tuple
 
 
-class Lanes:
+class Lanes(Child):
     """One fit's passes over voxel blocks, split between the caller's
-    process and at most one forked helper.
+    process and at most one forked helper, a Child.
 
-    With ``helper`` and at least SPLIT_BLOCKS blocks, the arrays from
-    ``empty`` are shared memory (MAP_SHARED anonymous maps), so the
-    helper's writes to its rows land where the caller reads them, and
-    ``inherit`` names an array the helper only reads, which it has
-    through the fork; a pass's output goes to one shared scratch of
-    n_vox * out_width doubles. All of them are made before ``with
-    lanes:`` forks the helper, which then serves passes until the block
-    ends and is reaped there, killed first if the block raised. A shared
-    array's pages are faulted in by the first process to touch them, so
-    an array that is first written by split passes inside the block
-    costs each process only its own rows. Otherwise nothing forks, the
-    arrays are private and every pass runs whole in the caller.
+    With ``helper``, at least SPLIT_BLOCKS blocks and at least two CPUs
+    in this process's affinity mask, the arrays from ``empty`` are shared
+    memory (MAP_SHARED anonymous maps), so the helper's writes to its
+    rows land where the caller reads them, and ``inherit`` names an array
+    the helper only reads, which it has through the fork; a pass's output
+    goes to one shared scratch of n_vox * out_width doubles. All of them
+    are made before ``with lanes:`` forks the helper, which then serves
+    passes until the block ends. A shared array's pages are faulted in by
+    the first process to touch them, so an array that is first written
+    by split passes inside the block costs each process only its own
+    rows. Otherwise nothing forks, the arrays are private and every pass
+    runs whole in the caller.
     """
 
     def __init__(self, n_vox: int, helper: bool = False,
                  out_width: int = 1) -> None:
+        super().__init__("the fit's helper process", Lanes._serve)
         n_blocks = -(-n_vox // BLOCK)
-        self.shared = helper and n_blocks >= SPLIT_BLOCKS
+        # the CPUs this process may run on; empty where the system does
+        # not say, and then nothing forks
+        self._cpus = (os.sched_getaffinity(0)
+                      if hasattr(os, "sched_getaffinity") else set())
+        self.shared = (helper and n_blocks >= SPLIT_BLOCKS
+                       and len(self._cpus) >= 2)
         # the caller's lane is the first n_blocks // 2 blocks
         self.mid = n_blocks // 2 * BLOCK if self.shared else n_vox
         self._regions: list[np.ndarray] = []
-        self._pid = None
         self._scratch = self.empty(n_vox * out_width) if self.shared else None
 
     def empty(self, shape) -> np.ndarray:
@@ -245,96 +408,32 @@ class Lanes:
         return arr
 
     def __enter__(self) -> "Lanes":
-        if not self.shared:
-            return self
-        cmd_read, cmd_write = os.pipe()
-        reply_read, reply_write = os.pipe()
-        self._cpus = cpus()
-        # the fit's process keeps the first CPU of its mask and the helper
-        # the others: woken by a pipe, the helper would otherwise run on
-        # the CPU of the process that wrote to it until the scheduler moved
-        # one of them, and a pass of a few ms ran in turns
-        mine = set(sorted(self._cpus)[:1])
-        pid = _fork()
-        if pid == 0:
-            code = 1
-            try:
-                os.close(cmd_write)
-                os.close(reply_read)
-                _pin(self._cpus - mine)
-                with open(cmd_read, "rb") as commands, \
-                        open(reply_write, "wb") as replies:
-                    self._serve(commands, replies)
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(cmd_read)
-        os.close(reply_write)
-        _pin(mine)
-        self._pid = pid
-        self._commands = open(cmd_write, "wb")
-        self._replies = open(reply_read, "rb")
-        _RUNNING.append(self)
+        if self.shared:
+            super().__enter__()
+            # the fit's process keeps the first CPU of its mask and the
+            # helper the others (_serve): woken by a pipe, the helper
+            # would otherwise run on the CPU of the process that wrote to
+            # it until the scheduler moved one of them, and a pass of a
+            # few ms ran in turns
+            _pin(set(sorted(self._cpus)[:1]))
+            _RUNNING.append(self)
         return self
 
     def __exit__(self, kind, error, tb) -> None:
         if self in _RUNNING:
             _RUNNING.remove(self)
             _pin(self._cpus)
-            if self._pid is not None and kind is not None:
-                os.kill(self._pid, signal.SIGKILL)
-            for pipe in (self._commands, self._replies):
-                try:  # a helper that died leaves unsent bytes behind
-                    pipe.close()
-                except OSError:
-                    pass
-        if self._pid is not None:  # closed pipes end a live helper: EOF
-            os.waitpid(self._pid, 0)
-            self._pid = None
+            super().__exit__(kind, error, tb)
 
-    def _serve(self, commands, replies) -> None:
+    def _serve(self) -> None:
         """The helper's loop: run each pass on its rows until EOF."""
-        while True:
-            try:
-                fn, arrays, args = pickle.load(commands)
-            except EOFError:
-                return
-            parts, error = None, None
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                try:
-                    parts = fn(*map(self._find, arrays), *args)
-                    if parts is not None:
-                        parts = list(parts)
-                except Exception as e:
-                    error = e
-            pickle.dump((parts, error, [(w.message, w.category, w.filename,
-                                         w.lineno) for w in caught]),
-                        replies, protocol=pickle.HIGHEST_PROTOCOL)
-            replies.flush()
+        _pin(set(sorted(self._cpus)[1:]))
+        for fn, arrays, args in self.commands():
+            self.reply(self._run, fn, arrays, args)
 
-    def _send(self, fn, arrays, args) -> None:
-        try:
-            pickle.dump((fn, [self._ref(a) for a in arrays], args),
-                        self._commands, protocol=pickle.HIGHEST_PROTOCOL)
-            self._commands.flush()
-        except BrokenPipeError:
-            self._lost()
-
-    def _receive(self):
-        try:
-            parts, error, caught = pickle.load(self._replies)
-        except (EOFError, pickle.UnpicklingError):
-            self._lost()
-        _warn_again(caught)
-        if error is not None:
-            raise error
-        return parts
-
-    def _lost(self):
-        how = _reap(self._pid) or "exited with status 0"
-        self._pid = None
-        raise ChildProcessError(f"the fit's helper process {how} mid-pass")
+    def _run(self, fn, arrays, args):
+        parts = fn(*map(self._find, arrays), *args)
+        return None if parts is None else list(parts)
 
 
 def _lanes_of(arr) -> Lanes | None:
@@ -366,31 +465,15 @@ def split(fn, acc, arrays, *args):
     lanes = _lanes_of(arrays[0])
     mid = arrays[0].shape[0] if lanes is None else lanes.mid
     if lanes is not None:
-        lanes._send(fn, [None if a is None else a[mid:] for a in arrays], args)
+        lanes.send(fn, [None if a is None else lanes._ref(a[mid:])
+                        for a in arrays], args)
     for part in fn(*(None if a is None else a[:mid] for a in arrays),
                    *args) or ():
         acc += part
     if lanes is not None:
-        for part in lanes._receive() or ():
+        for part in lanes.receive() or ():
             acc += part
     return acc
-
-
-def _fork() -> int:
-    """os.fork, without the warning that the process has threads."""
-    with warnings.catch_warnings():
-        # Python 3.12 warns on forking a process with threads. OpenBLAS's
-        # are safe: it shuts them down before a fork (pthread_atfork) and
-        # starts them again on demand. The warning is not the command's
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return os.fork()
-
-
-def cpus() -> set:
-    """The CPUs this thread may run on; empty where the system does not
-    say."""
-    return (os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity")
-            else set())
 
 
 def _pin(mask: set) -> None:
@@ -401,33 +484,3 @@ def _pin(mask: set) -> None:
             os.sched_setaffinity(0, mask)
         except OSError:
             pass
-
-
-def _reap(pid: int) -> str | None:
-    """Wait for child ``pid``; how it ended, None for exit status 0."""
-    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if status == 0:
-        return None
-    if status < 0:
-        return f"was killed by signal {-status} ({signal.strsignal(-status)})"
-    return f"exited with status {status}"
-
-
-def _warn_again(caught: list) -> None:
-    """Emit warnings recorded in another process as warnings.warn would
-    have emitted them at their source lines: the caller's filters and each
-    module's de-duplication registry decide what is shown."""
-    if not caught:
-        return
-    by_file = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
-    for message, category, filename, lineno in caught:
-        module = by_file.get(filename)
-        if module is None:
-            warnings.warn_explicit(message, category, filename, lineno)
-            continue
-        namespace = vars(module)
-        warnings.warn_explicit(
-            message, category, filename, lineno, module=module.__name__,
-            registry=namespace.setdefault("__warningregistry__", {}),
-            module_globals=namespace,
-        )

@@ -35,7 +35,6 @@ __all__ = [
     "dct_highpass",
     "trial_time_shift",
     "shift_offsets_from_stimulus",
-    "gaussian_smooth_3d",
     "preprocess_dataset",
 ]
 
@@ -204,44 +203,6 @@ def _smooth_axes(
     return np.ascontiguousarray(arr)
 
 
-def gaussian_smooth_3d(
-    volume: np.ndarray,
-    fwhm: float,
-    voxel_size: tuple[float, float, float] = (1.0, 1.0, 1.0),
-    mask: np.ndarray | None = None,
-) -> np.ndarray:
-    """Separable Gaussian smoothing with mask-aware renormalization.
-
-    ``volume`` is (X, Y, Z) or a stack (X, Y, Z, ...) of volumes that
-    share the (X, Y, Z) ``mask``; each gets the bits it gets alone.
-    The kernel along each axis is a sampled Gaussian with sigma =
-    fwhm / (2 sqrt(2 ln 2)) / voxel_size, truncated at 4 sigma and
-    normalized to sum 1. At every voxel the weighted average is
-    renormalized over in-volume, in-mask support: masked voxels
-    contribute to neither the numerator nor the normalizer. Voxels
-    outside the mask are returned as 0.
-    """
-    volume = np.asarray(volume, dtype=np.float64)
-    if volume.ndim < 3:
-        raise ValueError("volume must be 3-D or a stack of 3-D volumes")
-    if fwhm < 0.0:
-        raise ValueError("fwhm must be nonnegative")
-    grid = volume.shape[:3]
-    if mask is None:
-        mask = np.ones(grid, dtype=bool)
-    else:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != grid:
-            raise ValueError("mask shape must match the volume grid")
-    stack = volume.reshape(mask.size, -1)
-    flat = np.flatnonzero(mask)
-    values = stack[flat]
-    _smooth_columns(values, flat, mask, fwhm, voxel_size)
-    out = np.zeros_like(stack)
-    out[flat] = values
-    return out.reshape(volume.shape)
-
-
 def _smooth_columns(
     values: np.ndarray,
     flat: np.ndarray,
@@ -249,9 +210,15 @@ def _smooth_columns(
     fwhm: float,
     voxel_size: tuple[float, float, float],
 ) -> None:
-    """gaussian_smooth_3d, in place, of each column of ``values``: the
-    images of one volume at the mask voxels of flat (C-order) indices
-    ``flat``.
+    """Separable Gaussian smoothing with mask-aware renormalization, in
+    place, of each column of ``values``: the images of one volume at the
+    mask voxels of flat (C-order) indices ``flat``.
+
+    The kernel along each axis is a sampled Gaussian with sigma =
+    fwhm / (2 sqrt(2 ln 2)) / voxel_size, truncated at 4 sigma and
+    normalized to sum 1. At every voxel the weighted average is
+    renormalized over in-volume, in-mask support: voxels outside the
+    mask contribute to neither the numerator nor the normalizer.
 
     Every line is filtered on its own, so smoothing one image at a time
     gives the bits of any stack of images; one at a time keeps the

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import gammaln
 
 import trialmix.em as em
-from trialmix import io, kernels
+from trialmix import io, kernels, preprocess
 from trialmix.cli import RunConfig
 from trialmix.em import (
     LOG_2PI,
@@ -32,7 +32,6 @@ from trialmix.linalg import inv_spd, kron_logdet, matrix_sqrt
 from trialmix.preprocess import (
     center_columns,
     dct_highpass,
-    gaussian_smooth_3d,
     mean_center,
     shift_offsets_from_stimulus,
     trial_time_shift,
@@ -445,6 +444,37 @@ def anova_explicit_design(scores, epoch_labels, cluster_labels) -> AnovaTable:
         epoch_effects=epoch_effects, epoch_se=epoch_se,
         cluster_levels=cluster_levels, cluster_effects=cluster_effects,
         cluster_se=cluster_se, resid_var=resid_var, df_resid=df_resid)
+
+
+def gaussian_smooth_3d(
+    volume: np.ndarray,
+    fwhm: float,
+    voxel_size: tuple[float, float, float] = (1.0, 1.0, 1.0),
+    mask: np.ndarray | None = None,
+) -> np.ndarray:
+    """preprocess's smoothing of a whole volume: ``volume`` is (X, Y, Z)
+    or a stack (X, Y, Z, ...) of volumes that share the (X, Y, Z)
+    ``mask``, each smoothed with the bits it gets alone. Voxels outside
+    the mask are returned as 0."""
+    volume = np.asarray(volume, dtype=np.float64)
+    if volume.ndim < 3:
+        raise ValueError("volume must be 3-D or a stack of 3-D volumes")
+    if fwhm < 0.0:
+        raise ValueError("fwhm must be nonnegative")
+    grid = volume.shape[:3]
+    if mask is None:
+        mask = np.ones(grid, dtype=bool)
+    else:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != grid:
+            raise ValueError("mask shape must match the volume grid")
+    stack = volume.reshape(mask.size, -1)
+    flat = np.flatnonzero(mask)
+    values = stack[flat]
+    preprocess._smooth_columns(values, flat, mask, fwhm, voxel_size)
+    out = np.zeros_like(stack)
+    out[flat] = values
+    return out.reshape(volume.shape)
 
 
 def preprocess_whole(dataset: Dataset, cfg) -> Dataset:

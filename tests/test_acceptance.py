@@ -20,11 +20,7 @@ from trialmix.em import EmConfig, em_fit
 from trialmix.inference import fdr_adaptive, t_sf, t_statistics
 from trialmix.linalg import kron_logdet
 from trialmix.modelsel import aic, compare_models, count_params, fit_model
-from trialmix.preprocess import (
-    dct_highpass,
-    gaussian_smooth_3d,
-    trial_time_shift,
-)
+from trialmix.preprocess import dct_highpass, trial_time_shift
 from trialmix.simulate import SimConfig, default_scenario, generate, simulate_dataset
 from trialmix.types import Dims, FitResult
 from trialmix.variability import anova_two_way, pc_scores, pca_cov
@@ -32,6 +28,7 @@ from trialmix.variability import anova_two_way, pc_scores, pca_cov
 from helpers import (
     dense_t_statistics,
     fitted_response,
+    gaussian_smooth_3d,
     kron_quad_form,
     log_density_active,
     make_dataset,

@@ -44,11 +44,6 @@ def test_public_names_resolve():
 UNREACHED = {
     "kernels.backend_name": "perfbench/run.py's set-up probe calls it; "
                             "ROADMAP item 1 deletes it together with that call",
-    "preprocess.gaussian_smooth_3d": "kept only because perfbench/layers.py "
-                                     "looks it up by name (its call count now "
-                                     "reads 0); ROADMAP item 1 deletes it or "
-                                     "moves it to tests/helpers.py once that "
-                                     "counter is replaced",
 }
 
 
@@ -195,14 +190,16 @@ def test_map_sidecar_lists_the_slice_files(tmp_path):
 
 
 def _call_sites(name: str) -> list[str]:
-    """module.function of every call to ``name``, bare or as an
-    attribute, in the package's source files."""
+    """module.function (module.Class.method in a class) of every call to
+    ``name``, bare or as an attribute, in the package's source files."""
     sites = []
 
     def visit(node, owner, path):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name, path)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, f"{node.name}.{child.name}"
+                      if isinstance(node, ast.ClassDef) else child.name, path)
                 continue
             func = child.func if isinstance(child, ast.Call) else None
             if (isinstance(func, ast.Attribute) and func.attr == name) or (
@@ -218,6 +215,29 @@ def _call_sites(name: str) -> list[str]:
 
 def test_warnings_leave_the_package_through_one_seam():
     assert _call_sites("warn") == ["types._intervene"]
+
+
+def test_child_processes_start_and_end_in_one_seam():
+    # kernels.Child alone forks, opens pipes, kills and reaps, for the
+    # comparison worker and the fit's helper alike, and cli reaches no
+    # private name of kernels: a second copy of that code would keep its
+    # own faults after the first was mended
+    assert {name: _call_sites(name) for name in (
+        "fork", "pipe", "kill", "waitpid")} == {
+        "fork": ["kernels._fork"],
+        "pipe": ["kernels.Child.__enter__"],
+        "kill": ["kernels.Child.__exit__"],
+        "waitpid": ["kernels.Child.__exit__", "kernels.Child._lost"],
+    }
+    cli = pathlib.Path(trialmix.__file__).with_name("cli.py")
+    names = []
+    for node in ast.walk(ast.parse(cli.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module == "kernels":
+            names += [alias.name for alias in node.names]
+        elif (isinstance(node, ast.Attribute)
+              and getattr(node.value, "id", None) == "kernels"):
+            names.append(node.attr)
+    assert [name for name in names if name.startswith("_")] == []
 
 
 def test_one_function_builds_the_responding_design():

@@ -1,6 +1,7 @@
 """Command-line pipeline: artifacts, exit codes, error reporting."""
 import csv
 import dataclasses
+import errno
 import json
 import os
 import re
@@ -335,15 +336,6 @@ def two_block_bundle(tmp_path_factory):
     return str(root / "dataset")
 
 
-@pytest.fixture
-def real_affinity():
-    # a fit with a helper confines itself and its helper to parts of the
-    # mask it reads, and restores that mask; the tests fake the mask
-    cpus = os.sched_getaffinity(0)
-    yield
-    os.sched_setaffinity(0, cpus)
-
-
 def _helper_forks(monkeypatch, cpus):
     """The pids of the helpers that fit forks with ``cpus`` CPUs, with the
     split threshold lowered so that the two-block bundle splits."""
@@ -431,6 +423,7 @@ def stuck_step(*args):
     time.sleep(60)
 kernels._fork = reporting_fork
 kernels.SPLIT_BLOCKS = 2
+os.sched_getaffinity = lambda pid: {0, 1}  # a helper on any host
 em._variance_step = stuck_step
 warnings.simplefilter("ignore")
 em.em_fit(read_dataset(sys.argv[1]), helper=True)
@@ -462,6 +455,40 @@ def test_helper_exits_when_its_fit_process_dies(two_block_bundle):
     else:
         os.kill(helper, signal.SIGKILL)
         pytest.fail("the helper outlived its fit's process")
+
+
+def _refused_fork():
+    raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+
+@pytest.mark.parametrize("command, process", [
+    ("report", "the comparison worker"), ("compare", "the comparison worker"),
+    ("fit", "the fit's helper process")])
+def test_refused_fork_exits_3(pipeline, two_block_bundle, tmp_path, capsys,
+                              monkeypatch, two_block_split, command, process):
+    # a fork the system refuses (no process slot or memory left) ends the
+    # run in one JSON error naming the process that could not start,
+    # closes the pipes opened for it and leaves --out as it was; no
+    # process starts
+    monkeypatch.setattr(os, "fork", _refused_fork)
+    bundle = two_block_bundle if command == "fit" else pipeline["bundle"]
+    fresh = tmp_path / "fresh"
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "mine.txt").write_bytes(b"mine\n")
+    fds = sorted(os.listdir("/proc/self/fd"))
+    for out in (fresh, kept):
+        capsys.readouterr()
+        assert main([command, bundle, "--config", pipeline["cfg"],
+                     "--out", str(out)]) == 3
+        assert sorted(os.listdir("/proc/self/fd")) == fds
+        err = _single_error_line(capsys)
+        assert (err["code"], err["type"], err["message"]) == (
+            3, "ChildProcessError",
+            f"{process} could not be started: {os.strerror(errno.EAGAIN)}")
+    assert not fresh.exists()
+    assert os.listdir(kept) == ["mine.txt"]
+    assert (kept / "mine.txt").read_bytes() == b"mine\n"
 
 
 def test_seed_flag_overrides_config(pipeline, tmp_path):

@@ -825,13 +825,13 @@ def helper_bundles():
 @pytest.mark.parametrize("model", [3, 4, 5])
 @pytest.mark.parametrize("n_vox", [256, 257, 300, 4999, 5000])
 def test_fit_with_a_helper_keeps_every_bit(helper_bundles, monkeypatch,
-                                           n_vox, model):
+                                           two_block_split, n_vox, model):
     # the helper takes the second half of the blocks of every pass over
     # voxels, and the caller adds the helper's partial sums after its
     # own, in block order: the fit is the one-process fit, byte for byte.
     # One block (256 voxels) has no second half, so nothing forks; the
-    # threshold is lowered to two blocks so that small bundles split
-    monkeypatch.setattr(em.kernels, "SPLIT_BLOCKS", 2)
+    # threshold is lowered to two blocks (two_block_split) so that small
+    # bundles split
     ds = helper_bundles[n_vox]
     forks = record_forks(monkeypatch)
     with warnings.catch_warnings():
@@ -846,11 +846,10 @@ def test_fit_with_a_helper_keeps_every_bit(helper_bundles, monkeypatch,
             os.waitpid(pid, os.WNOHANG)
 
 
-def test_fit_with_a_helper_allocates_under_half_a_series(monkeypatch):
+def test_fit_with_a_helper_allocates_under_half_a_series(two_block_split):
     # the fit's process holds its lane's rows of the shared residual,
     # which tracemalloc does not count, and builds no full-size temporary:
     # np.var's put the peak at one series above the dataset
-    monkeypatch.setattr(em.kernels, "SPLIT_BLOCKS", 2)
     ds, _ = simulate_dataset(SimConfig(n_voxels=8192, active_frac=0.3), seed=0)
     config = EmConfig(max_iter=3)
     with warnings.catch_warnings():
@@ -872,11 +871,11 @@ def _recording(rows_fn, seen):
     return recording
 
 
-def test_fit_with_a_helper_fills_only_its_lanes_rows(monkeypatch):
+def test_fit_with_a_helper_fills_only_its_lanes_rows(monkeypatch,
+                                                     two_block_split):
     # the helper is forked before the start residuals are built, so the
     # fit's process writes only its own rows of the residual, from the
     # first fill on, and never touches the helper's pages
-    monkeypatch.setattr(em.kernels, "SPLIT_BLOCKS", 2)
     ds, _ = simulate_dataset(SimConfig(n_voxels=1000, active_frac=0.3), seed=0)
     seen = {"_refresh_rows": [], "_set_mean_rows": []}
     for name, rows in seen.items():

@@ -165,18 +165,17 @@ def _scaled_rows(values, out, scale):
     np.multiply(values, scale, out=out)
 
 
-def _split_instance(monkeypatch, n_vox=3 * kernels.BLOCK):
-    monkeypatch.setattr(kernels, "SPLIT_BLOCKS", 2)
+def _split_instance(n_vox=3 * kernels.BLOCK):
     lanes = kernels.Lanes(n_vox, helper=True)
     values, out = lanes.empty(n_vox), lanes.empty(n_vox)
     values[:] = 1.0
     return lanes, values, out
 
 
-def test_split_emits_the_helpers_warnings_in_the_caller(monkeypatch):
+def test_split_emits_the_helpers_warnings_in_the_caller(two_block_split):
     # only the helper's rows overflow: their warning comes back to the
     # caller, from the line that raised it, and the rows land in out
-    lanes, values, out = _split_instance(monkeypatch)
+    lanes, values, out = _split_instance()
     values[-1] = 1e10
     with lanes, warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -187,8 +186,8 @@ def test_split_emits_the_helpers_warnings_in_the_caller(monkeypatch):
     assert np.all(out[:-1] == 1e300) and out[-1] == np.inf
 
 
-def test_split_raises_the_helpers_error_in_the_caller(monkeypatch):
-    lanes, values, out = _split_instance(monkeypatch)
+def test_split_raises_the_helpers_error_in_the_caller(two_block_split):
+    lanes, values, out = _split_instance()
     values[-1] = -1.0
     with lanes, pytest.raises(ValueError, match="negative value"):
         kernels.split(_scaled_rows, None, (values, out), 2.0)

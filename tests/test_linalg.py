@@ -3,6 +3,10 @@
 Every structured computation is checked against the materialized dense
 equivalent built with plain numpy calls.
 """
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -16,6 +20,7 @@ from trialmix.linalg import (
     regularize_spd,
     sym_eigen,
 )
+from trialmix.types import MAX_FACTOR_DIM
 
 
 def test_sym_eigen_reconstructs_and_orders():
@@ -151,3 +156,37 @@ def test_kron_quad_form_matches_dense():
 def test_kron_quad_form_rejects_shape_mismatch():
     with pytest.raises(ValueError, match="does not match factors"):
         kron_quad_form(np.eye(3), np.eye(2), np.zeros((3, 2)))
+
+
+FACTOR_SCRIPT = """
+import hashlib, sys
+import numpy as np
+from trialmix.linalg import inv_spd, kron_logdet
+random_spd, ar1 = np.load(sys.argv[1])
+for out in (inv_spd(random_spd), inv_spd(ar1),
+            np.float64(kron_logdet(random_spd, ar1))):
+    print(hashlib.sha256(out.tobytes()).hexdigest())
+"""
+
+
+def test_factor_inverses_are_bit_identical_across_blas_threads(tmp_path):
+    # the covariance factors go through LAPACK (Cholesky, inverse,
+    # eigenvalues), which blocks by size; at the largest factor a bundle
+    # may have, a random SPD and an AR(1) factor get the same bits at 1
+    # and 2 BLAS threads. The factors are made here, once, so that both
+    # runs read the same bytes
+    n = MAX_FACTOR_DIM
+    rng = np.random.default_rng(11)
+    lags = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    factors = str(tmp_path / "factors.npy")
+    np.save(factors, np.stack([rand_spd(rng, n), 0.9 ** lags]))
+    digests = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", FACTOR_SCRIPT, factors],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        digests[threads] = proc.stdout.split()
+    assert len(digests["1"]) == 3
+    assert digests["1"] == digests["2"]

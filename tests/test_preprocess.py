@@ -15,7 +15,6 @@ from trialmix.preprocess import (
     center_columns,
     dct_basis,
     dct_highpass,
-    gaussian_smooth_3d,
     mean_center,
     preprocess_dataset,
     shift_offsets_from_stimulus,
@@ -24,8 +23,8 @@ from trialmix.preprocess import (
 )
 from trialmix.types import Dataset, DegenerateDataError, Dims
 
-from helpers import (assert_near, make_bundle, make_dataset, make_dims,
-                     preprocess_whole, traced_peak)
+from helpers import (assert_near, gaussian_smooth_3d, make_bundle,
+                     make_dataset, make_dims, preprocess_whole, traced_peak)
 
 
 def test_centering_helpers():
